@@ -38,7 +38,7 @@ from repro.core.signaling import (
     KIND_INCOMING,
     KIND_VOIP,
     make_downstream_chaff,
-    make_downstream_packet,
+    make_downstream_packets,
     open_downstream_packet,
 )
 
@@ -234,28 +234,30 @@ class MixCallManager:
         empty payload keeps the crypto path identical).  Idle channels
         carry random chaff.
         """
-        out: Dict[int, bytes] = {}
         n_control = n_payload = n_chaff = 0
+        #: channel → (key, channel, round, kind, payload), sealed
+        #: together below.
+        addressed: Dict[int, tuple] = {}
         for numeric_id, call in list(self._pending_grant.items()):
             key = self.mix.client_keys[self._client_name[numeric_id]]
-            out[call.channel_id] = make_downstream_packet(
+            addressed[call.channel_id] = (
                 key, call.channel_id, round_index, KIND_GRANT,
                 ChannelGrant(call.channel_id, call.call_id).encode())
             del self._pending_grant[numeric_id]
             n_control += 1
         for numeric_id, call in list(self._pending_announce.items()):
             key = self.mix.client_keys[self._client_name[numeric_id]]
-            out[call.channel_id] = make_downstream_packet(
+            addressed[call.channel_id] = (
                 key, call.channel_id, round_index, KIND_INCOMING,
                 IncomingCallAnnouncement(call.call_id).encode())
             del self._pending_announce[numeric_id]
             n_control += 1
         for call in self.calls.values():
-            if call.channel_id in out:
+            if call.channel_id in addressed:
                 continue
             key = self.mix.client_keys[self._client_name[call.numeric_id]]
             cell = call.downstream.popleft() if call.downstream else b""
-            out[call.channel_id] = make_downstream_packet(
+            addressed[call.channel_id] = (
                 key, call.channel_id, round_index, KIND_VOIP, cell)
             # An empty VOIP cell is addressed chaff: wire-identical to
             # payload, which is exactly the paper's unobservability
@@ -264,6 +266,8 @@ class MixCallManager:
                 n_payload += 1
             else:
                 n_chaff += 1
+        out: Dict[int, bytes] = dict(zip(
+            addressed, make_downstream_packets(list(addressed.values()))))
         for channel_id in self.mix.channels:
             if channel_id not in out and \
                     channel_id not in self.disabled_channels:
@@ -280,16 +284,38 @@ class MixCallManager:
 
     # -- round ingestion ------------------------------------------------------------
 
+    def _ingest(self, upstream: List[Tuple[int, bytes,
+                                           List[Tuple[int, int, bool]]]],
+                route: Optional[Callable[[int, bytes], None]] = None
+                ) -> List[Tuple[Optional[int], bytes]]:
+        """Decode upstream rounds given as (channel_id, xor_packet,
+        manifest_entries) — all of them with one chaff prediction —
+        then, channel by channel in the given order, act on the
+        signals and hand any recovered voice cell to ``route``.
+
+        Decoding reads each channel's active call before any signal
+        of the batch is acted on.  A signal can only *start* a call,
+        on a channel that was free, and the caller — not yet granted —
+        still sends chaff there this round; whether the mix predicts
+        that chaff (batched) or decrypts it as the new call's packet
+        (channel by channel) the channel yields no payload and the
+        same signalers."""
+        decoded = self.mix.decode_channel_rounds(upstream)
+        recovered = []
+        for active, payload, signalers in decoded:
+            for numeric_id in signalers:
+                self.handle_signal(numeric_id)
+            if active is not None and payload and route is not None:
+                route(active, payload)
+            recovered.append((active, payload))
+        return recovered
+
     def process_upstream(self, channel_id: int, xor_packet: bytes,
                          manifests: List[Tuple[int, int, bool]]
                          ) -> Tuple[Optional[int], bytes]:
         """Decode one upstream round and act on its signals.  Returns
         (active numeric id, payload) for any recovered voice cell."""
-        active, payload, signalers = self.mix.decode_channel_round(
-            channel_id, xor_packet, manifests)
-        for numeric_id in signalers:
-            self.handle_signal(numeric_id)
-        return active, payload
+        return self._ingest([(channel_id, xor_packet, manifests)])[0]
 
     def process_round(self, round_index: int,
                       upstream: List[Tuple[int, bytes,
@@ -303,20 +329,23 @@ class MixCallManager:
         downstream round in one call.
 
         ``upstream`` is a list of (channel_id, xor_packet,
-        manifest_entries) triples; they are ingested in the given
-        order (callers pass sorted channel order), each recovered
-        voice cell handed to ``route(numeric_id, cell)`` immediately —
-        exactly the interleaving a per-channel caller produces, so
+        manifest_entries) triples; their signals and voice are acted
+        on in the given order (callers pass sorted channel order),
+        each recovered voice cell handed to ``route(numeric_id,
+        cell)`` — the interleaving a per-channel caller produces, so
         allocation rng draws, GRANT queueing, and the downstream cell
         census are identical to the per-channel path (DESIGN.md §9).
         ``pre_downstream`` runs between ingestion and downstream
         production (the zone rings pending callees there).
+
+        A round is ingested all or nothing: every channel is decoded
+        before any signal or voice cell is acted on, so the
+        ``ValueError`` of one misbehaving channel (nonzero residue,
+        sequence mismatch) leaves no channel of the round applied —
+        the per-channel :meth:`process_upstream` has by then acted on
+        the channels before it.
         """
-        for channel_id, xor_packet, entries in upstream:
-            active, payload = self.process_upstream(channel_id,
-                                                    xor_packet, entries)
-            if active is not None and payload and route is not None:
-                route(active, payload)
+        self._ingest(upstream, route)
         if pre_downstream is not None:
             pre_downstream()
         return self.downstream_round(round_index)
@@ -358,8 +387,14 @@ class ClientCallAgent:
                            packet: bytes) -> Optional[str]:
         """Trial-decrypt one downstream packet; returns an event name
         ("granted", "ringing", "voice") or None for chaff."""
-        opened = open_downstream_packet(self.client.session_key,
-                                        channel_id, round_index, packet)
+        return self.handle_opened(channel_id, open_downstream_packet(
+            self.client.session_key, channel_id, round_index, packet))
+
+    def handle_opened(self, channel_id: int,
+                      opened: Optional[Tuple[int, bytes]]
+                      ) -> Optional[str]:
+        """Act on the outcome of a trial decryption
+        (:func:`~repro.core.signaling.open_downstream_packets`)."""
         if opened is None:
             return None
         kind, payload = opened

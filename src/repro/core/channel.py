@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.chacha20 import chacha20_encrypt
+from repro.crypto.chacha20 import CipherPlan, seal_plans
 from repro.crypto.keys import SessionKey
 
 MANIFEST_BYTES = 4
@@ -52,40 +52,58 @@ class ChannelManifest:
             raise ValueError("sequence must be non-negative")
 
 
+def _slot_nonce(slot: int) -> bytes:
+    return _MANIFEST_PREFIX + struct.pack("<Q", slot)
+
+
+def plan_manifest(manifest: ChannelManifest, key: SessionKey,
+                  slot: int) -> CipherPlan:
+    """The cipher call that encrypts a manifest for a round slot."""
+    word = (manifest.client_id
+            | (int(manifest.signal) << 6)
+            | ((manifest.sequence % _SEQ_MOD) << 7))
+    return key.key, _slot_nonce(slot), struct.pack("<I", word)
+
+
 def encode_manifest(manifest: ChannelManifest, key: SessionKey,
                     slot: int) -> bytes:
     """Encrypt a manifest with the client's session key for a round
     slot."""
-    word = (manifest.client_id
-            | (int(manifest.signal) << 6)
-            | ((manifest.sequence % _SEQ_MOD) << 7))
-    clear = struct.pack("<I", word)
-    nonce = _MANIFEST_PREFIX + struct.pack("<Q", slot)
-    return chacha20_encrypt(key.key, nonce, clear)
+    return seal_plans([plan_manifest(manifest, key, slot)])[0]
 
 
-def decode_manifest(data: bytes, key: SessionKey, slot: int,
-                    expected_sequence: int) -> ChannelManifest:
-    """Decrypt a manifest and reconstruct the full sequence number.
+def decode_manifests(manifests: Sequence[Tuple[bytes, SessionKey, int, int]]
+                     ) -> List[ChannelManifest]:
+    """Decrypt manifests given as ``(data, key, slot,
+    expected_sequence)`` in one kernel call and reconstruct the full
+    sequence numbers.
 
     ``expected_sequence`` is the mix's next-expected counter for the
     client; the truncated 25-bit value is resolved to the nearest full
     sequence at or after ``expected_sequence - _SEQ_MOD // 2``.
     """
-    if len(data) != MANIFEST_BYTES:
+    if any(len(data) != MANIFEST_BYTES for data, _, _, _ in manifests):
         raise ValueError("manifest must be 4 bytes")
-    nonce = _MANIFEST_PREFIX + struct.pack("<Q", slot)
-    clear = chacha20_encrypt(key.key, nonce, data)
-    (word,) = struct.unpack("<I", clear)
-    client_id = word & 0x3F
-    signal = bool((word >> 6) & 1)
-    seq_low = word >> 7
-    base = max(0, expected_sequence - _SEQ_MOD // 2)
-    candidate = (base - base % _SEQ_MOD) + seq_low
-    if candidate < base:
-        candidate += _SEQ_MOD
-    return ChannelManifest(client_id=client_id, sequence=candidate,
-                           signal=signal)
+    clears = seal_plans([(key.key, _slot_nonce(slot), data)
+                         for data, key, slot, _ in manifests])
+    decoded = []
+    for clear, (_, _, _, expected_sequence) in zip(clears, manifests):
+        (word,) = struct.unpack("<I", clear)
+        seq_low = word >> 7
+        base = max(0, expected_sequence - _SEQ_MOD // 2)
+        candidate = (base - base % _SEQ_MOD) + seq_low
+        if candidate < base:
+            candidate += _SEQ_MOD
+        decoded.append(ChannelManifest(client_id=word & 0x3F,
+                                       sequence=candidate,
+                                       signal=bool((word >> 6) & 1)))
+    return decoded
+
+
+def decode_manifest(data: bytes, key: SessionKey, slot: int,
+                    expected_sequence: int) -> ChannelManifest:
+    """Decrypt one manifest (see :func:`decode_manifests`)."""
+    return decode_manifests([(data, key, slot, expected_sequence)])[0]
 
 
 @dataclass

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.chaffing import ConstantRateChaffer
-from repro.core.channel import ChannelManifest, encode_manifest
+from repro.core.channel import ChannelManifest, plan_manifest
 from repro.core.circuit import Circuit, CircuitBuilder
 from repro.core.network_coding import (
-    make_chaff_packet,
-    make_payload_packet,
+    plan_chaff_packet,
+    plan_payload_packet,
 )
+from repro.crypto.chacha20 import CipherPlan, seal_plans
 from repro.crypto.kdf import hkdf_sha256
 from repro.crypto.keys import IdentityKeyPair, SessionKey, ShortTermKeyPair
 from repro.crypto.pki import Certificate
@@ -51,6 +52,20 @@ class ChannelAttachment:
     channel_id: int
     slot: int
     sequence: int = 0
+
+
+#: One round's emission on one channel, planned: the packet's and the
+#: manifest's cipher calls.
+UpstreamPlan = Tuple[CipherPlan, CipherPlan]
+
+
+def seal_upstream(plans: Sequence[UpstreamPlan]
+                  ) -> List[Tuple[bytes, bytes]]:
+    """Seal planned emissions — one client's, or every attachment's of
+    a round — into (packet, encrypted manifest) pairs with one kernel
+    call."""
+    sealed = seal_plans([plan for pair in plans for plan in pair])
+    return list(zip(sealed[0::2], sealed[1::2]))
 
 
 class HerdClient:
@@ -132,29 +147,35 @@ class HerdClient:
 
     # -- upstream packet generation (one per channel per round) -------------
 
-    def upstream_packet(self, attachment: ChannelAttachment,
-                        payload: Optional[bytes] = None
-                        ) -> Tuple[bytes, bytes]:
-        """The (packet, encrypted manifest) pair for one round on one
-        channel.  ``payload`` (an onion cell) is carried only on the
-        channel granted to the active call; everywhere else chaff goes
-        out at the same size and rate (§3.4.1)."""
+    def plan_upstream(self, attachment: ChannelAttachment,
+                      payload: Optional[bytes] = None) -> UpstreamPlan:
+        """Plan one round's (packet, manifest) on one channel and
+        advance the channel's sequence number.  ``payload`` (an onion
+        cell) is carried only on the channel granted to the active
+        call; everywhere else chaff goes out at the same size and rate
+        (§3.4.1)."""
         if not self.joined:
             raise RuntimeError("client has not joined")
         seq = attachment.sequence
         if payload is None:
-            packet = make_chaff_packet(self.session_key, seq)
+            packet = plan_chaff_packet(self.session_key, seq)
         else:
-            packet = make_payload_packet(self.session_key, seq, payload)
+            packet = plan_payload_packet(self.session_key, seq, payload)
         manifest = ChannelManifest(
             client_id=attachment.slot,
             sequence=seq,
             signal=self.signal_pending,
         )
-        encoded = encode_manifest(manifest, self.session_key,
-                                  slot=attachment.slot)
         attachment.sequence += 1
-        return packet, encoded
+        return packet, plan_manifest(manifest, self.session_key,
+                                     slot=attachment.slot)
+
+    def upstream_packet(self, attachment: ChannelAttachment,
+                        payload: Optional[bytes] = None
+                        ) -> Tuple[bytes, bytes]:
+        """The (packet, encrypted manifest) pair for one round on one
+        channel (see :meth:`plan_upstream`)."""
+        return seal_upstream([self.plan_upstream(attachment, payload)])[0]
 
     def request_outgoing_call(self) -> None:
         """Set the signaling bit on subsequent chaff manifests

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.allocation import RankingMatcher
 from repro.core.channel import Channel
@@ -36,7 +36,7 @@ from repro.core.circuit import (
 from repro.core.directory import ZoneDirectory
 from repro.core.network_coding import (
     ChaffPredictor,
-    decode_round,
+    decode_rounds,
 )
 from repro.crypto.keys import IdentityKeyPair, SessionKey, ShortTermKeyPair
 from repro.crypto.onion import decode_cell, encode_cell, unwrap_layer
@@ -238,17 +238,29 @@ class Mix:
         self.channels = {ch_id: Channel(ch_id) for ch_id in self.channels}
         self._client_slots.clear()
 
+    def decode_channel_rounds(
+            self, rounds: Sequence[Tuple[int, bytes,
+                                         List[Tuple[int, int, bool]]]]
+            ) -> List[Tuple[Optional[int], bytes, List[int]]]:
+        """Decode upstream XOR rounds given as ``(channel_id,
+        xor_packet, manifests)``.  Each channel's active client is
+        channel state (the mix allocated the call), read here, before
+        any of the rounds' signals is acted on."""
+        channel_rounds = []
+        for channel_id, xor_packet, manifests in rounds:
+            channel = self.channels[channel_id]
+            active = None
+            if channel.active_call is not None:
+                active = channel.members[channel.active_call]
+            channel_rounds.append((xor_packet, manifests, active))
+        return decode_rounds(channel_rounds, self.predictor)
+
     def decode_channel_round(self, channel_id: int, xor_packet: bytes,
                              manifests: List[Tuple[int, int, bool]]
                              ) -> Tuple[Optional[int], bytes, List[int]]:
-        """Decode one upstream XOR round for a channel.  The active
-        client is channel state (the mix allocated the call)."""
-        channel = self.channels[channel_id]
-        active = None
-        if channel.active_call is not None:
-            active = channel.members[channel.active_call]
-        return decode_round(xor_packet, manifests, self.predictor,
-                            active_client=active)
+        """Decode one upstream XOR round for a channel."""
+        return self.decode_channel_rounds(
+            [(channel_id, xor_packet, manifests)])[0]
 
     # -- reporting ------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.chacha20 import chacha20_encrypt
+from repro.crypto.chacha20 import CipherPlan, seal_plans, xor_bytes
 from repro.crypto.keys import SessionKey
 
 #: Payload capacity of one coded packet — sized for an onion cell.
@@ -42,20 +42,6 @@ CODED_PACKET_SIZE = _HEADER.size + CODED_PAYLOAD
 _UP_PREFIX = b"up\x00\x00"
 
 
-def xor_bytes(*chunks: bytes) -> bytes:
-    """XOR any number of equal-length byte strings."""
-    if not chunks:
-        raise ValueError("need at least one chunk")
-    length = len(chunks[0])
-    if any(len(c) != length for c in chunks):
-        raise ValueError("all chunks must have equal length")
-    out = bytearray(chunks[0])
-    for chunk in chunks[1:]:
-        for i, byte in enumerate(chunk):
-            out[i] ^= byte
-    return bytes(out)
-
-
 def _encode_cleartext(kind: int, sequence: int, payload: bytes) -> bytes:
     if len(payload) > CODED_PAYLOAD:
         raise ValueError("payload exceeds coded packet capacity")
@@ -63,43 +49,62 @@ def _encode_cleartext(kind: int, sequence: int, payload: bytes) -> bytes:
             + payload.ljust(CODED_PAYLOAD, b"\x00"))
 
 
-def _keystream_encrypt(key: SessionKey, sequence: int,
-                       cleartext: bytes) -> bytes:
-    nonce = _UP_PREFIX + struct.pack("<Q", sequence)
-    return chacha20_encrypt(key.key, nonce, cleartext)
+def _plan(key: SessionKey, sequence: int, message: bytes) -> CipherPlan:
+    return key.key, _UP_PREFIX + struct.pack("<Q", sequence), message
+
+
+def plan_chaff_packet(key: SessionKey, sequence: int) -> CipherPlan:
+    return _plan(key, sequence,
+                 _encode_cleartext(_TYPE_CHAFF, sequence, b""))
+
+
+def plan_payload_packet(key: SessionKey, sequence: int,
+                        payload: bytes) -> CipherPlan:
+    return _plan(key, sequence,
+                 _encode_cleartext(_TYPE_PAYLOAD, sequence, payload))
 
 
 def make_chaff_packet(key: SessionKey, sequence: int) -> bytes:
     """The encrypted chaff packet an idle client sends at ``sequence``."""
-    return _keystream_encrypt(key, sequence,
-                              _encode_cleartext(_TYPE_CHAFF, sequence, b""))
+    return seal_plans([plan_chaff_packet(key, sequence)])[0]
 
 
 def make_payload_packet(key: SessionKey, sequence: int,
                         payload: bytes) -> bytes:
     """The encrypted packet an active client sends carrying ``payload``
     (an onion cell)."""
-    return _keystream_encrypt(
-        key, sequence, _encode_cleartext(_TYPE_PAYLOAD, sequence, payload))
+    return seal_plans([plan_payload_packet(key, sequence, payload)])[0]
+
+
+def decrypt_packets(packets: Sequence[Tuple[SessionKey, int, bytes]]
+                    ) -> List[Tuple[bool, bytes]]:
+    """Decrypt client packets given as ``(key, sequence, ciphertext)``;
+    returns (is_payload, payload_bytes) for each.
+
+    Raises :class:`ValueError` if an embedded sequence number does not
+    match (corruption, or wrong keystream)."""
+    if any(len(ciphertext) != CODED_PACKET_SIZE
+           for _, _, ciphertext in packets):
+        raise ValueError("coded packet has the wrong size")
+    out = []
+    for (_, sequence, _), clear in zip(
+            packets, seal_plans([_plan(*packet) for packet in packets])):
+        kind, seq = _HEADER.unpack(clear[:_HEADER.size])
+        if seq != sequence:
+            raise ValueError("packet sequence mismatch after decryption")
+        if kind == _TYPE_CHAFF:
+            out.append((False, b""))
+        elif kind == _TYPE_PAYLOAD:
+            out.append((True, clear[_HEADER.size:]))
+        else:
+            raise ValueError(f"unknown packet type {kind}")
+    return out
 
 
 def decrypt_packet(key: SessionKey, sequence: int,
                    ciphertext: bytes) -> Tuple[bool, bytes]:
-    """Decrypt a client packet; returns (is_payload, payload_bytes).
-
-    Raises :class:`ValueError` if the embedded sequence number does not
-    match (corruption, or wrong keystream)."""
-    if len(ciphertext) != CODED_PACKET_SIZE:
-        raise ValueError("coded packet has the wrong size")
-    clear = _keystream_encrypt(key, sequence, ciphertext)
-    kind, seq = _HEADER.unpack(clear[:_HEADER.size])
-    if seq != sequence:
-        raise ValueError("packet sequence mismatch after decryption")
-    if kind == _TYPE_CHAFF:
-        return False, b""
-    if kind == _TYPE_PAYLOAD:
-        return True, clear[_HEADER.size:]
-    raise ValueError(f"unknown packet type {kind}")
+    """Decrypt one client packet (see :func:`decrypt_packets`)."""
+    return decrypt_packets([(key, sequence, ciphertext)])[0]
 
 
 class ChaffPredictor:
@@ -117,45 +122,56 @@ class ChaffPredictor:
     def add_client(self, client: int, key: SessionKey) -> None:
         self._keys[client] = key
 
+    def predict_many(self, chaff: Sequence[Tuple[int, int]]
+                     ) -> List[bytes]:
+        """The chaff ciphertext of every ``(client, sequence)``, from
+        one kernel call."""
+        plans = []
+        for client, sequence in chaff:
+            key = self._keys.get(client)
+            if key is None:
+                raise KeyError(f"no session key for client {client}")
+            plans.append(plan_chaff_packet(key, sequence))
+        return seal_plans(plans)
+
     def predict(self, client: int, sequence: int) -> bytes:
-        key = self._keys.get(client)
-        if key is None:
-            raise KeyError(f"no session key for client {client}")
-        return make_chaff_packet(key, sequence)
+        return self.predict_many([(client, sequence)])[0]
 
     def key_of(self, client: int) -> SessionKey:
         return self._keys[client]
 
 
-def decode_round(xor_packet: bytes,
-                 manifest_entries: Sequence[Tuple[int, int, bool]],
-                 predictor: ChaffPredictor,
-                 active_client: Optional[int] = None
-                 ) -> Tuple[Optional[int], bytes, List[int]]:
-    """Mix-side decode of one channel round (Fig. 2b).
+#: One channel's upstream round as the mix sees it:
+#: ``(xor_packet, manifest_entries, active_client)``.
+ChannelRound = Tuple[bytes, Sequence[Tuple[int, int, bool]], Optional[int]]
 
-    Parameters
-    ----------
+
+def decode_rounds(rounds: Sequence[ChannelRound],
+                  predictor: ChaffPredictor
+                  ) -> List[Tuple[Optional[int], bytes, List[int]]]:
+    """Mix-side decode of any number of channel rounds (Fig. 2b).
+
+    Each round is ``(xor_packet, manifest_entries, active_client)``:
+
     xor_packet:
-        The XOR the SP forwarded for this channel.
+        The XOR the SP forwarded for the channel.
     manifest_entries:
         Decrypted manifests as ``(client, sequence, signal_bit)`` for
         every client whose packet was included in the XOR.
-    predictor:
-        The chaff oracle holding every client's session key.
     active_client:
-        The client currently holding this channel's call, if any.  The
+        The client currently holding the channel's call, if any.  The
         *mix* allocated the call to the channel (§3.6.3), so this is
         mix-local state, not something inferred from traffic.
 
-    Returns ``(sender, payload, signalers)`` where ``sender``/
-    ``payload`` identify the round's at-most-one VoIP packet
+    Returns ``(sender, payload, signalers)`` per round, where
+    ``sender``/``payload`` identify the round's at-most-one VoIP packet
     (``None``/b"" if every packet was chaff — including when the active
     client had nothing to send) and ``signalers`` lists clients whose
     manifest had the signaling bit set (outgoing-call requests,
     §3.6.2).
 
-    The mix XORs out the *predicted chaff* of every idle client; the
+    The mix XORs out the *predicted chaff* of every idle client — one
+    :meth:`ChaffPredictor.predict_many` for all the rounds; the
     residue is the active client's encrypted packet, decrypted with its
     session key.  With no active client the residue must be zero — a
     nonzero residue means a misbehaving SP or client, and the caller is
@@ -163,27 +179,53 @@ def decode_round(xor_packet: bytes,
     the SP to send the full packets from which the packets were
     computed").
     """
-    if len(xor_packet) != CODED_PACKET_SIZE:
+    if any(len(xor_packet) != CODED_PACKET_SIZE
+           for xor_packet, _, _ in rounds):
         raise ValueError("XOR packet has the wrong size")
-    signalers = [client for client, _, signal in manifest_entries
-                 if signal]
-    residue = xor_packet
-    active_seq: Optional[int] = None
-    for client, seq, _ in manifest_entries:
-        if client == active_client:
-            active_seq = seq
-            continue
-        residue = xor_bytes(residue, predictor.predict(client, seq))
-    if active_client is None:
-        if residue != b"\x00" * CODED_PACKET_SIZE:
-            raise ValueError(
-                "XOR round residue nonzero with no active client: "
-                "misbehaving SP or client (full-packet audit required)")
-        return None, b"", signalers
-    if active_seq is None:
-        raise ValueError("active client missing from round manifests")
-    is_payload, payload = decrypt_packet(
-        predictor.key_of(active_client), active_seq, residue)
-    if not is_payload:
-        return None, b"", signalers
-    return active_client, payload, signalers
+    idle = [[(client, seq) for client, seq, _ in entries
+             if client != active] for _, entries, active in rounds]
+    chaff = predictor.predict_many(
+        [sender for senders in idle for sender in senders])
+    decoded: List[Tuple[Optional[int], bytes, List[int]]] = []
+    #: (index into ``decoded``, active client, its sequence, residue)
+    to_decrypt = []
+    peeled = 0
+    for (xor_packet, entries, active), senders in zip(rounds, idle):
+        residue = xor_bytes(xor_packet,
+                            *chaff[peeled:peeled + len(senders)])
+        peeled += len(senders)
+        signalers = [client for client, _, signal in entries if signal]
+        if active is None:
+            if residue != b"\x00" * CODED_PACKET_SIZE:
+                raise ValueError(
+                    "XOR round residue nonzero with no active client: "
+                    "misbehaving SP or client (full-packet audit "
+                    "required)")
+        else:
+            active_seq = None
+            for client, seq, _ in entries:
+                if client == active:
+                    active_seq = seq
+            if active_seq is None:
+                raise ValueError(
+                    "active client missing from round manifests")
+            to_decrypt.append((len(decoded), active, active_seq, residue))
+        decoded.append((None, b"", signalers))
+    opened = decrypt_packets([(predictor.key_of(active), seq, residue)
+                              for _, active, seq, residue in to_decrypt])
+    for (i, active, _, _), (is_payload, payload) in zip(to_decrypt,
+                                                        opened):
+        if is_payload:
+            decoded[i] = (active, payload, decoded[i][2])
+    return decoded
+
+
+def decode_round(xor_packet: bytes,
+                 manifest_entries: Sequence[Tuple[int, int, bool]],
+                 predictor: ChaffPredictor,
+                 active_client: Optional[int] = None
+                 ) -> Tuple[Optional[int], bytes, List[int]]:
+    """Mix-side decode of one channel round (see
+    :func:`decode_rounds`)."""
+    return decode_rounds(
+        [(xor_packet, manifest_entries, active_client)], predictor)[0]

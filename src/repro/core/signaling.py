@@ -25,9 +25,9 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.chacha20 import ChaCha20Poly1305
+from repro.crypto.chacha20 import aead_open_many, aead_seal_many
 from repro.crypto.keys import SessionKey
 from repro.core.network_coding import CODED_PACKET_SIZE
 
@@ -52,21 +52,35 @@ def _nonce(channel_id: int, round_index: int) -> bytes:
                                       round_index % (1 << 64))
 
 
+def make_downstream_packets(
+        packets: Sequence[Tuple[SessionKey, int, int, int, bytes]]
+        ) -> List[bytes]:
+    """Seal downstream packets given as ``(key, channel_id,
+    round_index, kind, payload)``, each for its addressed client."""
+    clears = []
+    for _, _, _, kind, payload in packets:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown downstream kind {kind}")
+        if len(payload) > _CAPACITY:
+            raise ValueError(f"payload exceeds downstream capacity "
+                             f"({_CAPACITY} bytes)")
+        clears.append(_HEADER.pack(kind, len(payload))
+                      + payload.ljust(_CAPACITY, b"\x00"))
+    sealed = aead_seal_many(
+        [key.key for key, _, _, _, _ in packets],
+        [_nonce(channel_id, round_index)
+         for _, channel_id, round_index, _, _ in packets],
+        clears)
+    assert all(len(packet) == DOWNSTREAM_PACKET_SIZE for packet in sealed)
+    return sealed
+
+
 def make_downstream_packet(key: SessionKey, channel_id: int,
                            round_index: int, kind: int,
                            payload: bytes) -> bytes:
     """Seal a downstream packet for the addressed client."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown downstream kind {kind}")
-    if len(payload) > _CAPACITY:
-        raise ValueError(f"payload exceeds downstream capacity "
-                         f"({_CAPACITY} bytes)")
-    clear = (_HEADER.pack(kind, len(payload))
-             + payload.ljust(_CAPACITY, b"\x00"))
-    aead = ChaCha20Poly1305(key.key)
-    packet = aead.encrypt(_nonce(channel_id, round_index), clear)
-    assert len(packet) == DOWNSTREAM_PACKET_SIZE
-    return packet
+    return make_downstream_packets(
+        [(key, channel_id, round_index, kind, payload)])[0]
 
 
 def make_downstream_chaff(rng: random.Random) -> bytes:
@@ -75,23 +89,40 @@ def make_downstream_chaff(rng: random.Random) -> bytes:
     return bytes(rng.getrandbits(8) for _ in range(DOWNSTREAM_PACKET_SIZE))
 
 
+def open_downstream_packets(
+        trials: Sequence[Tuple[SessionKey, int, int, bytes]]
+        ) -> List[Optional[Tuple[int, bytes]]]:
+    """Client-side trial decryption of ``(key, channel_id,
+    round_index, packet)`` trials — one client's, or every channel
+    member's of a round, each under its own key.  Returns (kind,
+    payload) where the packet is addressed to that key's client, else
+    None ("others discard the packet as chaff")."""
+    clears = aead_open_many(
+        [key.key for key, _, _, _ in trials],
+        [_nonce(channel_id, round_index)
+         for _, channel_id, round_index, _ in trials],
+        [packet for _, _, _, packet in trials])
+    opened: List[Optional[Tuple[int, bytes]]] = []
+    for (_, _, _, packet), clear in zip(trials, clears):
+        if clear is None or len(packet) != DOWNSTREAM_PACKET_SIZE:
+            opened.append(None)
+            continue
+        kind, length = _HEADER.unpack(clear[:_HEADER.size])
+        if kind not in _KINDS or length > _CAPACITY:
+            opened.append(None)
+        else:
+            opened.append(
+                (kind, clear[_HEADER.size:_HEADER.size + length]))
+    return opened
+
+
 def open_downstream_packet(key: SessionKey, channel_id: int,
                            round_index: int, packet: bytes
                            ) -> Optional[Tuple[int, bytes]]:
-    """Client-side trial decryption.  Returns (kind, payload) if the
-    packet is addressed to this client, else None ("others discard the
-    packet as chaff")."""
-    if len(packet) != DOWNSTREAM_PACKET_SIZE:
-        return None
-    aead = ChaCha20Poly1305(key.key)
-    try:
-        clear = aead.decrypt(_nonce(channel_id, round_index), packet)
-    except ValueError:
-        return None
-    kind, length = _HEADER.unpack(clear[:_HEADER.size])
-    if kind not in _KINDS or length > _CAPACITY:
-        return None
-    return kind, clear[_HEADER.size:_HEADER.size + length]
+    """One client's trial decryption of one packet (see
+    :func:`open_downstream_packets`)."""
+    return open_downstream_packets(
+        [(key, channel_id, round_index, packet)])[0]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ pure-Python equivalent that interoperates only with itself:
 
 * :mod:`repro.crypto.x25519` — RFC 7748 Curve25519 Diffie-Hellman.
 * :mod:`repro.crypto.ed25519` — RFC 8032 Ed25519 signatures.
-* :mod:`repro.crypto.chacha20` — RFC 8439 ChaCha20 and the
+* :mod:`repro.crypto.chacha20` — RFC 8439 ChaCha20 (many independent
+  streams per call, through one numpy block kernel) and the
   ChaCha20-Poly1305 AEAD construction.
 * :mod:`repro.crypto.kdf` — HKDF-SHA256 key derivation.
 * :mod:`repro.crypto.keys` — long-term identity and short-term circuit
@@ -28,7 +29,9 @@ from repro.crypto.x25519 import X25519PrivateKey, x25519
 from repro.crypto.ed25519 import SigningKey, VerifyKey
 from repro.crypto.chacha20 import (
     chacha20_encrypt,
+    chacha20_encrypt_many,
     chacha20_keystream,
+    chacha20_keystream_many,
     ChaCha20Poly1305,
 )
 from repro.crypto.kdf import hkdf_sha256, derive_keys
@@ -43,7 +46,9 @@ __all__ = [
     "SigningKey",
     "VerifyKey",
     "chacha20_encrypt",
+    "chacha20_encrypt_many",
     "chacha20_keystream",
+    "chacha20_keystream_many",
     "ChaCha20Poly1305",
     "hkdf_sha256",
     "derive_keys",

@@ -33,7 +33,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.crypto.chacha20 import chacha20_encrypt
+from repro.crypto.chacha20 import chacha20_keystream_many, xor_bytes
 from repro.crypto.kdf import derive_keys, CIRCUIT_KEY_LABELS
 
 #: Usable payload bytes per cell.  Sized to hold one 20 ms G.711 RTP
@@ -113,18 +113,24 @@ def decode_cell(cell: bytes, mac_key: bytes) -> bytes:
     return body[_LEN.size:_LEN.size + length]
 
 
+def _apply_layers(keys: Sequence[bytes], direction: bytes,
+                  sequence: int, cell: bytes) -> bytes:
+    """Add (or, equally, peel) the stream-cipher layer of every key at
+    once.  Layers are XOR streams, so their order does not matter and
+    all hops' keystreams come from one kernel call."""
+    streams = chacha20_keystream_many(
+        keys, [_nonce(direction, sequence)] * len(keys),
+        (len(cell) + 63) // 64, counter=1)
+    return xor_bytes(cell, *[stream[:len(cell)] for stream in streams])
+
+
 def wrap_onion(circuit: OnionCircuitKeys, payload: bytes,
                sequence: int) -> bytes:
-    """Client → exit: encode a cell and apply all forward layers.
-
-    Layers are applied innermost (exit) first, so the first mix peels
-    the outermost layer.
-    """
+    """Client → exit: encode a cell and apply all forward layers (the
+    first mix peels the outermost one)."""
     cell = encode_cell(payload, circuit.hops[-1].forward_mac)
-    for hop in reversed(circuit.hops):
-        cell = chacha20_encrypt(hop.forward, _nonce(b"fwd\x00", sequence),
-                                cell)
-    return cell
+    return _apply_layers([hop.forward for hop in circuit.hops],
+                         b"fwd\x00", sequence, cell)
 
 
 def unwrap_layer(hop: HopKeys, cell: bytes, sequence: int,
@@ -135,34 +141,30 @@ def unwrap_layer(hop: HopKeys, cell: bytes, sequence: int,
     operation; the direction selects the key and nonce tag.
     """
     if forward:
-        return chacha20_encrypt(hop.forward, _nonce(b"fwd\x00", sequence),
-                                cell)
-    return chacha20_encrypt(hop.backward, _nonce(b"bwd\x00", sequence),
-                            cell)
+        return _apply_layers([hop.forward], b"fwd\x00", sequence, cell)
+    return _apply_layers([hop.backward], b"bwd\x00", sequence, cell)
 
 
 def unwrap_onion(circuit: OnionCircuitKeys, cell: bytes,
                  sequence: int) -> bytes:
     """Peel every forward layer and verify the cell (exit-side view,
     used in tests to check the full path)."""
-    for hop in circuit.hops:
-        cell = unwrap_layer(hop, cell, sequence, forward=True)
+    cell = _apply_layers([hop.forward for hop in circuit.hops],
+                         b"fwd\x00", sequence, cell)
     return decode_cell(cell, circuit.hops[-1].forward_mac)
 
 
 def wrap_backward(circuit: OnionCircuitKeys, payload: bytes,
                   sequence: int) -> bytes:
-    """Exit → client: each mix adds its backward layer in path order."""
+    """Exit → client: every mix on the path adds its backward layer."""
     cell = encode_cell(payload, circuit.hops[-1].backward_mac)
-    for hop in circuit.hops:
-        cell = unwrap_layer(hop, cell, sequence, forward=False)
-    return cell
+    return _apply_layers([hop.backward for hop in circuit.hops],
+                         b"bwd\x00", sequence, cell)
 
 
 def unwrap_backward(circuit: OnionCircuitKeys, cell: bytes,
                     sequence: int) -> bytes:
     """Client removes all backward layers and verifies the cell."""
-    for hop in reversed(circuit.hops):
-        cell = chacha20_encrypt(hop.backward, _nonce(b"bwd\x00", sequence),
-                                cell)
+    cell = _apply_layers([hop.backward for hop in circuit.hops],
+                         b"bwd\x00", sequence, cell)
     return decode_cell(cell, circuit.hops[-1].backward_mac)

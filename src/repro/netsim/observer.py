@@ -9,12 +9,24 @@ access to payload bytes, packet ``kind``, or circuit IDs.
 The attack implementations in :mod:`repro.attacks` consume these
 observations; nothing else about the simulation leaks to them, so an
 attack that succeeds here would succeed against the real wire image.
+
+The log is kept by *burst*, not by cell.  Herd's links are chaffed to a
+constant rate, so the sightings of one instant — a round, on the
+round-synchronous engines — repeat from round to round: a burst is its
+timestamp plus a run-length *shape* ``(links, sizes, counts)``, and a
+burst whose shape equals the previous one's shares it.  A steady round
+then costs the log a few machine words however many links are tapped
+(it used to cost ~150 bytes per cell, which at a real-time round rate
+is megabytes per second of run); :class:`Observation` objects are made
+when the log is read.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.sharding import shard_crossing
 
@@ -34,6 +46,85 @@ class Observation:
     dst: str
 
 
+#: A burst's shape: parallel run-length columns — ``counts[i]``
+#: sightings of ``sizes[i]`` bytes on the directed link ``links[i]``.
+_Shape = Tuple[Tuple[Tuple[str, str], ...], Tuple[int, ...],
+               Tuple[int, ...]]
+
+
+class ObservationLog(Sequence):
+    """The sightings of one observer, in order: a read-only sequence
+    of :class:`Observation` (``len``, indexing, slicing, iteration,
+    ``==`` against a list) over the burst store described in the
+    module docstring."""
+
+    def __init__(self) -> None:
+        self._bursts: List[Tuple[float, _Shape]] = []
+        self._count = 0
+        # The burst being recorded (closed when the time moves on, or
+        # when the log is read).
+        self._open_time = 0.0
+        self._open: Tuple[list, list, list] = ([], [], [])
+
+    def add(self, time: float, size: int, src: str, dst: str,
+            count: int = 1) -> None:
+        """Record ``count`` sightings of ``size`` bytes on src → dst."""
+        if time != self._open_time:
+            self._close()
+            self._open_time = time
+        links, sizes, counts = self._open
+        links.append((src, dst))
+        sizes.append(size)
+        counts.append(count)
+        self._count += count
+
+    def _close(self) -> None:
+        links, sizes, counts = self._open
+        if not links:
+            return
+        shape = (tuple(links), tuple(sizes), tuple(counts))
+        if self._bursts and self._bursts[-1][1] == shape:
+            shape = self._bursts[-1][1]
+        self._bursts.append((self._open_time, shape))
+        self._open = ([], [], [])
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Observation]:
+        self._close()
+        for time, (links, sizes, counts) in self._bursts:
+            for (src, dst), size, count in zip(links, sizes, counts):
+                yield from itertools.repeat(
+                    Observation(time=time, size=size, src=src, dst=dst),
+                    count)
+
+    def __getitem__(self, index):
+        # Never through a full list: a long run's log is read a prefix
+        # at a time, and materialised it is ~150 bytes per cell.
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._count)
+            if step < 0:
+                return list(self)[index]
+            return list(itertools.islice(self, start, stop, step))
+        if index < 0:
+            index += self._count
+        if not 0 <= index < self._count:
+            raise IndexError("observation index out of range")
+        return next(itertools.islice(self, index, None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ObservationLog, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ObservationLog({list(self)!r})"
+
+
 class LinkObserver:
     """Collects packet sightings, optionally for many links at once.
 
@@ -44,13 +135,12 @@ class LinkObserver:
 
     def __init__(self, name: str = "adversary"):
         self.name = name
-        self.observations: List[Observation] = []
+        self.observations = ObservationLog()
 
     def record(self, time: float, packet, src: str, dst: str) -> None:
         """Called by :class:`~repro.netsim.link.Link` on every
         transmission attempt.  Only wire-visible fields are stored."""
-        self.observations.append(
-            Observation(time=time, size=packet.size, src=src, dst=dst))
+        self.observations.add(time, packet.size, src, dst)
 
     def record_batch(self, time: float, batch, src: str,
                      dst: str) -> None:
@@ -59,23 +149,21 @@ class LinkObserver:
         cell, in emission order — byte-identical to what per-packet
         transmission of the same cells would have recorded (the
         observational-equivalence contract, DESIGN.md §9)."""
-        append = self.observations.append
+        add = self.observations.add
         for size in batch.sizes:
-            append(Observation(time=time, size=size, src=src, dst=dst))
+            add(time, size, src, dst)
 
     def record_runs(self, time: float, src: str, dst: str,
                     sizes, counts) -> None:
         """Called by the vectorized wire plane (``batch-v2``) with one
         (link, round) aggregate image: parallel run-length arrays.
-        The adversary stores per-cell sightings, so runs expand here —
-        ``counts[i]`` identical sightings per run, in emission order,
-        byte-identical to the per-cell engines' streams (the
-        observational-equivalence contract, DESIGN.md §9/§13)."""
-        observations = self.observations
+        The adversary sees per-cell sightings — ``counts[i]`` identical
+        ones per run, in emission order, byte-identical to the per-cell
+        engines' streams (the observational-equivalence contract,
+        DESIGN.md §9/§13); the log keeps them as runs."""
+        add = self.observations.add
         for size, count in zip(sizes, counts):
-            observations.extend(
-                [Observation(time=time, size=size, src=src, dst=dst)]
-                * count)
+            add(time, size, src, dst, count)
 
     def time_series(self, src: str, dst: str,
                     bin_width: float) -> Dict[int, int]:
@@ -113,4 +201,4 @@ class LinkObserver:
         return changes
 
     def clear(self) -> None:
-        self.observations.clear()
+        self.observations = ObservationLog()

@@ -31,12 +31,20 @@ from repro import execution as execution_registry
 from repro.core.transport import CellTransport
 from repro.core.callmanager import CallState, ClientCallAgent, \
     FailoverRecord, MixCallManager
-from repro.core.channel import decode_manifest
+from repro.core.channel import decode_manifest, decode_manifests
 from repro.core.join import join_zone
-from repro.core.client import HerdClient
+from repro.core.client import HerdClient, seal_upstream
+from repro.core.signaling import open_downstream_packets
 from repro.core.shedding import LoadShedder
 from repro.simulation.roundsync import DEFAULT_ROUND_INTERVAL_S
 from repro.simulation.testbed import HerdTestbed, build_testbed
+
+
+def _entries(numerics, manifests) -> List[tuple]:
+    """The ``(client, sequence, signal_bit)`` entries the mix decodes
+    a channel round with, from its members' decrypted manifests."""
+    return [(numeric, m.sequence, m.signal)
+            for numeric, m in zip(numerics, manifests)]
 
 
 @dataclass
@@ -261,9 +269,15 @@ class LiveZone:
         for channel_id, sp in sorted(self._sp_of_channel.items()):
             self._upstream_channel(channel_id, sp)
 
-    def _gather_channel(self, channel_id: int, sp):
+    def _gather_channel(self, channel_id: int, sp, emit):
         """Collect one channel's round of client emissions, in slot
         order (payload only where a call is live on this channel).
+
+        ``emit`` is what each member's client is asked for:
+        :meth:`HerdClient.upstream_packet` — the sealed (packet,
+        manifest) pair, one cipher call per client, as the per-channel
+        engine runs — or :meth:`HerdClient.plan_upstream`, whose plans
+        :meth:`_step_batch` seals for the whole round at once.
 
         Under an overload window (:meth:`set_overload`) payload
         admission is capped per channel per round in strict slot
@@ -272,7 +286,7 @@ class LiveZone:
         constant-rate.  Both engines call this in the same sorted
         channel / slot order, so shedding is engine-equivalent."""
         members = sp.channel_clients[channel_id]
-        packets, manifests = [], []
+        emissions = []
         shedder = self.shedder
         budget = None
         if shedder is not None and shedder.applies_to(sp.sp_id):
@@ -293,27 +307,25 @@ class LiveZone:
                     admitted += 1
                     if budget is not None:
                         shedder.admit()
-            pkt, manifest = live.client.upstream_packet(attachment,
-                                                        payload)
-            packets.append(pkt)
-            manifests.append(manifest)
-        return members, packets, manifests
+            emissions.append(emit(live.client, attachment, payload))
+        return members, emissions
 
-    def _decode_entries(self, channel_id: int, up) -> List[tuple]:
-        """Mix-side manifest decryption for one combined round."""
-        entries = []
+    def _manifest_trials(self, up):
+        """What the mix decrypts one combined round's manifests with:
+        the members' numeric ids and, per slot, a ``(data, key, slot,
+        expected_sequence)`` trial for :func:`~repro.core.channel
+        .decode_manifests`."""
+        channel_id = up.channel_id
+        numerics, trials = [], []
         for slot, raw in enumerate(up.manifests):
             client_id = self.mix.client_at_slot(channel_id, slot)
-            key = self.mix.client_keys[client_id]
-            numeric = self.mix.channels[channel_id].members[slot]
-            live = self.clients[client_id]
-            attachment = next(a for a in live.client.attachments
-                              if a.channel_id == channel_id)
-            m = decode_manifest(raw, key, slot,
-                                expected_sequence=attachment.sequence
-                                - 1)
-            entries.append((numeric, m.sequence, m.signal))
-        return entries
+            attachment = next(
+                a for a in self.clients[client_id].client.attachments
+                if a.channel_id == channel_id)
+            numerics.append(self.mix.channels[channel_id].members[slot])
+            trials.append((raw, self.mix.client_keys[client_id], slot,
+                           attachment.sequence - 1))
+        return numerics, trials
 
     def _emit_upstream(self, sp, members, packets, up) -> None:
         """Offer one channel's upstream cells to the wire plane:
@@ -330,20 +342,23 @@ class LiveZone:
         prof = self.prof
         if prof is not None:
             prof.begin("chaff")
-        members, packets, manifests = self._gather_channel(channel_id,
-                                                           sp)
+        members, sealed = self._gather_channel(
+            channel_id, sp, HerdClient.upstream_packet)
         if prof is not None:
-            prof.end(cells=len(packets))
-        if not packets:
+            prof.end(cells=len(sealed))
+        if not sealed:
             return
+        packets, manifests = zip(*sealed)
         if prof is not None:
             prof.begin("mix-forward")
         up = sp.combine_upstream(channel_id, self.round_index,
                                  packets, manifests)
         self._emit_upstream(sp, members, packets, up)
-        entries = self._decode_entries(channel_id, up)
+        numerics, trials = self._manifest_trials(up)
         active, payload = self.manager.process_upstream(
-            channel_id, up.xor_packet, entries)
+            channel_id, up.xor_packet,
+            _entries(numerics, [decode_manifest(*trial)
+                                for trial in trials]))
         if active is not None and payload:
             self._route_voice(active, payload)
         if prof is not None:
@@ -379,11 +394,15 @@ class LiveZone:
                             ) -> None:
         """Broadcast one downstream round to every channel member
         (shared by both engines, so the wire image and client-side
-        processing are identical by construction)."""
+        processing are identical by construction).  The round engine
+        does every member's trial decryption of the round in one call;
+        the per-channel engine leaves each to its agent."""
         prof = self.prof
         if prof is not None:
             prof.begin("deliver")
         cells = 0
+        #: (channel_id, client_id, packet) as broadcast, in order.
+        deliveries = []
         for channel_id, packet in round_packets.items():
             sp = self._sp_of_channel[channel_id]
             if self.wire is not None:
@@ -396,18 +415,51 @@ class LiveZone:
                     self.wire.emit(sp.sp_id, client_id, pkt,
                                    kind="bcast")
                 cells += 1
-                live = self.clients[client_id]
-                evt = live.agent.process_downstream(channel_id,
-                                                    self.round_index,
-                                                    pkt)
-                if self.obs is not None and evt is not None:
-                    self.obs.client_event(client_id, evt)
+                deliveries.append((channel_id, client_id, pkt))
+        opened = None
+        if self.zone_mode == "batch":
+            opened = open_downstream_packets(
+                [(self.clients[client_id].client.session_key,
+                  channel_id, self.round_index, pkt)
+                 for channel_id, client_id, pkt in deliveries])
+        for i, (channel_id, client_id, pkt) in enumerate(deliveries):
+            agent = self.clients[client_id].agent
+            if opened is None:
+                evt = agent.process_downstream(channel_id,
+                                               self.round_index, pkt)
+            else:
+                evt = agent.handle_opened(channel_id, opened[i])
+            if self.obs is not None and evt is not None:
+                self.obs.client_event(client_id, evt)
         if prof is not None:
             prof.end(cells=cells)
 
     def _downstream(self) -> None:
         self._deliver_downstream(
             self.manager.downstream_round(self.round_index))
+
+    def _gather_round(self) -> Dict[int, tuple]:
+        """Every channel's round of client emissions: planned client
+        by client in sorted-channel / slot order, sealed — all the
+        zone's packets and manifests — in one call.  Returns channel →
+        (sp, members, packets, manifests)."""
+        planned = {}
+        for channel_id, sp in sorted(self._sp_of_channel.items()):
+            members, plans = self._gather_channel(
+                channel_id, sp, HerdClient.plan_upstream)
+            if plans:
+                planned[channel_id] = (sp, members, plans)
+        sealed = seal_upstream(
+            [plan for _, _, plans in planned.values() for plan in plans])
+        gathered = {}
+        start = 0
+        for channel_id, (sp, members, plans) in planned.items():
+            pairs = sealed[start:start + len(plans)]
+            start += len(plans)
+            gathered[channel_id] = (sp, members,
+                                    [packet for packet, _ in pairs],
+                                    [manifest for _, manifest in pairs])
+        return gathered
 
     def _step_batch(self) -> None:
         """The round-synchronous engine: the same round as the
@@ -420,18 +472,16 @@ class LiveZone:
         calls per SP cannot change any output), manifests decode from
         per-attachment sequence counters, and the call manager ingests
         channels in sorted order — the same interleaving of rng draws,
-        GRANT queueing, and voice routing as per-channel calls.
+        GRANT queueing, and voice routing as per-channel calls.  The
+        cipher work is pure, so doing a whole round's in one call —
+        every client's packets and manifests, the mix's manifest
+        decryption — yields the per-item bytes (DESIGN.md "Crypto
+        batching seam").
         """
         prof = self.prof
-        gathered = {}
         if prof is not None:
             prof.begin("chaff")
-        for channel_id, sp in sorted(self._sp_of_channel.items()):
-            members, packets, manifests = self._gather_channel(
-                channel_id, sp)
-            if packets:
-                gathered[channel_id] = (sp, members, packets,
-                                        manifests)
+        gathered = self._gather_round()
         if prof is not None:
             prof.end(cells=sum(len(g[2]) for g in gathered.values()))
             prof.begin("mix-forward")
@@ -444,13 +494,24 @@ class LiveZone:
         for sp, batches in per_sp.items():
             for up in sp.process_round(self.round_index, batches):
                 rounds_by_channel[up.channel_id] = up
-        upstream = []
+        numerics, trials = [], []
         for channel_id in sorted(rounds_by_channel):
             up = rounds_by_channel[channel_id]
             sp, members, packets, _ = gathered[channel_id]
             self._emit_upstream(sp, members, packets, up)
-            upstream.append((channel_id, up.xor_packet,
-                             self._decode_entries(channel_id, up)))
+            up_numerics, up_trials = self._manifest_trials(up)
+            numerics.append(up_numerics)
+            trials.extend(up_trials)
+        decoded = decode_manifests(trials)
+        upstream = []
+        start = 0
+        for channel_id, up_numerics in zip(sorted(rounds_by_channel),
+                                           numerics):
+            end = start + len(up_numerics)
+            upstream.append(
+                (channel_id, rounds_by_channel[channel_id].xor_packet,
+                 _entries(up_numerics, decoded[start:end])))
+            start = end
         round_packets = self.manager.process_round(
             self.round_index, upstream, route=self._route_voice,
             pre_downstream=self._ring_pending_callees)

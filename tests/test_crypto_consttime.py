@@ -4,8 +4,10 @@ rejected.
 
 The audit for this gate found no ``==`` digest comparisons (onion
 cells, obfuscation tags, and hop confirmations already used
-``hmac.compare_digest``); these tests pin that state so a regression
-fails both at runtime (tampering accepted) and statically (HL003).
+``hmac.compare_digest``; the AEAD tag check joined them when its
+hand-rolled comparison loop went); these tests pin that state so a
+regression fails both at runtime (tampering accepted) and statically
+(HL003).
 """
 
 from pathlib import Path
@@ -14,6 +16,14 @@ import pytest
 
 from repro.core.circuit import ClientHopHandshake, mix_process_create
 from repro.core.obfuscation import Bridge, ObfuscatedChannel
+from repro.core.signaling import (
+    KIND_VOIP,
+    make_downstream_packet,
+    open_downstream_packet,
+    open_downstream_packets,
+)
+from repro.crypto.chacha20 import ChaCha20Poly1305, aead_open_many
+from repro.crypto.keys import SessionKey
 from repro.crypto.onion import decode_cell, encode_cell
 from repro.lint import LintConfig, run_lint
 
@@ -45,6 +55,45 @@ def test_tampered_cell_mac_rejected_bytewise():
         tampered[-i] ^= 0x01
         with pytest.raises(ValueError, match="MAC invalid"):
             decode_cell(bytes(tampered), mac_key)
+
+
+def test_tampered_aead_tag_rejected_bytewise():
+    """Flipping any single byte of the Poly1305 tag must reject the
+    packet — on the single decrypt, on the batched one, and on both
+    forms of the downstream trial decryption built on them."""
+    key = SessionKey(b"\x33" * 32)
+    nonce = b"\x07" * 12
+    aead = ChaCha20Poly1305(key.key)
+    sealed = aead.encrypt(nonce, b"voice frame", aad=b"hdr")
+    packet = make_downstream_packet(key, 2, 9, KIND_VOIP, b"cell")
+    assert aead.decrypt(nonce, sealed, aad=b"hdr") == b"voice frame"
+    assert open_downstream_packet(key, 2, 9, packet) == (KIND_VOIP,
+                                                         b"cell")
+    tampered_sealed, tampered_packets = [], []
+    for i in range(1, ChaCha20Poly1305.TAG_LEN + 1):
+        for bit in (0x01, 0x80):
+            bad = bytearray(sealed)
+            bad[-i] ^= bit
+            with pytest.raises(ValueError, match="authentication failed"):
+                aead.decrypt(nonce, bytes(bad), aad=b"hdr")
+            tampered_sealed.append(bytes(bad))
+            bad = bytearray(packet)
+            bad[-i] ^= bit
+            assert open_downstream_packet(key, 2, 9, bytes(bad)) is None
+            tampered_packets.append(bytes(bad))
+    # Batched: the untampered item, in the middle, is the only one
+    # that opens.
+    n = len(tampered_sealed)
+    batch = tampered_sealed[:n // 2] + [sealed] + tampered_sealed[n // 2:]
+    opened = aead_open_many([key.key] * (n + 1), [nonce] * (n + 1),
+                            batch, [b"hdr"] * (n + 1))
+    assert opened == [None] * (n // 2) + [b"voice frame"] \
+        + [None] * (n - n // 2)
+    trials = [(key, 2, 9, p)
+              for p in tampered_packets[:n // 2] + [packet]
+              + tampered_packets[n // 2:]]
+    assert open_downstream_packets(trials) == \
+        [None] * (n // 2) + [(KIND_VOIP, b"cell")] + [None] * (n - n // 2)
 
 
 def test_tampered_obfuscation_tag_rejected():

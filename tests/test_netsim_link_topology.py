@@ -5,7 +5,7 @@ import pytest
 from repro.netsim.engine import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.node import Node
-from repro.netsim.observer import LinkObserver
+from repro.netsim.observer import LinkObserver, Observation
 from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
 from repro.netsim.topology import (
     EC2_REGIONS,
@@ -116,6 +116,73 @@ class TestLinkDelivery:
         assert link.other(a) is b
         with pytest.raises(ValueError):
             link.other(c)
+
+
+class TestObservationLog:
+    """The burst store reads back as the per-cell list it replaced."""
+
+    @staticmethod
+    def _expected(rounds=4):
+        # What a per-cell list would hold: each round, one cell a→b,
+        # two identical cells b→c, one larger cell a→b.
+        return [Observation(0.02 * r, size, src, dst)
+                for r in range(rounds)
+                for size, src, dst in ((329, "a", "b"), (329, "b", "c"),
+                                       (329, "b", "c"), (400, "a", "b"))]
+
+    def _log(self, rounds=4):
+        obs = LinkObserver()
+        for r in range(rounds):
+            obs.record_runs(0.02 * r, "a", "b", [329], [1])
+            obs.record_runs(0.02 * r, "b", "c", [329], [2])
+            obs.record(0.02 * r, Packet(b"x" * 372, "a", "b"), "a", "b")
+        return obs.observations
+
+    def test_reads_as_a_sequence_of_observations(self):
+        log, expected = self._log(), self._expected()
+        assert len(log) == len(expected) == 16
+        assert list(log) == expected and log == expected
+        assert expected == list(log)
+        assert [log[i] for i in range(16)] == expected
+        assert [log[i] for i in range(-16, 0)] == expected
+        assert log[3:9] == expected[3:9] and log[:0] == []
+        assert log[::5] == expected[::5] and log[-3:] == expected[-3:]
+        assert log[14:99] == expected[14:]
+        assert log != expected[:-1] and log != self._log(3)
+        with pytest.raises(IndexError):
+            log[16]
+        with pytest.raises(IndexError):
+            log[-17]
+        assert expected[5] in log and log.index(expected[5]) == 5
+
+    def test_reading_mid_burst_loses_nothing(self):
+        obs = LinkObserver()
+        obs.record_runs(0.0, "a", "b", [329], [1])
+        assert len(obs.observations) == 1
+        obs.record_runs(0.0, "b", "c", [329], [2])
+        assert obs.observations == self._expected(1)[:3]
+
+    def test_steady_rounds_share_one_shape(self):
+        """Constant-rate links repeat their round: the log holds its
+        shape once, whatever the number of rounds."""
+        log = self._log(rounds=50)
+        list(log)
+        shapes = [shape for _, shape in log._bursts]
+        assert len(shapes) == 50
+        assert all(shape is shapes[0] for shape in shapes)
+        changed = self._log(rounds=3)
+        changed.add(0.5, 329, "a", "b")
+        assert len(changed) == 13
+        list(changed)
+        assert changed._bursts[-1][1] is not changed._bursts[0][1]
+
+    def test_clear(self):
+        obs = LinkObserver()
+        obs.record_runs(0.0, "a", "b", [329], [3])
+        obs.clear()
+        assert obs.observations == [] and len(obs.observations) == 0
+        obs.record_runs(0.0, "a", "b", [329], [1])
+        assert obs.observations == [Observation(0.0, 329, "a", "b")]
 
 
 class TestObserver:
