@@ -152,7 +152,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                        n_channels=args.channels,
                        call_pairs=args.pairs,
                        trace_path=args.trace,
-                       execution=args.engine, shards=args.shards,
+                       execution=args.engine,
                        net_processes=args.net_processes,
                        profile=args.profile)
     report = Simulation(config).run(rounds=args.rounds)
@@ -261,9 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                            action=_RemovedEngineAlias,
                            nargs=1, metavar="ENGINE",
                            help=argparse.SUPPRESS)
-    p_metrics.add_argument("--shards", type=int, default=None,
-                           help="worker-process count for shardable "
-                           "engines (batch-v2)")
     p_metrics.add_argument("--processes", dest="net_processes",
                            action="store_true",
                            help="asyncio engine only: host the UDP "

@@ -63,8 +63,8 @@ class CellTransport:
         raise NotImplementedError
 
     def finalize(self) -> Optional[Dict[str, object]]:
-        """Complete deferred work (shard merges, socket teardown);
-        idempotent.  Run consumers call this before reading stats."""
+        """Complete deferred work (wire-stat publication, socket
+        teardown).  Run consumers call this before reading stats."""
         raise NotImplementedError
 
     def add_tap(self, tap) -> None:

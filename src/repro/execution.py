@@ -6,10 +6,10 @@ Before this module, every layer that accepted an ``execution=`` knob
 ``ChaosConfig``) carried its own ``("event", "batch")`` tuple and its
 own if/elif validation — adding an engine meant touching five copies.
 This registry is the single point of truth: an execution plane is
-*registered* once, and every consumer resolves the name through
+*listed* once, and every consumer resolves the name through
 :func:`resolve`.
 
-A plane is described by two orthogonal modes plus a shard capability:
+A plane is described by two orthogonal modes:
 
 * ``zone_mode`` — how the protocol round runs inside a
   :class:`~repro.simulation.live.LiveZone`: ``"event"`` (per-channel
@@ -19,13 +19,9 @@ A plane is described by two orthogonal modes plus a shard capability:
 * ``wire_mode`` — how the :class:`~repro.simulation.roundsync
   .WireFabric` materializes the wire image: ``"event"`` (one packet +
   heap event per cell), ``"batch"`` (one :class:`~repro.netsim.rounds
-  .CellBatch` per link per round), or ``"vector"`` (run-length
-  :class:`~repro.netsim.rounds.CellVector` segments with aggregate
-  chaff accounting — O(runs) per round, shardable across worker
-  processes, DESIGN.md §13).
-* ``supports_shards`` — whether ``shards > 1`` may be requested; the
-  sharded wire plane fans round segments out to workers and merges
-  results deterministically (:mod:`repro.netsim.shards`).
+  .CellBatch` per link per round), or ``"vector"`` (one run table
+  per round with aggregate chaff accounting — O(runs) per round,
+  DESIGN.md §13).
 
 A third orthogonal axis, ``transport``, says what physically carries
 the wire image: ``"sim"`` (the in-memory :class:`~repro.simulation
@@ -38,14 +34,14 @@ resolved plane becomes a concrete :class:`~repro.core.transport
 .CellTransport`.
 
 Built-in planes: ``"event"``, ``"batch"``, ``"batch-v2"`` (the
-vectorized, shardable plane), and ``"asyncio"`` (same protocol, real
+vectorized plane), and ``"asyncio"`` (same protocol, real
 UDP sockets over loopback — ROADMAP item 3, DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 ZONE_MODES = ("event", "batch")
 WIRE_MODES = ("event", "batch", "vector", "socket")
@@ -64,7 +60,6 @@ class ExecutionPlane:
     name: str
     zone_mode: str
     wire_mode: str
-    supports_shards: bool = False
     description: str = ""
     #: What physically carries the wire image: ``"sim"`` (in-memory
     #: netsim links) or ``"udp"`` (real loopback datagrams between
@@ -83,102 +78,54 @@ class ExecutionPlane:
                              f"not {self.transport!r}")
 
 
-@dataclass(frozen=True)
-class PlaneSpec:
-    """A resolved (plane, shards) request — what consumers act on."""
-
-    plane: ExecutionPlane
-    shards: int = 1
-
-    @property
-    def name(self) -> str:
-        return self.plane.name
-
-    @property
-    def zone_mode(self) -> str:
-        return self.plane.zone_mode
-
-    @property
-    def wire_mode(self) -> str:
-        return self.plane.wire_mode
-
-    @property
-    def transport(self) -> str:
-        return self.plane.transport
-
-
-_REGISTRY: Dict[str, ExecutionPlane] = {}
-
-
-def register_plane(plane: ExecutionPlane) -> ExecutionPlane:
-    """Register (or re-register) a plane under its name."""
-    _REGISTRY[plane.name] = plane
-    return plane
+_PLANES = {plane.name: plane for plane in (
+    ExecutionPlane(
+        name="event", zone_mode="event", wire_mode="event",
+        description="per-cell discrete events: one packet and one "
+                    "heap event per cell (the classical reference "
+                    "engine)"),
+    ExecutionPlane(
+        name="batch", zone_mode="batch", wire_mode="batch",
+        description="round-synchronous batches: one CellBatch per "
+                    "link per round, one heap event per round"),
+    ExecutionPlane(
+        name="batch-v2", zone_mode="batch", wire_mode="vector",
+        description="vectorized rounds: one run table per round "
+                    "with aggregate chaff accounting"),
+    ExecutionPlane(
+        name="asyncio", zone_mode="batch", wire_mode="socket",
+        transport="udp",
+        description="real-network plane: the same round-synchronous "
+                    "protocol, but every cell rides a framed UDP "
+                    "datagram between per-node asyncio endpoints "
+                    "over loopback, bootstrapped by an introducer "
+                    "(DESIGN.md §14)"),
+)}
 
 
 def plane_names() -> Tuple[str, ...]:
-    """Registered plane names, in registration order."""
-    return tuple(_REGISTRY)
+    """Plane names, in table order."""
+    return tuple(_PLANES)
 
 
-def get_plane(name: str) -> ExecutionPlane:
-    """Look one plane up by name; unknown names raise ``ValueError``
-    listing what is registered (with a did-you-mean when close)."""
-    found = _REGISTRY.get(name)
+def resolve(execution: str) -> ExecutionPlane:
+    """Resolve an ``execution=`` / ``--engine`` name to its
+    :class:`ExecutionPlane`; unknown names raise ``ValueError``
+    listing what exists (with a did-you-mean when close)."""
+    found = _PLANES.get(execution)
     if found is not None:
         return found
     import difflib
-    close = difflib.get_close_matches(str(name), _REGISTRY, n=1)
+    close = difflib.get_close_matches(str(execution), _PLANES, n=1)
     hint = f" (did you mean {close[0]!r}?)" if close else ""
     raise ValueError(
-        f"unknown execution plane {name!r}; registered planes: "
-        f"{', '.join(_REGISTRY)}{hint}")
-
-
-def resolve(execution: str, shards: Optional[int] = None) -> PlaneSpec:
-    """Resolve an ``execution=`` / ``--engine`` request to a
-    :class:`PlaneSpec`, validating the shard count against the
-    plane's capability."""
-    plane = get_plane(execution)
-    n = 1 if shards is None else int(shards)
-    if n < 1:
-        raise ValueError(f"shards must be >= 1, not {shards!r}")
-    if n > 1 and not plane.supports_shards:
-        raise ValueError(
-            f"execution plane {plane.name!r} does not support "
-            f"sharding; use shards=1 or a shardable plane "
-            f"({', '.join(p for p in _REGISTRY if _REGISTRY[p].supports_shards) or 'none registered'})")
-    return PlaneSpec(plane=plane, shards=n)
-
-
-register_plane(ExecutionPlane(
-    name="event", zone_mode="event", wire_mode="event",
-    description="per-cell discrete events: one packet and one heap "
-                "event per cell (the classical reference engine)"))
-register_plane(ExecutionPlane(
-    name="batch", zone_mode="batch", wire_mode="batch",
-    description="round-synchronous batches: one CellBatch per link "
-                "per round, one heap event per round"))
-register_plane(ExecutionPlane(
-    name="batch-v2", zone_mode="batch", wire_mode="vector",
-    supports_shards=True,
-    description="vectorized rounds: run-length CellVector segments "
-                "with aggregate chaff accounting, shardable across "
-                "worker processes with a deterministic merge"))
-register_plane(ExecutionPlane(
-    name="asyncio", zone_mode="batch", wire_mode="socket",
-    transport="udp",
-    description="real-network plane: the same round-synchronous "
-                "protocol, but every cell rides a framed UDP "
-                "datagram between per-node asyncio endpoints over "
-                "loopback, bootstrapped by an introducer "
-                "(DESIGN.md §14)"))
+        f"unknown execution plane {execution!r}; registered planes: "
+        f"{', '.join(_PLANES)}{hint}")
 
 
 def create_wire_fabric(execution: str, *, seed: int = 0,
                        interval: Optional[float] = None,
-                       observer=None, shards: Optional[int] = None,
-                       shard_processes: Optional[bool] = None,
+                       observer=None,
                        net_processes: Optional[bool] = None):
     """The transport seam: build the concrete
     :class:`~repro.core.transport.CellTransport` for a resolved plane.
@@ -192,21 +139,18 @@ def create_wire_fabric(execution: str, *, seed: int = 0,
     socket plane and vice versa.
 
     ``net_processes`` applies only to the UDP plane (host the receive
-    endpoints in a separate worker process); ``shards`` /
-    ``shard_processes`` only to shardable simulator planes.
+    endpoints in a separate worker process).
     """
-    spec = resolve(execution, shards)
+    plane = resolve(execution)
     if interval is None:
         from repro.simulation.roundsync import \
             DEFAULT_ROUND_INTERVAL_S
         interval = DEFAULT_ROUND_INTERVAL_S
-    if spec.transport == "udp":
+    if plane.transport == "udp":
         from repro.net.transport import UdpFabric
         return UdpFabric(seed=seed, interval=interval,
                          observer=observer,
                          processes=bool(net_processes))
     from repro.simulation.roundsync import WireFabric
     return WireFabric(seed=seed, interval=interval,
-                      execution=spec.name, observer=observer,
-                      shards=spec.shards,
-                      shard_processes=shard_processes)
+                      execution=plane.name, observer=observer)

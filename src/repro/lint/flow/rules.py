@@ -1,11 +1,12 @@
-"""The flow-sensitive rule family (HL004-flow, HL007, HL101-HL104).
+"""The flow-sensitive rule family (HL004-flow, HL007, HL101-HL103).
 
 These rules consume the :class:`~repro.lint.flow.program.FlowProgram`
 built once per lint run — CFGs, the call graph, and converged
-interprocedural taint summaries — and exist to gate the two planes the
-roadmap is about to land: zone-sharded worker processes (shared
-mutable state, pickling) and the real-UDP asyncio transport (blocking
-calls, dropped coroutines).  DESIGN.md §12 has the rule table.
+interprocedural taint summaries.  The HL10x rules guard the real-UDP
+asyncio transport: module-level mutable state (it diverges in the
+forked ``--processes`` worker and leaks between runs of one process),
+blocking calls, and dropped coroutines.  DESIGN.md §12 has the rule
+table.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from repro.lint.engine import (
 from repro.lint.flow.callgraph import FunctionInfo, module_name_for
 from repro.lint.flow.program import MODULE_FUNC, FlowProgram
 
-#: Directory segments that make up the shardable protocol plane —
-#: anything here runs inside zone worker processes once open item 1
-#: (ROADMAP) lands, so module-level mutable state is unshardable.
-#: ``net`` (the real-UDP transport) forks into receive workers under
-#: ``--processes``, so it is held to the same standard.
+#: Directory segments that make up the protocol plane.  A seeded run
+#: must be a function of its config alone, so module-level mutable
+#: state here is a determinism leak between runs of one process;
+#: ``net`` (the real-UDP transport) also forks a receive worker under
+#: ``--processes``, where such state silently diverges.
 _PROTOCOL_SCOPE = ("core", "netsim", "simulation", "scenario", "net")
 
 _SINK_DESCRIPTIONS = {
@@ -174,7 +175,7 @@ def _constant_styled(name: str) -> bool:
 @register
 class SharedMutableStateRule(FlowRule):
     """HL101: no mutable module-level state reachable from protocol
-    code — it cannot be sharded across zone worker processes.
+    code — it outlives a run and diverges across a fork.
 
     Module-level mutable containers in the protocol scope are flagged
     when (a) any function in the scanned set mutates or rebinds them
@@ -187,11 +188,13 @@ class SharedMutableStateRule(FlowRule):
 
     rule_id = "HL101"
     title = "mutable module-level state in protocol code"
-    rationale = ("Zone sharding (ROADMAP item 1) forks the protocol "
-                 "plane into worker processes; module-level mutable "
-                 "state silently diverges per worker instead of being "
-                 "shared, so it must live on an instance that crosses "
-                 "the shard boundary explicitly.")
+    rationale = ("Module-level mutable state outlives a run, so a "
+                 "second seeded run in the same process sees what "
+                 "the first left behind (per-run ids stop being a "
+                 "function of the seed), and the forked --processes "
+                 "receive worker gets a copy that silently diverges "
+                 "from the parent's; it must live on an instance the "
+                 "run owns.")
     scope = _PROTOCOL_SCOPE
 
     def check_flow(self, program: FlowProgram,
@@ -208,8 +211,8 @@ class SharedMutableStateRule(FlowRule):
                     rule_id=self.rule_id,
                     message=(f"module-level '{name}' is mutated from "
                              f"{where}:{line}; shared mutable state "
-                             f"cannot be sharded across zone workers "
-                             f"— move it onto the loop/manager "
+                             f"leaks between runs and diverges across "
+                             f"a fork — move it onto the loop/manager "
                              f"instance"),
                     path=ctx.display_path,
                     line=getattr(node, "lineno", 1),
@@ -221,8 +224,7 @@ class SharedMutableStateRule(FlowRule):
                     message=(f"module-level mutable '{name}' in "
                              f"protocol code; make it CONSTANT_STYLED "
                              f"and frozen, or move it onto an "
-                             f"instance that crosses the shard "
-                             f"boundary explicitly"),
+                             f"instance the run owns"),
                     path=ctx.display_path,
                     line=getattr(node, "lineno", 1),
                     col=getattr(node, "col_offset", 0) + 1,
@@ -426,144 +428,3 @@ class UnawaitedCoroutineRule(FlowRule):
                              f"asyncio.create_task/TaskGroup"),
                     path=ctx.display_path, line=line, col=col,
                     severity=self.severity)
-
-
-#: Annotation names that cannot cross a pickle boundary.
-_UNPICKLABLE_ANNOTATIONS = {
-    "Callable", "Lambda", "IO", "TextIO", "BinaryIO", "TextIOWrapper",
-    "BufferedReader", "BufferedWriter", "socket", "Socket", "Thread",
-    "Lock", "RLock", "Condition", "Event", "Semaphore",
-    "BoundedSemaphore", "Barrier", "Generator", "Coroutine",
-    "EventLoop", "AbstractEventLoop", "Task", "Future",
-}
-
-
-@register
-class ShardCrossingPicklableRule(FlowRule):
-    """HL104: dataclasses declared shard-crossing (decorated with
-    ``@shard_crossing`` or carrying ``__shard_crossing__ = True``)
-    must hold only picklable fields — no callables/lambdas, open
-    handles, sockets, locks, loops, or locally-defined classes."""
-
-    rule_id = "HL104"
-    title = "non-picklable field in a shard-crossing dataclass"
-    rationale = ("Zone sharding serialises these records between "
-                 "worker processes and the merge step; a lambda, "
-                 "open handle, or local class raises PicklingError "
-                 "at fan-out time, in production, not at review "
-                 "time.")
-
-    def check_flow(self, program: FlowProgram,
-                   contexts: Sequence[FileContext]) -> Iterable[Finding]:
-        for ctx in contexts:
-            # Cheap textual gate: both marker forms (the decorator and
-            # the ``__shard_crossing__`` dunder) contain this substring,
-            # so files without it cannot declare a shard-crossing class
-            # and skip the AST walk entirely.
-            if "shard_crossing" not in ctx.source:
-                continue
-            local_classes: Optional[Set[str]] = None
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.ClassDef) and \
-                        self._is_shard_crossing(ctx, node):
-                    if local_classes is None:
-                        local_classes = self._local_classes(ctx)
-                    yield from self._check_class(ctx, node,
-                                                 local_classes)
-
-    @staticmethod
-    def _local_classes(ctx: FileContext) -> Set[str]:
-        """Names of classes defined inside functions (unpicklable:
-        pickle resolves classes by module attribute path)."""
-        names: Set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef,
-                                 ast.AsyncFunctionDef)):
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.ClassDef):
-                        names.add(sub.name)
-        return names
-
-    def _is_shard_crossing(self, ctx: FileContext,
-                           node: ast.ClassDef) -> bool:
-        for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            name = ctx.imports.qualified_name(target)
-            if name is None and isinstance(target, ast.Name):
-                name = target.id
-            if name is None and isinstance(target, ast.Attribute):
-                name = target.attr
-            if name and name.split(".")[-1] == "shard_crossing":
-                return True
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign) and \
-                    len(stmt.targets) == 1 and \
-                    isinstance(stmt.targets[0], ast.Name) and \
-                    stmt.targets[0].id == "__shard_crossing__" and \
-                    isinstance(stmt.value, ast.Constant) and \
-                    stmt.value.value is True:
-                return True
-        return False
-
-    def _check_class(self, ctx: FileContext, node: ast.ClassDef,
-                     local_classes: Set[str]) -> Iterable[Finding]:
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign) or \
-                    not isinstance(stmt.target, ast.Name):
-                continue
-            field_name = stmt.target.id
-            bad = self._unpicklable_annotation(stmt.annotation,
-                                               local_classes)
-            if bad is not None:
-                yield Finding(
-                    rule_id=self.rule_id,
-                    message=(f"field '{field_name}' of shard-crossing "
-                             f"dataclass {node.name} is typed "
-                             f"'{bad}', which cannot cross a pickle "
-                             f"boundary; carry an id/bytes form and "
-                             f"rebuild on the far side"),
-                    path=ctx.display_path, line=stmt.lineno,
-                    col=stmt.col_offset + 1, severity=self.severity)
-                continue
-            if stmt.value is not None and \
-                    self._has_lambda_default(stmt.value):
-                yield Finding(
-                    rule_id=self.rule_id,
-                    message=(f"field '{field_name}' of shard-crossing "
-                             f"dataclass {node.name} defaults to a "
-                             f"lambda, which cannot cross a pickle "
-                             f"boundary"),
-                    path=ctx.display_path, line=stmt.lineno,
-                    col=stmt.col_offset + 1, severity=self.severity)
-
-    @staticmethod
-    def _unpicklable_annotation(annotation: ast.expr,
-                                local_classes: Set[str]) -> Optional[str]:
-        for node in ast.walk(annotation):
-            name = None
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Constant) and \
-                    isinstance(node.value, str):
-                name = node.value.split("[")[0].split(".")[-1]
-            if name is None:
-                continue
-            if name in _UNPICKLABLE_ANNOTATIONS or \
-                    name in local_classes:
-                return name
-        return None
-
-    @staticmethod
-    def _has_lambda_default(value: ast.expr) -> bool:
-        if isinstance(value, ast.Lambda):
-            return True
-        # field(default_factory=lambda: ...) is fine: instances hold
-        # the factory's *result*, which is what crosses the boundary.
-        if isinstance(value, ast.Call) and \
-                isinstance(value.func, ast.Name) and \
-                value.func.id == "field":
-            return False
-        return any(isinstance(sub, ast.Lambda)
-                   for sub in ast.walk(value))

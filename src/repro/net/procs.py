@@ -4,11 +4,9 @@ hosted in a separate worker process.
 In-process loopback datagrams already cross the kernel, but sender
 and receiver still share one Python interpreter and one GIL.  With
 ``processes=True`` the :class:`~repro.net.transport.UdpFabric` forks
-one worker (the same ``fork`` start method as
-:mod:`repro.netsim.shards`) that owns its own asyncio loop, all
-receive endpoints, and the :class:`~repro.net.transport
-.RoundCollector`; every cell datagram then genuinely travels between
-two processes.
+one worker that owns its own asyncio loop, all receive endpoints, and
+the :class:`~repro.net.transport.RoundCollector`; every cell datagram
+then genuinely travels between two processes.
 
 The split of channels:
 

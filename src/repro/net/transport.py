@@ -195,7 +195,6 @@ class UdpFabric(CellTransport):
     execution = "asyncio"
     wire_mode = "socket"
     transport = "udp"
-    shards = 1
 
     def __init__(self, *, seed: int = 0,
                  interval: float = 0.02,
@@ -220,7 +219,7 @@ class UdpFabric(CellTransport):
         self.prof = None
         # Cumulative per-link wire totals ([cells, bytes] per
         # directed key), published by finalize() like the batch-v2
-        # plane's unsharded merge.
+        # plane's.
         self._link_totals: Dict[Tuple[str, str], List[int]] = {}
         self._segments = 0
         self._finalized: Optional[Dict[str, object]] = None

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.netsim.packet import Packet
-from repro.netsim.taps import offer_runs
 
 
 @dataclass
@@ -241,46 +240,6 @@ class Link:
         else:
             self.loop.schedule(
                 delay, lambda: receiver.receive_batch(delivered))
-
-    def transmit_vector(self, sender, vector,
-                        inline: Optional[bool] = None) -> None:
-        """Send one round's *aggregate* wire image — a
-        :class:`~repro.netsim.rounds.CellVector` of run-length
-        (size, count) pairs — from ``sender`` to the other endpoint.
-
-        The vectorized path of the ``batch-v2`` plane: observer
-        fan-out goes through :func:`~repro.netsim.taps.offer_runs`
-        (``record_runs`` when the tap has it, per-cell expansion in
-        emission order otherwise) and stats update with one add per
-        run, so a constant-rate round costs O(runs) instead of
-        O(cells).  Lossy links cannot be expressed aggregately —
-        which cells drop is a per-cell draw — so they expand once and
-        take :meth:`transmit_batch`, consuming rng identically."""
-        if not len(vector):
-            return
-        if self.loss_rate > 0:
-            self.transmit_batch(sender, vector.to_batch(),
-                                inline=inline)
-            return
-        receiver = self.other(sender)
-        stats = self.stats[sender.name]
-        prof = self.prof
-        if prof is not None:
-            prof.begin("adversary-observe")
-        sizes, counts = vector.size_runs()
-        for obs in self._observers:
-            offer_runs(obs, self.loop.now, sender.name, receiver.name,
-                       sizes, counts)
-        if prof is not None:
-            prof.end(cells=len(vector))
-        stats.packets += len(vector)
-        stats.bytes += vector.total_bytes()
-        delay = self._batch_delay(vector, sender.name)
-        if delay == 0.0 and (inline or inline is None):
-            receiver.receive_batch(vector)
-        else:
-            self.loop.schedule(
-                delay, lambda: receiver.receive_batch(vector))
 
     def utilization_bps(self, direction_from: str, window: float,
                         now: Optional[float] = None) -> float:

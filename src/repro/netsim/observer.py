@@ -28,17 +28,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.core.sharding import shard_crossing
 
-
-@shard_crossing
 @dataclass(frozen=True)
 class Observation:
-    """One packet sighting on a tapped link.
-
-    Declared shard-crossing: zone workers stream their observation
-    logs back to the merge step, so every field must survive pickling
-    (HL104 enforces this statically)."""
+    """One packet sighting on a tapped link."""
 
     time: float
     size: int

@@ -25,28 +25,13 @@ wire image is a function of the clock, not of the execution engine
 
 The per-packet API remains the compatible path: :class:`CellBatch
 .packets` and :meth:`CellBatch.from_packets` adapt in both directions.
-
-:class:`CellVector` is the second-generation carrier (the ``batch-v2``
-execution plane, DESIGN.md §13): run-length struct-of-arrays with
-*aggregate chaff accounting* — a run of n wire-identical chaff cells
-costs one row of the parallel arrays, not n entries, so the per-(SP,
-round) cost is O(distinct runs) instead of O(cells).  Sizes and counts
-live in numeric arrays (:mod:`numpy` when available, :class:`array
-.array` otherwise) and the aggregate totals are maintained with one
-arithmetic op per appended run.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
-
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # the container path: pure-stdlib fallback
-    _np = None
 
 
 class CellView:
@@ -167,176 +152,6 @@ class CellBatch:
     def __repr__(self) -> str:
         return (f"CellBatch({self.src}->{self.dst} r{self.round_index} "
                 f"{len(self)} cells, {self.total_bytes()}B)")
-
-
-class CellVector:
-    """One round's cells on one directed link, run-length encoded.
-
-    The ``batch-v2`` carrier: where :class:`CellBatch` stores one list
-    entry per cell, a CellVector stores one *run* per maximal group of
-    wire-identical cells — ``(payload, kind, circuit_id, size, count)``
-    — with sizes and counts in parallel numeric arrays (struct of
-    arrays; numpy when installed, :class:`array.array` of int64
-    otherwise).  Herd's constant-rate chaffed channels make this the
-    natural wire representation: the fill of an SP↔mix trunk is n
-    wire-identical cells per round, which is exactly one run, so the
-    per-(SP, round) accounting is one arithmetic op regardless of how
-    many clients the trunk serves (aggregate chaff accounting).
-
-    Aggregate totals (:attr:`cell_count`, :attr:`byte_count`) are
-    maintained incrementally; :meth:`cells` and :meth:`to_batch`
-    expand to per-cell form for consumers that need it, preserving
-    emission order exactly (the observational-equivalence contract).
-    """
-
-    __slots__ = ("src", "dst", "round_index", "payloads", "kinds",
-                 "circuit_ids", "_sizes", "_counts", "cell_count",
-                 "byte_count")
-
-    def __init__(self, src: str, dst: str, round_index: int = -1):
-        self.src = src
-        self.dst = dst
-        self.round_index = round_index
-        #: One entry per run (references, never copies).
-        self.payloads: List[bytes] = []
-        self.kinds: List[str] = []
-        self.circuit_ids: List[Optional[int]] = []
-        self._sizes = array("q")
-        self._counts = array("q")
-        #: Aggregate totals, maintained with one add/multiply per run.
-        self.cell_count = 0
-        self.byte_count = 0
-
-    # -- construction ----------------------------------------------------------
-
-    def append_run(self, payload: bytes, count: int = 1,
-                   kind: str = "data",
-                   circuit_id: Optional[int] = None) -> None:
-        """Add a run of ``count`` wire-identical cells sharing one
-        payload reference.  O(1) regardless of ``count``."""
-        if count < 0:
-            raise ValueError("cannot append a negative cell count")
-        if count == 0:
-            return
-        size = len(payload) + IP_UDP_HEADER_BYTES
-        self.payloads.append(payload)
-        self.kinds.append(kind)
-        self.circuit_ids.append(circuit_id)
-        self._sizes.append(size)
-        self._counts.append(count)
-        self.cell_count += count
-        self.byte_count += size * count
-
-    def append(self, payload: bytes, kind: str = "data",
-               circuit_id: Optional[int] = None) -> None:
-        """Add one cell (a run of one) — CellBatch-compatible."""
-        self.append_run(payload, 1, kind=kind, circuit_id=circuit_id)
-
-    def append_repeated(self, payload: bytes, n: int,
-                        kind: str = "chaff",
-                        circuit_id: Optional[int] = None) -> None:
-        """CellBatch-compatible alias of :meth:`append_run`."""
-        if n < 0:
-            raise ValueError("cannot append a negative cell count")
-        self.append_run(payload, n, kind=kind, circuit_id=circuit_id)
-
-    # -- aggregate views -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.cell_count
-
-    @property
-    def n_runs(self) -> int:
-        return len(self._counts)
-
-    def total_bytes(self) -> int:
-        """On-the-wire bytes of the whole vector (O(1): the total is
-        maintained at append time)."""
-        return self.byte_count
-
-    def size_runs(self) -> Tuple[Sequence[int], Sequence[int]]:
-        """The (sizes, counts) parallel arrays — the wire image as an
-        aggregate.  Always the int64 :class:`array.array` buffers,
-        whose elements are exact Python ints: this is the tap
-        boundary, and observation streams must stay byte-identical to
-        the per-cell engines' (``numpy.int64`` leaking into an
-        :class:`~repro.netsim.observer.Observation` would break the
-        pinned digests).  Numeric bulk work uses
-        :meth:`size_runs_np`."""
-        return self._sizes, self._counts
-
-    def size_runs_np(self):
-        """Zero-copy numpy int64 views of (sizes, counts) for bulk
-        arithmetic, or ``None`` when numpy is not installed (the
-        container path) — callers fall back to :meth:`size_runs`."""
-        if _np is None:
-            return None
-        return (_np.frombuffer(self._sizes, dtype=_np.int64),
-                _np.frombuffer(self._counts, dtype=_np.int64))
-
-    def runs(self) -> Iterator[Tuple[bytes, str, Optional[int], int,
-                                     int]]:
-        """Iterate (payload, kind, circuit_id, size, count) runs in
-        emission order."""
-        return zip(self.payloads, self.kinds, self.circuit_ids,
-                   self._sizes, self._counts)
-
-    # -- per-cell expansion ----------------------------------------------------
-
-    def expanded_sizes(self) -> Sequence[int]:
-        """Per-cell sizes in emission order (``numpy.repeat`` when
-        available) — the expansion a per-cell observer records."""
-        if _np is not None:
-            sizes, counts = self.size_runs_np()
-            return _np.repeat(sizes, counts)
-        out = array("q")
-        for size, count in zip(self._sizes, self._counts):
-            if count == 1:
-                out.append(size)
-            else:
-                out.extend(array("q", [size]) * count)
-        return out
-
-    def cells(self) -> Iterator[CellView]:
-        """Per-cell views in emission order (the compatibility path
-        for per-cell consumers)."""
-        for payload, kind, circuit_id, size, count in self.runs():
-            for _ in range(count):
-                yield CellView(payload, size, kind, circuit_id,
-                               self.src, self.dst)
-
-    def to_batch(self) -> CellBatch:
-        """Expand into a per-cell :class:`CellBatch` (emission order
-        preserved)."""
-        batch = CellBatch(self.src, self.dst, self.round_index)
-        for payload, kind, circuit_id, _, count in self.runs():
-            if count == 1:
-                batch.append(payload, kind=kind, circuit_id=circuit_id)
-            else:
-                batch.append_repeated(payload, count, kind=kind,
-                                      circuit_id=circuit_id)
-        return batch
-
-    @classmethod
-    def from_batch(cls, batch: CellBatch) -> "CellVector":
-        """Wrap a per-cell batch (each cell becomes a run of one; no
-        re-compression is attempted — order is what matters)."""
-        vector = cls(batch.src, batch.dst, batch.round_index)
-        for payload, kind, circuit_id in zip(batch.payloads,
-                                             batch.kinds,
-                                             batch.circuit_ids):
-            vector.append_run(payload, 1, kind=kind,
-                              circuit_id=circuit_id)
-        return vector
-
-    def packets(self, loop=None) -> List[Packet]:
-        """Materialize as per-packet objects (via the batch adapter)."""
-        return self.to_batch().packets(loop)
-
-    def __repr__(self) -> str:
-        return (f"CellVector({self.src}->{self.dst} "
-                f"r{self.round_index} {self.cell_count} cells in "
-                f"{self.n_runs} runs, {self.byte_count}B)")
 
 
 class RoundScheduler:

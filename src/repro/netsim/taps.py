@@ -114,9 +114,8 @@ class TallyTap:
 def offer_batch(tap, time: float, batch, src: str, dst: str) -> None:
     """Offer one (link, round) batch to a tap at its richest
     capability: ``record_batch`` when present, per-cell ``record``
-    otherwise.  ``batch`` may be a :class:`~repro.netsim.rounds
-    .CellBatch` or :class:`~repro.netsim.rounds.CellVector` (both
-    provide ``cells()``)."""
+    otherwise.  ``batch`` is a :class:`~repro.netsim.rounds
+    .CellBatch`."""
     record_batch = getattr(tap, "record_batch", None)
     if record_batch is not None:
         record_batch(time, batch, src, dst)

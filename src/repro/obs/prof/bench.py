@@ -9,9 +9,9 @@ across runs.  This module owns the core loop so the pytest bench, the
 
 * :func:`run_backbone` — the constant-rate zone-backbone loop
   (SP↔mix trunks under :class:`~repro.simulation.roundsync.WireFabric`),
-  on any registered engine (``event`` / ``batch`` / ``batch-v2``,
-  with optional shards), optionally with a
-  :class:`~repro.obs.prof.profiler.PhaseProfiler` attached;
+  on any registered engine (``event`` / ``batch`` / ``batch-v2``),
+  optionally with a :class:`~repro.obs.prof.profiler.PhaseProfiler`
+  attached;
 * :func:`run_scaling_bench` — the full sweep: every engine over its
   client-count ladder (each engine caps at the count where its cost
   model stops being measurable in reasonable wall time — the event
@@ -55,38 +55,10 @@ WORKLOAD = ("constant-rate zone backbone (SP-mix trunks), "
             "{rounds} rounds, {per_sp} clients/SP")
 
 
-class TallyObserver:
-    """A global passive adversary that aggregates instead of storing:
-    one update per run when the link offers run-length vectors, one
-    per batch on the batch path, one per cell on the per-packet path."""
-
-    def __init__(self):
-        self.cells = 0
-        self.bytes = 0
-
-    def record(self, time, packet, src, dst):
-        self.cells += 1
-        self.bytes += packet.size
-
-    def record_batch(self, time, batch, src, dst):
-        self.cells += len(batch)
-        self.bytes += batch.total_bytes()
-
-    def record_runs(self, time, src, dst, sizes, counts):
-        for size, count in zip(sizes, counts):
-            self.cells += count
-            self.bytes += size * count
-
-    def record_round_runs(self, time, keys, sizes, counts):
-        self.cells += sum(counts)
-        self.bytes += sum(s * c for s, c in zip(sizes, counts))
-
-
 def run_backbone(execution: str, n_clients: int,
                  rounds: int = DEFAULT_ROUNDS, *,
                  profiler: Optional[PhaseProfiler] = None,
-                 clients_per_sp: int = CLIENTS_PER_SP,
-                 shards: Optional[int] = None
+                 clients_per_sp: int = CLIENTS_PER_SP
                  ) -> Dict[str, Any]:
     """Drive the zone backbone for ``rounds``; returns measurements.
 
@@ -95,16 +67,16 @@ def run_backbone(execution: str, n_clients: int,
     run-length vectors on batch-v2, ``append_repeated`` batches on
     the batch engine, per-cell packets and heap events on the event
     engine, and one loopback UDP datagram per cell on the real-network
-    ``asyncio`` plane.  ``shards`` fans the vector plane out over
-    worker processes; the mandatory ``finalize`` merge is timed as
-    part of the run.  The fabric comes from the transport seam
+    ``asyncio`` plane.  ``finalize`` is timed as part of the run.
+    The fabric comes from the transport seam
     (:func:`repro.execution.create_wire_fabric`), so this module
-    never imports the simulator or the socket plane directly.
+    never imports either fabric implementation directly.
     """
     from repro import execution as execution_registry
+    from repro.netsim.taps import TallyTap
 
     fabric = execution_registry.create_wire_fabric(
-        execution, seed=1, observer=TallyObserver(), shards=shards)
+        execution, seed=1, observer=TallyTap())
     if profiler is not None:
         profiler.attach_fabric(fabric)
     n_sps = max(1, n_clients // clients_per_sp)
@@ -130,7 +102,6 @@ def run_backbone(execution: str, n_clients: int,
     return {
         "clients": n_clients,
         "rounds": rounds,
-        "shards": fabric.shards,
         "cells": fabric.cells_carried,
         "events": fabric.events_processed,
         "elapsed_s": elapsed,
@@ -186,8 +157,8 @@ MIN_REPS = 3
 MAX_REPS = 5
 
 
-def _best_run(engine: str, n_clients: int, rounds: int,
-              shards: Optional[int]) -> Dict[str, Any]:
+def _best_run(engine: str, n_clients: int,
+              rounds: int) -> Dict[str, Any]:
     # Cyclic GC is the dominant noise source at the big ladder points
     # (a sweep mid-run costs ~40% of the measurement): collect once,
     # then time with the collector off — the same policy as `timeit`.
@@ -198,8 +169,7 @@ def _best_run(engine: str, n_clients: int, rounds: int,
         best: Optional[Dict[str, Any]] = None
         spent = 0.0
         for rep in range(MAX_REPS):
-            run = run_backbone(engine, n_clients, rounds,
-                               shards=shards)
+            run = run_backbone(engine, n_clients, rounds)
             spent += run["elapsed_s"]
             if best is None or run["cells_per_sec"] > \
                     best["cells_per_sec"]:
@@ -230,14 +200,12 @@ def run_scaling_bench(
         rounds: int = DEFAULT_ROUNDS, *,
         timestamp_utc: Optional[str] = None,
         with_phases: bool = True,
-        engines: Sequence[str] = DEFAULT_ENGINES,
-        shards: Optional[int] = None) -> Dict[str, Any]:
+        engines: Sequence[str] = DEFAULT_ENGINES) -> Dict[str, Any]:
     """Run the full engine-scaling sweep and build a schema-versioned
     bench entry.
 
     Each engine climbs the ``client_counts`` ladder up to its
-    :data:`ENGINE_CAPS` cap.  ``shards`` applies only to shardable
-    engines (batch-v2).  Real-network engines (``asyncio``) are
+    :data:`ENGINE_CAPS` cap.  Real-network engines (``asyncio``) are
     swept the same way but recorded under the separate
     ``net_engines`` schema key — loopback throughput is host-network
     data and must not move the simulator regression gates.  The timed sweep runs unprofiled, repeating
@@ -249,12 +217,6 @@ def run_scaling_bench(
     recorded as the attached profiler overhead.
     """
     from repro import execution as execution_registry
-
-    def shards_for(engine: str) -> Optional[int]:
-        if shards is None:
-            return None
-        plane = execution_registry.get_plane(engine)
-        return shards if plane.supports_shards else None
 
     # Sweep order: highest-capped engine first.  The big batch-v2
     # points are allocation-rate-bound, and the event engine's
@@ -270,8 +232,7 @@ def run_scaling_bench(
         ladder = [n for n in client_counts
                   if cap is None or n <= cap]
         results[engine] = [
-            _best_run(engine, n, rounds_for(n, rounds),
-                      shards_for(engine))
+            _best_run(engine, n, rounds_for(n, rounds))
             for n in ladder]
     results = {engine: results[engine] for engine in engines}
 
@@ -280,10 +241,10 @@ def run_scaling_bench(
     # cells/sec never moves a simulator trajectory gate.
     sim_results = {
         e: runs for e, runs in results.items()
-        if execution_registry.get_plane(e).transport == "sim"}
+        if execution_registry.resolve(e).transport == "sim"}
     net_results = {
         e: runs for e, runs in results.items()
-        if execution_registry.get_plane(e).transport == "udp"}
+        if execution_registry.resolve(e).transport == "udp"}
 
     entry: Dict[str, Any] = {
         "provenance": provenance(timestamp_utc),
@@ -314,8 +275,7 @@ def run_scaling_bench(
             prof = PhaseProfiler()
             run = run_backbone(engine, headline,
                                rounds_for(headline, rounds),
-                               profiler=prof,
-                               shards=shards_for(engine))
+                               profiler=prof)
             phases[engine] = prof.report()
             if engine == "batch":
                 profiled_batch = run

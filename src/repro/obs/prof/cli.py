@@ -42,9 +42,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                        help="engine(s) to sweep (repeatable; "
                        "default: event batch batch-v2).  Each engine "
                        "climbs the client ladder up to its cap.")
-    p_run.add_argument("--shards", type=int, default=None,
-                       help="worker-process count for shardable "
-                       "engines (batch-v2)")
     p_run.add_argument("--min-v2-speedup", type=float, default=None,
                        help="gate: nonzero exit unless batch-v2 beats "
                        "batch by at least this factor at the largest "
@@ -92,8 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     entry = bench.run_scaling_bench(
         clients, rounds, timestamp_utc=utc_timestamp(),
-        with_phases=not args.no_phases, engines=engines,
-        shards=args.shards)
+        with_phases=not args.no_phases, engines=engines)
 
     from pathlib import Path
     Path(args.json).write_text(

@@ -7,8 +7,8 @@ with the scenario's survival metrics, the evaluated
 ``determinism_key`` — a content hash over every engine-invariant part
 of the outcome.  The key is the §9/§10 contract in one string: the
 same scenario and seed produce the same key on every registered
-engine (``event``, ``batch``, ``batch-v2`` at any shard count), and
-the CLI / CI corpus job fails when they diverge.
+engine (``event``, ``batch``, ``batch-v2``, ``asyncio``), and the
+CLI / CI corpus job fails when they diverge.
 """
 
 from __future__ import annotations
@@ -123,9 +123,8 @@ class ScenarioReport(RunReport):
     """A :class:`RunReport` plus the scenario's survival verdict.
 
     The execution engine lives in the inherited :attr:`~repro.api
-    .RunReport.engine` / :attr:`~repro.api.RunReport.shards` fields —
-    the same vocabulary as the ``--engine`` / ``--shards`` CLI
-    flags.  The ``execution`` alias completed its deprecation cycle
+    .RunReport.engine` field — the same vocabulary as the
+    ``--engine`` CLI flag.  The ``execution`` alias completed its deprecation cycle
     (PR 9 warned; this release removes): reading it raises."""
 
     __slots__ = ("name", "scenario_signature",
@@ -134,14 +133,14 @@ class ScenarioReport(RunReport):
                  "determinism_key")
 
     def __init__(self, *, scenario_def: Scenario, engine: str,
-                 base: RunReport, shards: int = 1):
+                 base: RunReport):
         outcome: ScenarioOutcome = base.detail
         super().__init__(scenario=base.scenario, seed=base.seed,
                          rounds_run=base.rounds_run,
                          metrics=base.metrics,
                          trace_events=base.trace_events,
                          trace_path=base.trace_path, detail=outcome,
-                         perf=base.perf, engine=engine, shards=shards)
+                         perf=base.perf, engine=engine)
         self.name = scenario_def.name
         self.scenario_signature = scenario_def.signature()
         self.plan_signature = outcome.plan_signature
@@ -198,7 +197,6 @@ class ScenarioReport(RunReport):
         artifact = {
             "name": self.name,
             "engine": self.engine,
-            "shards": self.shards,
             "seed": self.seed,
             "scenario_signature": self.scenario_signature,
             "plan_signature": self.plan_signature,
@@ -231,7 +229,6 @@ class ScenarioReport(RunReport):
 
 
 def run_scenario(scenario: Scenario, *, execution: str = "event",
-                 shards: Optional[int] = None,
                  net_processes: bool = False,
                  trace_path: Optional[str] = None,
                  trace_buffer: int = 0,
@@ -239,9 +236,9 @@ def run_scenario(scenario: Scenario, *, execution: str = "event",
     """Run one scenario through the :class:`Simulation` facade.
 
     ``execution`` is any engine name registered with
-    :mod:`repro.execution`; ``shards`` applies to shardable engines,
-    ``net_processes`` to the real-network ``asyncio`` plane (receive
-    endpoints in a separate worker process).  ``profile=True``
+    :mod:`repro.execution`; ``net_processes`` applies to the
+    real-network ``asyncio`` plane (receive endpoints in a separate
+    worker process).  ``profile=True``
     attaches a phase profiler; the per-phase breakdown lands in
     ``report.perf`` (and the CLI artifact's ``perf`` section)
     without changing the determinism key."""
@@ -249,11 +246,10 @@ def run_scenario(scenario: Scenario, *, execution: str = "event",
                                scenario_def=scenario,
                                seed=scenario.seed,
                                execution=execution,
-                               shards=shards,
                                net_processes=net_processes,
                                trace_path=trace_path,
                                trace_buffer=trace_buffer,
                                profile=profile))
     base = sim.run(until=scenario.horizon_s)
     return ScenarioReport(scenario_def=scenario, engine=execution,
-                          base=base, shards=sim.config.shards)
+                          base=base)

@@ -65,9 +65,7 @@ class LiveZone:
 
     All parameters are keyword-only (positional forms were removed
     with the PR-3 deprecation cycle).  ``execution`` is any engine
-    name registered with :mod:`repro.execution`; ``shards`` applies
-    to shardable engines (``batch-v2``) and flows into the wire
-    plane created by :meth:`attach_wire`."""
+    name registered with :mod:`repro.execution`."""
 
     def __init__(self, *, n_clients: int = 12, n_channels: int = 4,
                  k: int = 2, n_sps: int = 1,
@@ -76,19 +74,15 @@ class LiveZone:
                  zone_id: str = "zone-EU",
                  client_prefix: str = "client",
                  execution: str = "event",
-                 shards: Optional[int] = None,
-                 shard_processes: Optional[bool] = None,
                  net_processes: Optional[bool] = None):
         if n_sps < 1:
             raise ValueError("need at least one superpeer")
         if n_sps > n_channels:
             raise ValueError("cannot have more SPs than channels")
-        plane_spec = execution_registry.resolve(execution, shards)
-        self.execution = plane_spec.name
-        self.zone_mode = plane_spec.zone_mode
-        self.transport = plane_spec.transport
-        self.shards = plane_spec.shards
-        self.shard_processes = shard_processes
+        plane = execution_registry.resolve(execution)
+        self.execution = plane.name
+        self.zone_mode = plane.zone_mode
+        self.transport = plane.transport
         self.net_processes = net_processes
         self.seed = seed
         #: Optional wire plane (see :meth:`attach_wire`): when set,
@@ -559,7 +553,7 @@ class LiveZone:
         """Materialize the zone's wire plane: from the next round on,
         every cell is offered to tapped netsim links under the zone's
         execution engine (per-cell events, per-round batches, or
-        run-length vector segments — the tap records byte-identical
+        per-round run tables — the tap records byte-identical
         streams under all of them), or — on the ``asyncio`` plane —
         physically transmitted as framed loopback UDP datagrams and
         tapped on receive (DESIGN.md §14).  The concrete
@@ -568,13 +562,10 @@ class LiveZone:
         imports neither implementation's socket machinery.  The
         adversary observes via ``fabric.observer``; further taps
         subscribe through ``fabric.add_tap``
-        (:mod:`repro.netsim.taps`).  Sharded engines defer tap
-        fan-out — call ``fabric.finalize()`` before reading
-        observations."""
+        (:mod:`repro.netsim.taps`)."""
         self.wire = execution_registry.create_wire_fabric(
             self.execution, seed=self.seed, interval=interval,
-            observer=observer, shards=self.shards,
-            shard_processes=self.shard_processes,
+            observer=observer,
             net_processes=self.net_processes)
         if self.prof is not None:
             self.wire.set_profiler(self.prof)

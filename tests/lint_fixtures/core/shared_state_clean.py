@@ -9,8 +9,7 @@ __all__ = ["Registry"]
 
 
 class Registry:
-    """Mutable state belongs on instances that cross the shard
-    boundary explicitly."""
+    """Mutable state belongs on instances the run owns."""
 
     def __init__(self):
         self._pending = {}

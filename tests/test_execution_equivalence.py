@@ -3,7 +3,7 @@
 DESIGN.md §9: a seeded run produces *byte-identical* adversary
 observations, metrics snapshots, and JSONL traces whether it executes
 on the per-cell event engine, the round-synchronous batch engine, or
-the vectorized ``batch-v2`` plane (DESIGN.md §13) at any shard count.
+the vectorized ``batch-v2`` plane (DESIGN.md §13).
 The engines may differ in anything an adversary cannot see — events
 processed, objects allocated, wall-clock speed — and nothing else.
 
@@ -12,8 +12,7 @@ This file pins that contract:
 * an exact cross-engine comparison of all three output surfaces for
   the live scenario (plus a pinned digest, so a change that breaks
   all engines in lockstep still trips a review);
-* ``batch-v2`` at shards 1, 2, and 4 held to the same surfaces and
-  the same pinned digest;
+* ``batch-v2`` held to the same surfaces and the same pinned digest;
 * testbed and chaos scenarios compared across engines;
 * a hypothesis sweep over random seeds and zone shapes comparing the
   E9 constant-rate census and the wiretap size/time sequences.
@@ -86,25 +85,23 @@ class TestLiveEquivalence:
         assert _wiretap_digest(event) == _wiretap_digest(batch) == \
             PINNED_WIRETAP_SHA256
 
-    def test_batch_v2_all_surfaces_at_shards_1_2_4(self, tmp_path):
-        """§13: the vectorized plane — at every shard count — holds
-        the same three-surface contract and the same pinned digest as
-        the per-cell engines."""
+    def test_batch_v2_all_surfaces(self, tmp_path):
+        """§13: the vectorized plane holds the same three-surface
+        contract and the same pinned digest as the per-cell
+        engines."""
         event = _live_run("event", trace_path=tmp_path / "event.jsonl")
-        for shards in (1, 2, 4):
-            v2 = _live_run("batch-v2", shards=shards,
-                           trace_path=tmp_path / f"v2-{shards}.jsonl")
-            assert v2.engine == "batch-v2" and v2.shards == shards
-            assert v2.detail["wiretap"]["observations"] == \
-                event.detail["wiretap"]["observations"]
-            assert v2.metrics == event.metrics
-            assert v2.to_prometheus() == event.to_prometheus()
-            assert (tmp_path / f"v2-{shards}.jsonl").read_bytes() == \
-                (tmp_path / "event.jsonl").read_bytes()
-            assert _wiretap_digest(v2) == PINNED_WIRETAP_SHA256
-            # Vector plane: O(rounds) wire events, like batch.
-            assert v2.detail["wiretap"]["wire_events_processed"] < \
-                event.detail["wiretap"]["wire_events_processed"]
+        v2 = _live_run("batch-v2", trace_path=tmp_path / "v2.jsonl")
+        assert v2.engine == "batch-v2"
+        assert v2.detail["wiretap"]["observations"] == \
+            event.detail["wiretap"]["observations"]
+        assert v2.metrics == event.metrics
+        assert v2.to_prometheus() == event.to_prometheus()
+        assert (tmp_path / "v2.jsonl").read_bytes() == \
+            (tmp_path / "event.jsonl").read_bytes()
+        assert _wiretap_digest(v2) == PINNED_WIRETAP_SHA256
+        # Vector plane: O(rounds) wire events, like batch.
+        assert v2.detail["wiretap"]["wire_events_processed"] < \
+            event.detail["wiretap"]["wire_events_processed"]
 
     def test_equivalence_survives_mid_run_sp_failure(self):
         def run(execution):
@@ -128,6 +125,42 @@ class TestLiveEquivalence:
         obs_v2, voice_v2 = run("batch-v2")
         assert obs_event == obs_batch == obs_v2
         assert voice_event == voice_batch == voice_v2
+
+
+class TestWireStatsEquivalence:
+    """Link and node wire stats are part of the cross-engine surface:
+    the vector plane defers them to ``finalize()``, which must keep
+    working when rounds continue after it was called."""
+
+    @staticmethod
+    def _stats(execution):
+        from repro.execution import create_wire_fabric
+        from repro.netsim.taps import TallyTap
+        fabric = create_wire_fabric(execution, seed=1)
+        tap = TallyTap()
+        fabric.add_tap(tap)
+        snapshots = []
+        for r in range(6):
+            fabric.emit_repeated("sp-0", "mix", b"\x00" * 160, 10,
+                                 kind="up")
+            fabric.flush_round(r)
+            if r in (2, 5):
+                fabric.finalize()
+                fabric.finalize()  # nothing new: changes nothing
+                up = fabric.link_between("sp-0", "mix").stats["sp-0"]
+                mix = fabric.node("mix")
+                snapshots.append((up.packets, up.bytes,
+                                  mix.packets_received,
+                                  mix.bytes_received,
+                                  fabric.cells_carried, tap.cells))
+        return snapshots
+
+    def test_finalize_then_more_rounds_then_finalize(self):
+        event = self._stats("event")
+        assert [s[0] for s in event] == [30, 60]
+        assert [s[2] for s in event] == [30, 60]
+        assert self._stats("batch") == event
+        assert self._stats("batch-v2") == event
 
 
 class TestProfilerEquivalence:
@@ -243,12 +276,11 @@ class TestScenarioEquivalence:
                              execution="event")
         batch = run_scenario(self.DEGRADATION_SCENARIO,
                              execution="batch")
-        for shards in (1, 4):
-            v2 = run_scenario(self.DEGRADATION_SCENARIO,
-                              execution="batch-v2", shards=shards)
-            assert v2.determinism_key == event.determinism_key
-            assert v2.metrics == event.metrics
-            assert v2.timeline == event.timeline
+        v2 = run_scenario(self.DEGRADATION_SCENARIO,
+                          execution="batch-v2")
+        assert v2.determinism_key == event.determinism_key
+        assert v2.metrics == event.metrics
+        assert v2.timeline == event.timeline
         # The adversary's view is byte-identical, even while loss,
         # jitter, and degradation windows churn link state.
         obs_event = event.detail.wiretap["observations"]

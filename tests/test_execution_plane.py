@@ -3,14 +3,14 @@
 DESIGN.md §13: ``SimConfig(execution=...)`` and every CLI ``--engine``
 flag resolve through :mod:`repro.execution` — one registry owning the
 mapping from an engine name to how the zone steps (``zone_mode``),
-how the wire plane carries a round (``wire_mode``), and whether the
-plane shards across worker processes — plus, since the real-network
-plane landed, which *transport* carries the wire image (``sim`` in
-memory vs ``udp`` loopback datagrams).  These tests pin the registry
-surface, its validation errors, the facade integration
-(``RunReport.engine`` / ``RunReport.shards`` everywhere), and the
-*completed* deprecation cycle: ``ScenarioReport.execution`` and the
-``--execution`` CLI flag warned for one cycle (PR 9) and now raise.
+how the wire plane carries a round (``wire_mode``), and which
+*transport* carries the wire image (``sim`` in memory vs ``udp``
+loopback datagrams).  These tests pin the registry surface, its
+validation errors, the facade integration (``RunReport.engine``
+everywhere), and what was removed outright: ``ScenarioReport
+.execution`` and the ``--execution`` CLI flag (deprecated in PR 9),
+and the ``shards`` option at every layer (measured and deleted with
+zone sharding, DESIGN.md §13).
 """
 
 import pytest
@@ -25,25 +25,21 @@ class TestRegistry:
                                                 "batch-v2", "asyncio"}
 
     def test_plane_specs(self):
-        event = execution.get_plane("event")
+        event = execution.resolve("event")
         assert (event.zone_mode, event.wire_mode) == ("event", "event")
-        assert not event.supports_shards
-        batch = execution.get_plane("batch")
+        batch = execution.resolve("batch")
         assert (batch.zone_mode, batch.wire_mode) == ("batch", "batch")
-        assert not batch.supports_shards
-        v2 = execution.get_plane("batch-v2")
+        v2 = execution.resolve("batch-v2")
         assert (v2.zone_mode, v2.wire_mode) == ("batch", "vector")
-        assert v2.supports_shards
 
     def test_transport_axis(self):
         # Every simulator plane runs on the "sim" transport; the
         # asyncio plane is the only one on real sockets.
         for name in ("event", "batch", "batch-v2"):
-            assert execution.get_plane(name).transport == "sim"
-        net = execution.get_plane("asyncio")
+            assert execution.resolve(name).transport == "sim"
+        net = execution.resolve("asyncio")
         assert net.transport == "udp"
         assert (net.zone_mode, net.wire_mode) == ("batch", "socket")
-        assert not net.supports_shards
 
     def test_create_wire_fabric_seam(self):
         # The transport seam hands protocol code a CellTransport
@@ -64,42 +60,42 @@ class TestRegistry:
 
     def test_unknown_name_suggests(self):
         with pytest.raises(ValueError, match="batch-v2"):
-            execution.get_plane("batch-v3")
+            execution.resolve("batch-v3")
         with pytest.raises(ValueError, match="event"):
             execution.resolve("events")
 
-    def test_resolve_defaults_and_shards(self):
-        spec = execution.resolve("event")
-        assert spec.name == "event" and spec.shards == 1
-        spec = execution.resolve("batch-v2", 4)
-        assert spec.name == "batch-v2" and spec.shards == 4
-        # shards=1 is the no-op spelling every plane accepts.
-        assert execution.resolve("batch", 1).shards == 1
+    def test_resolve_returns_plane(self):
+        plane = execution.resolve("batch-v2")
+        assert isinstance(plane, execution.ExecutionPlane)
+        assert plane.name == "batch-v2"
 
     def test_resolve_rejects_bad_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            execution.resolve("batch-v2", 0)
-        with pytest.raises(ValueError, match="shard"):
-            execution.resolve("event", 2)
-        with pytest.raises(ValueError, match="shard"):
-            execution.resolve("batch", 4)
+        # Every shard count is bad now: resolve() takes one argument.
+        for name, shards in (("batch-v2", 4), ("batch", 1)):
+            with pytest.raises(TypeError):
+                execution.resolve(name, shards)
 
 
 class TestFacadeIntegration:
     def test_simconfig_resolves_plane(self):
-        cfg = SimConfig(seed=1, execution="batch-v2", shards=2)
-        assert cfg.execution == "batch-v2" and cfg.shards == 2
-        assert SimConfig(seed=1).shards == 1
-        with pytest.raises(ValueError):
-            SimConfig(seed=1, execution="batch", shards=2)
+        cfg = SimConfig(seed=1, execution="batch-v2")
+        assert cfg.execution == "batch-v2"
         with pytest.raises(ValueError):
             SimConfig(seed=1, execution="nope")
+
+    def test_shards_option_removed(self):
+        from repro.simulation.live import LiveZone
+        with pytest.raises(TypeError):
+            SimConfig(seed=1, execution="batch-v2", shards=2)
+        with pytest.raises(TypeError):
+            LiveZone(execution="batch-v2", shards=2)
+        with pytest.raises(TypeError):
+            execution.create_wire_fabric("batch-v2", shards=2)
 
     def test_runreport_engine_vocabulary(self):
         report = Simulation(SimConfig(seed=3, n_clients=6,
                                       execution="batch")).run(rounds=5)
         assert report.engine == "batch"
-        assert report.shards == 1
         assert report.detail["engine"] == "batch"
 
     def test_scenario_report_execution_alias_removed(self):
@@ -114,7 +110,6 @@ class TestFacadeIntegration:
         artifact = report.to_artifact_dict()
         assert artifact["engine"] == "batch"
         assert "execution" not in artifact
-        assert artifact["shards"] == 1
 
     def test_simconfig_net_processes_validation(self):
         with pytest.raises(ValueError, match="transport"):
@@ -130,18 +125,19 @@ class TestFacadeIntegration:
         report = RunReport(scenario="live", seed=0, rounds_run=0,
                            metrics={}, trace_events=[],
                            trace_path=None, detail=None)
-        assert report.engine == "event" and report.shards == 1
+        assert report.engine == "event"
 
 
 class TestCLIVocabulary:
     """Satellite: ``repro metrics`` / ``repro scenario`` / ``repro
-    bench`` all speak ``--engine`` / ``--shards``; ``--execution``
-    finished its deprecation cycle and is now a hard parse error."""
+    bench`` all speak ``--engine``; ``--execution`` finished its
+    deprecation cycle and ``--shards`` left with zone sharding — both
+    are hard parse errors."""
 
     def test_metrics_engine_flag(self, capsys):
         from repro.cli import main
-        assert main(["metrics", "--engine", "batch-v2", "--shards",
-                     "2", "--rounds", "5", "--format", "json"]) == 0
+        assert main(["metrics", "--engine", "batch-v2",
+                     "--rounds", "5", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert "herd_" in out
 
@@ -166,7 +162,30 @@ class TestCLIVocabulary:
     def test_scenario_engine_flag(self, capsys):
         from repro.cli import main
         code = main(["scenario", "run", "scenarios/00-baseline.toml",
-                     "--engine", "batch-v2", "--shards", "2"])
+                     "--engine", "batch-v2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "[batch-v2]" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--engine", "batch-v2", "--shards", "2"],
+        ["scenario", "run", "scenarios/00-baseline.toml",
+         "--engine", "batch-v2", "--shards", "2"],
+        ["bench", "run", "--engine", "batch-v2", "--shards", "2"],
+    ])
+    def test_shards_flag_removed(self, argv, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_committed_bench_files_still_load(self, capsys):
+        # Rows measured before the option was removed carry a legacy
+        # "shards": 1 key the readers must keep tolerating.
+        from repro.cli import main
+        assert main(["bench", "list", "--trajectory",
+                     "BENCH_trajectory.jsonl"]) == 0
+        assert "commit" in capsys.readouterr().out
+        assert main(["bench", "compare", "BENCH_scaling.json",
+                     "BENCH_scaling.json"]) == 0
