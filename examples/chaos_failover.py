@@ -14,7 +14,8 @@ run replays bit-for-bit from its seed.
 Run:  PYTHONPATH=src python examples/chaos_failover.py
 """
 
-from repro.simulation.chaos import ChaosConfig, default_plan, run_chaos
+from repro.faults.plan import FaultKind, FaultSpec
+from repro.scenario import Scenario, ZoneShape, execute
 
 
 def main() -> None:
@@ -22,10 +23,17 @@ def main() -> None:
 
     # seed 7: one orphan needs 4 join attempts (directory still lists
     # the dead mix until detection), so the backoff path is visible.
-    cfg = ChaosConfig(seed=7, horizon_s=7.5, n_clients=8,
-                      n_direct_clients=4, round_interval_s=0.05,
-                      plan=default_plan())
-    plan = cfg.plan
+    scenario = Scenario(
+        name="chaos", seed=7, horizon_s=7.5, round_interval_s=0.05,
+        zone=ZoneShape(n_clients=8, n_direct_clients=4),
+        faults=(
+            FaultSpec(kind=FaultKind.MIX_CRASH, at_s=2.0,
+                      target="zone-ctl/mix-0", duration_s=5.0,
+                      detection_delay_s=1.0),
+            FaultSpec(kind=FaultKind.SP_CRASH, at_s=3.0,
+                      target="zone-live/sp-1"),
+        ))
+    plan = scenario.plan()
     print("fault plan (signature %s...):" % plan.signature()[:12])
     for spec in plan:
         window = f" for {spec.duration_s}s" if spec.duration_s else ""
@@ -35,7 +43,7 @@ def main() -> None:
               f"{spec.target}{window}{detect}")
 
     print("\nrunning: 1 call pair live, faults firing mid-run ...")
-    report = run_chaos(cfg)
+    report = execute(scenario)
 
     print("\nfault/recovery timeline:")
     for entry in report.timeline:

@@ -18,7 +18,8 @@ def main() -> None:
     print("=== Herd quickstart ===\n")
 
     # 1. Configure a run.  SimConfig is keyword-only and validated;
-    # the same object also drives the "testbed" and "chaos" scenarios.
+    # the same object also drives "testbed" runs and declared
+    # fault scenarios (scenario_def=Scenario(...)).
     # execution picks the engine: "event" schedules per cell, "batch"
     # runs round-synchronous vectors — observationally equivalent.
     config = SimConfig(seed=7, n_clients=12, n_channels=4, call_pairs=2,

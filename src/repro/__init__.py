@@ -24,7 +24,7 @@ Package map
 * :mod:`repro.obs` — herdscope: virtual-time metrics, traces, and
   exporters.
 * :mod:`repro.api` — the :class:`~repro.api.Simulation` facade in
-  front of testbed, live-zone, and chaos runs.
+  front of testbed, live-zone, and scenario runs.
 * :mod:`repro.scenario` — the declarative composed-adversity scenario
   engine: workload × churn × faults × adversary from
   ``scenarios/*.toml``, replayable on both execution engines with a
@@ -45,10 +45,6 @@ __version__ = "1.1.0"
 from repro.api import RunReport, SimConfig, Simulation
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.testbed import HerdTestbed, build_testbed
-
-# After the simulation chain: repro.scenario's engine imports the
-# simulation package, whose chaos module imports repro.scenario.model —
-# loading simulation first keeps that cycle's lazy edge lazy.
 from repro.scenario import Scenario, ScenarioReport, run_scenario
 
 __all__ = [

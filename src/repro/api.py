@@ -1,9 +1,9 @@
 """The unified simulation facade: one front door to the reproduction.
 
-The repo grew three entry points with three calling conventions — the
-in-memory :func:`~repro.simulation.testbed.build_testbed`, the
-round-based :class:`~repro.simulation.live.LiveZone`, and the
-fault-driven :func:`~repro.simulation.chaos.run_chaos`.  This module
+The repo has three kinds of run — the in-memory
+:func:`~repro.simulation.testbed.build_testbed`, the round-based
+:class:`~repro.simulation.live.LiveZone`, and the fault-driven
+scenario engine (:func:`repro.scenario.engine.execute`).  This module
 puts one keyword-only surface in front of all of them:
 
 >>> from repro import SimConfig, Simulation
@@ -13,8 +13,9 @@ puts one keyword-only surface in front of all of them:
 Every :class:`Simulation` owns a :class:`~repro.obs.instrument
 .Herdscope`, so every run produces a metrics snapshot and (optionally)
 a JSONL trace stamped with *virtual* time — two runs with the same
-:class:`SimConfig` are byte-identical.  The old entry points remain
-callable; their positional forms warn with ``DeprecationWarning``.
+:class:`SimConfig` are byte-identical.  ``LiveZone`` and
+``build_testbed`` remain callable on their own; they are keyword-only
+too (a positional call raises ``TypeError``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro import execution as execution_registry
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.instrument import Herdscope
 
-SCENARIOS = ("live", "testbed", "chaos", "scenario")
+SCENARIOS = ("live", "testbed", "scenario")
 
 
 class SimConfig:
@@ -40,12 +41,13 @@ class SimConfig:
     scenario:
         ``"live"`` (default) — one zone's SP data plane at round
         granularity; ``"testbed"`` — in-memory deployment placing
-        end-to-end calls through circuits; ``"chaos"`` — a fault plan
-        replayed against a live deployment.
+        end-to-end calls through circuits; ``"scenario"`` — a
+        declared workload × churn × faults × adversary run (see
+        ``scenario_def``).
     seed:
         Master seed; one seed reproduces a whole run.
     n_clients, n_channels, n_sps, k:
-        Zone shape (live/chaos scenarios).
+        Zone shape (live scenario; a ``scenario_def`` carries its own).
     zone_id, client_prefix:
         Naming of the live zone and its clients.
     zone_specs:
@@ -53,9 +55,6 @@ class SimConfig:
         (testbed scenario; ``None`` = the EU + NA default).
     call_pairs:
         Concurrent calls started at round/time zero.
-    chaos:
-        Optional :class:`~repro.simulation.chaos.ChaosConfig`; its
-        seed/n_clients/n_channels are overridden by this config's.
     scenario_def:
         A :class:`~repro.scenario.model.Scenario` (the declarative
         composed-adversity scenario engine).  Passing one selects
@@ -104,7 +103,7 @@ class SimConfig:
 
     __slots__ = ("scenario", "seed", "n_clients", "n_channels",
                  "n_sps", "k", "zone_id", "zone_specs",
-                 "client_prefix", "call_pairs", "chaos",
+                 "client_prefix", "call_pairs",
                  "scenario_def", "trace_path", "trace_buffer",
                  "execution", "net_processes", "wiretap", "profile")
 
@@ -115,7 +114,7 @@ class SimConfig:
                  zone_specs: Optional[
                      Sequence[Tuple[str, str, int]]] = None,
                  client_prefix: str = "client", call_pairs: int = 1,
-                 chaos=None, scenario_def=None,
+                 scenario_def=None,
                  trace_path: Optional[str] = None,
                  trace_buffer: int = 4096,
                  execution: str = "event",
@@ -148,7 +147,6 @@ class SimConfig:
         self.zone_specs = zone_specs
         self.client_prefix = client_prefix
         self.call_pairs = call_pairs
-        self.chaos = chaos
         self.scenario_def = scenario_def
         self.trace_path = trace_path
         self.trace_buffer = trace_buffer
@@ -190,7 +188,8 @@ class RunReport:
         self.trace_events = trace_events
         self.trace_path = trace_path
         #: Scenario-specific payload: a dict for live/testbed runs, a
-        #: :class:`~repro.simulation.chaos.ChaosReport` for chaos.
+        #: :class:`~repro.scenario.engine.ScenarioOutcome` for
+        #: scenario runs.
         self.detail = detail
         #: Host-time phase profile (``PhaseProfiler.report()``) when
         #: the run was configured with ``profile=True``; ``None``
@@ -245,26 +244,29 @@ class Simulation:
     def run(self, rounds: Optional[int] = None, *,
             until: Optional[float] = None) -> RunReport:
         """Drive the scenario for ``rounds`` data-plane rounds (live /
-        testbed) or to virtual time ``until`` (chaos horizon).  Exactly
-        one of the two may be given; the scenario's natural default is
-        used otherwise (50 rounds, or the chaos plan's horizon)."""
+        testbed, default 50) or to virtual time ``until`` (a
+        ``scenario_def``'s horizon, default the declared one).
+        ``until`` is a scenario horizon only: live and testbed runs
+        count rounds and reject it."""
         if self._finished:
             raise RuntimeError("this Simulation already ran; build a "
                                "new one for a new run")
         if rounds is not None and until is not None:
             raise ValueError("pass rounds= or until=, not both")
         cfg = self.config
-        if cfg.scenario == "live":
-            rounds_run, detail = self._run_live(
-                50 if rounds is None and until is None
-                else int(until) if rounds is None else rounds)
-        elif cfg.scenario == "testbed":
-            rounds_run, detail = self._run_testbed(
-                rounds if rounds is not None else 50)
-        elif cfg.scenario == "scenario":
+        if cfg.scenario == "scenario":
             rounds_run, detail = self._run_scenario(until)
+        elif until is not None:
+            raise ValueError(
+                f"until= is a scenario horizon in virtual seconds; "
+                f"scenario={cfg.scenario!r} runs count rounds — pass "
+                f"rounds=")
+        elif cfg.scenario == "live":
+            rounds_run, detail = self._run_live(
+                50 if rounds is None else rounds)
         else:
-            rounds_run, detail = self._run_chaos(until)
+            rounds_run, detail = self._run_testbed(
+                50 if rounds is None else rounds)
         self._finished = True
         prof = self.profiler
         if prof is not None:
@@ -372,8 +374,6 @@ class Simulation:
             bed.ready_for_calls(callee)
             sessions.append(bed.call(caller, callee))
         delivered = 0
-        batch = execution_registry.resolve(
-            cfg.execution).zone_mode == "batch"
         for r in range(rounds):
             frame_clock["round"] = r
             payload = b"\x42" * 160
@@ -384,14 +384,10 @@ class Simulation:
                     if session.send_voice(direction, payload) == \
                             payload:
                         this_round += 1
-                        if not batch:
-                            frames.inc()
-                            frame_bytes.inc(len(payload))
-            if batch and this_round:
-                # One bulk update per round instead of one per frame;
-                # same totals, same updated_at stamp (every per-frame
-                # inc of the round reads the same round clock), so
-                # snapshots stay byte-identical across engines.
+            if this_round:
+                # One bulk update per round: every frame of a round
+                # reads the same round clock, so the totals and the
+                # updated_at stamp equal a per-frame inc()'s.
                 frames.add(this_round)
                 frame_bytes.add(this_round * len(payload))
             delivered += this_round
@@ -403,22 +399,6 @@ class Simulation:
             "execution": cfg.execution,
             "frames_delivered": delivered,
         }
-
-    def _run_chaos(self, until: Optional[float]) -> Tuple[int, Any]:
-        from dataclasses import replace
-        from repro.simulation.chaos import ChaosConfig, run_chaos
-        cfg = self.config
-        chaos_cfg = cfg.chaos or ChaosConfig()
-        chaos_cfg = replace(chaos_cfg, seed=cfg.seed,
-                            n_clients=cfg.n_clients,
-                            n_channels=cfg.n_channels,
-                            call_pairs=cfg.call_pairs,
-                            execution=cfg.execution)
-        if until is not None:
-            chaos_cfg = replace(chaos_cfg, horizon_s=float(until))
-        report = run_chaos(chaos_cfg, scope=self.scope,
-                           profiler=self.profiler)
-        return report.rounds_run, report
 
     def _run_scenario(self, until: Optional[float]) -> Tuple[int, Any]:
         from repro.scenario.engine import execute

@@ -10,15 +10,15 @@ encrypted traffic as part of a local, active traffic analysis attack."
 
 :class:`GlobalPassiveAdversary` taps every link of a deployment with a
 single :class:`~repro.netsim.observer.LinkObserver` and offers the
-attack entry points; :class:`ActiveAdversary` additionally perturbs
-links it controls (drop/delay), for the I7 experiments.
+binned per-link series the attacks consume; :class:`ActiveAdversary`
+additionally perturbs links it controls (drop/delay), for the I7
+experiments.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.attacks.correlation import correlate_flows
 from repro.netsim.link import Link
 from repro.netsim.observer import LinkObserver
 
@@ -45,19 +45,6 @@ class GlobalPassiveAdversary:
             out[f"{src}->{dst}"] = self.observer.time_series(
                 src, dst, bin_width)
         return out
-
-    def run_correlation_attack(self, ingress_prefix: str,
-                               egress_prefix: str, bin_width: float,
-                               threshold: float = 0.7
-                               ) -> Dict[str, Optional[str]]:
-        """Correlate flows entering the network (links whose name
-        starts with ``ingress_prefix``) against flows leaving it."""
-        series = self.link_series(bin_width)
-        ingress = {k: v for k, v in series.items()
-                   if k.startswith(ingress_prefix)}
-        egress = {k: v for k, v in series.items()
-                  if k.startswith(egress_prefix)}
-        return correlate_flows(ingress, egress, threshold)
 
 
 class ActiveAdversary(GlobalPassiveAdversary):

@@ -29,16 +29,6 @@ import sys
 from typing import List, Optional
 
 
-class _RemovedEngineAlias(argparse.Action):
-    """``--execution`` finished its deprecation cycle (PR 9 warned
-    for one cycle); using it is now a hard parse error pointing at
-    ``--engine``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"{option_string} was removed after its "
-                     f"deprecation cycle; use --engine")
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.simulation.testbed import build_testbed
     bed = build_testbed()
@@ -257,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default="event",
                            help="execution engine (the metrics are "
                            "byte-identical; batch engines run faster)")
-    p_metrics.add_argument("--execution", dest="engine",
-                           action=_RemovedEngineAlias,
-                           nargs=1, metavar="ENGINE",
-                           help=argparse.SUPPRESS)
     p_metrics.add_argument("--processes", dest="net_processes",
                            action="store_true",
                            help="asyncio engine only: host the UDP "

@@ -71,28 +71,6 @@ class ConstantRateChaffer:
                 self.chaff_sent += 1
         return slots
 
-    def tick_many(self, n_ticks: int) -> List[List[Optional[bytes]]]:
-        """Round-synchronous batch entry point: ``n_ticks`` frame
-        intervals at once, with O(1) counter updates.
-
-        Returns one slot list per tick, identical to ``n_ticks``
-        individual :meth:`tick` calls: queued payload fills the
-        earliest slots (emission is a function of the clock, never of
-        the payload — invariant I6 — so batching cannot change the
-        schedule, only the bookkeeping cost).
-        """
-        if n_ticks < 0:
-            raise ValueError("cannot tick a negative number of rounds")
-        total_slots = n_ticks * self.rate_multiple
-        n_payload = min(len(self._queue), total_slots)
-        flat: List[Optional[bytes]] = [
-            self._queue.popleft() for _ in range(n_payload)]
-        flat.extend([None] * (total_slots - n_payload))
-        self.payload_sent += n_payload
-        self.chaff_sent += total_slots - n_payload
-        return [flat[i * self.rate_multiple:(i + 1) * self.rate_multiple]
-                for i in range(n_ticks)]
-
 
 @dataclass
 class RateDecision:

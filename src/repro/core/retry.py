@@ -66,10 +66,6 @@ class Deadline:
         self._expires_at = self.clock.now + self.timeout_s
 
     @property
-    def expires_at(self) -> float:
-        return self._expires_at
-
-    @property
     def remaining(self) -> float:
         return max(0.0, self._expires_at - self.clock.now)
 

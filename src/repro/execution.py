@@ -2,8 +2,8 @@
 
 Before this module, every layer that accepted an ``execution=`` knob
 (:class:`repro.api.SimConfig`, :class:`repro.simulation.live.LiveZone`,
-:class:`repro.simulation.roundsync.WireFabric`, the scenario engine,
-``ChaosConfig``) carried its own ``("event", "batch")`` tuple and its
+:class:`repro.simulation.roundsync.WireFabric`, the scenario
+engine) carried its own ``("event", "batch")`` tuple and its
 own if/elif validation — adding an engine meant touching five copies.
 This registry is the single point of truth: an execution plane is
 *listed* once, and every consumer resolves the name through

@@ -1,37 +1,20 @@
 """herdlint command line: ``python -m repro.lint`` / ``repro lint``.
 
-Exit codes: 0 clean (or ``--warn-only``), 1 unsuppressed findings.
+Exit codes: 0 clean, 1 unsuppressed findings.  The one waiver
+mechanism is the inline ``# herdlint: disable=`` comment.
 
-Beyond the basic gate the CLI mounts the herdflow workflow surface:
-
-* ``--no-flow`` skips the dataflow rules (HL004/HL007/HL10x) and runs
-  only the syntactic rule set — the pre-flow behaviour;
-* ``--cache [PATH]`` persists per-file flow summaries keyed by content
-  hash, so an unchanged file (whose callees are also unchanged) is
-  never re-analysed;
-* ``--changed [REF]`` lints only files git reports as modified against
-  ``REF`` (default HEAD) plus untracked ones — the incremental mode CI
-  uses on pull requests (whole-tree rules like HL006 downgrade to
-  notes on a partial scan);
-* ``--baseline [PATH]`` waives findings recorded in a checked-in
-  baseline file; ``--update-baseline`` rewrites it from the current
-  findings;
-* ``--fix`` applies the mechanical autofixes (HL003: rewrite ``==`` on
-  digests to ``hmac.compare_digest``) before linting.
+``--no-flow`` skips the dataflow rules (HL004/HL007/HL10x) and runs
+only the syntactic rule set.  Linting a file subset is supported:
+whole-tree rules like HL006 downgrade to notes on a partial scan.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.engine import LintConfig, all_rules, run_lint
-
-_BASELINE_DEFAULT = ".herdlint-baseline.json"
-_CACHE_DEFAULT = ".herdlint-cache.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -54,8 +37,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exclude", metavar="GLOB", action="append",
                         default=[],
                         help="glob of paths to skip (repeatable)")
-    parser.add_argument("--warn-only", action="store_true",
-                        help="report findings but always exit 0")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="include suppressed findings in text "
                              "output")
@@ -66,28 +47,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     flow.add_argument("--no-flow", action="store_true",
                       help="skip the dataflow rules (HL004/HL007/"
                            "HL10x); syntactic rules only")
-    flow.add_argument("--cache", metavar="PATH", nargs="?",
-                      const=_CACHE_DEFAULT, default=None,
-                      help="cache flow summaries by content hash "
-                           f"(default path: {_CACHE_DEFAULT}); "
-                           "unchanged files are not re-analysed")
-    flow.add_argument("--changed", metavar="REF", nargs="?",
-                      const="HEAD", default=None,
-                      help="lint only files modified vs. the git REF "
-                           "(default HEAD) plus untracked files, "
-                           "restricted to the given paths")
-    flow.add_argument("--baseline", metavar="PATH", nargs="?",
-                      const=_BASELINE_DEFAULT, default=None,
-                      help="waive findings recorded in the baseline "
-                           f"file (default: {_BASELINE_DEFAULT}); "
-                           "they render as '(baselined)' and do not "
-                           "fail the gate")
-    flow.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline file from the "
-                           "current findings and exit 0")
-    flow.add_argument("--fix", action="store_true",
-                      help="apply mechanical autofixes first (HL003: "
-                           "digest ==/!= becomes hmac.compare_digest)")
 
 
 def _split_ids(raw: Optional[str]) -> Optional[List[str]]:
@@ -97,39 +56,9 @@ def _split_ids(raw: Optional[str]) -> Optional[List[str]]:
             if part.strip()]
 
 
-def _git_changed_files(ref: str, paths: List[str]) -> Optional[List[str]]:
-    """Python files changed vs. ``ref`` (tracked) or untracked, under
-    the requested paths.  None when git is unavailable (the caller
-    falls back to a full scan)."""
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "-z", ref, "--"],
-            capture_output=True, text=True, check=True)
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard", "-z"],
-            capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    candidates = {
-        name for out in (diff.stdout, untracked.stdout)
-        for name in out.split("\0") if name.endswith(".py")}
-    roots = [Path(p).resolve() for p in paths]
-    selected: List[str] = []
-    for name in sorted(candidates):
-        path = Path(name)
-        if not path.exists():
-            continue  # deleted files have nothing to lint
-        resolved = path.resolve()
-        for root in roots:
-            if resolved == root or root in resolved.parents:
-                selected.append(name)
-                break
-    return selected
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute a lint run described by a parsed namespace."""
-    # Imported lazily: reporters/fixes pull in the whole rule set.
+    # Imported lazily: the reporters pull in the whole rule set.
     from repro.lint.reporters import RENDERERS, render_text
 
     if args.list_rules:
@@ -139,52 +68,14 @@ def run(args: argparse.Namespace) -> int:
             print(f"{rule.rule_id}  {rule.title}  [{scope}]")
         return 0
 
-    paths = list(args.paths)
-    if args.changed is not None:
-        changed = _git_changed_files(args.changed, paths)
-        if changed is None:
-            print("herdlint: --changed needs git; scanning the full "
-                  "paths instead", file=sys.stderr)
-        elif not changed:
-            print(f"herdlint: no python files changed vs. "
-                  f"{args.changed}")
-            return 0
-        else:
-            paths = changed
-
-    if args.fix:
-        from repro.lint.engine import _iter_python_files
-        from repro.lint.fixes import fix_paths
-        fixes = fix_paths(_iter_python_files(
-            paths, tuple(args.exclude)))
-        for fix in fixes:
-            extra = (" (+ import hmac)" if fix.added_import else "")
-            print(f"herdlint: fixed {fix.sites_fixed} digest "
-                  f"comparison{'s' if fix.sites_fixed != 1 else ''} "
-                  f"in {fix.path}{extra}")
-
     select = _split_ids(args.select)
     ignore = _split_ids(args.ignore) or []
     config = LintConfig(
         select=tuple(select) if select is not None else None,
         ignore=tuple(ignore),
         exclude=tuple(args.exclude),
-        flow=not args.no_flow,
-        cache_path=args.cache,
-        baseline_path=(None if args.update_baseline
-                       else args.baseline))
-    result = run_lint(paths, config)
-
-    if args.update_baseline:
-        from repro.lint.baseline import save_baseline
-        baseline_path = args.baseline or _BASELINE_DEFAULT
-        payload = save_baseline(
-            baseline_path,
-            [f for f in result.findings
-             if not f.suppressed and f.severity != "note"])
-        print(f"herdlint: wrote {len(payload['findings'])} baseline "
-              f"entries to {baseline_path}")
-        return 0
+        flow=not args.no_flow)
+    result = run_lint(args.paths, config)
 
     renderer = RENDERERS[args.output_format]
     if renderer is render_text:
@@ -195,17 +86,11 @@ def run(args: argparse.Namespace) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report)
-        if result.active and not args.warn_only:
+        if result.active:
             print(f"herdlint: {len(result.active)} findings "
                   f"(report: {args.output})", file=sys.stderr)
     else:
         sys.stdout.write(report)
-    if args.cache is not None:
-        hits, misses = result.flow_cache_hits, result.flow_cache_misses
-        print(f"herdlint: flow cache {hits} reused / {misses} "
-              f"analysed", file=sys.stderr)
-    if args.warn_only:
-        return 0
     return 1 if result.active else 0
 
 

@@ -4,7 +4,7 @@ The linter exists because two of Herd's load-bearing contracts are
 invisible to generic tooling:
 
 * **Determinism** — every simulation result must be bit-for-bit
-  reproducible from a seed (the chaos benchmarks publish a
+  reproducible from a seed (every scenario report publishes a
   "determinism key").  Wall-clock reads and the global RNG silently
   break that.
 * **Crypto hygiene** — invariants I1-I8 (§3.7 of the paper) assume
@@ -54,9 +54,6 @@ class Finding:
     col: int
     severity: str = SEVERITY_ERROR
     suppressed: bool = False
-    #: Waived by the checked-in baseline file (pre-existing debt being
-    #: burned down explicitly) rather than by an in-source comment.
-    baselined: bool = False
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule_id)
@@ -246,11 +243,6 @@ class LintConfig:
     #: Run the herdflow dataflow rules (HL004-flow, HL007, HL10x).
     #: Disabling skips building the FlowProgram entirely.
     flow: bool = True
-    #: Persist/reuse per-file flow summaries here (None = no cache).
-    cache_path: Optional[str] = None
-    #: Waive findings recorded in this baseline file (None = no
-    #: baseline; a missing file is treated as an empty baseline).
-    baseline_path: Optional[str] = None
 
     def rule_enabled(self, rule_id: str) -> bool:
         if self.select is not None and rule_id not in self.select:
@@ -262,33 +254,22 @@ class LintConfig:
 class LintResult:
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    #: Files whose flow analysis was reused from / recomputed into the
-    #: summary cache (0, 0 when no flow rules or no cache ran).
-    flow_cache_hits: int = 0
-    flow_cache_misses: int = 0
 
     @property
     def active(self) -> List[Finding]:
-        """Findings that gate the exit code: not suppressed in source,
-        not waived by the baseline, and not informational notes."""
+        """Findings that gate the exit code: not suppressed in source
+        and not informational notes."""
         return [f for f in self.findings
-                if not f.suppressed and not f.baselined
-                and f.severity != SEVERITY_NOTE]
+                if not f.suppressed and f.severity != SEVERITY_NOTE]
 
     @property
     def suppressed(self) -> List[Finding]:
         return [f for f in self.findings if f.suppressed]
 
     @property
-    def baselined(self) -> List[Finding]:
-        return [f for f in self.findings
-                if f.baselined and not f.suppressed]
-
-    @property
     def notes(self) -> List[Finding]:
         return [f for f in self.findings
-                if f.severity == SEVERITY_NOTE and not f.suppressed
-                and not f.baselined]
+                if f.severity == SEVERITY_NOTE and not f.suppressed]
 
 
 def _iter_python_files(paths: Sequence[str],
@@ -360,16 +341,8 @@ def run_lint(paths: Sequence[str],
     if flow_rules and config.flow:
         # Imported here so the engine stays importable without the
         # flow package (and so flow/rules.py can import the engine).
-        from repro.lint.flow.cache import FlowCache
         from repro.lint.flow.program import FlowProgram
-        cache = None
-        if config.cache_path is not None:
-            cache = FlowCache(config.cache_path).load()
-        program = FlowProgram.build(contexts, cache=cache)
-        if cache is not None:
-            cache.save()
-            result.flow_cache_hits = program.cache_hits
-            result.flow_cache_misses = program.cache_misses
+        program = FlowProgram.build(contexts)
 
     raw: List[Finding] = []
     for rule in rules:
@@ -398,11 +371,6 @@ def run_lint(paths: Sequence[str],
                 finding.rule_id, finding.line):
             finding = Finding(**{**finding.__dict__, "suppressed": True})
         result.findings.append(finding)
-
-    if config.baseline_path is not None:
-        from repro.lint.baseline import apply_baseline, load_baseline
-        result.findings = apply_baseline(
-            result.findings, load_baseline(config.baseline_path))
 
     result.findings.sort(key=Finding.sort_key)
     return result

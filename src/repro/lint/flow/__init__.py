@@ -17,15 +17,12 @@ the machinery those *flow* properties need:
   return→labels) iterated to interprocedural convergence;
 * :mod:`repro.lint.flow.program` — the whole-program view rules
   consume (:class:`FlowProgram`), built once per lint run;
-* :mod:`repro.lint.flow.cache` — per-file summaries cached by content
-  hash so whole-tree runs stay fast;
 * :mod:`repro.lint.flow.rules` — the flow-sensitive rule family:
   HL004 (interprocedural secret taint), HL007 (determinism taint) and
   the HL10x concurrency-safety rules gating the asyncio plane and its
   forked ``--processes`` worker (HL101-HL103).
 
-DESIGN.md §12 documents the lattice, the summary algebra, and the
-baseline workflow.
+DESIGN.md §12 documents the lattice and the summary algebra.
 """
 
 from repro.lint.flow.cfg import CFG, BasicBlock, build_cfg

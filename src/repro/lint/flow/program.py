@@ -6,29 +6,21 @@ Built once per lint run from the engine's parsed
 1. index every function/method into the :class:`CallGraph` and add a
    ``<module>`` pseudo-function per file so module-level statements
    are analysed too;
-2. resolve call edges and derive the file-level dependency graph;
-3. decide, against the :class:`~repro.lint.flow.cache.FlowCache`,
-   which files are *valid* (own hash unchanged and every transitive
-   callee file valid) — their summaries and events load straight from
-   the cache — and which must be re-analysed;
-4. run the interprocedural summary fixpoint over the invalid set and
-   collect the reporting-pass events;
-5. write the refreshed entries back into the cache object (the CLI
-   decides whether to persist it).
+2. resolve call edges (function bodies + module level);
+3. run the interprocedural summary fixpoint over every function and
+   collect the reporting-pass events.
+
+There is no summary cache: a cold whole-tree run is ≈2.6 s and a
+fresh CI checkout always runs cold (DESIGN.md §12, "why there is no
+summary cache").
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.lint.engine import FileContext
-from repro.lint.flow.cache import (
-    FileEntry,
-    FlowCache,
-    FunctionEvents,
-    content_hash,
-)
 from repro.lint.flow.callgraph import (
     CallGraph,
     CallSite,
@@ -38,6 +30,7 @@ from repro.lint.flow.callgraph import (
 from repro.lint.flow.cfg import CFG, build_cfg
 from repro.lint.flow.taint import (
     DEFAULT_SPEC,
+    FunctionAnalysis,
     FunctionSummary,
     TaintSpec,
     iterate_summaries,
@@ -51,7 +44,7 @@ def _module_pseudo_def(tree: ast.Module) -> ast.FunctionDef:
     and tainter can treat module-level code like a function.  The body
     statements already carry locations; only the new wrapper nodes
     need them stamped (``fix_missing_locations`` would re-walk the
-    whole module, which is the dominant warm-cache cost at scale)."""
+    whole module)."""
     filler = ast.Pass(lineno=1, col_offset=0,
                       end_lineno=1, end_col_offset=4)
     node = ast.FunctionDef(
@@ -101,21 +94,16 @@ class FlowProgram:
         self.functions_by_file: Dict[str, List[FunctionInfo]] = {}
         self.summaries: Dict[str, FunctionSummary] = {}
         #: display path -> function id -> events.
-        self.events: Dict[str, Dict[str, FunctionEvents]] = {}
+        self.events: Dict[str, Dict[str, FunctionAnalysis]] = {}
         self.cfgs: Dict[str, CFG] = {}
-        #: (files reused from cache, files analysed) for --stats.
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def build(cls, contexts: Sequence[FileContext],
-              spec: TaintSpec = DEFAULT_SPEC,
-              cache: Optional[FlowCache] = None) -> "FlowProgram":
+              spec: TaintSpec = DEFAULT_SPEC) -> "FlowProgram":
         program = cls(spec)
         program.contexts = list(contexts)
-        hashes: Dict[str, str] = {}
 
         # Pass 1: index functions (plus the <module> pseudo per file).
         for ctx in contexts:
@@ -129,7 +117,6 @@ class FlowProgram:
             program.graph.functions[pseudo.qualified_id] = pseudo
             program.functions_by_file[ctx.display_path] = \
                 [*infos, pseudo]
-            hashes[ctx.display_path] = content_hash(ctx.source)
 
         # Pass 2: resolve call edges (function bodies + module level).
         for ctx in contexts:
@@ -150,95 +137,27 @@ class FlowProgram:
                 else:
                     program.graph.resolve_calls(info)
 
-        # Cache validity: a file is reusable when its hash matches and
-        # every file it (transitively) calls into is reusable.
-        valid = program._valid_files(hashes, cache)
-        for path in sorted(program.functions_by_file):
-            if path in valid and cache is not None:
-                entry = cache.entries[path]
-                program.summaries.update(entry.summaries)
-                program.events[path] = dict(entry.events)
-                program.cache_hits += 1
-            else:
-                program.cache_misses += 1
-
-        # Analyse the invalid set against the cached summaries.
-        invalid_functions = [
+        # Pass 3: the summary fixpoint, then per-file events.
+        function_ids = [
             info.qualified_id
-            for path, infos in program.functions_by_file.items()
-            if path not in valid
+            for infos in program.functions_by_file.values()
             for info in infos]
-        for fid in invalid_functions:
+        for fid in function_ids:
             program.cfgs[fid] = build_cfg(
                 program.graph.functions[fid].node)
         analyses = iterate_summaries(
-            invalid_functions, spec, program.graph,
+            function_ids, spec, program.graph,
             program.summaries, program.cfgs)
         for path, infos in program.functions_by_file.items():
-            if path in valid:
-                continue
-            file_events: Dict[str, FunctionEvents] = {}
-            for info in infos:
-                analysis = analyses.get(info.qualified_id)
-                if analysis is None:
-                    continue
-                file_events[info.qualified_id] = FunctionEvents(
-                    sink_hits=analysis.sink_hits,
-                    probe_hits=analysis.probe_hits,
-                    blocking_calls=analysis.blocking_calls)
-            program.events[path] = file_events
-
-        # Refresh the cache object with every file's current entry.
-        if cache is not None:
-            for path, infos in program.functions_by_file.items():
-                cache.put(path, FileEntry(
-                    source_hash=hashes[path],
-                    summaries={
-                        info.qualified_id:
-                            program.summaries[info.qualified_id]
-                        for info in infos
-                        if info.qualified_id in program.summaries},
-                    events=program.events.get(path, {})))
-            cache.last_run = (program.cache_hits,
-                              program.cache_misses)
+            program.events[path] = {
+                info.qualified_id: analyses[info.qualified_id]
+                for info in infos if info.qualified_id in analyses}
         return program
-
-    def _valid_files(self, hashes: Dict[str, str],
-                     cache: Optional[FlowCache]) -> Set[str]:
-        if cache is None or not cache.entries:
-            return set()
-        unchanged = {
-            path for path, digest in hashes.items()
-            if cache.get(path, digest) is not None}
-        # File-level dependency edges: caller-file -> callee-files.
-        file_of: Dict[str, str] = {}
-        for path, infos in self.functions_by_file.items():
-            for info in infos:
-                file_of[info.qualified_id] = path
-        deps: Dict[str, Set[str]] = {p: set() for p in hashes}
-        for caller, callees in self.graph.edges.items():
-            caller_file = file_of.get(caller)
-            if caller_file is None:
-                continue
-            for callee in callees:
-                callee_file = file_of.get(callee)
-                if callee_file is not None and \
-                        callee_file != caller_file:
-                    deps[caller_file].add(callee_file)
-        # Propagate invalidity callee -> caller to a fixpoint.
-        valid = set(unchanged)
-        changed = True
-        while changed:
-            changed = False
-            for path in list(valid):
-                if any(dep not in valid for dep in deps.get(path, ())):
-                    valid.discard(path)
-                    changed = True
-        return valid
 
     # -- queries ------------------------------------------------------
 
-    def file_events(self, display_path: str) -> Dict[str, FunctionEvents]:
+    def file_events(self,
+                    display_path: str) -> Dict[str, FunctionAnalysis]:
         return self.events.get(display_path, {})
 
     def functions_in(self, display_path: str) -> List[FunctionInfo]:

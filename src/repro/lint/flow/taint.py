@@ -81,7 +81,7 @@ def states_equal(a: TaintState, b: TaintState) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Events the analysis emits (consumed by rules, serialised by the cache)
+# Events the analysis emits (consumed by rules)
 # ---------------------------------------------------------------------------
 
 

@@ -22,8 +22,6 @@ def render_text(result: LintResult, show_suppressed: bool = False) -> str:
             continue
         if finding.suppressed:
             marker = " (suppressed)"
-        elif finding.baselined:
-            marker = " (baselined)"
         elif finding.severity == "note":
             marker = " (note)"
         else:
@@ -32,8 +30,6 @@ def render_text(result: LintResult, show_suppressed: bool = False) -> str:
                      f"{finding.rule_id} {finding.message}{marker}")
     active = len(result.active)
     extras = [f"{len(result.suppressed)} suppressed"]
-    if result.baselined:
-        extras.append(f"{len(result.baselined)} baselined")
     if result.notes:
         extras.append(f"{len(result.notes)} notes")
     extras.append(f"{result.files_scanned} files scanned")
@@ -52,7 +48,6 @@ def _finding_dict(finding: Finding) -> Dict[str, object]:
         "col": finding.col,
         "severity": finding.severity,
         "suppressed": finding.suppressed,
-        "baselined": finding.baselined,
     }
 
 
@@ -66,12 +61,7 @@ def render_json(result: LintResult) -> str:
             "total": len(result.findings),
             "active": len(result.active),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
             "notes": len(result.notes),
-        },
-        "flow_cache": {
-            "hits": result.flow_cache_hits,
-            "misses": result.flow_cache_misses,
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -101,8 +91,6 @@ def render_sarif(result: LintResult) -> str:
         }
         if finding.suppressed:
             entry["suppressions"] = [{"kind": "inSource"}]
-        elif finding.baselined:
-            entry["suppressions"] = [{"kind": "external"}]
         results.append(entry)
     sarif = {
         "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"

@@ -410,7 +410,7 @@ class WireExhaustivenessRule(ProjectRule):
             ctx = wire_contexts[0]
             if self._is_partial_tree(ctx, contexts):
                 # Exhaustiveness is a whole-tree property; on a
-                # partial scan (single file, --changed subset) the
+                # partial scan (single file, CI's file subsets) the
                 # absence of a dispatch table says nothing.  Explain
                 # instead of failing.
                 yield Finding(

@@ -240,12 +240,3 @@ class Link:
         else:
             self.loop.schedule(
                 delay, lambda: receiver.receive_batch(delivered))
-
-    def utilization_bps(self, direction_from: str, window: float,
-                        now: Optional[float] = None) -> float:
-        """Average offered load from one endpoint in bytes/second over
-        the whole run (simple cumulative estimate used by directories)."""
-        now = self.loop.now if now is None else now
-        if now <= 0:
-            return 0.0
-        return self.stats[direction_from].bytes / now

@@ -22,16 +22,6 @@ from repro.scenario.loader import load_corpus, load_scenario
 from repro.scenario.model import Scenario, ScenarioError
 
 
-class _RemovedEngineAlias(argparse.Action):
-    """``--execution`` finished its deprecation cycle (PR 9 warned
-    for one cycle); using it is now a hard parse error pointing at
-    ``--engine``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"{option_string} was removed after its "
-                     f"deprecation cycle; use --engine")
-
-
 def add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="scenario_command", required=True)
 
@@ -47,10 +37,6 @@ def add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                        "(repeatable; default: event).  With more than "
                        "one, determinism keys must match across "
                        "engines.")
-    p_run.add_argument("--execution", dest="engine",
-                       action=_RemovedEngineAlias,
-                       nargs=1, metavar="ENGINE",
-                       help=argparse.SUPPRESS)
     p_run.add_argument("--processes", dest="net_processes",
                        action="store_true",
                        help="asyncio engine only: host the UDP "

@@ -1,16 +1,14 @@
 """Executing a :class:`~repro.scenario.model.Scenario`.
 
-:func:`execute` compiles a scenario onto the chaos substrate — one
-live data-plane zone plus a control zone on a seeded
-:class:`~repro.netsim.engine.EventLoop` — and returns a
-:class:`ScenarioOutcome`.  The base path (constant workload, no churn,
-no adversary) is *ordering-identical* to the original ``run_chaos``
-body: every event the chaos scenario scheduled is scheduled here at
-the same virtual time with the same rng interleaving, which is what
-lets ``run_chaos`` route through this engine while keeping its
-determinism keys stable.  The composition axes (flash crowds, Poisson
-arrivals, churn, overload windows, wiretaps) only add *new* scheduled
-events when configured, so an unconfigured axis cannot perturb a run.
+:func:`execute` compiles a scenario onto one live data-plane zone
+plus a control zone on a seeded :class:`~repro.netsim.engine
+.EventLoop` and returns a :class:`ScenarioOutcome`.  It is the only
+fault-driven runner: the base path (constant workload, no churn, no
+adversary) is the §3.5/§3.6.4 acceptance scenario — a mix crash whose
+orphans re-join with backoff, an SP lost mid-call whose legs fail
+over — and the composition axes (flash crowds, Poisson arrivals,
+churn, overload windows, wiretaps) only add *new* scheduled events
+when configured, so an unconfigured axis cannot perturb a run.
 
 Graceful degradation is wired here: ``OVERLOAD`` windows install a
 :class:`~repro.core.shedding.LoadShedder` on the zone (constant wire
@@ -82,7 +80,7 @@ class ScenarioOutcome:
     net: Optional[Dict[str, object]] = None
     invariant_violations: Tuple[str, ...] = ()
 
-    # -- derived survival metrics (shared with ChaosReport) ------------------
+    # -- derived survival metrics -------------------------------------------
 
     @property
     def survived_failovers(self) -> List[FailoverRecord]:

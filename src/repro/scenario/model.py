@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 from repro.core.retry import BackoffPolicy
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 
-#: Zone ids of the scenario deployment (shared with the chaos shim).
+#: Zone ids of the scenario deployment.
 LIVE_ZONE = "zone-live"
 CTL_ZONE = "zone-ctl"
 
@@ -46,13 +46,7 @@ class ScenarioError(ValueError):
 
 @dataclass
 class RejoinStats:
-    """One orphaned client's backoff-driven re-join.
-
-    Lives in the model (not the engine) so
-    :mod:`repro.simulation.chaos` can re-export it without importing
-    the engine at module scope — the engine imports the simulation
-    package, and that cycle must stay one-way.
-    """
+    """One orphaned client's backoff-driven re-join."""
 
     client_id: str
     orphaned_at_s: float
@@ -250,7 +244,7 @@ class SurvivalCriteria:
 
 
 def _default_rejoin_policy() -> BackoffPolicy:
-    # The chaos scenario's re-join policy (PR 1 acceptance defaults).
+    # The §3.5 acceptance scenario's re-join policy.
     return BackoffPolicy(base_delay_s=0.25, multiplier=2.0,
                          max_delay_s=2.0, max_attempts=8, jitter=0.1)
 

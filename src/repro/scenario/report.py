@@ -124,8 +124,7 @@ class ScenarioReport(RunReport):
 
     The execution engine lives in the inherited :attr:`~repro.api
     .RunReport.engine` field — the same vocabulary as the
-    ``--engine`` CLI flag.  The ``execution`` alias completed its deprecation cycle
-    (PR 9 warned; this release removes): reading it raises."""
+    ``--engine`` CLI flag."""
 
     __slots__ = ("name", "scenario_signature",
                  "plan_signature", "survival", "timeline",
@@ -168,17 +167,6 @@ class ScenarioReport(RunReport):
         self.invariant_violations = outcome.invariant_violations
         self.determinism_key = outcome_fingerprint(
             outcome, self.to_json(indent=0))
-
-    @property
-    def execution(self) -> str:
-        """Removed alias of :attr:`~repro.api.RunReport.engine`.
-
-        PR 9 deprecated it with a warning for one cycle; the cycle is
-        complete, so reading it now raises instead of silently
-        shadowing the canonical vocabulary."""
-        raise AttributeError(
-            "ScenarioReport.execution was removed after its "
-            "deprecation cycle; use ScenarioReport.engine")
 
     @property
     def passed(self) -> bool:

@@ -38,17 +38,10 @@ from repro.simulation.churn import (
     recover_superpeer,
     rejoin_clients,
 )
-from repro.simulation.chaos import (
-    ChaosConfig,
-    ChaosReport,
-    blacklist_plan,
-    default_plan,
-    run_chaos,
-)
 
-# ProvisioningResult, LatencyMeasurement, and RejoinStats are result
-# records of their entry points, not standalone API — import them from
-# their defining modules.
+# ProvisioningResult and LatencyMeasurement are result records of
+# their entry points, not standalone API — import them from their
+# defining modules.
 __all__ = [
     "BlockingResult",
     "SPSimConfig",
@@ -70,9 +63,4 @@ __all__ = [
     "recover_mix",
     "recover_superpeer",
     "rejoin_clients",
-    "ChaosConfig",
-    "ChaosReport",
-    "blacklist_plan",
-    "default_plan",
-    "run_chaos",
 ]

@@ -13,8 +13,10 @@ from repro import (
     Simulation,
     build_testbed,
 )
-from repro.simulation.chaos import ChaosConfig, run_chaos
+from repro.scenario import Scenario
 from repro.simulation.live import LiveZone
+
+from conftest import MIX_AND_SP_CRASH
 
 
 class TestSimConfig:
@@ -25,6 +27,9 @@ class TestSimConfig:
     def test_rejects_unknown_scenario(self):
         with pytest.raises(ValueError):
             SimConfig(scenario="wat")
+        # The fault-driven mode is a Scenario now, not a mode name.
+        with pytest.raises(ValueError):
+            SimConfig(scenario="chaos")
 
     def test_rejects_impossible_call_pairs(self):
         with pytest.raises(ValueError):
@@ -104,24 +109,34 @@ class TestTestbedScenario:
 
 
 class TestChaosScenario:
+    SCENARIO = Scenario(name="chaos", seed=11, faults=MIX_AND_SP_CRASH)
+
     def test_chaos_produces_fault_metrics(self):
         report = Simulation(SimConfig(
-            scenario="chaos", seed=11, n_channels=6)).run()
-        assert report.scenario == "chaos"
+            scenario_def=self.SCENARIO)).run()
+        assert report.scenario == "scenario"
         assert report.rounds_run > 0
         assert report.counter_value(
             "herd_fault_events_total",
             {"action": "injected", "kind": "mix_crash"}) == 1
-        assert report.detail.plan_signature  # the full ChaosReport
+        assert report.detail.plan_signature  # the ScenarioOutcome
 
     def test_until_overrides_horizon(self):
         report = Simulation(SimConfig(
-            scenario="chaos", seed=11, n_channels=6)).run(until=1.0)
-        # 1 s horizon at 20 ms rounds, before any fault fires.
-        assert report.rounds_run <= 55
+            scenario_def=self.SCENARIO)).run(until=1.0)
+        # 1 s horizon at 50 ms rounds, before any fault fires.
+        assert report.rounds_run <= 22
         assert report.counter_value(
             "herd_fault_events_total",
             {"action": "injected", "kind": "mix_crash"}) == 0
+
+    @pytest.mark.parametrize("scenario", ["live", "testbed"])
+    def test_until_rejected_outside_scenario_runs(self, scenario):
+        # until= is a horizon in virtual seconds: neither a round
+        # count (live) nor something to drop silently (testbed).
+        sim = Simulation(SimConfig(scenario=scenario, n_clients=4))
+        with pytest.raises(ValueError, match="rounds="):
+            sim.run(until=2.0)
 
 
 class TestDeprecationShims:
@@ -146,46 +161,6 @@ class TestDeprecationShims:
             warnings.simplefilter("error")
             bed = build_testbed(specs, seed=99)
         assert "zone-X/mix-0" in bed.mixes
-
-    def test_chaos_config_alias_removed(self):
-        with pytest.raises(TypeError):
-            ChaosConfig(n_live_clients=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ChaosConfig(n_clients=8).n_clients == 8
-
-    def test_run_chaos_keyword_overrides(self):
-        report = run_chaos(ChaosConfig(horizon_s=0.5), seed=5,
-                           n_clients=8, n_channels=6)
-        assert report.rounds_run > 0
-
-    def test_run_chaos_routes_through_scenario_engine(self,
-                                                      monkeypatch):
-        """``run_chaos`` is now a thin adapter over the scenario
-        engine: it compiles its config to a Scenario and executes it
-        through :func:`repro.scenario.engine.execute`."""
-        import repro.scenario.engine as engine_mod
-        from repro.simulation.chaos import scenario_from_chaos_config
-
-        cfg = ChaosConfig(horizon_s=0.5, n_clients=8, n_channels=6)
-        scenario = scenario_from_chaos_config(cfg)
-        assert scenario.name == "chaos"
-        assert scenario.horizon_s == 0.5
-        assert scenario.zone.n_clients == 8
-
-        seen = {}
-        real_execute = engine_mod.execute
-
-        def spying_execute(sc, **kwargs):
-            seen["scenario"] = sc
-            seen["execution"] = kwargs.get("execution")
-            return real_execute(sc, **kwargs)
-
-        monkeypatch.setattr(engine_mod, "execute", spying_execute)
-        report = run_chaos(cfg)
-        assert seen["scenario"].signature() == scenario.signature()
-        assert seen["execution"] == "event"
-        assert report.rounds_run > 0
 
 
 def test_run_rejects_rounds_and_until_together():

@@ -33,6 +33,9 @@ from repro.scenario import (
     ZoneShape,
     run_scenario,
 )
+from repro.scenario.report import outcome_fingerprint
+
+from conftest import MIX_AND_SP_CRASH
 
 #: Pinned digest of the seed-20150817 adversary observation stream
 #: (shared by both engines).  If this changes, the wire image of the
@@ -225,15 +228,17 @@ class TestTestbedAndChaosEquivalence:
             batch.detail["frames_delivered"] > 0
 
     def test_chaos_determinism_key_identical(self):
+        scenario = Scenario(name="chaos", faults=MIX_AND_SP_CRASH)
+
         def run(execution):
-            config = SimConfig(scenario="chaos", seed=20150817,
-                               n_clients=12, n_channels=6,
+            config = SimConfig(scenario_def=scenario,
                                execution=execution)
             return Simulation(config).run(until=6.0)
 
         event, batch = run("event"), run("batch")
-        assert event.detail.determinism_key() == \
-            batch.detail.determinism_key()
+        assert outcome_fingerprint(event.detail, event.to_json(0)) == \
+            outcome_fingerprint(batch.detail, batch.to_json(0))
+        assert event.detail.mid_call_failover_demonstrated
         assert event.metrics == batch.metrics
 
 

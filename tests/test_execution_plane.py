@@ -104,8 +104,8 @@ class TestFacadeIntegration:
         scenario = load_scenario("scenarios/00-baseline.toml")
         report = run_scenario(scenario, execution="batch")
         assert report.engine == "batch"
-        # The PR-9 deprecation cycle is complete: the alias raises.
-        with pytest.raises(AttributeError, match="engine"):
+        # The alias is gone: __slots__ rejects the old spelling.
+        with pytest.raises(AttributeError):
             report.execution
         artifact = report.to_artifact_dict()
         assert artifact["engine"] == "batch"
@@ -132,7 +132,7 @@ class TestCLIVocabulary:
     """Satellite: ``repro metrics`` / ``repro scenario`` / ``repro
     bench`` all speak ``--engine``; ``--execution`` finished its
     deprecation cycle and ``--shards`` left with zone sharding — both
-    are hard parse errors."""
+    are argparse "unrecognized arguments" errors (exit 2)."""
 
     def test_metrics_engine_flag(self, capsys):
         from repro.cli import main
@@ -147,8 +147,7 @@ class TestCLIVocabulary:
             main(["metrics", "--execution", "batch", "--rounds",
                   "5", "--format", "json"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "removed" in err and "--engine" in err
+        assert "--execution" in capsys.readouterr().err
 
     def test_scenario_execution_alias_removed(self, capsys):
         from repro.cli import main
@@ -156,8 +155,7 @@ class TestCLIVocabulary:
             main(["scenario", "run", "scenarios/00-baseline.toml",
                   "--execution", "batch"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "removed" in err and "--engine" in err
+        assert "--execution" in capsys.readouterr().err
 
     def test_scenario_engine_flag(self, capsys):
         from repro.cli import main

@@ -1,4 +1,4 @@
-"""Tests: fault plans, the injector, and chaos-run determinism."""
+"""Tests: fault plans, the injector, and fault-scenario determinism."""
 
 import pytest
 
@@ -7,25 +7,24 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.netsim.engine import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.node import Node
-from repro.simulation.chaos import (
-    ChaosConfig,
-    blacklist_plan,
-    default_plan,
-    run_chaos,
-)
+from repro.scenario import Scenario, ZoneShape, execute, run_scenario
 
-from conftest import build_testbed
+from conftest import (
+    MIX_AND_SP_CRASH,
+    MIX_CRASH_AND_SP_DEGRADE,
+    build_testbed,
+)
 
 
 def _bed():
     return build_testbed(zone_specs=[("zone-EU", "dc-eu", 2)])
 
 
-def _small_config(**overrides):
-    defaults = dict(horizon_s=6.0, n_clients=8, n_direct_clients=4,
-                    round_interval_s=0.05)
-    defaults.update(overrides)
-    return ChaosConfig(**defaults)
+def _small_scenario(faults=MIX_AND_SP_CRASH, seed=20150817):
+    return Scenario(name="chaos", seed=seed, horizon_s=6.0,
+                    round_interval_s=0.05,
+                    zone=ZoneShape(n_clients=8, n_direct_clients=4),
+                    faults=faults)
 
 
 class TestFaultSpec:
@@ -219,29 +218,29 @@ class TestInjectorDegradations:
 
 class TestChaosScenario:
     def test_acceptance_scenario_mix_and_sp_killed_mid_call(self):
-        report = run_chaos(_small_config())
+        outcome = execute(_small_scenario())
         # ≥ 1 documented successful mid-call failover, with the call
         # actually resuming on a surviving SP's channel.
-        assert len(report.survived_failovers) >= 1
-        assert report.mid_call_failover_demonstrated
-        for record in report.survived_failovers:
+        assert len(outcome.survived_failovers) >= 1
+        assert outcome.mid_call_failover_demonstrated
+        for record in outcome.survived_failovers:
             assert record.new_channel != record.old_channel
         # Every orphan of the mix crash re-joined through backoff.
-        assert report.rejoins
-        assert report.all_rejoined
-        for stats in report.rejoins:
+        assert outcome.rejoins
+        assert outcome.all_rejoined
+        for stats in outcome.rejoins:
             assert stats.attempts >= 1
             assert stats.latency_s > 0
         # Structured timeline documents the whole story.
-        actions = {e.action for e in report.timeline}
+        actions = {e.action for e in outcome.timeline}
         assert {"injected", "failover", "rejoined"} <= actions
 
     def test_blacklist_driven_failover(self):
-        report = run_chaos(_small_config(plan=blacklist_plan()))
-        assert "zone-live/sp-1" in report.blacklisted_sps
-        assert len(report.survived_failovers) >= 1
-        assert report.mid_call_failover_demonstrated
-        kinds = [(e.action, e.kind) for e in report.timeline]
+        outcome = execute(_small_scenario(MIX_CRASH_AND_SP_DEGRADE))
+        assert "zone-live/sp-1" in outcome.blacklisted_sps
+        assert len(outcome.survived_failovers) >= 1
+        assert outcome.mid_call_failover_demonstrated
+        kinds = [(e.action, e.kind) for e in outcome.timeline]
         assert ("blacklisted", "sp_quality") in kinds
         assert ("failover", "call") in kinds
 
@@ -249,19 +248,23 @@ class TestChaosScenario:
         # The determinism regression: fault timeline, events processed,
         # rejoin latencies, and failover outcomes all replay
         # bit-for-bit.
-        a = run_chaos(_small_config())
-        b = run_chaos(_small_config())
-        assert a.determinism_key() == b.determinism_key()
-        assert a.events_processed == b.events_processed
-        assert [tuple(e.__dict__.items()) for e in a.timeline] == \
-            [tuple(e.__dict__.items()) for e in b.timeline]
+        a = run_scenario(_small_scenario())
+        b = run_scenario(_small_scenario())
+        assert a.determinism_key == b.determinism_key
+        assert a.detail.events_processed == b.detail.events_processed
+        assert a.timeline == b.timeline
+        assert [(r.client_id, r.rejoined_at_s, r.attempts)
+                for r in a.detail.rejoins] == \
+            [(r.client_id, r.rejoined_at_s, r.attempts)
+             for r in b.detail.rejoins]
 
     def test_different_seed_diverges(self):
-        a = run_chaos(_small_config())
-        b = run_chaos(_small_config(seed=99))
-        assert a.determinism_key() != b.determinism_key()
+        a = run_scenario(_small_scenario())
+        b = run_scenario(_small_scenario(seed=99))
+        assert a.determinism_key != b.determinism_key
 
     def test_default_plans_have_stable_signatures(self):
-        assert default_plan().signature() == default_plan().signature()
-        assert default_plan().signature() != \
-            blacklist_plan().signature()
+        crash = _small_scenario().plan().signature()
+        assert crash == _small_scenario().plan().signature()
+        assert crash != _small_scenario(
+            MIX_CRASH_AND_SP_DEGRADE).plan().signature()

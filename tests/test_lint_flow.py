@@ -1,7 +1,6 @@
 """herdflow tests: CFG construction, taint propagation through the
-fixpoint, interprocedural summaries, the content-hash cache, and the
-regression pinning what the flow HL004 catches that the legacy
-name-matcher misses."""
+fixpoint, interprocedural summaries, and the regression pinning what
+the flow HL004 catches that the legacy name-matcher misses."""
 
 import ast
 import textwrap
@@ -292,7 +291,7 @@ def test_param_sink_fires_once_per_call_site(tmp_path):
     assert {f.rule_id for f in result.active} == {"HL004"}
 
 
-# -- summary cache ----------------------------------------------------
+# -- cross-file summaries --------------------------------------------
 
 
 def _write(tmp_path, name, source):
@@ -300,38 +299,10 @@ def _write(tmp_path, name, source):
                                  encoding="utf-8")
 
 
-def _lint_dir(tmp_path, cache):
-    return run_lint([str(tmp_path)], LintConfig(
-        select=("HL004",), cache_path=str(cache)))
-
-
-def test_cache_hits_on_unchanged_tree(tmp_path):
-    _write(tmp_path, "util.py", """
-        def describe(value):
-            return f"v={value}"
-    """)
-    _write(tmp_path, "caller.py", """
-        from util import describe
-
-        def leak(session_key):
-            return describe(session_key)
-    """)
-    cache = tmp_path / "cache.json"
-    cold = _lint_dir(tmp_path, cache)
-    assert cold.flow_cache_misses == 2 and cold.flow_cache_hits == 0
-    assert len(cold.active) == 1
-
-    warm = _lint_dir(tmp_path, cache)
-    assert warm.flow_cache_hits == 2 and warm.flow_cache_misses == 0
-    # Cached events reproduce the identical findings.
-    assert [(f.path, f.line, f.message) for f in warm.active] == \
-        [(f.path, f.line, f.message) for f in cold.active]
-
-
 def test_editing_a_callee_invalidates_its_callers(tmp_path):
-    """caller.py is byte-identical across runs, but the edit to
-    util.py must re-analyse it (summaries flow callee -> caller) and
-    clear the finding."""
+    """Summaries flow callee -> caller: caller.py is byte-identical
+    across the two runs, but the edit to util.py clears its finding
+    (every run analyses the whole scanned set; nothing is cached)."""
     _write(tmp_path, "util.py", """
         def describe(value):
             return f"v={value}"
@@ -342,89 +313,15 @@ def test_editing_a_callee_invalidates_its_callers(tmp_path):
         def leak(session_key):
             return describe(session_key)
     """)
-    cache = tmp_path / "cache.json"
-    assert len(_lint_dir(tmp_path, cache).active) == 1
+    config = LintConfig(select=("HL004",))
+    before = run_lint([str(tmp_path)], config)
+    assert [Path(f.path).name for f in before.active] == ["caller.py"]
 
     _write(tmp_path, "util.py", """
         def describe(value):
             return "opaque"
     """)
-    after = _lint_dir(tmp_path, cache)
-    assert after.active == []
-    # Both files re-analysed: the callee changed on disk, the caller
-    # transitively.
-    assert after.flow_cache_misses == 2
-
-
-def test_editing_an_unrelated_file_keeps_neighbours_cached(tmp_path):
-    _write(tmp_path, "util.py", """
-        def describe(value):
-            return f"v={value}"
-    """)
-    _write(tmp_path, "island.py", """
-        def standalone():
-            return 7
-    """)
-    cache = tmp_path / "cache.json"
-    _lint_dir(tmp_path, cache)
-    _write(tmp_path, "island.py", """
-        def standalone():
-            return 8
-    """)
-    warm = _lint_dir(tmp_path, cache)
-    assert warm.flow_cache_hits == 1   # util.py untouched
-    assert warm.flow_cache_misses == 1
-
-
-def test_suppressions_apply_to_cached_findings(tmp_path):
-    """Suppression comments are re-applied on every run, so a cached
-    event never resurrects a waived finding."""
-    _write(tmp_path, "mod.py", """
-        def leak(session_key):
-            return f"k={session_key}"  # herdlint: disable=HL004
-    """)
-    cache = tmp_path / "cache.json"
-    for _ in range(2):
-        result = _lint_dir(tmp_path, cache)
-        assert result.active == []
-        assert len(result.suppressed) == 1
-
-
-# -- baseline ---------------------------------------------------------
-
-
-def test_baseline_waives_exact_findings_and_no_more(tmp_path):
-    from repro.lint.baseline import save_baseline
-
-    _write(tmp_path, "mod.py", """
-        def leak(session_key):
-            return f"k={session_key}"
-    """)
-    baseline = tmp_path / "baseline.json"
-    config = LintConfig(select=("HL004",))
-    first = run_lint([str(tmp_path / "mod.py")], config)
-    assert len(first.active) == 1
-    save_baseline(str(baseline), first.findings)
-
-    waived = run_lint(
-        [str(tmp_path / "mod.py")],
-        LintConfig(select=("HL004",), baseline_path=str(baseline)))
-    assert waived.active == []
-    assert len(waived.baselined) == 1
-
-    # A second, new instance of the same leak is NOT covered.
-    _write(tmp_path, "mod.py", """
-        def leak(session_key):
-            return f"k={session_key}"
-
-        def leak_again(session_key):
-            return f"k={session_key}"
-    """)
-    second = run_lint(
-        [str(tmp_path / "mod.py")],
-        LintConfig(select=("HL004",), baseline_path=str(baseline)))
-    assert len(second.baselined) == 1
-    assert len(second.active) == 1
+    assert run_lint([str(tmp_path)], config).active == []
 
 
 # -- HL006 partial-tree note ------------------------------------------
@@ -447,44 +344,3 @@ def test_hl006_complete_scan_still_errors():
                       LintConfig(select=("HL006",)))
     assert len(result.active) == 1
     assert "no *_DISPATCH table" in result.active[0].message
-
-
-# -- --changed incremental mode ---------------------------------------
-
-
-def test_changed_mode_lints_only_git_modified_files(tmp_path,
-                                                    monkeypatch,
-                                                    capsys):
-    import subprocess
-
-    from repro.lint.cli import main as lint_main
-
-    def git(*argv):
-        subprocess.run(
-            ["git", "-c", "user.email=dev@example.net",
-             "-c", "user.name=dev", *argv],
-            cwd=tmp_path, check=True, capture_output=True)
-
-    git("init", "-q")
-    _write(tmp_path, "committed_leak.py", """
-        def leak(session_key):
-            return f"k={session_key}"
-    """)
-    git("add", ".")
-    git("commit", "-q", "-m", "seed")
-    monkeypatch.chdir(tmp_path)
-
-    # Nothing changed vs. HEAD: the committed violation is not
-    # rescanned and the run exits clean.
-    assert lint_main([".", "--changed", "--select", "HL004"]) == 0
-    assert "no python files changed" in capsys.readouterr().out
-
-    # A new (untracked) violation IS picked up.
-    _write(tmp_path, "fresh_leak.py", """
-        def leak(other_key):
-            return f"k={other_key}"
-    """)
-    assert lint_main([".", "--changed", "--select", "HL004"]) == 1
-    out = capsys.readouterr().out
-    assert "fresh_leak.py" in out
-    assert "committed_leak.py" not in out

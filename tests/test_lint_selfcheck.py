@@ -28,17 +28,16 @@ def test_at_least_six_rules_active():
 
 
 def test_tests_and_benchmarks_warn_only_burndown():
-    """tests/ and benchmarks/ are held to the same rules in warn-only
-    mode; the deliberate violations live in tests/lint_fixtures only.
-    This pins the burn-down at zero findings outside the fixture
-    corpus."""
+    """tests/ and benchmarks/ gate like src; the deliberate
+    violations live in tests/lint_fixtures only.  This pins the
+    burn-down at zero findings outside the fixture corpus."""
     result = run_lint(
         [str(REPO_ROOT / "tests"), str(REPO_ROOT / "benchmarks")],
         LintConfig(exclude=("*/lint_fixtures/*",)))
     formatted = "\n".join(
         f"{f.path}:{f.line}: {f.rule_id} {f.message}"
         for f in result.active)
-    assert result.active == [], f"warn-only burndown regressed:\n{formatted}"
+    assert result.active == [], f"burndown regressed:\n{formatted}"
 
 
 def test_every_rule_documented_in_design_md():
