@@ -20,8 +20,9 @@ def main() -> None:
     # 1. Configure a run.  SimConfig is keyword-only and validated;
     # the same object also drives "testbed" runs and declared
     # fault scenarios (scenario_def=Scenario(...)).
-    # execution picks the engine: "event" schedules per cell, "batch"
-    # runs round-synchronous vectors — observationally equivalent.
+    # execution picks the engine: "event" schedules per cell (the
+    # readable oracle), "batch-v2" runs one run table per round (the
+    # fast one) — observationally equivalent.
     config = SimConfig(seed=7, n_clients=12, n_channels=4, call_pairs=2,
                        execution="event")
     report = Simulation(config).run(rounds=50)
@@ -67,17 +68,17 @@ def main() -> None:
     # 5. Determinism: an identically-seeded run reproduces the exact
     # same measurements (the herdscope contract — no wall clock, no
     # unseeded RNG anywhere in the instrumented path).  Running the
-    # round-synchronous batch engine instead changes *how* the rounds
+    # vectorized batch-v2 engine instead changes *how* the rounds
     # execute, not what they produce: the snapshot is still identical
-    # byte for byte (DESIGN.md §9, the observational-equivalence
+    # byte for byte (DESIGN.md §9/§13, the observational-equivalence
     # contract).
     again = Simulation(config).run(rounds=50)
     assert again.metrics == report.metrics
-    batch_cfg = SimConfig(seed=7, n_clients=12, n_channels=4,
-                          call_pairs=2, execution="batch")
-    batched = Simulation(batch_cfg).run(rounds=50)
-    assert batched.metrics == report.metrics
-    print("\nre-ran same seed (event + batch engines): metrics "
+    fast_cfg = SimConfig(seed=7, n_clients=12, n_channels=4,
+                         call_pairs=2, execution="batch-v2")
+    fast = Simulation(fast_cfg).run(rounds=50)
+    assert fast.metrics == report.metrics
+    print("\nre-ran same seed (event + batch-v2 engines): metrics "
           "snapshots identical.")
 
     # 6. Export for dashboards or diffing.

@@ -76,7 +76,8 @@ class SimConfig:
         adversary observations under all of them (DESIGN.md §9,
         §13); they differ only in cost — and the real-network plane
         additionally reports host-socket accounting in
-        ``report.detail["net"]``, a side channel like ``perf``.
+        ``report.detail["net"]``, a side channel outside every
+        determinism key.
     net_processes:
         Real-network (``"asyncio"``) plane only: host the UDP
         receive endpoints in a separate worker process, so every
@@ -86,26 +87,21 @@ class SimConfig:
     wiretap:
         Live scenario only: materialize the zone's wire plane and tap
         every link with a global passive observer; the observation
-        stream lands in ``report.detail["wiretap"]``.
+        stream lands in ``report.detail["wiretap"]``.  Raises
+        ``ValueError`` elsewhere: the testbed has no wire plane, and a
+        scenario run declares its tap in the scenario itself
+        (``[adversary] kind = "wiretap"``).
     trace_path:
         Optional JSONL file receiving the full trace stream.
     trace_buffer:
         In-memory trace ring capacity (0 disables the ring).
-    profile:
-        Attach a :class:`~repro.obs.prof.profiler.PhaseProfiler` to
-        the run: per-phase wall time and call/cell counters land in
-        ``report.perf``.  Profiling reads the host clock (through the
-        sanctioned perfclock module only) but its output is a side
-        channel — metrics, traces, adversary observations, and every
-        determinism key stay byte-identical to an unprofiled run
-        (DESIGN.md §11).
     """
 
     __slots__ = ("scenario", "seed", "n_clients", "n_channels",
                  "n_sps", "k", "zone_id", "zone_specs",
                  "client_prefix", "call_pairs",
                  "scenario_def", "trace_path", "trace_buffer",
-                 "execution", "net_processes", "wiretap", "profile")
+                 "execution", "net_processes", "wiretap")
 
     def __init__(self, *, scenario: str = "live",
                  seed: int = 20150817, n_clients: int = 12,
@@ -119,8 +115,7 @@ class SimConfig:
                  trace_buffer: int = 4096,
                  execution: str = "event",
                  net_processes: bool = False,
-                 wiretap: bool = False,
-                 profile: bool = False):
+                 wiretap: bool = False):
         if scenario_def is not None and scenario == "live":
             scenario = "scenario"
         if scenario == "scenario" and scenario_def is None:
@@ -135,6 +130,11 @@ class SimConfig:
                 f"net_processes applies to the real-network "
                 f"transport only; plane {plane.name!r} runs "
                 f"on {plane.transport!r}")
+        if wiretap and scenario != "live":
+            raise ValueError(
+                f"wiretap applies to scenario='live' only, not "
+                f"{scenario!r} (a scenario file declares its tap: "
+                f"[adversary] kind = 'wiretap')")
         if call_pairs < 0 or 2 * call_pairs > n_clients:
             raise ValueError("call_pairs needs two clients per call")
         self.scenario = scenario
@@ -153,7 +153,6 @@ class SimConfig:
         self.execution = plane.name
         self.net_processes = bool(net_processes)
         self.wiretap = wiretap
-        self.profile = profile
 
     def __repr__(self) -> str:
         return (f"SimConfig(scenario={self.scenario!r}, "
@@ -167,13 +166,11 @@ class RunReport:
     """What one :meth:`Simulation.run` produced."""
 
     __slots__ = ("scenario", "seed", "rounds_run", "metrics",
-                 "trace_events", "trace_path", "detail", "perf",
-                 "engine")
+                 "trace_events", "trace_path", "detail", "engine")
 
     def __init__(self, *, scenario: str, seed: int, rounds_run: int,
                  metrics: Dict[str, Any], trace_events: Tuple,
                  trace_path: Optional[str], detail: Any,
-                 perf: Optional[Dict[str, Any]] = None,
                  engine: str = "event"):
         self.scenario = scenario
         self.seed = seed
@@ -191,11 +188,6 @@ class RunReport:
         #: :class:`~repro.scenario.engine.ScenarioOutcome` for
         #: scenario runs.
         self.detail = detail
-        #: Host-time phase profile (``PhaseProfiler.report()``) when
-        #: the run was configured with ``profile=True``; ``None``
-        #: otherwise.  A side channel: never part of the metrics
-        #: snapshot, traces, or any determinism key.
-        self.perf = perf
 
     def to_prometheus(self) -> str:
         """The metrics snapshot in Prometheus exposition format."""
@@ -234,11 +226,6 @@ class Simulation:
         self.config = config or SimConfig()
         self.scope = Herdscope(trace_path=self.config.trace_path,
                                trace_buffer=self.config.trace_buffer)
-        if self.config.profile:
-            from repro.obs.prof.profiler import PhaseProfiler
-            self.profiler: Optional[PhaseProfiler] = PhaseProfiler()
-        else:
-            self.profiler = None
         self._finished = False
 
     def run(self, rounds: Optional[int] = None, *,
@@ -268,21 +255,14 @@ class Simulation:
             rounds_run, detail = self._run_testbed(
                 50 if rounds is None else rounds)
         self._finished = True
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("metrics-flush")
         snapshot = self.scope.snapshot()
         ring = self.scope.ring
         events = tuple(ring.events) if ring is not None else ()
         self.scope.close()
-        if prof is not None:
-            prof.end()
         return RunReport(scenario=cfg.scenario, seed=cfg.seed,
                          rounds_run=rounds_run, metrics=snapshot,
                          trace_events=events,
                          trace_path=cfg.trace_path, detail=detail,
-                         perf=prof.report() if prof is not None
-                         else None,
                          engine=cfg.execution)
 
     # -- scenarios ------------------------------------------------------------
@@ -303,10 +283,6 @@ class Simulation:
                         client_prefix=cfg.client_prefix,
                         execution=cfg.execution,
                         net_processes=cfg.net_processes)
-        if self.profiler is not None:
-            # Before attach_wire, so the fabric (and its links) picks
-            # the profiler up on creation.
-            self.profiler.attach_zone(zone)
         # The real-network plane always materializes the wire — the
         # datagrams *are* the transport; the simulator planes only
         # pay for a wire image when an adversary taps it.
@@ -347,8 +323,8 @@ class Simulation:
             net = fabric.net_report()
             if net is not None:
                 # Host-network side channel (real-socket accounting,
-                # wall-clock latency): like ``perf``, never part of
-                # metrics, traces, or any determinism key.
+                # wall-clock latency): never part of metrics,
+                # traces, or any determinism key.
                 detail["net"] = net
         return zone.round_index, detail
 
@@ -396,7 +372,6 @@ class Simulation:
             "zones": zone_ids,
             "calls": len(sessions),
             "engine": cfg.execution,
-            "execution": cfg.execution,
             "frames_delivered": delivered,
         }
 
@@ -408,6 +383,5 @@ class Simulation:
             scenario = scenario.with_horizon(float(until))
         outcome = execute(scenario, execution=cfg.execution,
                           net_processes=cfg.net_processes,
-                          scope=self.scope,
-                          profiler=self.profiler)
+                          scope=self.scope)
         return outcome.rounds_run, outcome

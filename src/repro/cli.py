@@ -16,9 +16,8 @@ Gives a downstream user one-command access to the headline results:
   adversity scenario corpus (``scenarios/*.toml``); ``scenario run``
   exits nonzero when survival criteria, invariants, or cross-engine
   determinism fail, so CI can gate on it.
-* ``bench``       — run/compare/list performance benchmarks through
-  the unified herdprof runner; ``bench compare`` exits nonzero on a
-  regression beyond the tolerance band, so CI can gate on it.
+
+Performance is measured from outside: ``python3 -m herdbench run``.
 """
 
 from __future__ import annotations
@@ -143,20 +142,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                        call_pairs=args.pairs,
                        trace_path=args.trace,
                        execution=args.engine,
-                       net_processes=args.net_processes,
-                       profile=args.profile)
+                       net_processes=args.net_processes)
     report = Simulation(config).run(rounds=args.rounds)
     if args.format == "json":
         print(report.to_json())
     else:
         print(report.to_prometheus())
-    if args.profile and report.perf is not None:
-        phases = report.perf.get("phases", {})
-        for phase in sorted(phases):
-            data = phases[phase]
-            print(f"# perf {phase}: {data.get('wall_s', 0.0):.4f}s "
-                  f"over {data.get('calls', 0)} call(s)",
-                  file=sys.stderr)
     if args.trace:
         print(f"trace written to {args.trace}", file=sys.stderr)
     return 0
@@ -169,11 +160,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.scenario.cli import run
-    return run(args)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.prof.cli import run
     return run(args)
 
 
@@ -252,10 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="asyncio engine only: host the UDP "
                            "receive endpoints in a separate worker "
                            "process")
-    p_metrics.add_argument("--profile", action="store_true",
-                           help="attach the phase profiler; per-phase "
-                           "wall time prints to stderr (metrics "
-                           "unchanged)")
     p_metrics.add_argument("--format", choices=("prom", "json"),
                            default="prom")
     p_metrics.add_argument("--trace", default=None,
@@ -276,12 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario",
         help="run/list/validate composed-adversity scenarios")
     add_scenario_arguments(p_scenario)
-
-    from repro.obs.prof.cli import add_bench_arguments
-    p_bench = sub.add_parser(
-        "bench",
-        help="run/compare/list performance benchmarks (herdprof)")
-    add_bench_arguments(p_bench)
 
     p_all = sub.add_parser("experiments", help="run the evaluation")
     p_all.add_argument("--users", type=int, default=5000)
@@ -305,7 +281,6 @@ _HANDLERS = {
     "experiments": _cmd_experiments,
     "lint": _cmd_lint,
     "scenario": _cmd_scenario,
-    "bench": _cmd_bench,
 }
 
 

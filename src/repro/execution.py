@@ -134,7 +134,7 @@ def create_wire_fabric(execution: str, *, seed: int = 0,
     .WireFabric`; ``"udp"`` transports get a :class:`~repro.net
     .transport.UdpFabric` (real loopback datagrams).  Protocol code
     (:class:`~repro.simulation.live.LiveZone`, the scenario engine,
-    the bench runner) calls this instead of importing either module —
+    herdbench) calls this instead of importing either module —
     imports happen lazily here, so the simulator never pays for the
     socket plane and vice versa.
 

@@ -39,12 +39,11 @@ _WALL_CLOCK_CALLS = {
 
 #: The HL001 allowlist: path suffixes (as lowercased segment tuples)
 #: that may read the host clock.  Exactly one file is sanctioned —
-#: the herdprof perfclock module, which exists so that *profiling*
-#: wall-time reads have a single auditable funnel (DESIGN.md §11).
-#: Everything else in the virtual-time scope, including the rest of
-#: ``obs/prof/``, still fails the gate.
+#: the perfclock module, the single auditable funnel for the UDP
+#: plane's ``wall_send_seconds`` side channel (DESIGN.md §11).
+#: Everything else in the virtual-time scope still fails the gate.
 WALL_CLOCK_ALLOWED_FILES: Tuple[Tuple[str, ...], ...] = (
-    ("obs", "prof", "perfclock.py"),
+    ("obs", "perfclock.py"),
 )
 
 
@@ -52,15 +51,16 @@ WALL_CLOCK_ALLOWED_FILES: Tuple[Tuple[str, ...], ...] = (
 class WallClockRule(Rule):
     """HL001: the simulation core must read time from the virtual
     :class:`~repro.netsim.engine.EventLoop` clock, never the host —
-    except the sanctioned profiling clock module
+    except the sanctioned host-clock module
     (:data:`WALL_CLOCK_ALLOWED_FILES`)."""
 
     rule_id = "HL001"
     title = "wall-clock read in virtual-time code"
     rationale = ("Determinism contract: replayable runs require every "
                  "timestamp to come from EventLoop.now, not the host "
-                 "clock.  Profiling is the one sanctioned exception, "
-                 "funneled through obs/prof/perfclock.py.")
+                 "clock.  The real-network plane's wall-time side "
+                 "channel is the one sanctioned exception, funneled "
+                 "through obs/perfclock.py.")
     scope = _VIRTUAL_TIME_SCOPE
 
     def applies_to(self, ctx: FileContext) -> bool:

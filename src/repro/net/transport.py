@@ -54,7 +54,7 @@ from repro.net import introducer as intro
 from repro.netsim.observer import LinkObserver
 from repro.netsim.packet import IP_UDP_HEADER_BYTES
 from repro.netsim.taps import offer_round_runs
-from repro.obs.prof.perfclock import perf_now
+from repro.obs.perfclock import perf_now
 
 #: Per-attempt round-barrier timeout (seconds of host time) and the
 #: attempt bound before a round is declared lost.  Loopback rarely
@@ -216,7 +216,6 @@ class UdpFabric(CellTransport):
                             List[Tuple[bytes, str, int]]] = {}
         self.rounds_flushed = 0
         self.cells_carried = 0
-        self.prof = None
         # Cumulative per-link wire totals ([cells, bytes] per
         # directed key), published by finalize() like the batch-v2
         # plane's.
@@ -264,9 +263,6 @@ class UdpFabric(CellTransport):
     def add_tap(self, tap) -> None:
         self.taps.append(tap)
 
-    def set_profiler(self, prof) -> None:
-        self.prof = prof
-
     @property
     def events_processed(self) -> int:
         """The socket plane runs no virtual-event loop; its cost
@@ -277,9 +273,6 @@ class UdpFabric(CellTransport):
         """Transmit the round for real, wait for every datagram to
         land (retransmitting losses), and bridge the received run
         table into the taps at the round's virtual time."""
-        prof = self.prof
-        if prof is not None:
-            prof.begin("deliver")
         # Flatten the queue into the canonical run table: one row per
         # emission run, rows in first-emission order — the global row
         # index is the frame's ``run`` coordinate.
@@ -314,16 +307,10 @@ class UdpFabric(CellTransport):
                 entry[1] += size * count
             round_cells += count
         self._segments += len(keys)
-        if prof is not None:
-            prof.begin("adversary-observe")
         for tap in self.taps:
             offer_round_runs(tap, t, keys, sizes, counts)
-        if prof is not None:
-            prof.end(cells=round_cells)
         self.cells_carried += round_cells
         self.rounds_flushed += 1
-        if prof is not None:
-            prof.end(cells=round_cells)
 
     def finalize(self) -> Optional[Dict[str, object]]:
         """Tear the network down (sockets, introducer, worker) and

@@ -56,11 +56,6 @@ class EventLoop:
         #: .instrument.LoopHook`); installed by
         #: :meth:`repro.obs.instrument.Herdscope.attach_loop`.
         self.obs = None
-        #: Optional phase-profiler hook (same duck-typed protocol);
-        #: installed by :meth:`repro.obs.prof.profiler.PhaseProfiler
-        #: .attach_loop`.  Detached cost: one ``is not None`` test
-        #: per event.
-        self.prof = None
 
     @property
     def now(self) -> float:
@@ -126,8 +121,6 @@ class EventLoop:
             self.events_processed += 1
             if self.obs is not None:
                 self.obs.fired(self, event)
-            if self.prof is not None:
-                self.prof.count("schedule", calls=1)
             return True
         return False
 

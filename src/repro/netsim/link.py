@@ -75,10 +75,6 @@ class Link:
         self._tx_free_at = {a.name: 0.0, b.name: 0.0}
         self.stats = {a.name: LinkStats(), b.name: LinkStats()}
         self._observers: List = []
-        #: Optional phase-profiler hook (duck-typed, like
-        #: ``EventLoop.obs``); times the observer fan-out under the
-        #: ``adversary-observe`` phase when attached.
-        self.prof = None
         a.attach_link(b.name, self)
         b.attach_link(a.name, self)
 
@@ -129,13 +125,8 @@ class Link:
         if packet.packet_id is None:
             packet.packet_id = self.loop.next_packet_id()
         stats = self.stats[sender.name]
-        prof = self.prof
-        if prof is not None:
-            prof.begin("adversary-observe")
         for obs in self._observers:
             obs.record(self.loop.now, packet, sender.name, receiver.name)
-        if prof is not None:
-            prof.end(cells=1)
         if self.loss_rate > 0 and self.loop.rng.random() < self.loss_rate:
             stats.dropped += 1
             for obs in self._observers:
@@ -191,9 +182,6 @@ class Link:
             return
         receiver = self.other(sender)
         stats = self.stats[sender.name]
-        prof = self.prof
-        if prof is not None:
-            prof.begin("adversary-observe")
         for obs in self._observers:
             record_batch = getattr(obs, "record_batch", None)
             if record_batch is not None:
@@ -203,8 +191,6 @@ class Link:
                 for cell in batch.cells():
                     obs.record(self.loop.now, cell, sender.name,
                                receiver.name)
-        if prof is not None:
-            prof.end(cells=len(batch))
         delivered = batch
         if self.loss_rate > 0:
             from repro.netsim.rounds import CellBatch, CellView

@@ -183,10 +183,6 @@ class RoundScheduler:
         self.start = start
         self.rounds_run = 0
         self._handlers = []
-        #: Optional phase-profiler hook (duck-typed, like
-        #: ``EventLoop.obs``); installed by :meth:`repro.obs.prof
-        #: .profiler.PhaseProfiler.attach_scheduler`.
-        self.prof = None
 
     def on_round(self, handler) -> None:
         """Register ``handler(round_index)`` to fire every round."""
@@ -197,14 +193,9 @@ class RoundScheduler:
         return self.start + round_index * self.interval
 
     def _fire(self, round_index: int) -> None:
-        prof = self.prof
-        if prof is not None:
-            prof.begin("schedule")
         for handler in self._handlers:
             handler(round_index)
         self.rounds_run += 1
-        if prof is not None:
-            prof.end()
 
     def run_round(self, round_index: Optional[int] = None) -> int:
         """Execute one round (default: the next one) as a single loop

@@ -15,11 +15,9 @@ measurement core infrastructure rather than harness code:
   links, superpeers, call manager, fault injector, and live zones.
 * :mod:`repro.obs.export` — Prometheus-style text and JSON snapshot
   renderers.
-* :mod:`repro.obs.prof` — herdprof: the phase profiler, deep-profile
-  (flamegraph) capture, and the ``repro bench`` regression plane.
-  Unlike the modules above it reads *host* time — but only through
-  the sanctioned :mod:`repro.obs.prof.perfclock`, and its output is
-  a side channel excluded from every determinism surface.
+* :mod:`repro.obs.perfclock` — the one sanctioned *host*-clock read
+  (the UDP plane's ``wall_send_seconds`` side channel).  Performance
+  is measured from outside the package, by ``herdbench``.
 
 The :mod:`repro.api` facade constructs a :class:`Herdscope` per
 :class:`~repro.api.Simulation` and returns its snapshot and trace
@@ -28,7 +26,6 @@ handle in every :class:`~repro.api.RunReport`.
 
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.instrument import Herdscope, LinkTap
-from repro.obs.prof import PhaseProfiler
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -54,7 +51,6 @@ __all__ = [
     "LabelCardinalityError",
     "LinkTap",
     "MetricsRegistry",
-    "PhaseProfiler",
     "RingBufferTraceSink",
     "Span",
     "TraceEvent",

@@ -45,10 +45,6 @@ def add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     p_run.add_argument("--report-dir", default=None,
                        help="write one <scenario>.json report "
                        "artifact per scenario here")
-    p_run.add_argument("--profile", action="store_true",
-                       help="attach the phase profiler; per-phase "
-                       "wall time lands in each report artifact's "
-                       "perf section (determinism keys unchanged)")
 
     p_list = sub.add_parser("list", help="list a scenario corpus")
     p_list.add_argument("paths", nargs="*", default=["scenarios"],
@@ -92,8 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     for scenario in scenarios:
         reports = [run_scenario(scenario, execution=engine,
-                                net_processes=procs_for(engine),
-                                profile=args.profile)
+                                net_processes=procs_for(engine))
                    for engine in engines]
         keys = {r.determinism_key for r in reports}
         determinism_ok = len(keys) == 1

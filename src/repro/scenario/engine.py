@@ -74,9 +74,9 @@ class ScenarioOutcome:
     wiretap: Optional[Dict[str, object]] = None
     #: host-network side channel of the real-network plane (None on
     #: simulator transports): datagram accounting and wall-clock
-    #: latency.  Like ``perf``, never part of any determinism
-    #: surface — :func:`~repro.scenario.report.outcome_fingerprint`
-    #: must not fold it in.
+    #: latency.  Never part of any determinism surface —
+    #: :func:`~repro.scenario.report.outcome_fingerprint` must not
+    #: fold it in.
     net: Optional[Dict[str, object]] = None
     invariant_violations: Tuple[str, ...] = ()
 
@@ -130,17 +130,13 @@ def _sp_scope_of(spec: FaultSpec) -> Optional[str]:
 
 def execute(scenario: Scenario, *, execution: str = "event",
             net_processes: Optional[bool] = None,
-            scope=None, profiler=None) -> ScenarioOutcome:
+            scope=None) -> ScenarioOutcome:
     """Run one scenario end to end on the given execution engine
     (any name registered with :mod:`repro.execution`;
     ``net_processes`` applies to the real-network ``asyncio`` plane).
 
     ``scope`` is an optional :class:`repro.obs.instrument.Herdscope`
     wired into the loop, zone, and injector (metrics + traces).
-    ``profiler`` is an optional :class:`repro.obs.prof.profiler
-    .PhaseProfiler` attached to the loop and zone; its output is a
-    host-time side channel that never feeds the outcome (so the
-    determinism key is byte-identical with or without it).
     """
     plane = execution_registry.resolve(execution)
     shape = scenario.zone
@@ -166,9 +162,6 @@ def execute(scenario: Scenario, *, execution: str = "event",
         scope.attach_loop(loop)
         scope.attach_live_zone(zone)
         scope.attach_injector(injector)
-    if profiler is not None:
-        profiler.attach_loop(loop)
-        profiler.attach_zone(zone)
 
     rejoins: List[RejoinStats] = []
     post_failover_voice: Dict[str, int] = {}

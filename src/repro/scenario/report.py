@@ -139,7 +139,7 @@ class ScenarioReport(RunReport):
                          metrics=base.metrics,
                          trace_events=base.trace_events,
                          trace_path=base.trace_path, detail=outcome,
-                         perf=base.perf, engine=engine)
+                         engine=engine)
         self.name = scenario_def.name
         self.scenario_signature = scenario_def.signature()
         self.plan_signature = outcome.plan_signature
@@ -178,7 +178,7 @@ class ScenarioReport(RunReport):
     def to_artifact_dict(self) -> Dict[str, Any]:
         """The JSON artifact the CI corpus job uploads per run.
 
-        The optional ``perf`` section (present under ``--profile``) is
+        The optional ``net`` section (real-network plane only) is
         host-time data: it sits *beside* the determinism surface —
         ``determinism_key`` is computed before and without it, so two
         artifacts from the same seed differ only in that section."""
@@ -196,12 +196,8 @@ class ScenarioReport(RunReport):
             "passed": self.passed,
             "timeline": self.timeline,
         }
-        if self.perf is not None:
-            artifact["perf"] = self.perf
         outcome: ScenarioOutcome = self.detail
         if outcome.net is not None:
-            # Real-network side channel: beside the determinism
-            # surface, exactly like perf.
             artifact["net"] = outcome.net
         return artifact
 
@@ -219,25 +215,20 @@ class ScenarioReport(RunReport):
 def run_scenario(scenario: Scenario, *, execution: str = "event",
                  net_processes: bool = False,
                  trace_path: Optional[str] = None,
-                 trace_buffer: int = 0,
-                 profile: bool = False) -> ScenarioReport:
+                 trace_buffer: int = 0) -> ScenarioReport:
     """Run one scenario through the :class:`Simulation` facade.
 
     ``execution`` is any engine name registered with
     :mod:`repro.execution`; ``net_processes`` applies to the
     real-network ``asyncio`` plane (receive endpoints in a separate
-    worker process).  ``profile=True``
-    attaches a phase profiler; the per-phase breakdown lands in
-    ``report.perf`` (and the CLI artifact's ``perf`` section)
-    without changing the determinism key."""
+    worker process)."""
     sim = Simulation(SimConfig(scenario="scenario",
                                scenario_def=scenario,
                                seed=scenario.seed,
                                execution=execution,
                                net_processes=net_processes,
                                trace_path=trace_path,
-                               trace_buffer=trace_buffer,
-                               profile=profile))
+                               trace_buffer=trace_buffer))
     base = sim.run(until=scenario.horizon_s)
     return ScenarioReport(scenario_def=scenario, engine=execution,
                           base=base)

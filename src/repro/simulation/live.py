@@ -131,11 +131,6 @@ class LiveZone:
         #: .instrument.LiveZoneHook`): call-setup spans and round
         #: progress, installed by ``Herdscope.attach_live_zone``.
         self.obs = None
-        #: Optional phase-profiler hook (duck-typed, like ``obs``);
-        #: installed by :meth:`repro.obs.prof.profiler.PhaseProfiler
-        #: .attach_zone`.  Buckets the round engine into the ``chaff``
-        #: / ``mix-forward`` / ``deliver`` phases (DESIGN.md §11).
-        self.prof = None
         for i in range(n_clients):
             self._add_client(f"{client_prefix}-{i}", k)
 
@@ -333,18 +328,11 @@ class LiveZone:
                        kind="xor")
 
     def _upstream_channel(self, channel_id: int, sp) -> None:
-        prof = self.prof
-        if prof is not None:
-            prof.begin("chaff")
         members, sealed = self._gather_channel(
             channel_id, sp, HerdClient.upstream_packet)
-        if prof is not None:
-            prof.end(cells=len(sealed))
         if not sealed:
             return
         packets, manifests = zip(*sealed)
-        if prof is not None:
-            prof.begin("mix-forward")
         up = sp.combine_upstream(channel_id, self.round_index,
                                  packets, manifests)
         self._emit_upstream(sp, members, packets, up)
@@ -355,8 +343,6 @@ class LiveZone:
                                 for trial in trials]))
         if active is not None and payload:
             self._route_voice(active, payload)
-        if prof is not None:
-            prof.end(cells=len(packets))
 
     def _route_voice(self, from_numeric: int, cell: bytes) -> None:
         """Bridge a recovered voice cell to the peer's call (the
@@ -391,10 +377,6 @@ class LiveZone:
         processing are identical by construction).  The round engine
         does every member's trial decryption of the round in one call;
         the per-channel engine leaves each to its agent."""
-        prof = self.prof
-        if prof is not None:
-            prof.begin("deliver")
-        cells = 0
         #: (channel_id, client_id, packet) as broadcast, in order.
         deliveries = []
         for channel_id, packet in round_packets.items():
@@ -402,13 +384,11 @@ class LiveZone:
             if self.wire is not None:
                 self.wire.emit(self.mix.mix_id, sp.sp_id, packet,
                                kind="down")
-            cells += 1
             for client_id, pkt in sp.broadcast_downstream(
                     channel_id, packet):
                 if self.wire is not None:
                     self.wire.emit(sp.sp_id, client_id, pkt,
                                    kind="bcast")
-                cells += 1
                 deliveries.append((channel_id, client_id, pkt))
         opened = None
         if self.zone_mode == "batch":
@@ -425,8 +405,6 @@ class LiveZone:
                 evt = agent.handle_opened(channel_id, opened[i])
             if self.obs is not None and evt is not None:
                 self.obs.client_event(client_id, evt)
-        if prof is not None:
-            prof.end(cells=cells)
 
     def _downstream(self) -> None:
         self._deliver_downstream(
@@ -472,13 +450,7 @@ class LiveZone:
         decryption — yields the per-item bytes (DESIGN.md "Crypto
         batching seam").
         """
-        prof = self.prof
-        if prof is not None:
-            prof.begin("chaff")
         gathered = self._gather_round()
-        if prof is not None:
-            prof.end(cells=sum(len(g[2]) for g in gathered.values()))
-            prof.begin("mix-forward")
         per_sp: Dict[object, Dict[int, tuple]] = {}
         for channel_id, (sp, _, packets,
                          manifests) in gathered.items():
@@ -509,14 +481,10 @@ class LiveZone:
         round_packets = self.manager.process_round(
             self.round_index, upstream, route=self._route_voice,
             pre_downstream=self._ring_pending_callees)
-        if prof is not None:
-            prof.end(cells=sum(len(g[2]) for g in gathered.values()))
         self._deliver_downstream(round_packets)
 
     def step(self) -> None:
         """One codec-frame round: upstream, control, downstream."""
-        if self.prof is not None:
-            self.prof.round_started(self.round_index)
         if self.zone_mode == "batch":
             self._step_batch()
         else:
@@ -527,8 +495,6 @@ class LiveZone:
             self.wire.flush_round(self.round_index)
         if self.obs is not None:
             self.obs.round_finished(self.round_index)
-        if self.prof is not None:
-            self.prof.round_finished(self.round_index)
         self.round_index += 1
 
     def run(self, rounds: int) -> None:
@@ -567,8 +533,6 @@ class LiveZone:
             self.execution, seed=self.seed, interval=interval,
             observer=observer,
             net_processes=self.net_processes)
-        if self.prof is not None:
-            self.wire.set_profiler(self.prof)
         return self.wire
 
     # -- introspection ------------------------------------------------------------

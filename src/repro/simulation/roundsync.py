@@ -134,22 +134,6 @@ class WireFabric(CellTransport):
                             List[Tuple[bytes, str, int]]] = {}
         self.rounds_flushed = 0
         self.cells_carried = 0
-        #: Optional phase-profiler hook (duck-typed); install via
-        #: :meth:`set_profiler` so the loop, scheduler, and every
-        #: link — current and future — share one profiler.
-        self.prof = None
-
-    def set_profiler(self, prof) -> None:
-        """Attach (or with ``None``, detach) a
-        :class:`~repro.obs.prof.profiler.PhaseProfiler` across the
-        whole fabric: the fabric itself (``deliver``), the loop and
-        scheduler (``schedule``), and every link's observer fan-out
-        (``adversary-observe``), including links created later."""
-        self.prof = prof
-        self.loop.prof = prof
-        self.scheduler.prof = prof
-        for link in self._links.values():
-            link.prof = prof
 
     # -- lazy topology ---------------------------------------------------------
 
@@ -180,8 +164,6 @@ class WireFabric(CellTransport):
                          self.node(key[1]))
             for tap in self.taps:
                 found.add_observer(tap)
-            if self.prof is not None:
-                found.prof = self.prof
             self._links[key] = found
             for src, dst in (key, key[::-1]):
                 pending = self._pending_link_stats.pop((src, dst),
@@ -244,10 +226,6 @@ class WireFabric(CellTransport):
         if self.wire_mode != "event":
             self.scheduler.run_round(round_index)
         else:
-            prof = self.prof
-            if prof is not None:
-                prof.begin("deliver")
-            before = self.cells_carried
             t = self.scheduler.time_of(round_index)
             loop = self.loop
             for (src, dst), runs in self._pending.items():
@@ -263,16 +241,10 @@ class WireFabric(CellTransport):
             self._pending.clear()
             loop.run(until=t)
             self.rounds_flushed += 1
-            if prof is not None:
-                prof.end(cells=self.cells_carried - before)
 
     def _transmit_queued(self, round_index: int) -> None:
         """Batch-engine round handler: one CellBatch per pending
         link, transmitted inline (zero delay → no extra events)."""
-        prof = self.prof
-        if prof is not None:
-            prof.begin("deliver")
-        before = self.cells_carried
         for (src, dst), runs in self._pending.items():
             link = self.link_between(src, dst)
             batch = CellBatch(src, dst, round_index)
@@ -285,8 +257,6 @@ class WireFabric(CellTransport):
             self.cells_carried += len(batch)
         self._pending.clear()
         self.rounds_flushed += 1
-        if prof is not None:
-            prof.end(cells=self.cells_carried - before)
 
     def _transmit_runs_queued(self, round_index: int) -> None:
         """Vector-engine round handler (``batch-v2``).
@@ -299,9 +269,6 @@ class WireFabric(CellTransport):
         node wire stats materialize from the accumulated totals at
         :meth:`finalize`, never per round.
         """
-        prof = self.prof
-        if prof is not None:
-            prof.begin("deliver")
         t = self.scheduler.time_of(round_index)
         keys: List[Tuple[str, str]] = []
         sizes: List[int] = []
@@ -330,16 +297,10 @@ class WireFabric(CellTransport):
             round_cells += link_cells
         self.cells_carried += round_cells
         self._vector_segments += len(keys)
-        if prof is not None:
-            prof.begin("adversary-observe")
         for tap in self.taps:
             offer_round_runs(tap, t, keys, sizes, counts)
-        if prof is not None:
-            prof.end(cells=round_cells)
         self._pending.clear()
         self.rounds_flushed += 1
-        if prof is not None:
-            prof.end(cells=round_cells)
 
     def finalize(self) -> Optional[Dict[str, object]]:
         """Drain the vector plane's accumulated per-link totals into

@@ -35,6 +35,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_clients=2, call_pairs=2)
 
+    def test_rejects_wiretap_outside_live_runs(self):
+        # Only the live run reads it; elsewhere it was dropped
+        # silently (a scenario declares its tap in [adversary]).
+        with pytest.raises(ValueError, match="adversary"):
+            SimConfig(scenario="testbed", wiretap=True)
+        with pytest.raises(ValueError, match="adversary"):
+            SimConfig(scenario_def=Scenario(name="tapped", seed=1),
+                      wiretap=True)
+        assert SimConfig(wiretap=True).wiretap is True
+
 
 class TestLiveScenario:
     @pytest.fixture(scope="class")

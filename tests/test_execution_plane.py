@@ -91,6 +91,9 @@ class TestFacadeIntegration:
             LiveZone(execution="batch-v2", shards=2)
         with pytest.raises(TypeError):
             execution.create_wire_fabric("batch-v2", shards=2)
+        # ...and so did the in-tree phase profiler.
+        with pytest.raises(TypeError):
+            SimConfig(seed=1, profile=True)
 
     def test_runreport_engine_vocabulary(self):
         report = Simulation(SimConfig(seed=3, n_clients=6,
@@ -129,10 +132,11 @@ class TestFacadeIntegration:
 
 
 class TestCLIVocabulary:
-    """Satellite: ``repro metrics`` / ``repro scenario`` / ``repro
-    bench`` all speak ``--engine``; ``--execution`` finished its
-    deprecation cycle and ``--shards`` left with zone sharding — both
-    are argparse "unrecognized arguments" errors (exit 2)."""
+    """Satellite: ``repro metrics`` / ``repro scenario`` both speak
+    ``--engine``; ``--execution`` finished its deprecation cycle,
+    ``--shards`` left with zone sharding, ``--profile`` and the
+    ``bench`` sub-command with the in-tree profiler — all are
+    argparse usage errors (exit 2)."""
 
     def test_metrics_engine_flag(self, capsys):
         from repro.cli import main
@@ -169,21 +173,17 @@ class TestCLIVocabulary:
         ["metrics", "--engine", "batch-v2", "--shards", "2"],
         ["scenario", "run", "scenarios/00-baseline.toml",
          "--engine", "batch-v2", "--shards", "2"],
-        ["bench", "run", "--engine", "batch-v2", "--shards", "2"],
+        pytest.param(["metrics", "--rounds", "5", "--profile"],
+                     id="metrics-profile"),
+        pytest.param(["scenario", "run", "scenarios/00-baseline.toml",
+                      "--profile"], id="scenario-profile"),
+        pytest.param(["bench", "list"], id="bench"),
     ])
     def test_shards_flag_removed(self, argv, capsys):
         from repro.cli import main
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_committed_bench_files_still_load(self, capsys):
-        # Rows measured before the option was removed carry a legacy
-        # "shards": 1 key the readers must keep tolerating.
-        from repro.cli import main
-        assert main(["bench", "list", "--trajectory",
-                     "BENCH_trajectory.jsonl"]) == 0
-        assert "commit" in capsys.readouterr().out
-        assert main(["bench", "compare", "BENCH_scaling.json",
-                     "BENCH_scaling.json"]) == 0
+        (rejected,) = [arg for arg in argv
+                       if arg in ("--shards", "--profile", "bench")]
+        assert rejected in capsys.readouterr().err

@@ -75,22 +75,22 @@ def test_hl001_only_fires_in_virtual_time_scope(tmp_path):
 
 
 def test_hl001_allowlist_is_scoped_to_perfclock_only(tmp_path):
-    """The herdprof exemption: ``obs/prof/perfclock.py`` is the one
-    sanctioned wall-clock module.  Any other file under ``obs/prof``
-    — or a file merely *named* perfclock.py elsewhere in scope —
-    still trips HL001."""
-    prof = tmp_path / "obs" / "prof"
-    prof.mkdir(parents=True)
+    """The one exemption: ``obs/perfclock.py`` is the sanctioned
+    wall-clock module.  Any other file under ``obs`` — or a file
+    merely *named* perfclock.py elsewhere in scope — still trips
+    HL001."""
+    obs = tmp_path / "obs"
+    obs.mkdir()
     clock_read = ("import time\n\n\ndef now():\n"
                   "    return time.perf_counter()\n")
 
-    sanctioned = prof / "perfclock.py"
+    sanctioned = obs / "perfclock.py"
     sanctioned.write_text(clock_read)
     result = run_lint([str(sanctioned)],
                       LintConfig(select=("HL001",)))
     assert result.findings == []
 
-    rogue = prof / "rogue.py"
+    rogue = obs / "rogue.py"
     rogue.write_text(clock_read)
     result = run_lint([str(rogue)], LintConfig(select=("HL001",)))
     assert [f.rule_id for f in result.findings] == ["HL001"]
