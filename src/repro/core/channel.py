@@ -33,6 +33,8 @@ from repro.crypto.keys import SessionKey
 MANIFEST_BYTES = 4
 _SEQ_MOD = 1 << 25
 _MAX_CLIENT_ID = 63
+#: Members one channel holds: the manifest's 6-bit in-channel id.
+CHANNEL_CAPACITY = _MAX_CLIENT_ID + 1
 
 _MANIFEST_PREFIX = b"mf\x00\x00"
 
@@ -121,7 +123,7 @@ class Channel:
 
     def add_member(self, global_client: int) -> int:
         """Attach a client; returns its in-channel id."""
-        if len(self.members) > _MAX_CLIENT_ID:
+        if len(self.members) >= CHANNEL_CAPACITY:
             raise ValueError("channel is full (64 members)")
         in_channel_id = len(self.members)
         self.members[in_channel_id] = global_client

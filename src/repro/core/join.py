@@ -13,6 +13,7 @@ the client ended up.
 
 from __future__ import annotations
 
+import hmac
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -93,8 +94,11 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
             client.short_term.public_bytes)
     client.finish_join(eph, mix_id, mix.short_term.public_bytes,
                        numeric_id, certificate)
-    assert client.session_key.key == session_key.key, \
-        "join key agreement mismatch"
+    if not hmac.compare_digest(client.session_key.key, session_key.key):
+        # Neither side keeps a key the other does not share.
+        del mix.client_keys[client.client_id]
+        client.leave()
+        raise RuntimeError("join key agreement mismatch")
 
     # 4. Adoption: direct link, or redirection to superpeers.
     if not superpeers or not mix.channels:

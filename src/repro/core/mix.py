@@ -206,6 +206,14 @@ class Mix:
             raise RuntimeError("channels already configured")
         self.channels = {i: Channel(i) for i in range(n_channels)}
 
+    def open_channel(self) -> int:
+        """Add one channel to the configured ones (the administrator
+        growing the zone); returns its id.  A call manager sizes its
+        static assignment when it is built and does not see it."""
+        channel_id = len(self.channels)
+        self.channels[channel_id] = Channel(channel_id)
+        return channel_id
+
     def attach_client_to_channels(self, client_id: str,
                                   channels: List[int],
                                   numeric_id: int) -> Dict[int, int]:

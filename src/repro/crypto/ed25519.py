@@ -4,22 +4,29 @@ Herd participants hold a long-term identity key pair ``l`` "used to sign
 DTLS certificates and their descriptors" (§3.2).  This module provides
 the signature scheme for those identity keys: Ed25519 over
 edwards25519, following RFC 8032 §5.1 (point compression, SHA-512
-hashing, cofactored verification via the standard equation).
+hashing).  Verification checks the *cofactorless* equation
+``[s]B = R + [h]A`` after validating both point encodings and
+``s < L``.
 
-Like the rest of :mod:`repro.crypto`, this is a clear, from-scratch
-implementation intended for correctness within the reproduction, not for
-production hardening.
+Every join derives keys and signs a certificate, so the curve layer is
+built for that path (DESIGN.md §16): any multiple of the base point is
+read off one precomputed table (:data:`_BASE_TABLE`, shared with
+:func:`repro.crypto.x25519.x25519_base`) and a key's public half is
+derived once.  Like the rest of :mod:`repro.crypto`, this is a
+from-scratch implementation intended for correctness within the
+reproduction, not for production hardening (Python integers are not
+constant-time).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 P = 2 ** 255 - 19
 L = 2 ** 252 + 27742317777372353535851937790883648493
-D = (-121665 * pow(121666, P - 2, P)) % P
 _I = pow(2, (P - 1) // 4, P)  # sqrt(-1)
 
 
@@ -28,7 +35,15 @@ def _sha512(data: bytes) -> bytes:
 
 
 def _inv(x: int) -> int:
-    return pow(x, P - 2, P)
+    """``x⁻¹ mod p``, with ``0 ↦ 0`` as Fermat's ``x^(p−2)`` gives:
+    ``pow(0, -1, p)`` raises, and callers rely on the 0 (the X25519
+    low-order rejection, the ``Z = Y`` case of the birational map)."""
+    x %= P
+    return pow(x, -1, P) if x else 0
+
+
+D = -121665 * _inv(121666) % P
+_D2 = 2 * D % P
 
 
 def _recover_x(y: int, sign: int) -> int:
@@ -51,7 +66,8 @@ def _recover_x(y: int, sign: int) -> int:
 
 
 # Points are extended homogeneous coordinates (X, Y, Z, T), x = X/Z,
-# y = Y/Z, x*y = T/Z.
+# y = Y/Z, x*y = T/Z.  Only products are reduced: a sum or difference
+# of reduced values feeds the next multiplication as it is.
 _IDENT = (0, 1, 1, 0)
 
 
@@ -60,7 +76,7 @@ def _point_add(p, q):
     x2, y2, z2, t2 = q
     a = (y1 - x1) * (y2 - x2) % P
     b = (y1 + x1) * (y2 + x2) % P
-    c = 2 * t1 * t2 * D % P
+    c = t1 * t2 * _D2 % P
     d = 2 * z1 * z2 % P
     e = b - a
     f = d - c
@@ -70,6 +86,9 @@ def _point_add(p, q):
 
 
 def _point_mul(s: int, p):
+    """``s·p`` for a variable point by double-and-add; only verify's
+    ``h·A`` comes here (multiples of the base point are read off
+    :data:`_BASE_TABLE`)."""
     q = _IDENT
     while s > 0:
         if s & 1:
@@ -108,6 +127,66 @@ _BX = _recover_x(_BY, 0)
 _B = (_BX, _BY, 1, _BX * _BY % P)
 
 
+def _build_base_table():
+    """``_BASE_TABLE[i][j-1]`` is ``j·16^i·B`` for ``i < 64``,
+    ``1 ≤ j ≤ 15``, as the affine triple ``(y+x, y−x, 2dxy)`` a mixed
+    addition consumes.  The 960 points are made projective and brought
+    to ``Z = 1`` with one shared inversion (Montgomery's trick)."""
+    points = []
+    base = _B
+    for _ in range(64):
+        q = base
+        for _ in range(15):
+            points.append(q)
+            q = _point_add(q, base)
+        base = q  # 16·base
+    prefix = []
+    acc = 1
+    for _, _, z, _ in points:
+        prefix.append(acc)
+        acc = acc * z % P
+    acc = _inv(acc)
+    triples = []
+    for (x, y, z, _), before in zip(reversed(points), reversed(prefix)):
+        zinv = acc * before % P
+        acc = acc * z % P
+        x = x * zinv % P
+        y = y * zinv % P
+        triples.append(((y + x) % P, (y - x) % P, _D2 * x * y % P))
+    triples.reverse()
+    return tuple(tuple(triples[row:row + 15])
+                 for row in range(0, len(triples), 15))
+
+
+_BASE_TABLE = _build_base_table()
+
+
+def _base_mul(s: int):
+    """``s·B`` for ``0 ≤ s < 2^256`` from :data:`_BASE_TABLE`: one
+    seven-multiplication mixed addition per non-zero nibble of ``s``
+    and no doublings."""
+    x, y, z, t = _IDENT
+    row = 0
+    for byte in s.to_bytes(32, "little"):
+        for j in (byte & 15, byte >> 4):
+            if j:
+                ypx, ymx, xy2d = _BASE_TABLE[row][j - 1]
+                a = (y - x) * ymx % P
+                b = (y + x) * ypx % P
+                c = t * xy2d % P
+                d = 2 * z
+                e = b - a
+                f = d - c
+                g = d + c
+                h = b + a
+                x = e * f % P
+                y = g * h % P
+                z = f * g % P
+                t = e * h % P
+            row += 1
+    return (x, y, z, t)
+
+
 def _secret_expand(secret: bytes):
     if len(secret) != 32:
         raise ValueError("Ed25519 seed must be 32 bytes")
@@ -120,15 +199,14 @@ def _secret_expand(secret: bytes):
 
 def _public_key(secret: bytes) -> bytes:
     a, _ = _secret_expand(secret)
-    return _point_compress(_point_mul(a, _B))
+    return _point_compress(_base_mul(a))
 
 
-def _sign(secret: bytes, msg: bytes) -> bytes:
+def _sign(secret: bytes, public: bytes, msg: bytes) -> bytes:
     a, prefix = _secret_expand(secret)
-    pub = _point_compress(_point_mul(a, _B))
     r = int.from_bytes(_sha512(prefix + msg), "little") % L
-    big_r = _point_compress(_point_mul(r, _B))
-    h = int.from_bytes(_sha512(big_r + pub + msg), "little") % L
+    big_r = _point_compress(_base_mul(r))
+    h = int.from_bytes(_sha512(big_r + public + msg), "little") % L
     s = (r + h * a) % L
     return big_r + s.to_bytes(32, "little")
 
@@ -145,7 +223,7 @@ def _verify(public: bytes, msg: bytes, signature: bytes) -> bool:
     if s >= L:
         return False
     h = int.from_bytes(_sha512(signature[:32] + public + msg), "little") % L
-    lhs = _point_mul(s, _B)
+    lhs = _base_mul(s)
     rhs = _point_add(r_point, _point_mul(h, a_point))
     return _point_equal(lhs, rhs)
 
@@ -170,6 +248,10 @@ class SigningKey:
     """An Ed25519 private (signing) key derived from a 32-byte seed."""
 
     seed: bytes
+    #: The public half, derived on the first read of
+    #: :attr:`verify_key` and kept (not part of equality or hash).
+    _verify_key: Optional[VerifyKey] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.seed) != 32:
@@ -187,8 +269,12 @@ class SigningKey:
 
     @property
     def verify_key(self) -> VerifyKey:
-        return VerifyKey(_public_key(self.seed))
+        key = self._verify_key
+        if key is None:
+            key = VerifyKey(_public_key(self.seed))
+            object.__setattr__(self, "_verify_key", key)
+        return key
 
     def sign(self, message: bytes) -> bytes:
         """Produce a 64-byte detached signature over ``message``."""
-        return _sign(self.seed, message)
+        return _sign(self.seed, self.verify_key.public_bytes, message)

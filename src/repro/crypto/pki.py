@@ -19,7 +19,7 @@ This module implements those three artefacts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.crypto.ed25519 import SigningKey, VerifyKey
@@ -87,16 +87,8 @@ def issue_certificate(issuer: SigningKey, subject_id: str, role: str,
         issuer_public=issuer.verify_key.public_bytes,
         signature=b"\x00" * 64,
     )
-    signature = issuer.sign(unsigned.to_signing_bytes())
-    return Certificate(
-        subject_id=subject_id,
-        role=role,
-        zone_id=zone_id,
-        identity_public=identity_public,
-        short_term_public=short_term_public,
-        issuer_public=issuer.verify_key.public_bytes,
-        signature=signature,
-    )
+    return replace(
+        unsigned, signature=issuer.sign(unsigned.to_signing_bytes()))
 
 
 @dataclass(frozen=True)
@@ -137,14 +129,8 @@ def make_descriptor(identity: IdentityKeyPair, subject_id: str,
         address=address,
         signature=b"\x00" * 64,
     )
-    return Descriptor(
-        subject_id=subject_id,
-        zone_id=zone_id,
-        identity_public=identity.public_bytes,
-        short_term_public=short_term_public,
-        address=address,
-        signature=identity.sign(unsigned.to_signing_bytes()),
-    )
+    return replace(
+        unsigned, signature=identity.sign(unsigned.to_signing_bytes()))
 
 
 class RootOfTrust:

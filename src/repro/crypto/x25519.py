@@ -2,22 +2,26 @@
 
 Herd negotiates symmetric, ephemeral session keys using curve25519
 (§3.2: "the implementation relies on the OpenSSL and curve25519
-libraries").  This module implements the Montgomery-ladder scalar
-multiplication over Curve25519 exactly as specified in RFC 7748 §5,
-including scalar clamping and u-coordinate masking.
-
-The implementation favours clarity over speed; it is fast enough for the
-handshake counts exercised by the simulator and tests.
+libraries").  :func:`x25519` is the Montgomery ladder of RFC 7748 §5
+with scalar clamping, u-coordinate masking and the §6.1 all-zero
+check; it is the one variable-base multiplication a join cannot avoid
+(client side and mix side), so its loop carries no call and no
+reduction the next multiplication makes anyway.  :func:`x25519_base`
+does not run the ladder: a public key is a multiple of the base point,
+which :mod:`repro.crypto.ed25519` reads off its fixed-base table, and
+the birational map ``u = (1 + y) / (1 − y)`` carries the result over
+(DESIGN.md §16).  A key's public half is derived once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
-P = 2 ** 255 - 19
+from repro.crypto.ed25519 import P, _base_mul, _inv
+
 A24 = 121665
-_BASE_POINT_U = 9
 
 
 def _clamp(scalar_bytes: bytes) -> int:
@@ -44,46 +48,48 @@ def _encode_u(u: int) -> bytes:
     return (u % P).to_bytes(32, "little")
 
 
-def _cswap(swap: int, a: int, b: int) -> tuple:
-    """Constant-time-style conditional swap (branchless arithmetic)."""
-    mask = -swap  # 0 or all-ones in two's complement
-    dummy = mask & (a ^ b)
-    return a ^ dummy, b ^ dummy
-
-
 def _ladder(k: int, u: int) -> int:
-    """The Montgomery ladder from RFC 7748 §5."""
+    """The Montgomery ladder from RFC 7748 §5.
+
+    The conditional swaps are the RFC's branchless mask arithmetic,
+    written inline; sums and differences are left unreduced (a product
+    of two values below ``2p`` in magnitude is reduced by the ``% P``
+    that follows it).  ``z2 = 0`` at the end — a low-order ``u`` —
+    yields 0 through :func:`~repro.crypto.ed25519._inv`, which
+    :func:`x25519` rejects."""
     x1 = u
     x2, z2 = 1, 0
     x3, z3 = u, 1
     swap = 0
     for t in range(254, -1, -1):
         k_t = (k >> t) & 1
-        swap ^= k_t
-        x2, x3 = _cswap(swap, x2, x3)
-        z2, z3 = _cswap(swap, z2, z3)
+        mask = -(swap ^ k_t)
         swap = k_t
+        dummy = mask & (x2 ^ x3)
+        x2 ^= dummy
+        x3 ^= dummy
+        dummy = mask & (z2 ^ z3)
+        z2 ^= dummy
+        z3 ^= dummy
 
-        a = (x2 + z2) % P
-        aa = (a * a) % P
-        b = (x2 - z2) % P
-        bb = (b * b) % P
-        e = (aa - bb) % P
-        c = (x3 + z3) % P
-        d = (x3 - z3) % P
-        da = (d * a) % P
-        cb = (c * b) % P
-        x3 = (da + cb) % P
-        x3 = (x3 * x3) % P
-        z3 = (da - cb) % P
-        z3 = (z3 * z3) % P
-        z3 = (z3 * x1) % P
-        x2 = (aa * bb) % P
-        z2 = (e * ((aa + A24 * e) % P)) % P
+        a = x2 + z2
+        aa = a * a % P
+        b = x2 - z2
+        bb = b * b % P
+        e = aa - bb
+        da = (x3 - z3) * a % P
+        cb = (x3 + z3) * b % P
+        c = da + cb
+        d = da - cb
+        x3 = c * c % P
+        z3 = d * d % P * x1 % P
+        x2 = aa * bb % P
+        z2 = e * (aa + A24 * e) % P
 
-    x2, x3 = _cswap(swap, x2, x3)
-    z2, z3 = _cswap(swap, z2, z3)
-    return (x2 * pow(z2, P - 2, P)) % P
+    mask = -swap
+    x2 ^= mask & (x2 ^ x3)
+    z2 ^= mask & (z2 ^ z3)
+    return x2 * _inv(z2) % P
 
 
 def x25519(scalar_bytes: bytes, u_bytes: bytes) -> bytes:
@@ -103,9 +109,13 @@ def x25519(scalar_bytes: bytes, u_bytes: bytes) -> bytes:
 
 
 def x25519_base(scalar_bytes: bytes) -> bytes:
-    """Compute the public key for a private scalar (u = 9)."""
-    k = _clamp(scalar_bytes)
-    return _encode_u(_ladder(k, _BASE_POINT_U))
+    """Compute the public key for a private scalar (u = 9).
+
+    ``k·B`` on edwards25519 from the fixed-base table, mapped to the
+    Montgomery u-coordinate ``(Z + Y) / (Z − Y)``; ``Z = Y`` (the
+    neutral element) gives u = 0, as the ladder does."""
+    _, y, z, _ = _base_mul(_clamp(scalar_bytes))
+    return _encode_u((z + y) * _inv(z - y))
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,10 @@ class X25519PrivateKey:
     """
 
     private_bytes: bytes
+    #: The public half, derived on the first read of
+    #: :attr:`public_bytes` and kept (not part of equality or hash).
+    _public_bytes: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.private_bytes) != 32:
@@ -134,7 +148,11 @@ class X25519PrivateKey:
 
     @property
     def public_bytes(self) -> bytes:
-        return x25519_base(self.private_bytes)
+        public = self._public_bytes
+        if public is None:
+            public = x25519_base(self.private_bytes)
+            object.__setattr__(self, "_public_bytes", public)
+        return public
 
     def exchange(self, peer_public_bytes: bytes) -> bytes:
         """Perform the Diffie-Hellman exchange with a peer public key."""

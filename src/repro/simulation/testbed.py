@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.core.channel import CHANNEL_CAPACITY
 from repro.core.client import HerdClient
 from repro.core.directory import ZoneDirectory
 from repro.core.join import join_zone
@@ -65,11 +66,35 @@ class HerdTestbed:
                    via_superpeers: bool = False) -> HerdClient:
         """Create and join a client (direct link, or via SPs)."""
         client = HerdClient(client_id, zone_id, rng=self.rng, k=k)
+        if via_superpeers:
+            self._make_room(zone_id, k)
         join_zone(client, self.directories[zone_id], self.mixes,
                   superpeers=self.superpeers if via_superpeers else None,
                   rng=self.rng)
         self.clients[client_id] = client
         return client
+
+    def _make_room(self, zone_id: str, k: int) -> None:
+        """The testbed is the zone's administrator (§3.6.3): before a
+        join via SPs, a mix with fewer than ``k`` channels that can
+        take a member opens more, each on its SP hosting the fewest.
+        :func:`join_zone` itself still refuses a full zone."""
+        for mix in self.mixes.values():
+            if mix.zone.zone_id != zone_id or not mix.channels:
+                continue
+            short = k
+            for channel in mix.channels.values():
+                if channel.member_count() < CHANNEL_CAPACITY:
+                    short -= 1
+                    if short <= 0:
+                        break
+            if short <= 0:
+                continue
+            hosts = [sp for sp in self.superpeers.values()
+                     if sp.mix_id == mix.mix_id]
+            for _ in range(short if hosts else 0):
+                host = min(hosts, key=lambda sp: len(sp.channel_clients))
+                host.host_channel(mix.open_channel(), [])
 
     def ready_for_calls(self, client_id: str) -> HerdClient:
         """Build the client's standing circuit and publish rendezvous."""

@@ -13,8 +13,9 @@ from repro.core.invariants import (
     series_identical,
     sp_state_is_activity_free,
 )
-from repro.core.join import join_zone
+from repro.core.join import join_with_retries, join_zone
 from repro.core.network_coding import CODED_PACKET_SIZE
+from repro.core.retry import BackoffPolicy, RetryError
 from repro.core.signaling import (
     ChannelGrant,
     DOWNSTREAM_PACKET_SIZE,
@@ -50,6 +51,17 @@ def _sp_testbed(n_clients=6, n_channels=3, k=2, seed=7):
     return bed, mix, sp, clients
 
 
+class _WrongShare:
+    """A mix short-term key that answers the client's DH with a share
+    the client cannot derive."""
+
+    def __init__(self, real):
+        self.public_bytes = real.public_bytes
+
+    def exchange(self, peer_public_bytes):
+        return b"\x07" * 32
+
+
 class TestJoinProtocol:
     def test_direct_join_without_sps(self, testbed):
         client = testbed.add_client("alice", "zone-EU")
@@ -83,6 +95,31 @@ class TestJoinProtocol:
             join_zone(client, testbed.directories["zone-NA"],
                       testbed.mixes)
 
+    def test_key_agreement_mismatch_is_a_typed_error(self, testbed):
+        """A mix that derives a different key must fail the join with
+        an error the retry paths handle — not an ``assert`` that
+        ``python -O`` strips."""
+        for mix in testbed.mixes.values():
+            mix.short_term = _WrongShare(mix.short_term)
+        directory = testbed.directories["zone-EU"]
+        alice = HerdClient("alice", "zone-EU", rng=testbed.rng)
+        with pytest.raises(RuntimeError, match="key agreement mismatch"):
+            join_zone(alice, directory, testbed.mixes)
+        # Neither side is left holding a key the other does not share.
+        assert not alice.joined and alice.mix_id is None
+        assert all("alice" not in mix.client_keys
+                   for mix in testbed.mixes.values())
+        bob = HerdClient("bob", "zone-EU", rng=testbed.rng)
+        with pytest.raises(RetryError) as err:
+            join_with_retries(bob, directory, testbed.mixes,
+                              rng=testbed.rng,
+                              policy=BackoffPolicy(max_attempts=2))
+        # The retry fails for the same reason, not on "already adopted".
+        assert err.value.attempts == 2
+        assert isinstance(err.value.last_error, RuntimeError)
+        assert "key agreement mismatch" in str(err.value.last_error)
+        assert not bob.joined and bob.mix_id is None
+
     def test_sp_join_attaches_k_channels(self):
         bed, mix, sp, clients = _sp_testbed(n_clients=4, n_channels=4,
                                             k=2)
@@ -104,6 +141,29 @@ class TestJoinProtocol:
                     == client.client_id
                 assert mix.client_at_slot(att.channel_id, att.slot) \
                     == client.client_id
+
+    def test_full_zone_refuses_but_the_testbed_opens_channels(self):
+        """64 members fill a channel (the manifest's 6-bit id).
+        ``join_zone`` refuses the 65th; ``HerdTestbed.add_client``, as
+        the zone's administrator, first opens ``k`` channels on the SP
+        hosting the fewest."""
+        bed, mix, sp, _ = _sp_testbed(n_clients=64, n_channels=2, k=2)
+        idle = bed.add_superpeer("sp-1", mix.mix_id, channels=[])
+        late = HerdClient("late", "zone-EU", rng=bed.rng, k=2)
+        with pytest.raises(ValueError, match="channel is full"):
+            join_zone(late, bed.directories["zone-EU"], bed.mixes,
+                      superpeers=bed.superpeers, rng=bed.rng)
+        client = bed.add_client("client-64", "zone-EU", k=2,
+                                via_superpeers=True)
+        assert sorted(mix.channels) == [0, 1, 2, 3]
+        assert sorted(idle.channel_clients) == [2, 3]
+        assert sorted(sp.channel_clients) == [0, 1]
+        assert {(a.sp_id, a.channel_id, a.slot)
+                for a in client.attachments} \
+            == {("sp-1", 2, 0), ("sp-1", 3, 0)}
+        # Room for the next one: nothing more is opened.
+        bed.add_client("client-65", "zone-EU", k=2, via_superpeers=True)
+        assert len(mix.channels) == 4
 
 
 class TestSuperPeerRounds:

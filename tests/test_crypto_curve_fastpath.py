@@ -1,0 +1,389 @@
+"""The curve fast path against three oracles (DESIGN.md §16).
+
+``repro.crypto.ed25519`` / ``x25519`` multiply through a fixed-base
+table and a tightened ladder.  What they replaced —
+textbook double-and-add and the RFC 7748 §5 ladder as printed — lives
+on here as the reference; golden pins taken at the commit before the
+rewrite hold the join's bytes in place; and ``cryptography``, where
+installed, is a third opinion.
+"""
+
+import random
+import sys
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.crypto import ed25519 as ed
+from repro.crypto.ed25519 import L, P, SigningKey, VerifyKey
+from repro.crypto.keys import IdentityKeyPair, ShortTermKeyPair
+from repro.crypto.x25519 import X25519PrivateKey, x25519, x25519_base
+
+from conftest import build_testbed
+
+
+# -- the reference: the bodies this PR deleted from src/ ----------------------
+
+
+def ref_add(p, q):
+    (x1, y1, z1, t1), (x2, y2, z2, t2) = p, q
+    a, b = (y1 - x1) * (y2 - x2) % P, (y1 + x1) * (y2 + x2) % P
+    c, d = 2 * t1 * t2 * ed.D % P, 2 * z1 * z2 % P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return (e * f % P, g * h % P, f * g % P, e * h % P)
+
+
+def ref_mul(s, p):
+    q = (0, 1, 1, 0)
+    while s > 0:
+        if s & 1:
+            q = ref_add(q, p)
+        p = ref_add(p, p)
+        s >>= 1
+    return q
+
+
+def ref_ladder(k, u):
+    x1, x2, z2, x3, z3, swap = u, 1, 0, u, 1, 0
+    for t in range(254, -1, -1):
+        k_t = (k >> t) & 1
+        if swap ^ k_t:
+            x2, x3, z2, z3 = x3, x2, z3, z2
+        swap = k_t
+        a, b = (x2 + z2) % P, (x2 - z2) % P
+        aa, bb = a * a % P, b * b % P
+        e = (aa - bb) % P
+        da, cb = (x3 - z3) * a % P, (x3 + z3) * b % P
+        x3, z3 = (da + cb) ** 2 % P, x1 * (da - cb) ** 2 % P
+        x2, z2 = aa * bb % P, e * (aa + 121665 * e) % P
+    if swap:
+        x2, z2 = x3, z3
+    return x2 * pow(z2, P - 2, P) % P
+
+
+def affine(p):
+    x, y, z, t = p
+    zinv = pow(z, P - 2, P)
+    assert (x * y - t * z) % P == 0  # T is consistent: x·y = T/Z
+    return x * zinv % P, y * zinv % P
+
+
+def ref_x25519(scalar: bytes, u: bytes) -> int:
+    k = int.from_bytes(scalar, "little")
+    k = (k & ((1 << 254) - 8)) | (1 << 254)
+    return ref_ladder(k, (int.from_bytes(u, "little") & ((1 << 255) - 1)) % P)
+
+
+# -- edge inputs --------------------------------------------------------------
+
+EDGE_SCALARS = [
+    0, 1, 2, 15, 16, 17, L - 1, L, L + 1, 2 ** 252, 2 ** 255 - 1,
+    2 ** 256 - 1,
+    # zero nibbles: the table multiply skips them
+    0xF0 << 248, 0x0F0F0F0F << 100, 1 << 128, (1 << 252) | 1,
+    int("f00f" * 16, 16), int("0ff0" * 16, 16),
+]
+
+#: The seven small-order u-coordinates (RFC 7748 §7 / the curve25519
+#: paper's list as it reduces mod 2^255).
+SMALL_ORDER_U = [
+    0, 1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    P - 1, P, P + 1,
+]
+
+#: Edwards points outside the prime-order subgroup: the neutral
+#: element, order 2, and the two of order 4.
+SMALL_ORDER_POINTS = [(0, 1, 1, 0), (0, P - 1, 1, 0),
+                      (ed._I, 0, 1, 0), (P - ed._I, 0, 1, 0)]
+
+scalars = st.integers(0, 2 ** 256 - 1)
+byte32 = st.binary(min_size=32, max_size=32)
+
+
+# -- (a) differential against the reference -----------------------------------
+
+
+class TestFixedBaseTable:
+    def test_layout(self):
+        table = ed._BASE_TABLE
+        assert isinstance(table, tuple) and len(table) == 64
+        assert all(isinstance(row, tuple) and len(row) == 15
+                   for row in table)
+        for i in (0, 1, 31, 63):
+            for j in (1, 8, 15):
+                x, y = affine(ref_mul(j * 16 ** i, ed._B))
+                assert table[i][j - 1] == (
+                    (y + x) % P, (y - x) % P, 2 * ed.D * x * y % P)
+
+    @pytest.mark.parametrize("s", EDGE_SCALARS)
+    def test_edge_scalars(self, s):
+        assert affine(ed._base_mul(s)) == affine(ref_mul(s, ed._B))
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=scalars)
+    def test_matches_double_and_add(self, s):
+        assert affine(ed._base_mul(s)) == affine(ref_mul(s, ed._B))
+
+    def test_scalar_out_of_range_is_an_error(self):
+        with pytest.raises(OverflowError):
+            ed._base_mul(2 ** 256)
+        with pytest.raises(OverflowError):
+            ed._base_mul(-1)
+
+
+class TestVariableBase:
+    """Verify's ``h·A`` stays double-and-add; what changed under it is
+    ``_point_add`` (the folded ``2d``, unreduced sums)."""
+
+    @pytest.mark.parametrize("point", SMALL_ORDER_POINTS)
+    def test_small_order_points(self, point):
+        for s in (0, 1, 2, 3, 4, 7, 8, L, 2 ** 256 - 1):
+            assert affine(ed._point_mul(s, point)) \
+                == affine(ref_mul(s, point))
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=scalars, k=st.integers(1, L - 1), z=st.integers(1, P - 1))
+    def test_matches_reference(self, s, k, z):
+        x, y = affine(ref_mul(k, ed._B))
+        # a projective representative with Z != 1
+        point = (x * z % P, y * z % P, z, x * y * z % P)
+        assert affine(ed._point_mul(s, point)) == affine(ref_mul(s, point))
+
+
+class TestLadderAndBaseMap:
+    @settings(max_examples=60, deadline=None)
+    @given(scalar=byte32, u=byte32)
+    @example(scalar=b"\x00" * 32, u=b"\xff" * 32)
+    @example(scalar=b"\xff" * 32, u=(P - 2).to_bytes(32, "little"))
+    @example(scalar=b"\xff" * 32, u=(2 ** 255 + 9).to_bytes(32, "little"))
+    def test_x25519_matches_rfc_ladder(self, scalar, u):
+        expected = ref_x25519(scalar, u)
+        if expected == 0:
+            with pytest.raises(ValueError):
+                x25519(scalar, u)
+        else:
+            assert x25519(scalar, u) == expected.to_bytes(32, "little")
+
+    @settings(max_examples=60, deadline=None)
+    @given(scalar=byte32)
+    @example(scalar=b"\x00" * 32)
+    @example(scalar=b"\xff" * 32)
+    def test_base_map_matches_rfc_ladder(self, scalar):
+        nine = (9).to_bytes(32, "little")
+        assert x25519_base(scalar) \
+            == ref_x25519(scalar, nine).to_bytes(32, "little") \
+            == x25519(scalar, nine)
+
+
+# -- degenerate inputs keep their exact behaviour -----------------------------
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("u", SMALL_ORDER_U)
+    @pytest.mark.parametrize("top_bit", [0, 1 << 255])
+    def test_small_order_u_rejected(self, u, top_bit):
+        """RFC 7748 §6.1: all seven low-order inputs (with the ignored
+        top bit clear or set) end in z = 0, whose inverse must stay 0
+        for the all-zero check to fire."""
+        encoded = (u | top_bit).to_bytes(32, "little")
+        for seed in (1, 2, 3):
+            scalar = random.Random(seed).randbytes(32)
+            assert ref_x25519(scalar, encoded) == 0
+            with pytest.raises(ValueError, match="all-zero"):
+                x25519(scalar, encoded)
+            with pytest.raises(ValueError, match="all-zero"):
+                X25519PrivateKey(scalar).exchange(encoded)
+            with pytest.raises(ValueError, match="all-zero"):
+                ShortTermKeyPair(X25519PrivateKey(scalar)).exchange(encoded)
+
+    def test_inverse_of_zero_is_zero(self):
+        # Fermat's x^(p-2) maps 0 to 0; pow(x, -1, p) raises on it.
+        assert ed._inv(0) == ed._inv(P) == ed._inv(-P) == 0
+        assert ed._inv(1) == 1
+        assert ed._inv(-1) == P - 1
+        assert 7 * ed._inv(7) % P == 1
+
+    def test_compress_roundtrip(self):
+        for s in (1, 2, L - 1, 0xC0FFEE):
+            x, y = affine(ref_mul(s, ed._B))
+            encoded = ed._point_compress(ed._base_mul(s))
+            assert encoded == (y | ((x & 1) << 255)).to_bytes(32, "little")
+            assert affine(ed._point_decompress(encoded)) == (x, y)
+        # Z = 0 is not a curve point; it compresses to y = 0 as with
+        # the Fermat inverse, it does not raise.
+        assert ed._point_compress((1, 1, 0, 0)) == b"\x00" * 32
+
+    def test_neutral_element_maps_to_u_zero(self):
+        # Z = Y in u = (Z+Y)/(Z-Y): unreachable from a clamped scalar
+        # (8·L > 2^255), so drive the map's arithmetic directly.
+        _, y, z, _ = ed._base_mul(L)
+        assert (z - y) % P == 0
+        assert (z + y) * ed._inv(z - y) % P == 0
+
+    @pytest.mark.parametrize("s_plus", [L, 2 * L])
+    def test_signature_with_s_not_below_l_rejected(self, s_plus):
+        key = SigningKey.generate(random.Random(11))
+        sig = key.sign(b"m")
+        s = int.from_bytes(sig[32:], "little") + s_plus
+        forged = sig[:32] + s.to_bytes(32, "little")
+        # the same residue mod L, so the equation itself would hold
+        assert key.verify_key.verify(b"m", sig)
+        assert not key.verify_key.verify(b"m", forged)
+
+    @pytest.mark.parametrize("y", [P, P + 1, 2 ** 255 - 1])
+    def test_non_canonical_y_rejected(self, y):
+        encoded = y.to_bytes(32, "little")
+        with pytest.raises(ValueError, match="y >= p"):
+            ed._point_decompress(encoded)
+        key = SigningKey.generate(random.Random(12))
+        sig = key.sign(b"m")
+        assert not VerifyKey(encoded).verify(b"m", sig)
+        assert not key.verify_key.verify(b"m", encoded + sig[32:])
+
+    @pytest.mark.parametrize("y", [1, P - 1])
+    def test_x_zero_with_sign_bit_rejected(self, y):
+        encoded = (y | (1 << 255)).to_bytes(32, "little")
+        with pytest.raises(ValueError, match="x=0 with sign bit"):
+            ed._point_decompress(encoded)
+        key = SigningKey.generate(random.Random(13))
+        sig = key.sign(b"m")
+        assert not VerifyKey(encoded).verify(b"m", sig)
+        assert not key.verify_key.verify(b"m", encoded + sig[32:])
+
+    def test_off_curve_y_rejected(self):
+        with pytest.raises(ValueError, match="not on curve"):
+            ed._point_decompress((2).to_bytes(32, "little"))
+
+
+# -- (b) golden pins, computed at the commit before the rewrite ---------------
+
+GOLDEN_ROOT_PUBLIC = \
+    "917cc3f700754b6985c05862e1fa3ce3554b8e50887963d960fa754e745369bd"
+GOLDEN_DIRECTORY = {
+    "identity_public":
+        "d6c69d3e01c1614f86c2422440b5952b88b321020929294510ed50ead9ce0b82",
+    "short_term_public":
+        "1a00362ffc6a4d9e89890d5c0f10ff695e06965d95b6d227daed7fa22c9d3c3e",
+    "certificate_signature":
+        "f356860f90fff5bb96486cf994b658878ac82fa3795f1c52ddd20e0bcb5a05a4"
+        "9d69e276bdc15931090833c28ca3bb0e43ee8068924ebbfe3460bcf49d19440e",
+}
+#: (identity public, short-term public, certificate signature,
+#: client<->mix session key) of c0, c1, c2.
+GOLDEN_CLIENTS = [
+    ("a19d1089623bbf7d29f78e58573566b1a6454286d2d16cc6a5f6d2b935a10943",
+     "8634c120462233e1d52d0ea68d2706bb11ea53707709b4f853c0148948526733",
+     "1547558aa03bd23ae234f57cb93889cfe6a240158f449e2a8f10c61a1fab5296"
+     "4ba9a92a054563c43e0e54d3c5937c36288b56be8153c8c751a7e62d5b70a108",
+     "99539b07cef1ca499b4593e7b52eda53d288e257932b5494f59ba4de42ca50a2"),
+    ("8613c309949cb102306f161fb4b460e68b5dcf551f57830ba2b79dcc49b1a0af",
+     "c6c2b2c57f87c9d067f18521f01e4e014877c167a3c77ee37f07e5b79db95e14",
+     "e973a52765f7237eb59252f2934863ddb2cbd7c548e123e5e6cfaf69f6a43910"
+     "7087470de5a9f92f073fcc64bea8ffed64fe8605e31bd95e71e1f6113e07de0a",
+     "373cdc89c8c2d20339a029309d7961120cac4d6fac2ff7706d24779f883cef1d"),
+    ("c3c0225b098ab62d844777dd7b64e79f21bddc117db29319fcfa4aedf79a4589",
+     "3d3c3d44b8a7b0368a3def11c42fee2675840dee4b76f32cf3f7484ef6da440e",
+     "0ce882ca0eb5a76bd6a03a4ba0ebb324e0ca4c9a1e789ea4b45718c8c52064d7"
+     "96285be0bab6c0be5de9fe586055d915091858abc828bc438e94812be5d10e0e",
+     "65765548b354b1b4cb5efc341310a9fca768295d23d330f8ce95f77eee32de3c"),
+]
+
+
+def test_join_bytes_are_those_of_the_parent_commit():
+    bed = build_testbed([("zone-EU", "dc-eu", 1)], seed=1)
+    directory = bed.directories["zone-EU"]
+    assert bed.root.public_key.public_bytes.hex() == GOLDEN_ROOT_PUBLIC
+    assert {
+        "identity_public": directory.identity.public_bytes.hex(),
+        "short_term_public": directory.short_term.public_bytes.hex(),
+        "certificate_signature": directory.certificate.signature.hex(),
+    } == GOLDEN_DIRECTORY
+    for i, golden in enumerate(GOLDEN_CLIENTS):
+        client = bed.add_client(f"c{i}", "zone-EU")
+        assert (client.identity.public_bytes.hex(),
+                client.short_term.public_bytes.hex(),
+                client.certificate.signature.hex(),
+                client.session_key.key.hex()) == golden
+        assert bed.root.verify_chain(client.certificate,
+                                     directory.certificate)
+
+
+# -- (c) a third opinion, where installed -------------------------------------
+
+
+def test_agrees_with_cryptography_library():
+    pytest.importorskip("cryptography")
+    from cryptography.hazmat.primitives.asymmetric import ed25519 as c_ed
+    from cryptography.hazmat.primitives.asymmetric import x25519 as c_x
+    from cryptography.hazmat.primitives.serialization import (
+        Encoding,
+        PublicFormat,
+    )
+
+    def raw(public_key) -> bytes:
+        return public_key.public_bytes(Encoding.Raw, PublicFormat.Raw)
+
+    rng = random.Random(0xED25519)
+    for case in range(200):
+        seed, a, b = (rng.getrandbits(256).to_bytes(32, "little")
+                      for _ in range(3))
+        message = rng.randbytes(case % 97)
+
+        theirs = c_ed.Ed25519PrivateKey.from_private_bytes(seed)
+        ours = SigningKey(seed)
+        assert ours.verify_key.public_bytes == raw(theirs.public_key())
+        signature = ours.sign(message)
+        assert signature == theirs.sign(message)
+        assert ours.verify_key.verify(message, signature)
+        theirs.public_key().verify(signature, message)  # raises if bad
+
+        their_a = c_x.X25519PrivateKey.from_private_bytes(a)
+        their_b = c_x.X25519PrivateKey.from_private_bytes(b)
+        our_a, our_b = X25519PrivateKey(a), X25519PrivateKey(b)
+        assert our_a.public_bytes == raw(their_a.public_key())
+        assert our_b.public_bytes == raw(their_b.public_key())
+        shared = their_a.exchange(their_b.public_key())
+        assert our_a.exchange(our_b.public_bytes) == shared
+        assert our_b.exchange(our_a.public_bytes) == shared
+
+
+# -- (d) derive once, and only once --------------------------------------------
+
+
+class TestDeriveOnce:
+    def test_public_halves_are_derived_once_and_kept(self, monkeypatch):
+        calls = []
+        real_public_key, real_base = ed._public_key, x25519_base
+        monkeypatch.setattr(
+            ed, "_public_key",
+            lambda seed: calls.append("ed") or real_public_key(seed))
+        # (the package re-exports the function `x25519` over the
+        # submodule's name, so reach the module through sys.modules)
+        monkeypatch.setattr(
+            sys.modules["repro.crypto.x25519"], "x25519_base",
+            lambda scalar: calls.append("x") or real_base(scalar))
+        rng = random.Random(21)
+        identity = IdentityKeyPair.generate(rng)
+        short_term = ShortTermKeyPair.generate(rng)
+        signing, dh = identity.signing_key, short_term.dh_key
+        assert calls == []  # nothing is derived before it is asked for
+        for _ in range(3):
+            signing.sign(b"message")
+            assert signing.verify_key is identity.verify_key
+            assert identity.public_bytes is signing.verify_key.public_bytes
+            assert dh.public_bytes is short_term.public_bytes
+        assert sorted(calls) == ["ed", "x"]
+
+    @pytest.mark.parametrize("cls,public", [
+        (SigningKey, "verify_key"), (X25519PrivateKey, "public_bytes")])
+    def test_equality_and_hash_depend_on_the_secret_only(self, cls,
+                                                         public):
+        seed = bytes(range(32))
+        fresh, read = cls(seed), cls(seed)
+        getattr(read, public)  # only `read` holds its public half
+        assert fresh == read and hash(fresh) == hash(read)
+        assert len({fresh, read}) == 1
+        assert repr(fresh) == repr(read)
+        assert cls(seed) != cls(bytes(32))

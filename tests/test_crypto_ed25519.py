@@ -93,7 +93,7 @@ class TestSignVerify:
         assert a.seed == b.seed
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**63),
        msg=st.binary(max_size=128))
 def test_sign_verify_property(seed, msg):

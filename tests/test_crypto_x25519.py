@@ -96,7 +96,7 @@ class TestKeyAPI:
             x25519(VEC1_SCALAR, b"\x00" * 32)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(seed_a=st.integers(min_value=0, max_value=2**63),
        seed_b=st.integers(min_value=0, max_value=2**63))
 def test_dh_agreement_property(seed_a, seed_b):
