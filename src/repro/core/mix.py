@@ -104,7 +104,7 @@ class Mix:
         """Handle a CREATE: install circuit state, return the reply."""
         if request.circuit_id in self.circuits:
             raise ValueError(f"circuit {request.circuit_id} already "
-                             "exists at {self.mix_id}")
+                             f"exists at {self.mix_id}")
         reply, keys = mix_process_create(request, self.rng)
         self.circuits[request.circuit_id] = RelayCircuitState(
             circuit_id=request.circuit_id, hop_keys=keys,

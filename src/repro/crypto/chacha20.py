@@ -9,9 +9,13 @@ the XOR network-coding decode at the mix relies on.
 
 This module implements:
 
-* the ChaCha20 block function, scalar (:func:`chacha20_block`, the
-  readable reference) and as one numpy kernel over many independent
-  (key, nonce, counter) blocks at once,
+* the ChaCha20 block function three times: :func:`chacha20_block`,
+  the readable RFC 8439 reference that the tests use as their oracle
+  and no other code calls, and two kernels over N independent (key,
+  nonce, counter) blocks at once — Python-int lanes for a small call
+  (one onion cell, one AEAD record), numpy columns for a large one (a
+  round of the SP data plane) — behind the one size test in
+  :func:`_keystream_blocks`,
 * :func:`chacha20_keystream_many` / :func:`chacha20_encrypt_many`, B
   independent streams per call — a round of the SP data plane seals,
   predicts and trial-decrypts every packet of the zone through these
@@ -91,10 +95,14 @@ def xor_bytes(*chunks: bytes) -> bytes:
     return out.to_bytes(length, "little")
 
 
-#: Below this many blocks in one call the scalar block function is
-#: faster than the numpy kernel, whose ~420 array operations cost
-#: ≈210 µs however few columns they cover (scalar: ≈75 µs per block).
-_KERNEL_MIN_BLOCKS = 4
+#: Below this many blocks in one call the int-lane kernel is faster
+#: than the numpy one.  Both do a fixed number of operations per call
+#: (≈800 big-int, ≈420 array) on operands that grow with the block
+#: count: measured through :func:`_keystream_blocks`, the lanes cost
+#: ≈35 µs + ≈2.6 µs a block and numpy ≈190–240 µs + ≈0.4 µs a block.
+#: They tie near 80 blocks, and below 64 no measured call loses
+#: (table in DESIGN.md §15).  A property of the input, not a setting.
+_KERNEL_MIN_BLOCKS = 64
 
 _U32 = np.dtype("<u4")
 _CONSTANT_COLUMN = np.array(_CONSTANTS, dtype=_U32)[:, None]
@@ -149,14 +157,74 @@ def _block_kernel(initial: np.ndarray) -> bytes:
     return columns.T.tobytes()
 
 
+_U64 = np.dtype("<u8")
+#: One lane of the int kernel: a 32-bit word and 32 spare bits above it.
+_LANE = b"\xff\xff\xff\xff\x00\x00\x00\x00"
+
+
+def _lane_kernel(initial: np.ndarray) -> bytes:
+    """:func:`_block_kernel` for a small N, on four Python ints.
+
+    Each int is one row of the 4 × 4 state — a / b / c / d — for all N
+    blocks: 4·N lanes of 64 bits, lane ``w·N + j`` holding word ``w``
+    of that row in block ``j``.  A half round is the quarter round
+    written once over whole rows.  An add carries into the spare half
+    of its own lane and a rotate shifts bits into the spare half of its
+    own lane or of the one below; ``& mask`` drops both, which is the
+    cipher's arithmetic mod 2^32.  The diagonals line up as columns
+    when rows b / c / d turn by one / two / three words, i.e. by N /
+    2N / 3N lanes.
+    """
+    n = initial.shape[1]
+    size = 32 * n
+    mask = int.from_bytes(_LANE * (4 * n), "little")
+    packed = initial.astype(_U64).tobytes()
+    rows = [int.from_bytes(packed[i * size:(i + 1) * size], "little")
+            for i in range(4)]
+    one, two, three = 64 * n, 128 * n, 192 * n
+    low1, low2, low3 = (1 << one) - 1, (1 << two) - 1, (1 << three) - 1
+
+    def half_round(a, b, c, d):
+        a = (a + b) & mask
+        d ^= a
+        d = ((d << 16) | (d >> 16)) & mask
+        c = (c + d) & mask
+        b ^= c
+        b = ((b << 12) | (b >> 20)) & mask
+        a = (a + b) & mask
+        d ^= a
+        d = ((d << 8) | (d >> 24)) & mask
+        c = (c + d) & mask
+        b ^= c
+        b = ((b << 7) | (b >> 25)) & mask
+        return a, b, c, d
+
+    a, b, c, d = rows
+    for _ in range(10):
+        a, b, c, d = half_round(a, b, c, d)
+        b = (b >> one) | ((b & low1) << three)
+        c = (c >> two) | ((c & low2) << two)
+        d = (d >> three) | ((d & low3) << one)
+        a, b, c, d = half_round(a, b, c, d)
+        b = (b >> three) | ((b & low3) << one)
+        c = (c >> two) | ((c & low2) << two)
+        d = (d >> one) | ((d & low1) << three)
+    out = b"".join(((x + x0) & mask).to_bytes(size, "little")
+                   for x, x0 in zip((a, b, c, d), rows))
+    return (np.frombuffer(out, dtype=_U64).reshape(16, n)
+            .astype(_U32).T.tobytes())
+
+
 def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
                       counts: Sequence[int], counter: int) -> bytes:
     """The kernel entry point: ``counts[i]`` blocks of stream
     ``(keys[i], nonces[i])`` starting at block ``counter``, all
     streams back to back (``64 * sum(counts)`` bytes).
 
-    The one branch of the cipher lives here: a call for fewer than
-    :data:`_KERNEL_MIN_BLOCKS` blocks runs :func:`chacha20_block`.
+    The one branch of the cipher lives here: one state builder feeds
+    :func:`_lane_kernel` when the call is for fewer than
+    :data:`_KERNEL_MIN_BLOCKS` blocks and :func:`_block_kernel`
+    otherwise.
     """
     if not len(keys) == len(nonces) == len(counts):
         raise ValueError("need one key, one nonce and one block count "
@@ -168,10 +236,6 @@ def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
     if counter < 0 or counter + max(counts, default=0) > 2 ** 32:
         raise ValueError("ChaCha20 block counter must fit in 32 bits")
     total = sum(counts)
-    if total < _KERNEL_MIN_BLOCKS:
-        return b"".join(chacha20_block(key, counter + j, nonce)
-                        for key, nonce, n in zip(keys, nonces, counts)
-                        for j in range(n))
     n_streams = len(keys)
     per_stream = np.asarray(counts, dtype=np.intp)
     initial = np.empty((16, total), dtype=_U32)
@@ -185,6 +249,8 @@ def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
     initial[13:16] = np.repeat(
         np.frombuffer(b"".join(nonces), dtype=_U32).reshape(n_streams, 3),
         per_stream, axis=0).T
+    if total < _KERNEL_MIN_BLOCKS:
+        return _lane_kernel(initial)
     return _block_kernel(initial)
 
 

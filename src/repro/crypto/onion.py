@@ -117,7 +117,11 @@ def _apply_layers(keys: Sequence[bytes], direction: bytes,
                   sequence: int, cell: bytes) -> bytes:
     """Add (or, equally, peel) the stream-cipher layer of every key at
     once.  Layers are XOR streams, so their order does not matter and
-    all hops' keystreams come from one kernel call."""
+    all hops' keystreams come from one kernel call.  Every layer call
+    passes here, so this is where a cell of any other size stops: a
+    relay must not spend cipher work on it, let alone forward it."""
+    if len(cell) != CELL_SIZE:
+        raise ValueError("cell has the wrong size")
     streams = chacha20_keystream_many(
         keys, [_nonce(direction, sequence)] * len(keys),
         (len(cell) + 63) // 64, counter=1)

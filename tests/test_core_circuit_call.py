@@ -1,5 +1,6 @@
 """End-to-end tests: circuits, mixes, rendezvous, and live calls."""
 
+import copy
 import random
 
 import pytest
@@ -14,8 +15,10 @@ from repro.core.invariants import (
     circuit_zone_profile,
     mix_knowledge,
 )
+from repro.core.mix import Mix
 from repro.core.rendezvous import CallError
-from repro.crypto.onion import wrap_onion
+from repro.crypto import chacha20
+from repro.crypto.onion import CELL_SIZE, wrap_onion
 
 from conftest import build_testbed
 
@@ -95,6 +98,45 @@ class TestCircuitBuilder:
         assert action.kind == "deliver"
         assert action.data == b"hello"
 
+    def test_duplicate_create_names_the_mix(self, testbed):
+        mix = testbed.mixes["zone-EU/mix-0"]
+        request = ClientHopHandshake(new_circuit_id(),
+                                     random.Random(4)).request()
+        mix.process_create(request, prev_hop="alice")
+        with pytest.raises(ValueError) as raised:
+            mix.process_create(request, prev_hop="alice")
+        assert str(raised.value) == (f"circuit {request.circuit_id} "
+                                     "already exists at zone-EU/mix-0")
+
+    @pytest.mark.parametrize("size", [0, 5, CELL_SIZE - 1, CELL_SIZE + 1,
+                                      5000])
+    def test_off_size_cell_is_refused_at_every_hop(self, size):
+        """A relay neither peels nor forwards a cell of another size
+        (fixed-size cells are what makes links unlinkable), and
+        refusing one costs the circuit nothing."""
+        bed = build_testbed(zone_specs=[("zone-EU", "dc-eu", 3)])
+        client = bed.add_client("alice", "zone-EU")
+        path = [f"zone-EU/mix-{i}" for i in range(3)]
+        circuit = client.build_circuit(bed.service.circuit_builder(), path)
+        circuit_id = circuit.circuit_id
+        assert [bed.mixes[m].circuit_state(circuit_id).role
+                for m in path] == ["entry", "middle", "rendezvous"]
+        cell = wrap_onion(circuit.keys, b"hello", 0)
+        for mix_id in path:
+            mix = bed.mixes[mix_id]
+            before = (mix.cells_relayed,
+                      copy.copy(mix.circuit_state(circuit_id)))
+            for relay in (mix.forward_cell, mix.backward_cell):
+                with pytest.raises(ValueError, match="wrong size"):
+                    relay(circuit_id, bytes(size), 0)
+            assert (mix.cells_relayed,
+                    mix.circuit_state(circuit_id)) == before
+            # The well-formed cell of the same sequence still relays.
+            action = mix.forward_cell(circuit_id, cell, 0)
+            assert mix.cells_relayed == before[0] + 1
+            cell = action.data
+        assert (action.kind, action.data) == ("deliver", b"hello")
+
 
 class TestRendezvousAndCalls:
     def test_interzone_call_delivers_voice_both_ways(self, call_pair):
@@ -120,6 +162,54 @@ class TestRendezvousAndCalls:
         for i in range(50):
             frame = bytes([i % 256]) * 160
             assert session.send_voice("caller_to_callee", frame) == frame
+
+    def test_every_hop_sees_the_same_cells_on_either_kernel(
+            self, monkeypatch):
+        """The data path end to end on both sides of the cipher's one
+        branch: 20 frames each way arrive intact, and the cell every
+        mix hands on is the same bytes whether the keystream came from
+        the int-lane kernel, the numpy kernel or the shipped mix."""
+        def run(crossover):
+            seen = []
+
+            def recording(relay):
+                def relay_and_record(mix, *args):
+                    action = relay(mix, *args)
+                    seen.append((mix.mix_id, action.kind, action.data))
+                    return action
+                return relay_and_record
+
+            with monkeypatch.context() as patch:
+                patch.setattr(chacha20, "_KERNEL_MIN_BLOCKS", crossover)
+                for name in ("forward_cell", "backward_cell",
+                             "inject_backward"):
+                    patch.setattr(Mix, name, recording(getattr(Mix, name)))
+                bed = build_testbed(seed=1)
+                for name, zone in (("alice", "zone-EU"),
+                                   ("bob", "zone-NA")):
+                    # Two mixes a side, whatever the seed would draw.
+                    client = bed.add_client(name, zone)
+                    other, = (m for m in bed.mixes if m != client.mix_id
+                              and m.startswith(zone))
+                    client.build_circuit(bed.service.circuit_builder(),
+                                         [client.mix_id, other])
+                    bed.service.register_callee(client)
+                session = bed.call("alice", "bob")
+                frames = random.Random(1)
+                for _ in range(20):
+                    for direction in ("caller_to_callee",
+                                      "callee_to_caller"):
+                        frame = frames.randbytes(160)
+                        assert session.send_voice(direction, frame) \
+                            == frame
+            return seen
+
+        shipped = run(chacha20._KERNEL_MIN_BLOCKS)
+        # Key negotiation and 40 frames, four mixes each.
+        assert [kind for _, kind, _ in shipped] == \
+            ["forward", "to_peer_mix", "backward", "backward"] * 42
+        assert run(0) == shipped
+        assert run(2 ** 40) == shipped
 
     def test_call_without_registration_fails(self, testbed):
         caller = testbed.add_client("alice", "zone-EU")

@@ -2,9 +2,11 @@
 
 Two contracts:
 
-* the numpy multi-stream kernel is the ChaCha20 block function —
-  checked against the scalar :func:`chacha20_block` and the RFC 8439
-  vectors on both sides of the scalar/kernel crossover;
+* both multi-stream kernels — Python-int lanes under the crossover,
+  numpy columns from it — are the ChaCha20 block function: checked
+  against the reference :func:`chacha20_block`, the RFC 8439 vectors,
+  bytes pinned before the lane kernel existed and (when installed)
+  ``cryptography``, with every call forced down each path in turn;
 * every batch entry point returns, item for item, the bytes of its
   per-item wrapper, so a round sealed/decoded in one call is the round
   the per-channel engine produces one packet at a time.
@@ -43,6 +45,8 @@ from repro.core.signaling import (
 )
 from repro.crypto import chacha20
 from repro.crypto.chacha20 import (
+    ChaCha20Poly1305,
+    _keystream_blocks,
     chacha20_block,
     chacha20_encrypt,
     chacha20_encrypt_many,
@@ -74,42 +78,96 @@ def _reference_stream(key, nonce, n_blocks, counter):
                     for j in range(n_blocks))
 
 
+#: ``_KERNEL_MIN_BLOCKS`` values that send every call, whatever its
+#: size, to the int-lane kernel ("scalar": Python ints, no arrays) or
+#: to the numpy kernel.  The names are test ids that CI history keys on.
+FORCED = {"scalar": 2 ** 40, "kernel": 0}
+
+
 @pytest.fixture(params=["scalar", "kernel", "measured"])
 def crossover(request, monkeypatch):
-    """Run a test with every call on the scalar path, every call on
-    the numpy kernel, and with the shipped crossover."""
-    forced = {"scalar": 2 ** 40, "kernel": 0, "measured": CROSSOVER}
+    """Run a test with every call on the int-lane kernel, every call
+    on the numpy kernel, and with the shipped crossover."""
     monkeypatch.setattr(chacha20, "_KERNEL_MIN_BLOCKS",
-                        forced[request.param])
+                        {**FORCED, "measured": CROSSOVER}[request.param])
 
 
-# -- the kernel against the scalar block function -----------------------------
+def _on_every_path(call):
+    """``call()`` as shipped, then forced down each kernel."""
+    results = [call()]
+    original = chacha20._KERNEL_MIN_BLOCKS
+    try:
+        for forced in FORCED.values():
+            chacha20._KERNEL_MIN_BLOCKS = forced
+            results.append(call())
+    finally:
+        chacha20._KERNEL_MIN_BLOCKS = original
+    return results
+
+
+def _assert_ragged_call_is_the_block_function(keys, nonces, counts,
+                                              counter):
+    expected = b"".join(_reference_stream(k, n, c, counter)
+                        for k, n, c in zip(keys, nonces, counts))
+    assert _on_every_path(lambda: _keystream_blocks(
+        keys, nonces, counts, counter)) == [expected] * 3
+
+
+# -- the kernels against the reference block function -------------------------
 
 
 class TestKernelDifferential:
     @settings(max_examples=60, deadline=None)
     @given(streams=st.lists(st.tuples(keys32, nonces12), min_size=1,
                             max_size=9),
-           n_blocks=st.integers(0, 2 * CROSSOVER + 1),
+           n_blocks=st.integers(0, 9),
            counter=st.one_of(st.integers(0, 3),
-                             st.integers(0, 2 ** 32 - 2 * CROSSOVER - 2)))
+                             st.integers(0, 2 ** 32 - 9)))
     def test_keystream_many_is_the_block_function(self, streams,
                                                   n_blocks, counter):
         keys = [k for k, _ in streams]
         nonces = [n for _, n in streams]
         expected = [_reference_stream(k, n, n_blocks, counter)
                     for k, n in streams]
-        assert chacha20_keystream_many(keys, nonces, n_blocks,
-                                       counter) == expected
         # ... whichever side of the crossover the call falls on.
-        original = chacha20._KERNEL_MIN_BLOCKS
-        try:
-            for forced in (0, 2 ** 40):
-                chacha20._KERNEL_MIN_BLOCKS = forced
-                assert chacha20_keystream_many(
-                    keys, nonces, n_blocks, counter) == expected
-        finally:
-            chacha20._KERNEL_MIN_BLOCKS = original
+        assert _on_every_path(lambda: chacha20_keystream_many(
+            keys, nonces, n_blocks, counter)) == [expected] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(streams=st.lists(st.tuples(keys32, nonces12,
+                                      st.integers(0, 6)),
+                            min_size=1, max_size=4),
+           counter=st.one_of(st.sampled_from([0, 1]),
+                             st.integers(1, 7).map(
+                                 lambda n: 2 ** 32 - n - 6),
+                             st.integers(0, 2 ** 32 - 6)))
+    def test_ragged_streams_are_the_block_function(self, streams,
+                                                   counter):
+        """What one onion cell or AEAD record asks for: a few streams
+        of a few blocks each, some of none, up to the last counter."""
+        _assert_ragged_call_is_the_block_function(*zip(*streams), counter)
+
+    @pytest.mark.parametrize("total", [CROSSOVER - 1, CROSSOVER,
+                                       CROSSOVER + 1])
+    def test_at_the_shipped_crossover(self, total):
+        """The last call the lanes take and the first two numpy does,
+        each also forced down the other kernel."""
+        rng = random.Random(total)
+        counts = [total - 7, 0, 4, 3]
+        keys = [rng.randbytes(32) for _ in counts]
+        nonces = [rng.randbytes(12) for _ in counts]
+        _assert_ragged_call_is_the_block_function(keys, nonces, counts,
+                                                  2 ** 32 - total)
+
+    def test_carries_stay_in_their_lane(self, crossover):
+        """All-ones key, nonce and counter make the adds of the first
+        rounds carry out of 32 bits, in lanes whose neighbours (all-zero
+        keys) must not see the carry; a missing mask fails here."""
+        ones, zeros, last = b"\xff" * 32, bytes(32), 2 ** 32 - 1
+        keys = [zeros, ones, zeros, ones, ones, zeros]
+        nonces = [b"\xff" * 12, b"\xff" * 12, bytes(12)] * 2
+        assert chacha20_keystream_many(keys, nonces, 1, last) == \
+            [chacha20_block(k, last, n) for k, n in zip(keys, nonces)]
 
     @settings(max_examples=40, deadline=None)
     @given(items=st.lists(
@@ -162,10 +220,12 @@ class TestRfc8439ThroughTheKernel:
         assert chacha20_keystream_many([RFC_KEY], [nonce], 1,
                                        counter=1) == [expected]
         others = [bytes([i]) * 32 for i in range(1, 6)]
-        streams = chacha20_keystream_many(
-            others[:2] + [RFC_KEY] + others[2:], [nonce] * 6, 1, counter=1)
-        assert streams[2] == expected
-        assert len(set(streams)) == 6
+        for n_others in (4, 5):  # a cell's five blocks, and one more
+            streams = chacha20_keystream_many(
+                others[:2] + [RFC_KEY] + others[2:n_others],
+                [nonce] * (n_others + 1), 1, counter=1)
+            assert streams[2] == expected
+            assert len(set(streams)) == n_others + 1
 
     def test_encryption_vector(self, crossover):
         # RFC 8439 §2.4.2
@@ -183,6 +243,24 @@ class TestRfc8439ThroughTheKernel:
             [bytes(32), RFC_KEY, RFC_KEY], [nonce] * 3,
             [b"x" * 301, plaintext, b""])
         assert batch[1] == expected and batch[2] == b""
+
+    def test_aead_vector(self, crossover):
+        # RFC 8439 §2.8.2: a one-block call for the Poly1305 key, a
+        # two-block call for the body.
+        aead = ChaCha20Poly1305(bytes(range(0x80, 0xa0)))
+        nonce = bytes.fromhex("070000004041424344454647")
+        aad = bytes.fromhex("50515253c0c1c2c3c4c5c6c7")
+        plaintext = (b"Ladies and Gentlemen of the class of '99: If I "
+                     b"could offer you only one tip for the future, "
+                     b"sunscreen would be it.")
+        expected = bytes.fromhex(
+            "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+            "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+            "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+            "3ff4def08e4b7a9de576d26586cec64b6116"
+            "1ae10b594f09e26a7e902ecbd0600691")
+        assert aead.encrypt(nonce, plaintext, aad) == expected
+        assert aead.decrypt(nonce, expected, aad) == plaintext
 
 
 class TestKernelValidation:
@@ -231,6 +309,183 @@ class TestKernelValidation:
     def test_negative_block_count(self):
         with pytest.raises(ValueError, match="non-negative"):
             chacha20_keystream_many([RFC_KEY], [self.NONCE], -1)
+
+    def test_one_cell_and_one_record_raise_the_same_messages(
+            self, crossover):
+        """The B=1 wrappers the data path calls per cell and per frame
+        validate as the batch entry points do."""
+        with pytest.raises(ValueError,
+                           match="ChaCha20 key must be 32 bytes"):
+            chacha20_keystream(RFC_KEY[:31], self.NONCE, 64)
+        with pytest.raises(ValueError,
+                           match="ChaCha20 nonce must be 12 bytes"):
+            ChaCha20Poly1305(RFC_KEY).encrypt(self.NONCE[:11], b"frame")
+        with pytest.raises(ValueError,
+                           match="ChaCha20 nonce must be 12 bytes"):
+            ChaCha20Poly1305(RFC_KEY).decrypt(self.NONCE + b"\x00",
+                                              bytes(40))
+        with pytest.raises(ValueError, match="fit in 32 bits"):
+            chacha20_encrypt(RFC_KEY, self.NONCE, bytes(274),
+                             counter=2 ** 32 - 4)
+        with pytest.raises(ValueError, match="per stream"):
+            _keystream_blocks([RFC_KEY], [self.NONCE], [1, 1], 0)
+
+
+class TestCryptographyOracle:
+    """A third implementation, when installed (a dev extra)."""
+
+    def test_keystream_and_seal_equal_cryptography(self, crossover):
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives.ciphers import (
+            Cipher,
+            algorithms,
+        )
+        from cryptography.hazmat.primitives.ciphers.aead import (
+            ChaCha20Poly1305 as TheirAead,
+        )
+        rng = random.Random(20)
+        for case in range(200):
+            key, nonce = rng.randbytes(32), rng.randbytes(12)
+            message = rng.randbytes(rng.choice([0, 64, 160, 274,
+                                                rng.randrange(401)]))
+            aad = rng.randbytes(case % 3 * 7)
+            counter = rng.choice([0, 1, 2 ** 32 - 7])
+            theirs = Cipher(algorithms.ChaCha20(
+                key, counter.to_bytes(4, "little") + nonce), mode=None)
+            assert chacha20_encrypt(key, nonce, message, counter) == \
+                theirs.encryptor().update(message)
+            assert ChaCha20Poly1305(key).encrypt(nonce, message, aad) == \
+                TheirAead(key).encrypt(nonce, message, aad)
+
+
+# Computed at the commit before the lane kernel (scalar block function
+# under four blocks, numpy above): three hops keyed from the shared
+# secrets 01…, 02…, 03… with context b"golden", payload bytes(range(160)).
+GOLDEN_CELLS = {
+    0: {
+        "wrap_onion": (
+            "8348199597510c9513734fb4f6a3ea399e21848d38d1b3aaa2d4be14de902e65"
+            "5c6a75826bd2c0e674de5e86a6500f561933faf96dc0b91732e6b1c617c6caff"
+            "b30025a21c95814e8e73d77a3adb9beb6ea943c113430d38dc393e4ab8a80aff"
+            "8d5684472817ee361381f1ad48b20d2abb85a4e67cec9f3c516ea3b53dfc9eb8"
+            "f327030169d78a9381341fd3dce7c0757b6f6547c6c043d677b11750fd933ce3"
+            "fa76ee132e011e905d17f35d591a4a5e60b03a87b9dc5da929a29adfef4e6a16"
+            "911ef7dc8451f485fbee700dfa276553e37d0708b46b5630829b2785a28ac148"
+            "5e6fe7e46882d887922fd70a592fc026d53180457fc60b14c9d215549b997e73"
+            "ac297f4b4b83d3c0cdfa2a936978e00a1db3"),
+        "after_entry": (
+            "5e212c39cfddb0fb62d4c9e467a1273121ed4708b04a1a777f9ca0ae2a1649d9"
+            "3db8928795e232a916a412ef0e237d01e6e853cd01c69a3c07b2db3084e5ac2b"
+            "189a67f1dd3054db4f3ce532f63487e7173da6a070e5acfd4047f86125509b58"
+            "e6e006a91bfbc4e4d7fad734f624f56ccb774ad562f7a5dd60ea72d063531ce4"
+            "aa7f63c0af00f9f5b5d692f418bb53ec6c86c5ae28a15f60dbbaf2cfdb00b047"
+            "a9015a093ba1ae9e6bbda53824fbb4acc9dbc5d9436c998ae53c48acedf326a8"
+            "8885577f21c5f3c53b40f405e84756d7d755c10c44860e11bc209ae55fd59691"
+            "4d7db7cf0fef4cf4454f99bf117373b0a6826f75e5342570f2ebbec99f3eb79b"
+            "c43a13e2b408271a580b00a67a4111902108"),
+        "after_middle": (
+            "4ca55526a177b3106ae902ef7d8dba2c341ee0a92cd1f833a7943471ef9764df"
+            "da5b20c6a24060ffd5fdb3f6f0993fdc1d1b82696f6333bc3c9b34ddcc5e7b29"
+            "ab141b344adce3994a918bc431096eb6ee7ab16f4ad37d8156b40c62c20647b1"
+            "06479ba588f81c31eab8a662b283376297bd1e70a7a7cf8b309a5dd990ec5654"
+            "14262132bd9b7edb6c3268e04c0044d842513f6b886267028419d3334add3c78"
+            "ab26387fd01f903b61391fbc0314782da5cab7cdd279ca55e7cce7f9e8ff5c87"
+            "afe741aca96cd065120cd327fa5c53db7d616dfffc054977e492700bc9edda6c"
+            "c7a826f0a085d9a06782824dcf137ca8947f0b1be12ebdd2d6ae7c3ae0b057e6"
+            "0d62ff7a5e904680ed4ccf777afabcb8fb96"),
+        "wrap_backward": (
+            "7c066f6b845d27920723170f6a005d81353ff1bf05cd3bcbc19e12aebbce3acc"
+            "b86ccdf8fea8f8bf79d05a9d45f8655d1b2fece2844fffd13db77ea23c42f108"
+            "9e35c819f103d73103a6f3db2c1d9edc4d1db0cf1044662581248efe0b5b0fbd"
+            "b7f6d270769d96a504cb830f06370a65141d8793cbe3a5830ed9a882ad50a92b"
+            "87388e2ee133d0f6c6acd2a9eee1362bc354ac118e69c85a262eec74c3f80c66"
+            "aee9bca1205827b3772af6a8cecfd2dbace57b0cb83f857faaa95d058dcc0c36"
+            "19fd5d533ffe5114718acfaec6eb844cf7f1dd8886dcc40c09c1e46d4adda74e"
+            "64e138e3c9df17d990356a4c953f09da4e3967f0d0bdebc11e13163e2fb22a1c"
+            "b869d259b6051a53957886e9fe6d98a969d0"),
+    },
+    2 ** 32 + 5: {
+        "wrap_onion": (
+            "0b6149c3c1ec0a1c68a3dc8b8f45afad491c7ba7db87abe762c55a73d4be1b85"
+            "27fd3130ac92aac6172cbb11b5f30bd65b5fd803e466422dc9f165b054784653"
+            "7fd5a9b5ec588946b5fd3b952dbd614c0467a230fe2bac7b2b1d10a22f4d9aed"
+            "02902144f6890a04e601a1f86618102218d7f9c8dfda884ffdde74ceb0eaa9db"
+            "4a12d0dd0427b273d92ccc3523e0e13d4e1508a5e121e5d0fd67505d6acd85e0"
+            "f8c56eac9f4acaec16a0e98cf19870b1bdcd1364e3661b89eab7d9b9b2b8ab06"
+            "766706c0dba67fd648dac17507388487c22a850d188e65d499318df7fb05a4ce"
+            "848d39574e0f1eb786a3837f4038a0d3c9e88d888d441d92ab1efb596228f9d3"
+            "84df9a1114d151220d2226582d0f644561e0"),
+        "after_entry": (
+            "bb63df20abc379b2e5f0d698d61a50a1edeb5e127b1f4c6dc96cc7999537cce1"
+            "b6f06ec55122ce3619916a46a13b21a96ab9ca0246a92d8079c8373ea2a26241"
+            "37afec3061759f8fafb1181a2953868d51ff92c4caa24749cd2622ef29557b4d"
+            "1b9377f1ec1875d4260ff4bb4f6fd9888f2c5ff974519ec2dcbd14705159d694"
+            "47122ff2fdc0430f260afaad4a515a802f52453c743c5afb94441cba591902be"
+            "ec45381c9acec00be2e8ce6392c355571e02290c4a19a4d519ea03023aa6e398"
+            "3c88cdb1720568f4968bbfb391b537244481b568531e850c86aed35c7fa59e2b"
+            "be19473970ece2679d5b087bc8a79e241dfc49f5ae4052a9c218b55986b50398"
+            "853feb552d53c49ba256a58aa26c4f39b1f5"),
+        "after_middle": (
+            "eade8e86cdc72c4c1853a91b12ca489c6e185005a4c2824e9bc24ae26d85805a"
+            "4847a1874f3864698322bd317c52090c79020a05f038566b91105ae99c9d65a1"
+            "da4a3143d25476d7959aa68cc6656df0ba24ea769bd3254cfef6ff352e6c9142"
+            "b226a08258eabdb775ddafee064c8a494476f70baab8c2c9ef294d58ced693d5"
+            "9160adbce611eee76dcedae8684c17f5b542fd67d79e690d94234825cdb91819"
+            "71ef99bfb98341e411366441902d37938e14184d96173e6507594bb866009934"
+            "19581b1a6fee99bbc0070d514e69820e5a2f59a0526fb1a32bae7708f1cc023f"
+            "eb00c589017b13b251bc72f915e2aedf1d364512c47e459c04a2653a4006bca7"
+            "aa96a9e88e48b53cd883ecb1190d780f2349"),
+        "wrap_backward": (
+            "456063219a30acf2348df02497bcb248deb2e7c1e7f4d379eecab61e1e18af64"
+            "cddb78427620b32faffd4fa5f3f8fe669cdb8ac1c6fd72e637aeca7086c19df0"
+            "66e48f09263c6ebc5c43da3b44d303fb7c43c7cd8431197665ddc1504ed3fa34"
+            "42bfca74a95000414aac741dd875a8f0eec0b1d385f1762c8c0f996dd1987f68"
+            "6c4efd84a35cd99f6c4e452cd0c02811919b35681e17302da6c78e7c9388eaab"
+            "dd4dd6c3d6276774ccfdf1359e8ef1a3a86db6765f88b2a0a5196085854a8d8c"
+            "37d79262f2b688afe285a2a065914e802749e1a8aa3858d1ba02ecc6ad6bd547"
+            "f48d87635a1721fc9b907134bdc8a5621a92cc20d99f3d9ca79ef461232b27b8"
+            "d79f37bb28e8e1cefd15747df454ad3c966a"),
+    },
+}
+GOLDEN_AEAD = (
+    "89fa0a032d12a347bf8a35f89410006cd961a0f44561bbaefe8e35de69ddb823"
+    "cca10ed0c23b97bf1f1b5cf349b9a10c4eb59b47c91d8eac2a81e33cac72a0e9"
+    "3939fe8ea1516aae8c5f07f7543192be8a8f15613b3fa669560eaa5584205ce0"
+    "2dbf0e9093bc4193d93299dccefcd9ef991e244bfd28368f37144ea40542c139"
+    "21e7413e2db659ebc19af5f1a0b1e5b524e015e19ffa5ac9aa783daa38863ea6"
+    "5af8f829dc15cc42f3a73d4eb64afc84")
+
+
+class TestGoldenBytes:
+    """Byte identity with the cipher as it was, without checking the
+    old code out."""
+
+    HOPS = [HopKeys.from_shared_secret(bytes([i]) * 32, context=b"golden")
+            for i in (1, 2, 3)]
+    PAYLOAD = bytes(range(160))
+
+    @pytest.mark.parametrize("sequence", sorted(GOLDEN_CELLS))
+    def test_onion_cells(self, crossover, sequence):
+        golden = {name: bytes.fromhex(cell) for name, cell
+                  in GOLDEN_CELLS[sequence].items()}
+        circuit = OnionCircuitKeys(self.HOPS)
+        entry, middle, exit_ = self.HOPS
+        cell = wrap_onion(circuit, self.PAYLOAD, sequence)
+        assert cell == golden["wrap_onion"]
+        cell = unwrap_layer(entry, cell, sequence)
+        assert cell == golden["after_entry"]
+        cell = unwrap_layer(middle, cell, sequence)
+        assert cell == golden["after_middle"]
+        assert unwrap_layer(exit_, cell, sequence) == \
+            encode_cell(self.PAYLOAD, exit_.forward_mac)
+        back = wrap_backward(circuit, self.PAYLOAD, sequence)
+        assert back == golden["wrap_backward"]
+        assert unwrap_backward(circuit, back, sequence) == self.PAYLOAD
+
+    def test_one_sealed_voice_frame(self, crossover):
+        sealed = ChaCha20Poly1305(RFC_KEY).encrypt(
+            bytes(range(12)), self.PAYLOAD, b"herd")
+        assert sealed == bytes.fromhex(GOLDEN_AEAD)
 
 
 # -- batch == per-item, layer by layer ----------------------------------------
