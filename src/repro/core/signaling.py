@@ -85,8 +85,14 @@ def make_downstream_packet(key: SessionKey, channel_id: int,
 
 def make_downstream_chaff(rng: random.Random) -> bytes:
     """Chaff for an idle channel: uniformly random bytes, authenticating
-    under nobody's key."""
-    return bytes(rng.getrandbits(8) for _ in range(DOWNSTREAM_PACKET_SIZE))
+    under nobody's key.
+
+    One draw, and the bytes (and generator state) of one
+    ``getrandbits(8)`` per byte: that is the top byte of one 32-bit
+    Mersenne word, and ``getrandbits(32 * n)`` lays n such words out
+    little-endian."""
+    words = rng.getrandbits(32 * DOWNSTREAM_PACKET_SIZE)
+    return words.to_bytes(4 * DOWNSTREAM_PACKET_SIZE, "little")[3::4]
 
 
 def open_downstream_packets(
@@ -97,22 +103,21 @@ def open_downstream_packets(
     member's of a round, each under its own key.  Returns (kind,
     payload) where the packet is addressed to that key's client, else
     None ("others discard the packet as chaff")."""
+    # An SP is untrusted: an off-size packet is refused before it costs
+    # a key block or a MAC lane.
+    sized = [i for i, (_, _, _, packet) in enumerate(trials)
+             if len(packet) == DOWNSTREAM_PACKET_SIZE]
     clears = aead_open_many(
-        [key.key for key, _, _, _ in trials],
-        [_nonce(channel_id, round_index)
-         for _, channel_id, round_index, _ in trials],
-        [packet for _, _, _, packet in trials])
-    opened: List[Optional[Tuple[int, bytes]]] = []
-    for (_, _, _, packet), clear in zip(trials, clears):
-        if clear is None or len(packet) != DOWNSTREAM_PACKET_SIZE:
-            opened.append(None)
+        [trials[i][0].key for i in sized],
+        [_nonce(trials[i][1], trials[i][2]) for i in sized],
+        [trials[i][3] for i in sized])
+    opened: List[Optional[Tuple[int, bytes]]] = [None] * len(trials)
+    for i, clear in zip(sized, clears):
+        if clear is None:
             continue
         kind, length = _HEADER.unpack(clear[:_HEADER.size])
-        if kind not in _KINDS or length > _CAPACITY:
-            opened.append(None)
-        else:
-            opened.append(
-                (kind, clear[_HEADER.size:_HEADER.size + length]))
+        if kind in _KINDS and length <= _CAPACITY:
+            opened[i] = (kind, clear[_HEADER.size:_HEADER.size + length])
     return opened
 
 

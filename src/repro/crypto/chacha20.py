@@ -20,10 +20,15 @@ This module implements:
   independent streams per call — a round of the SP data plane seals,
   predicts and trial-decrypts every packet of the zone through these
   (DESIGN.md "Crypto batching seam"); ``chacha20_keystream`` /
-  ``chacha20_encrypt`` are their B=1 case, and
+  ``chacha20_encrypt`` are their B=1 case,
+* Poly1305 twice: the RFC's Horner loop on Python ints for a few
+  tags, and B tags in lockstep on numpy 26-bit limbs for a round's
+  trial decryptions, behind the one size test in
+  :func:`poly1305_mac_many` (``poly1305_mac`` is its B=1 case), and
 * :class:`ChaCha20Poly1305`, the AEAD construction used by the
   DTLS-like record layer for hop-by-hop authenticated encryption,
-  over :func:`aead_seal_many` / :func:`aead_open_many`.
+  over :func:`aead_seal_many` / :func:`aead_open_many`, which make one
+  MAC call for all their tags.
 """
 
 from __future__ import annotations
@@ -321,14 +326,13 @@ def chacha20_encrypt(key: bytes, nonce: bytes, plaintext: bytes,
 # --------------------------------------------------------------------------
 
 _P1305 = (1 << 130) - 5
+_R_CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
 
 
-def poly1305_mac(msg: bytes, key: bytes) -> bytes:
-    """Compute the 16-byte Poly1305 tag of ``msg`` under a 32-byte key."""
-    if len(key) != 32:
-        raise ValueError("Poly1305 key must be 32 bytes")
-    r = int.from_bytes(key[:16], "little")
-    r &= 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
+def _horner_mac(msg: bytes, key: bytes) -> bytes:
+    """One tag as RFC 8439 §2.5.1 writes it: Horner's rule on Python
+    ints, one 16-byte block a step."""
+    r = int.from_bytes(key[:16], "little") & _R_CLAMP
     s = int.from_bytes(key[16:], "little")
     acc = 0
     for i in range(0, len(msg), 16):
@@ -339,39 +343,180 @@ def poly1305_mac(msg: bytes, key: bytes) -> bytes:
     return acc.to_bytes(16, "little")
 
 
+#: Below this many MACs in one call the Horner loop is faster than the
+#: lockstep kernel.  The loop costs ≈0.55 µs a block a lane; the
+#: kernel does ≈12 array operations a block, ≈60 µs + ≈10 µs a block
+#: for one lane as for a hundred.  They tie at 24 lanes of 19 blocks (a
+#: downstream trial), 48 lanes of 3 and 96 of 1; no call in the tree
+#: has between 9 and 200 (table in DESIGN.md §15).  A property of the
+#: input, not a setting.
+_LOCKSTEP_MIN_LANES = 32
+
+_MASK26 = (1 << 26) - 1
+#: Row i, column j of the multiplication matrix is limb ``(i - j) mod
+#: 5`` of ``r``, gathered from ``[r, 5·r]``: times 5 where it wraps
+#: (``j > i``), because 2^130 = 5 mod p.
+_R_MATRIX = np.array([[(i - j) % 5 + (5 if j > i else 0)
+                       for j in range(5)] for i in range(5)])
+
+
+def _limbs(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """128-bit numbers, given as ``(..., B)`` arrays of their low and
+    high 64-bit halves, as ``(..., 5, B)`` limbs of 26 bits (limb 4
+    holds the top 24)."""
+    out = np.empty(low.shape[:-1] + (5,) + low.shape[-1:], dtype=_U64)
+    out[..., 0, :] = low & _MASK26
+    out[..., 1, :] = (low >> 26) & _MASK26
+    out[..., 2, :] = ((low >> 52) | (high << 12)) & _MASK26
+    out[..., 3, :] = (high >> 14) & _MASK26
+    out[..., 4, :] = high >> 40
+    return out
+
+
 def _pad16(data: bytes) -> bytes:
-    if len(data) % 16 == 0:
-        return b""
-    return b"\x00" * (16 - len(data) % 16)
+    """The zeros that bring ``data`` to a multiple of 16 bytes."""
+    return bytes(-len(data) % 16)
 
 
-def _aead_tag(poly_key: bytes, ciphertext: bytes, aad: bytes) -> bytes:
-    mac_data = (aad + _pad16(aad)
-                + ciphertext + _pad16(ciphertext)
-                + struct.pack("<QQ", len(aad), len(ciphertext)))
-    return poly1305_mac(mac_data, poly_key)
+def _right_aligned(message: bytes, width: int) -> bytes:
+    """``message`` as the last blocks of a ``width``-byte lane: a short
+    final block gets its ``0x01`` pad and zeros (RFC 8439 §2.5.1), the
+    blocks the lane does not have are zeros in front."""
+    if len(message) % 16:
+        message += b"\x01"
+        message += _pad16(message)
+    return message.rjust(width, b"\x00")
 
 
-def _poly_keys(keys: Sequence[bytes],
-               nonces: Sequence[bytes]) -> List[bytes]:
-    """The Poly1305 one-time key of each (key, nonce): the first half
-    of keystream block 0 (RFC 8439 §2.6)."""
-    return [block[:32]
-            for block in chacha20_keystream_many(keys, nonces, 1)]
+def _lockstep_macs(messages: Sequence[bytes],
+                   keys: Sequence[bytes]) -> List[bytes]:
+    """B Poly1305 tags at once: Horner's rule on a ``(5, B)`` ``<u8``
+    array of 26-bit limbs, every lane one step a block.
+
+    Lanes are right-aligned.  A lane shorter than the longest starts
+    with all-zero blocks *without* the 2^128 bit, which leave its
+    accumulator at 0 (``(0 + 0)·r``); a short final block carries its
+    ``0x01`` pad in the data and no 2^128 bit either.
+
+    Overflow: going into a multiplication a limb of ``h`` is below
+    2^26 + 2^12 and a limb of the block below 2^26, so their sum is
+    below 2^27 + 2^12; a matrix entry is below 5·2^26; a row is five
+    such products, below 5 · (2^27 + 2^12) · 5·2^26 < 2^58.  A carry
+    pass moves every limb's bits from 26 up into the next limb at
+    once, limb 4's into limb 0 times 5: the first leaves limbs below
+    2^26 + 5·2^32, the second below 2^26 + 5·(2^6 + 1) < 2^26 + 2^12.
+    """
+    lanes = len(keys)
+    key_halves = np.frombuffer(b"".join(keys), dtype=_U64).reshape(lanes, 4)
+    r = _limbs(key_halves[:, 0] & (_R_CLAMP % 2 ** 64),
+               key_halves[:, 1] & (_R_CLAMP >> 64))
+    matrix = np.concatenate((r, r * 5))[_R_MATRIX]
+
+    lengths = np.array([len(message) for message in messages],
+                       dtype=np.intp)
+    n_blocks = (int(lengths.max(initial=0)) + 15) // 16
+    width = 16 * n_blocks
+    padded = b"".join(message if len(message) == width
+                      else _right_aligned(message, width)
+                      for message in messages)
+    halves = np.frombuffer(padded, dtype=_U64).reshape(lanes, n_blocks, 2)
+    blocks = _limbs(halves[:, :, 0].T, halves[:, :, 1].T)
+    # The 2^128 bit of every full block a lane really has.
+    index = np.arange(n_blocks)[:, None]
+    first = n_blocks - (lengths + 15) // 16
+    blocks[:, 4, :] |= ((index >= first) & (index < first + lengths // 16)
+                        ).astype(_U64) << 24
+
+    h = np.zeros((5, lanes), dtype=_U64)
+    for block in blocks:
+        h += block
+        h = np.einsum("ijb,jb->ib", matrix, h)
+        for _ in range(2):
+            carry = h >> 26
+            h &= _MASK26
+            h[1:] += carry[:4]
+            h[0] += 5 * carry[4]
+
+    # h < 2p, its limbs not yet canonical.  h >= p exactly where h + 5
+    # carries out of 130 bits, and there h - p = h + 5 - 2^130.
+    over = (h[0] + 5) >> 26
+    for i in range(1, 5):
+        over = (h[i] + over) >> 26
+    h[0] += over * 5
+    for i in range(4):
+        h[i + 1] += h[i] >> 26
+    h &= _MASK26
+    # (h + s) mod 2^128, in 64-bit halves; uint64 shifts and adds wrap.
+    low = h[0] | (h[1] << 26) | (h[2] << 52)
+    high = (h[2] >> 12) | (h[3] << 14) | (h[4] << 40)
+    s_low, s_high = key_halves[:, 2], key_halves[:, 3]
+    low += s_low
+    high += s_high + (low < s_low)
+    tags = np.stack((low, high), axis=1).tobytes()
+    return [tags[i:i + 16] for i in range(0, 16 * lanes, 16)]
+
+
+def poly1305_mac_many(messages: Sequence[bytes],
+                      keys: Sequence[bytes]) -> List[bytes]:
+    """The 16-byte Poly1305 tag of each message under its own 32-byte
+    one-time key.  Lengths may differ and may be zero.
+
+    The one size test of the MAC lives here: fewer than
+    :data:`_LOCKSTEP_MIN_LANES` items run the Horner loop one by one,
+    more run in lockstep on numpy limbs.
+    """
+    if len(messages) != len(keys):
+        raise ValueError("need one Poly1305 key per message")
+    if any(len(key) != 32 for key in keys):
+        raise ValueError("Poly1305 key must be 32 bytes")
+    if len(keys) < _LOCKSTEP_MIN_LANES:
+        return [_horner_mac(message, key)
+                for message, key in zip(messages, keys)]
+    return _lockstep_macs(messages, keys)
+
+
+def poly1305_mac(msg: bytes, key: bytes) -> bytes:
+    """Compute the 16-byte Poly1305 tag of ``msg`` under a 32-byte key."""
+    return poly1305_mac_many([msg], [key])[0]
+
+
+def _aead_tags(poly_keys: Sequence[bytes], ciphertexts: Sequence[bytes],
+               aads: Sequence[bytes]) -> List[bytes]:
+    """The AEAD tag of each (ciphertext, aad) under its one-time key
+    (RFC 8439 §2.8), in one MAC call."""
+    return poly1305_mac_many(
+        [aad + _pad16(aad) + ciphertext + _pad16(ciphertext)
+         + struct.pack("<QQ", len(aad), len(ciphertext))
+         for ciphertext, aad in zip(ciphertexts, aads)], poly_keys)
+
+
+def _one_aad_per_item(keys, nonces, messages, aads):
+    if aads is None:
+        aads = [b""] * len(keys)
+    if not len(keys) == len(nonces) == len(messages) == len(aads):
+        raise ValueError("need one key, one nonce, one message and one "
+                         "aad per item")
+    return aads
 
 
 def aead_seal_many(keys: Sequence[bytes], nonces: Sequence[bytes],
                    plaintexts: Sequence[bytes],
                    aads: Optional[Sequence[bytes]] = None) -> List[bytes]:
     """AEAD_CHACHA20_POLY1305 (RFC 8439 §2.8) over B independent
-    (key, nonce, plaintext, aad) items: ciphertext||tag each."""
-    if aads is None:
-        aads = [b""] * len(keys)
-    poly_keys = _poly_keys(keys, nonces)
-    ciphertexts = chacha20_encrypt_many(keys, nonces, plaintexts)
-    return [ciphertext + _aead_tag(poly_key, ciphertext, aad)
-            for poly_key, ciphertext, aad
-            in zip(poly_keys, ciphertexts, aads)]
+    (key, nonce, plaintext, aad) items: ciphertext||tag each.
+
+    One kernel call covers blocks 0…n of every stream: the first half
+    of block 0 is the item's Poly1305 key (§2.6), blocks 1…n encrypt
+    its body."""
+    aads = _one_aad_per_item(keys, nonces, plaintexts, aads)
+    streams = chacha20_encrypt_many(
+        keys, nonces, [bytes(64) + plaintext for plaintext in plaintexts],
+        counter=0)
+    ciphertexts = [stream[64:] for stream in streams]
+    tags = _aead_tags([stream[:32] for stream in streams], ciphertexts,
+                      aads)
+    return [ciphertext + tag
+            for ciphertext, tag in zip(ciphertexts, tags)]
 
 
 def aead_open_many(keys: Sequence[bytes], nonces: Sequence[bytes],
@@ -380,19 +525,22 @@ def aead_open_many(keys: Sequence[bytes], nonces: Sequence[bytes],
                    ) -> List[Optional[bytes]]:
     """Open B sealed items; ``None`` where authentication fails.
 
-    One kernel call derives every item's Poly1305 key; only the items
-    whose tag verifies are decrypted (a second call) — the shape of a
-    downstream round, where every channel member tries every packet
-    and at most one of them is addressed."""
-    if aads is None:
-        aads = [b""] * len(keys)
+    One kernel call derives every item's Poly1305 key and one MAC call
+    computes every tag; only the items whose tag verifies are
+    decrypted (a second kernel call) — the shape of a downstream
+    round, where every channel member tries every packet and at most
+    one of them is addressed."""
+    aads = _one_aad_per_item(keys, nonces, sealed, aads)
     tag_len = ChaCha20Poly1305.TAG_LEN
-    poly_keys = _poly_keys(keys, nonces)
-    authentic = [
-        i for i, (poly_key, data, aad)
-        in enumerate(zip(poly_keys, sealed, aads))
-        if len(data) >= tag_len and hmac.compare_digest(
-            data[-tag_len:], _aead_tag(poly_key, data[:-tag_len], aad))]
+    # The Poly1305 key of each (key, nonce): the first half of
+    # keystream block 0 (RFC 8439 §2.6).
+    poly_keys = [block[:32]
+                 for block in chacha20_keystream_many(keys, nonces, 1)]
+    tags = _aead_tags(poly_keys, [data[:-tag_len] for data in sealed],
+                      aads)
+    authentic = [i for i, (data, tag) in enumerate(zip(sealed, tags))
+                 if len(data) >= tag_len
+                 and hmac.compare_digest(data[-tag_len:], tag)]
     opened: List[Optional[bytes]] = [None] * len(keys)
     plaintexts = chacha20_encrypt_many(
         [keys[i] for i in authentic], [nonces[i] for i in authentic],

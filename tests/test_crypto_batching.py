@@ -1,12 +1,15 @@
 """The crypto batching seam (DESIGN.md "Crypto batching seam").
 
-Two contracts:
+Three contracts:
 
 * both multi-stream kernels — Python-int lanes under the crossover,
   numpy columns from it — are the ChaCha20 block function: checked
   against the reference :func:`chacha20_block`, the RFC 8439 vectors,
   bytes pinned before the lane kernel existed and (when installed)
   ``cryptography``, with every call forced down each path in turn;
+* the lockstep Poly1305 kernel is the Horner loop it sits beside:
+  ragged lanes, the carry edges, the RFC 8439 vectors and (when
+  installed) ``cryptography``, again down both sides of its size test;
 * every batch entry point returns, item for item, the bytes of its
   per-item wrapper, so a round sealed/decoded in one call is the round
   the per-channel engine produces one packet at a time.
@@ -14,6 +17,7 @@ Two contracts:
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +39,7 @@ from repro.core.network_coding import (
     xor_bytes,
 )
 from repro.core.signaling import (
+    DOWNSTREAM_PACKET_SIZE,
     KIND_GRANT,
     KIND_VOIP,
     make_downstream_chaff,
@@ -47,11 +52,15 @@ from repro.crypto import chacha20
 from repro.crypto.chacha20 import (
     ChaCha20Poly1305,
     _keystream_blocks,
+    aead_open_many,
+    aead_seal_many,
     chacha20_block,
     chacha20_encrypt,
     chacha20_encrypt_many,
     chacha20_keystream,
     chacha20_keystream_many,
+    poly1305_mac,
+    poly1305_mac_many,
 )
 from repro.crypto.keys import SessionKey
 from repro.crypto.onion import (
@@ -78,31 +87,47 @@ def _reference_stream(key, nonce, n_blocks, counter):
                     for j in range(n_blocks))
 
 
-#: ``_KERNEL_MIN_BLOCKS`` values that send every call, whatever its
-#: size, to the int-lane kernel ("scalar": Python ints, no arrays) or
-#: to the numpy kernel.  The names are test ids that CI history keys on.
+#: The module's two size tests.  Forced to ``scalar`` every cipher call
+#: runs on the int-lane kernel and every MAC on the Horner loop (Python
+#: ints, no arrays); forced to ``kernel`` both run on numpy, whatever
+#: the call's size.  The names are test ids that CI history keys on.
+SIZE_TESTS = ("_KERNEL_MIN_BLOCKS", "_LOCKSTEP_MIN_LANES")
 FORCED = {"scalar": 2 ** 40, "kernel": 0}
 
 
 @pytest.fixture(params=["scalar", "kernel", "measured"])
 def crossover(request, monkeypatch):
-    """Run a test with every call on the int-lane kernel, every call
-    on the numpy kernel, and with the shipped crossover."""
-    monkeypatch.setattr(chacha20, "_KERNEL_MIN_BLOCKS",
-                        {**FORCED, "measured": CROSSOVER}[request.param])
+    """Run a test with every call on the Python-int side of both size
+    tests, every call on the numpy side, and as shipped."""
+    if request.param != "measured":
+        for name in SIZE_TESTS:
+            monkeypatch.setattr(chacha20, name, FORCED[request.param])
 
 
 def _on_every_path(call):
-    """``call()`` as shipped, then forced down each kernel."""
+    """``call()`` as shipped, then forced down each side."""
     results = [call()]
-    original = chacha20._KERNEL_MIN_BLOCKS
+    shipped = [getattr(chacha20, name) for name in SIZE_TESTS]
     try:
         for forced in FORCED.values():
-            chacha20._KERNEL_MIN_BLOCKS = forced
+            for name in SIZE_TESTS:
+                setattr(chacha20, name, forced)
             results.append(call())
     finally:
-        chacha20._KERNEL_MIN_BLOCKS = original
+        for name, value in zip(SIZE_TESTS, shipped):
+            setattr(chacha20, name, value)
     return results
+
+
+def _watch(monkeypatch, name, record):
+    """Have ``record(*args)`` see every call of ``chacha20.<name>``."""
+    inner = getattr(chacha20, name)
+
+    def spy(*args):
+        record(*args)
+        return inner(*args)
+
+    monkeypatch.setattr(chacha20, name, spy)
 
 
 def _assert_ragged_call_is_the_block_function(keys, nonces, counts,
@@ -488,6 +513,229 @@ class TestGoldenBytes:
         assert sealed == bytes.fromhex(GOLDEN_AEAD)
 
 
+# -- the lockstep MAC against the Horner loop ---------------------------------
+
+P1305 = 2 ** 130 - 5
+MAC_LENGTHS = [0, 1, 15, 16, 17, 31, 32, 33, 301, 320]
+#: ``r`` clamps to 1, so a tag is the plain sum of the blocks mod p.
+R_ONE = (1).to_bytes(16, "little")
+
+
+def _assert_lockstep_is_the_loop(messages, keys):
+    # Shipped, one item is under any lane count: the Horner loop.
+    expected = [poly1305_mac(m, k) for m, k in zip(messages, keys)]
+    assert _on_every_path(lambda: poly1305_mac_many(
+        messages, keys)) == [expected] * 3
+    return expected
+
+
+def _among_random_lanes(message, key, seed=0):
+    """``(message, key)`` as lane 17 of 64, the others ragged."""
+    rng = random.Random(seed)
+    messages = [rng.randbytes(rng.choice(MAC_LENGTHS)) for _ in range(64)]
+    keys = [rng.randbytes(32) for _ in range(64)]
+    messages[17], keys[17] = message, key
+    return messages, keys
+
+
+def _blocks_summing_to(total):
+    """Three full blocks that Horner's rule with r = 1 adds up to
+    ``total`` (each block counts with its 2^128 bit)."""
+    return (total - 3 * 2 ** 128).to_bytes(16, "little") + bytes(32)
+
+
+class TestLockstepPoly1305:
+    @settings(max_examples=60, deadline=None)
+    @given(lanes=st.lists(
+        st.tuples(st.sampled_from(MAC_LENGTHS).flatmap(
+            lambda n: st.binary(min_size=n, max_size=n)), keys32),
+        min_size=1, max_size=80))
+    def test_ragged_lanes_equal_the_loop(self, lanes):
+        _assert_lockstep_is_the_loop(*zip(*lanes))
+
+    @pytest.mark.parametrize("lanes", [chacha20._LOCKSTEP_MIN_LANES - 1,
+                                       chacha20._LOCKSTEP_MIN_LANES,
+                                       chacha20._LOCKSTEP_MIN_LANES + 1])
+    def test_at_the_shipped_lane_count(self, lanes):
+        rng = random.Random(lanes)
+        _assert_lockstep_is_the_loop(
+            [rng.randbytes(rng.choice(MAC_LENGTHS)) for _ in range(lanes)],
+            [rng.randbytes(32) for _ in range(lanes)])
+
+    @pytest.mark.parametrize("message,key", [
+        (b"\xff" * 320, bytes(16) + b"\xff" * 16),         # r = 0
+        (b"\xff" * 320, b"\xff" * 32),                      # all ones
+        (b"\xff" * 301, b"\xff" * 32),
+        (bytes(320), b"\xff" * 32),
+        (_blocks_summing_to(P1305 - 1), R_ONE + bytes(16)),
+        (_blocks_summing_to(P1305), R_ONE + bytes(16)),
+        (_blocks_summing_to(P1305 + 1), R_ONE + b"\xff" * 16),
+        (_blocks_summing_to(2 ** 130 - 1), R_ONE + b"\xff" * 16),
+    ], ids=["r-zero", "all-ones", "all-ones-short-tail", "ones-key",
+            "p-minus-1", "p", "p-plus-1", "2^130-minus-1"])
+    def test_carry_edges(self, message, key):
+        """Where the final carry, the conditional subtraction of p and
+        the ``+ s`` carry between the tag's halves can go wrong —
+        alone in every lane, and as one lane among random ones."""
+        alone, = set(_assert_lockstep_is_the_loop([message] * 40,
+                                                  [key] * 40))
+        assert _assert_lockstep_is_the_loop(
+            *_among_random_lanes(message, key))[17] == alone
+
+    def test_r_one_lands_where_the_edge_cases_say(self):
+        s = b"\xff" * 16
+        for total in (P1305 - 1, P1305, P1305 + 1, 2 ** 130 - 1):
+            tag = poly1305_mac(_blocks_summing_to(total), R_ONE + s)
+            assert int.from_bytes(tag, "little") == \
+                (total % P1305 + 2 ** 128 - 1) % 2 ** 128
+
+    def test_limbs_stay_inside_the_stated_bound(self, monkeypatch):
+        """The overflow argument in ``_lockstep_macs``, observed on the
+        input that maximises every limb: what goes into a
+        multiplication is below 2^27 + 2^12 (so the accumulator was
+        below 2^26 + 2^12) and every row of products below 2^58."""
+        seen = {"operand": 0, "products": 0, "calls": 0}
+        einsum = np.einsum
+
+        def spy(subscripts, matrix, operand):
+            out = einsum(subscripts, matrix, operand)
+            seen["operand"] = max(seen["operand"], int(operand.max()))
+            seen["products"] = max(seen["products"], int(out.max()))
+            seen["calls"] += 1
+            return out
+
+        monkeypatch.setattr(np, "einsum", spy)
+        monkeypatch.setattr(chacha20, "_LOCKSTEP_MIN_LANES", 0)
+        messages, keys = _among_random_lanes(b"\xff" * 320, b"\xff" * 32)
+        poly1305_mac_many([b"\xff" * 320] * 8 + messages,
+                          [b"\xff" * 32] * 8 + keys)
+        assert seen["calls"] == 20
+        assert 2 ** 26 < seen["operand"] < 2 ** 27 + 2 ** 12
+        assert 2 ** 52 < seen["products"] < 2 ** 58
+
+    def test_rfc_8439_vectors_across_64_lanes(self, crossover):
+        # §2.5.2
+        key = bytes.fromhex("85d6be7857556d337f4452fe42d506a8"
+                            "0103808afb0db2fd4abff6af4149f51b")
+        expected = bytes.fromhex("a8061dc1305136c6c22b8baf0c0127a9")
+        message = b"Cryptographic Forum Research Group"
+        assert poly1305_mac_many([message] * 64, [key] * 64) == \
+            [expected] * 64
+        messages, keys = _among_random_lanes(message, key)
+        assert poly1305_mac_many(messages, keys)[17] == expected
+        # §2.8.2
+        key = bytes(range(0x80, 0xa0))
+        nonce = bytes.fromhex("070000004041424344454647")
+        aad = bytes.fromhex("50515253c0c1c2c3c4c5c6c7")
+        plaintext = (b"Ladies and Gentlemen of the class of '99: If I "
+                     b"could offer you only one tip for the future, "
+                     b"sunscreen would be it.")
+        sealed = aead_seal_many([key] * 64, [nonce] * 64,
+                                [plaintext] * 64, [aad] * 64)
+        assert sealed == [ChaCha20Poly1305(key).encrypt(
+            nonce, plaintext, aad)] * 64
+        assert sealed[0][-16:] == bytes.fromhex(
+            "1ae10b594f09e26a7e902ecbd0600691")
+        assert aead_open_many([key] * 64, [nonce] * 64, sealed,
+                              [aad] * 64) == [plaintext] * 64
+
+    def test_no_lanes_and_empty_messages(self, crossover):
+        assert poly1305_mac_many([], []) == []
+        keys = [bytes([i]) * 32 for i in range(40)]
+        assert poly1305_mac_many([b""] * 40, keys) == \
+            [key[16:] for key in keys]
+
+    def test_validation(self, crossover):
+        with pytest.raises(ValueError, match="one Poly1305 key per"):
+            poly1305_mac_many([b"a", b"b"], [RFC_KEY])
+        with pytest.raises(ValueError, match="key must be 32 bytes"):
+            poly1305_mac_many([b"a"] * 40, [RFC_KEY] * 39 + [RFC_KEY[:16]])
+        with pytest.raises(ValueError, match="key must be 32 bytes"):
+            poly1305_mac(b"x", bytes(16))
+
+    def test_tags_and_seals_equal_cryptography(self, crossover):
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives.poly1305 import Poly1305
+        from cryptography.hazmat.primitives.ciphers.aead import (
+            ChaCha20Poly1305 as TheirAead,
+        )
+        rng = random.Random(21)
+        cases = [(rng.randbytes(32), rng.randbytes(12),
+                  rng.randbytes(rng.choice([0, 16, 160, 285,
+                                            rng.randrange(401)])),
+                  rng.randbytes(case % 3 * 7)) for case in range(200)]
+        for start in range(0, 200, 64):
+            keys, nonces, messages, aads = zip(*cases[start:start + 64])
+            assert poly1305_mac_many(messages, keys) == [
+                Poly1305.generate_tag(k, m)
+                for k, m in zip(keys, messages)]
+            assert aead_seal_many(keys, nonces, messages, aads) == [
+                TheirAead(k).encrypt(n, m, a)
+                for k, n, m, a in zip(keys, nonces, messages, aads)]
+
+
+class TestAeadBatch:
+    def test_a_round_of_trials_rejects_exactly_the_forged_item(self):
+        """208 trial decryptions, 8 authentic at seeded positions;
+        every byte of every tag flipped in turn fails that item and no
+        other."""
+        rng = random.Random(208)
+        keys = [rng.randbytes(32) for _ in range(208)]
+        nonces = [rng.randbytes(12) for _ in range(208)]
+        sealed = [rng.randbytes(DOWNSTREAM_PACKET_SIZE) for _ in range(208)]
+        authentic = sorted(rng.sample(range(208), 8))
+        bodies = {i: rng.randbytes(DOWNSTREAM_PACKET_SIZE - 16)
+                  for i in authentic}
+        for i, packet in zip(authentic, aead_seal_many(
+                [keys[i] for i in authentic],
+                [nonces[i] for i in authentic],
+                [bodies[i] for i in authentic])):
+            sealed[i] = packet
+        expected = [bodies.get(i) for i in range(208)]
+        assert aead_open_many(keys, nonces, sealed) == expected
+        for i in authentic:
+            for byte in range(1, 17):
+                forged = bytearray(sealed[i])
+                forged[-byte] ^= 1 << (byte % 8)
+                trial = sealed[:i] + [bytes(forged)] + sealed[i + 1:]
+                assert aead_open_many(keys, nonces, trial) == \
+                    expected[:i] + [None] + expected[i + 1:]
+
+    def test_one_key_nonce_message_and_aad_per_item(self, crossover):
+        """A short argument used to end the ``zip`` early: fewer sealed
+        items than asked for, authentic trailing items opened as
+        ``None``."""
+        keys, nonces = [RFC_KEY] * 3, [bytes(12)] * 3
+        sealed = aead_seal_many(keys, nonces, [b"a", b"b", b"c"])
+        assert aead_open_many(keys, nonces, sealed, [b""] * 3) == \
+            [b"a", b"b", b"c"]
+        message = "one key, one nonce, one message and one aad per item"
+        for call, items in ((aead_seal_many, [b"a", b"b", b"c"]),
+                            (aead_open_many, sealed)):
+            with pytest.raises(ValueError, match=message):
+                call(keys, nonces, items, [b""] * 2)
+            with pytest.raises(ValueError, match=message):
+                call(keys, nonces, items[:2])
+            with pytest.raises(ValueError, match=message):
+                call(keys, nonces[:2], items)
+            with pytest.raises(ValueError, match=message):
+                call(keys[:2], nonces, items, [b""] * 3)
+
+    def test_seal_is_one_keystream_call(self, monkeypatch):
+        """Blocks 0…n of each stream at once: block 0 keys the MAC,
+        1…n encrypt the body.  Opening stays two-phase."""
+        calls = []
+        _watch(monkeypatch, "_keystream_blocks",
+               lambda keys, nonces, counts, counter:
+               calls.append((list(counts), counter)))
+        keys, nonces = [RFC_KEY, bytes(32)], [bytes(12)] * 2
+        sealed = aead_seal_many(keys, nonces, [bytes(160), b""])
+        assert calls == [([4, 1], 0)]
+        del calls[:]
+        assert aead_open_many(keys, nonces, sealed) == [bytes(160), b""]
+        assert calls == [([1, 1], 0), ([3, 0], 1)]
+
+
 # -- batch == per-item, layer by layer ----------------------------------------
 
 
@@ -735,6 +983,52 @@ class TestDownstream:
              (self.keys[0], 1, 5, b"")]) \
             == [(KIND_VOIP, b"x"), None, None, None, None]
         assert open_downstream_packets([]) == []
+
+    def test_off_size_packets_cost_no_cipher_work(self, monkeypatch):
+        """An untrusted SP can hand a member anything.  Off-size
+        packets mixed into a round open for nobody, change nothing for
+        the well-formed trials, and take no keystream stream and no
+        MAC lane."""
+        round_index = 3
+        voice = make_downstream_packet(self.keys[2], 0, round_index,
+                                       KIND_VOIP, b"hello")
+        chaff = make_downstream_chaff(random.Random(2))
+        formed = [(key, channel_id, round_index, packet)
+                  for channel_id, packet in enumerate([voice, chaff])
+                  for key in self.keys]
+        rng = random.Random(3)
+        odd = [(self.keys[2], 0, round_index, packet)
+               for size in (0, 15, 300, 302, 5000)
+               for packet in (rng.randbytes(size),
+                              (voice + bytes(size))[:size])]
+        mixed = formed + odd
+        rng.shuffle(mixed)
+
+        keystream, mac = [], []
+        _watch(monkeypatch, "_keystream_blocks",
+               lambda keys, *_: keystream.extend(keys))
+        _watch(monkeypatch, "poly1305_mac_many",
+               lambda messages, keys: mac.extend(keys))
+        opened = dict(zip(map(id, mixed), open_downstream_packets(mixed)))
+        # One key block and one MAC per well-formed trial, one body.
+        assert len(keystream) == len(formed) + 1
+        assert len(mac) == len(formed)
+        assert [opened[id(trial)] for trial in formed] == \
+            [(KIND_VOIP, b"hello") if i == 2 else None
+             for i in range(len(formed))]
+        assert all(opened[id(trial)] is None for trial in odd)
+        assert open_downstream_packets(odd) == [None] * len(odd)
+        assert len(mac) == len(formed)
+
+    def test_chaff_is_the_per_byte_draw(self):
+        """One ``getrandbits`` per packet, the bytes and the generator
+        state of one per byte — so no pinned digest moved."""
+        fast, reference = random.Random(9), random.Random(9)
+        for _ in range(50):
+            assert make_downstream_chaff(fast) == bytes(
+                reference.getrandbits(8)
+                for _ in range(DOWNSTREAM_PACKET_SIZE))
+            assert fast.getstate() == reference.getstate()
 
 
 class TestOnionLayers:
