@@ -37,6 +37,14 @@ _MAX_CLIENT_ID = 63
 CHANNEL_CAPACITY = _MAX_CLIENT_ID + 1
 
 _MANIFEST_PREFIX = b"mf\x00\x00"
+_WORD = struct.Struct("<I")
+
+
+def _check_fields(client_id: int, sequence: int) -> None:
+    if not 0 <= client_id <= _MAX_CLIENT_ID:
+        raise ValueError("client id must fit in 6 bits")
+    if sequence < 0:
+        raise ValueError("sequence must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -48,23 +56,36 @@ class ChannelManifest:
     signal: bool
 
     def __post_init__(self):
-        if not 0 <= self.client_id <= _MAX_CLIENT_ID:
-            raise ValueError("client id must fit in 6 bits")
-        if self.sequence < 0:
-            raise ValueError("sequence must be non-negative")
+        _check_fields(self.client_id, self.sequence)
+
+
+#: The manifest nonce of every slot a channel can have.
+_SLOT_NONCES = tuple(_MANIFEST_PREFIX + struct.pack("<Q", slot)
+                     for slot in range(CHANNEL_CAPACITY))
 
 
 def _slot_nonce(slot: int) -> bytes:
+    if 0 <= slot < CHANNEL_CAPACITY:
+        return _SLOT_NONCES[slot]
     return _MANIFEST_PREFIX + struct.pack("<Q", slot)
+
+
+def plan_manifest_word(client_id: int, sequence: int, signal: bool,
+                       key: SessionKey, slot: int) -> CipherPlan:
+    """The cipher call that encrypts the manifest of packet
+    ``sequence`` from in-channel client ``client_id`` for a round
+    slot: :func:`plan_manifest` without the :class:`ChannelManifest`
+    object (one is sent per attachment per round), with its checks."""
+    _check_fields(client_id, sequence)
+    word = client_id | (int(signal) << 6) | ((sequence % _SEQ_MOD) << 7)
+    return key.key, _slot_nonce(slot), _WORD.pack(word)
 
 
 def plan_manifest(manifest: ChannelManifest, key: SessionKey,
                   slot: int) -> CipherPlan:
     """The cipher call that encrypts a manifest for a round slot."""
-    word = (manifest.client_id
-            | (int(manifest.signal) << 6)
-            | ((manifest.sequence % _SEQ_MOD) << 7))
-    return key.key, _slot_nonce(slot), struct.pack("<I", word)
+    return plan_manifest_word(manifest.client_id, manifest.sequence,
+                              manifest.signal, key, slot)
 
 
 def encode_manifest(manifest: ChannelManifest, key: SessionKey,
@@ -74,11 +95,13 @@ def encode_manifest(manifest: ChannelManifest, key: SessionKey,
     return seal_plans([plan_manifest(manifest, key, slot)])[0]
 
 
-def decode_manifests(manifests: Sequence[Tuple[bytes, SessionKey, int, int]]
-                     ) -> List[ChannelManifest]:
+def decode_manifest_words(
+        manifests: Sequence[Tuple[bytes, SessionKey, int, int]]
+        ) -> List[Tuple[int, int, bool]]:
     """Decrypt manifests given as ``(data, key, slot,
-    expected_sequence)`` in one kernel call and reconstruct the full
-    sequence numbers.
+    expected_sequence)`` in one kernel call; returns each one's
+    ``(client_id, sequence, signal)`` with the full sequence number
+    reconstructed.
 
     ``expected_sequence`` is the mix's next-expected counter for the
     client; the truncated 25-bit value is resolved to the nearest full
@@ -88,18 +111,24 @@ def decode_manifests(manifests: Sequence[Tuple[bytes, SessionKey, int, int]]
         raise ValueError("manifest must be 4 bytes")
     clears = seal_plans([(key.key, _slot_nonce(slot), data)
                          for data, key, slot, _ in manifests])
+    words = struct.unpack(f"<{len(clears)}I", b"".join(clears))
     decoded = []
-    for clear, (_, _, _, expected_sequence) in zip(clears, manifests):
-        (word,) = struct.unpack("<I", clear)
+    for word, (_, _, _, expected_sequence) in zip(words, manifests):
         seq_low = word >> 7
         base = max(0, expected_sequence - _SEQ_MOD // 2)
         candidate = (base - base % _SEQ_MOD) + seq_low
         if candidate < base:
             candidate += _SEQ_MOD
-        decoded.append(ChannelManifest(client_id=word & 0x3F,
-                                       sequence=candidate,
-                                       signal=bool((word >> 6) & 1)))
+        decoded.append((word & 0x3F, candidate, bool((word >> 6) & 1)))
     return decoded
+
+
+def decode_manifests(manifests: Sequence[Tuple[bytes, SessionKey, int, int]]
+                     ) -> List[ChannelManifest]:
+    """:func:`decode_manifest_words`, each manifest as a
+    :class:`ChannelManifest`."""
+    return [ChannelManifest(*fields)
+            for fields in decode_manifest_words(manifests)]
 
 
 def decode_manifest(data: bytes, key: SessionKey, slot: int,

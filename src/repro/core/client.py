@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.chaffing import ConstantRateChaffer
-from repro.core.channel import ChannelManifest, plan_manifest
+from repro.core.channel import plan_manifest_word
 from repro.core.circuit import Circuit, CircuitBuilder
 from repro.core.network_coding import (
     plan_chaff_packet,
@@ -90,6 +90,9 @@ class HerdClient:
         self.session_key: Optional[SessionKey] = None
         self.chaffer = ConstantRateChaffer(codec)
         self.attachments: List[ChannelAttachment] = []
+        #: Bumped by whatever changes :attr:`attachments`, so that
+        #: state derived from them can tell when it is stale.
+        self.attachment_epoch = 0
         self.circuit: Optional[Circuit] = None
         self.in_call = False
         self.signal_pending = False
@@ -117,6 +120,7 @@ class HerdClient:
             raise RuntimeError(f"client already attached to {self.k} "
                                "channels")
         self.attachments.append(ChannelAttachment(sp_id, channel_id, slot))
+        self.attachment_epoch += 1
 
     @property
     def joined(self) -> bool:
@@ -131,6 +135,7 @@ class HerdClient:
                    if a.channel_id in channel_ids]
         self.attachments = [a for a in self.attachments
                             if a.channel_id not in channel_ids]
+        self.attachment_epoch += 1
         return dropped
 
     def leave(self) -> None:
@@ -141,6 +146,7 @@ class HerdClient:
         self.mix_id = None
         self.numeric_id = None
         self.attachments.clear()
+        self.attachment_epoch += 1
         self.circuit = None
         self.in_call = False
         self.signal_pending = False
@@ -157,18 +163,15 @@ class HerdClient:
         if not self.joined:
             raise RuntimeError("client has not joined")
         seq = attachment.sequence
+        slot = attachment.slot
+        manifest = plan_manifest_word(slot, seq, self.signal_pending,
+                                      self.session_key, slot)
         if payload is None:
             packet = plan_chaff_packet(self.session_key, seq)
         else:
             packet = plan_payload_packet(self.session_key, seq, payload)
-        manifest = ChannelManifest(
-            client_id=attachment.slot,
-            sequence=seq,
-            signal=self.signal_pending,
-        )
         attachment.sequence += 1
-        return packet, plan_manifest(manifest, self.session_key,
-                                     slot=attachment.slot)
+        return packet, manifest
 
     def upstream_packet(self, attachment: ChannelAttachment,
                         payload: Optional[bytes] = None

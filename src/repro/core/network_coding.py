@@ -22,6 +22,10 @@ the packet sequence number — the "IV" the paper mentions):
 The mix regenerates each idle client's chaff ciphertext bit-for-bit
 with :class:`ChaffPredictor` and XORs it out; whatever remains is the
 active client's encrypted packet (or nothing, if the channel is idle).
+Decrypting that packet is one more XOR, with the active client's
+keystream, so :func:`decode_rounds` asks the predictor for it in the
+same kernel call as the chaff: a round's whole mix-side decode is one
+:meth:`ChaffPredictor.peel_many`.
 """
 
 from __future__ import annotations
@@ -42,11 +46,8 @@ CODED_PACKET_SIZE = _HEADER.size + CODED_PAYLOAD
 _UP_PREFIX = b"up\x00\x00"
 
 
-def _encode_cleartext(kind: int, sequence: int, payload: bytes) -> bytes:
-    if len(payload) > CODED_PAYLOAD:
-        raise ValueError("payload exceeds coded packet capacity")
-    return (_HEADER.pack(kind, sequence)
-            + payload.ljust(CODED_PAYLOAD, b"\x00"))
+#: What every chaff cleartext ends in.
+_ZERO_PAYLOAD = bytes(CODED_PAYLOAD)
 
 
 def _plan(key: SessionKey, sequence: int, message: bytes) -> CipherPlan:
@@ -55,13 +56,16 @@ def _plan(key: SessionKey, sequence: int, message: bytes) -> CipherPlan:
 
 def plan_chaff_packet(key: SessionKey, sequence: int) -> CipherPlan:
     return _plan(key, sequence,
-                 _encode_cleartext(_TYPE_CHAFF, sequence, b""))
+                 _HEADER.pack(_TYPE_CHAFF, sequence) + _ZERO_PAYLOAD)
 
 
 def plan_payload_packet(key: SessionKey, sequence: int,
                         payload: bytes) -> CipherPlan:
+    if len(payload) > CODED_PAYLOAD:
+        raise ValueError("payload exceeds coded packet capacity")
     return _plan(key, sequence,
-                 _encode_cleartext(_TYPE_PAYLOAD, sequence, payload))
+                 _HEADER.pack(_TYPE_PAYLOAD, sequence)
+                 + payload.ljust(CODED_PAYLOAD, b"\x00"))
 
 
 def make_chaff_packet(key: SessionKey, sequence: int) -> bytes:
@@ -76,6 +80,19 @@ def make_payload_packet(key: SessionKey, sequence: int,
     return seal_plans([plan_payload_packet(key, sequence, payload)])[0]
 
 
+def _open_cleartext(clear: bytes, sequence: int) -> Tuple[bool, bytes]:
+    """(is_payload, payload_bytes) of one decrypted client packet
+    whose manifest said ``sequence``."""
+    kind, seq = _HEADER.unpack_from(clear)
+    if seq != sequence:
+        raise ValueError("packet sequence mismatch after decryption")
+    if kind == _TYPE_CHAFF:
+        return False, b""
+    if kind == _TYPE_PAYLOAD:
+        return True, clear[_HEADER.size:]
+    raise ValueError(f"unknown packet type {kind}")
+
+
 def decrypt_packets(packets: Sequence[Tuple[SessionKey, int, bytes]]
                     ) -> List[Tuple[bool, bytes]]:
     """Decrypt client packets given as ``(key, sequence, ciphertext)``;
@@ -86,25 +103,19 @@ def decrypt_packets(packets: Sequence[Tuple[SessionKey, int, bytes]]
     if any(len(ciphertext) != CODED_PACKET_SIZE
            for _, _, ciphertext in packets):
         raise ValueError("coded packet has the wrong size")
-    out = []
-    for (_, sequence, _), clear in zip(
-            packets, seal_plans([_plan(*packet) for packet in packets])):
-        kind, seq = _HEADER.unpack(clear[:_HEADER.size])
-        if seq != sequence:
-            raise ValueError("packet sequence mismatch after decryption")
-        if kind == _TYPE_CHAFF:
-            out.append((False, b""))
-        elif kind == _TYPE_PAYLOAD:
-            out.append((True, clear[_HEADER.size:]))
-        else:
-            raise ValueError(f"unknown packet type {kind}")
-    return out
+    return [_open_cleartext(clear, sequence)
+            for (_, sequence, _), clear in zip(
+                packets, seal_plans([_plan(*packet) for packet in packets]))]
 
 
 def decrypt_packet(key: SessionKey, sequence: int,
                    ciphertext: bytes) -> Tuple[bool, bytes]:
     """Decrypt one client packet (see :func:`decrypt_packets`)."""
     return decrypt_packets([(key, sequence, ciphertext)])[0]
+
+
+#: Sealed, the keystream one coded packet is encrypted under.
+_ZERO_PACKET = bytes(CODED_PACKET_SIZE)
 
 
 class ChaffPredictor:
@@ -122,23 +133,31 @@ class ChaffPredictor:
     def add_client(self, client: int, key: SessionKey) -> None:
         self._keys[client] = key
 
+    def peel_many(self, senders: Sequence[Tuple[int, int, bool]]
+                  ) -> List[bytes]:
+        """What the mix XORs out of a round for every ``(client,
+        sequence, active)`` sender, from one kernel call: an idle
+        client's chaff ciphertext, an active client's keystream —
+        under which what is left of the round is that client's
+        cleartext."""
+        plans = []
+        for client, sequence, active in senders:
+            key = self._keys.get(client)
+            if key is None:
+                raise KeyError(f"no session key for client {client}")
+            plans.append(_plan(key, sequence, _ZERO_PACKET) if active
+                         else plan_chaff_packet(key, sequence))
+        return seal_plans(plans)
+
     def predict_many(self, chaff: Sequence[Tuple[int, int]]
                      ) -> List[bytes]:
         """The chaff ciphertext of every ``(client, sequence)``, from
         one kernel call."""
-        plans = []
-        for client, sequence in chaff:
-            key = self._keys.get(client)
-            if key is None:
-                raise KeyError(f"no session key for client {client}")
-            plans.append(plan_chaff_packet(key, sequence))
-        return seal_plans(plans)
+        return self.peel_many([(client, sequence, False)
+                               for client, sequence in chaff])
 
     def predict(self, client: int, sequence: int) -> bytes:
         return self.predict_many([(client, sequence)])[0]
-
-    def key_of(self, client: int) -> SessionKey:
-        return self._keys[client]
 
 
 #: One channel's upstream round as the mix sees it:
@@ -170,51 +189,64 @@ def decode_rounds(rounds: Sequence[ChannelRound],
     manifest had the signaling bit set (outgoing-call requests,
     §3.6.2).
 
-    The mix XORs out the *predicted chaff* of every idle client — one
-    :meth:`ChaffPredictor.predict_many` for all the rounds; the
-    residue is the active client's encrypted packet, decrypted with its
-    session key.  With no active client the residue must be zero — a
-    nonzero residue means a misbehaving SP or client, and the caller is
-    expected to trigger the full-packet audit of §3.6.1 ("the mix asks
-    the SP to send the full packets from which the packets were
-    computed").
+    The mix XORs out what it can compute of every sender — the
+    *predicted chaff* of the idle clients and the keystream of the
+    active one, all the rounds' in one
+    :meth:`ChaffPredictor.peel_many` — which leaves the active
+    client's cleartext packet, checked as :func:`decrypt_packets`
+    checks it (sequence, packet type).  With no active client what is
+    left must be zero — a nonzero residue means a misbehaving SP or
+    client, and the caller is expected to trigger the full-packet audit
+    of §3.6.1 ("the mix asks the SP to send the full packets from which
+    the packets were computed").
+
+    The rounds are validated before any cipher work is spent on them:
+    a wrong-size XOR packet, an active client missing from its round's
+    manifests or a sender without a session key refuses the whole call
+    ahead of the kernel.
     """
     if any(len(xor_packet) != CODED_PACKET_SIZE
            for xor_packet, _, _ in rounds):
         raise ValueError("XOR packet has the wrong size")
-    idle = [[(client, seq) for client, seq, _ in entries
-             if client != active] for _, entries, active in rounds]
-    chaff = predictor.predict_many(
-        [sender for senders in idle for sender in senders])
-    decoded: List[Tuple[Optional[int], bytes, List[int]]] = []
-    #: (index into ``decoded``, active client, its sequence, residue)
-    to_decrypt = []
-    peeled = 0
-    for (xor_packet, entries, active), senders in zip(rounds, idle):
-        residue = xor_bytes(xor_packet,
-                            *chaff[peeled:peeled + len(senders)])
-        peeled += len(senders)
-        signalers = [client for client, _, signal in entries if signal]
-        if active is None:
-            if residue != b"\x00" * CODED_PACKET_SIZE:
-                raise ValueError(
-                    "XOR round residue nonzero with no active client: "
-                    "misbehaving SP or client (full-packet audit "
-                    "required)")
-        else:
-            active_seq = None
+    senders = []
+    #: per round: how many of ``senders`` are its, the active client's
+    #: sequence
+    shapes = []
+    for _, entries, active in rounds:
+        peeled = [(client, seq, False) for client, seq, _ in entries
+                  if client != active]
+        active_seq = None
+        if active is not None:
             for client, seq, _ in entries:
                 if client == active:
                     active_seq = seq
             if active_seq is None:
                 raise ValueError(
                     "active client missing from round manifests")
-            to_decrypt.append((len(decoded), active, active_seq, residue))
-        decoded.append((None, b"", signalers))
-    opened = decrypt_packets([(predictor.key_of(active), seq, residue)
-                              for _, active, seq, residue in to_decrypt])
-    for (i, active, _, _), (is_payload, payload) in zip(to_decrypt,
-                                                        opened):
+            peeled.append((active, active_seq, True))
+        senders.extend(peeled)
+        shapes.append((len(peeled), active_seq))
+    masks = predictor.peel_many(senders)
+    decoded: List[Tuple[Optional[int], bytes, List[int]]] = []
+    #: (index into ``decoded``, active client, its sequence, cleartext)
+    to_open = []
+    start = 0
+    for (xor_packet, entries, active), (n, active_seq) in zip(rounds,
+                                                              shapes):
+        left = xor_bytes(xor_packet, *masks[start:start + n])
+        start += n
+        if active is None:
+            if left != _ZERO_PACKET:
+                raise ValueError(
+                    "XOR round residue nonzero with no active client: "
+                    "misbehaving SP or client (full-packet audit "
+                    "required)")
+        else:
+            to_open.append((len(decoded), active, active_seq, left))
+        decoded.append((None, b"", [client for client, _, signal
+                                    in entries if signal]))
+    for i, active, active_seq, clear in to_open:
+        is_payload, payload = _open_cleartext(clear, active_seq)
         if is_payload:
             decoded[i] = (active, payload, decoded[i][2])
     return decoded

@@ -51,6 +51,9 @@ class SuperPeer:
         self.mix_id = mix_id
         #: channel id → ordered client ids (slot order).
         self.channel_clients: Dict[int, List[str]] = {}
+        #: Bumped by whatever changes :attr:`channel_clients`, so that
+        #: state derived from it can tell when it is stale.
+        self.membership_epoch = 0
         self._audit: Dict[int, Deque[Tuple[int, Tuple[bytes, ...]]]] = {}
         self.rounds_forwarded = 0
         self.packets_broadcast = 0
@@ -64,12 +67,14 @@ class SuperPeer:
         if channel_id in self.channel_clients:
             raise ValueError(f"channel {channel_id} already hosted")
         self.channel_clients[channel_id] = list(clients)
+        self.membership_epoch += 1
         self._audit[channel_id] = deque(maxlen=AUDIT_BUFFER_ROUNDS)
 
     def add_client(self, channel_id: int, client_id: str) -> int:
         """Attach a client to a hosted channel; returns its slot."""
         clients = self.channel_clients[channel_id]
         clients.append(client_id)
+        self.membership_epoch += 1
         return len(clients) - 1
 
     def reset_members(self) -> None:
@@ -80,6 +85,7 @@ class SuperPeer:
         for channel_id in self.channel_clients:
             self.channel_clients[channel_id] = []
             self._audit[channel_id].clear()
+        self.membership_epoch += 1
 
     # -- upstream ------------------------------------------------------------
 

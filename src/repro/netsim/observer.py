@@ -71,6 +71,19 @@ class ObservationLog(Sequence):
         counts.append(count)
         self._count += count
 
+    def add_runs(self, time: float, links, sizes, counts) -> None:
+        """Record a table of runs — ``counts[i]`` sightings of
+        ``sizes[i]`` bytes on the directed link ``links[i]`` — as
+        :meth:`add` row by row would."""
+        if time != self._open_time:
+            self._close()
+            self._open_time = time
+        open_links, open_sizes, open_counts = self._open
+        open_links.extend(links)
+        open_sizes.extend(sizes)
+        open_counts.extend(counts)
+        self._count += sum(counts)
+
     def _close(self) -> None:
         links, sizes, counts = self._open
         if not links:
@@ -157,6 +170,16 @@ class LinkObserver:
         add = self.observations.add
         for size, count in zip(sizes, counts):
             add(time, size, src, dst, count)
+
+    def record_round_runs(self, time: float, keys, sizes,
+                          counts) -> None:
+        """Called by the vectorized wire plane with a whole round's
+        run table (row ``i``: ``counts[i]`` identical sightings of
+        ``sizes[i]`` bytes on the directed link ``keys[i]``, links
+        contiguous in first-emission order): the stream
+        :meth:`record_runs` records from the same rows link by link,
+        taken whole."""
+        self.observations.add_runs(time, keys, sizes, counts)
 
     def time_series(self, src: str, dst: str,
                     bin_width: float) -> Dict[int, int]:

@@ -14,6 +14,14 @@ every mechanism of §3.4 and §3.6 active each round:
 * SPs broadcast downstream packets to every channel member; each
   client trial-decrypts everything.
 
+Who sits in which slot of which channel, with which attachment and
+key, changes only when membership does ("clients connect to Herd
+continuously, regardless of call activity"), so a round reads it from
+a standing :class:`ChannelRoster` per channel instead of looking it up
+per member per round; a roster is rebuilt when the membership state it
+was read off — the SP's member list, the members' attachments — has
+moved on (DESIGN.md §15 "Standing rosters").
+
 Calls between two clients of the zone loop through the mix
 (caller channel → mix → callee channel), which is exactly the intra-mix
 segment of a Herd circuit; the integration test splices this onto the
@@ -25,26 +33,22 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from itertools import starmap
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import execution as execution_registry
 from repro.core.transport import CellTransport
 from repro.core.callmanager import CallState, ClientCallAgent, \
     FailoverRecord, MixCallManager
-from repro.core.channel import decode_manifest, decode_manifests
+from repro.core.channel import decode_manifest, decode_manifest_words
 from repro.core.join import join_zone
-from repro.core.client import HerdClient, seal_upstream
+from repro.core.client import ChannelAttachment, HerdClient, \
+    seal_upstream
+from repro.crypto.keys import SessionKey
 from repro.core.signaling import open_downstream_packets
 from repro.core.shedding import LoadShedder
 from repro.simulation.roundsync import DEFAULT_ROUND_INTERVAL_S
 from repro.simulation.testbed import HerdTestbed, build_testbed
-
-
-def _entries(numerics, manifests) -> List[tuple]:
-    """The ``(client, sequence, signal_bit)`` entries the mix decodes
-    a channel round with, from its members' decrypted manifests."""
-    return [(numeric, m.sequence, m.signal)
-            for numeric, m in zip(numerics, manifests)]
 
 
 @dataclass
@@ -58,6 +62,50 @@ class LiveClient:
     @property
     def numeric_id(self) -> int:
         return self.client.numeric_id
+
+
+class RosterEntry(NamedTuple):
+    """What a round needs of one channel member."""
+
+    live: LiveClient
+    attachment: ChannelAttachment
+    agent: ClientCallAgent
+    numeric_id: int
+    #: The client↔mix session key ``s``.
+    key: SessionKey
+
+
+class ChannelRoster:
+    """One channel's members as a round needs them, in slot order.
+
+    Everything here follows from who is attached where, so it is
+    looked up when that changes, not every round: a roster remembers
+    the membership state it was read off — the SP's
+    ``membership_epoch`` and every member's ``attachment_epoch`` — and
+    :meth:`is_current` compares it with the live values, which
+    whoever changes membership bumps (``simulation/churn.py``, the
+    scenario engine and the join protocol all do, without knowing
+    about rosters)."""
+
+    __slots__ = ("members", "entries", "numerics", "_sp", "_clients",
+                 "_built_from")
+
+    def __init__(self, sp, channel_id: int,
+                 entries: Tuple[RosterEntry, ...]):
+        #: Client ids, as the SP lists them.
+        self.members = tuple(sp.channel_clients[channel_id])
+        self.entries = entries
+        self.numerics = [entry.numeric_id for entry in entries]
+        self._sp = sp
+        self._clients = [entry.live.client for entry in entries]
+        self._built_from = self._membership_state()
+
+    def _membership_state(self) -> Tuple[int, List[int]]:
+        return self._sp.membership_epoch, [
+            client.attachment_epoch for client in self._clients]
+
+    def is_current(self) -> bool:
+        return self._membership_state() == self._built_from
 
 
 class LiveZone:
@@ -108,6 +156,8 @@ class LiveZone:
         self.sp = self.sps[0]  # backward-compatible alias
         self._sp_of_channel = {ch: sp for sp in self.sps
                                for ch in sp.channel_clients}
+        #: channel → its roster (see :meth:`_roster`).
+        self._rosters: Dict[int, ChannelRoster] = {}
         self.manager = MixCallManager(self.mix,
                                       random.Random(seed))
         self.clients: Dict[str, LiveClient] = {}
@@ -258,6 +308,34 @@ class LiveZone:
         for channel_id, sp in sorted(self._sp_of_channel.items()):
             self._upstream_channel(channel_id, sp)
 
+    def _roster(self, channel_id: int) -> ChannelRoster:
+        """The channel's roster: built on first use, and again when —
+        and only when — the membership it was built from has changed
+        (:meth:`ChannelRoster.is_current`).  Every per-member look-up
+        of a round, on every engine, goes through here."""
+        roster = self._rosters.get(channel_id)
+        if roster is not None and roster.is_current():
+            return roster
+        sp = self._sp_of_channel[channel_id]
+        numerics = self.mix.channels[channel_id].members
+        entries = []
+        for slot, client_id in enumerate(sp.channel_clients[channel_id]):
+            live = self.clients[client_id]
+            attachment = next(
+                (a for a in live.client.attachments
+                 if a.channel_id == channel_id), None)
+            if attachment is None:
+                raise RuntimeError(
+                    f"client {client_id} is a member of channel "
+                    f"{channel_id} at {sp.sp_id} but holds no "
+                    "attachment for it")
+            entries.append(RosterEntry(
+                live, attachment, live.agent, numerics[slot],
+                self.mix.client_keys[client_id]))
+        roster = ChannelRoster(sp, channel_id, tuple(entries))
+        self._rosters[channel_id] = roster
+        return roster
+
     def _gather_channel(self, channel_id: int, sp, emit):
         """Collect one channel's round of client emissions, in slot
         order (payload only where a call is live on this channel).
@@ -274,20 +352,18 @@ class LiveZone:
         chaff cell rides the wire in their place, so emission stays
         constant-rate.  Both engines call this in the same sorted
         channel / slot order, so shedding is engine-equivalent."""
-        members = sp.channel_clients[channel_id]
+        roster = self._roster(channel_id)
         emissions = []
         shedder = self.shedder
         budget = None
         if shedder is not None and shedder.applies_to(sp.sp_id):
-            budget = shedder.channel_budget(len(members))
+            budget = shedder.channel_budget(len(roster.entries))
         admitted = 0
-        for client_id in members:
-            live = self.clients[client_id]
-            attachment = next(a for a in live.client.attachments
-                              if a.channel_id == channel_id)
+        in_call = CallState.IN_CALL
+        for live, attachment, agent, _, _ in roster.entries:
             payload = None
-            if live.agent.state is CallState.IN_CALL and \
-                    live.agent.active_channel == channel_id and \
+            if agent.state is in_call and \
+                    agent.active_channel == channel_id and \
                     live.outbox:
                 if budget is not None and admitted >= budget:
                     shedder.defer()
@@ -297,24 +373,18 @@ class LiveZone:
                     if budget is not None:
                         shedder.admit()
             emissions.append(emit(live.client, attachment, payload))
-        return members, emissions
+        return roster.members, emissions
 
     def _manifest_trials(self, up):
         """What the mix decrypts one combined round's manifests with:
         the members' numeric ids and, per slot, a ``(data, key, slot,
         expected_sequence)`` trial for :func:`~repro.core.channel
-        .decode_manifests`."""
-        channel_id = up.channel_id
-        numerics, trials = [], []
-        for slot, raw in enumerate(up.manifests):
-            client_id = self.mix.client_at_slot(channel_id, slot)
-            attachment = next(
-                a for a in self.clients[client_id].client.attachments
-                if a.channel_id == channel_id)
-            numerics.append(self.mix.channels[channel_id].members[slot])
-            trials.append((raw, self.mix.client_keys[client_id], slot,
-                           attachment.sequence - 1))
-        return numerics, trials
+        .decode_manifest_words`."""
+        roster = self._roster(up.channel_id)
+        return roster.numerics, [
+            (raw, entry.key, slot, entry.attachment.sequence - 1)
+            for slot, (raw, entry) in enumerate(zip(up.manifests,
+                                                    roster.entries))]
 
     def _emit_upstream(self, sp, members, packets, up) -> None:
         """Offer one channel's upstream cells to the wire plane:
@@ -339,8 +409,8 @@ class LiveZone:
         numerics, trials = self._manifest_trials(up)
         active, payload = self.manager.process_upstream(
             channel_id, up.xor_packet,
-            _entries(numerics, [decode_manifest(*trial)
-                                for trial in trials]))
+            [(numeric, m.sequence, m.signal) for numeric, m
+             in zip(numerics, starmap(decode_manifest, trials))])
         if active is not None and payload:
             self._route_voice(active, payload)
 
@@ -377,32 +447,33 @@ class LiveZone:
         processing are identical by construction).  The round engine
         does every member's trial decryption of the round in one call;
         the per-channel engine leaves each to its agent."""
-        #: (channel_id, client_id, packet) as broadcast, in order.
+        #: (channel_id, client_id, roster entry, packet) as
+        #: broadcast, in order.
         deliveries = []
         for channel_id, packet in round_packets.items():
             sp = self._sp_of_channel[channel_id]
             if self.wire is not None:
                 self.wire.emit(self.mix.mix_id, sp.sp_id, packet,
                                kind="down")
-            for client_id, pkt in sp.broadcast_downstream(
-                    channel_id, packet):
+            for (client_id, pkt), entry in zip(
+                    sp.broadcast_downstream(channel_id, packet),
+                    self._roster(channel_id).entries):
                 if self.wire is not None:
                     self.wire.emit(sp.sp_id, client_id, pkt,
                                    kind="bcast")
-                deliveries.append((channel_id, client_id, pkt))
+                deliveries.append((channel_id, client_id, entry, pkt))
         opened = None
         if self.zone_mode == "batch":
             opened = open_downstream_packets(
-                [(self.clients[client_id].client.session_key,
-                  channel_id, self.round_index, pkt)
-                 for channel_id, client_id, pkt in deliveries])
-        for i, (channel_id, client_id, pkt) in enumerate(deliveries):
-            agent = self.clients[client_id].agent
+                [(entry.key, channel_id, self.round_index, pkt)
+                 for channel_id, _, entry, pkt in deliveries])
+        for i, (channel_id, client_id, entry, pkt) in enumerate(
+                deliveries):
             if opened is None:
-                evt = agent.process_downstream(channel_id,
-                                               self.round_index, pkt)
+                evt = entry.agent.process_downstream(
+                    channel_id, self.round_index, pkt)
             else:
-                evt = agent.handle_opened(channel_id, opened[i])
+                evt = entry.agent.handle_opened(channel_id, opened[i])
             if self.obs is not None and evt is not None:
                 self.obs.client_event(client_id, evt)
 
@@ -468,7 +539,7 @@ class LiveZone:
             up_numerics, up_trials = self._manifest_trials(up)
             numerics.append(up_numerics)
             trials.extend(up_trials)
-        decoded = decode_manifests(trials)
+        decoded = decode_manifest_words(trials)
         upstream = []
         start = 0
         for channel_id, up_numerics in zip(sorted(rounds_by_channel),
@@ -476,7 +547,9 @@ class LiveZone:
             end = start + len(up_numerics)
             upstream.append(
                 (channel_id, rounds_by_channel[channel_id].xor_packet,
-                 _entries(up_numerics, decoded[start:end])))
+                 [(numeric, sequence, signal)
+                  for numeric, (_, sequence, signal)
+                  in zip(up_numerics, decoded[start:end])]))
             start = end
         round_packets = self.manager.process_round(
             self.round_index, upstream, route=self._route_voice,
