@@ -27,8 +27,10 @@ This module implements:
   :func:`poly1305_mac_many` (``poly1305_mac`` is its B=1 case), and
 * :class:`ChaCha20Poly1305`, the AEAD construction used by the
   DTLS-like record layer for hop-by-hop authenticated encryption,
-  over :func:`aead_seal_many` / :func:`aead_open_many`, which make one
-  MAC call for all their tags.
+  beside :func:`aead_seal_many` / :func:`aead_open_many`, which make
+  one MAC call for all their tags: a round's trial decryptions open in
+  two phases (every key block, then the authentic bodies), one record
+  in one kernel call.
 """
 
 from __future__ import annotations
@@ -104,12 +106,13 @@ def xor_bytes(*chunks: bytes) -> bytes:
 #: than the numpy one.  Both do a fixed number of operations per call
 #: (≈800 big-int, ≈420 array) on operands that grow with the block
 #: count: measured through :func:`_keystream_blocks`, the lanes cost
-#: ≈35 µs + ≈2.6 µs a block and numpy ≈190–240 µs + ≈0.4 µs a block.
-#: They tie near 80 blocks, and below 64 no measured call loses
+#: ≈25 µs + ≈2.5 µs a block and numpy ≈190–240 µs + ≈0.4 µs a block.
+#: They tie near 85 blocks, and below 64 no measured call loses
 #: (table in DESIGN.md §15).  A property of the input, not a setting.
 _KERNEL_MIN_BLOCKS = 64
 
 _U32 = np.dtype("<u4")
+_U64 = np.dtype("<u8")
 _CONSTANT_COLUMN = np.array(_CONSTANTS, dtype=_U32)[:, None]
 #: Row gathers that line the diagonals up as columns, and back: rows
 #: 4–7 / 8–11 / 12–15 (b / c / d of the four quarter rounds) move left
@@ -120,18 +123,34 @@ _TO_COLUMNS = np.array([0, 1, 2, 3, 7, 4, 5, 6,
                         10, 11, 8, 9, 13, 14, 15, 12])
 
 
-def _block_kernel(initial: np.ndarray) -> bytes:
-    """The block function on every column of a ``(16, N)`` ``<u4``
-    state array at once; returns the N 64-byte blocks back to back.
+def _block_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
+                  counts: Sequence[int], counter: int, total: int) -> bytes:
+    """The block function on every column of a ``(16, total)`` ``<u4``
+    state array at once — column j the initial state of block j;
+    returns the blocks back to back.
 
     Rows 0–3 / 4–7 / 8–11 / 12–15 are a / b / c / d of four quarter
     rounds done side by side, so a half round is the quarter round
     written once over ``(4, N)`` slices, in place.  ``uint32`` adds
     wrap, which is the cipher's addition mod 2^32.
     """
+    n_streams = len(keys)
+    per_stream = np.asarray(counts, dtype=np.intp)
+    initial = np.empty((16, total), dtype=_U32)
+    initial[0:4] = _CONSTANT_COLUMN
+    initial[4:12] = np.repeat(
+        np.frombuffer(b"".join(keys), dtype=_U32).reshape(n_streams, 8),
+        per_stream, axis=0).T
+    first_block = np.cumsum(per_stream) - per_stream
+    initial[12] = (counter + np.arange(total)
+                   - np.repeat(first_block, per_stream))
+    initial[13:16] = np.repeat(
+        np.frombuffer(b"".join(nonces), dtype=_U32).reshape(n_streams, 3),
+        per_stream, axis=0).T
+
     columns = initial.copy()
     diagonals = np.empty_like(columns)
-    spare = np.empty((4, initial.shape[1]), dtype=_U32)
+    spare = np.empty((4, total), dtype=_U32)
 
     def rotl(x, n):
         np.left_shift(x, n, out=spare)
@@ -162,17 +181,22 @@ def _block_kernel(initial: np.ndarray) -> bytes:
     return columns.T.tobytes()
 
 
-_U64 = np.dtype("<u8")
 #: One lane of the int kernel: a 32-bit word and 32 spare bits above it.
 _LANE = b"\xff\xff\xff\xff\x00\x00\x00\x00"
+_SPARE = bytes(4)
+_CONSTANT_LANES = tuple(struct.pack("<Q", word) for word in _CONSTANTS)
 
 
-def _lane_kernel(initial: np.ndarray) -> bytes:
+def _lane_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
+                 counts: Sequence[int], counter: int, total: int) -> bytes:
     """:func:`_block_kernel` for a small N, on four Python ints.
 
     Each int is one row of the 4 × 4 state — a / b / c / d — for all N
     blocks: 4·N lanes of 64 bits, lane ``w·N + j`` holding word ``w``
-    of that row in block ``j``.  A half round is the quarter round
+    of that row in block ``j``.  The rows are built as bytes, a word
+    and its four spare bytes repeated once per block of its stream;
+    the counters are one ``struct.pack`` (``<Q`` of a counter below
+    2^32 is that lane).  A half round is the quarter round
     written once over whole rows.  An add carries into the spare half
     of its own lane and a rotate shifts bits into the spare half of its
     own lane or of the one below; ``& mask`` drops both, which is the
@@ -180,16 +204,30 @@ def _lane_kernel(initial: np.ndarray) -> bytes:
     when rows b / c / d turn by one / two / three words, i.e. by N /
     2N / 3N lanes.
     """
-    n = initial.shape[1]
+    n = total
     size = 32 * n
     mask = int.from_bytes(_LANE * (4 * n), "little")
-    packed = initial.astype(_U64).tobytes()
-    rows = [int.from_bytes(packed[i * size:(i + 1) * size], "little")
-            for i in range(4)]
+    keyed, nonced = list(zip(keys, counts)), list(zip(nonces, counts))
+    counters: List[int] = []
+    for count in counts:
+        counters += range(counter, counter + count)
+    a0 = int.from_bytes(b"".join([lane * n for lane in _CONSTANT_LANES]),
+                        "little")
+    b0 = int.from_bytes(b"".join(
+        [(key[i:i + 4] + _SPARE) * count
+         for i in (0, 4, 8, 12) for key, count in keyed]), "little")
+    c0 = int.from_bytes(b"".join(
+        [(key[i:i + 4] + _SPARE) * count
+         for i in (16, 20, 24, 28) for key, count in keyed]), "little")
+    d0 = int.from_bytes(b"".join(
+        [struct.pack("<%dQ" % n, *counters)]
+        + [(nonce[i:i + 4] + _SPARE) * count
+           for i in (0, 4, 8) for nonce, count in nonced]), "little")
     one, two, three = 64 * n, 128 * n, 192 * n
     low1, low2, low3 = (1 << one) - 1, (1 << two) - 1, (1 << three) - 1
 
-    def half_round(a, b, c, d):
+    a, b, c, d = a0, b0, c0, d0
+    for _ in range(10):
         a = (a + b) & mask
         d ^= a
         d = ((d << 16) | (d >> 16)) & mask
@@ -202,22 +240,32 @@ def _lane_kernel(initial: np.ndarray) -> bytes:
         c = (c + d) & mask
         b ^= c
         b = ((b << 7) | (b >> 25)) & mask
-        return a, b, c, d
-
-    a, b, c, d = rows
-    for _ in range(10):
-        a, b, c, d = half_round(a, b, c, d)
         b = (b >> one) | ((b & low1) << three)
         c = (c >> two) | ((c & low2) << two)
         d = (d >> three) | ((d & low3) << one)
-        a, b, c, d = half_round(a, b, c, d)
+        a = (a + b) & mask
+        d ^= a
+        d = ((d << 16) | (d >> 16)) & mask
+        c = (c + d) & mask
+        b ^= c
+        b = ((b << 12) | (b >> 20)) & mask
+        a = (a + b) & mask
+        d ^= a
+        d = ((d << 8) | (d >> 24)) & mask
+        c = (c + d) & mask
+        b ^= c
+        b = ((b << 7) | (b >> 25)) & mask
         b = (b >> three) | ((b & low3) << one)
         c = (c >> two) | ((c & low2) << two)
         d = (d >> one) | ((d & low1) << three)
-    out = b"".join(((x + x0) & mask).to_bytes(size, "little")
-                   for x, x0 in zip((a, b, c, d), rows))
-    return (np.frombuffer(out, dtype=_U64).reshape(16, n)
-            .astype(_U32).T.tobytes())
+    out = b"".join([((x + x0) & mask).to_bytes(size, "little")
+                    for x, x0 in ((a, a0), (b, b0), (c, c0), (d, d0))])
+    # The low half of every lane, in (row, word, block) order: block
+    # order already when there is one block.
+    words = np.frombuffer(out, dtype=_U32)[0::2]
+    if n > 1:
+        words = words.reshape(16, n).T
+    return words.tobytes()
 
 
 def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
@@ -226,10 +274,10 @@ def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
     ``(keys[i], nonces[i])`` starting at block ``counter``, all
     streams back to back (``64 * sum(counts)`` bytes).
 
-    The one branch of the cipher lives here: one state builder feeds
-    :func:`_lane_kernel` when the call is for fewer than
-    :data:`_KERNEL_MIN_BLOCKS` blocks and :func:`_block_kernel`
-    otherwise.
+    The one validation and the one branch of the cipher live here:
+    :func:`_lane_kernel` takes a call for fewer than
+    :data:`_KERNEL_MIN_BLOCKS` blocks and :func:`_block_kernel` any
+    other, and each builds its state in its own representation.
     """
     if not len(keys) == len(nonces) == len(counts):
         raise ValueError("need one key, one nonce and one block count "
@@ -240,23 +288,12 @@ def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
         raise ValueError("ChaCha20 nonce must be 12 bytes")
     if counter < 0 or counter + max(counts, default=0) > 2 ** 32:
         raise ValueError("ChaCha20 block counter must fit in 32 bits")
+    if min(counts, default=0) < 0:
+        raise ValueError("keystream length must be non-negative")
     total = sum(counts)
-    n_streams = len(keys)
-    per_stream = np.asarray(counts, dtype=np.intp)
-    initial = np.empty((16, total), dtype=_U32)
-    initial[0:4] = _CONSTANT_COLUMN
-    initial[4:12] = np.repeat(
-        np.frombuffer(b"".join(keys), dtype=_U32).reshape(n_streams, 8),
-        per_stream, axis=0).T
-    first_block = np.cumsum(per_stream) - per_stream
-    initial[12] = (counter + np.arange(total)
-                   - np.repeat(first_block, per_stream))
-    initial[13:16] = np.repeat(
-        np.frombuffer(b"".join(nonces), dtype=_U32).reshape(n_streams, 3),
-        per_stream, axis=0).T
     if total < _KERNEL_MIN_BLOCKS:
-        return _lane_kernel(initial)
-    return _block_kernel(initial)
+        return _lane_kernel(keys, nonces, counts, counter, total)
+    return _block_kernel(keys, nonces, counts, counter, total)
 
 
 def chacha20_keystream_many(keys: Sequence[bytes],
@@ -571,10 +608,17 @@ class ChaCha20Poly1305:
                               [aad])[0]
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
+        """Open one record.  Unlike a round of trial decryptions
+        (:func:`aead_open_many`), one record is expected to be
+        authentic, so block 0 and the body's blocks come from one
+        kernel call; the body is decrypted only once its tag is
+        accepted."""
         if len(data) < self.TAG_LEN:
             raise ValueError("ciphertext shorter than the AEAD tag")
-        plaintext = aead_open_many([self._key], [nonce], [data],
-                                   [aad])[0]
-        if plaintext is None:
+        ciphertext, tag = data[:-self.TAG_LEN], data[-self.TAG_LEN:]
+        stream = _keystream_blocks(
+            [self._key], [nonce], [1 + (len(ciphertext) + 63) // 64], 0)
+        expected, = _aead_tags([stream[:32]], [ciphertext], [aad])
+        if not hmac.compare_digest(tag, expected):
             raise ValueError("AEAD authentication failed")
-        return plaintext
+        return xor_bytes(ciphertext, stream[64:64 + len(ciphertext)])

@@ -89,24 +89,32 @@ _REPLAY_WINDOW = 1024
 
 
 class _ReceiveWindow:
-    """Sliding anti-replay window for datagram sequence numbers."""
+    """Sliding anti-replay window for datagram sequence numbers: the
+    bitmap of RFC 6347 §4.1.2.6, one int whose bit ``i`` says that
+    sequence number ``highest - i`` has been seen."""
 
     def __init__(self, size: int = _REPLAY_WINDOW):
         self._size = size
         self._highest = -1
-        self._seen = set()
+        self._seen = 0
 
     def check_and_update(self, seq: int) -> bool:
         """Return True if ``seq`` is fresh; record it."""
-        if seq <= self._highest - self._size:
-            return False
-        if seq in self._seen:
-            return False
-        self._seen.add(seq)
-        if seq > self._highest:
+        age = self._highest - seq
+        if age < 0:
+            # The window's new right edge.  A jump past the whole
+            # window forgets it, so the shift is never by more than
+            # the window (the jump itself is the peer's choice).
+            if -age >= self._size:
+                self._seen = 1
+            else:
+                self._seen = ((self._seen << -age) | 1) \
+                    & ((1 << self._size) - 1)
             self._highest = seq
-            floor = self._highest - self._size
-            self._seen = {s for s in self._seen if s > floor}
+            return True
+        if age >= self._size or self._seen >> age & 1:
+            return False
+        self._seen |= 1 << age
         return True
 
 

@@ -211,6 +211,36 @@ class TestRendezvousAndCalls:
         assert run(0) == shipped
         assert run(2 ** 40) == shipped
 
+    def test_a_frame_across_four_mixes_is_eight_cipher_calls(
+            self, monkeypatch):
+        """What one voice frame asks of the cipher, in order: the
+        sender's AEAD seal (block 0 and three of body), its two onion
+        layers at once, one layer at each of the four mixes, the
+        receiver's two layers at once, and its AEAD open — one call,
+        like the seal."""
+        bed = build_testbed(seed=1)
+        for name, zone in (("alice", "zone-EU"), ("bob", "zone-NA")):
+            client = bed.add_client(name, zone)
+            other, = (m for m in bed.mixes if m != client.mix_id
+                      and m.startswith(zone))
+            client.build_circuit(bed.service.circuit_builder(),
+                                 [client.mix_id, other])
+            bed.service.register_callee(client)
+        session = bed.call("alice", "bob")
+        calls = []
+        inner = chacha20._keystream_blocks
+
+        def spy(keys, nonces, counts, counter):
+            calls.append((list(counts), counter))
+            return inner(keys, nonces, counts, counter)
+
+        monkeypatch.setattr(chacha20, "_keystream_blocks", spy)
+        for direction in ("caller_to_callee", "callee_to_caller"):
+            del calls[:]
+            assert session.send_voice(direction, bytes(160)) == bytes(160)
+            assert calls == [([4], 0), ([5, 5], 1), ([5], 1), ([5], 1),
+                             ([5], 1), ([5], 1), ([5, 5], 1), ([4], 0)]
+
     def test_call_without_registration_fails(self, testbed):
         caller = testbed.add_client("alice", "zone-EU")
         callee = testbed.add_client("bob", "zone-NA")

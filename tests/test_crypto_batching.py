@@ -234,6 +234,26 @@ class TestKernelDifferential:
         assert chacha20_keystream_many([RFC_KEY], [bytes(12)], 0) == [b""]
         assert chacha20_encrypt_many([RFC_KEY], [bytes(12)], [b""]) == [b""]
 
+    @pytest.mark.parametrize("counts,counter", [
+        ([1], 0), ([1], 2 ** 32 - 1),              # untransposed serialise
+        ([0, 1, 0], 7), ([1, 1, 1, 1], 2 ** 32 - 1),
+        ([5, 0, 0, 5, 0, 3], 1), ([0, 0, 4, 0], 0),    # empty in the middle
+        ([63], 2 ** 32 - 63), ([9] * 7, 2 ** 32 - 9),  # 63, ending at 2^32
+        ([5, 5], 2 ** 32 - 5), ([2, 5, 0, 1], 2 ** 32 - 5),
+        ([64, 2, 64], 2 ** 32 - 64),               # 130: rows past 64 blocks
+    ], ids=lambda value: str(value).replace(" ", ""))
+    def test_byte_rows_on_named_shapes(self, counts, counter):
+        """The shapes the int kernel's row builder and serialiser
+        branch on or could get wrong: one block, streams of no blocks
+        between others, the last call the lanes take, counters whose
+        last block is 2^32 − 1, and — forced ``scalar`` — a call
+        larger than any the lanes are shipped."""
+        rng = random.Random(len(counts) * 1000 + sum(counts))
+        _assert_ragged_call_is_the_block_function(
+            [rng.randbytes(32) for _ in counts],
+            [rng.randbytes(12) for _ in counts], counts, counter)
+
+
 
 class TestRfc8439ThroughTheKernel:
     def test_block_vector(self, crossover):
@@ -334,6 +354,16 @@ class TestKernelValidation:
     def test_negative_block_count(self):
         with pytest.raises(ValueError, match="non-negative"):
             chacha20_keystream_many([RFC_KEY], [self.NONCE], -1)
+
+    @pytest.mark.parametrize("counts", [[-1], [3, -1, 2], [70, -1],
+                                        [-70, 80]])
+    def test_negative_count_is_refused_ahead_of_the_branch(
+            self, crossover, counts):
+        """``bytes * -1`` is ``b""``: the int kernel would build a
+        short row and return a wrong-length stream."""
+        with pytest.raises(ValueError, match="non-negative"):
+            _keystream_blocks([RFC_KEY] * len(counts),
+                              [self.NONCE] * len(counts), counts, 1)
 
     def test_one_cell_and_one_record_raise_the_same_messages(
             self, crossover):
@@ -734,6 +764,79 @@ class TestAeadBatch:
         del calls[:]
         assert aead_open_many(keys, nonces, sealed) == [bytes(160), b""]
         assert calls == [([1, 1], 0), ([3, 0], 1)]
+
+
+class TestOneRecordOpen:
+    """``ChaCha20Poly1305.decrypt`` is its own code (one kernel call
+    for block 0 and the body) beside ``aead_open_many`` (two phases):
+    the same plaintext, and ``ValueError`` exactly where the batch
+    entry point says ``None``."""
+
+    @staticmethod
+    def _both(key, nonce, data, aad):
+        batch, = aead_open_many([key], [nonce], [data], [aad])
+        try:
+            one = ChaCha20Poly1305(key).decrypt(nonce, data, aad)
+        except ValueError:
+            one = None
+        assert one == batch
+        return one
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=keys32, nonce=nonces12,
+           body=st.one_of(st.sampled_from([0, 1, 63, 64, 65, 160, 300])
+                          .flatmap(lambda n: st.binary(min_size=n,
+                                                       max_size=n)),
+                          st.binary(max_size=300)),
+           aad=st.one_of(st.just(b""), st.binary(min_size=1, max_size=40)),
+           flip=st.one_of(st.none(), st.tuples(
+               st.sampled_from(["tag", "body", "aad", "nonce"]),
+               st.integers(0, 2 ** 16))))
+    def test_decrypt_is_open_many_of_one(self, key, nonce, body, aad,
+                                         flip):
+        sealed = ChaCha20Poly1305(key).encrypt(nonce, body, aad)
+        parts = {"tag": sealed[-16:], "body": sealed[:-16], "aad": aad,
+                 "nonce": nonce}
+        forged = flip is not None and len(parts[flip[0]]) > 0
+        if forged:
+            part, bit = flip
+            flipped = bytearray(parts[part])
+            flipped[bit // 8 % len(flipped)] ^= 1 << bit % 8
+            parts[part] = bytes(flipped)
+        assert _on_every_path(lambda: self._both(
+            key, parts["nonce"], parts["body"] + parts["tag"],
+            parts["aad"])) == [None if forged else body] * 3
+
+    def test_data_shorter_than_the_tag(self, crossover):
+        aead = ChaCha20Poly1305(RFC_KEY)
+        for size in (0, 1, 15):
+            assert aead_open_many([RFC_KEY], [bytes(12)],
+                                  [bytes(size)]) == [None]
+            with pytest.raises(ValueError, match="shorter than the AEAD"):
+                aead.decrypt(bytes(12), bytes(size))
+        # A bare tag is the empty record.
+        assert aead.decrypt(bytes(12), aead.encrypt(bytes(12), b"")) == b""
+
+    def test_one_record_is_one_kernel_call(self, monkeypatch):
+        """Block 0 and the body's blocks together; a forged record
+        costs that one call and no byte of it is decrypted."""
+        calls, xors = [], []
+        _watch(monkeypatch, "_keystream_blocks",
+               lambda keys, nonces, counts, counter:
+               calls.append((list(counts), counter)))
+        _watch(monkeypatch, "xor_bytes", lambda *chunks: xors.append(chunks))
+        aead = ChaCha20Poly1305(RFC_KEY)
+        nonce = bytes(range(12))
+        for size, blocks in ((0, 1), (1, 2), (64, 2), (65, 3), (160, 4)):
+            sealed = aead.encrypt(nonce, bytes(size), b"herd")
+            del calls[:], xors[:]
+            assert aead.decrypt(nonce, sealed, b"herd") == bytes(size)
+            assert calls == [([blocks], 0)] and len(xors) == 1
+            forged = sealed[:-1] + bytes([sealed[-1] ^ 0x80])
+            del calls[:], xors[:]
+            with pytest.raises(ValueError, match="authentication failed"):
+                aead.decrypt(nonce, forged, b"herd")
+            assert calls == [([blocks], 0)] and xors == []
 
 
 # -- batch == per-item, layer by layer ----------------------------------------

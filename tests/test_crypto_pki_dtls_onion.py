@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.dtls import (
     HandshakeError,
     _HandshakeState,
+    _ReceiveWindow,
     establish_link,
 )
 from repro.crypto.keys import IdentityKeyPair, ShortTermKeyPair
@@ -178,6 +179,78 @@ class TestDTLSLink:
         left, _ = self._links()
         datagram = left.seal(b"")
         assert len(datagram) == left.overhead
+
+
+class _SetWindow:
+    """The anti-replay window as it was before the bitmap — every
+    in-window sequence number in a ``set``, pruned on each new highest
+    — kept as the oracle for :class:`_ReceiveWindow`."""
+
+    def __init__(self, size):
+        self._size = size
+        self._highest = -1
+        self._seen = set()
+
+    def check_and_update(self, seq):
+        if seq <= self._highest - self._size:
+            return False
+        if seq in self._seen:
+            return False
+        self._seen.add(seq)
+        if seq > self._highest:
+            self._highest = seq
+            floor = self._highest - self._size
+            self._seen = {s for s in self._seen if s > floor}
+        return True
+
+
+class TestReceiveWindow:
+    #: A step relative to the highest sequence number offered so far:
+    #: in order, a replay or a late datagram inside the window, the
+    #: window's two edges, too old, and a jump the peer picked.
+    STEPS = st.one_of(
+        st.just(1), st.integers(-20, 3),
+        st.sampled_from([-17, -16, -15, 15, 16, 17, 2 ** 40, 2 ** 63]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.sampled_from([1, 16, 1024]),
+           start=st.sampled_from([0, 5, 2 ** 32]),
+           steps=st.lists(STEPS, max_size=80))
+    def test_bitmap_decides_as_the_set_did(self, size, start, steps):
+        bitmap, oracle = _ReceiveWindow(size), _SetWindow(size)
+        highest = start
+        for step in steps:
+            seq = min(max(highest + step, 0), 2 ** 64 - 1)
+            highest = max(highest, seq)
+            assert bitmap.check_and_update(seq) == \
+                oracle.check_and_update(seq), seq
+            # The state never outgrows the window, however far the
+            # peer jumps.
+            assert bitmap._seen < 1 << size
+
+    def test_window_edges(self):
+        window = _ReceiveWindow(4)
+        assert [window.check_and_update(s) for s in (10, 7, 6, 7, 10)] \
+            == [True, True, False, False, False]
+        assert window.check_and_update(13)       # 7 and 10 stay: 10..13
+        assert [window.check_and_update(s) for s in (9, 10, 11, 12)] \
+            == [False, False, True, True]
+        assert window.check_and_update(2 ** 64 - 1)
+        assert not window.check_and_update(13)
+
+    def test_in_order_link_and_late_datagram(self):
+        rng = _rng()
+        left, right = establish_link(IdentityKeyPair.generate(rng),
+                                     IdentityKeyPair.generate(rng), rng)
+        late = left.seal(b"late")
+        sealed = [left.seal(b"%d" % i) for i in range(1100)]
+        assert [right.open(d) for d in sealed[:1023]] == \
+            [b"%d" % i for i in range(1023)]
+        assert right.open(late) == b"late"      # 1 023 behind: inside
+        assert right.open(late) is None
+        for datagram in sealed[1023:]:
+            assert right.open(datagram) is not None
+        assert right.open(sealed[75]) is None   # seen, and now too old
 
 
 def _circuit(n_hops: int, rng=None) -> OnionCircuitKeys:
