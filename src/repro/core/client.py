@@ -32,7 +32,7 @@ from repro.crypto.chacha20 import CipherPlan, seal_plans
 from repro.crypto.kdf import hkdf_sha256
 from repro.crypto.keys import IdentityKeyPair, SessionKey, ShortTermKeyPair
 from repro.crypto.pki import Certificate
-from repro.crypto.x25519 import X25519PrivateKey
+from repro.crypto.x25519 import X25519PrivateKey, X25519PublicKey
 from repro.voip.codec import Codec, G711
 
 
@@ -106,11 +106,14 @@ class HerdClient:
         return eph.public_bytes, eph
 
     def finish_join(self, eph: X25519PrivateKey, mix_id: str,
-                    mix_short_term_public: bytes, numeric_id: int,
-                    certificate: Certificate) -> None:
+                    mix_short_term_public: X25519PublicKey,
+                    numeric_id: int, certificate: Certificate) -> None:
+        """Derive ``s`` from the mix's short-term key — the key object,
+        whose fixed-base table every client of the mix reads
+        (DESIGN.md §16) — and take up the adoption."""
         shared = eph.exchange(mix_short_term_public)
         self.session_key = derive_client_mix_key(
-            shared, eph.public_bytes, mix_short_term_public)
+            shared, eph.public_bytes, mix_short_term_public.public_bytes)
         self.mix_id = mix_id
         self.numeric_id = numeric_id
         self.certificate = certificate

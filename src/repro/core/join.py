@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.channel import CHANNEL_CAPACITY
 from repro.core.client import HerdClient, derive_client_mix_key
 from repro.core.directory import ZoneDirectory
 from repro.core.mix import Mix
@@ -92,12 +93,10 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
         certificate = directory.enroll(
             client.client_id, "client", client.identity.public_bytes,
             client.short_term.public_bytes)
-    client.finish_join(eph, mix_id, mix.short_term.public_bytes,
+    client.finish_join(eph, mix_id, mix.short_term.public_key,
                        numeric_id, certificate)
     if not hmac.compare_digest(client.session_key.key, session_key.key):
-        # Neither side keeps a key the other does not share.
-        del mix.client_keys[client.client_id]
-        client.leave()
+        _abandon(mix, client)
         raise RuntimeError("join key agreement mismatch")
 
     # 4. Adoption: direct link, or redirection to superpeers.
@@ -115,24 +114,55 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
             pick = rng.choice(least)
             channel_choice.append(pick)
             occupancy[pick] += 1
+    try:
+        hosts = _channel_hosts(mix, superpeers, channel_choice)
+    except (KeyError, ValueError, RuntimeError):
+        _abandon(mix, client)
+        raise
     slots = mix.attach_client_to_channels(client.client_id,
                                           list(channel_choice),
                                           numeric_id)
     result = JoinResult(mix_id=mix_id, direct=False)
-    sp_by_channel = {}
-    for sp in superpeers.values():
-        for ch_id in sp.channel_clients:
-            sp_by_channel[ch_id] = sp
-    for ch_id, slot in slots.items():
-        sp = sp_by_channel.get(ch_id)
-        if sp is None:
-            raise ValueError(f"channel {ch_id} is not hosted by any SP")
-        sp_slot = sp.add_client(ch_id, client.client_id)
-        if sp_slot != slot:
-            raise RuntimeError("mix and SP slot assignment diverged")
+    for sp, (ch_id, slot) in zip(hosts, slots.items()):
+        sp.add_client(ch_id, client.client_id)
         client.attach(sp.sp_id, ch_id, slot)
         result.attachments.append((sp.sp_id, ch_id, slot))
     return result
+
+
+def _abandon(mix: Mix, client: HerdClient) -> None:
+    """Undo the key establishment of a join that is being refused:
+    neither side keeps a key the other does not share, and the client
+    can join again."""
+    del mix.client_keys[client.client_id]
+    client.leave()
+
+
+def _channel_hosts(mix: Mix, superpeers: Dict[str, SuperPeer],
+                   channels: Sequence[int]) -> List[SuperPeer]:
+    """The SP hosting each of the chosen ``channels``, once every one
+    is known to take the client: no channel twice, each with a place
+    free at the mix and hosted by an SP that will hand out the slot
+    the mix does.  Raises otherwise (``KeyError`` for a channel the
+    mix does not have), with nothing attached yet; only the chosen
+    channels are looked at, not the zone's."""
+    if len(set(channels)) != len(channels):
+        raise ValueError("a channel was chosen twice")
+    hosts = []
+    for ch_id in channels:
+        channel = mix.channels[ch_id]
+        if channel.member_count() >= CHANNEL_CAPACITY:
+            raise ValueError(f"channel is full ({CHANNEL_CAPACITY} "
+                             "members)")
+        # Should two SPs list a channel, the later one hosts it.
+        sp = next((sp for sp in reversed(superpeers.values())
+                   if ch_id in sp.channel_clients), None)
+        if sp is None:
+            raise ValueError(f"channel {ch_id} is not hosted by any SP")
+        if len(sp.channel_clients[ch_id]) != channel.member_count():
+            raise RuntimeError("mix and SP slot assignment diverged")
+        hosts.append(sp)
+    return hosts
 
 
 @dataclass

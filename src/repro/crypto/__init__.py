@@ -25,7 +25,7 @@ paths the paper describes (key negotiation, layer peeling, predictable
 chaff ciphertext for XOR decoding at the mix).
 """
 
-from repro.crypto.x25519 import X25519PrivateKey, x25519
+from repro.crypto.x25519 import X25519PrivateKey, X25519PublicKey, x25519
 from repro.crypto.ed25519 import SigningKey, VerifyKey
 from repro.crypto.chacha20 import (
     chacha20_encrypt,
@@ -42,6 +42,7 @@ from repro.crypto.onion import OnionCircuitKeys, wrap_onion, unwrap_layer
 
 __all__ = [
     "X25519PrivateKey",
+    "X25519PublicKey",
     "x25519",
     "SigningKey",
     "VerifyKey",

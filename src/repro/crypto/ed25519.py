@@ -9,13 +9,14 @@ hashing).  Verification checks the *cofactorless* equation
 ``s < L``.
 
 Every join derives keys and signs a certificate, so the curve layer is
-built for that path (DESIGN.md §16): any multiple of the base point is
-read off one precomputed table (:data:`_BASE_TABLE`, shared with
-:func:`repro.crypto.x25519.x25519_base`) and a key's public half is
-derived once.  Like the rest of :mod:`repro.crypto`, this is a
-from-scratch implementation intended for correctness within the
-reproduction, not for production hardening (Python integers are not
-constant-time).
+built for that path (DESIGN.md §16): any multiple of a point that
+stays is read off a precomputed table of it (:func:`_point_table`,
+:func:`_table_mul`) — the base point's, :data:`_BASE_TABLE`, shared
+with :func:`repro.crypto.x25519.x25519_base`, and one per long-lived
+X25519 public key — and a key's public half is derived once.  Like
+the rest of :mod:`repro.crypto`, this is a from-scratch implementation
+intended for correctness within the reproduction, not for production
+hardening (Python integers are not constant-time).
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ def _point_add(p, q):
 
 
 def _point_mul(s: int, p):
-    """``s·p`` for a variable point by double-and-add; only verify's
-    ``h·A`` comes here (multiples of the base point are read off
-    :data:`_BASE_TABLE`)."""
+    """``s·p`` for a one-shot point by double-and-add; only verify's
+    ``h·A`` comes here (multiples of a point that stays are read off
+    its table, :func:`_table_mul`)."""
     q = _IDENT
     while s > 0:
         if s & 1:
@@ -127,13 +128,15 @@ _BX = _recover_x(_BY, 0)
 _B = (_BX, _BY, 1, _BX * _BY % P)
 
 
-def _build_base_table():
-    """``_BASE_TABLE[i][j-1]`` is ``j·16^i·B`` for ``i < 64``,
-    ``1 ≤ j ≤ 15``, as the affine triple ``(y+x, y−x, 2dxy)`` a mixed
-    addition consumes.  The 960 points are made projective and brought
-    to ``Z = 1`` with one shared inversion (Montgomery's trick)."""
+def _point_table(point):
+    """The fixed-base table of ``point``: ``table[i][j-1]`` is
+    ``j·16^i·point`` for ``i < 64``, ``1 ≤ j ≤ 15``, as the affine
+    triple ``(y+x, y−x, 2dxy)`` a mixed addition consumes.  The 960
+    points are made projective and brought to ``Z = 1`` with one
+    shared inversion (Montgomery's trick); the addition law is
+    complete, so a point of small order gets a table like any other."""
     points = []
-    base = _B
+    base = point
     for _ in range(64):
         q = base
         for _ in range(15):
@@ -158,19 +161,19 @@ def _build_base_table():
                  for row in range(0, len(triples), 15))
 
 
-_BASE_TABLE = _build_base_table()
+_BASE_TABLE = _point_table(_B)
 
 
-def _base_mul(s: int):
-    """``s·B`` for ``0 ≤ s < 2^256`` from :data:`_BASE_TABLE`: one
-    seven-multiplication mixed addition per non-zero nibble of ``s``
-    and no doublings."""
+def _table_mul(s: int, table):
+    """``s·point`` for ``0 ≤ s < 2^256`` from the :func:`_point_table`
+    of ``point``: one seven-multiplication mixed addition per non-zero
+    nibble of ``s`` and no doublings."""
     x, y, z, t = _IDENT
     row = 0
     for byte in s.to_bytes(32, "little"):
         for j in (byte & 15, byte >> 4):
             if j:
-                ypx, ymx, xy2d = _BASE_TABLE[row][j - 1]
+                ypx, ymx, xy2d = table[row][j - 1]
                 a = (y - x) * ymx % P
                 b = (y + x) * ypx % P
                 c = t * xy2d % P
@@ -199,13 +202,13 @@ def _secret_expand(secret: bytes):
 
 def _public_key(secret: bytes) -> bytes:
     a, _ = _secret_expand(secret)
-    return _point_compress(_base_mul(a))
+    return _point_compress(_table_mul(a, _BASE_TABLE))
 
 
 def _sign(secret: bytes, public: bytes, msg: bytes) -> bytes:
     a, prefix = _secret_expand(secret)
     r = int.from_bytes(_sha512(prefix + msg), "little") % L
-    big_r = _point_compress(_base_mul(r))
+    big_r = _point_compress(_table_mul(r, _BASE_TABLE))
     h = int.from_bytes(_sha512(big_r + public + msg), "little") % L
     s = (r + h * a) % L
     return big_r + s.to_bytes(32, "little")
@@ -223,7 +226,7 @@ def _verify(public: bytes, msg: bytes, signature: bytes) -> bool:
     if s >= L:
         return False
     h = int.from_bytes(_sha512(signature[:32] + public + msg), "little") % L
-    lhs = _base_mul(s)
+    lhs = _table_mul(s, _BASE_TABLE)
     rhs = _point_add(r_point, _point_mul(h, a_point))
     return _point_equal(lhs, rhs)
 

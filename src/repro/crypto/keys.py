@@ -16,9 +16,10 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import Union
 
 from repro.crypto.ed25519 import SigningKey, VerifyKey
-from repro.crypto.x25519 import X25519PrivateKey
+from repro.crypto.x25519 import X25519PrivateKey, X25519PublicKey
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,17 @@ class ShortTermKeyPair:
         return cls(X25519PrivateKey.generate(rng))
 
     @property
+    def public_key(self) -> X25519PublicKey:
+        """The public half as the object peers exchange with (it keeps
+        the fixed-base table they share)."""
+        return self.dh_key.public_key
+
+    @property
     def public_bytes(self) -> bytes:
         return self.dh_key.public_bytes
 
-    def exchange(self, peer_public_bytes: bytes) -> bytes:
-        return self.dh_key.exchange(peer_public_bytes)
+    def exchange(self, peer: Union[bytes, X25519PublicKey]) -> bytes:
+        return self.dh_key.exchange(peer)
 
 
 @dataclass

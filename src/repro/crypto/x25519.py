@@ -4,22 +4,33 @@ Herd negotiates symmetric, ephemeral session keys using curve25519
 (§3.2: "the implementation relies on the OpenSSL and curve25519
 libraries").  :func:`x25519` is the Montgomery ladder of RFC 7748 §5
 with scalar clamping, u-coordinate masking and the §6.1 all-zero
-check; it is the one variable-base multiplication a join cannot avoid
-(client side and mix side), so its loop carries no call and no
-reduction the next multiplication makes anyway.  :func:`x25519_base`
-does not run the ladder: a public key is a multiple of the base point,
-which :mod:`repro.crypto.ed25519` reads off its fixed-base table, and
-the birational map ``u = (1 + y) / (1 − y)`` carries the result over
-(DESIGN.md §16).  A key's public half is derived once.
+check.  Against a one-shot peer it runs the ladder — the one
+variable-base multiplication a join cannot avoid (the mix side: every
+client's ephemeral is new), so its loop carries no call and no
+reduction the next multiplication makes anyway.  A point that stays
+needs no ladder: its multiples are read off a fixed-base table of its
+edwards25519 image (:mod:`repro.crypto.ed25519`) and the birational
+map ``u = (1 + y) / (1 − y)`` carries the result over (DESIGN.md §16).
+:func:`x25519_base` does that with the base point's table, and a
+long-lived public key — a mix's, which every joining client exchanges
+with — is an :class:`X25519PublicKey` that builds its own on the first
+exchange and keeps it.  A key's public half is derived once.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
-from repro.crypto.ed25519 import P, _base_mul, _inv
+from repro.crypto.ed25519 import (
+    P,
+    _BASE_TABLE,
+    _inv,
+    _point_table,
+    _recover_x,
+    _table_mul,
+)
 
 A24 = 121665
 
@@ -92,15 +103,43 @@ def _ladder(k: int, u: int) -> int:
     return x2 * _inv(z2) % P
 
 
-def x25519(scalar_bytes: bytes, u_bytes: bytes) -> bytes:
+def _edwards_table(u: int) -> tuple:
+    """The fixed-base table of the edwards25519 point over ``u``:
+    ``y = (u − 1) / (u + 1)`` and either ``x`` — ``(x, y)`` and
+    ``(−x, y)`` are negatives, so their multiples share ``y`` and map
+    back to the same ``u``.  Empty when ``u`` has no Edwards image
+    (``u = −1``, or a point of the twist)."""
+    if (u + 1) % P == 0:
+        return ()
+    y = (u - 1) * _inv(u + 1) % P
+    try:
+        x = _recover_x(y, 0)
+    except ValueError:
+        return ()
+    return _point_table((x, y, 1, x * y % P))
+
+
+def _table_u(k: int, table: tuple) -> int:
+    """The Montgomery u-coordinate ``(Z + Y) / (Z − Y)`` of ``k·point``
+    read off ``point``'s Edwards table; ``Z = Y`` (the neutral
+    element) gives u = 0, as the ladder does."""
+    _, y, z, _ = _table_mul(k, table)
+    return (z + y) * _inv(z - y) % P
+
+
+def x25519(scalar_bytes: bytes, u_bytes: bytes, table: tuple = ()) -> bytes:
     """Compute X25519(k, u): scalar multiplication on Curve25519.
 
-    Raises :class:`ValueError` if the result is the all-zero value,
-    which indicates a low-order input point (RFC 7748 §6.1 check).
+    ``table``, when the peer is an :class:`X25519PublicKey`, is its
+    :attr:`~X25519PublicKey.table`, which stands in for the ladder;
+    an empty one (a one-shot peer, a ``u`` without an Edwards image)
+    runs it.  Raises :class:`ValueError` if the result is the all-zero
+    value, which indicates a low-order input point (RFC 7748 §6.1
+    check).
     """
     k = _clamp(scalar_bytes)
     u = _decode_u(u_bytes)
-    result = _ladder(k, u)
+    result = _table_u(k, table) if table else _ladder(k, u)
     out = _encode_u(result)
     if out == b"\x00" * 32:
         raise ValueError("X25519 produced the all-zero shared secret "
@@ -111,11 +150,40 @@ def x25519(scalar_bytes: bytes, u_bytes: bytes) -> bytes:
 def x25519_base(scalar_bytes: bytes) -> bytes:
     """Compute the public key for a private scalar (u = 9).
 
-    ``k·B`` on edwards25519 from the fixed-base table, mapped to the
-    Montgomery u-coordinate ``(Z + Y) / (Z − Y)``; ``Z = Y`` (the
-    neutral element) gives u = 0, as the ladder does."""
-    _, y, z, _ = _base_mul(_clamp(scalar_bytes))
-    return _encode_u((z + y) * _inv(z - y))
+    ``k·B`` on edwards25519 from the base point's table, mapped to
+    the Montgomery u-coordinate."""
+    return _encode_u(_table_u(_clamp(scalar_bytes), _BASE_TABLE))
+
+
+@dataclass(frozen=True)
+class X25519PublicKey:
+    """The public half of a long-lived X25519 key.
+
+    Everyone who exchanges with it multiplies the same point, so it
+    carries that point's fixed-base table: built on the first exchange
+    (≈8 ms, ≈250 KB — nine exchanges pay for it) and kept on the
+    instance, like every derived half (DESIGN.md §16).
+    """
+
+    public_bytes: bytes
+    #: ``None`` until the first read of :attr:`table` (not part of
+    #: equality or hash).
+    _table: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.public_bytes) != 32:
+            raise ValueError("X25519 public key must be 32 bytes")
+
+    @property
+    def table(self) -> tuple:
+        """The table :func:`x25519` takes; empty if this ``u`` has no
+        Edwards image and every exchange runs the ladder."""
+        table = self._table
+        if table is None:
+            table = _edwards_table(_decode_u(self.public_bytes))
+            object.__setattr__(self, "_table", table)
+        return table
 
 
 @dataclass(frozen=True)
@@ -128,8 +196,8 @@ class X25519PrivateKey:
 
     private_bytes: bytes
     #: The public half, derived on the first read of
-    #: :attr:`public_bytes` and kept (not part of equality or hash).
-    _public_bytes: Optional[bytes] = field(
+    #: :attr:`public_key` and kept (not part of equality or hash).
+    _public_key: Optional[X25519PublicKey] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -147,13 +215,21 @@ class X25519PrivateKey:
         return cls(material)
 
     @property
-    def public_bytes(self) -> bytes:
-        public = self._public_bytes
+    def public_key(self) -> X25519PublicKey:
+        public = self._public_key
         if public is None:
-            public = x25519_base(self.private_bytes)
-            object.__setattr__(self, "_public_bytes", public)
+            public = X25519PublicKey(x25519_base(self.private_bytes))
+            object.__setattr__(self, "_public_key", public)
         return public
 
-    def exchange(self, peer_public_bytes: bytes) -> bytes:
-        """Perform the Diffie-Hellman exchange with a peer public key."""
-        return x25519(self.private_bytes, peer_public_bytes)
+    @property
+    def public_bytes(self) -> bytes:
+        return self.public_key.public_bytes
+
+    def exchange(self, peer: Union[bytes, X25519PublicKey]) -> bytes:
+        """Perform the Diffie-Hellman exchange with a peer public key:
+        the 32 bytes of a one-shot peer, or the
+        :class:`X25519PublicKey` of a long-lived one."""
+        if isinstance(peer, X25519PublicKey):
+            return x25519(self.private_bytes, peer.public_bytes, peer.table)
+        return x25519(self.private_bytes, peer)

@@ -2,6 +2,7 @@
 blacklisting, and the SP-facing invariants."""
 
 import random
+import sys
 
 import pytest
 
@@ -57,6 +58,7 @@ class _WrongShare:
 
     def __init__(self, real):
         self.public_bytes = real.public_bytes
+        self.public_key = real.public_key
 
     def exchange(self, peer_public_bytes):
         return b"\x07" * 32
@@ -164,6 +166,102 @@ class TestJoinProtocol:
         # Room for the next one: nothing more is opened.
         bed.add_client("client-65", "zone-EU", k=2, via_superpeers=True)
         assert len(mix.channels) == 4
+
+    def test_refused_join_leaves_nothing_behind(self):
+        """Channel 1 is full, channel 0 is not: the join is refused
+        before either takes the client, the mix forgets its key, and
+        the same client joins where there is room."""
+        bed, mix, sp, _ = _sp_testbed(n_clients=0, n_channels=2)
+        directory = bed.directories["zone-EU"]
+        for i in range(64):
+            join_zone(HerdClient(f"filler-{i}", "zone-EU", rng=bed.rng,
+                                 k=1),
+                      directory, bed.mixes, superpeers=bed.superpeers,
+                      channel_choice=[1], rng=bed.rng)
+
+        def held():
+            return (sorted(mix.client_keys),
+                    {ch: dict(c.members) for ch, c in mix.channels.items()},
+                    dict(mix._client_slots), dict(mix.predictor._keys),
+                    {ch: list(m) for ch, m in sp.channel_clients.items()},
+                    sp.membership_epoch)
+
+        before = held()
+        victim = HerdClient("victim", "zone-EU", rng=bed.rng, k=2)
+        refusals = [
+            ([0, 1], ValueError, "channel is full"),
+            ([0, 7], KeyError, "7"),
+            ([0, 0], ValueError, "chosen twice"),
+        ]
+        for choice, error, message in refusals:
+            with pytest.raises(error, match=message):
+                join_zone(victim, directory, bed.mixes,
+                          superpeers=bed.superpeers,
+                          channel_choice=choice, rng=bed.rng)
+            assert held() == before
+            assert not victim.joined and victim.mix_id is None
+            assert victim.numeric_id is None and victim.attachments == []
+        # A channel no SP hosts, and one whose SP lost count.
+        mix.open_channel()
+        before = held()
+        with pytest.raises(ValueError, match="not hosted by any SP"):
+            join_zone(victim, directory, bed.mixes,
+                      superpeers=bed.superpeers, channel_choice=[0, 2],
+                      rng=bed.rng)
+        sp.channel_clients[0].append("ghost")
+        with pytest.raises(RuntimeError, match="slot assignment diverged"):
+            join_zone(victim, directory, bed.mixes,
+                      superpeers=bed.superpeers, channel_choice=[0],
+                      rng=bed.rng)
+        sp.channel_clients[0].pop()
+        assert held() == before and not victim.joined
+        # The retry wrapper fails for the reason given, not on
+        # "already adopted" ...
+        with pytest.raises(RetryError) as err:
+            join_with_retries(victim, directory, bed.mixes,
+                              superpeers=bed.superpeers,
+                              channel_choice=[0, 1], rng=bed.rng,
+                              policy=BackoffPolicy(max_attempts=2))
+        assert "channel is full" in str(err.value.last_error)
+        assert held() == before
+        # ... and the same client joins where there is room; so does
+        # the next honest one.
+        result = join_zone(victim, directory, bed.mixes,
+                           superpeers=bed.superpeers, channel_choice=[0],
+                           rng=bed.rng)
+        assert result.attachments == [("sp-0", 0, 0)]
+        assert mix.client_keys["victim"].key == victim.session_key.key
+        assert sp.channel_clients[0] == ["victim"]
+        assert mix.client_at_slot(0, 0) == "victim"
+        honest = HerdClient("honest", "zone-EU", rng=bed.rng, k=1)
+        join_zone(honest, directory, bed.mixes, superpeers=bed.superpeers,
+                  channel_choice=[0], rng=bed.rng)
+        assert sp.channel_clients[0] == ["victim", "honest"]
+
+    def test_one_ladder_a_join_from_the_second_on(self, monkeypatch):
+        """The ``zone-join`` shape.  The mix's side of the exchange is
+        a ladder (every client's ephemeral is new); the client's side
+        reads the table the mix's key carries, built by the first
+        client to exchange with it."""
+        module = sys.modules["repro.crypto.x25519"]
+        ladders, tables = [], []
+        real_ladder, real_table = module._ladder, module._point_table
+        monkeypatch.setattr(
+            module, "_ladder",
+            lambda k, u: ladders.append(u) or real_ladder(k, u))
+        monkeypatch.setattr(
+            module, "_point_table",
+            lambda point: tables.append(point) or real_table(point))
+        bed, mix, sp, _ = _sp_testbed(n_clients=0, n_channels=4)
+        for i in range(5):
+            before = len(ladders)
+            client = bed.add_client(f"joiner-{i}", "zone-EU", k=2,
+                                    via_superpeers=True)
+            assert len(ladders) - before == 1
+            assert mix.client_keys[client.client_id].key \
+                == client.session_key.key
+        assert len(tables) == 1  # the mix's key, once
+        assert mix.short_term.public_key.table
 
 
 class TestSuperPeerRounds:

@@ -1,7 +1,8 @@
 """The curve fast path against three oracles (DESIGN.md §16).
 
-``repro.crypto.ed25519`` / ``x25519`` multiply through a fixed-base
-table and a tightened ladder.  What they replaced —
+``repro.crypto.ed25519`` / ``x25519`` multiply through fixed-base
+tables — the base point's, and one on every long-lived X25519 public
+key — and a tightened ladder.  What they replaced —
 textbook double-and-add and the RFC 7748 §5 ladder as printed — lives
 on here as the reference; golden pins taken at the commit before the
 rewrite hold the join's bytes in place; and ``cryptography``, where
@@ -17,7 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 from repro.crypto import ed25519 as ed
 from repro.crypto.ed25519 import L, P, SigningKey, VerifyKey
 from repro.crypto.keys import IdentityKeyPair, ShortTermKeyPair
-from repro.crypto.x25519 import X25519PrivateKey, x25519, x25519_base
+from repro.crypto.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+    x25519,
+    x25519_base,
+)
 
 from conftest import build_testbed
 
@@ -59,6 +65,10 @@ def ref_ladder(k, u):
     if swap:
         x2, z2 = x3, z3
     return x2 * pow(z2, P - 2, P) % P
+
+
+def base_mul(s):
+    return ed._table_mul(s, ed._BASE_TABLE)
 
 
 def affine(p):
@@ -119,18 +129,43 @@ class TestFixedBaseTable:
 
     @pytest.mark.parametrize("s", EDGE_SCALARS)
     def test_edge_scalars(self, s):
-        assert affine(ed._base_mul(s)) == affine(ref_mul(s, ed._B))
+        assert affine(base_mul(s)) == affine(ref_mul(s, ed._B))
 
     @settings(max_examples=60, deadline=None)
     @given(s=scalars)
     def test_matches_double_and_add(self, s):
-        assert affine(ed._base_mul(s)) == affine(ref_mul(s, ed._B))
+        assert affine(base_mul(s)) == affine(ref_mul(s, ed._B))
 
     def test_scalar_out_of_range_is_an_error(self):
         with pytest.raises(OverflowError):
-            ed._base_mul(2 ** 256)
+            base_mul(2 ** 256)
         with pytest.raises(OverflowError):
-            ed._base_mul(-1)
+            base_mul(-1)
+
+
+class TestAnyPointTable:
+    """The builder and the multiplication take the point: a table of
+    ``k·B``, of a projective representative, of a small-order point."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(s=scalars, k=st.integers(1, L - 1), z=st.integers(1, P - 1))
+    def test_matches_double_and_add(self, s, k, z):
+        x, y = affine(ref_mul(k, ed._B))
+        point = (x * z % P, y * z % P, z, x * y * z % P)
+        table = ed._point_table(point)
+        assert len(table) == 64 and {len(row) for row in table} == {15}
+        for i, j in ((0, 1), (1, 15), (63, 8)):
+            px, py = affine(ref_mul(j * 16 ** i, point))
+            assert table[i][j - 1] == (
+                (py + px) % P, (py - px) % P, 2 * ed.D * px * py % P)
+        assert affine(ed._table_mul(s, table)) == affine(ref_mul(s, point))
+
+    @pytest.mark.parametrize("point", SMALL_ORDER_POINTS)
+    def test_small_order_points(self, point):
+        table = ed._point_table(point)
+        for s in (0, 1, 2, 3, 4, 7, 8, L, 2 ** 256 - 1):
+            assert affine(ed._table_mul(s, table)) \
+                == affine(ref_mul(s, point))
 
 
 class TestVariableBase:
@@ -177,6 +212,153 @@ class TestLadderAndBaseMap:
             == x25519(scalar, nine)
 
 
+#: RFC 7748 §5.2 (scalar, u, result) and the §6.1 Diffie-Hellman
+#: vector as (Alice's private key, Bob's public key, shared secret).
+#: The first u is on the curve (the table path); the second is a point
+#: of the twist, which has no Edwards image (the ladder, through the
+#: key object); Bob's key is a key.
+RFC7748_VECTORS = [
+    ("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+     "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+     "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552",
+     True),
+    ("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+     "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+     "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957",
+     False),
+    ("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+     "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
+     "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742",
+     True),
+]
+
+
+def exchange_outcome(exchange):
+    """What an exchange gives: its bytes, or the text of its
+    ``ValueError``."""
+    try:
+        return exchange()
+    except ValueError as err:
+        return str(err)
+
+
+class TestPeerKeyTable:
+    """An exchange against an :class:`X25519PublicKey` reads the peer's
+    own table; it must give what the ladder gives, on every input."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scalar=byte32, peer=byte32)
+    @example(scalar=b"\x00" * 32, peer=b"\xff" * 32)
+    @example(scalar=b"\xff" * 32, peer=b"\x00" * 32)
+    def test_matches_rfc_ladder_and_x25519(self, scalar, peer):
+        public = X25519PrivateKey(peer).public_key
+        assert public.table  # a public key is on the curve
+        shared = X25519PrivateKey(scalar).exchange(public)
+        assert shared \
+            == ref_x25519(scalar, public.public_bytes).to_bytes(32, "little") \
+            == x25519(scalar, public.public_bytes) \
+            == X25519PrivateKey(peer).exchange(x25519_base(scalar))
+
+    @settings(max_examples=40, deadline=None)
+    @given(scalar=byte32, u=byte32)
+    def test_any_u_gives_what_x25519_gives(self, scalar, u):
+        """On the curve or on the twist, canonical or not."""
+        key = X25519PrivateKey(scalar)
+        assert exchange_outcome(lambda: key.exchange(X25519PublicKey(u))) \
+            == exchange_outcome(lambda: x25519(scalar, u))
+
+    @pytest.mark.parametrize("scalar,u,result,on_curve", RFC7748_VECTORS)
+    def test_rfc7748_vectors(self, scalar, u, result, on_curve):
+        scalar, u = bytes.fromhex(scalar), bytes.fromhex(u)
+        public = X25519PublicKey(u)
+        assert bool(public.table) is on_curve
+        assert x25519(scalar, u).hex() == result
+        assert X25519PrivateKey(scalar).exchange(public).hex() == result
+        assert ShortTermKeyPair(X25519PrivateKey(scalar)) \
+            .exchange(public).hex() == result
+
+    @pytest.mark.parametrize("u", [2, 3, 5, P - 3, P - 1])
+    def test_no_edwards_image_runs_the_ladder(self, u, monkeypatch):
+        """Points of the twist and ``u = −1``: the table is empty (and
+        found empty once), the ladder answers."""
+        module = sys.modules["repro.crypto.x25519"]
+        ladders = []
+        real_ladder = module._ladder
+        monkeypatch.setattr(
+            module, "_ladder",
+            lambda k, u: ladders.append(u) or real_ladder(k, u))
+        encoded = u.to_bytes(32, "little")
+        public = X25519PublicKey(encoded)
+        assert public.table == () and public.table is public._table
+        scalar = random.Random(u).randbytes(32)
+        outcome = exchange_outcome(
+            lambda: X25519PrivateKey(scalar).exchange(public))
+        assert ladders == [u]
+        assert outcome == exchange_outcome(lambda: x25519(scalar, encoded))
+
+    @pytest.mark.parametrize("u", [P + 3, P + 9, 2 ** 255 - 1,
+                                   2 ** 255 + 9, 2 ** 256 - 1])
+    def test_non_canonical_u(self, u):
+        """``u ≥ p`` and the ignored top bit: the table is that of the
+        reduced ``u``, as the ladder multiplies the reduced ``u``."""
+        encoded = u.to_bytes(32, "little")
+        reduced = ((u & (2 ** 255 - 1)) % P).to_bytes(32, "little")
+        public = X25519PublicKey(encoded)
+        assert public.table == X25519PublicKey(reduced).table
+        for seed in (1, 2):
+            scalar = random.Random(seed).randbytes(32)
+            assert exchange_outcome(
+                lambda: X25519PrivateKey(scalar).exchange(public)) \
+                == exchange_outcome(lambda: x25519(scalar, encoded)) \
+                == exchange_outcome(lambda: x25519(scalar, reduced))
+
+    def test_wrong_lengths_are_errors_on_both_paths(self):
+        with pytest.raises(ValueError, match="32 bytes"):
+            X25519PublicKey(b"\x09" * 31)
+        public = X25519PrivateKey(bytes(range(32))).public_key
+        for scalar in (b"", b"\x01" * 31, b"\x01" * 33):
+            with pytest.raises(ValueError, match="scalar"):
+                x25519(scalar, public.public_bytes, public.table)
+            with pytest.raises(ValueError, match="scalar"):
+                x25519(scalar, public.public_bytes)
+
+    def test_table_is_built_once_per_key_object(self, monkeypatch):
+        module = sys.modules["repro.crypto.x25519"]
+        built = []
+        real_table = module._point_table
+        monkeypatch.setattr(
+            module, "_point_table",
+            lambda point: built.append(point) or real_table(point))
+        rng = random.Random(31)
+        short_term = ShortTermKeyPair.generate(rng)
+        public = short_term.public_key
+        assert public is short_term.dh_key.public_key  # handed out, kept
+        assert public.public_bytes is short_term.public_bytes
+        assert built == []  # nothing is built before the first exchange
+        shares = [X25519PrivateKey.generate(rng).exchange(public)
+                  for _ in range(3)]
+        assert len(built) == 1 and len(set(shares)) == 3
+        # a one-shot peer's bytes build nothing
+        X25519PrivateKey.generate(rng).exchange(public.public_bytes)
+        short_term.exchange(X25519PrivateKey.generate(rng).public_bytes)
+        assert len(built) == 1
+        # another object of the same key has its own
+        X25519PrivateKey.generate(rng).exchange(
+            X25519PublicKey(public.public_bytes))
+        assert len(built) == 2
+
+    def test_table_is_not_part_of_equality_hash_or_repr(self):
+        encoded = X25519PrivateKey(bytes(range(32))).public_bytes
+        fresh, used = X25519PublicKey(encoded), X25519PublicKey(encoded)
+        X25519PrivateKey(bytes(32)).exchange(used)
+        assert fresh._table is None and used._table
+        assert fresh == used and hash(fresh) == hash(used)
+        assert len({fresh, used}) == 1
+        assert repr(fresh) == repr(used)
+        assert len(repr(used)) < 200
+        assert fresh != X25519PublicKey(bytes(32))
+
+
 # -- degenerate inputs keep their exact behaviour -----------------------------
 
 
@@ -186,8 +368,13 @@ class TestDegenerateInputs:
     def test_small_order_u_rejected(self, u, top_bit):
         """RFC 7748 §6.1: all seven low-order inputs (with the ignored
         top bit clear or set) end in z = 0, whose inverse must stay 0
-        for the all-zero check to fire."""
+        for the all-zero check to fire.  Through a key object's table
+        a clamped scalar (a multiple of 8) lands on the neutral element,
+        ``Z = Y``, and the same check fires; ``u = −1`` (p − 1) is the
+        one of the seven without an Edwards image."""
         encoded = (u | top_bit).to_bytes(32, "little")
+        public = X25519PublicKey(encoded)
+        assert bool(public.table) is (u % P != P - 1)
         for seed in (1, 2, 3):
             scalar = random.Random(seed).randbytes(32)
             assert ref_x25519(scalar, encoded) == 0
@@ -197,6 +384,8 @@ class TestDegenerateInputs:
                 X25519PrivateKey(scalar).exchange(encoded)
             with pytest.raises(ValueError, match="all-zero"):
                 ShortTermKeyPair(X25519PrivateKey(scalar)).exchange(encoded)
+            with pytest.raises(ValueError, match="all-zero"):
+                X25519PrivateKey(scalar).exchange(public)
 
     def test_inverse_of_zero_is_zero(self):
         # Fermat's x^(p-2) maps 0 to 0; pow(x, -1, p) raises on it.
@@ -208,7 +397,7 @@ class TestDegenerateInputs:
     def test_compress_roundtrip(self):
         for s in (1, 2, L - 1, 0xC0FFEE):
             x, y = affine(ref_mul(s, ed._B))
-            encoded = ed._point_compress(ed._base_mul(s))
+            encoded = ed._point_compress(base_mul(s))
             assert encoded == (y | ((x & 1) << 255)).to_bytes(32, "little")
             assert affine(ed._point_decompress(encoded)) == (x, y)
         # Z = 0 is not a curve point; it compresses to y = 0 as with
@@ -218,7 +407,7 @@ class TestDegenerateInputs:
     def test_neutral_element_maps_to_u_zero(self):
         # Z = Y in u = (Z+Y)/(Z-Y): unreachable from a clamped scalar
         # (8·L > 2^255), so drive the map's arithmetic directly.
-        _, y, z, _ = ed._base_mul(L)
+        _, y, z, _ = base_mul(L)
         assert (z - y) % P == 0
         assert (z + y) * ed._inv(z - y) % P == 0
 
@@ -347,6 +536,9 @@ def test_agrees_with_cryptography_library():
         shared = their_a.exchange(their_b.public_key())
         assert our_a.exchange(our_b.public_bytes) == shared
         assert our_b.exchange(our_a.public_bytes) == shared
+        if case % 8 == 0:  # a table a pair: ≈8 ms each
+            assert our_a.exchange(our_b.public_key) == shared
+            assert our_b.exchange(our_a.public_key) == shared
 
 
 # -- (d) derive once, and only once --------------------------------------------
@@ -377,7 +569,8 @@ class TestDeriveOnce:
         assert sorted(calls) == ["ed", "x"]
 
     @pytest.mark.parametrize("cls,public", [
-        (SigningKey, "verify_key"), (X25519PrivateKey, "public_bytes")])
+        (SigningKey, "verify_key"), (X25519PrivateKey, "public_bytes"),
+        (X25519PrivateKey, "public_key")])
     def test_equality_and_hash_depend_on_the_secret_only(self, cls,
                                                          public):
         seed = bytes(range(32))
