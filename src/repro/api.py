@@ -78,12 +78,6 @@ class SimConfig:
         additionally reports host-socket accounting in
         ``report.detail["net"]``, a side channel outside every
         determinism key.
-    net_processes:
-        Real-network (``"asyncio"``) plane only: host the UDP
-        receive endpoints in a separate worker process, so every
-        cell datagram genuinely crosses a process boundary
-        (:mod:`repro.net.procs`).  Raises ``ValueError`` on ``"sim"``
-        transports.
     wiretap:
         Live scenario only: materialize the zone's wire plane and tap
         every link with a global passive observer; the observation
@@ -101,7 +95,7 @@ class SimConfig:
                  "n_sps", "k", "zone_id", "zone_specs",
                  "client_prefix", "call_pairs",
                  "scenario_def", "trace_path", "trace_buffer",
-                 "execution", "net_processes", "wiretap")
+                 "execution", "wiretap")
 
     def __init__(self, *, scenario: str = "live",
                  seed: int = 20150817, n_clients: int = 12,
@@ -114,7 +108,6 @@ class SimConfig:
                  trace_path: Optional[str] = None,
                  trace_buffer: int = 4096,
                  execution: str = "event",
-                 net_processes: bool = False,
                  wiretap: bool = False):
         if scenario_def is not None and scenario == "live":
             scenario = "scenario"
@@ -125,11 +118,6 @@ class SimConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}, "
                              f"not {scenario!r}")
         plane = execution_registry.resolve(execution)
-        if net_processes and plane.transport != "udp":
-            raise ValueError(
-                f"net_processes applies to the real-network "
-                f"transport only; plane {plane.name!r} runs "
-                f"on {plane.transport!r}")
         if wiretap and scenario != "live":
             raise ValueError(
                 f"wiretap applies to scenario='live' only, not "
@@ -151,7 +139,6 @@ class SimConfig:
         self.trace_path = trace_path
         self.trace_buffer = trace_buffer
         self.execution = plane.name
-        self.net_processes = bool(net_processes)
         self.wiretap = wiretap
 
     def __repr__(self) -> str:
@@ -281,8 +268,7 @@ class Simulation:
                         n_sps=cfg.n_sps, seed=cfg.seed,
                         zone_id=cfg.zone_id,
                         client_prefix=cfg.client_prefix,
-                        execution=cfg.execution,
-                        net_processes=cfg.net_processes)
+                        execution=cfg.execution)
         # The real-network plane always materializes the wire — the
         # datagrams *are* the transport; the simulator planes only
         # pay for a wire image when an adversary taps it.
@@ -382,6 +368,5 @@ class Simulation:
         if until is not None and float(until) != scenario.horizon_s:
             scenario = scenario.with_horizon(float(until))
         outcome = execute(scenario, execution=cfg.execution,
-                          net_processes=cfg.net_processes,
                           scope=self.scope)
         return outcome.rounds_run, outcome

@@ -141,8 +141,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                        n_channels=args.channels,
                        call_pairs=args.pairs,
                        trace_path=args.trace,
-                       execution=args.engine,
-                       net_processes=args.net_processes)
+                       execution=args.engine)
     report = Simulation(config).run(rounds=args.rounds)
     if args.format == "json":
         print(report.to_json())
@@ -233,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default="event",
                            help="execution engine (the metrics are "
                            "byte-identical; batch engines run faster)")
-    p_metrics.add_argument("--processes", dest="net_processes",
-                           action="store_true",
-                           help="asyncio engine only: host the UDP "
-                           "receive endpoints in a separate worker "
-                           "process")
     p_metrics.add_argument("--format", choices=("prom", "json"),
                            default="prom")
     p_metrics.add_argument("--trace", default=None,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -32,16 +31,7 @@ from repro.crypto.kdf import hkdf_sha256
 from repro.crypto.onion import HopKeys, OnionCircuitKeys
 from repro.crypto.x25519 import X25519PrivateKey
 
-_circuit_ids = itertools.count(1)
-
 _CONFIRM_LABEL = b"herd-create-confirm"
-
-
-def new_circuit_id() -> int:
-    """Globally unique circuit id for simulations.  (On the wire these
-    are per-link ids; a global counter is an acceptable simplification
-    that preserves uniqueness.)"""
-    return next(_circuit_ids)
 
 
 @dataclass(frozen=True)
@@ -154,20 +144,22 @@ class CircuitBuilder:
 
     ``mix_resolver`` maps a mix id to an object exposing
     ``process_create(request) -> CreateReply`` (the
-    :class:`~repro.core.mix.Mix` API).  Extension requests are relayed
+    :class:`~repro.core.mix.Mix` API); ``new_circuit_id`` hands out
+    the id of each circuit built.  Extension requests are relayed
     by the already-built prefix in a real deployment; here the builder
     performs the same cryptographic exchanges in order, and the mixes
     install identical state, which is what the simulations exercise.
     """
 
-    def __init__(self, mix_resolver, rng=None):
+    def __init__(self, mix_resolver, new_circuit_id, rng=None):
         self._resolve = mix_resolver
+        self._new_circuit_id = new_circuit_id
         self._rng = rng
 
     def build(self, path: List[str], client_name: str) -> Circuit:
         if not path:
             raise ValueError("circuit path must contain at least one mix")
-        circuit_id = new_circuit_id()
+        circuit_id = self._new_circuit_id()
         hops: List[HopKeys] = []
         prev = client_name
         for i, mix_id in enumerate(path):

@@ -18,6 +18,7 @@ Each zone runs a directory server that
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -69,8 +70,15 @@ class ZoneDirectory:
         #: (see :class:`DirectoryStalledError`); set/cleared by the
         #: fault injector's ``DIRECTORY_STALL`` window.
         self.stalled = False
+        #: Numeric client ids, unique zone-wide (the key of mix
+        #: channel tables and of ``LiveZone``'s client index).
+        self._numeric_ids = itertools.count(0)
 
     # -- certification -----------------------------------------------------
+
+    def allocate_numeric_id(self) -> int:
+        """The next numeric id for a client joining this zone."""
+        return next(self._numeric_ids)
 
     def enroll(self, subject_id: str, role: str, identity_public: bytes,
                short_term_public: bytes) -> Certificate:

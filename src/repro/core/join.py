@@ -14,7 +14,6 @@ the client ended up.
 from __future__ import annotations
 
 import hmac
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -29,8 +28,6 @@ from repro.core.retry import (
     call_with_retries,
 )
 from repro.core.superpeer import SuperPeer
-
-_numeric_ids = itertools.count(0)
 
 
 @dataclass
@@ -83,7 +80,7 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
     shared = mix.short_term.exchange(eph_pub)
     session_key = derive_client_mix_key(
         shared, eph_pub, mix.short_term.public_bytes)
-    numeric_id = next(_numeric_ids)
+    numeric_id = directory.allocate_numeric_id()
     mix.adopt_client(client.client_id, session_key)
 
     # 3. The directory certifies the client for this zone (re-joining

@@ -19,6 +19,7 @@ system would (every layer peel/add really happens).
 
 from __future__ import annotations
 
+import itertools
 import random
 import struct
 from dataclasses import dataclass
@@ -63,10 +64,18 @@ class RendezvousService:
         self.directories = directories
         self.mixes = mixes
         self.rng = rng or random.Random(0)
+        self._circuit_ids = itertools.count(1)
+
+    def new_circuit_id(self) -> int:
+        """A circuit id unique across every mix this service builds
+        through.  (On the wire these are per-link ids; one counter
+        per service is an acceptable simplification that preserves
+        uniqueness.)"""
+        return next(self._circuit_ids)
 
     def circuit_builder(self) -> CircuitBuilder:
         return CircuitBuilder(lambda mix_id: self.mixes[mix_id],
-                              rng=self.rng)
+                              self.new_circuit_id, rng=self.rng)
 
     def build_standing_circuit(self, client: HerdClient,
                                zone_id: Optional[str] = None) -> Circuit:

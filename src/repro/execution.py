@@ -125,8 +125,7 @@ def resolve(execution: str) -> ExecutionPlane:
 
 def create_wire_fabric(execution: str, *, seed: int = 0,
                        interval: Optional[float] = None,
-                       observer=None,
-                       net_processes: Optional[bool] = None):
+                       observer=None):
     """The transport seam: build the concrete
     :class:`~repro.core.transport.CellTransport` for a resolved plane.
 
@@ -137,9 +136,6 @@ def create_wire_fabric(execution: str, *, seed: int = 0,
     herdbench) calls this instead of importing either module —
     imports happen lazily here, so the simulator never pays for the
     socket plane and vice versa.
-
-    ``net_processes`` applies only to the UDP plane (host the receive
-    endpoints in a separate worker process).
     """
     plane = resolve(execution)
     if interval is None:
@@ -149,8 +145,7 @@ def create_wire_fabric(execution: str, *, seed: int = 0,
     if plane.transport == "udp":
         from repro.net.transport import UdpFabric
         return UdpFabric(seed=seed, interval=interval,
-                         observer=observer,
-                         processes=bool(net_processes))
+                         observer=observer)
     from repro.simulation.roundsync import WireFabric
     return WireFabric(seed=seed, interval=interval,
                       execution=plane.name, observer=observer)

@@ -19,8 +19,8 @@ the machinery those *flow* properties need:
   consume (:class:`FlowProgram`), built once per lint run;
 * :mod:`repro.lint.flow.rules` — the flow-sensitive rule family:
   HL004 (interprocedural secret taint), HL007 (determinism taint) and
-  the HL10x concurrency-safety rules gating the asyncio plane and its
-  forked ``--processes`` worker (HL101-HL103).
+  the HL10x rules guarding module state and the asyncio plane's
+  coroutines (HL101-HL103).
 
 DESIGN.md §12 documents the lattice and the summary algebra.
 """

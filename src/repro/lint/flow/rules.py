@@ -2,11 +2,10 @@
 
 These rules consume the :class:`~repro.lint.flow.program.FlowProgram`
 built once per lint run — CFGs, the call graph, and converged
-interprocedural taint summaries.  The HL10x rules guard the real-UDP
-asyncio transport: module-level mutable state (it diverges in the
-forked ``--processes`` worker and leaks between runs of one process),
-blocking calls, and dropped coroutines.  DESIGN.md §12 has the rule
-table.
+interprocedural taint summaries.  The HL10x rules guard module state
+and the real-UDP asyncio transport: module-level mutable state (it
+leaks between seeded runs of one process), blocking calls, and dropped
+coroutines.  DESIGN.md §12 has the rule table.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from repro.lint.flow.program import MODULE_FUNC, FlowProgram
 
 #: Directory segments that make up the protocol plane.  A seeded run
 #: must be a function of its config alone, so module-level mutable
-#: state here is a determinism leak between runs of one process;
-#: ``net`` (the real-UDP transport) also forks a receive worker under
-#: ``--processes``, where such state silently diverges.
+#: state here is a determinism leak between runs of one process: a
+#: second seeded run must see the same ids as the first.
 _PROTOCOL_SCOPE = ("core", "netsim", "simulation", "scenario", "net")
 
 _SINK_DESCRIPTIONS = {
@@ -165,6 +163,8 @@ _MUTABLE_CONSTRUCTORS = {
     "dict", "list", "set", "bytearray", "defaultdict", "deque",
     "Counter", "OrderedDict",
 }
+#: Iterators whose ``next()`` advances shared state (an id counter).
+_STATEFUL_ITERATORS = {"itertools.count", "itertools.cycle"}
 
 
 def _constant_styled(name: str) -> bool:
@@ -175,26 +175,27 @@ def _constant_styled(name: str) -> bool:
 @register
 class SharedMutableStateRule(FlowRule):
     """HL101: no mutable module-level state reachable from protocol
-    code — it outlives a run and diverges across a fork.
+    code — it outlives a run.
 
-    Module-level mutable containers in the protocol scope are flagged
-    when (a) any function in the scanned set mutates or rebinds them
-    (shared mutable state, the hard error), or (b) they are not
-    CONSTANT_STYLED (the naming convention that marks a module-level
-    container as a frozen lookup table, like the ``*_DISPATCH``
-    machines).  Frozen-by-convention constants stay legal until a
-    mutation is observed anywhere in the tree.
+    Module-level mutable containers and stateful iterators
+    (``itertools.count``) in the protocol scope are flagged when (a)
+    any function in the scanned set mutates, advances (``next()``) or
+    rebinds them (shared mutable state, the hard error), or (b) they
+    are not CONSTANT_STYLED (the naming convention that marks a
+    module-level container as a frozen lookup table, like the
+    ``*_DISPATCH`` machines).  Frozen-by-convention constants stay
+    legal until a mutation is observed anywhere in the tree.  Any
+    other module-level binding (an int counter) is flagged once a
+    function rebinds it under ``global``.
     """
 
     rule_id = "HL101"
     title = "mutable module-level state in protocol code"
     rationale = ("Module-level mutable state outlives a run, so a "
                  "second seeded run in the same process sees what "
-                 "the first left behind (per-run ids stop being a "
-                 "function of the seed), and the forked --processes "
-                 "receive worker gets a copy that silently diverges "
-                 "from the parent's; it must live on an instance the "
-                 "run owns.")
+                 "the first left behind: per-run ids stop being a "
+                 "function of the seed.  It must live on an instance "
+                 "the run owns.")
     scope = _PROTOCOL_SCOPE
 
     def check_flow(self, program: FlowProgram,
@@ -202,8 +203,9 @@ class SharedMutableStateRule(FlowRule):
         bindings = self._collect_bindings(contexts)
         if not bindings:
             return
-        mutations = self._collect_mutations(program, set(bindings))
-        for (module, name), (ctx, node) in sorted(bindings.items()):
+        mutations = self._collect_mutations(program, bindings)
+        for (module, name), (ctx, node, mutable) in sorted(
+                bindings.items()):
             mutated_at = mutations.get((module, name))
             if mutated_at is not None:
                 where, line = mutated_at
@@ -211,14 +213,13 @@ class SharedMutableStateRule(FlowRule):
                     rule_id=self.rule_id,
                     message=(f"module-level '{name}' is mutated from "
                              f"{where}:{line}; shared mutable state "
-                             f"leaks between runs and diverges across "
-                             f"a fork — move it onto the loop/manager "
-                             f"instance"),
+                             f"leaks between runs — move it onto the "
+                             f"instance the run owns"),
                     path=ctx.display_path,
                     line=getattr(node, "lineno", 1),
                     col=getattr(node, "col_offset", 0) + 1,
                     severity=self.severity)
-            elif not _constant_styled(name):
+            elif mutable and not _constant_styled(name):
                 yield Finding(
                     rule_id=self.rule_id,
                     message=(f"module-level mutable '{name}' in "
@@ -232,9 +233,11 @@ class SharedMutableStateRule(FlowRule):
 
     def _collect_bindings(
             self, contexts: Sequence[FileContext],
-    ) -> Dict[Tuple[str, str], Tuple[FileContext, ast.stmt]]:
+    ) -> Dict[Tuple[str, str], Tuple[FileContext, ast.stmt, bool]]:
+        """Every simple module-level binding, with whether its value
+        is mutable (a container or a stateful iterator)."""
         bindings: Dict[Tuple[str, str],
-                       Tuple[FileContext, ast.stmt]] = {}
+                       Tuple[FileContext, ast.stmt, bool]] = {}
         for ctx in contexts:
             module = module_name_for(ctx.path)
             for node in ctx.tree.body:
@@ -251,30 +254,38 @@ class SharedMutableStateRule(FlowRule):
                     continue
                 if target.startswith("__") and target.endswith("__"):
                     continue  # __all__ and friends: read-only idiom
-                if self._is_mutable_value(value):
-                    bindings[(module, target)] = (ctx, node)
+                bindings[(module, target)] = (
+                    ctx, node, self._is_mutable_value(value, ctx))
         return bindings
 
     @staticmethod
-    def _is_mutable_value(value: ast.expr) -> bool:
+    def _is_mutable_value(value: ast.expr, ctx: FileContext) -> bool:
         if isinstance(value, (ast.Dict, ast.List, ast.Set,
                               ast.ListComp, ast.SetComp, ast.DictComp)):
             return True
-        return (isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in _MUTABLE_CONSTRUCTORS)
+        if not isinstance(value, ast.Call):
+            return False
+        if isinstance(value.func, ast.Name) and \
+                value.func.id in _MUTABLE_CONSTRUCTORS:
+            return True
+        return ctx.imports.qualified_name(value.func) in \
+            _STATEFUL_ITERATORS
 
     def _collect_mutations(
             self, program: FlowProgram,
-            bindings: Set[Tuple[str, str]],
+            bindings: Dict[Tuple[str, str],
+                           Tuple[FileContext, ast.stmt, bool]],
     ) -> Dict[Tuple[str, str], Tuple[str, int]]:
         """First observed mutation site per binding, looking at every
-        scanned file (a mutation of core state from anywhere counts)."""
+        scanned file (a mutation of core state from anywhere counts).
+        An immutable binding is mutated only by a ``global`` rebind."""
         mutations: Dict[Tuple[str, str], Tuple[str, int]] = {}
 
         def record(key: Tuple[str, str], ctx: FileContext,
-                   node: ast.AST) -> None:
-            if key in bindings and key not in mutations:
+                   node: ast.AST, rebind: bool = False) -> None:
+            binding = bindings.get(key)
+            if binding is not None and (rebind or binding[2]) and \
+                    key not in mutations:
                 mutations[key] = (ctx.display_path,
                                   getattr(node, "lineno", 1))
 
@@ -326,6 +337,12 @@ class SharedMutableStateRule(FlowRule):
             key = resolve(node.func.value)
             if key is not None:
                 record(key, ctx, node)
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and \
+                node.func.id == "next" and node.args:
+            key = resolve(node.args[0])
+            if key is not None:
+                record(key, ctx, node)
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(
@@ -338,7 +355,7 @@ class SharedMutableStateRule(FlowRule):
                 elif isinstance(target, ast.Name) and \
                         info.qualname != MODULE_FUNC and \
                         target.id in globals_declared:
-                    record((module, target.id), ctx, node)
+                    record((module, target.id), ctx, node, rebind=True)
 
 
 @register

@@ -12,14 +12,15 @@ carried as a real UDP datagram over loopback between per-node
   resulting DIRECTORY, all over the same loopback datagrams.
 * :mod:`repro.net.transport` — :class:`~repro.net.transport
   .UdpFabric`, the :class:`~repro.core.transport.CellTransport` whose
-  :meth:`flush_round` physically transmits the round, waits for every
-  datagram to land (retransmitting losses), and bridges the received
-  traffic into the public tap protocol (:mod:`repro.netsim.taps`) so
-  wiretap observations, herdscope metrics, and report rows come out
+  :meth:`flush_round` drains the round queue the base class owns,
+  physically transmits the round, waits for every datagram to land
+  (retransmitting losses), and bridges the received traffic into the
+  public tap protocol (:mod:`repro.netsim.taps`) so wiretap
+  observations, herdscope metrics, and report rows come out
   identically to the simulator planes.
-* :mod:`repro.net.procs` — the ``--processes`` variant: receive
-  endpoints hosted in a separate worker process so datagrams really
-  cross a process boundary.
+
+The whole plane — introducer, endpoints, collector — runs on one
+private event loop in the run's own process.
 
 Nothing in :mod:`repro.core` or :mod:`repro.simulation` imports this
 package; the only entry point is

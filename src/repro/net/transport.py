@@ -3,9 +3,10 @@
 This is the ``"udp"`` implementation of the transport seam
 (:mod:`repro.core.transport`): the round engine drives it with
 exactly the :class:`~repro.simulation.roundsync.WireFabric` calls —
-``emit`` / ``emit_repeated`` while computing a round, one
-``flush_round`` at the barrier — but here every queued cell is framed
-by :func:`repro.core.wire.encode_cell_frame` and physically
+``emit`` / ``emit_repeated`` (the round queue
+:class:`~repro.core.transport.CellTransport` owns) while computing a
+round, one ``flush_round`` at the barrier — but here every queued
+cell is framed by :func:`repro.core.wire.encode_cell_frame` and physically
 transmitted as a UDP datagram from its source node's asyncio endpoint
 to its destination node's endpoint.  Addresses come from the
 :mod:`repro.net.introducer`: every endpoint announces itself on
@@ -36,10 +37,10 @@ simulator.  Loss, retransmissions, duplicates, and wall-clock send
 time are recorded in :meth:`UdpFabric.net_report` — a host side
 channel, never part of any determinism surface.
 
-With ``processes=True`` the receive endpoints (and the collector)
-live in a separate worker process (:mod:`repro.net.procs`), so every
-datagram really crosses a process boundary; the per-round tables come
-back over a pipe and feed the same taps in the same order.
+**Teardown.**  ``finalize`` closes every socket and publishes the
+wire totals accumulated since its last call; it is re-entrant like
+the simulator planes' — a round flushed afterwards reopens the
+network and reaches the stats at the next call.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class RoundCollector:
         self.duplicates = 0
         self.stray = 0
         self.malformed = 0
+        #: Every datagram handed to :meth:`ingest`, across rounds.
+        self.datagrams = 0
         #: Future the owning loop awaits on; resolved by
         #: :meth:`add` when the round completes.
         self.waiter: Optional["asyncio.Future"] = None
@@ -110,6 +113,7 @@ class RoundCollector:
 
     def ingest(self, data: bytes) -> None:
         """Decode one received datagram and account it."""
+        self.datagrams += 1
         try:
             frame = decode_cell_frame(data)
         except WireFormatError:
@@ -153,9 +157,8 @@ class RoundCollector:
 
     def table_rows(self) -> List[Tuple[int, str, str, int, int]]:
         """The rebuilt run table as ``(run, src, dst, size, count)``
-        rows in run order — what crosses the worker pipe in
-        ``--processes`` mode and what :meth:`UdpFabric.flush_round`
-        feeds the taps from."""
+        rows in run order — what :meth:`UdpFabric.flush_round` feeds
+        the taps from."""
         return [(run, row[0], row[1], row[2], len(row[3]))
                 for run, row in sorted(self._rows.items())]
 
@@ -169,13 +172,11 @@ class _NodeProtocol(asyncio.DatagramProtocol):
         self.collector = collector
         self.transport: Optional[
             asyncio.DatagramTransport] = None
-        self.datagrams_received = 0
 
     def connection_made(self, transport) -> None:
         self.transport = transport
 
     def datagram_received(self, data: bytes, addr) -> None:
-        self.datagrams_received += 1
         self.collector.ingest(data)
 
 
@@ -199,66 +200,36 @@ class UdpFabric(CellTransport):
     def __init__(self, *, seed: int = 0,
                  interval: float = 0.02,
                  observer: Optional[LinkObserver] = None,
-                 processes: bool = False,
                  host: str = "127.0.0.1",
                  barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT_S,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS):
+        super().__init__()
         self.seed = seed
         self.interval = interval
-        self.processes = bool(processes)
         self.host = host
         self.barrier_timeout = barrier_timeout
         self.max_attempts = max_attempts
         self.observer = observer if observer is not None \
             else LinkObserver()
         self.taps: List = [self.observer]
-        self._pending: Dict[Tuple[str, str],
-                            List[Tuple[bytes, str, int]]] = {}
-        self.rounds_flushed = 0
-        self.cells_carried = 0
-        # Cumulative per-link wire totals ([cells, bytes] per
-        # directed key), published by finalize() like the batch-v2
-        # plane's.
-        self._link_totals: Dict[Tuple[str, str], List[int]] = {}
-        self._segments = 0
-        self._finalized: Optional[Dict[str, object]] = None
-        # -- socket state (lazy: first flush starts the network) --
+        # -- socket state (lazy: a flush with cells starts the
+        # network, finalize() tears it down) --
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.introducer: Optional[intro.Introducer] = None
         self._endpoints: Dict[str, _NodeProtocol] = {}
         self._collector = RoundCollector()
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._seq = 0
-        self._worker = None  # procs.WorkerHandle in --processes mode
-        self._sender: Optional[_NodeProtocol] = None
         # -- the host side channel (never in determinism surfaces) --
+        self._endpoints_opened = 0
+        self._announcements = 0
+        self._directory_fetches = 0
         self._datagrams_sent = 0
         self._retransmits = 0
         self._barrier_attempts = 0
         self._wall_send_s = 0.0
 
     # -- the CellTransport surface ---------------------------------------------
-
-    def emit(self, src: str, dst: str, payload: bytes,
-             kind: str = "data") -> None:
-        pending = self._pending
-        entry = pending.get((src, dst))
-        if entry is None:
-            pending[(src, dst)] = [(payload, kind, 1)]
-        else:
-            entry.append((payload, kind, 1))
-
-    def emit_repeated(self, src: str, dst: str, payload: bytes,
-                      n: int, kind: str = "chaff") -> None:
-        if n < 0:
-            raise ValueError("cannot emit a negative cell count")
-        if n:
-            pending = self._pending
-            entry = pending.get((src, dst))
-            if entry is None:
-                pending[(src, dst)] = [(payload, kind, n)]
-            else:
-                entry.append((payload, kind, n))
 
     def add_tap(self, tap) -> None:
         self.taps.append(tap)
@@ -296,70 +267,41 @@ class UdpFabric(CellTransport):
         keys = [(src, dst) for _, src, dst, _, _ in table]
         sizes = [size for _, _, _, size, _ in table]
         counts = [count for _, _, _, _, count in table]
-        round_cells = 0
-        totals = self._link_totals
-        for key, size, count in zip(keys, sizes, counts):
-            entry = totals.get(key)
-            if entry is None:
-                totals[key] = [count, size * count]
-            else:
-                entry[0] += count
-                entry[1] += size * count
-            round_cells += count
-        self._segments += len(keys)
+        self._account_runs(keys, sizes, counts)
         for tap in self.taps:
             offer_round_runs(tap, t, keys, sizes, counts)
-        self.cells_carried += round_cells
         self.rounds_flushed += 1
 
     def finalize(self) -> Optional[Dict[str, object]]:
-        """Tear the network down (sockets, introducer, worker) and
-        publish the merged wire totals; idempotent."""
-        if self._finalized is not None:
-            return self._finalized
+        """Tear the network down (sockets, introducer) and publish the
+        wire totals accumulated since the last call; re-entrant."""
         self._shutdown()
-        cells = n_bytes = 0
-        link_stats: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        for key, (c, b) in self._link_totals.items():
-            link_stats[key] = (c, b)
-            cells += c
-            n_bytes += b
-        self._finalized = {
-            "cells": cells,
-            "bytes": n_bytes,
-            "segments": self._segments,
-            "link_stats": link_stats,
-        }
-        self._link_totals = {}
-        return self._finalized
+        return self._drain_link_totals()
 
     def net_report(self) -> Dict[str, object]:
         """The host-network side channel: real-socket accounting and
         wall-clock latency.  Deliberately excluded from metrics,
         traces, observations, and every determinism key — two runs of
         the same seed agree on everything *except* this dict."""
-        received = sum(ep.datagrams_received
-                       for ep in self._endpoints.values())
-        report: Dict[str, object] = {
+        announcements = self._announcements
+        directory_fetches = self._directory_fetches
+        if self.introducer is not None:
+            announcements += self.introducer.announcements
+            directory_fetches += self.introducer.directory_fetches
+        return {
             "transport": "udp",
-            "processes": self.processes,
-            "endpoints": len(self._endpoints),
+            "endpoints": self._endpoints_opened,
             "datagrams_sent": self._datagrams_sent,
-            "datagrams_received": received,
+            "datagrams_received": self._collector.datagrams,
             "retransmits": self._retransmits,
             "barrier_attempts": self._barrier_attempts,
             "duplicates": self._collector.duplicates,
             "stray": self._collector.stray,
             "malformed": self._collector.malformed,
             "wall_send_seconds": self._wall_send_s,
+            "announcements": announcements,
+            "directory_fetches": directory_fetches,
         }
-        if self._worker is not None:
-            report.update(self._worker.stats)
-        if self.introducer is not None:
-            report["announcements"] = self.introducer.announcements
-            report["directory_fetches"] = \
-                self.introducer.directory_fetches
-        return report
 
     # -- socket plumbing -------------------------------------------------------
 
@@ -378,46 +320,26 @@ class UdpFabric(CellTransport):
         self._loop = asyncio.new_event_loop()
         self.introducer = intro.Introducer(host=self.host)
         self._run_sync(self.introducer.start())
-        if self.processes:
-            from repro.net.procs import WorkerHandle
-            self._worker = WorkerHandle(
-                introducer_address=self.introducer.address,
-                host=self.host,
-                barrier_timeout=self.barrier_timeout)
-            self._worker.start()
-            self._sender = self._run_sync(
-                self._open_endpoint("sender"))
 
     def _ensure_endpoints(self, names: List[str]) -> None:
         wanted = [n for n in names if n not in self._endpoints]
         if not wanted:
             return
-        if self._worker is not None:
-            self._run_sync(self._worker.open_endpoints(wanted))
-            # Track names so net_report/endpoint counting stays
-            # meaningful; receive counters live in the worker.
-            for name in wanted:
-                self._endpoints[name] = _NodeProtocol(
-                    name, self._collector)
-        else:
-            self._run_sync(self._open_many(wanted))
+        self._run_sync(self._open_many(wanted))
         self._addresses = {}  # force a directory refresh
 
     async def _open_many(self, names: List[str]) -> None:
+        loop = asyncio.get_running_loop()
         for name in names:
-            protocol = await self._open_endpoint(name)
+            _, protocol = await loop.create_datagram_endpoint(
+                lambda n=name: _NodeProtocol(n, self._collector),
+                local_addr=(self.host, 0))
             await intro.announce(
                 self.introducer.address, self._next_seq(), name,
                 self.host,
                 protocol.transport.get_extra_info("sockname")[1])
             self._endpoints[name] = protocol
-
-    async def _open_endpoint(self, name: str) -> _NodeProtocol:
-        loop = asyncio.get_running_loop()
-        _, protocol = await loop.create_datagram_endpoint(
-            lambda: _NodeProtocol(name, self._collector),
-            local_addr=(self.host, 0))
-        return protocol
+            self._endpoints_opened += 1
 
     async def _resolve(self, names: List[str]
                        ) -> Dict[str, Tuple[str, int]]:
@@ -441,9 +363,6 @@ class UdpFabric(CellTransport):
         """Send every cell of the round as a datagram, run the
         completion barrier (with retransmission), and return the
         received run table."""
-        if self._worker is not None:
-            return await self._transmit_round_procs(round_index,
-                                                    rows)
         collector = self._collector
         collector.arm(round_index,
                       {run: count
@@ -491,65 +410,35 @@ class UdpFabric(CellTransport):
             data = encode_cell_frame(CellFrame(
                 round_index=round_index, run=run, seq=seq,
                 kind=kind, src=src, dst=dst, payload=payload))
-            sender = self._sender if self._sender is not None \
-                else self._endpoints[src]
-            sender.transport.sendto(data, directory[dst])
+            self._endpoints[src].transport.sendto(data,
+                                                  directory[dst])
             self._datagrams_sent += 1
             sent += 1
             if sent % SEND_YIELD_EVERY == 0:
                 await asyncio.sleep(0)
 
-    async def _transmit_round_procs(
-            self, round_index: int,
-            rows: List[Tuple[Tuple[str, str], bytes, str, int]],
-    ) -> List[Tuple[int, str, str, int, int]]:
-        """The ``--processes`` variant: the collector lives in the
-        worker; expected counts, barrier waits, and the rebuilt table
-        travel over the control pipe while the datagrams travel over
-        the real sockets."""
-        worker = self._worker
-        expected = {run: count
-                    for run, (_, _, _, count) in enumerate(rows)}
-        directory = await self._resolve(
-            sorted({dst for (_, dst), _, _, _ in rows}))
-        worker.expect(round_index, expected)
-        await self._send_frames(
-            round_index, rows,
-            ((run, seq) for run, count in expected.items()
-             for seq in range(count)),
-            directory)
-        for _ in range(self.max_attempts):
-            self._barrier_attempts += 1
-            table, missing = await worker.wait_round()
-            if not missing:
-                return table
-            self._retransmits += len(missing)
-            await self._send_frames(round_index, rows, missing,
-                                    directory)
-        raise RuntimeError(
-            f"round {round_index}: {len(missing)} datagrams still "
-            f"missing after {self.max_attempts} barrier attempts")
-
     def _shutdown(self) -> None:
+        """Close every socket and the loop, and forget them: the next
+        flush with cells starts the network afresh."""
         if self._loop is None:
             return
-        if self._worker is not None:
-            self._worker.close()
         for protocol in self._endpoints.values():
             if protocol.transport is not None:
                 protocol.transport.close()
-        if self._sender is not None and \
-                self._sender.transport is not None:
-            self._sender.transport.close()
         if self.introducer is not None:
+            self._announcements += self.introducer.announcements
+            self._directory_fetches += \
+                self.introducer.directory_fetches
             self.introducer.close()
         # One loop turn so the transport close callbacks run.
         self._run_sync(asyncio.sleep(0))
         self._loop.close()
         self._loop = None
+        self.introducer = None
+        self._endpoints = {}
+        self._addresses = {}
 
     def __repr__(self) -> str:
         return (f"UdpFabric({self.rounds_flushed} rounds, "
                 f"{self.cells_carried} cells, "
-                f"{self._datagrams_sent} datagrams, "
-                f"processes={self.processes})")
+                f"{self._datagrams_sent} datagrams)")

@@ -37,11 +37,6 @@ def add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                        "(repeatable; default: event).  With more than "
                        "one, determinism keys must match across "
                        "engines.")
-    p_run.add_argument("--processes", dest="net_processes",
-                       action="store_true",
-                       help="asyncio engine only: host the UDP "
-                       "receive endpoints in a separate worker "
-                       "process")
     p_run.add_argument("--report-dir", default=None,
                        help="write one <scenario>.json report "
                        "artifact per scenario here")
@@ -80,15 +75,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
 
-    def procs_for(engine: str) -> bool:
-        # --processes applies to the real-network engine(s) of the
-        # set; a simulator engine beside them just runs in-process.
-        plane = execution_registry.resolve(engine)
-        return args.net_processes and plane.transport == "udp"
-
     for scenario in scenarios:
-        reports = [run_scenario(scenario, execution=engine,
-                                net_processes=procs_for(engine))
+        reports = [run_scenario(scenario, execution=engine)
                    for engine in engines]
         keys = {r.determinism_key for r in reports}
         determinism_ok = len(keys) == 1

@@ -129,11 +129,9 @@ def _sp_scope_of(spec: FaultSpec) -> Optional[str]:
 
 
 def execute(scenario: Scenario, *, execution: str = "event",
-            net_processes: Optional[bool] = None,
             scope=None) -> ScenarioOutcome:
     """Run one scenario end to end on the given execution engine
-    (any name registered with :mod:`repro.execution`;
-    ``net_processes`` applies to the real-network ``asyncio`` plane).
+    (any name registered with :mod:`repro.execution`).
 
     ``scope`` is an optional :class:`repro.obs.instrument.Herdscope`
     wired into the loop, zone, and injector (metrics + traces).
@@ -149,8 +147,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
                     n_sps=shape.n_sps, seed=scenario.seed, bed=bed,
                     zone_id=LIVE_ZONE,
                     client_prefix=shape.client_prefix,
-                    execution=execution,
-                    net_processes=net_processes)
+                    execution=execution)
     for i in range(shape.n_direct_clients):
         bed.add_client(f"ctl-{i}", CTL_ZONE)
 

@@ -213,20 +213,16 @@ class ScenarioReport(RunReport):
 
 
 def run_scenario(scenario: Scenario, *, execution: str = "event",
-                 net_processes: bool = False,
                  trace_path: Optional[str] = None,
                  trace_buffer: int = 0) -> ScenarioReport:
     """Run one scenario through the :class:`Simulation` facade.
 
     ``execution`` is any engine name registered with
-    :mod:`repro.execution`; ``net_processes`` applies to the
-    real-network ``asyncio`` plane (receive endpoints in a separate
-    worker process)."""
+    :mod:`repro.execution`."""
     sim = Simulation(SimConfig(scenario="scenario",
                                scenario_def=scenario,
                                seed=scenario.seed,
                                execution=execution,
-                               net_processes=net_processes,
                                trace_path=trace_path,
                                trace_buffer=trace_buffer))
     base = sim.run(until=scenario.horizon_s)

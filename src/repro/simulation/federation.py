@@ -193,7 +193,9 @@ class FederatedCall:
         push it through the circuit splice to the receiver's channel."""
         seq = _SEQ.unpack(payload[:_SEQ.size])[0]
         cell = payload[_SEQ.size:_SEQ.size + CELL_SIZE]
-        if numeric_id == self.caller.numeric_id:
+        # Numeric ids are unique per zone only: match the zone too.
+        if (zone_id, numeric_id) == (self.caller.zone.zone_id,
+                                     self.caller.numeric_id):
             sender, receiver = self.caller, self.callee
         else:
             sender, receiver = self.callee, self.caller

@@ -121,8 +121,7 @@ class LiveZone:
                  bed: Optional[HerdTestbed] = None,
                  zone_id: str = "zone-EU",
                  client_prefix: str = "client",
-                 execution: str = "event",
-                 net_processes: Optional[bool] = None):
+                 execution: str = "event"):
         if n_sps < 1:
             raise ValueError("need at least one superpeer")
         if n_sps > n_channels:
@@ -131,7 +130,6 @@ class LiveZone:
         self.execution = plane.name
         self.zone_mode = plane.zone_mode
         self.transport = plane.transport
-        self.net_processes = net_processes
         self.seed = seed
         #: Optional wire plane (see :meth:`attach_wire`): when set,
         #: every round's cells are offered to tapped netsim links
@@ -604,8 +602,7 @@ class LiveZone:
         (:mod:`repro.netsim.taps`)."""
         self.wire = execution_registry.create_wire_fabric(
             self.execution, seed=self.seed, interval=interval,
-            observer=observer,
-            net_processes=self.net_processes)
+            observer=observer)
         return self.wire
 
     # -- introspection ------------------------------------------------------------

@@ -99,6 +99,7 @@ class WireFabric(CellTransport):
                 f"{plane.transport!r} transport; build it through "
                 f"repro.execution.create_wire_fabric, not "
                 f"WireFabric")
+        super().__init__()
         self.execution = plane.name
         self.wire_mode = plane.wire_mode
         self.loop = EventLoop(seed=seed)
@@ -114,11 +115,6 @@ class WireFabric(CellTransport):
         self.taps: List = [self.observer]
         self.nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        #: Vector mode accumulates per-link wire totals here
-        #: (``[cells, bytes]`` per directed ``(src, dst)``) until
-        #: :meth:`finalize` drains them into the lazy topology.
-        self._link_totals: Dict[Tuple[str, str], List[int]] = {}
-        self._vector_segments = 0
         #: Wire-stat deltas from :meth:`finalize` whose link/node does
         #: not exist yet — the vector plane never *creates* topology
         #: just to hold counters; :meth:`link_between` / :meth:`node`
@@ -126,14 +122,6 @@ class WireFabric(CellTransport):
         self._pending_link_stats: Dict[Tuple[str, str],
                                        List[int]] = {}
         self._pending_node_stats: Dict[str, List[int]] = {}
-        #: (src, dst) → queued (payload, kind, count) runs of the
-        #: current round, in emission order (dict preserves insertion
-        #: order).  ``count`` > 1 encodes a run of wire-identical
-        #: cells sharing one payload reference (constant-rate fill).
-        self._pending: Dict[Tuple[str, str],
-                            List[Tuple[bytes, str, int]]] = {}
-        self.rounds_flushed = 0
-        self.cells_carried = 0
 
     # -- lazy topology ---------------------------------------------------------
 
@@ -182,35 +170,7 @@ class WireFabric(CellTransport):
         for link in self._links.values():
             link.add_observer(tap)
 
-    # -- emission --------------------------------------------------------------
-
-    def emit(self, src: str, dst: str, payload: bytes,
-             kind: str = "data") -> None:
-        """Queue one cell for this round's flush (payload by
-        reference)."""
-        pending = self._pending
-        entry = pending.get((src, dst))
-        if entry is None:
-            pending[(src, dst)] = [(payload, kind, 1)]
-        else:
-            entry.append((payload, kind, 1))
-
-    def emit_repeated(self, src: str, dst: str, payload: bytes,
-                      n: int, kind: str = "chaff") -> None:
-        """Queue ``n`` wire-identical cells sharing one payload
-        reference — the constant-rate fill of a trunk link costs one
-        queue entry regardless of the cell count (the batch engine
-        carries it via :meth:`CellBatch.append_repeated`; the event
-        engine expands it to n packets, as it would have anyway)."""
-        if n < 0:
-            raise ValueError("cannot emit a negative cell count")
-        if n:
-            pending = self._pending
-            entry = pending.get((src, dst))
-            if entry is None:
-                pending[(src, dst)] = [(payload, kind, n)]
-            else:
-                entry.append((payload, kind, n))
+    # -- the round flush (the queue itself is CellTransport's) -----------------
 
     def flush_round(self, round_index: int) -> None:
         """Transmit everything queued, stamped at the round's tick.
@@ -276,27 +236,12 @@ class WireFabric(CellTransport):
         add_key = keys.append
         add_size = sizes.append
         add_count = counts.append
-        totals = self._link_totals
-        round_cells = 0
         for key, runs in self._pending.items():
-            link_cells = 0
-            link_bytes = 0
             for payload, _kind, count in runs:
-                size = len(payload) + IP_UDP_HEADER_BYTES
                 add_key(key)
-                add_size(size)
+                add_size(len(payload) + IP_UDP_HEADER_BYTES)
                 add_count(count)
-                link_cells += count
-                link_bytes += size * count
-            entry = totals.get(key)
-            if entry is None:
-                totals[key] = [link_cells, link_bytes]
-            else:
-                entry[0] += link_cells
-                entry[1] += link_bytes
-            round_cells += link_cells
-        self.cells_carried += round_cells
-        self._vector_segments += len(keys)
+        self._account_runs(keys, sizes, counts)
         for tap in self.taps:
             offer_round_runs(tap, t, keys, sizes, counts)
         self._pending.clear()
@@ -318,15 +263,8 @@ class WireFabric(CellTransport):
         """
         if self.wire_mode != "vector":
             return None
-        link_stats = {key: (c, b)
-                      for key, (c, b) in self._link_totals.items()}
-        segments = self._vector_segments
-        self._link_totals = {}
-        self._vector_segments = 0
-        total_cells = total_bytes = 0
-        for (src, dst), (cells, n_bytes) in link_stats.items():
-            total_cells += cells
-            total_bytes += n_bytes
+        report = self._drain_link_totals()
+        for (src, dst), (cells, n_bytes) in report["link_stats"].items():
             canonical = (src, dst) if src <= dst else (dst, src)
             link = self._links.get(canonical)
             if link is not None:
@@ -352,12 +290,7 @@ class WireFabric(CellTransport):
                 else:
                     entry[0] += cells
                     entry[1] += n_bytes
-        return {
-            "cells": total_cells,
-            "bytes": total_bytes,
-            "segments": segments,
-            "link_stats": link_stats,
-        }
+        return report
 
     # -- accounting ------------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """HL101 violation fixture: mutable module-level state in protocol
-scope — mutated tables and non-constant-styled containers."""
+scope — mutated tables, non-constant-styled containers, an advanced
+module-level id counter and an int rebound under ``global``."""
+
+import itertools
 
 _pending = {}
 
@@ -18,3 +21,17 @@ def register(session_id, session):
 
 def remember(route):
     route_cache.append(route)
+
+
+_ticket_ids = itertools.count(1)
+
+_rounds_seen = 0
+
+
+def next_ticket():
+    return next(_ticket_ids)
+
+
+def count_round():
+    global _rounds_seen
+    _rounds_seen += 1

@@ -5,11 +5,7 @@ import random
 
 import pytest
 
-from repro.core.circuit import (
-    ClientHopHandshake,
-    mix_process_create,
-    new_circuit_id,
-)
+from repro.core.circuit import ClientHopHandshake, mix_process_create
 from repro.core.invariants import (
     ciphertext_uncorrelated,
     circuit_zone_profile,
@@ -26,7 +22,7 @@ from conftest import build_testbed
 class TestHopHandshake:
     def test_client_and_mix_derive_same_keys(self):
         rng = random.Random(1)
-        handshake = ClientHopHandshake(new_circuit_id(), rng)
+        handshake = ClientHopHandshake(1, rng)
         reply, mix_keys = mix_process_create(handshake.request(), rng)
         client_keys = handshake.finish(reply)
         assert client_keys == mix_keys
@@ -34,7 +30,7 @@ class TestHopHandshake:
     def test_confirmation_detects_tampering(self):
         from dataclasses import replace
         rng = random.Random(2)
-        handshake = ClientHopHandshake(new_circuit_id(), rng)
+        handshake = ClientHopHandshake(1, rng)
         reply, _ = mix_process_create(handshake.request(), rng)
         bad = replace(reply, confirmation=b"\x00" * 16)
         with pytest.raises(ValueError):
@@ -43,7 +39,7 @@ class TestHopHandshake:
     def test_circuit_id_mismatch_rejected(self):
         from dataclasses import replace
         rng = random.Random(3)
-        handshake = ClientHopHandshake(new_circuit_id(), rng)
+        handshake = ClientHopHandshake(1, rng)
         reply, _ = mix_process_create(handshake.request(), rng)
         bad = replace(reply, circuit_id=reply.circuit_id + 1)
         with pytest.raises(ValueError):
@@ -100,7 +96,7 @@ class TestCircuitBuilder:
 
     def test_duplicate_create_names_the_mix(self, testbed):
         mix = testbed.mixes["zone-EU/mix-0"]
-        request = ClientHopHandshake(new_circuit_id(),
+        request = ClientHopHandshake(testbed.service.new_circuit_id(),
                                      random.Random(4)).request()
         mix.process_create(request, prev_hop="alice")
         with pytest.raises(ValueError) as raised:
@@ -358,3 +354,31 @@ class TestSecurityInvariants:
             counts[circuit.rendezvous_mix] = \
                 counts.get(circuit.rendezvous_mix, 0) + 1
         assert is_uniform_choice(counts, n_options=4, tolerance=0.4)
+
+
+class TestPerRunIds:
+    """Numeric client ids live on the zone's directory and circuit
+    ids on the testbed's rendezvous service, not in module counters:
+    a second seeded build in one process hands out the same ids."""
+
+    @staticmethod
+    def _ids(seed):
+        from repro.simulation.testbed import build_testbed as build
+        bed = build(seed=seed)
+        numeric, circuits = [], []
+        for zone_id in ("zone-EU", "zone-NA"):
+            for i in range(3):
+                client = bed.add_client(f"{zone_id}-c{i}", zone_id)
+                bed.ready_for_calls(client.client_id)
+                numeric.append((zone_id, client.numeric_id))
+                circuits.append(client.circuit.circuit_id)
+        return numeric, circuits
+
+    def test_second_build_sees_the_same_ids(self):
+        first = self._ids(1)
+        assert self._ids(1) == first
+        numeric, circuits = first
+        # Zone-wide numeric ids; circuit ids unique testbed-wide.
+        assert numeric == [(z, i) for z in ("zone-EU", "zone-NA")
+                           for i in range(3)]
+        assert len(set(circuits)) == len(circuits)

@@ -114,15 +114,26 @@ class TestFacadeIntegration:
         assert artifact["engine"] == "batch"
         assert "execution" not in artifact
 
-    def test_simconfig_net_processes_validation(self):
-        with pytest.raises(ValueError, match="transport"):
-            SimConfig(seed=1, execution="batch-v2",
-                      net_processes=True)
-        cfg = SimConfig(seed=1, execution="asyncio",
-                        net_processes=True)
-        assert cfg.net_processes is True
-        assert SimConfig(seed=1, execution="asyncio").net_processes \
-            is False
+    def test_net_processes_option_removed(self):
+        # The UDP plane runs in one process: the forked-receiver knob
+        # is an unknown argument at every layer that once took it.
+        from repro.scenario import execute, run_scenario
+        from repro.scenario.loader import load_scenario
+        from repro.simulation.live import LiveZone
+        scenario = load_scenario("scenarios/00-baseline.toml")
+        with pytest.raises(TypeError):
+            SimConfig(seed=1, execution="asyncio", net_processes=True)
+        with pytest.raises(TypeError):
+            LiveZone(execution="asyncio", net_processes=True)
+        with pytest.raises(TypeError):
+            execution.create_wire_fabric("asyncio",
+                                         net_processes=True)
+        with pytest.raises(TypeError):
+            run_scenario(scenario, execution="asyncio",
+                         net_processes=True)
+        with pytest.raises(TypeError):
+            execute(scenario, execution="asyncio", net_processes=True)
+        assert "net_processes" not in SimConfig.__slots__
 
     def test_runreport_engine_default(self):
         report = RunReport(scenario="live", seed=0, rounds_run=0,
@@ -135,8 +146,9 @@ class TestCLIVocabulary:
     """Satellite: ``repro metrics`` / ``repro scenario`` both speak
     ``--engine``; ``--execution`` finished its deprecation cycle,
     ``--shards`` left with zone sharding, ``--profile`` and the
-    ``bench`` sub-command with the in-tree profiler — all are
-    argparse usage errors (exit 2)."""
+    ``bench`` sub-command with the in-tree profiler, ``--processes``
+    with the forked UDP receiver — all are argparse usage errors
+    (exit 2)."""
 
     def test_metrics_engine_flag(self, capsys):
         from repro.cli import main
@@ -178,6 +190,11 @@ class TestCLIVocabulary:
         pytest.param(["scenario", "run", "scenarios/00-baseline.toml",
                       "--profile"], id="scenario-profile"),
         pytest.param(["bench", "list"], id="bench"),
+        pytest.param(["metrics", "--engine", "asyncio", "--rounds",
+                      "5", "--processes"], id="metrics-processes"),
+        pytest.param(["scenario", "run", "scenarios/00-baseline.toml",
+                      "--engine", "asyncio", "--processes"],
+                     id="scenario-processes"),
     ])
     def test_shards_flag_removed(self, argv, capsys):
         from repro.cli import main
@@ -185,5 +202,6 @@ class TestCLIVocabulary:
             main(argv)
         assert exc.value.code == 2
         (rejected,) = [arg for arg in argv
-                       if arg in ("--shards", "--profile", "bench")]
+                       if arg in ("--shards", "--profile", "bench",
+                                  "--processes")]
         assert rejected in capsys.readouterr().err

@@ -38,7 +38,7 @@ RULE_FIXTURES = [
      "determinism_suppressed.py", "determinism_clean.py", 4),
     ("HL101", "core/shared_state_violation.py",
      "core/shared_state_suppressed.py",
-     "core/shared_state_clean.py", 3),
+     "core/shared_state_clean.py", 5),
     ("HL102", "blocking_async_violation.py",
      "blocking_async_suppressed.py", "blocking_async_clean.py", 3),
     ("HL103", "unawaited_violation.py",

@@ -14,6 +14,9 @@ table came from batch-v2's vector plane or from datagrams reassembled
 off the socket.
 """
 
+import gc
+import warnings
+
 import pytest
 
 from repro import execution as execution_registry
@@ -48,9 +51,9 @@ def _drive(fabric, rounds=4):
 
 
 class TestRecordOnlyTapBridge:
-    def _tap_stream(self, engine, **kwargs):
+    def _tap_stream(self, engine):
         fabric = execution_registry.create_wire_fabric(
-            engine, seed=1, interval=0.02, **kwargs)
+            engine, seed=1, interval=0.02)
         tap = RecordOnlyTap()
         fabric.add_tap(tap)
         stats = _drive(fabric)
@@ -63,12 +66,29 @@ class TestRecordOnlyTapBridge:
         assert len(net_seen) == 36
         assert net_stats == sim_stats
 
-    def test_socket_bridge_matches_across_process_boundary(self):
-        sim_seen, sim_stats = self._tap_stream("batch-v2")
-        net_seen, net_stats = self._tap_stream(
-            "asyncio", net_processes=True)
-        assert net_seen == sim_seen
-        assert net_stats == sim_stats
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.parametrize("engine", ["batch-v2", "asyncio"])
+def test_round_flushed_after_finalize_reaches_next_call(engine):
+    # One teardown contract for both transports: finalize() is
+    # re-entrant, and a round flushed after it (which reopens the
+    # sockets on the asyncio plane) reaches the stats at the next
+    # call without leaking a loop or a transport.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        fabric = execution_registry.create_wire_fabric(engine, seed=1)
+        fabric.emit_repeated("a", "b", b"x" * 100, 3)
+        fabric.flush_round(0)
+        assert fabric.finalize()["cells"] == 3
+        fabric.emit_repeated("a", "b", b"x" * 100, 5)
+        fabric.flush_round(1)
+        assert fabric.finalize()["cells"] == 5
+        assert fabric.finalize()["cells"] == 0
+        assert fabric.cells_carried == 8
+        del fabric
+        gc.collect()
+    assert not [w for w in caught
+                if issubclass(w.category, ResourceWarning)]
 
 
 class TestFacadeEquivalence:

@@ -9,8 +9,7 @@ three layers without the facade on top:
 * :class:`~repro.net.transport.RoundCollector`, the receive-side
   round barrier that rebuilds the batch-v2 run table from unordered
   datagrams and names what is missing for retransmission;
-* :class:`~repro.net.transport.UdpFabric` end to end, in-process and
-  with the ``--processes`` worker, including the
+* :class:`~repro.net.transport.UdpFabric` end to end, including the
   :meth:`~repro.core.transport.CellTransport.net_report` side channel.
 """
 
@@ -171,13 +170,14 @@ class TestUdpFabric:
         assert times == {0.0, 0.02, 0.04}
         report = fabric.net_report()
         assert report["transport"] == "udp"
-        assert report["processes"] is False
         assert report["endpoints"] == 3
         assert report["datagrams_sent"] >= 21
         assert report["datagrams_received"] >= 21
         assert report["announcements"] == 3
-        # finalize() is idempotent after teardown.
-        assert fabric.finalize() is stats
+        # finalize() is re-entrant: nothing flushed since, nothing
+        # published, and the side channel survives the teardown.
+        assert fabric.finalize()["cells"] == 0
+        assert fabric.net_report() == report
 
     def test_empty_rounds_need_no_network(self):
         fabric = UdpFabric(seed=1)
@@ -198,13 +198,3 @@ class TestUdpFabric:
         assert RoundCounter.rounds == 2
         assert stats["cells"] == 0
         assert fabric.net_report()["endpoints"] == 0
-
-    def test_processes_mode_crosses_a_real_boundary(self):
-        fabric = UdpFabric(seed=1, processes=True)
-        stats = _drive(fabric, rounds=2)
-        assert stats["cells"] == 14
-        report = fabric.net_report()
-        assert report["processes"] is True
-        # The worker's receive endpoints saw the datagrams in its
-        # own process and reported back over the pipe.
-        assert report["worker_datagrams_received"] >= 14
