@@ -23,12 +23,14 @@ import itertools
 import random
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.circuit import Circuit, CircuitBuilder
 from repro.core.client import HerdClient
 from repro.core.directory import ZoneDirectory
 from repro.core.mix import Mix, RelayAction
+from repro.core.wire import CallSetup, WireError, decode_call_setup, \
+    encode_call_setup
 from repro.crypto.chacha20 import ChaCha20Poly1305
 from repro.crypto.kdf import derive_keys
 from repro.crypto.onion import unwrap_backward, wrap_onion
@@ -47,7 +49,6 @@ class CallEndpoint:
     client: HerdClient
     circuit: Circuit
     send_seq: int = 0
-    recv_seq: int = 0
 
 
 class RendezvousService:
@@ -65,6 +66,7 @@ class RendezvousService:
         self.mixes = mixes
         self.rng = rng or random.Random(0)
         self._circuit_ids = itertools.count(1)
+        self._call_ids = itertools.count(1)
 
     def new_circuit_id(self) -> int:
         """A circuit id unique across every mix this service builds
@@ -147,6 +149,7 @@ class RendezvousService:
             caller=CallEndpoint(caller, caller.circuit),
             callee=CallEndpoint(callee, callee.circuit),
             mixes=self.mixes,
+            call_id=next(self._call_ids),
         )
         session.negotiate_keys(self.rng)
         return session
@@ -155,30 +158,52 @@ class RendezvousService:
 class CallSession:
     """An established, end-to-end encrypted call.
 
-    Voice frames are encrypted with the negotiated call key, wrapped in
-    the sender's onion circuit, relayed through every mix (layer by
-    layer), injected backward down the receiver's circuit, and
-    decrypted by the receiver — the full data path of Fig. 1.
+    Every voice frame takes one data path (Fig. 1): :meth:`seal`
+    encrypts it with the call key and wraps the sender's onion;
+    :meth:`carry` relays the cell through every mix, across the
+    rendezvous splice and down the receiver's circuit; :meth:`open`
+    strips the backward layers and decrypts.  :meth:`send_voice` is
+    the three in a row; a driver with its own transport calls them
+    apart.
     """
 
     def __init__(self, caller: CallEndpoint, callee: CallEndpoint,
-                 mixes: Dict[str, Mix]):
+                 mixes: Dict[str, Mix], call_id: int):
         self.caller = caller
         self.callee = callee
         self.mixes = mixes
+        self.call_id = call_id
         self._caller_aead: Optional[ChaCha20Poly1305] = None
         self._callee_aead: Optional[ChaCha20Poly1305] = None
         self.established = False
 
-    # -- raw relay pipeline ---------------------------------------------------
+    def _sides(self, direction: str) -> Tuple[CallEndpoint, CallEndpoint]:
+        """(sender, receiver) of ``direction``."""
+        if direction == "caller_to_callee":
+            return self.caller, self.callee
+        if direction == "callee_to_caller":
+            return self.callee, self.caller
+        raise ValueError(f"unknown direction {direction!r}")
 
-    def _relay(self, sender: CallEndpoint, receiver: CallEndpoint,
-               payload: bytes) -> bytes:
-        """Push one payload through the concatenated circuits; returns
-        what the receiving client's software decrypts off its link."""
+    def _aead(self, direction: str) -> ChaCha20Poly1305:
+        if not self.established:
+            raise CallError("call keys not negotiated yet")
+        return (self._caller_aead if direction == "caller_to_callee"
+                else self._callee_aead)
+
+    # -- relay pipeline -----------------------------------------------------
+
+    @staticmethod
+    def _wrap(sender: CallEndpoint, payload: bytes) -> Tuple[int, bytes]:
         seq = sender.send_seq
         sender.send_seq += 1
-        cell = wrap_onion(sender.circuit.keys, payload, seq)
+        return seq, wrap_onion(sender.circuit.keys, payload, seq)
+
+    def carry(self, direction: str, seq: int, cell: bytes) -> bytes:
+        """Relay a sealed cell through the concatenated circuits;
+        returns the cell as the receiver's entry mix hands it to the
+        receiver."""
+        sender, receiver = self._sides(direction)
         circuit_id = sender.circuit.circuit_id
         # Forward through the sender's mixes.
         action: Optional[RelayAction] = None
@@ -207,11 +232,25 @@ class CallSession:
             raise CallError(
                 f"cell delivered to {back.peer}, expected "
                 f"{expected_recipient}")
-        out = unwrap_backward(receiver.circuit.keys, back.data, seq)
-        receiver.recv_seq = seq + 1
-        return out
+        return back.data
 
     # -- key agreement ----------------------------------------------------------
+
+    def _relay(self, direction: str, setup: CallSetup) -> CallSetup:
+        """Carry one INVITE or ACCEPT (onion layers only: there is no
+        call key yet) and check that one of that kind arrived."""
+        sender, receiver = self._sides(direction)
+        seq, cell = self._wrap(sender, encode_call_setup(setup))
+        name = "ACCEPT" if setup.is_accept else "INVITE"
+        try:
+            received = decode_call_setup(unwrap_backward(
+                receiver.circuit.keys, self.carry(direction, seq, cell),
+                seq))
+        except WireError as exc:
+            raise CallError(f"malformed {name}: {exc}") from exc
+        if received.is_accept != setup.is_accept:
+            raise CallError(f"expected an {name}")
+        return received
 
     def negotiate_keys(self, rng: Optional[random.Random] = None) -> None:
         """End-to-end X25519 over the concatenated circuits: the caller
@@ -223,26 +262,23 @@ class CallSession:
         caller_eph = X25519PrivateKey.generate(rng)
         callee_eph = X25519PrivateKey.generate(rng)
         # Caller → callee: the INVITE with the caller's ephemeral.
-        invite = b"HERD-INVITE" + caller_eph.public_bytes
-        received = self._relay(self.caller, self.callee, invite)
-        if received[:11] != b"HERD-INVITE":
-            raise CallError("callee received a malformed INVITE")
-        caller_pub_at_callee = received[11:43]
-        # Callee → caller: the ACCEPT with the callee's ephemeral.
-        accept = b"HERD-ACCEPT" + callee_eph.public_bytes
-        received = self._relay(self.callee, self.caller, accept)
-        if received[:11] != b"HERD-ACCEPT":
-            raise CallError("caller received a malformed ACCEPT")
-        callee_pub_at_caller = received[11:43]
+        invite = self._relay("caller_to_callee", CallSetup(
+            False, self.call_id, caller_eph.public_bytes))
+        # Callee → caller: the ACCEPT, echoing the INVITE's call id.
+        accept = self._relay("callee_to_caller", CallSetup(
+            True, invite.call_id, callee_eph.public_bytes))
+        if accept.call_id != self.call_id:
+            raise CallError(f"ACCEPT for call {accept.call_id}, expected "
+                            f"{self.call_id}")
 
         caller_keys = derive_keys(
-            caller_eph.exchange(callee_pub_at_caller),
+            caller_eph.exchange(accept.ephemeral),
             ("caller_to_callee", "callee_to_caller"),
-            context=caller_eph.public_bytes + callee_pub_at_caller)
+            context=caller_eph.public_bytes + accept.ephemeral)
         callee_keys = derive_keys(
-            callee_eph.exchange(caller_pub_at_callee),
+            callee_eph.exchange(invite.ephemeral),
             ("caller_to_callee", "callee_to_caller"),
-            context=caller_pub_at_callee + callee_eph.public_bytes)
+            context=invite.ephemeral + callee_eph.public_bytes)
         if caller_keys != callee_keys:
             raise CallError("end-to-end key agreement failed")
         self._caller_aead = ChaCha20Poly1305(
@@ -257,24 +293,26 @@ class CallSession:
     def _nonce(seq: int) -> bytes:
         return b"e2e\x00" + struct.pack("<Q", seq)
 
+    def seal(self, direction: str, frame: bytes) -> Tuple[int, bytes]:
+        """Sender side: encrypt ``frame`` end to end and wrap it in the
+        sender's onion; returns ``(seq, cell)``."""
+        sender, _ = self._sides(direction)
+        ciphertext = self._aead(direction).encrypt(
+            self._nonce(sender.send_seq), frame)
+        return self._wrap(sender, ciphertext)
+
+    def open(self, direction: str, seq: int, cell: bytes) -> bytes:
+        """Receiver side: strip the backward layers and decrypt."""
+        _, receiver = self._sides(direction)
+        ciphertext = unwrap_backward(receiver.circuit.keys, cell, seq)
+        return self._aead(direction).decrypt(self._nonce(seq), ciphertext)
+
     def send_voice(self, direction: str, frame: bytes) -> bytes:
         """Send one voice frame ("caller_to_callee" or
         "callee_to_caller"); returns the frame as decrypted by the far
         end."""
-        if not self.established:
-            raise CallError("call keys not negotiated yet")
-        if direction == "caller_to_callee":
-            sender, receiver = self.caller, self.callee
-            aead = self._caller_aead
-        elif direction == "callee_to_caller":
-            sender, receiver = self.callee, self.caller
-            aead = self._callee_aead
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        seq = sender.send_seq  # _relay will consume this sequence
-        ciphertext = aead.encrypt(self._nonce(seq), frame)
-        delivered = self._relay(sender, receiver, ciphertext)
-        return aead.decrypt(self._nonce(seq), delivered)
+        seq, cell = self.seal(direction, frame)
+        return self.open(direction, seq, self.carry(direction, seq, cell))
 
     # -- path metrics --------------------------------------------------------------
 

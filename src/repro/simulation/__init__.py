@@ -1,15 +1,14 @@
 """Trace-driven and packet-level simulations of Herd deployments.
 
-* :mod:`repro.simulation.spsim` — the §4.1.6 superpeer simulations:
-  channel allocation, call blocking, and mix offload driven by a call
-  trace ("we aggregate the call start and end times into one-minute
-  bins to improve the runtime of our simulations").
-* :mod:`repro.simulation.herd_sim` — zone-level trace simulation:
-  provisioning, rate-controller epochs, inter-zone traffic matrices.
-* :mod:`repro.simulation.deployment` — a packet-level 4-zone
-  deployment on the network simulator with EC2 geography: the
-  prototype-evaluation substitute behind Fig. 7 and the
-  traffic-analysis experiments.
+* ``spsim`` — §4.1.6 superpeer blocking and mix offload over a trace.
+* ``herd_sim`` — zone provisioning, rate epochs, traffic matrices.
+* ``testbed`` — every ``repro.core`` object in one in-memory deployment.
+* ``live`` — one zone's round-based SP data plane.
+* ``roundsync`` — a ``live`` zone's wire image, on every engine.
+* ``churn`` — mix / SP failover, re-join, and availability.
+* ``deployment`` — Fig. 7: abstract relays on the EC2 geography.
+* ``wired`` — real calls timed hop by hop on that simulated WAN.
+* ``federation`` — two live zones, SP channels at both ends of a call.
 """
 
 from repro.simulation.spsim import (

@@ -142,6 +142,15 @@ class LatencyMeasurement:
         return model.evaluate(self.mean_owd_ms, self.loss_fraction)
 
 
+def chaff_wait(ready_at: float, phase: float, interval: float) -> float:
+    """Wait from ``ready_at`` to the next tick of a chaff clock with
+    period ``interval`` (0: no clock) and offset ``phase``."""
+    if interval <= 0:
+        return 0.0
+    since_phase = (ready_at - phase) % interval
+    return (interval - since_phase) % interval
+
+
 class _RelayNode(Node):
     """Store-and-forward relay with chaff-clock alignment.
 
@@ -162,13 +171,6 @@ class _RelayNode(Node):
                        if chaff_interval_s > 0 else 0.0)
         self.on_packet(self._relay)
 
-    def _next_tick_delay(self, ready_at: float) -> float:
-        if self.chaff_interval_s <= 0:
-            return 0.0
-        since_phase = (ready_at - self._phase) % self.chaff_interval_s
-        return (self.chaff_interval_s - since_phase) \
-            % self.chaff_interval_s
-
     def _relay(self, packet: Packet) -> None:
         route: List[str] = packet.route  # type: ignore[attr-defined]
         idx = route.index(self.name)
@@ -176,7 +178,8 @@ class _RelayNode(Node):
             return
         next_hop = route[idx + 1]
         ready_at = self.loop.now + self.processing_s
-        delay = self.processing_s + self._next_tick_delay(ready_at)
+        delay = self.processing_s + chaff_wait(ready_at, self._phase,
+                                               self.chaff_interval_s)
         self.loop.schedule(delay, lambda: self.send(next_hop, packet))
 
 

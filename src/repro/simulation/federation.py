@@ -8,13 +8,13 @@ the paper's "up to seven [hops] if optional SPs are used" path:
 * The caller and callee sit *behind superpeers* in different zones:
   their packets ride chaffed channels, get XOR-combined by the SP, and
   decoded by the mix (§3.6).
-* The payload each frame is a real **onion cell**: the caller wraps the
-  end-to-end-encrypted frame in its circuit's layers; the caller's mix
-  peels its layer and hands the raw e2e payload across the rendezvous
-  splice; the callee's mix adds its backward layer and enqueues the
-  cell as a downstream VOIP packet on the callee's channel (§3.2–3.3).
-* The callee's client trial-decrypts the downstream packet, strips the
-  backward layers, and decrypts the end-to-end AEAD (§3.6.2).
+* The call is a :class:`~repro.core.rendezvous.CallSession` (splice,
+  in-band INVITE/ACCEPT, and every frame sealed, carried across the
+  splice and opened by it); this module adds the SP channels: the
+  sealed cell rides the caller's channel up, and the callee's mix
+  sends it on as a downstream VOIP packet on the callee's (§3.2–3.3).
+* The callee's client trial-decrypts the downstream packet (§3.6.2)
+  before the session opens the cell.
 
 Frames carry an explicit sequence number next to the cell (sequence
 numbers, like circuit IDs, travel outside layered encryption, §3.2).
@@ -24,23 +24,22 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.callmanager import CallState
 from repro.core.client import HerdClient
-from repro.core.rendezvous import CallError
-from repro.crypto.chacha20 import ChaCha20Poly1305
-from repro.crypto.kdf import derive_keys
-from repro.crypto.onion import (
-    CELL_SIZE,
-    unwrap_backward,
-    wrap_onion,
-)
-from repro.crypto.x25519 import X25519PrivateKey
+from repro.core.rendezvous import CallError, CallSession
+from repro.crypto.onion import CELL_SIZE
 from repro.simulation.live import LiveZone
 from repro.simulation.testbed import HerdTestbed, build_testbed
 
 _SEQ = struct.Struct("<Q")
+
+
+def _split(payload: bytes) -> Tuple[int, bytes]:
+    """A channel payload's (sequence number, cell)."""
+    (seq,) = _SEQ.unpack_from(payload)
+    return seq, payload[_SEQ.size:_SEQ.size + CELL_SIZE]
 
 
 @dataclass
@@ -49,7 +48,6 @@ class FederatedEndpoint:
 
     zone: LiveZone
     client_id: str
-    send_seq: int = 0
     received_frames: List[bytes] = field(default_factory=list)
 
     @property
@@ -120,15 +118,13 @@ class FederatedCall:
         self.net = net
         self.caller = caller
         self.callee = callee
-        self._aead: Dict[str, ChaCha20Poly1305] = {}
-        self.established = False
+        self.session: Optional[CallSession] = None
 
     # -- setup -------------------------------------------------------------------
 
     def establish(self) -> None:
-        """Control plane: circuits, rendezvous splice, channel grants,
-        and the end-to-end key (negotiated out of band here — the
-        in-band version is exercised by CallSession)."""
+        """Control plane: circuits, then the call (splice and in-band
+        key agreement), then the channel grant and ring."""
         service = self.net.bed.service
         caller_client = self.caller.client
         callee_client = self.callee.client
@@ -136,13 +132,8 @@ class FederatedCall:
         service.build_standing_circuit(caller_client)
         service.build_standing_circuit(callee_client)
         service.register_callee(callee_client)
-        # Splice at the two rendezvous mixes.
-        rdv_c = self.net.bed.mixes[caller_client.circuit.rendezvous_mix]
-        rdv_e = self.net.bed.mixes[callee_client.circuit.rendezvous_mix]
-        rdv_c.splice(caller_client.circuit.circuit_id, rdv_e.mix_id,
-                     callee_client.circuit.circuit_id)
-        rdv_e.splice(callee_client.circuit.circuit_id, rdv_c.mix_id,
-                     caller_client.circuit.circuit_id)
+        session = service.establish_call(
+            caller_client, callee_client.certificate, callee_client)
         # Channel allocation on both sides (signal + incoming).
         caller_zone = self.caller.zone
         callee_zone = self.callee.zone
@@ -156,83 +147,43 @@ class FederatedCall:
         if callee_zone.state_of(self.callee.client_id) is not \
                 CallState.IN_CALL:
             raise CallError("callee did not receive the incoming call")
-        # End-to-end keys.
-        eph_a = X25519PrivateKey.generate(self.net.bed.rng)
-        eph_b = X25519PrivateKey.generate(self.net.bed.rng)
-        shared = eph_a.exchange(eph_b.public_bytes)
-        keys = derive_keys(shared,
-                           ("caller_to_callee", "callee_to_caller"),
-                           context=eph_a.public_bytes
-                           + eph_b.public_bytes)
-        self._aead = {d: ChaCha20Poly1305(k) for d, k in keys.items()}
-        self.established = True
+        self.session = session
 
     # -- voice --------------------------------------------------------------------
 
-    @staticmethod
-    def _nonce(seq: int) -> bytes:
-        return b"fed\x00" + _SEQ.pack(seq)
-
     def say(self, direction: str, frame: bytes) -> None:
-        """Queue one voice frame into the sender's SP channel: e2e
-        encrypt, wrap the onion, prepend the sequence number."""
-        if not self.established:
+        """Queue one voice frame, sealed by the session, into the
+        sender's SP channel behind its sequence number."""
+        if self.session is None:
             raise CallError("call not established")
+        seq, cell = self.session.seal(direction, frame)
         sender = (self.caller if direction == "caller_to_callee"
                   else self.callee)
-        seq = sender.send_seq
-        sender.send_seq += 1
-        ciphertext = self._aead[direction].encrypt(self._nonce(seq),
-                                                   frame)
-        cell = wrap_onion(sender.client.circuit.keys, ciphertext, seq)
         sender.zone.say(sender.client_id, _SEQ.pack(seq) + cell)
 
     def on_upstream(self, zone_id: str, numeric_id: int,
                     payload: bytes) -> None:
         """The sender's mix recovered a channel payload for this call:
-        push it through the circuit splice to the receiver's channel."""
-        seq = _SEQ.unpack(payload[:_SEQ.size])[0]
-        cell = payload[_SEQ.size:_SEQ.size + CELL_SIZE]
+        carry it across the splice to the receiver's channel."""
+        seq, cell = _split(payload)
         # Numeric ids are unique per zone only: match the zone too.
         if (zone_id, numeric_id) == (self.caller.zone.zone_id,
                                      self.caller.numeric_id):
-            sender, receiver = self.caller, self.callee
+            direction, receiver = "caller_to_callee", self.callee
         else:
-            sender, receiver = self.callee, self.caller
-        mixes = self.net.bed.mixes
-        circuit_id = sender.client.circuit.circuit_id
-        action = mixes[sender.client.circuit.entry_mix].forward_cell(
-            circuit_id, cell, seq)
-        while action.kind == "forward":
-            action = mixes[action.peer].forward_cell(circuit_id,
-                                                     action.data, seq)
-        if action.kind != "to_peer_mix":
-            raise CallError(f"unexpected relay action {action.kind}")
-        peer_mix = mixes[action.peer]
-        back = peer_mix.inject_backward(action.peer_circuit,
-                                        action.data, seq)
-        # Walk any remaining backward hops toward the receiver's mix.
-        path = receiver.client.circuit.path
-        idx = path.index(peer_mix.mix_id)
-        for mix_id in reversed(path[:idx]):
-            back = mixes[mix_id].backward_cell(
-                receiver.client.circuit.circuit_id, back.data, seq)
+            direction, receiver = "callee_to_caller", self.caller
+        cell = self.session.carry(direction, seq, cell)
         # The receiver is behind an SP: deliver the layered cell as a
         # downstream VOIP payload on its granted channel.
         receiver.zone.manager.enqueue_voice(
-            receiver.numeric_id, _SEQ.pack(seq) + back.data)
+            receiver.numeric_id, _SEQ.pack(seq) + cell)
 
     def drain_received(self) -> None:
-        """Decrypt everything the receivers' agents picked up."""
+        """Open everything the receivers' agents picked up."""
         for endpoint, direction in ((self.callee, "caller_to_callee"),
                                     (self.caller, "callee_to_caller")):
             agent = endpoint.zone.clients[endpoint.client_id].agent
             while agent.received_cells:
-                payload = agent.received_cells.pop(0)
-                seq = _SEQ.unpack(payload[:_SEQ.size])[0]
-                cell = payload[_SEQ.size:_SEQ.size + CELL_SIZE]
-                ciphertext = unwrap_backward(
-                    endpoint.client.circuit.keys, cell, seq)
-                frame = self._aead[direction].decrypt(
-                    self._nonce(seq), ciphertext)
-                endpoint.received_frames.append(frame)
+                seq, cell = _split(agent.received_cells.pop(0))
+                endpoint.received_frames.append(
+                    self.session.open(direction, seq, cell))

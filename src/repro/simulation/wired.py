@@ -5,7 +5,9 @@ relays; :mod:`repro.simulation.testbed` runs the real protocol
 synchronously.  This module combines them: real mixes, real circuits,
 real layered encryption — with every cell carried as a datagram across
 :mod:`repro.netsim` links whose delays come from the EC2 geography, and
-with per-hop chaff-clock alignment.
+with per-hop chaff-clock alignment.  The call's
+:class:`~repro.core.rendezvous.CallSession` seals and opens each frame;
+every mix hop in between is one event on the wire.
 
 The result is an executable end-to-end claim: an actual encrypted Herd
 call between two continents, timed on the wire, decrypting correctly at
@@ -27,14 +29,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.rendezvous import CallSession
-from repro.crypto.chacha20 import ChaCha20Poly1305
-from repro.crypto.onion import unwrap_backward, wrap_onion
 from repro.netsim.engine import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
-from repro.netsim.topology import DEFAULT_ACCESS_JITTER, \
-    DEFAULT_ACCESS_OWD, GeoTopology, default_topology
+from repro.netsim.topology import DEFAULT_ACCESS_JITTER, GeoTopology, \
+    default_topology
+from repro.simulation.deployment import chaff_wait
 from repro.simulation.testbed import HerdTestbed, build_testbed
 
 _HEADER = struct.Struct("<cQQ")
@@ -58,7 +59,6 @@ def _decode(payload: bytes) -> Tuple[bytes, int, int, bytes]:
 class WiredConfig:
     """Knobs of the wired deployment."""
 
-    access_owd_s: float = DEFAULT_ACCESS_OWD
     access_jitter_s: float = DEFAULT_ACCESS_JITTER
     #: Chaffed links emit at frame ticks; relays align to the next one.
     chaff_interval_s: float = 0.02
@@ -145,13 +145,9 @@ class WiredHerd:
         """Send at the next chaff tick of ``from_name``'s link clock —
         payload cells replace chaff packets, they never jump the
         schedule (§3.4.1)."""
-        interval = self.config.chaff_interval_s
-        ready = self.loop.now + processing
-        if interval > 0:
-            phase = self._chaff_phase[from_name]
-            wait = (phase - ready) % interval
-        else:
-            wait = 0.0
+        wait = chaff_wait(self.loop.now + processing,
+                          self._chaff_phase[from_name],
+                          self.config.chaff_interval_s)
         packet = Packet(payload, from_name, to_name, kind="voip")
         if from_name == to_name:
             # A rendezvous mix spliced to itself (both parties chose the
@@ -171,31 +167,22 @@ class WiredHerd:
         kind, circuit_id, seq, data = _decode(packet.payload)
         if kind == _FORWARD:
             action = mix.forward_cell(circuit_id, data, seq)
-            if action.kind == "forward":
-                self._aligned_send(mix_id, action.peer,
-                                   _encode(_FORWARD, circuit_id, seq,
-                                           action.data),
-                                   self.config.mix_processing_s)
-            elif action.kind == "to_peer_mix":
-                self._aligned_send(mix_id, action.peer,
-                                   _encode(_TRANSFER,
-                                           action.peer_circuit, seq,
-                                           action.data),
-                                   self.config.mix_processing_s)
         elif kind == _TRANSFER:
             action = mix.inject_backward(circuit_id, data, seq)
-            self._aligned_send(mix_id, action.peer,
-                               _encode(_BACKWARD, circuit_id, seq,
-                                       action.data),
-                               self.config.mix_processing_s)
         elif kind == _BACKWARD:
             action = mix.backward_cell(circuit_id, data, seq)
-            self._aligned_send(mix_id, action.peer,
-                               _encode(_BACKWARD, circuit_id, seq,
-                                       action.data),
-                               self.config.mix_processing_s)
         else:
             raise ValueError(f"unknown wire type {kind!r}")
+        # Hand the cell on at this mix's next chaff tick.
+        if action.kind == "to_peer_mix":
+            kind, circuit_id = _TRANSFER, action.peer_circuit
+        elif action.kind == "backward":
+            kind = _BACKWARD
+        elif action.kind != "forward":
+            return  # "deliver" at an unspliced exit: nothing to hand on
+        self._aligned_send(mix_id, action.peer,
+                           _encode(kind, circuit_id, seq, action.data),
+                           self.config.mix_processing_s)
 
     def _at_client(self, client_id: str, packet: Packet) -> None:
         kind, circuit_id, seq, data = _decode(packet.payload)
@@ -213,7 +200,7 @@ class WiredHerd:
         """Establish the call (control plane) and return the wired
         voice session (data plane over the simulator)."""
         session = self.bed.call(caller_id, callee_id)
-        call = WiredCall(self, session, caller_id, callee_id)
+        call = WiredCall(self, session)
         self._calls_by_circuit[session.caller.circuit.circuit_id] = \
             (call, "caller")
         self._calls_by_circuit[session.callee.circuit.circuit_id] = \
@@ -224,59 +211,37 @@ class WiredHerd:
 class WiredCall:
     """One established call whose voice frames ride the simulator."""
 
-    def __init__(self, net: WiredHerd, session: CallSession,
-                 caller_id: str, callee_id: str):
+    def __init__(self, net: WiredHerd, session: CallSession):
         self.net = net
         self.session = session
-        self.caller_id = caller_id
-        self.callee_id = callee_id
-        self._sent_at: Dict[Tuple[str, int], Tuple[float, int]] = {}
+        self._sent_at: Dict[Tuple[str, int], float] = {}
         self.deliveries: Dict[str, List[Delivery]] = {
             "caller": [], "callee": []}
 
-    def _aead(self, direction: str) -> ChaCha20Poly1305:
-        return (self.session._caller_aead
-                if direction == "caller_to_callee"
-                else self.session._callee_aead)
-
     def send_voice(self, direction: str, frame: bytes,
                    at: Optional[float] = None) -> None:
-        """Schedule one voice frame; it arrives via the simulator."""
+        """Seal one voice frame now and schedule it; it arrives via the
+        simulator."""
+        seq, cell = self.session.seal(direction, frame)
         if direction == "caller_to_callee":
-            sender = self.session.caller
-            sender_id = self.caller_id
-            receive_side = "callee"
-        elif direction == "callee_to_caller":
-            sender = self.session.callee
-            sender_id = self.callee_id
-            receive_side = "caller"
+            sender, receive_side = self.session.caller, "callee"
         else:
-            raise ValueError(f"unknown direction {direction!r}")
-        seq = sender.send_seq
-        sender.send_seq += 1
-        ciphertext = self._aead(direction).encrypt(
-            CallSession._nonce(seq), frame)
-        cell = wrap_onion(sender.circuit.keys, ciphertext, seq)
+            sender, receive_side = self.session.callee, "caller"
         payload = _encode(_FORWARD, sender.circuit.circuit_id, seq, cell)
 
         def emit():
-            self._sent_at[(receive_side, seq)] = (self.net.loop.now,
-                                                  len(frame))
-            self.net._aligned_send(sender_id, sender.circuit.entry_mix,
-                                   payload)
+            self._sent_at[(receive_side, seq)] = self.net.loop.now
+            self.net._aligned_send(sender.client.client_id,
+                                   sender.circuit.entry_mix, payload)
         when = at if at is not None else self.net.loop.now
         self.net.loop.schedule_at(when, emit)
 
     def _deliver(self, side: str, seq: int, cell: bytes,
                  now: float) -> None:
-        endpoint = (self.session.callee if side == "callee"
-                    else self.session.caller)
         direction = ("caller_to_callee" if side == "callee"
                      else "callee_to_caller")
-        ciphertext = unwrap_backward(endpoint.circuit.keys, cell, seq)
-        frame = self._aead(direction).decrypt(
-            CallSession._nonce(seq), ciphertext)
-        sent_at, _ = self._sent_at.pop((side, seq), (now, len(frame)))
+        frame = self.session.open(direction, seq, cell)
+        sent_at = self._sent_at.pop((side, seq), now)
         self.deliveries[side].append(
             Delivery(sent_at=sent_at, received_at=now, frame=frame))
 

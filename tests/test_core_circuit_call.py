@@ -2,9 +2,11 @@
 
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.core import rendezvous
 from repro.core.circuit import ClientHopHandshake, mix_process_create
 from repro.core.invariants import (
     ciphertext_uncorrelated,
@@ -13,6 +15,7 @@ from repro.core.invariants import (
 )
 from repro.core.mix import Mix
 from repro.core.rendezvous import CallError
+from repro.core.wire import encode_call_setup
 from repro.crypto import chacha20
 from repro.crypto.onion import CELL_SIZE, wrap_onion
 
@@ -28,7 +31,6 @@ class TestHopHandshake:
         assert client_keys == mix_keys
 
     def test_confirmation_detects_tampering(self):
-        from dataclasses import replace
         rng = random.Random(2)
         handshake = ClientHopHandshake(1, rng)
         reply, _ = mix_process_create(handshake.request(), rng)
@@ -37,7 +39,6 @@ class TestHopHandshake:
             handshake.finish(bad)
 
     def test_circuit_id_mismatch_rejected(self):
-        from dataclasses import replace
         rng = random.Random(3)
         handshake = ClientHopHandshake(1, rng)
         reply, _ = mix_process_create(handshake.request(), rng)
@@ -247,7 +248,6 @@ class TestRendezvousAndCalls:
                                            callee)
 
     def test_call_to_unknown_zone_fails(self, call_pair):
-        from dataclasses import replace
         testbed, caller, callee = call_pair
         forged = replace(callee.certificate, zone_id="zone-XX")
         with pytest.raises(CallError):
@@ -287,6 +287,51 @@ class TestRendezvousAndCalls:
         assert set(zones) == {"zone-SA"}
         frame = b"\x01" * 60
         assert session.send_voice("caller_to_callee", frame) == frame
+
+
+#: Forged call-setup bytes, keyed by what the test expects to hear:
+#: ``forge(setup, encoded) -> bytes relayed instead``.
+_FORGED_SETUPS = {
+    "ACCEPT for call": lambda setup, data: encode_call_setup(
+        replace(setup, call_id=setup.call_id + 1))
+    if setup.is_accept else data,
+    "malformed INVITE": lambda setup, data: data
+    if setup.is_accept else data[:-1],
+    "expected an ACCEPT": lambda setup, data: encode_call_setup(
+        replace(setup, is_accept=False)) if setup.is_accept else data,
+}
+
+
+class TestCallSetup:
+    """INVITE and ACCEPT are ``core/wire`` call-setup messages, and a
+    forged or mismatched one fails the call."""
+
+    def test_invite_and_accept_carry_the_call_id(self, call_pair,
+                                                 monkeypatch):
+        testbed, caller, callee = call_pair
+        relayed = []
+
+        def recording(setup):
+            relayed.append((setup.is_accept, setup.call_id))
+            return encode_call_setup(setup)
+        monkeypatch.setattr(rendezvous, "encode_call_setup", recording)
+        session = testbed.service.establish_call(
+            caller, callee.certificate, callee)
+        assert relayed == [(False, session.call_id),
+                           (True, session.call_id)]
+        assert (session.caller.send_seq, session.callee.send_seq) == (1, 1)
+
+    @pytest.mark.parametrize("error", sorted(_FORGED_SETUPS))
+    def test_forged_setup_fails_the_call(self, call_pair, monkeypatch,
+                                         error):
+        testbed, caller, callee = call_pair
+        forge = _FORGED_SETUPS[error]
+        monkeypatch.setattr(
+            rendezvous, "encode_call_setup",
+            lambda setup: forge(setup, encode_call_setup(setup)))
+        with pytest.raises(CallError, match=error):
+            testbed.service.establish_call(caller, callee.certificate,
+                                           callee)
 
 
 class TestSecurityInvariants:

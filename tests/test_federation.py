@@ -17,7 +17,7 @@ def federation():
 class TestEstablishment:
     def test_both_parties_in_call(self, federation):
         net, call = federation
-        assert call.established
+        assert call.session.established
         assert net.zones["zone-EU"].state_of("eu-0") is CallState.IN_CALL
         assert net.zones["zone-NA"].state_of("na-0") is CallState.IN_CALL
 
@@ -40,6 +40,41 @@ class TestEstablishment:
             FederatedEndpoint(net.zones["zone-NA"], "na-0"))
         with pytest.raises(CallError):
             call.say("caller_to_callee", b"\x00" * 160)
+
+    def test_setup_runs_in_band_on_sequence_zero(self, monkeypatch):
+        """The call's keys come from the session's INVITE/ACCEPT over
+        the spliced circuits, which take sequence 0 each way, so the
+        first voice frame on either channel goes out at sequence 1."""
+        net = FederatedHerd(n_clients_per_zone=4, n_channels=2, seed=9)
+        call = net.call(("zone-EU", "eu-0"), ("zone-NA", "na-0"))
+        assert call.session.established
+        sent = []
+        for zone in net.zones.values():
+            monkeypatch.setattr(zone, "say",
+                                lambda cid, payload: sent.append(payload))
+        call.say("caller_to_callee", b"\x01" * 160)
+        call.say("callee_to_caller", b"\x02" * 160)
+        assert [int.from_bytes(p[:8], "little") for p in sent] == [1, 1]
+
+    def test_misrouted_cell_is_refused(self, monkeypatch):
+        """A cell the splice hands to a bystander's circuit is an
+        error, not a packet queued on the callee's channel."""
+        net = FederatedHerd(n_clients_per_zone=4, n_channels=2, seed=9)
+        call = net.call(("zone-EU", "eu-0"), ("zone-NA", "na-0"))
+        bystander = net.bed.service.build_standing_circuit(
+            net.zones["zone-NA"].clients["na-1"].client)
+        caller = call.caller.client.circuit
+        splice = net.bed.mixes[caller.rendezvous_mix].circuit_state(
+            caller.circuit_id)
+        monkeypatch.setattr(splice, "spliced_circuit",
+                            bystander.circuit_id)
+        seq, cell = call.session.seal("caller_to_callee", b"\x03" * 160)
+        queued = net.zones["zone-NA"].manager.calls[
+            call.callee.numeric_id].downstream
+        with pytest.raises(CallError, match="expected na-0"):
+            call.on_upstream("zone-EU", call.caller.numeric_id,
+                             seq.to_bytes(8, "little") + cell)
+        assert not queued
 
 
 class TestVoiceAcrossZones:
