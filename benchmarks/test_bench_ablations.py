@@ -87,12 +87,10 @@ def test_bench_ablation_rendezvous_interposition():
     callee = bed.add_client("bob", "zone-NA")
     # Force the typical configuration: entry and rendezvous distinct.
     builder = bed.service.circuit_builder()
-    caller.build_circuit(builder, [caller.mix_id,
-                                   bed.directories["zone-EU"].pick_mix(
-                                       exclude=caller.mix_id)])
-    callee.build_circuit(builder, [callee.mix_id,
-                                   bed.directories["zone-NA"].pick_mix(
-                                       exclude=callee.mix_id)])
+    for client in (caller, callee):
+        rendezvous = next(m for m in bed.zones[client.zone_id].mix_ids
+                          if m != client.mix_id)
+        client.build_circuit(builder, [client.mix_id, rendezvous])
     bed.service.register_callee(callee)
     session = bed.call("alice", "bob")
     with_rdv = session.link_hops()

@@ -27,7 +27,7 @@ def main() -> None:
                         seed=2015)
     print("zones:", ", ".join(net.zones))
     for zone_id, zone in net.zones.items():
-        print(f"  {zone_id}: mix {zone.mix.mix_id}, SP {zone.sp.sp_id}, "
+        print(f"  {zone_id}: mix {zone.mix.mix_id}, SP {zone.sps[0].sp_id}, "
               f"{len(zone.clients)} clients on "
               f"{len(zone.mix.channels)} channels")
 

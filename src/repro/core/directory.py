@@ -35,10 +35,9 @@ from repro.crypto.pki import (
 
 class DirectoryStalledError(RuntimeError):
     """The zone directory is not answering (a ``DIRECTORY_STALL``
-    fault window).  A ``RuntimeError`` subclass so every existing
-    join-retry path — :func:`~repro.core.join.join_with_retries` and
-    the fault injector's :class:`~repro.core.retry.LoopRetry` re-joins
-    — backs off and retries instead of aborting."""
+    fault window).  A ``RuntimeError`` subclass so a re-join
+    (:class:`~repro.core.retry.LoopRetry`) backs off and retries
+    instead of aborting."""
 
 
 @dataclass(frozen=True)
@@ -108,18 +107,16 @@ class ZoneDirectory:
 
     # -- mix selection -----------------------------------------------------
 
-    def pick_mix(self, exclude: Optional[str] = None) -> str:
+    def pick_mix(self) -> str:
         """A uniformly random mix of the zone (used for join redirection
         and rendezvous selection — invariant I5 requires uniformity)."""
         if self.stalled:
             raise DirectoryStalledError(
                 f"directory of zone {self.zone.zone_id} is not "
                 "responding")
-        candidates = [m for m in self.zone.mix_ids if m != exclude]
-        if not candidates:
-            raise RuntimeError(f"zone {self.zone.zone_id} has no "
-                               "(other) mixes")
-        return self.rng.choice(candidates)
+        if not self.zone.mix_ids:
+            raise RuntimeError(f"zone {self.zone.zone_id} has no mixes")
+        return self.rng.choice(self.zone.mix_ids)
 
     # -- rendezvous records -------------------------------------------------
 

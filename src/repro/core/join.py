@@ -22,11 +22,6 @@ from repro.core.channel import CHANNEL_CAPACITY
 from repro.core.client import HerdClient, derive_client_mix_key
 from repro.core.directory import ZoneDirectory
 from repro.core.mix import Mix
-from repro.core.retry import (
-    BackoffPolicy,
-    VirtualClock,
-    call_with_retries,
-)
 from repro.core.superpeer import SuperPeer
 
 
@@ -43,8 +38,7 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
               mixes: Dict[str, Mix],
               superpeers: Optional[Dict[str, SuperPeer]] = None,
               channel_choice: Optional[Sequence[int]] = None,
-              rng: Optional[random.Random] = None,
-              exclude_mix: Optional[str] = None) -> JoinResult:
+              rng: Optional[random.Random] = None) -> JoinResult:
     """Run the §3.5 join protocol.
 
     Parameters
@@ -61,9 +55,6 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
         client is redirected to SPs: it attaches to ``client.k``
         channels chosen by the mix (``channel_choice`` overrides the
         choice for tests).
-    exclude_mix:
-        A mix to avoid — used when re-joining after that mix failed
-        (§3.5: "the client contacts another mix in the same zone").
     """
     rng = rng or random.Random(0)
     if client.zone_id != directory.zone.zone_id:
@@ -72,7 +63,7 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
         raise RuntimeError("client already joined")
 
     # 1. The directory redirects the client to a mix within the zone.
-    mix_id = directory.pick_mix(exclude=exclude_mix)
+    mix_id = directory.pick_mix()
     mix = mixes[mix_id]
 
     # 2. Client ↔ mix key establishment (symmetric key s).
@@ -160,55 +151,3 @@ def _channel_hosts(mix: Mix, superpeers: Dict[str, SuperPeer],
             raise RuntimeError("mix and SP slot assignment diverged")
         hosts.append(sp)
     return hosts
-
-
-@dataclass
-class JoinRetryResult:
-    """A join that (eventually) succeeded, and what it took."""
-
-    result: JoinResult
-    attempts: int
-    backoff_s: float
-
-
-def join_with_retries(client: HerdClient, directory: ZoneDirectory,
-                      mixes: Dict[str, Mix],
-                      superpeers: Optional[Dict[str, SuperPeer]] = None,
-                      channel_choice: Optional[Sequence[int]] = None,
-                      rng: Optional[random.Random] = None,
-                      exclude_mix: Optional[str] = None,
-                      policy: Optional[BackoffPolicy] = None,
-                      clock: Optional[VirtualClock] = None
-                      ) -> JoinRetryResult:
-    """Run :func:`join_zone` with bounded exponential backoff (§3.5).
-
-    After an unclean mix crash the directory may keep redirecting
-    joins to the dead mix until it detects the failure; each such
-    attempt fails with ``KeyError`` and is retried after a backoff
-    accounted on the virtual ``clock``.  A partially completed join is
-    rolled back with :meth:`~repro.core.client.HerdClient.leave` before
-    the retry.  Raises :class:`~repro.core.retry.RetryError` when the
-    policy's attempts are exhausted.
-    """
-    if client.joined:
-        raise RuntimeError("client already joined")
-    policy = policy or BackoffPolicy()
-    clock = clock or VirtualClock()
-
-    def attempt() -> JoinResult:
-        try:
-            return join_zone(client, directory, mixes,
-                             superpeers=superpeers,
-                             channel_choice=channel_choice, rng=rng,
-                             exclude_mix=exclude_mix)
-        except Exception:
-            if client.joined:
-                client.leave()
-            raise
-
-    outcome = call_with_retries(
-        attempt, policy=policy, clock=clock, rng=rng,
-        retry_on=(KeyError, RuntimeError, ValueError))
-    return JoinRetryResult(result=outcome.value,
-                           attempts=outcome.attempts,
-                           backoff_s=outcome.backoff_s)

@@ -1,23 +1,12 @@
-"""Timeout, bounded-retry, and backoff primitives (§3.1, §3.5).
+"""Bounded retries with backoff (§3.1, §3.5).
 
 Herd's availability story rests on clients recovering from mix and SP
 failures: "In the case of a mix or superpeer failure, a client contacts
-another mix in the same zone and re-joins."  This module provides the
-mechanics every recovery path shares — deadlines, bounded retries, and
-exponential backoff with jitter — driven entirely by *virtual* clocks
-so that simulated recoveries are reproducible bit-for-bit and never
-touch the wall clock:
-
-* :class:`VirtualClock` — a trivial advanceable clock for synchronous
-  callers (tests, testbed-level rejoins),
-* :class:`Deadline` — a timeout against anything exposing ``.now``
-  (a :class:`VirtualClock` or the netsim
-  :class:`~repro.netsim.engine.EventLoop`),
-* :class:`BackoffPolicy` / :func:`call_with_retries` — synchronous
-  bounded retries, accounting backoff on the virtual clock,
-* :class:`LoopRetry` — the same policy expressed as scheduled events on
-  an :class:`~repro.netsim.engine.EventLoop`, used by the fault
-  injector's re-join and failover paths.
+another mix in the same zone and re-joins."  Every such recovery is a
+:class:`LoopRetry`: attempts scheduled as events on the run's
+:class:`~repro.netsim.engine.EventLoop`, spaced by a
+:class:`BackoffPolicy` (exponential, jittered by a seeded rng), so a
+recovery replays bit-for-bit and never touches the wall clock.
 """
 
 from __future__ import annotations
@@ -25,60 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple, Type
-
-
-class RetryError(RuntimeError):
-    """Every attempt failed; carries the count and the last error."""
-
-    def __init__(self, attempts: int, last_error: BaseException):
-        super().__init__(
-            f"gave up after {attempts} attempt(s): {last_error!r}")
-        self.attempts = attempts
-        self.last_error = last_error
-
-
-class TimeoutExpired(RuntimeError):
-    """A :class:`Deadline` ran out."""
-
-
-@dataclass
-class VirtualClock:
-    """A manually advanced clock for synchronous retry flows."""
-
-    now: float = 0.0
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot advance a clock backwards")
-        self.now += seconds
-
-
-@dataclass
-class Deadline:
-    """A timeout bound to a virtual clock (anything with ``.now``)."""
-
-    clock: Any
-    timeout_s: float
-
-    def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
-        self._expires_at = self.clock.now + self.timeout_s
-
-    @property
-    def remaining(self) -> float:
-        return max(0.0, self._expires_at - self.clock.now)
-
-    @property
-    def expired(self) -> bool:
-        return self.clock.now >= self._expires_at
-
-    def check(self) -> None:
-        """Raise :class:`TimeoutExpired` if the deadline has passed."""
-        if self.expired:
-            raise TimeoutExpired(
-                f"deadline of {self.timeout_s}s expired at "
-                f"{self._expires_at}s (now {self.clock.now}s)")
 
 
 @dataclass(frozen=True)
@@ -125,52 +60,6 @@ class BackoffPolicy:
 
 
 @dataclass
-class RetryOutcome:
-    """A successful retried call: its value and what it took."""
-
-    value: Any
-    attempts: int
-    backoff_s: float
-
-
-def call_with_retries(fn: Callable[[], Any], *,
-                      policy: Optional[BackoffPolicy] = None,
-                      clock: Optional[VirtualClock] = None,
-                      rng: Optional[random.Random] = None,
-                      retry_on: Tuple[Type[BaseException], ...]
-                      = (Exception,),
-                      deadline: Optional[Deadline] = None,
-                      on_retry: Optional[Callable[[int, BaseException,
-                                                   float], None]] = None
-                      ) -> RetryOutcome:
-    """Call ``fn`` until it succeeds, backing off on the virtual clock.
-
-    Raises :class:`RetryError` once the policy's attempts are exhausted
-    or the next backoff would overrun ``deadline``.  ``on_retry`` is
-    invoked as ``(failures, error, delay)`` before each backoff.
-    """
-    policy = policy or BackoffPolicy()
-    clock = clock or VirtualClock()
-    backoff = 0.0
-    last: BaseException
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return RetryOutcome(fn(), attempt, backoff)
-        except retry_on as exc:
-            last = exc
-            if attempt >= policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt, rng)
-            if deadline is not None and deadline.remaining < delay:
-                break
-            if on_retry is not None:
-                on_retry(attempt, exc, delay)
-            clock.advance(delay)
-            backoff += delay
-    raise RetryError(attempt, last)
-
-
-@dataclass
 class LoopRetry:
     """Bounded retries as events on a netsim event loop.
 
@@ -189,7 +78,6 @@ class LoopRetry:
     on_success: Optional[Callable[["LoopRetry"], None]] = None
     on_give_up: Optional[Callable[["LoopRetry"], None]] = None
     start_delay_s: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         self.attempts = 0

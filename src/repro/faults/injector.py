@@ -3,9 +3,9 @@
 The injector is the piece that turns declarative fault specs into
 actual state changes — popping mixes/SPs off the
 :class:`~repro.simulation.testbed.HerdTestbed` via the churn API,
-degrading :class:`~repro.netsim.link.Link` parameters, feeding bad
-quality samples to the :class:`~repro.core.blacklist.SPMonitor` — and
-records everything it does in a structured, replayable timeline.
+feeding bad quality samples to the
+:class:`~repro.core.blacklist.SPMonitor` — and records everything it
+does in a structured, replayable timeline.
 
 Recovery is part of the plan: crashes with a ``duration_s`` schedule
 their own revert (mix/SP revived with the same identity, clients must
@@ -58,23 +58,13 @@ class FaultInjector:
         Optional :class:`~repro.core.blacklist.SPMonitor`; when given,
         degradation faults targeting an SP feed it periodic bad quality
         samples so blacklisting can trigger *during* the run.
-    links:
-        Optional name → :class:`~repro.netsim.link.Link` map; when a
-        degradation's target names a link, its ``loss_rate`` /
-        ``jitter_std`` are mutated for the window and restored after.
-    sp_full_leave:
-        Passed through to :func:`~repro.simulation.churn.fail_superpeer`.
-        Chaos runs use ``False`` so mid-call failover state survives.
     """
 
-    def __init__(self, bed, loop, monitor=None, links=None,
-                 sp_full_leave: bool = True,
+    def __init__(self, bed, loop, monitor=None,
                  sample_interval_s: float = 1.0):
         self.bed = bed
         self.loop = loop
         self.monitor = monitor
-        self.links = links or {}
-        self.sp_full_leave = sp_full_leave
         self.sample_interval_s = sample_interval_s
         self.timeline: List[TimelineEntry] = []
         #: Failed components kept around so recovery can revive the
@@ -84,12 +74,10 @@ class FaultInjector:
         #: client ids orphaned by each mix crash.
         self.orphans: Dict[str, List[str]] = {}
         self._degrade_handles: Dict[Tuple[str, str, float], object] = {}
-        self._saved_link_params: Dict[str, Tuple[float, float]] = {}
         #: Hooks fired on fault application; chaos wires re-join and
         #: data-plane failover logic through these.
         self.on_mix_crash: List[Callable[[FaultSpec, List[str]], None]] = []
         self.on_sp_crash: List[Callable[[FaultSpec, List[str]], None]] = []
-        self.on_recovery: List[Callable[[FaultSpec], None]] = []
         #: Graceful-degradation hook: called with ``(spec, True)`` when
         #: an OVERLOAD window opens and ``(spec, False)`` when it
         #: closes.  The scenario engine wires load shedding
@@ -159,8 +147,7 @@ class FaultInjector:
                         "already down")
             return
         sp = self.bed.superpeers[spec.target]
-        affected = fail_superpeer(self.bed, spec.target,
-                                  full_leave=self.sp_full_leave)
+        affected = fail_superpeer(self.bed, spec.target)
         self.failed_sps[spec.target] = sp
         self.record("injected", spec.kind.value, spec.target,
                     f"affected={len(affected)}")
@@ -171,20 +158,7 @@ class FaultInjector:
             hook(spec, affected)
 
     def _apply_degradation(self, spec: FaultSpec) -> None:
-        detail_parts = []
-        link = self.links.get(spec.target)
-        if link is not None:
-            self._saved_link_params[spec.target] = (link.loss_rate,
-                                                    link.jitter_std)
-            if spec.kind in (FaultKind.LINK_DEGRADE, FaultKind.LOSS_BURST,
-                             FaultKind.LINK_PARTITION):
-                link.loss_rate = 0.999 if \
-                    spec.kind is FaultKind.LINK_PARTITION else \
-                    min(spec.loss, 0.999)
-            if spec.kind in (FaultKind.LINK_DEGRADE,
-                             FaultKind.JITTER_BURST):
-                link.jitter_std = spec.jitter_ms / 1000.0
-            detail_parts.append("link mutated")
+        detail = "no-op target"
         if self.monitor is not None:
             if spec.kind is FaultKind.LINK_PARTITION:
                 def sample(spec=spec):
@@ -196,9 +170,8 @@ class FaultInjector:
             handle = self.loop.schedule_periodic(
                 self.sample_interval_s, sample, start_delay=0.0)
             self._degrade_handles[spec.key()] = handle
-            detail_parts.append("monitor fed")
-        self.record("injected", spec.kind.value, spec.target,
-                    "; ".join(detail_parts) or "no-op target")
+            detail = "monitor fed"
+        self.record("injected", spec.kind.value, spec.target, detail)
         self.loop.schedule(spec.duration_s, lambda: self.revert(spec))
 
     def _apply_overload(self, spec: FaultSpec) -> None:
@@ -228,8 +201,8 @@ class FaultInjector:
     # -- recovery --------------------------------------------------------------
 
     def revert(self, spec: FaultSpec) -> None:
-        """Undo a fault: revive the crashed component or restore the
-        degraded link and stop feeding the monitor."""
+        """Undo a fault: revive the crashed component, or stop feeding
+        the monitor."""
         if spec.kind is FaultKind.MIX_CRASH:
             mix = self.failed_mixes.pop(spec.target, None)
             if mix is None or spec.target in self.bed.mixes:
@@ -255,13 +228,7 @@ class FaultInjector:
             handle = self._degrade_handles.pop(spec.key(), None)
             if handle is not None:
                 handle.cancel()
-            saved = self._saved_link_params.pop(spec.target, None)
-            link = self.links.get(spec.target)
-            if saved is not None and link is not None:
-                link.loss_rate, link.jitter_std = saved
             self.record("recovered", spec.kind.value, spec.target)
-        for hook in self.on_recovery:
-            hook(spec)
 
     def teardown(self) -> None:
         """Cancel outstanding degradation samplers (pairs with

@@ -13,7 +13,6 @@ determinism contract the chaos benchmarks assert).
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -37,7 +36,8 @@ class FaultKind(Enum):
     DIRECTORY_STALL = "directory_stall"
 
 
-#: Kinds that mutate link/quality state for a window and must revert.
+#: Kinds that feed the SP monitor bad samples for a window and must
+#: revert.
 _DEGRADATION_KINDS = frozenset({
     FaultKind.LINK_DEGRADE,
     FaultKind.LINK_PARTITION,
@@ -65,13 +65,13 @@ class FaultSpec:
     at_s:
         Virtual time at which the fault strikes.
     target:
-        Mix id, SP id, or link name, depending on ``kind``.
+        Mix id, SP id, or zone id, depending on ``kind``.
     duration_s:
         For degradations: how long the condition lasts (required).
         For crashes: time until recovery; ``None`` means the component
         stays down for the rest of the run.
     loss, jitter_ms:
-        Degradation severity, fed to the link and/or the
+        Degradation severity, fed to the
         :class:`~repro.core.blacklist.SPMonitor`.
     detection_delay_s:
         For ``MIX_CRASH``: how long the directory keeps redirecting
@@ -151,47 +151,3 @@ class FaultPlan:
                 spec.at_s,
                 lambda s=spec: injector.apply(s)))
         return handles
-
-    @classmethod
-    def generate(cls, seed: int, horizon_s: float,
-                 mix_ids: Sequence[str] = (),
-                 sp_ids: Sequence[str] = (),
-                 n_faults: int = 4,
-                 crash_fraction: float = 0.5,
-                 mean_duration_s: float = 2.0) -> "FaultPlan":
-        """Draw a random-but-reproducible plan: the same seed always
-        yields the same plan (asserted via :meth:`signature`)."""
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        if not mix_ids and not sp_ids:
-            raise ValueError("need at least one candidate target")
-        rng = random.Random(seed)
-        specs: List[FaultSpec] = []
-        for _ in range(n_faults):
-            at_s = rng.uniform(0.05 * horizon_s, 0.7 * horizon_s)
-            duration = min(max(0.2, rng.expovariate(1.0 / mean_duration_s)),
-                           0.9 * horizon_s)
-            crash = rng.random() < crash_fraction
-            if crash and mix_ids and (not sp_ids or rng.random() < 0.5):
-                specs.append(FaultSpec(
-                    kind=FaultKind.MIX_CRASH, at_s=at_s,
-                    target=rng.choice(list(mix_ids)),
-                    duration_s=duration,
-                    detection_delay_s=rng.uniform(0.0, 0.1 * horizon_s)))
-            elif crash and sp_ids:
-                specs.append(FaultSpec(
-                    kind=FaultKind.SP_CRASH, at_s=at_s,
-                    target=rng.choice(list(sp_ids)),
-                    duration_s=duration))
-            else:
-                target_pool = list(sp_ids) or list(mix_ids)
-                kind = rng.choice([FaultKind.LINK_DEGRADE,
-                                   FaultKind.LOSS_BURST,
-                                   FaultKind.JITTER_BURST])
-                specs.append(FaultSpec(
-                    kind=kind, at_s=at_s,
-                    target=rng.choice(target_pool),
-                    duration_s=duration,
-                    loss=round(rng.uniform(0.05, 0.4), 3),
-                    jitter_ms=round(rng.uniform(40.0, 120.0), 1)))
-        return cls(specs)

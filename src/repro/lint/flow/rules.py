@@ -70,9 +70,7 @@ class SecretFlowRule(FlowRule):
     this version tracks the taint itself, so a key returned from
     ``kdf.py``, renamed twice, and f-stringed three calls later is
     still caught, and a helper that logs its argument flags every call
-    site that passes it a secret.  (The legacy matcher survives as
-    :class:`repro.lint.rules.SecretLeakRule` for the regression test
-    pinning the coverage gap.)
+    site that passes it a secret.
     """
 
     rule_id = "HL004"

@@ -192,119 +192,6 @@ class DigestEqualityRule(Rule):
                     break
 
 
-_SECRET_EXACT = {"ikm", "prk", "okm", "secret", "shared_secret",
-                 "key_material", "secret_material"}
-_SECRET_SUFFIXES = ("_key", "_secret", "_ikm", "_prk")
-# Names that are only secret inside crypto/ (an ed25519 "seed" is key
-# material; a simulation "seed" is a public experiment parameter).
-_CRYPTO_ONLY_SECRETS = {"seed", "private_bytes"}
-_LOG_METHODS = {"debug", "info", "warning", "warn", "error",
-                "exception", "critical", "log"}
-_LOGGERISH_ROOTS = {"logger", "log", "_logger", "_log"}
-
-
-def _is_secret_name(name: str, in_crypto: bool) -> bool:
-    lowered = name.lower()
-    if "public" in lowered or "verify" in lowered:
-        return False
-    if lowered in _SECRET_EXACT:
-        return True
-    if any(lowered.endswith(suffix) for suffix in _SECRET_SUFFIXES):
-        return True
-    return in_crypto and lowered in _CRYPTO_ONLY_SECRETS
-
-
-def _secret_names_in(node: ast.AST, in_crypto: bool) -> List[str]:
-    """Secret-named identifiers reachable from ``node``, ignoring
-    ``len(...)`` subtrees (a length reveals no key material)."""
-    names: List[str] = []
-    stack: List[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        if (isinstance(current, ast.Call)
-                and isinstance(current.func, ast.Name)
-                and current.func.id == "len"):
-            continue
-        name = _terminal_identifier(current)
-        if name and _is_secret_name(name, in_crypto):
-            names.append(name)
-        stack.extend(ast.iter_child_nodes(current))
-    return names
-
-
-class SecretLeakRule(Rule):
-    """HL004 (legacy matcher): key/secret-named values must not flow
-    into log calls, f-strings, ``repr``/``format``, or exception
-    messages.
-
-    No longer registered: superseded by the flow-sensitive
-    :class:`repro.lint.flow.rules.SecretFlowRule`, which tracks the
-    taint through renames and call boundaries instead of matching
-    names at the sink.  The class is kept so the regression suite can
-    pin the exact coverage gap the flow version closes
-    (``tests/test_lint_flow.py``).
-    """
-
-    rule_id = "HL004"
-    title = "secret value formatted into text"
-    rationale = ("Invariant I2/key hygiene: session and onion keys must "
-                 "never reach logs or tracebacks, where they outlive the "
-                 "session and escape the threat model.")
-
-    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        in_crypto = "crypto" in ctx.segments
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.JoinedStr):
-                for part in node.values:
-                    if not isinstance(part, ast.FormattedValue):
-                        continue
-                    for name in _secret_names_in(part.value, in_crypto):
-                        yield self.finding(
-                            ctx, node,
-                            f"secret '{name}' interpolated into an "
-                            f"f-string")
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node, in_crypto)
-            elif isinstance(node, ast.Raise) and \
-                    isinstance(node.exc, ast.Call):
-                for arg in node.exc.args:
-                    if isinstance(arg, ast.JoinedStr):
-                        continue  # reported by the f-string branch
-                    for name in _secret_names_in(arg, in_crypto):
-                        yield self.finding(
-                            ctx, node,
-                            f"secret '{name}' passed into an exception "
-                            f"message")
-
-    def _check_call(self, ctx: FileContext, node: ast.Call,
-                    in_crypto: bool) -> Iterable[Finding]:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "repr":
-            sink = "repr()"
-        elif isinstance(func, ast.Attribute) and func.attr == "format" \
-                and isinstance(func.value, ast.Constant) \
-                and isinstance(func.value.value, str):
-            sink = "str.format()"
-        elif isinstance(func, ast.Attribute) and func.attr in _LOG_METHODS:
-            root = ctx.imports.qualified_name(func)
-            rooted_in_logging = root is not None and \
-                root.startswith("logging.")
-            loggerish = (isinstance(func.value, ast.Name)
-                         and func.value.id.lower() in _LOGGERISH_ROOTS)
-            if not (rooted_in_logging or loggerish):
-                return
-            sink = f"logging call .{func.attr}()"
-        else:
-            return
-        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-            if isinstance(arg, ast.JoinedStr):
-                continue  # reported by the f-string branch
-            for name in _secret_names_in(arg, in_crypto):
-                yield self.finding(
-                    ctx, node,
-                    f"secret '{name}' passed to {sink}")
-
-
 @register
 class BlockingSleepRule(Rule):
     """HL005: no blocking sleeps — delay is modelled by scheduling

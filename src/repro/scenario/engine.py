@@ -153,7 +153,6 @@ def execute(scenario: Scenario, *, execution: str = "event",
 
     monitor = SPMonitor()
     injector = FaultInjector(bed, loop, monitor=monitor,
-                             sp_full_leave=False,
                              sample_interval_s=scenario.sample_interval_s)
     if scope is not None:
         scope.attach_loop(loop)
@@ -197,7 +196,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
         sp = bed.superpeers.get(sp_id)
         if sp is None or not sp_id.startswith(LIVE_ZONE + "/"):
             return
-        fail_superpeer(bed, sp_id, full_leave=False)
+        fail_superpeer(bed, sp_id)
         note_failovers(zone.absorb_superpeer_failure(sp))
 
     monitor.on_blacklist_sp = on_blacklist
@@ -239,7 +238,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
                       retry_on=(KeyError, RuntimeError, ValueError),
                       on_success=finish, on_give_up=finish,
                       start_delay_s=scenario.rejoin_policy.base_delay_s
-                      / 2, label=cid)
+                      / 2)
 
     injector.on_mix_crash.append(on_mix_crash)
 
@@ -362,7 +361,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
                           retry_on=(KeyError, RuntimeError,
                                     ValueError),
                           on_success=finish, on_give_up=finish,
-                          start_delay_s=0.0, label=cid)
+                          start_delay_s=0.0)
 
         def churn_leave(n: int) -> None:
             joined = [cid for cid in sorted(bed.clients)

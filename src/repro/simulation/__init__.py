@@ -35,7 +35,6 @@ from repro.simulation.churn import (
     fail_superpeer,
     recover_mix,
     recover_superpeer,
-    rejoin_clients,
 )
 
 # ProvisioningResult and LatencyMeasurement are result records of
@@ -61,5 +60,4 @@ __all__ = [
     "fail_superpeer",
     "recover_mix",
     "recover_superpeer",
-    "rejoin_clients",
 ]

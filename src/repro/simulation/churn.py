@@ -4,8 +4,9 @@ Two concerns:
 
 * **Failover** — "In the case of a mix or superpeer failure, a client
   contacts another mix in the same zone and re-joins."
-  :func:`fail_mix` and :func:`rejoin_clients` drive that path against a
-  live testbed.
+  :func:`fail_mix` / :func:`fail_superpeer` break a live testbed; the
+  re-join itself is a :class:`~repro.core.retry.LoopRetry` of
+  :func:`~repro.core.join.join_zone` on the run's event loop.
 
 * **Availability** — Herd assumes clients stay online "modulo power or
   network outages"; the paper cites that "half of Skype users are
@@ -19,9 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from repro.core.join import JoinResult, join_zone
 from repro.simulation.testbed import HerdTestbed
 
 
@@ -63,29 +63,14 @@ def recover_mix(bed: HerdTestbed, mix) -> None:
         mix.zone.add_mix(mix.mix_id)
 
 
-def rejoin_clients(bed: HerdTestbed, client_ids: Sequence[str],
-                   failed_mix: Optional[str] = None) -> Dict[str, JoinResult]:
-    """Re-join orphaned clients through their zone's surviving mixes."""
-    results = {}
-    for cid in client_ids:
-        client = bed.clients[cid]
-        results[cid] = join_zone(
-            client, bed.directories[client.zone_id], bed.mixes,
-            rng=bed.rng, exclude_mix=failed_mix)
-    return results
-
-
-def fail_superpeer(bed: HerdTestbed, sp_id: str,
-                   full_leave: bool = True) -> List[str]:
+def fail_superpeer(bed: HerdTestbed, sp_id: str) -> List[str]:
     """Take an SP down.  Always returns the (possibly empty) sorted
     list of clients attached through it — an SP with zero attached
     clients yields ``[]``, never ``None``.
 
-    With ``full_leave=True`` (the historical behaviour) affected
-    clients drop their whole session and must re-join.  With
-    ``full_leave=False`` they only shed the attachments the dead SP
-    hosted and stay joined on their surviving channels — the state the
-    mid-call failover path (§3.6.4) starts from.
+    Affected clients shed the attachments the dead SP hosted and stay
+    joined on their surviving channels — the state the mid-call
+    failover path (§3.6.4) starts from.
     """
     sp = bed.superpeers.pop(sp_id, None)
     if sp is None:
@@ -98,10 +83,7 @@ def fail_superpeer(bed: HerdTestbed, sp_id: str,
         client = bed.clients.get(cid)
         if client is None:
             continue
-        if full_leave:
-            client.leave()
-        else:
-            client.detach_channels(dead_channels)
+        client.detach_channels(dead_channels)
     return sorted(affected)
 
 

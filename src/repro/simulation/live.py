@@ -151,7 +151,6 @@ class LiveZone:
             f"{zone_id}/sp-{i}", self.mix.mix_id,
             channels=range(i, n_channels, n_sps))
             for i in range(n_sps)]
-        self.sp = self.sps[0]  # backward-compatible alias
         self._sp_of_channel = {ch: sp for sp in self.sps
                                for ch in sp.channel_clients}
         #: channel → its roster (see :meth:`_roster`).
@@ -239,9 +238,9 @@ class LiveZone:
         """Take one of the zone's SPs down mid-run.
 
         The bed-level failure (:func:`repro.simulation.churn.
-        fail_superpeer` with ``full_leave=False``) sheds the dead
-        attachments; the data plane then re-allocates every active call
-        leg that was on one of the SP's channels to a surviving channel
+        fail_superpeer`) sheds the dead attachments; the data plane
+        then re-allocates every active call leg that was on one of the
+        SP's channels to a surviving channel
         (the re-GRANT rides the next downstream round) and hangs up
         legs with nowhere to go — along with their peers.
         """
@@ -249,7 +248,7 @@ class LiveZone:
         sp = next((s for s in self.sps if s.sp_id == sp_id), None)
         if sp is None:
             raise KeyError(f"superpeer {sp_id} is not part of this zone")
-        _fail_sp(self.bed, sp_id, full_leave=False)
+        _fail_sp(self.bed, sp_id)
         return self.absorb_superpeer_failure(sp)
 
     def absorb_superpeer_failure(self, sp) -> List[FailoverRecord]:

@@ -162,7 +162,7 @@ class TestLiveZoneInvariants:
         zone = _zone()
         zone.start_call("client-0", "client-1")
         zone.run(4)
-        assert sp_state_is_activity_free(zone.sp)
+        assert sp_state_is_activity_free(zone.sps[0])
 
     def test_sp_round_volume_constant_regardless_of_calls(self):
         """The SP forwards identical byte volumes per round whether the
@@ -171,12 +171,12 @@ class TestLiveZoneInvariants:
             zone = _zone(seed=9)
             if make_call:
                 zone.start_call("client-0", "client-1")
-            before = zone.sp.rounds_forwarded
+            before = zone.sps[0].rounds_forwarded
             zone.run(10)
             for _ in range(5):
                 zone.say("client-0", b"X" * 100) if make_call else None
             zone.run(10)
-            return zone.sp.rounds_forwarded - before
+            return zone.sps[0].rounds_forwarded - before
 
         assert volumes(False) == volumes(True)
 

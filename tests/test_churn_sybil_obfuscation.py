@@ -13,6 +13,7 @@ from repro.analysis.sybil import (
     sybils_needed_for_capture,
 )
 from repro.attacks.longterm import long_term_intersection
+from repro.core.join import join_zone
 from repro.core.obfuscation import (
     GAME_PROFILE,
     QUIC_PROFILE,
@@ -27,10 +28,17 @@ from repro.simulation.churn import (
     fail_superpeer,
     recover_mix,
     recover_superpeer,
-    rejoin_clients,
 )
 
 from conftest import build_testbed
+
+
+def _rejoin(bed, client_id):
+    """Re-join a client through its zone's directory, as the engine's
+    re-join does once the dead mix is pruned."""
+    client = bed.clients[client_id]
+    return join_zone(client, bed.directories[client.zone_id], bed.mixes,
+                     rng=bed.rng)
 
 
 class TestFailover:
@@ -51,8 +59,9 @@ class TestFailover:
             bed.add_client(f"c{i}", "zone-EU")
         target = bed.clients["c0"].mix_id
         orphans = fail_mix(bed, target)
-        results = rejoin_clients(bed, orphans, failed_mix=target)
-        for cid, result in results.items():
+        assert orphans
+        for cid in orphans:
+            result = _rejoin(bed, cid)
             client = bed.clients[cid]
             assert client.joined
             assert client.mix_id != target
@@ -67,7 +76,7 @@ class TestFailover:
         target = client.mix_id
         orphans = fail_mix(bed, target)
         if "c0" in orphans:
-            rejoin_clients(bed, ["c0"], failed_mix=target)
+            _rejoin(bed, "c0")
         assert client.certificate == cert_before
 
     def test_rejoined_client_can_call(self):
@@ -76,8 +85,8 @@ class TestFailover:
         bed.add_client("bob", "zone-NA")
         alice = bed.clients["alice"]
         failed = alice.mix_id
-        orphans = fail_mix(bed, failed)
-        rejoin_clients(bed, orphans, failed_mix=failed)
+        for cid in fail_mix(bed, failed):
+            _rejoin(bed, cid)
         bed.ready_for_calls("alice")
         bed.ready_for_calls("bob")
         session = bed.call("alice", "bob")
@@ -133,9 +142,9 @@ class TestFailover:
         with pytest.raises(ValueError):
             recover_mix(bed, mix)  # already running
         # A re-join through the recovered mix works.
-        results = rejoin_clients(bed, ["c0"])
+        result = _rejoin(bed, "c0")
         assert bed.clients["c0"].joined
-        assert results["c0"].mix_id in bed.mixes
+        assert result.mix_id in bed.mixes
 
     def test_fail_superpeer(self):
         bed = build_testbed(zone_specs=[("zone-EU", "dc-eu", 1)])
@@ -145,7 +154,10 @@ class TestFailover:
         c = bed.add_client("c0", "zone-EU", k=2, via_superpeers=True)
         affected = fail_superpeer(bed, "sp-0")
         assert affected == ["c0"]
-        assert not c.joined
+        # Detached, not dropped: still joined at the mix, with none of
+        # the dead SP's channels left in its attachments.
+        assert c.joined and c.mix_id == mix.mix_id
+        assert c.attachments == []
         with pytest.raises(KeyError):
             fail_superpeer(bed, "sp-0")
 
@@ -164,7 +176,7 @@ class TestFailover:
         bed.add_superpeer("sp-0", mix.mix_id, channels=[0, 1])
         bed.add_superpeer("sp-1", mix.mix_id, channels=[2, 3])
         c = bed.add_client("c0", "zone-EU", k=4, via_superpeers=True)
-        affected = fail_superpeer(bed, "sp-1", full_leave=False)
+        affected = fail_superpeer(bed, "sp-1")
         assert affected == ["c0"]
         assert c.joined  # still in the zone on the surviving SP
         assert sorted(a.channel_id for a in c.attachments) == [0, 1]

@@ -14,9 +14,9 @@ from repro.core.invariants import (
     series_identical,
     sp_state_is_activity_free,
 )
-from repro.core.join import join_with_retries, join_zone
+from repro.core.join import join_zone
 from repro.core.network_coding import CODED_PACKET_SIZE
-from repro.core.retry import BackoffPolicy, RetryError
+from repro.core.retry import BackoffPolicy, LoopRetry
 from repro.core.signaling import (
     ChannelGrant,
     DOWNSTREAM_PACKET_SIZE,
@@ -28,6 +28,7 @@ from repro.core.signaling import (
     open_downstream_packet,
 )
 from repro.core.superpeer import SuperPeer
+from repro.netsim.engine import EventLoop
 
 from conftest import build_testbed
 
@@ -50,6 +51,17 @@ def _sp_testbed(n_clients=6, n_channels=3, k=2, seed=7):
         bed.clients[client.client_id] = client
         clients.append(client)
     return bed, mix, sp, clients
+
+
+def _retry_join(fn):
+    """``fn`` as the engine re-joins a client: a LoopRetry on an event
+    loop, here with two attempts.  Returns the finished task."""
+    loop = EventLoop(seed=1)
+    task = LoopRetry(loop=loop, fn=fn,
+                     policy=BackoffPolicy(max_attempts=2),
+                     retry_on=(KeyError, RuntimeError, ValueError))
+    loop.run()
+    return task
 
 
 class _WrongShare:
@@ -112,15 +124,33 @@ class TestJoinProtocol:
         assert all("alice" not in mix.client_keys
                    for mix in testbed.mixes.values())
         bob = HerdClient("bob", "zone-EU", rng=testbed.rng)
-        with pytest.raises(RetryError) as err:
-            join_with_retries(bob, directory, testbed.mixes,
-                              rng=testbed.rng,
-                              policy=BackoffPolicy(max_attempts=2))
+        task = _retry_join(lambda: join_zone(bob, directory, testbed.mixes,
+                                             rng=testbed.rng))
         # The retry fails for the same reason, not on "already adopted".
-        assert err.value.attempts == 2
-        assert isinstance(err.value.last_error, RuntimeError)
-        assert "key agreement mismatch" in str(err.value.last_error)
+        assert task.attempts == 2 and not task.succeeded
+        assert isinstance(task.failure, RuntimeError)
+        assert "key agreement mismatch" in str(task.failure)
         assert not bob.joined and bob.mix_id is None
+
+    def test_retried_join_outlasts_a_directory_stall(self, testbed):
+        """A join retried on the loop backs off while the directory is
+        stalled and lands once the stall clears."""
+        directory = testbed.directories["zone-EU"]
+        directory.stalled = True
+        loop = EventLoop(seed=1)
+        loop.schedule(2.0, lambda: setattr(directory, "stalled", False))
+        alice = HerdClient("alice", "zone-EU", rng=testbed.rng)
+        task = LoopRetry(loop=loop,
+                         fn=lambda: join_zone(alice, directory,
+                                              testbed.mixes,
+                                              rng=testbed.rng),
+                         policy=BackoffPolicy(base_delay_s=0.5, jitter=0.0),
+                         retry_on=(RuntimeError,))
+        loop.run()
+        # Attempts at 0, 0.5, 1.5 meet the stall; the one at 3.5 joins.
+        assert task.succeeded and task.attempts == 4
+        assert task.elapsed_s == 3.5
+        assert alice.joined and task.value.mix_id == alice.mix_id
 
     def test_sp_join_attaches_k_channels(self):
         bed, mix, sp, clients = _sp_testbed(n_clients=4, n_channels=4,
@@ -215,15 +245,14 @@ class TestJoinProtocol:
                       rng=bed.rng)
         sp.channel_clients[0].pop()
         assert held() == before and not victim.joined
-        # The retry wrapper fails for the reason given, not on
+        # A retried join fails for the reason given, not on
         # "already adopted" ...
-        with pytest.raises(RetryError) as err:
-            join_with_retries(victim, directory, bed.mixes,
-                              superpeers=bed.superpeers,
-                              channel_choice=[0, 1], rng=bed.rng,
-                              policy=BackoffPolicy(max_attempts=2))
-        assert "channel is full" in str(err.value.last_error)
-        assert held() == before
+        task = _retry_join(lambda: join_zone(
+            victim, directory, bed.mixes, superpeers=bed.superpeers,
+            channel_choice=[0, 1], rng=bed.rng))
+        assert task.attempts == 2 and not task.succeeded
+        assert "channel is full" in str(task.failure)
+        assert held() == before and not victim.joined
         # ... and the same client joins where there is room; so does
         # the next honest one.
         result = join_zone(victim, directory, bed.mixes,

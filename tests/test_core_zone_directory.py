@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.chaffing import ConstantRateChaffer, RateController
-from repro.core.directory import ZoneDirectory
+from repro.core.directory import DirectoryStalledError, ZoneDirectory
 from repro.core.zone import TrustZone, ZoneConfig
 from repro.crypto.keys import IdentityKeyPair, ShortTermKeyPair
 from repro.crypto.pki import RootOfTrust, make_descriptor
@@ -119,16 +119,40 @@ class TestMixSelectionAndRendezvous:
         assert all(abs(c - expected) < 0.3 * expected
                    for c in counts.values())
 
-    def test_pick_mix_exclusion(self):
+    def test_pick_mix_never_returns_a_pruned_mix(self):
+        """A re-join after a mix failure lands elsewhere because the
+        directory no longer lists the dead mix."""
         zone, _, directory, _ = _zone()
         zone.add_mix("mix-0")
         zone.add_mix("mix-1")
-        assert directory.pick_mix(exclude="mix-0") == "mix-1"
+        zone.remove_mix("mix-0")
+        assert {directory.pick_mix() for _ in range(20)} == {"mix-1"}
 
     def test_pick_mix_empty_zone(self):
         _, _, directory, _ = _zone()
         with pytest.raises(RuntimeError):
             directory.pick_mix()
+
+    def test_pick_mix_draws_one_choice_over_the_zone_mixes(self):
+        """Each redirection is one ``rng.choice`` over the zone's mix
+        list, so a seeded directory replays the same redirections."""
+        zone, _, directory, _ = _zone()
+        for i in range(4):
+            zone.add_mix(f"mix-{i}")
+        twin = random.Random(0)
+        twin.setstate(directory.rng.getstate())
+        picks = [directory.pick_mix() for _ in range(12)]
+        assert picks == [twin.choice(list(zone.mix_ids))
+                         for _ in range(12)]
+
+    def test_stalled_directory_refuses_redirection(self):
+        zone, _, directory, _ = _zone()
+        zone.add_mix("mix-0")
+        directory.stalled = True
+        with pytest.raises(DirectoryStalledError):
+            directory.pick_mix()
+        directory.stalled = False
+        assert directory.pick_mix() == "mix-0"
 
     def test_rendezvous_publish_lookup(self):
         zone, _, directory, _ = _zone()

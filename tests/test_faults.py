@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.blacklist import SPMonitor
+from repro.core.directory import DirectoryStalledError
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.netsim.engine import EventLoop
-from repro.netsim.link import Link
-from repro.netsim.node import Node
 from repro.scenario import Scenario, ZoneShape, execute, run_scenario
 
 from conftest import (
@@ -73,21 +72,17 @@ class TestFaultPlan:
         assert FaultPlan([spec]).signature() != \
             FaultPlan([other]).signature()
 
-    def test_generate_is_seed_deterministic(self):
-        kwargs = dict(horizon_s=10.0, mix_ids=["m0", "m1"],
-                      sp_ids=["s0", "s1"], n_faults=6)
-        a = FaultPlan.generate(seed=4, **kwargs)
-        b = FaultPlan.generate(seed=4, **kwargs)
-        c = FaultPlan.generate(seed=5, **kwargs)
-        assert a.signature() == b.signature()
-        assert a.signature() != c.signature()
-        assert len(a) == 6
-
-    def test_generate_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlan.generate(seed=0, horizon_s=0.0, mix_ids=["m"])
-        with pytest.raises(ValueError):
-            FaultPlan.generate(seed=0, horizon_s=1.0)
+    def test_cancelled_onset_never_strikes(self):
+        bed = _bed()
+        loop = EventLoop(seed=1)
+        injector = FaultInjector(bed, loop)
+        plan = FaultPlan([FaultSpec(kind=FaultKind.MIX_CRASH, at_s=1.0,
+                                    target="zone-EU/mix-0")])
+        (onset,) = plan.compile_onto(loop, injector)
+        onset.cancel()
+        loop.run()
+        assert "zone-EU/mix-0" in bed.mixes
+        assert injector.timeline == []
 
 
 class TestInjectorCrashes:
@@ -131,6 +126,9 @@ class TestInjectorCrashes:
         plan.compile_onto(loop, injector)
         loop.run(until=1.5)
         assert "sp-0" not in bed.superpeers
+        # The client sheds the dead SP's channels but stays joined.
+        assert bed.clients["c0"].joined
+        assert bed.clients["c0"].attachments == []
         loop.run(until=4.0)
         assert "sp-0" in bed.superpeers
         assert bed.superpeers["sp-0"].channel_clients == {0: [], 1: []}
@@ -167,25 +165,26 @@ class TestInjectorCrashes:
         loop.run()
         assert seen == [(target, ["c0"])]
 
+    def test_sp_crash_hooks_fire_with_affected_clients(self):
+        bed = _bed()
+        mix = bed.mixes["zone-EU/mix-0"]
+        mix.configure_channels(2)
+        bed.add_superpeer("sp-0", mix.mix_id, channels=[0, 1])
+        bed.add_client("c0", "zone-EU", k=2, via_superpeers=True)
+        loop = EventLoop(seed=1)
+        injector = FaultInjector(bed, loop)
+        seen = []
+        injector.on_sp_crash.append(
+            lambda spec, affected: seen.append((spec.target, affected)))
+        plan = FaultPlan([FaultSpec(kind=FaultKind.SP_CRASH, at_s=1.0,
+                                    target="sp-0")])
+        plan.compile_onto(loop, injector)
+        loop.run()
+        assert seen == [("sp-0", ["c0"])]
+        assert injector.failed_sps["sp-0"].sp_id == "sp-0"
+
 
 class TestInjectorDegradations:
-    def test_link_degrade_mutates_and_restores_link(self):
-        loop = EventLoop(seed=1)
-        link = Link(loop, Node("a", loop), Node("b", loop),
-                    one_way_delay=0.01)
-        bed = _bed()
-        injector = FaultInjector(bed, loop, links={"a->b": link})
-        plan = FaultPlan([FaultSpec(
-            kind=FaultKind.LINK_DEGRADE, at_s=1.0, target="a->b",
-            duration_s=2.0, loss=0.2, jitter_ms=50.0)])
-        plan.compile_onto(loop, injector)
-        loop.run(until=1.5)
-        assert link.loss_rate == 0.2
-        assert link.jitter_std == 0.05
-        loop.run(until=4.0)
-        assert link.loss_rate == 0.0
-        assert link.jitter_std == 0.0
-
     def test_partition_forces_availability_down(self):
         loop = EventLoop(seed=1)
         bed = _bed()
@@ -214,6 +213,88 @@ class TestInjectorDegradations:
         n_at_window_end = len(monitor.records["sp-x"].loss_samples)
         assert 4 <= n_at_window_end <= 5
         assert not monitor.is_blacklisted("sp-x")
+
+    def test_degradation_without_monitor_is_a_bounded_window(self):
+        """With no monitor a degradation only marks its window on the
+        timeline: it opens, closes at ``at_s + duration_s``, and leaves
+        nothing scheduled."""
+        loop = EventLoop(seed=1)
+        bed = _bed()
+        injector = FaultInjector(bed, loop)
+        plan = FaultPlan([FaultSpec(
+            kind=FaultKind.LINK_DEGRADE, at_s=1.0, target="sp-x",
+            duration_s=2.0, loss=0.2, jitter_ms=50.0)])
+        plan.compile_onto(loop, injector)
+        loop.run()
+        assert [(e.time_s, e.action, e.detail)
+                for e in injector.timeline] == \
+            [(1.0, "injected", "no-op target"), (3.0, "recovered", "")]
+        assert loop.pending() == 0
+
+    def test_teardown_cancels_open_samplers(self):
+        loop = EventLoop(seed=1)
+        bed = _bed()
+        monitor = SPMonitor(min_samples=1000)
+        injector = FaultInjector(bed, loop, monitor=monitor,
+                                 sample_interval_s=0.5)
+        plan = FaultPlan([FaultSpec(
+            kind=FaultKind.JITTER_BURST, at_s=0.0, target="sp-x",
+            duration_s=10.0, jitter_ms=80.0)])
+        plan.compile_onto(loop, injector)
+        loop.run(until=1.2)
+        n_before = len(monitor.records["sp-x"].jitter_samples)
+        assert n_before == 3  # t = 0.0, 0.5, 1.0
+        injector.teardown()
+        loop.run(until=5.0)
+        assert len(monitor.records["sp-x"].jitter_samples) == n_before
+
+
+class TestInjectorWindows:
+    def test_directory_stall_refuses_redirection_for_its_window(self):
+        bed = _bed()
+        directory = bed.directories["zone-EU"]
+        loop = EventLoop(seed=1)
+        injector = FaultInjector(bed, loop)
+        plan = FaultPlan([FaultSpec(
+            kind=FaultKind.DIRECTORY_STALL, at_s=1.0, target="zone-EU",
+            duration_s=2.0)])
+        plan.compile_onto(loop, injector)
+        loop.run(until=1.5)
+        with pytest.raises(DirectoryStalledError):
+            directory.pick_mix()
+        loop.run(until=3.5)
+        assert directory.pick_mix() in bed.mixes
+        assert [e.action for e in injector.timeline] == \
+            ["injected", "recovered"]
+
+    def test_directory_stall_of_unknown_zone_is_skipped(self):
+        bed = _bed()
+        loop = EventLoop(seed=1)
+        injector = FaultInjector(bed, loop)
+        plan = FaultPlan([FaultSpec(
+            kind=FaultKind.DIRECTORY_STALL, at_s=1.0, target="zone-XX",
+            duration_s=2.0)])
+        plan.compile_onto(loop, injector)
+        loop.run()
+        assert [(e.action, e.detail) for e in injector.timeline] == \
+            [("skipped", "no such directory")]
+        assert not bed.directories["zone-EU"].stalled
+
+    def test_overload_hooks_open_and_close_the_window(self):
+        bed = _bed()
+        loop = EventLoop(seed=1)
+        injector = FaultInjector(bed, loop)
+        seen = []
+        injector.on_overload.append(
+            lambda spec, engaged: seen.append((loop.now, engaged,
+                                               spec.capacity_fraction)))
+        plan = FaultPlan([FaultSpec(
+            kind=FaultKind.OVERLOAD, at_s=2.0, target="zone-EU",
+            duration_s=1.5, capacity_fraction=0.25)])
+        plan.compile_onto(loop, injector)
+        loop.run()
+        assert seen == [(2.0, True, 0.25), (3.5, False, 0.25)]
+        assert injector.timeline[0].detail == "capacity=0.25"
 
 
 class TestChaosScenario:

@@ -113,14 +113,14 @@ class TestVoiceAcrossZones:
         net, call = federation
         # Both SPs keep forwarding one XOR + manifests per channel per
         # round regardless of the cross-zone call.
-        eu_before = net.zones["zone-EU"].sp.rounds_forwarded
-        na_before = net.zones["zone-NA"].sp.rounds_forwarded
+        eu_before = net.zones["zone-EU"].sps[0].rounds_forwarded
+        na_before = net.zones["zone-NA"].sps[0].rounds_forwarded
         for _ in range(5):
             call.say("caller_to_callee", b"\x01" * 160)
         net.run(10)
-        assert net.zones["zone-EU"].sp.rounds_forwarded - eu_before \
+        assert net.zones["zone-EU"].sps[0].rounds_forwarded - eu_before \
             == 10 * 3  # rounds × channels, payload-independent
-        assert net.zones["zone-NA"].sp.rounds_forwarded - na_before \
+        assert net.zones["zone-NA"].sps[0].rounds_forwarded - na_before \
             == 10 * 3
 
     def test_second_concurrent_call(self):

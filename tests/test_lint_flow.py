@@ -1,15 +1,13 @@
 """herdflow tests: CFG construction, taint propagation through the
-fixpoint, interprocedural summaries, and the regression pinning what
-the flow HL004 catches that the legacy name-matcher misses."""
+fixpoint, interprocedural summaries, and the HL004 findings pinned on
+the fixture corpus."""
 
 import ast
 import textwrap
 from pathlib import Path
 
 from repro.lint import LintConfig, run_lint
-from repro.lint.engine import FileContext, ImportMap, SuppressionIndex
 from repro.lint.flow.cfg import HeaderStmt, build_cfg
-from repro.lint.rules import SecretLeakRule
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -238,22 +236,9 @@ def test_loop_taint_reaches_fixpoint(tmp_path):
 INTERPROC = str(FIXTURES / "secret_flow_interproc.py")
 
 
-def _legacy_findings(path):
-    source = Path(path).read_text(encoding="utf-8")
-    tree = ast.parse(source)
-    ctx = FileContext(path=Path(path), display_path=str(path),
-                      source=source, tree=tree,
-                      imports=ImportMap(tree),
-                      suppressions=SuppressionIndex(source))
-    return list(SecretLeakRule().check_file(ctx))
-
-
-def test_flow_hl004_catches_what_the_name_matcher_missed():
-    """The acceptance-criteria regression: a secret crossing two
-    function boundaries into a log sink is invisible to the legacy
-    name-at-the-sink matcher and flagged by the flow rule."""
-    assert _legacy_findings(INTERPROC) == []
-
+def test_flow_hl004_follows_a_secret_across_two_calls():
+    """A secret crossing two function boundaries into a log sink —
+    no secret name at the sink — is flagged once, with its path."""
     result = run_lint([INTERPROC], LintConfig(select=("HL004",)))
     assert len(result.active) == 1
     (finding,) = result.active
@@ -262,15 +247,14 @@ def test_flow_hl004_catches_what_the_name_matcher_missed():
     assert "relay" in finding.message and "emit" in finding.message
 
 
-def test_flow_hl004_still_matches_legacy_fixture_expectations():
-    """On the single-function fixture corpus the flow rule reports a
-    superset of the legacy matcher's findings."""
+def test_flow_hl004_findings_on_the_single_function_fixture():
+    """One finding per leaking line of the fixture, nothing else."""
     violation = str(FIXTURES / "secret_log_violation.py")
-    legacy = {(f.line, f.rule_id) for f in _legacy_findings(violation)}
     flow = {(f.line, f.rule_id)
             for f in run_lint([violation],
                               LintConfig(select=("HL004",))).active}
-    assert legacy <= flow
+    assert flow == {(9, "HL004"), (10, "HL004"), (11, "HL004"),
+                    (12, "HL004")}
 
 
 def test_param_sink_fires_once_per_call_site(tmp_path):

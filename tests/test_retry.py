@@ -1,57 +1,12 @@
-"""Tests: timeout/retry/backoff primitives (§3.1, §3.5)."""
+"""Tests: bounded retries with backoff on the event loop (§3.1, §3.5)."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.retry import (
-    BackoffPolicy,
-    Deadline,
-    LoopRetry,
-    RetryError,
-    TimeoutExpired,
-    VirtualClock,
-    call_with_retries,
-)
+from repro.core.retry import BackoffPolicy, LoopRetry
 from repro.netsim.engine import EventLoop
-
-
-class TestVirtualClock:
-    def test_starts_at_zero_and_advances(self):
-        clock = VirtualClock()
-        assert clock.now == 0.0
-        clock.advance(2.5)
-        assert clock.now == 2.5
-
-    def test_cannot_go_backwards(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1.0)
-
-
-class TestDeadline:
-    def test_remaining_and_expiry(self):
-        clock = VirtualClock()
-        deadline = Deadline(clock, 3.0)
-        assert deadline.remaining == 3.0
-        clock.advance(2.0)
-        assert deadline.remaining == 1.0
-        assert not deadline.expired
-        clock.advance(1.0)
-        assert deadline.expired
-        with pytest.raises(TimeoutExpired):
-            deadline.check()
-
-    def test_works_against_event_loop_clock(self):
-        loop = EventLoop()
-        deadline = Deadline(loop, 1.0)
-        loop.schedule(2.0, lambda: None)
-        loop.run()
-        assert deadline.expired
-
-    def test_nonpositive_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline(VirtualClock(), 0.0)
 
 
 class TestBackoffPolicy:
@@ -81,77 +36,115 @@ class TestBackoffPolicy:
         with pytest.raises(ValueError):
             BackoffPolicy().delay_for(0)
 
-
-class TestCallWithRetries:
-    def test_succeeds_after_failures_accounting_backoff(self):
-        clock = VirtualClock()
-        calls = []
-
-        def flaky():
-            calls.append(clock.now)
-            if len(calls) < 3:
-                raise KeyError("dead mix still listed")
-            return "joined"
-
-        outcome = call_with_retries(
-            flaky, policy=BackoffPolicy(base_delay_s=1.0, jitter=0.0),
-            clock=clock, retry_on=(KeyError,))
-        assert outcome.value == "joined"
-        assert outcome.attempts == 3
-        assert outcome.backoff_s == 3.0  # 1.0 + 2.0
-        assert calls == [0.0, 1.0, 3.0]
-
-    def test_gives_up_after_max_attempts(self):
-        def always_fails():
-            raise KeyError("down")
-
-        with pytest.raises(RetryError) as err:
-            call_with_retries(
-                always_fails,
-                policy=BackoffPolicy(max_attempts=3, jitter=0.0),
-                retry_on=(KeyError,))
-        assert err.value.attempts == 3
-        assert isinstance(err.value.last_error, KeyError)
-
-    def test_unlisted_exception_propagates(self):
-        def boom():
-            raise ZeroDivisionError
-
-        with pytest.raises(ZeroDivisionError):
-            call_with_retries(boom, retry_on=(KeyError,))
-
-    def test_deadline_cuts_retries_short(self):
-        clock = VirtualClock()
-
-        def always_fails():
-            raise KeyError("down")
-
-        with pytest.raises(RetryError) as err:
-            call_with_retries(
-                always_fails,
-                policy=BackoffPolicy(base_delay_s=10.0, max_delay_s=10.0,
-                                     jitter=0.0, max_attempts=5),
-                clock=clock, deadline=Deadline(clock, 5.0),
-                retry_on=(KeyError,))
-        assert err.value.attempts == 1  # backoff would overrun deadline
-
-    def test_on_retry_hook_observes_failures(self):
-        seen = []
-        clock = VirtualClock()
-
-        def flaky():
-            if not seen:
-                raise KeyError("once")
-            return 1
-
-        call_with_retries(
-            flaky, policy=BackoffPolicy(base_delay_s=0.5, jitter=0.0),
-            clock=clock, retry_on=(KeyError,),
-            on_retry=lambda n, exc, delay: seen.append((n, delay)))
-        assert seen == [(1, 0.5)]
+    def test_zero_jitter_draws_nothing_from_rng(self):
+        """Without jitter the rng is left untouched, so a jitter-free
+        policy cannot shift any other draw from a shared seeded rng."""
+        policy = BackoffPolicy(base_delay_s=1.0, jitter=0.0)
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert policy.delay_for(2, rng) == policy.delay_for(2) == 2.0
+        assert rng.getstate() == state
 
 
 class TestLoopRetry:
+    def test_pending_until_the_loop_runs(self):
+        """Constructing a task only schedules its first attempt."""
+        loop = EventLoop()
+        calls = []
+        task = LoopRetry(loop=loop, fn=lambda: calls.append(loop.now))
+        assert calls == [] and task.attempts == 0
+        assert not task.done and not task.succeeded
+        assert task.elapsed_s is None and task.failure is None
+        assert loop.pending() == 1
+        loop.run()
+        assert calls == [0.0] and task.succeeded
+
+    def test_explicit_rng_overrides_loop_rng(self):
+        """A supplied rng sets the jitter, whatever the loop's seed."""
+        def attempt_times(loop_seed):
+            loop = EventLoop(seed=loop_seed)
+            calls = []
+
+            def flaky():
+                calls.append(loop.now)
+                if len(calls) < 4:
+                    raise RuntimeError("not yet")
+
+            LoopRetry(loop=loop, fn=flaky, rng=random.Random(42),
+                      policy=BackoffPolicy(base_delay_s=1.0, jitter=0.5),
+                      retry_on=(RuntimeError,))
+            loop.run()
+            return calls
+
+        assert attempt_times(1) == attempt_times(2)
+        assert len(attempt_times(1)) == 4
+
+    def test_retry_on_matches_subclasses(self):
+        """``retry_on`` is an ``except`` clause: a subclass retries."""
+        loop = EventLoop()
+        calls = []
+
+        def flaky():
+            calls.append(loop.now)
+            if len(calls) == 1:
+                raise KeyError("mix gone")
+            return "joined"
+
+        task = LoopRetry(loop=loop, fn=flaky, retry_on=(LookupError,),
+                         policy=BackoffPolicy(jitter=0.0))
+        loop.run()
+        assert task.succeeded and task.value == "joined"
+        assert task.attempts == 2
+
+    def test_elapsed_counts_from_construction(self):
+        """``elapsed_s`` runs from when the task was made, so a start
+        delay counts toward it."""
+        loop = EventLoop()
+        loop.run(until=5.0)
+        task = LoopRetry(loop=loop, fn=lambda: None, start_delay_s=1.5)
+        loop.run()
+        assert task.started_at == 5.0
+        assert task.finished_at == 6.5
+        assert task.elapsed_s == 1.5 and task.backoff_s == 0.0
+
+    def test_single_attempt_policy_gives_up_without_backoff(self):
+        loop = EventLoop()
+
+        def down():
+            raise RuntimeError("down")
+
+        task = LoopRetry(loop=loop, fn=down, retry_on=(RuntimeError,),
+                         policy=BackoffPolicy(max_attempts=1))
+        loop.run()
+        assert task.done and not task.succeeded
+        assert task.attempts == 1 and task.backoff_s == 0.0
+        assert task.elapsed_s == 0.0
+        assert loop.pending() == 0
+
+    def test_tasks_on_one_loop_run_in_virtual_time_order(self):
+        """Two re-joins on one loop interleave by virtual time, each
+        keeping its own attempt count."""
+        loop = EventLoop()
+        log = []
+
+        def flaky(name, failures):
+            def fn():
+                log.append((loop.now, name))
+                if sum(1 for _, n in log if n == name) <= failures:
+                    raise RuntimeError(name)
+            return fn
+
+        policy = BackoffPolicy(base_delay_s=1.0, jitter=0.0)
+        a = LoopRetry(loop=loop, fn=flaky("a", 2), policy=policy,
+                      retry_on=(RuntimeError,))
+        b = LoopRetry(loop=loop, fn=flaky("b", 1), policy=policy,
+                      retry_on=(RuntimeError,), start_delay_s=0.5)
+        loop.run()
+        assert log == [(0.0, "a"), (0.5, "b"), (1.0, "a"), (1.5, "b"),
+                       (3.0, "a")]
+        assert (a.attempts, b.attempts) == (3, 2)
+        assert a.succeeded and b.succeeded
+
     def test_succeeds_on_loop_with_backoff(self):
         loop = EventLoop(seed=3)
         attempts = []
@@ -193,6 +186,20 @@ class TestLoopRetry:
         assert failures == [2]
         assert task.done and not task.succeeded
         assert isinstance(task.failure, RuntimeError)
+
+    def test_unlisted_exception_escapes_after_one_attempt(self):
+        loop = EventLoop()
+        calls = []
+
+        def boom():
+            calls.append(loop.now)
+            raise ZeroDivisionError
+
+        task = LoopRetry(loop=loop, fn=boom, retry_on=(KeyError,))
+        with pytest.raises(ZeroDivisionError):
+            loop.run()
+        assert calls == [0.0]
+        assert task.attempts == 1 and not task.done
 
     def test_start_delay_defers_first_attempt(self):
         loop = EventLoop()
@@ -279,21 +286,45 @@ class TestBackoffProperties:
     @given(max_attempts=st.integers(1, 8),
            seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
-    def test_retry_error_counts_every_attempt(self, max_attempts,
-                                              seed):
+    def test_give_up_counts_every_attempt(self, max_attempts, seed):
+        loop = EventLoop(seed=seed)
         calls = []
 
         def always_fails():
-            calls.append(1)
-            raise KeyError("down")
+            calls.append(loop.now)
+            raise KeyError(f"down #{len(calls)}")
 
-        with pytest.raises(RetryError) as err:
-            call_with_retries(
-                always_fails,
-                policy=BackoffPolicy(base_delay_s=0.1,
-                                     max_attempts=max_attempts,
-                                     jitter=0.3),
-                clock=VirtualClock(), rng=random.Random(seed),
-                retry_on=(KeyError,))
-        assert err.value.attempts == max_attempts == len(calls)
-        assert isinstance(err.value.last_error, KeyError)
+        task = LoopRetry(
+            loop=loop, fn=always_fails,
+            policy=BackoffPolicy(base_delay_s=0.1,
+                                 max_attempts=max_attempts, jitter=0.3),
+            retry_on=(KeyError,))
+        loop.run()
+        assert task.done and not task.succeeded
+        assert task.attempts == max_attempts == len(calls)
+        assert isinstance(task.failure, KeyError)
+        assert task.failure.args == (f"down #{max_attempts}",)
+
+    @given(max_attempts=st.integers(1, 8),
+           start_delay_s=st.floats(0.0, 5.0),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_give_up_time_is_start_delay_plus_backoff(
+            self, max_attempts, start_delay_s, seed):
+        """A task that never succeeds resolves after its start delay
+        and the backoff it reports, and after nothing else."""
+        loop = EventLoop(seed=seed)
+
+        def always_fails():
+            raise RuntimeError("down")
+
+        task = LoopRetry(
+            loop=loop, fn=always_fails,
+            policy=BackoffPolicy(base_delay_s=0.2,
+                                 max_attempts=max_attempts, jitter=0.4),
+            retry_on=(RuntimeError,), start_delay_s=start_delay_s)
+        loop.run()
+        assert task.done and not task.succeeded
+        assert task.elapsed_s == pytest.approx(
+            start_delay_s + task.backoff_s, abs=1e-9)
+        assert (task.backoff_s == 0.0) == (max_attempts == 1)
