@@ -193,11 +193,16 @@ class CallSession:
 
     # -- relay pipeline -----------------------------------------------------
 
-    @staticmethod
-    def _wrap(sender: CallEndpoint, payload: bytes) -> Tuple[int, bytes]:
+    def _wrap(self, sender: CallEndpoint, payload: bytes,
+              aead: Optional[ChaCha20Poly1305] = None) -> Tuple[int, bytes]:
+        """Wrap ``payload`` in the sender's onion under its next
+        sequence number — sealed first as a record under ``aead`` when
+        given — and use the number up only once the cell exists."""
         seq = sender.send_seq
-        sender.send_seq += 1
-        return seq, wrap_onion(sender.circuit.keys, payload, seq)
+        record = None if aead is None else (aead, self._nonce(seq))
+        cell = wrap_onion(sender.circuit.keys, payload, seq, record)
+        sender.send_seq = seq + 1
+        return seq, cell
 
     def carry(self, direction: str, seq: int, cell: bytes) -> bytes:
         """Relay a sealed cell through the concatenated circuits;
@@ -295,17 +300,18 @@ class CallSession:
 
     def seal(self, direction: str, frame: bytes) -> Tuple[int, bytes]:
         """Sender side: encrypt ``frame`` end to end and wrap it in the
-        sender's onion; returns ``(seq, cell)``."""
+        sender's onion, in one kernel call; returns ``(seq, cell)``.  A
+        frame the cell cannot hold with its tag is refused before any
+        cipher work and uses no sequence number."""
         sender, _ = self._sides(direction)
-        ciphertext = self._aead(direction).encrypt(
-            self._nonce(sender.send_seq), frame)
-        return self._wrap(sender, ciphertext)
+        return self._wrap(sender, frame, self._aead(direction))
 
     def open(self, direction: str, seq: int, cell: bytes) -> bytes:
-        """Receiver side: strip the backward layers and decrypt."""
+        """Receiver side: strip the backward layers and decrypt, in one
+        kernel call."""
         _, receiver = self._sides(direction)
-        ciphertext = unwrap_backward(receiver.circuit.keys, cell, seq)
-        return self._aead(direction).decrypt(self._nonce(seq), ciphertext)
+        return unwrap_backward(receiver.circuit.keys, cell, seq,
+                               (self._aead(direction), self._nonce(seq)))
 
     def send_voice(self, direction: str, frame: bytes) -> bytes:
         """Send one voice frame ("caller_to_callee" or

@@ -30,14 +30,17 @@ This module implements:
   beside :func:`aead_seal_many` / :func:`aead_open_many`, which make
   one MAC call for all their tags: a round's trial decryptions open in
   two phases (every key block, then the authentic bodies), one record
-  in one kernel call.
+  in one kernel call.  :func:`seal_record` / :func:`open_record` are
+  that one record over keystream the caller drew, so each end of an
+  onion cell draws its record beside its layers in one call.
 """
 
 from __future__ import annotations
 
 import hmac
+import operator
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,7 +127,8 @@ _TO_COLUMNS = np.array([0, 1, 2, 3, 7, 4, 5, 6,
 
 
 def _block_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
-                  counts: Sequence[int], counter: int, total: int) -> bytes:
+                  counts: Sequence[int], starts: Sequence[int],
+                  total: int) -> bytes:
     """The block function on every column of a ``(16, total)`` ``<u4``
     state array at once — column j the initial state of block j;
     returns the blocks back to back.
@@ -142,8 +146,8 @@ def _block_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
         np.frombuffer(b"".join(keys), dtype=_U32).reshape(n_streams, 8),
         per_stream, axis=0).T
     first_block = np.cumsum(per_stream) - per_stream
-    initial[12] = (counter + np.arange(total)
-                   - np.repeat(first_block, per_stream))
+    initial[12] = np.arange(total) + np.repeat(
+        np.asarray(starts, dtype=np.int64) - first_block, per_stream)
     initial[13:16] = np.repeat(
         np.frombuffer(b"".join(nonces), dtype=_U32).reshape(n_streams, 3),
         per_stream, axis=0).T
@@ -183,20 +187,24 @@ def _block_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
 
 #: One lane of the int kernel: a 32-bit word and 32 spare bits above it.
 _LANE = b"\xff\xff\xff\xff\x00\x00\x00\x00"
-_SPARE = bytes(4)
-_CONSTANT_LANES = tuple(struct.pack("<Q", word) for word in _CONSTANTS)
+#: The head of every block's initial state, and the counter's place
+#: before the block's own counter is written in.
+_CONSTANT_WORDS = struct.pack("<4I", *_CONSTANTS)
+_NO_COUNTER = bytes(4)
 
 
 def _lane_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
-                 counts: Sequence[int], counter: int, total: int) -> bytes:
+                 counts: Sequence[int], starts: Sequence[int],
+                 total: int) -> bytes:
     """:func:`_block_kernel` for a small N, on four Python ints.
 
     Each int is one row of the 4 × 4 state — a / b / c / d — for all N
     blocks: 4·N lanes of 64 bits, lane ``w·N + j`` holding word ``w``
-    of that row in block ``j``.  The rows are built as bytes, a word
-    and its four spare bytes repeated once per block of its stream;
-    the counters are one ``struct.pack`` (``<Q`` of a counter below
-    2^32 is that lane).  A half round is the quarter round
+    of that row in block ``j``.  The state is built as bytes in block
+    order — a stream's 16 words, counter word zero, once per block of
+    the stream — and one transpose to ``<u8`` puts every word in its
+    lane with four spare bytes above it; the counters go into their
+    row as one list.  A half round is the quarter round
     written once over whole rows.  An add carries into the spare half
     of its own lane and a rotate shifts bits into the spare half of its
     own lane or of the one below; ``& mask`` drops both, which is the
@@ -207,22 +215,16 @@ def _lane_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
     n = total
     size = 32 * n
     mask = int.from_bytes(_LANE * (4 * n), "little")
-    keyed, nonced = list(zip(keys, counts)), list(zip(nonces, counts))
     counters: List[int] = []
-    for count in counts:
-        counters += range(counter, counter + count)
-    a0 = int.from_bytes(b"".join([lane * n for lane in _CONSTANT_LANES]),
-                        "little")
-    b0 = int.from_bytes(b"".join(
-        [(key[i:i + 4] + _SPARE) * count
-         for i in (0, 4, 8, 12) for key, count in keyed]), "little")
-    c0 = int.from_bytes(b"".join(
-        [(key[i:i + 4] + _SPARE) * count
-         for i in (16, 20, 24, 28) for key, count in keyed]), "little")
-    d0 = int.from_bytes(b"".join(
-        [struct.pack("<%dQ" % n, *counters)]
-        + [(nonce[i:i + 4] + _SPARE) * count
-           for i in (0, 4, 8) for nonce, count in nonced]), "little")
+    for start, count in zip(starts, counts):
+        counters += range(start, start + count)
+    blocks = b"".join([(_CONSTANT_WORDS + key + _NO_COUNTER + nonce) * count
+                       for key, nonce, count in zip(keys, nonces, counts)])
+    state = np.frombuffer(blocks, dtype=_U32).reshape(n, 16).T.astype(_U64)
+    state[12] = counters
+    rows = state.tobytes()
+    a0, b0, c0, d0 = [int.from_bytes(rows[i * size:(i + 1) * size],
+                                     "little") for i in range(4)]
     one, two, three = 64 * n, 128 * n, 192 * n
     low1, low2, low3 = (1 << one) - 1, (1 << two) - 1, (1 << three) - 1
 
@@ -258,10 +260,12 @@ def _lane_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
         b = (b >> three) | ((b & low3) << one)
         c = (c >> two) | ((c & low2) << two)
         d = (d >> one) | ((d & low1) << three)
-    out = b"".join([((x + x0) & mask).to_bytes(size, "little")
+    # Two words below 2^32 sum below 2^33: the final add needs no
+    # mask, because only the low half of every lane is read — in
+    # (row, word, block) order, which is block order already when
+    # there is one block.
+    out = b"".join([(x + x0).to_bytes(size, "little")
                     for x, x0 in ((a, a0), (b, b0), (c, c0), (d, d0))])
-    # The low half of every lane, in (row, word, block) order: block
-    # order already when there is one block.
     words = np.frombuffer(out, dtype=_U32)[0::2]
     if n > 1:
         words = words.reshape(16, n).T
@@ -269,31 +273,38 @@ def _lane_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
 
 
 def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
-                      counts: Sequence[int], counter: int) -> bytes:
+                      counts: Sequence[int],
+                      counter: Union[int, Sequence[int]]) -> bytes:
     """The kernel entry point: ``counts[i]`` blocks of stream
-    ``(keys[i], nonces[i])`` starting at block ``counter``, all
-    streams back to back (``64 * sum(counts)`` bytes).
+    ``(keys[i], nonces[i])``, all streams back to back (``64 *
+    sum(counts)`` bytes).  Stream i starts at block ``counter[i]``, or
+    at block ``counter`` for every stream when it is an int — so one
+    call can carry an AEAD record's blocks 0… beside onion layers'
+    blocks 1….
 
     The one validation and the one branch of the cipher live here:
     :func:`_lane_kernel` takes a call for fewer than
     :data:`_KERNEL_MIN_BLOCKS` blocks and :func:`_block_kernel` any
     other, and each builds its state in its own representation.
     """
-    if not len(keys) == len(nonces) == len(counts):
-        raise ValueError("need one key, one nonce and one block count "
-                         "per stream")
-    if any(len(key) != 32 for key in keys):
+    starts = ([counter] * len(counts) if isinstance(counter, int)
+              else counter)
+    if not len(keys) == len(nonces) == len(counts) == len(starts):
+        raise ValueError("need one key, one nonce, one block count and "
+                         "one start counter per stream")
+    if set(map(len, keys)) - {32}:
         raise ValueError("ChaCha20 key must be 32 bytes")
-    if any(len(nonce) != 12 for nonce in nonces):
+    if set(map(len, nonces)) - {12}:
         raise ValueError("ChaCha20 nonce must be 12 bytes")
-    if counter < 0 or counter + max(counts, default=0) > 2 ** 32:
+    if (min(starts, default=0) < 0
+            or max(map(operator.add, starts, counts), default=0) > 2 ** 32):
         raise ValueError("ChaCha20 block counter must fit in 32 bits")
     if min(counts, default=0) < 0:
         raise ValueError("keystream length must be non-negative")
     total = sum(counts)
     if total < _KERNEL_MIN_BLOCKS:
-        return _lane_kernel(keys, nonces, counts, counter, total)
-    return _block_kernel(keys, nonces, counts, counter, total)
+        return _lane_kernel(keys, nonces, counts, starts, total)
+    return _block_kernel(keys, nonces, counts, starts, total)
 
 
 def chacha20_keystream_many(keys: Sequence[bytes],
@@ -591,12 +602,42 @@ def aead_open_many(keys: Sequence[bytes], nonces: Sequence[bytes],
     return opened
 
 
+def seal_record(stream: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    """One AEAD_CHACHA20_POLY1305 record (RFC 8439 §2.8),
+    ciphertext||tag, over keystream the caller drew: block 0 of the
+    record's (key, nonce), whose first half is the Poly1305 key (§2.6),
+    then at least as many blocks as ``plaintext`` needs."""
+    ciphertext = xor_bytes(plaintext, stream[64:64 + len(plaintext)])
+    tag, = _aead_tags([stream[:32]], [ciphertext], [aad])
+    return ciphertext + tag
+
+
+def open_record(stream: bytes, data: bytes, aad: bytes = b"") -> bytes:
+    """The plaintext of the record ``data`` (ciphertext||tag), over
+    keystream drawn as for :func:`seal_record`; :class:`ValueError` if
+    it is shorter than a tag or its tag is wrong, and then no byte of
+    it is decrypted."""
+    tag_len = ChaCha20Poly1305.TAG_LEN
+    if len(data) < tag_len:
+        raise ValueError("ciphertext shorter than the AEAD tag")
+    ciphertext, tag = data[:-tag_len], data[-tag_len:]
+    expected, = _aead_tags([stream[:32]], [ciphertext], [aad])
+    if not hmac.compare_digest(tag, expected):
+        raise ValueError("AEAD authentication failed")
+    return xor_bytes(ciphertext, stream[64:64 + len(ciphertext)])
+
+
 class ChaCha20Poly1305:
     """The AEAD_CHACHA20_POLY1305 construction (RFC 8439 §2.8).
 
     Provides ``encrypt(nonce, plaintext, aad)`` returning
     ciphertext||tag, and ``decrypt`` raising :class:`ValueError` on
-    authentication failure.
+    authentication failure.  Each is one kernel call for block 0 and
+    the body — unlike a round of trial decryptions
+    (:func:`aead_open_many`), one record is expected to be authentic —
+    and :func:`seal_record` / :func:`open_record` over it; a caller
+    with other streams to draw puts :meth:`keystream_request` into its
+    own call instead.
     """
 
     TAG_LEN = 16
@@ -606,23 +647,22 @@ class ChaCha20Poly1305:
             raise ValueError("AEAD key must be 32 bytes")
         self._key = key
 
+    def keystream_request(self, nonce: bytes,
+                          body_length: int) -> Tuple[bytes, bytes, int]:
+        """``(key, nonce, blocks)``: the stream a record of up to
+        ``body_length`` bytes of ciphertext is sealed or opened over,
+        from block 0."""
+        return self._key, nonce, 1 + (max(body_length, 0) + 63) // 64
+
+    def _stream(self, nonce: bytes, body_length: int) -> bytes:
+        key, nonce, blocks = self.keystream_request(nonce, body_length)
+        return _keystream_blocks([key], [nonce], [blocks], 0)
+
     def encrypt(self, nonce: bytes, plaintext: bytes,
                 aad: bytes = b"") -> bytes:
-        return aead_seal_many([self._key], [nonce], [plaintext],
-                              [aad])[0]
+        return seal_record(self._stream(nonce, len(plaintext)), plaintext,
+                           aad)
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
-        """Open one record.  Unlike a round of trial decryptions
-        (:func:`aead_open_many`), one record is expected to be
-        authentic, so block 0 and the body's blocks come from one
-        kernel call; the body is decrypted only once its tag is
-        accepted."""
-        if len(data) < self.TAG_LEN:
-            raise ValueError("ciphertext shorter than the AEAD tag")
-        ciphertext, tag = data[:-self.TAG_LEN], data[-self.TAG_LEN:]
-        stream = _keystream_blocks(
-            [self._key], [nonce], [1 + (len(ciphertext) + 63) // 64], 0)
-        expected, = _aead_tags([stream[:32]], [ciphertext], [aad])
-        if not hmac.compare_digest(tag, expected):
-            raise ValueError("AEAD authentication failed")
-        return xor_bytes(ciphertext, stream[64:64 + len(ciphertext)])
+        return open_record(self._stream(nonce, len(data) - self.TAG_LEN),
+                           data, aad)

@@ -2,9 +2,12 @@
 
 import copy
 import random
+import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import rendezvous
 from repro.core.circuit import ClientHopHandshake, mix_process_create
@@ -14,10 +17,18 @@ from repro.core.invariants import (
     mix_knowledge,
 )
 from repro.core.mix import Mix
-from repro.core.rendezvous import CallError
+from repro.core.rendezvous import CallEndpoint, CallError, CallSession
 from repro.core.wire import encode_call_setup
 from repro.crypto import chacha20
-from repro.crypto.onion import CELL_SIZE, wrap_onion
+from repro.crypto.chacha20 import ChaCha20Poly1305
+from repro.crypto.onion import (
+    CELL_SIZE,
+    HopKeys,
+    OnionCircuitKeys,
+    unwrap_backward,
+    wrap_backward,
+    wrap_onion,
+)
 
 from conftest import build_testbed
 
@@ -208,13 +219,14 @@ class TestRendezvousAndCalls:
         assert run(0) == shipped
         assert run(2 ** 40) == shipped
 
-    def test_a_frame_across_four_mixes_is_eight_cipher_calls(
+    def test_a_frame_across_four_mixes_is_six_cipher_calls(
             self, monkeypatch):
         """What one voice frame asks of the cipher, in order: the
-        sender's AEAD seal (block 0 and three of body), its two onion
-        layers at once, one layer at each of the four mixes, the
-        receiver's two layers at once, and its AEAD open — one call,
-        like the seal."""
+        sender's one call — its two onion layers from block 1 and its
+        AEAD record (block 0 and three of body) from block 0 — one
+        layer at each of the four mixes, and the receiver's one call:
+        its two layers and the longest record a cell holds (block 0
+        and four of body), since the length is inside the cell."""
         bed = build_testbed(seed=1)
         for name, zone in (("alice", "zone-EU"), ("bob", "zone-NA")):
             client = bed.add_client(name, zone)
@@ -235,8 +247,8 @@ class TestRendezvousAndCalls:
         for direction in ("caller_to_callee", "callee_to_caller"):
             del calls[:]
             assert session.send_voice(direction, bytes(160)) == bytes(160)
-            assert calls == [([4], 0), ([5, 5], 1), ([5], 1), ([5], 1),
-                             ([5], 1), ([5], 1), ([5, 5], 1), ([4], 0)]
+            assert calls == [([5, 5, 4], [1, 1, 0]), ([5], 1), ([5], 1),
+                             ([5], 1), ([5], 1), ([5, 5, 5], [1, 1, 0])]
 
     def test_call_without_registration_fails(self, testbed):
         caller = testbed.add_client("alice", "zone-EU")
@@ -332,6 +344,141 @@ class TestCallSetup:
         with pytest.raises(CallError, match=error):
             testbed.service.establish_call(caller, callee.certificate,
                                            callee)
+
+
+def _bare_session(sender_hops, receiver_hops, call_key, send_seq):
+    """A caller → callee session over bare circuit keys: what ``seal``
+    and ``open`` read of it, with no testbed behind it."""
+    session = CallSession(
+        caller=CallEndpoint(None, SimpleNamespace(
+            keys=OnionCircuitKeys(sender_hops)), send_seq),
+        callee=CallEndpoint(None, SimpleNamespace(
+            keys=OnionCircuitKeys(receiver_hops))),
+        mixes={}, call_id=1)
+    session._caller_aead = ChaCha20Poly1305(call_key)
+    session.established = True
+    return session
+
+
+def _e2e_nonce(seq):
+    return b"e2e\x00" + struct.pack("<Q", seq)
+
+
+_hop_keys = st.builds(HopKeys, *[st.binary(min_size=32, max_size=32)] * 4)
+
+
+class TestOneCipherCallPerEnd:
+    """``seal`` and ``open`` each make one kernel call for the record
+    and every layer of their end, and give the bytes of the two-call
+    composition they replace: ``ChaCha20Poly1305.encrypt`` then
+    ``wrap_onion``, ``unwrap_backward`` then ``decrypt``."""
+
+    HOPS = [HopKeys.from_shared_secret(bytes([i]) * 32, context=b"e2e")
+            for i in range(1, 5)]
+    KEY = bytes(range(32))
+
+    @settings(max_examples=80, deadline=None)
+    @given(frame=st.binary(max_size=240),
+           sender=st.lists(_hop_keys, min_size=1, max_size=3),
+           receiver=st.lists(_hop_keys, min_size=1, max_size=3),
+           key=st.binary(min_size=32, max_size=32),
+           seq=st.one_of(st.integers(0, 3), st.integers(0, 2 ** 40)))
+    def test_seal_and_open_are_the_two_call_composition(
+            self, frame, sender, receiver, key, seq):
+        session = _bare_session(sender, receiver, key, seq)
+        aead = ChaCha20Poly1305(key)
+        record = aead.encrypt(_e2e_nonce(seq), frame)
+        assert session.seal("caller_to_callee", frame) == (
+            seq, wrap_onion(OnionCircuitKeys(sender), record, seq))
+        assert session.caller.send_seq == seq + 1
+        # What the receiver's entry mix hands it: the record under the
+        # cell MAC and every backward layer of its circuit.
+        circuit = OnionCircuitKeys(receiver)
+        arriving = wrap_backward(circuit, record, seq)
+        assert aead.decrypt(_e2e_nonce(seq), unwrap_backward(
+            circuit, arriving, seq)) == frame
+        assert session.open("caller_to_callee", seq, arriving) == frame
+
+    def test_an_oversized_frame_uses_no_sequence_number(
+            self, call_pair, monkeypatch):
+        """240 bytes and the 16-byte tag fill a cell.  One byte more is
+        refused with the cell's own message before any cipher work, and
+        the next frame takes the number the refused one did not."""
+        testbed, caller, callee = call_pair
+        session = testbed.service.establish_call(
+            caller, callee.certificate, callee)
+        calls = []
+        inner = chacha20._keystream_blocks
+        monkeypatch.setattr(chacha20, "_keystream_blocks",
+                            lambda *args: calls.append(args) or inner(*args))
+        before = session.caller.send_seq
+        with pytest.raises(ValueError, match=r"^payload \(257 bytes\) "
+                           r"exceeds cell capacity \(256\)$"):
+            session.send_voice("caller_to_callee", b"x" * 241)
+        assert calls == [] and session.caller.send_seq == before
+        assert session.send_voice("caller_to_callee", b"x" * 240) == \
+            b"x" * 240
+        assert session.caller.send_seq == before + 1
+
+    def _arriving(self, record, seq=7):
+        """A receiver of two hops and the cell it is handed."""
+        session = _bare_session(self.HOPS[:2], self.HOPS[2:], self.KEY, 0)
+        return session, wrap_backward(OnionCircuitKeys(self.HOPS[2:]),
+                                      record, seq)
+
+    def _open_fails(self, monkeypatch, session, cell, message, seq=7):
+        """``open`` raises ``message``; returns the kernel calls it made
+        and whether any bytes were decrypted."""
+        calls, xors = [], []
+        inner_blocks, inner_xor = chacha20._keystream_blocks, \
+            chacha20.xor_bytes
+        monkeypatch.setattr(chacha20, "_keystream_blocks",
+                            lambda *args: calls.append(args)
+                            or inner_blocks(*args))
+        monkeypatch.setattr(chacha20, "xor_bytes",
+                            lambda *args: xors.append(args)
+                            or inner_xor(*args))
+        with pytest.raises(ValueError, match=message):
+            session.open("caller_to_callee", seq, cell)
+        monkeypatch.undo()
+        return len(calls), len(xors)
+
+    def test_tampering_fails_at_its_own_check_in_order(self, monkeypatch):
+        """Cell size (before the kernel call), then the cell MAC, then
+        the record's tag; no byte is decrypted unless all three pass."""
+        frame = bytes(range(160))
+        record = ChaCha20Poly1305(self.KEY).encrypt(_e2e_nonce(7), frame)
+        session, cell = self._arriving(record)
+        assert session.open("caller_to_callee", 7, cell) == frame
+        for size in (0, CELL_SIZE - 1, CELL_SIZE + 1):
+            assert self._open_fails(monkeypatch, session, bytes(size),
+                                    "cell has the wrong size") == (0, 0)
+        for index in (0, 2, 200, CELL_SIZE - 1):
+            flipped = bytearray(cell)
+            flipped[index] ^= 0x10
+            assert self._open_fails(
+                monkeypatch, session, bytes(flipped),
+                "end-to-end cell MAC invalid") == (1, 0)
+        for index in (0, 159, 160, len(record) - 1):   # body and tag
+            forged = bytearray(record)
+            forged[index] ^= 0x01
+            _, forged_cell = self._arriving(bytes(forged))
+            assert self._open_fails(
+                monkeypatch, session, forged_cell,
+                "AEAD authentication failed") == (1, 0)
+        _, short_cell = self._arriving(record[:15])
+        assert self._open_fails(monkeypatch, session, short_cell,
+                                "shorter than the AEAD tag") == (1, 0)
+
+    def test_the_receiver_draws_the_longest_record(self):
+        """Its length is inside the cell, so the receiver's one call
+        covers block 0 and four of body whatever the frame: a full
+        cell and an empty frame both open."""
+        for frame in (b"", b"\x01" * 240):
+            record = ChaCha20Poly1305(self.KEY).encrypt(_e2e_nonce(7),
+                                                        frame)
+            session, cell = self._arriving(record)
+            assert session.open("caller_to_callee", 7, cell) == frame
 
 
 class TestSecurityInvariants:

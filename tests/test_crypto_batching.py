@@ -255,6 +255,75 @@ class TestKernelDifferential:
 
 
 
+#: One stream's ``(count, start)``: a few blocks, from a small start, up
+#: to the last counter, or anywhere that still fits.
+_COUNT_AND_START = st.integers(0, 6).flatmap(lambda count: st.tuples(
+    st.just(count), st.one_of(st.integers(0, 3), st.just(2 ** 32 - count),
+                              st.integers(0, 2 ** 32 - count))))
+
+
+class TestPerStreamStarts:
+    """One start counter per stream: the bytes of one call per stream,
+    whichever kernel the call falls on, so an AEAD record's blocks 0…
+    and onion layers' blocks 1… share a call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(streams=st.lists(st.tuples(keys32, nonces12, _COUNT_AND_START),
+                            min_size=1, max_size=5))
+    def test_starts_are_the_calls_made_apart(self, streams):
+        keys = [key for key, _, _ in streams]
+        nonces = [nonce for _, nonce, _ in streams]
+        counts = [count for _, _, (count, _) in streams]
+        starts = [start for _, _, (_, start) in streams]
+        apart = b"".join(
+            _keystream_blocks([key], [nonce], [count], start)
+            for key, nonce, count, start in zip(keys, nonces, counts,
+                                                starts))
+        assert apart == b"".join(
+            _reference_stream(key, nonce, count, start)
+            for key, nonce, count, start in zip(keys, nonces, counts,
+                                                starts))
+        assert _on_every_path(lambda: _keystream_blocks(
+            keys, nonces, counts, starts)) == [apart] * 3
+
+    @pytest.mark.parametrize("counts,starts", [
+        ([5, 5, 4], [1, 1, 0]),          # a sender's frame: layers, record
+        ([5, 5, 5], [1, 1, 0]),          # a receiver's frame
+        ([0, 3, 0], [2 ** 32, 7, 0]),    # empty streams, one at the bound
+        ([1, 2, 5], [2 ** 32 - 1, 2 ** 32 - 2, 2 ** 32 - 5]),  # all end
+        ([40, 30], [0, 2 ** 32 - 30]),   # past the crossover as shipped
+    ], ids=lambda value: str(value).replace(" ", ""))
+    def test_named_requests(self, crossover, counts, starts):
+        rng = random.Random(7)
+        keys = [rng.randbytes(32) for _ in counts]
+        nonces = [rng.randbytes(12) for _ in counts]
+        assert _keystream_blocks(keys, nonces, counts, starts) == b"".join(
+            _reference_stream(key, nonce, count, start)
+            for key, nonce, count, start in zip(keys, nonces, counts,
+                                                starts))
+
+    def test_an_int_is_that_start_for_every_stream(self, crossover):
+        keys, nonces = [RFC_KEY, bytes(32)], [bytes(12), b"\x01" * 12]
+        for start in (0, 1, 2 ** 32 - 5):
+            assert _keystream_blocks(keys, nonces, [5, 3], start) == \
+                _keystream_blocks(keys, nonces, [5, 3], [start, start])
+
+    def test_the_bound_is_per_stream(self, crossover):
+        """A stream may end at 2^32 whatever the others do, and one
+        block past it fails the whole call, as does a negative start
+        or a start list of another length."""
+        keys, nonces = [RFC_KEY] * 3, [bytes(12)] * 3
+        assert len(_keystream_blocks(keys, nonces, [5, 5, 4],
+                                     [2 ** 32 - 5, 1, 0])) == 64 * 14
+        for counts, starts in (([5, 5, 4], [2 ** 32 - 4, 1, 0]),
+                               ([5, 5, 4], [1, 1, 2 ** 32 - 3]),
+                               ([5, 5, 4], [0, -1, 0]),
+                               ([5, 5, 0], [0, 0, 2 ** 32 + 1])):
+            with pytest.raises(ValueError, match="fit in 32 bits"):
+                _keystream_blocks(keys, nonces, counts, starts)
+        with pytest.raises(ValueError, match="per stream"):
+            _keystream_blocks(keys, nonces, [5, 5, 4], [1, 1])
+
 class TestRfc8439ThroughTheKernel:
     def test_block_vector(self, crossover):
         # RFC 8439 §2.3.2, alone and as one column among others.
