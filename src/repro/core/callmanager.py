@@ -225,6 +225,14 @@ class MixCallManager:
 
     # -- downstream round production -------------------------------------------
 
+    def downstream_channels(self) -> List[int]:
+        """Every channel a downstream round fills — the mix's channels
+        that are not disabled — in the mix's order.  The one source of
+        the round's trial decryptions, on the mix's side and the
+        clients'."""
+        return [channel_id for channel_id in self.mix.channels
+                if channel_id not in self.disabled_channels]
+
     def downstream_round(self, round_index: int
                          ) -> Dict[int, bytes]:
         """One packet per channel for this round (Fig. 2a).
@@ -268,18 +276,16 @@ class MixCallManager:
                 n_chaff += 1
         out: Dict[int, bytes] = dict(zip(
             addressed, make_downstream_packets(list(addressed.values()))))
-        for channel_id in self.mix.channels:
-            if channel_id not in out and \
-                    channel_id not in self.disabled_channels:
+        enabled = self.downstream_channels()
+        for channel_id in enabled:
+            if channel_id not in out:
                 out[channel_id] = make_downstream_chaff(self.rng)
                 n_chaff += 1
         if self.obs is not None:
             busy = sum(1 for c in self.calls.values()
                        if c.channel_id not in self.disabled_channels)
-            enabled = len(self.mix.channels) - len(
-                self.disabled_channels & set(self.mix.channels))
             self.obs.downstream_round(round_index, n_payload, n_chaff,
-                                      n_control, busy, enabled)
+                                      n_control, busy, len(enabled))
         return out
 
     # -- round ingestion ------------------------------------------------------------

@@ -27,6 +27,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.crypto import chacha20
 from repro.crypto.chacha20 import CipherPlan, seal_plans
 from repro.crypto.keys import SessionKey
 
@@ -38,6 +41,7 @@ CHANNEL_CAPACITY = _MAX_CLIENT_ID + 1
 
 _MANIFEST_PREFIX = b"mf\x00\x00"
 _WORD = struct.Struct("<I")
+_U32 = np.dtype("<u4")
 
 
 def _check_fields(client_id: int, sequence: int) -> None:
@@ -109,9 +113,18 @@ def decode_manifest_words(
     """
     if any(len(data) != MANIFEST_BYTES for data, _, _, _ in manifests):
         raise ValueError("manifest must be 4 bytes")
-    clears = seal_plans([(key.key, _slot_nonce(slot), data)
-                         for data, key, slot, _ in manifests])
-    words = struct.unpack(f"<{len(clears)}I", b"".join(clears))
+    if not manifests:
+        return []
+    # A manifest is one word: XOR it with the first word of its
+    # keystream block, all of them as one array.
+    stream = chacha20._keystream_blocks(
+        [key.key for _, key, _, _ in manifests],
+        [_slot_nonce(slot) for _, _, slot, _ in manifests],
+        [1] * len(manifests), 1)
+    keystream = np.frombuffer(stream, dtype=_U32)[::16]
+    data = np.frombuffer(b"".join([data for data, _, _, _ in manifests]),
+                         dtype=_U32)
+    words = (keystream ^ data).tolist()
     decoded = []
     for word, (_, _, _, expected_sequence) in zip(words, manifests):
         seq_low = word >> 7

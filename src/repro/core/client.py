@@ -28,7 +28,7 @@ from repro.core.network_coding import (
     plan_chaff_packet,
     plan_payload_packet,
 )
-from repro.crypto.chacha20 import CipherPlan, seal_plans
+from repro.crypto.chacha20 import CipherPlan, seal_plans_and_draw
 from repro.crypto.kdf import hkdf_sha256
 from repro.crypto.keys import IdentityKeyPair, SessionKey, ShortTermKeyPair
 from repro.crypto.pki import Certificate
@@ -59,13 +59,17 @@ class ChannelAttachment:
 UpstreamPlan = Tuple[CipherPlan, CipherPlan]
 
 
-def seal_upstream(plans: Sequence[UpstreamPlan]
-                  ) -> List[Tuple[bytes, bytes]]:
+def seal_upstream(plans: Sequence[UpstreamPlan],
+                  key_requests: Sequence[Tuple[bytes, bytes]] = ()
+                  ) -> Tuple[List[Tuple[bytes, bytes]], bytes]:
     """Seal planned emissions — one client's, or every attachment's of
-    a round — into (packet, encrypted manifest) pairs with one kernel
-    call."""
-    sealed = seal_plans([plan for pair in plans for plan in pair])
-    return list(zip(sealed[0::2], sealed[1::2]))
+    a round — into (packet, encrypted manifest) pairs, and draw block 0
+    of every ``(key, nonce)`` in ``key_requests`` — a round's trial
+    keys (:class:`~repro.core.signaling.TrialKeys`) — with one kernel
+    call: the pairs, and the drawn blocks back to back."""
+    sealed, blocks = seal_plans_and_draw(
+        [plan for pair in plans for plan in pair], key_requests)
+    return list(zip(sealed[0::2], sealed[1::2])), blocks
 
 
 class HerdClient:
@@ -181,7 +185,8 @@ class HerdClient:
                         ) -> Tuple[bytes, bytes]:
         """The (packet, encrypted manifest) pair for one round on one
         channel (see :meth:`plan_upstream`)."""
-        return seal_upstream([self.plan_upstream(attachment, payload)])[0]
+        pairs, _ = seal_upstream([self.plan_upstream(attachment, payload)])
+        return pairs[0]
 
     def request_outgoing_call(self) -> None:
         """Set the signaling bit on subsequent chaff manifests

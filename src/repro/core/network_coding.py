@@ -25,7 +25,8 @@ active client's encrypted packet (or nothing, if the channel is idle).
 Decrypting that packet is one more XOR, with the active client's
 keystream, so :func:`decode_rounds` asks the predictor for it in the
 same kernel call as the chaff: a round's whole mix-side decode is one
-:meth:`ChaffPredictor.peel_many`.
+:meth:`ChaffPredictor.peel_rounds`, which folds each channel's senders
+into one mask.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.crypto import chacha20
 from repro.crypto.chacha20 import CipherPlan, seal_plans, xor_bytes
 from repro.crypto.keys import SessionKey
 
@@ -114,8 +118,12 @@ def decrypt_packet(key: SessionKey, sequence: int,
     return decrypt_packets([(key, sequence, ciphertext)])[0]
 
 
-#: Sealed, the keystream one coded packet is encrypted under.
+#: The mask of a round with no senders, and what a round with nobody
+#: on a call must leave.
 _ZERO_PACKET = bytes(CODED_PACKET_SIZE)
+#: The keystream blocks (from block 1) one coded packet takes.
+_PACKET_BLOCKS = (CODED_PACKET_SIZE + 63) // 64
+_U64 = np.dtype("<u8")
 
 
 class ChaffPredictor:
@@ -133,28 +141,58 @@ class ChaffPredictor:
     def add_client(self, client: int, key: SessionKey) -> None:
         self._keys[client] = key
 
-    def peel_many(self, senders: Sequence[Tuple[int, int, bool]]
-                  ) -> List[bytes]:
-        """What the mix XORs out of a round for every ``(client,
-        sequence, active)`` sender, from one kernel call: an idle
-        client's chaff ciphertext, an active client's keystream —
+    def peel_rounds(self, rounds: Sequence[Sequence[Tuple[int, int, bool]]]
+                    ) -> List[bytes]:
+        """What the mix XORs out of each round of ``(client, sequence,
+        active)`` senders, from one kernel call: the XOR of an idle
+        client's chaff ciphertext and an active client's keystream —
         under which what is left of the round is that client's
-        cleartext."""
-        plans = []
-        for client, sequence, active in senders:
-            key = self._keys.get(client)
-            if key is None:
-                raise KeyError(f"no session key for client {client}")
-            plans.append(_plan(key, sequence, _ZERO_PACKET) if active
-                         else plan_chaff_packet(key, sequence))
-        return seal_plans(plans)
+        cleartext — over the round's senders.
+
+        A chaff ciphertext is the sender's keystream XOR its header
+        (``sequence << 8``: type 0, then the sequence) and zeros, so a
+        round's mask is one ``reduceat`` over its keystream rows and
+        one over its chaff sequences.  A round with no senders masks
+        nothing."""
+        keys, nonces, sequences = [], [], []
+        #: the rounds that have senders, and where their rows start
+        filled, at = [], []
+        for i, senders in enumerate(rounds):
+            if senders:
+                filled.append(i)
+                at.append(len(keys))
+            for client, sequence, active in senders:
+                key = self._keys.get(client)
+                if key is None:
+                    raise KeyError(f"no session key for client {client}")
+                keys.append(key.key)
+                nonces.append(_UP_PREFIX + struct.pack("<Q", sequence))
+                sequences.append(0 if active else sequence)
+        masks = [_ZERO_PACKET] * len(rounds)
+        if not keys:
+            return masks
+        stream = chacha20._keystream_blocks(
+            keys, nonces, [_PACKET_BLOCKS] * len(keys), 1)
+        rows = np.frombuffer(stream, dtype=_U64).reshape(len(keys), -1)
+        folded = np.bitwise_xor.reduceat(rows, at, axis=0)
+        heads = np.bitwise_xor.reduceat(
+            np.array(sequences, dtype=_U64), at)
+        # The 9-byte header: byte 0 the type, bytes 1-8 the sequence.
+        folded[:, 0] ^= heads << np.uint64(8)
+        folded[:, 1] ^= heads >> np.uint64(56)
+        out = folded.tobytes()
+        width = 8 * rows.shape[1]
+        for j, i in enumerate(filled):
+            masks[i] = out[j * width:j * width + CODED_PACKET_SIZE]
+        return masks
 
     def predict_many(self, chaff: Sequence[Tuple[int, int]]
                      ) -> List[bytes]:
         """The chaff ciphertext of every ``(client, sequence)``, from
-        one kernel call."""
-        return self.peel_many([(client, sequence, False)
-                               for client, sequence in chaff])
+        one kernel call: :meth:`peel_rounds` with one idle sender a
+        round."""
+        return self.peel_rounds([[(client, sequence, False)]
+                                 for client, sequence in chaff])
 
     def predict(self, client: int, sequence: int) -> bytes:
         return self.predict_many([(client, sequence)])[0]
@@ -192,7 +230,8 @@ def decode_rounds(rounds: Sequence[ChannelRound],
     The mix XORs out what it can compute of every sender — the
     *predicted chaff* of the idle clients and the keystream of the
     active one, all the rounds' in one
-    :meth:`ChaffPredictor.peel_many` — which leaves the active
+    :meth:`ChaffPredictor.peel_rounds`, one mask a round — which
+    leaves the active
     client's cleartext packet, checked as :func:`decrypt_packets`
     checks it (sequence, packet type).  With no active client what is
     left must be zero — a nonzero residue means a misbehaving SP or
@@ -208,10 +247,8 @@ def decode_rounds(rounds: Sequence[ChannelRound],
     if any(len(xor_packet) != CODED_PACKET_SIZE
            for xor_packet, _, _ in rounds):
         raise ValueError("XOR packet has the wrong size")
-    senders = []
-    #: per round: how many of ``senders`` are its, the active client's
-    #: sequence
-    shapes = []
+    #: per round: its senders, and the active client's sequence
+    senders, active_seqs = [], []
     for _, entries, active in rounds:
         peeled = [(client, seq, False) for client, seq, _ in entries
                   if client != active]
@@ -224,17 +261,15 @@ def decode_rounds(rounds: Sequence[ChannelRound],
                 raise ValueError(
                     "active client missing from round manifests")
             peeled.append((active, active_seq, True))
-        senders.extend(peeled)
-        shapes.append((len(peeled), active_seq))
-    masks = predictor.peel_many(senders)
+        senders.append(peeled)
+        active_seqs.append(active_seq)
+    masks = predictor.peel_rounds(senders)
     decoded: List[Tuple[Optional[int], bytes, List[int]]] = []
     #: (index into ``decoded``, active client, its sequence, cleartext)
     to_open = []
-    start = 0
-    for (xor_packet, entries, active), (n, active_seq) in zip(rounds,
-                                                              shapes):
-        left = xor_bytes(xor_packet, *masks[start:start + n])
-        start += n
+    for (xor_packet, entries, active), active_seq, mask in zip(
+            rounds, active_seqs, masks):
+        left = xor_bytes(xor_packet, mask)
         if active is None:
             if left != _ZERO_PACKET:
                 raise ValueError(

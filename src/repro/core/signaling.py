@@ -25,9 +25,13 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.chacha20 import aead_open_many, aead_seal_many
+from repro.crypto.chacha20 import (
+    aead_open_drawn,
+    aead_seal_many,
+    seal_plans_and_draw,
+)
 from repro.crypto.keys import SessionKey
 from repro.core.network_coding import CODED_PACKET_SIZE
 
@@ -95,22 +99,83 @@ def make_downstream_chaff(rng: random.Random) -> bytes:
     return words.to_bytes(4 * DOWNSTREAM_PACKET_SIZE, "little")[3::4]
 
 
+class MissingTrialKey(LookupError):
+    """A trial decryption whose key block was not drawn with its
+    round."""
+
+
+class TrialKeys:
+    """The key blocks of one downstream round's trial decryptions.
+
+    A member's trial is checked under the Poly1305 key in block 0 of
+    (its key ``s``, :func:`_nonce` of the channel and round), and
+    §3.6.2 fixes that nonce by channel and round — so the blocks are
+    planned when the round starts, channel by channel with the members
+    in slot order (:attr:`requests`, one nonce per channel), drawn
+    beside the round's upstream packets
+    (:func:`~repro.core.client.seal_upstream`) into :attr:`blocks`, and
+    read back per channel when its downstream packet arrives
+    (:meth:`poly_keys`)."""
+
+    __slots__ = ("requests", "blocks", "_planned")
+
+    def __init__(self, round_index: int,
+                 channels: Iterable[Tuple[int, Sequence[SessionKey]]]):
+        #: ``(key, nonce)`` per trial: what the draw takes.
+        self.requests: List[Tuple[bytes, bytes]] = []
+        #: Block 0 of every request, back to back, once drawn.
+        self.blocks = b""
+        self._planned: Dict[int, Tuple[int, Sequence[SessionKey]]] = {}
+        for channel_id, keys in channels:
+            nonce = _nonce(channel_id, round_index)
+            self._planned[channel_id] = (len(self.requests), keys)
+            self.requests += [(key.key, nonce) for key in keys]
+
+    def poly_keys(self, channel_id: int,
+                  keys: Sequence[SessionKey]) -> List[bytes]:
+        """The Poly1305 key of every member's trial on the channel,
+        ``keys`` in slot order — exactly the members it was planned
+        for, or :class:`MissingTrialKey`."""
+        start, planned = self._planned.get(channel_id, (0, None))
+        end = 64 * (start + len(keys))
+        if planned is None or planned != keys or len(self.blocks) < end:
+            raise MissingTrialKey(
+                f"no key blocks drawn for the trials of channel "
+                f"{channel_id} with these members")
+        return [self.blocks[at:at + 32]
+                for at in range(64 * start, end, 64)]
+
+
 def open_downstream_packets(
-        trials: Sequence[Tuple[SessionKey, int, int, bytes]]
+        trials: Sequence[Tuple[SessionKey, int, int, bytes]],
+        poly_keys: Sequence[bytes]
         ) -> List[Optional[Tuple[int, bytes]]]:
     """Client-side trial decryption of ``(key, channel_id,
     round_index, packet)`` trials — one client's, or every channel
-    member's of a round, each under its own key.  Returns (kind,
+    member's of a round, each under its own key — with each trial's
+    Poly1305 key drawn ahead (:class:`TrialKeys`).  Returns (kind,
     payload) where the packet is addressed to that key's client, else
     None ("others discard the packet as chaff")."""
+    if len(poly_keys) != len(trials):
+        raise MissingTrialKey("need one drawn key block per trial")
     # An SP is untrusted: an off-size packet is refused before it costs
-    # a key block or a MAC lane.
-    sized = [i for i, (_, _, _, packet) in enumerate(trials)
-             if len(packet) == DOWNSTREAM_PACKET_SIZE]
-    clears = aead_open_many(
-        [trials[i][0].key for i in sized],
-        [_nonce(trials[i][1], trials[i][2]) for i in sized],
-        [trials[i][3] for i in sized])
+    # a MAC lane.
+    sized, keys, nonces, packets, lanes = [], [], [], [], []
+    nonce_of: Dict[Tuple[int, int], bytes] = {}
+    for i, ((key, channel_id, round_index, packet), poly_key) in \
+            enumerate(zip(trials, poly_keys)):
+        if len(packet) != DOWNSTREAM_PACKET_SIZE:
+            continue
+        nonce = nonce_of.get((channel_id, round_index))
+        if nonce is None:
+            nonce = nonce_of[channel_id, round_index] = _nonce(
+                channel_id, round_index)
+        sized.append(i)
+        keys.append(key.key)
+        nonces.append(nonce)
+        packets.append(packet)
+        lanes.append(poly_key)
+    clears = aead_open_drawn(keys, nonces, packets, lanes)
     opened: List[Optional[Tuple[int, bytes]]] = [None] * len(trials)
     for i, clear in zip(sized, clears):
         if clear is None:
@@ -124,10 +189,14 @@ def open_downstream_packets(
 def open_downstream_packet(key: SessionKey, channel_id: int,
                            round_index: int, packet: bytes
                            ) -> Optional[Tuple[int, bytes]]:
-    """One client's trial decryption of one packet (see
+    """One client's trial decryption of one packet: its one key block
+    planned and drawn as a round's are (see
     :func:`open_downstream_packets`)."""
+    trial_keys = TrialKeys(round_index, [(channel_id, (key,))])
+    _, trial_keys.blocks = seal_plans_and_draw([], trial_keys.requests)
     return open_downstream_packets(
-        [(key, channel_id, round_index, packet)])[0]
+        [(key, channel_id, round_index, packet)],
+        trial_keys.poly_keys(channel_id, (key,)))[0]
 
 
 @dataclass(frozen=True)

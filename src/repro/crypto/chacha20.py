@@ -28,11 +28,15 @@ This module implements:
 * :class:`ChaCha20Poly1305`, the AEAD construction used by the
   DTLS-like record layer for hop-by-hop authenticated encryption,
   beside :func:`aead_seal_many` / :func:`aead_open_many`, which make
-  one MAC call for all their tags: a round's trial decryptions open in
-  two phases (every key block, then the authentic bodies), one record
-  in one kernel call.  :func:`seal_record` / :func:`open_record` are
-  that one record over keystream the caller drew, so each end of an
-  onion cell draws its record beside its layers in one call.
+  one MAC call for all their tags: a batch of trial decryptions opens
+  in two phases (every key block, then the authentic bodies), one
+  record in one kernel call.  :func:`aead_open_drawn` is the second
+  phase over key blocks the caller drew — a round's clients draw
+  theirs beside their upstream packets (:func:`seal_plans_and_draw`)
+  — and :func:`seal_record` / :func:`open_record` are one record over
+  keystream the caller drew, so each end of an onion cell draws its
+  record beside its layers in one call.  A record shorter than a tag
+  is refused before any of this: no key block, no MAC lane.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import hmac
 import operator
 import struct
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -176,11 +180,13 @@ def _block_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
         b ^= c
         rotl(b, 7)
 
+    # ``mode="clip"`` on constant, in-range indices: the same rows as
+    # the default ``"raise"``, which buffers ``out`` first.
     for _ in range(10):
         half_round(columns)
-        np.take(columns, _TO_DIAGONALS, axis=0, out=diagonals)
+        columns.take(_TO_DIAGONALS, axis=0, out=diagonals, mode="clip")
         half_round(diagonals)
-        np.take(diagonals, _TO_COLUMNS, axis=0, out=columns)
+        diagonals.take(_TO_COLUMNS, axis=0, out=columns, mode="clip")
     columns += initial
     return columns.T.tobytes()
 
@@ -320,27 +326,45 @@ def chacha20_keystream_many(keys: Sequence[bytes],
     return [flat[i * size:(i + 1) * size] for i in range(len(keys))]
 
 
-def chacha20_encrypt_many(keys: Sequence[bytes], nonces: Sequence[bytes],
-                          messages: Sequence[bytes],
-                          counter: int = 1) -> List[bytes]:
-    """Encrypt (or decrypt) B messages, each under its own (key,
-    nonce), in one kernel call.  Lengths may differ and may be zero:
-    message i takes exactly the blocks it needs."""
+def _encrypt_and_draw(keys: Sequence[bytes], nonces: Sequence[bytes],
+                      messages: Sequence[bytes], counter: int,
+                      draws: Sequence[Tuple[bytes, bytes]]
+                      ) -> Tuple[List[bytes], bytes]:
+    """Every message under its own (key, nonce) from block
+    ``counter``, and block 0 of every ``(key, nonce)`` in ``draws``, in
+    one kernel call: the messages, and the drawn blocks back to back."""
     counts = [(len(message) + 63) // 64 for message in messages]
-    stream = _keystream_blocks(keys, nonces, counts, counter)
+    if draws:
+        draw_keys, draw_nonces = zip(*draws)
+        stream = _keystream_blocks(
+            [*keys, *draw_keys], [*nonces, *draw_nonces],
+            counts + [1] * len(draws),
+            [counter] * len(counts) + [0] * len(draws))
+    else:
+        stream = _keystream_blocks(keys, nonces, counts, counter)
     padded = b"".join(message.ljust(64 * n, b"\x00")
                       for message, n in zip(messages, counts))
     # Both are whole blocks: XOR them as 64-bit words (xor_bytes
     # would convert the round — 77 KB at 100 clients — to an int
     # three times).
     mixed = (np.frombuffer(padded, dtype=_U64)
-             ^ np.frombuffer(stream, dtype=_U64)).tobytes()
+             ^ np.frombuffer(stream, dtype=_U64,
+                             count=len(padded) // 8)).tobytes()
     out = []
     start = 0
     for message, n in zip(messages, counts):
         out.append(mixed[start:start + len(message)])
         start += 64 * n
-    return out
+    return out, stream[len(padded):]
+
+
+def chacha20_encrypt_many(keys: Sequence[bytes], nonces: Sequence[bytes],
+                          messages: Sequence[bytes],
+                          counter: int = 1) -> List[bytes]:
+    """Encrypt (or decrypt) B messages, each under its own (key,
+    nonce), in one kernel call.  Lengths may differ and may be zero:
+    message i takes exactly the blocks it needs."""
+    return _encrypt_and_draw(keys, nonces, messages, counter, ())[0]
 
 
 #: One planned cipher call: ``(key, nonce, message)``.  *Planning* is
@@ -352,10 +376,20 @@ CipherPlan = Tuple[bytes, bytes, bytes]
 
 def seal_plans(plans: Sequence[CipherPlan]) -> List[bytes]:
     """Run every planned cipher call in one kernel call."""
-    if not plans:
-        return []
-    keys, nonces, messages = zip(*plans)
-    return chacha20_encrypt_many(keys, nonces, messages)
+    return seal_plans_and_draw(plans, ())[0]
+
+
+def seal_plans_and_draw(plans: Sequence[CipherPlan],
+                        draws: Sequence[Tuple[bytes, bytes]]
+                        ) -> Tuple[List[bytes], bytes]:
+    """:func:`seal_plans`, and in the same kernel call block 0 of every
+    ``(key, nonce)`` in ``draws`` — a key block someone needs later,
+    drawn now because its nonce is known now: the sealed messages, and
+    the drawn blocks back to back."""
+    if not plans and not draws:
+        return [], b""
+    keys, nonces, messages = zip(*plans) if plans else ((), (), ())
+    return _encrypt_and_draw(keys, nonces, messages, 1, draws)
 
 
 def chacha20_keystream(key: bytes, nonce: bytes, length: int,
@@ -532,13 +566,19 @@ def poly1305_mac(msg: bytes, key: bytes) -> bytes:
     return poly1305_mac_many([msg], [key])[0]
 
 
+def _mac_input(ciphertext: bytes, aad: bytes) -> bytes:
+    """What the AEAD tag of (ciphertext, aad) is the Poly1305 MAC of
+    (RFC 8439 §2.8)."""
+    return (aad + _pad16(aad) + ciphertext + _pad16(ciphertext)
+            + struct.pack("<QQ", len(aad), len(ciphertext)))
+
+
 def _aead_tags(poly_keys: Sequence[bytes], ciphertexts: Sequence[bytes],
                aads: Sequence[bytes]) -> List[bytes]:
     """The AEAD tag of each (ciphertext, aad) under its one-time key
     (RFC 8439 §2.8), in one MAC call."""
     return poly1305_mac_many(
-        [aad + _pad16(aad) + ciphertext + _pad16(ciphertext)
-         + struct.pack("<QQ", len(aad), len(ciphertext))
+        [_mac_input(ciphertext, aad)
          for ciphertext, aad in zip(ciphertexts, aads)], poly_keys)
 
 
@@ -549,6 +589,11 @@ def _one_aad_per_item(keys, nonces, messages, aads):
         raise ValueError("need one key, one nonce, one message and one "
                          "aad per item")
     return aads
+
+
+def _refuse_short(data: bytes) -> None:
+    if len(data) < ChaCha20Poly1305.TAG_LEN:
+        raise ValueError("ciphertext shorter than the AEAD tag")
 
 
 def aead_seal_many(keys: Sequence[bytes], nonces: Sequence[bytes],
@@ -571,6 +616,41 @@ def aead_seal_many(keys: Sequence[bytes], nonces: Sequence[bytes],
             for ciphertext, tag in zip(ciphertexts, tags)]
 
 
+def _open_lanes(keys: Sequence[bytes], nonces: Sequence[bytes],
+                sealed: Sequence[bytes], aads: Sequence[bytes],
+                lanes: Sequence[int], poly_keys: Sequence[bytes]
+                ) -> List[Optional[bytes]]:
+    """The open both batch entry points share: the items at ``lanes``
+    — each at least a tag long — checked under their Poly1305 keys in
+    one MAC call, and only the authentic ones decrypted, in one kernel
+    call.  Items with the same (ciphertext, aad) — a channel's members
+    trying its one packet — share one MAC input, each still under its
+    own key."""
+    opened: List[Optional[bytes]] = [None] * len(sealed)
+    if not lanes:
+        return opened
+    tag_len = ChaCha20Poly1305.TAG_LEN
+    inputs: Dict[Tuple[bytes, bytes], bytes] = {}
+    messages = []
+    for i in lanes:
+        item = sealed[i], aads[i]
+        message = inputs.get(item)
+        if message is None:
+            message = inputs[item] = _mac_input(sealed[i][:-tag_len],
+                                                aads[i])
+        messages.append(message)
+    tags = poly1305_mac_many(messages, poly_keys)
+    authentic = [i for i, tag in zip(lanes, tags)
+                 if hmac.compare_digest(sealed[i][-tag_len:], tag)]
+    if authentic:
+        plaintexts = chacha20_encrypt_many(
+            [keys[i] for i in authentic], [nonces[i] for i in authentic],
+            [sealed[i][:-tag_len] for i in authentic])
+        for i, plaintext in zip(authentic, plaintexts):
+            opened[i] = plaintext
+    return opened
+
+
 def aead_open_many(keys: Sequence[bytes], nonces: Sequence[bytes],
                    sealed: Sequence[bytes],
                    aads: Optional[Sequence[bytes]] = None
@@ -581,25 +661,36 @@ def aead_open_many(keys: Sequence[bytes], nonces: Sequence[bytes],
     computes every tag; only the items whose tag verifies are
     decrypted (a second kernel call) — the shape of a downstream
     round, where every channel member tries every packet and at most
-    one of them is addressed."""
+    one of them is addressed.  An item shorter than a tag is refused
+    first: it costs no key block and no MAC lane."""
     aads = _one_aad_per_item(keys, nonces, sealed, aads)
-    tag_len = ChaCha20Poly1305.TAG_LEN
+    lanes = [i for i, data in enumerate(sealed)
+             if len(data) >= ChaCha20Poly1305.TAG_LEN]
+    if not lanes:
+        return [None] * len(sealed)
     # The Poly1305 key of each (key, nonce): the first half of
     # keystream block 0 (RFC 8439 §2.6).
-    poly_keys = [block[:32]
-                 for block in chacha20_keystream_many(keys, nonces, 1)]
-    tags = _aead_tags(poly_keys, [data[:-tag_len] for data in sealed],
-                      aads)
-    authentic = [i for i, (data, tag) in enumerate(zip(sealed, tags))
-                 if len(data) >= tag_len
-                 and hmac.compare_digest(data[-tag_len:], tag)]
-    opened: List[Optional[bytes]] = [None] * len(keys)
-    plaintexts = chacha20_encrypt_many(
-        [keys[i] for i in authentic], [nonces[i] for i in authentic],
-        [sealed[i][:-tag_len] for i in authentic])
-    for i, plaintext in zip(authentic, plaintexts):
-        opened[i] = plaintext
-    return opened
+    blocks = chacha20_keystream_many([keys[i] for i in lanes],
+                                     [nonces[i] for i in lanes], 1)
+    return _open_lanes(keys, nonces, sealed, aads, lanes,
+                       [block[:32] for block in blocks])
+
+
+def aead_open_drawn(keys: Sequence[bytes], nonces: Sequence[bytes],
+                    sealed: Sequence[bytes], poly_keys: Sequence[bytes],
+                    aads: Optional[Sequence[bytes]] = None
+                    ) -> List[Optional[bytes]]:
+    """:func:`aead_open_many` over Poly1305 keys the caller drew — the
+    first half of block 0 of each item's (key, nonce), one per item —
+    so that its one kernel call is the authentic bodies'.  An item
+    shorter than a tag still takes no MAC lane."""
+    aads = _one_aad_per_item(keys, nonces, sealed, aads)
+    if len(poly_keys) != len(keys):
+        raise ValueError("need one Poly1305 key per item")
+    lanes = [i for i, data in enumerate(sealed)
+             if len(data) >= ChaCha20Poly1305.TAG_LEN]
+    return _open_lanes(keys, nonces, sealed, aads, lanes,
+                       [poly_keys[i] for i in lanes])
 
 
 def seal_record(stream: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -617,9 +708,8 @@ def open_record(stream: bytes, data: bytes, aad: bytes = b"") -> bytes:
     keystream drawn as for :func:`seal_record`; :class:`ValueError` if
     it is shorter than a tag or its tag is wrong, and then no byte of
     it is decrypted."""
+    _refuse_short(data)
     tag_len = ChaCha20Poly1305.TAG_LEN
-    if len(data) < tag_len:
-        raise ValueError("ciphertext shorter than the AEAD tag")
     ciphertext, tag = data[:-tag_len], data[-tag_len:]
     expected, = _aead_tags([stream[:32]], [ciphertext], [aad])
     if not hmac.compare_digest(tag, expected):
@@ -664,5 +754,7 @@ class ChaCha20Poly1305:
                            aad)
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
+        # A record shorter than a tag is refused before any cipher work.
+        _refuse_short(data)
         return open_record(self._stream(nonce, len(data) - self.TAG_LEN),
                            data, aad)

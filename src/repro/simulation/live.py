@@ -45,7 +45,7 @@ from repro.core.join import join_zone
 from repro.core.client import ChannelAttachment, HerdClient, \
     seal_upstream
 from repro.crypto.keys import SessionKey
-from repro.core.signaling import open_downstream_packets
+from repro.core.signaling import TrialKeys, open_downstream_packets
 from repro.core.shedding import LoadShedder
 from repro.simulation.roundsync import DEFAULT_ROUND_INTERVAL_S
 from repro.simulation.testbed import HerdTestbed, build_testbed
@@ -87,8 +87,8 @@ class ChannelRoster:
     scenario engine and the join protocol all do, without knowing
     about rosters)."""
 
-    __slots__ = ("members", "entries", "numerics", "_sp", "_clients",
-                 "_built_from")
+    __slots__ = ("members", "entries", "numerics", "keys", "_sp",
+                 "_clients", "_built_from")
 
     def __init__(self, sp, channel_id: int,
                  entries: Tuple[RosterEntry, ...]):
@@ -96,6 +96,8 @@ class ChannelRoster:
         self.members = tuple(sp.channel_clients[channel_id])
         self.entries = entries
         self.numerics = [entry.numeric_id for entry in entries]
+        #: The members' session keys: what their trials are keyed by.
+        self.keys = tuple(entry.key for entry in entries)
         self._sp = sp
         self._clients = [entry.live.client for entry in entries]
         self._built_from = self._membership_state()
@@ -437,40 +439,50 @@ class LiveZone:
                     peer not in self.manager.calls:
                 self.manager.place_incoming(peer)
 
-    def _deliver_downstream(self, round_packets: Dict[int, bytes]
+    def _deliver_downstream(self, round_packets: Dict[int, bytes],
+                            trial_keys: Optional[TrialKeys] = None
                             ) -> None:
         """Broadcast one downstream round to every channel member
         (shared by both engines, so the wire image and client-side
         processing are identical by construction).  The round engine
-        does every member's trial decryption of the round in one call;
-        the per-channel engine leaves each to its agent."""
+        does every member's trial decryption of the round in one call,
+        over the key blocks its clients drew when the round started
+        (``trial_keys``), and acts on the hits; the per-channel engine
+        leaves each trial to its agent."""
         #: (channel_id, client_id, roster entry, packet) as
         #: broadcast, in order.
         deliveries = []
+        poly_keys: List[bytes] = []
         for channel_id, packet in round_packets.items():
             sp = self._sp_of_channel[channel_id]
             if self.wire is not None:
                 self.wire.emit(self.mix.mix_id, sp.sp_id, packet,
                                kind="down")
+            roster = self._roster(channel_id)
             for (client_id, pkt), entry in zip(
                     sp.broadcast_downstream(channel_id, packet),
-                    self._roster(channel_id).entries):
+                    roster.entries):
                 if self.wire is not None:
                     self.wire.emit(sp.sp_id, client_id, pkt,
                                    kind="bcast")
                 deliveries.append((channel_id, client_id, entry, pkt))
-        opened = None
-        if self.zone_mode == "batch":
-            opened = open_downstream_packets(
-                [(entry.key, channel_id, self.round_index, pkt)
-                 for channel_id, _, entry, pkt in deliveries])
-        for i, (channel_id, client_id, entry, pkt) in enumerate(
-                deliveries):
-            if opened is None:
+            if trial_keys is not None:
+                poly_keys += trial_keys.poly_keys(channel_id, roster.keys)
+        if trial_keys is None:
+            for channel_id, client_id, entry, pkt in deliveries:
                 evt = entry.agent.process_downstream(
                     channel_id, self.round_index, pkt)
-            else:
-                evt = entry.agent.handle_opened(channel_id, opened[i])
+                if self.obs is not None and evt is not None:
+                    self.obs.client_event(client_id, evt)
+            return
+        opened = open_downstream_packets(
+            [(entry.key, channel_id, self.round_index, pkt)
+             for channel_id, _, entry, pkt in deliveries], poly_keys)
+        for (channel_id, client_id, entry, _), hit in zip(deliveries,
+                                                          opened):
+            if hit is None:
+                continue
+            evt = entry.agent.handle_opened(channel_id, hit)
             if self.obs is not None and evt is not None:
                 self.obs.client_event(client_id, evt)
 
@@ -478,19 +490,26 @@ class LiveZone:
         self._deliver_downstream(
             self.manager.downstream_round(self.round_index))
 
-    def _gather_round(self) -> Dict[int, tuple]:
+    def _gather_round(self) -> Tuple[Dict[int, tuple], TrialKeys]:
         """Every channel's round of client emissions: planned client
         by client in sorted-channel / slot order, sealed — all the
-        zone's packets and manifests — in one call.  Returns channel →
-        (sp, members, packets, manifests)."""
+        zone's packets and manifests, and the key block of every trial
+        decryption the round's downstream packets will take (one per
+        member of every channel :meth:`MixCallManager
+        .downstream_channels` lists) — in one call.  Returns channel →
+        (sp, members, packets, manifests), and the drawn trial keys."""
         planned = {}
         for channel_id, sp in sorted(self._sp_of_channel.items()):
             members, plans = self._gather_channel(
                 channel_id, sp, HerdClient.plan_upstream)
             if plans:
                 planned[channel_id] = (sp, members, plans)
-        sealed = seal_upstream(
-            [plan for _, _, plans in planned.values() for plan in plans])
+        trial_keys = TrialKeys(self.round_index, [
+            (channel_id, self._roster(channel_id).keys)
+            for channel_id in self.manager.downstream_channels()])
+        sealed, trial_keys.blocks = seal_upstream(
+            [plan for _, _, plans in planned.values() for plan in plans],
+            trial_keys.requests)
         gathered = {}
         start = 0
         for channel_id, (sp, members, plans) in planned.items():
@@ -499,7 +518,7 @@ class LiveZone:
             gathered[channel_id] = (sp, members,
                                     [packet for packet, _ in pairs],
                                     [manifest for _, manifest in pairs])
-        return gathered
+        return gathered, trial_keys
 
     def _step_batch(self) -> None:
         """The round-synchronous engine: the same round as the
@@ -514,11 +533,11 @@ class LiveZone:
         channels in sorted order — the same interleaving of rng draws,
         GRANT queueing, and voice routing as per-channel calls.  The
         cipher work is pure, so doing a whole round's in one call —
-        every client's packets and manifests, the mix's manifest
-        decryption — yields the per-item bytes (DESIGN.md "Crypto
-        batching seam").
+        every client's packets, manifests and downstream trial keys,
+        the mix's manifest decryption — yields the per-item bytes
+        (DESIGN.md "Crypto batching seam").
         """
-        gathered = self._gather_round()
+        gathered, trial_keys = self._gather_round()
         per_sp: Dict[object, Dict[int, tuple]] = {}
         for channel_id, (sp, _, packets,
                          manifests) in gathered.items():
@@ -551,7 +570,7 @@ class LiveZone:
         round_packets = self.manager.process_round(
             self.round_index, upstream, route=self._route_voice,
             pre_downstream=self._ring_pending_callees)
-        self._deliver_downstream(round_packets)
+        self._deliver_downstream(round_packets, trial_keys)
 
     def step(self) -> None:
         """One codec-frame round: upstream, control, downstream."""

@@ -42,6 +42,8 @@ from repro.core.signaling import (
     DOWNSTREAM_PACKET_SIZE,
     KIND_GRANT,
     KIND_VOIP,
+    MissingTrialKey,
+    TrialKeys,
     make_downstream_chaff,
     make_downstream_packet,
     make_downstream_packets,
@@ -886,6 +888,32 @@ class TestOneRecordOpen:
         # A bare tag is the empty record.
         assert aead.decrypt(bytes(12), aead.encrypt(bytes(12), b"")) == b""
 
+    def test_a_record_shorter_than_a_tag_costs_no_cipher_work(
+            self, monkeypatch):
+        """Refused before it takes a key block or a MAC lane, with the
+        ``ValueError`` / ``None`` it always got — alone, and beside
+        authentic items."""
+        calls, lanes = [], []
+        _watch(monkeypatch, "_keystream_blocks",
+               lambda keys, *_: calls.append(list(keys)))
+        _watch(monkeypatch, "poly1305_mac_many",
+               lambda messages, keys: lanes.append(len(keys)))
+        aead = ChaCha20Poly1305(RFC_KEY)
+        for size in (0, 1, 15):
+            with pytest.raises(ValueError, match="shorter than the AEAD"):
+                aead.decrypt(bytes(12), b"x" * size)
+            assert aead_open_many([RFC_KEY], [bytes(12)],
+                                  [b"x" * size]) == [None]
+        assert calls == [] and lanes == []
+        nonces = [bytes(12), bytes(range(12))]
+        sealed = aead_seal_many([RFC_KEY] * 2, nonces, [b"a", b"b"])
+        del calls[:], lanes[:]
+        assert aead_open_many(
+            [RFC_KEY, bytes(32), RFC_KEY], [nonces[0], bytes(12),
+                                            nonces[1]],
+            [sealed[0], b"x" * 15, sealed[1]]) == [b"a", None, b"b"]
+        assert calls == [[RFC_KEY] * 2, [RFC_KEY] * 2] and lanes == [2]
+
     def test_one_record_is_one_kernel_call(self, monkeypatch):
         """Block 0 and the body's blocks together; a forged record
         costs that one call and no byte of it is decrypted."""
@@ -936,11 +964,11 @@ class TestUpstreamSeal:
                 expected.append(a.client.upstream_packet(att_a, payload))
                 plans.append(b.client.plan_upstream(att_b, payload))
                 assert att_a.sequence == att_b.sequence == 1
-        sealed = seal_upstream(plans)
-        assert sealed == expected
+        sealed, drawn = seal_upstream(plans)
+        assert sealed == expected and drawn == b""
         key = one_by_one.clients["client-2"].client.session_key
         assert make_payload_packet(key, 0, cell) in [p for p, _ in sealed]
-        assert seal_upstream([]) == []
+        assert seal_upstream([]) == ([], b"")
 
 
 class TestManifests:
@@ -1064,7 +1092,7 @@ class TestBatchedRoundStillAudits:
         for channel_id, sp in sorted(zone._sp_of_channel.items()):
             members, plans = zone._gather_channel(
                 channel_id, sp, HerdClient.plan_upstream)
-            packets, manifests = zip(*seal_upstream(plans))
+            packets, manifests = zip(*seal_upstream(plans)[0])
             up = sp.combine_upstream(channel_id, zone.round_index,
                                      packets, manifests)
             numerics, trials = zone._manifest_trials(up)
@@ -1109,6 +1137,16 @@ class TestBatchedRoundStillAudits:
             zone.manager.process_round(zone.round_index, upstream)
 
 
+def _poly_keys(trials):
+    """Each trial's Poly1305 key, planned as a round plans its trials
+    and drawn in one ``seal_upstream`` call."""
+    requests = [request for key, channel_id, round_index, _ in trials
+                for request in TrialKeys(
+                    round_index, [(channel_id, (key,))]).requests]
+    _, blocks = seal_upstream([], requests)
+    return [blocks[at:at + 32] for at in range(0, len(blocks), 64)]
+
+
 class TestDownstream:
     def setup_method(self):
         self.keys = _session_keys(9, seed=21)
@@ -1139,7 +1177,7 @@ class TestDownstream:
                   for channel_id, packet in enumerate(
                       [chaff, voice, bytes(tampered)])
                   for key in self.keys]
-        opened = open_downstream_packets(trials)
+        opened = open_downstream_packets(trials, _poly_keys(trials))
         assert opened == [open_downstream_packet(*t) for t in trials]
         addressed = len(self.keys) + 4
         assert opened[addressed] == (KIND_VOIP, b"hello")
@@ -1149,18 +1187,20 @@ class TestDownstream:
     def test_wrong_round_channel_or_size_opens_for_nobody(self):
         packet = make_downstream_packet(self.keys[0], 1, 5, KIND_VOIP,
                                         b"x")
-        assert open_downstream_packets(
-            [(self.keys[0], 1, 5, packet), (self.keys[0], 1, 6, packet),
-             (self.keys[0], 2, 5, packet), (self.keys[0], 1, 5, packet[:-1]),
-             (self.keys[0], 1, 5, b"")]) \
+        trials = [(self.keys[0], 1, 5, packet), (self.keys[0], 1, 6, packet),
+                  (self.keys[0], 2, 5, packet),
+                  (self.keys[0], 1, 5, packet[:-1]),
+                  (self.keys[0], 1, 5, b"")]
+        assert open_downstream_packets(trials, _poly_keys(trials)) \
             == [(KIND_VOIP, b"x"), None, None, None, None]
-        assert open_downstream_packets([]) == []
+        assert open_downstream_packets([], []) == []
 
-    def test_off_size_packets_cost_no_cipher_work(self, monkeypatch):
+    def test_off_size_packets_take_no_mac_lane(self, monkeypatch):
         """An untrusted SP can hand a member anything.  Off-size
         packets mixed into a round open for nobody, change nothing for
-        the well-formed trials, and take no keystream stream and no
-        MAC lane."""
+        the well-formed trials, and take no MAC lane.  Every trial's
+        key block was drawn when the round started, so the open's one
+        keystream stream is the addressed body's."""
         round_index = 3
         voice = make_downstream_packet(self.keys[2], 0, round_index,
                                        KIND_VOIP, b"hello")
@@ -1175,22 +1215,67 @@ class TestDownstream:
                               (voice + bytes(size))[:size])]
         mixed = formed + odd
         rng.shuffle(mixed)
+        poly_keys, odd_keys = _poly_keys(mixed), _poly_keys(odd)
 
         keystream, mac = [], []
         _watch(monkeypatch, "_keystream_blocks",
                lambda keys, *_: keystream.extend(keys))
         _watch(monkeypatch, "poly1305_mac_many",
                lambda messages, keys: mac.extend(keys))
-        opened = dict(zip(map(id, mixed), open_downstream_packets(mixed)))
-        # One key block and one MAC per well-formed trial, one body.
-        assert len(keystream) == len(formed) + 1
+        opened = dict(zip(map(id, mixed),
+                          open_downstream_packets(mixed, poly_keys)))
+        # One MAC per well-formed trial, one body.
+        assert keystream == [self.keys[2].key]
         assert len(mac) == len(formed)
         assert [opened[id(trial)] for trial in formed] == \
             [(KIND_VOIP, b"hello") if i == 2 else None
              for i in range(len(formed))]
         assert all(opened[id(trial)] is None for trial in odd)
-        assert open_downstream_packets(odd) == [None] * len(odd)
-        assert len(mac) == len(formed)
+        assert open_downstream_packets(odd, odd_keys) == [None] * len(odd)
+        assert len(mac) == len(formed) and len(keystream) == 1
+
+    def test_a_packet_is_one_mac_input_however_many_try_it(
+            self, monkeypatch):
+        """A channel's members try its one packet: one MAC input a
+        distinct packet, one MAC lane a trial."""
+        round_index = 4
+        packets = [make_downstream_packet(self.keys[0], 0, round_index,
+                                          KIND_VOIP, b"a"),
+                   make_downstream_chaff(random.Random(5))]
+        trials = [(key, channel_id, round_index, packet)
+                  for channel_id, packet in enumerate(packets)
+                  for key in self.keys]
+        poly_keys = _poly_keys(trials)
+        inputs, lanes = [], []
+        _watch(monkeypatch, "_mac_input",
+               lambda ciphertext, aad: inputs.append(ciphertext))
+        _watch(monkeypatch, "poly1305_mac_many",
+               lambda messages, keys: lanes.append(len(keys)))
+        opened = open_downstream_packets(trials, poly_keys)
+        assert opened == [(KIND_VOIP, b"a")] + [None] * (len(trials) - 1)
+        assert len(inputs) == 2 and lanes == [len(trials)]
+
+    def test_a_trial_without_its_key_block_is_a_typed_error(self):
+        """No trial is opened on a key block that was not drawn for
+        it, and nothing draws one late."""
+        members = tuple(self.keys[:3])
+        trial_keys = TrialKeys(6, [(0, members), (2, members[:2])])
+        assert len(trial_keys.requests) == 5
+        with pytest.raises(MissingTrialKey):
+            trial_keys.poly_keys(0, members)          # not drawn yet
+        _, trial_keys.blocks = seal_upstream([], trial_keys.requests)
+        assert len(trial_keys.poly_keys(0, members)) == 3
+        assert trial_keys.poly_keys(2, members[:2]) == \
+            _poly_keys([(key, 2, 6, b"") for key in members[:2]])
+        with pytest.raises(MissingTrialKey):
+            trial_keys.poly_keys(1, members)          # not planned
+        with pytest.raises(MissingTrialKey):
+            trial_keys.poly_keys(2, members)          # other members
+        packet = make_downstream_chaff(random.Random(6))
+        trials = [(key, 0, 6, packet) for key in members]
+        with pytest.raises(MissingTrialKey):
+            open_downstream_packets(
+                trials, trial_keys.poly_keys(0, members)[:2])
 
     def test_chaff_is_the_per_byte_draw(self):
         """One ``getrandbits`` per packet, the bytes and the generator

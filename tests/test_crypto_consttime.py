@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.circuit import ClientHopHandshake, mix_process_create
+from repro.core.client import seal_upstream
 from repro.core.obfuscation import Bridge, ObfuscatedChannel
 from repro.core.signaling import (
     KIND_VOIP,
+    TrialKeys,
     make_downstream_packet,
     open_downstream_packet,
     open_downstream_packets,
@@ -92,7 +94,11 @@ def test_tampered_aead_tag_rejected_bytewise():
     trials = [(key, 2, 9, p)
               for p in tampered_packets[:n // 2] + [packet]
               + tampered_packets[n // 2:]]
-    assert open_downstream_packets(trials) == \
+    members = (key,) * len(trials)
+    trial_keys = TrialKeys(9, [(2, members)])
+    _, trial_keys.blocks = seal_upstream([], trial_keys.requests)
+    assert open_downstream_packets(
+        trials, trial_keys.poly_keys(2, members)) == \
         [None] * (n // 2) + [(KIND_VOIP, b"cell")] + [None] * (n - n // 2)
 
 

@@ -16,7 +16,7 @@ caller.  This file pins that:
 * a roster is built once for as long as membership stands;
 * a member without an attachment is a typed error on both engines;
 * ``plan_upstream`` packs the manifest ``plan_manifest`` packs;
-* a ``zone-steady``-shaped round is six ``_keystream_blocks`` calls;
+* a ``zone-steady``-shaped round is five ``_keystream_blocks`` calls;
 * ``decode_rounds`` in one kernel call equals the per-item
   composition, and refuses a bad round before the kernel runs;
 * ``LinkObserver.record_round_runs`` records what the per-link
@@ -26,12 +26,13 @@ caller.  This file pins that:
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.crypto.chacha20 as chacha20
 from repro.core.callmanager import CallState
 from repro.core.channel import ChannelManifest, plan_manifest
 from repro.core.client import ChannelAttachment, HerdClient
+from repro.core.signaling import MissingTrialKey
 from repro.core.network_coding import (
     CODED_PACKET_SIZE,
     ChaffPredictor,
@@ -65,11 +66,29 @@ def _talk(zone, rounds, tag):
         zone.step()
 
 
+class _AgentEvents:
+    """A ``LiveZone.obs`` that keeps what every agent did, round by
+    round."""
+
+    def __init__(self, zone):
+        self.zone = zone
+        self.events = []
+
+    def client_event(self, client_id, event):
+        self.events.append((self.zone.round_index, client_id, event))
+
+    def call_started(self, *_):
+        pass
+
+    call_ended = round_finished = call_started
+
+
 def _churn_script(execution):
     """A run whose membership changes five times.  Returns what must
     not depend on the engine, and the zone."""
     zone = LiveZone(n_clients=9, n_channels=4, n_sps=2, k=2, seed=2,
                     execution=execution)
+    zone.obs = _AgentEvents(zone)
     fabric = zone.attach_wire()
     # sp-1's channels are the fuller ones, so the joins below land on
     # sp-0's — which survive — whatever the rng draws.
@@ -145,6 +164,47 @@ class TestChurnEquivalence:
                             lambda self: True)
         with pytest.raises(ValueError, match="expected 5 packets"):
             _churn_script("batch-v2")
+
+
+class TestTrialKeysDrawnAtRoundStart:
+    """``batch-v2`` draws every member's trial key block when the round
+    starts, for the channels ``MixCallManager.downstream_channels``
+    lists; ``event`` draws each as its trial comes."""
+
+    def test_agents_agree_across_failure_and_joins(self):
+        """The churn script's agent events — on top of the links'
+        cells and the voice its equivalence test compares — through
+        an SP failure (disabled channels) and joins (rebuilt
+        rosters)."""
+        _, event_zone = _churn_script("event")
+        _, zone = _churn_script("batch-v2")
+        events = zone.obs.events
+        assert event_zone.obs.events == events
+        assert {event for _, _, event in events} == \
+            {"granted", "ringing", "voice"}
+        # The failover's re-GRANT reached the moved leg.
+        assert [event for _, _, event in events].count("granted") >= 2
+        # The failed SP's channels were left out of the later rounds'
+        # trials, on the mix's side and the clients'.
+        assert zone.manager.disabled_channels
+        assert not set(zone.manager.downstream_channels()) \
+            & zone.manager.disabled_channels
+
+    def test_a_trial_the_round_did_not_plan_is_a_typed_error(self):
+        """Had the clients keyed other channels than the mix fills,
+        the round stops — no late draw covers for it."""
+        zone = LiveZone(n_clients=6, n_channels=3, n_sps=1, k=2, seed=4,
+                        execution="batch-v2")
+        zone.run(2)
+        filled = zone.manager.downstream_channels
+        asked = []
+
+        def first_plan_drops_channel_0():
+            asked.append(True)
+            return filled()[1:] if len(asked) == 1 else filled()
+        zone.manager.downstream_channels = first_plan_drops_channel_0
+        with pytest.raises(MissingTrialKey, match="channel 0"):
+            zone.step()
 
 
 class TestRosterLifetime:
@@ -261,11 +321,12 @@ class _KernelSpy:
 
 
 class TestKernelCallsPerRound:
-    def test_a_zone_steady_round_is_six_calls(self, monkeypatch):
+    def test_a_zone_steady_round_is_five_calls(self, monkeypatch):
         """100 clients / 16 channels / 4 calls, as ``herdbench``'s
-        ``zone-steady``: packets + manifests sealed, manifests opened,
-        chaff + active keystreams peeled, the downstream round sealed,
-        its trial decryption keyed and the eight hits opened."""
+        ``zone-steady``: packets + manifests sealed beside the key
+        block of every member's downstream trial, manifests opened,
+        chaff + active keystreams peeled, the downstream round sealed
+        and the eight hits opened."""
         zone = LiveZone(n_clients=100, n_channels=16, n_sps=4, k=2,
                         seed=1, execution="batch-v2")
         zone.attach_wire()
@@ -281,7 +342,7 @@ class TestKernelCallsPerRound:
             zone.say(client_id, b"v" * 160)
         spy = _KernelSpy(monkeypatch)
         zone.step()
-        assert spy.blocks == [1200, 200, 1000, 48, 200, 40]
+        assert spy.blocks == [1400, 200, 1000, 48, 40]
         assert all(len(zone.received_by(c)) == 1 for c in parties)
 
 
@@ -408,6 +469,129 @@ class TestDecodeRoundsOneCall:
                                    upstream[call.channel_id]])
         # The honest channel's signals were not acted on either.
         assert list(zone.manager.calls) == [numeric]
+
+
+#: Sequences on both sides of the header's ninth byte (``seq >> 56``).
+_SEQUENCES = st.one_of(st.integers(0, 2 ** 16),
+                       st.integers(2 ** 56, 2 ** 64 - 1))
+
+
+@st.composite
+def _round_specs(draw, max_rounds=6):
+    """Rounds as ``(senders, active, payload)``: ``senders`` a list of
+    ``(client, sequence, signal)`` over clients 0-5 — possibly empty —
+    ``active`` one of them or None, ``payload`` what it sends (None:
+    chaff)."""
+    specs = []
+    for _ in range(draw(st.integers(1, max_rounds))):
+        clients = draw(st.lists(st.integers(0, 5), unique=True,
+                                max_size=6))
+        senders = [(client, draw(_SEQUENCES), draw(st.booleans()))
+                   for client in clients]
+        active = draw(st.one_of(st.none(), st.sampled_from(clients))) \
+            if clients else None
+        payload = draw(st.one_of(st.none(), st.binary(max_size=292)))
+        specs.append((senders, active, payload))
+    return specs
+
+
+def _coded_round(keys, senders, active, payload):
+    """The (xor_packet, entries, active) an SP forwards for a spec: the
+    XOR of nothing is zeros."""
+    packets = [make_payload_packet(keys[client], seq, payload)
+               if client == active and payload is not None
+               else make_chaff_packet(keys[client], seq)
+               for client, seq, _ in senders]
+    xor_packet = xor_bytes(*packets) if packets \
+        else bytes(CODED_PACKET_SIZE)
+    return xor_packet, senders, active
+
+
+#: Empty rounds between non-empty ones, a one-sender round, an
+#: active-only round, three active senders in one call.
+_EDGE_ROUNDS = [
+    ([], None, None),
+    ([(0, 7, False)], None, None),
+    ([], None, None),
+    ([(1, 2 ** 64 - 1, True)], 1, b"solo"),
+    ([(2, 5, False), (3, 2 ** 60, True)], 3, None),
+    ([], None, None),
+    ([(4, 9, True), (5, 9, False), (0, 3, False)], 5, b"x" * 292),
+    ([], None, None),
+]
+
+
+class TestPerRoundFold:
+    """``ChaffPredictor.peel_rounds`` folds each round's senders into
+    one mask; ``decode_rounds`` over it equals the per-item
+    composition, in one kernel call."""
+
+    def setup_method(self):
+        self.keys = _keys(6, seed=17)
+        self.predictor = ChaffPredictor(self.keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs=_round_specs())
+    @example(specs=_EDGE_ROUNDS)
+    def test_equals_the_per_item_decode(self, specs):
+        rounds = [_coded_round(self.keys, *spec) for spec in specs]
+        expected = [_per_item_decode(*r, self.predictor, self.keys)
+                    for r in rounds]
+        calls = []
+        kernel = chacha20._keystream_blocks
+
+        def spy(keys, nonces, counts, counter):
+            calls.append(sum(counts))
+            return kernel(keys, nonces, counts, counter)
+        chacha20._keystream_blocks = spy
+        try:
+            assert decode_rounds(rounds, self.predictor) == expected
+        finally:
+            chacha20._keystream_blocks = kernel
+        senders = sum(len(senders) for senders, _, _ in specs)
+        assert calls == ([5 * senders] if senders else [])
+
+    def test_masks_of_empty_and_filled_rounds(self):
+        masks = self.predictor.peel_rounds(
+            [[], [(0, 4, False)], [], [(1, 2, True)], []])
+        assert masks[0] == masks[2] == masks[4] == \
+            bytes(CODED_PACKET_SIZE)
+        assert masks[1] == make_chaff_packet(self.keys[0], 4)
+        assert masks[3] == xor_bytes(
+            make_chaff_packet(self.keys[1], 2),
+            b"\x00" + (2).to_bytes(8, "little")
+            + bytes(CODED_PACKET_SIZE - 9))
+        assert self.predictor.peel_rounds([]) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs=_round_specs(max_rounds=4),
+           bad=st.sampled_from(["size", "missing active", "idle no key",
+                                "active no key"]),
+           at=st.integers(0, 4))
+    def test_refusals_come_before_the_kernel(self, specs, bad, at):
+        rounds = [_coded_round(self.keys, *spec) for spec in specs]
+        xor_packet, entries, _ = _coded_round(
+            self.keys, [(0, 1, False), (1, 1, False)], None, None)
+        refused, error = {
+            "size": ((xor_packet[:-1], entries, None), "wrong size"),
+            "missing active": ((xor_packet, entries, 2),
+                               "active client missing"),
+            "idle no key": ((xor_packet, entries + [(99, 1, False)],
+                             None), "no session key"),
+            "active no key": ((xor_packet, entries + [(99, 1, False)],
+                               99), "no session key"),
+        }[bad]
+        rounds.insert(min(at, len(rounds)), refused)
+        calls = []
+        kernel = chacha20._keystream_blocks
+        chacha20._keystream_blocks = \
+            lambda *args: calls.append(args) or kernel(*args)
+        try:
+            with pytest.raises((ValueError, KeyError), match=error):
+                decode_rounds(rounds, self.predictor)
+        finally:
+            chacha20._keystream_blocks = kernel
+        assert calls == []
 
 
 class _RunsOnlyTap:
