@@ -23,14 +23,13 @@ for the mix to resynchronize after "lost or delayed packets"; the full
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.crypto import chacha20
-from repro.crypto.chacha20 import CipherPlan, seal_plans
+from repro.crypto.chacha20 import key_words, nonce_columns
 from repro.crypto.keys import SessionKey
 
 MANIFEST_BYTES = 4
@@ -39,9 +38,10 @@ _MAX_CLIENT_ID = 63
 #: Members one channel holds: the manifest's 6-bit in-channel id.
 CHANNEL_CAPACITY = _MAX_CLIENT_ID + 1
 
-_MANIFEST_PREFIX = b"mf\x00\x00"
-_WORD = struct.Struct("<I")
+#: Word 0 of every manifest nonce: ``"mf\0\0"``.
+_MF_WORD = int.from_bytes(b"mf\x00\x00", "little")
 _U32 = np.dtype("<u4")
+_U64 = np.dtype("<u8")
 
 
 def _check_fields(client_id: int, sequence: int) -> None:
@@ -63,85 +63,74 @@ class ChannelManifest:
         _check_fields(self.client_id, self.sequence)
 
 
-#: The manifest nonce of every slot a channel can have.
-_SLOT_NONCES = tuple(_MANIFEST_PREFIX + struct.pack("<Q", slot)
-                     for slot in range(CHANNEL_CAPACITY))
+def manifest_nonces(slots) -> np.ndarray:
+    """The manifest nonce of each round slot, ``"mf\0\0" ‖ slot``, as
+    ``(n, 3)`` ``<u4`` rows: the one place the manifest nonce layout is
+    built, for one manifest or a round's."""
+    return nonce_columns(_MF_WORD, slots)
 
 
-def _slot_nonce(slot: int) -> bytes:
-    if 0 <= slot < CHANNEL_CAPACITY:
-        return _SLOT_NONCES[slot]
-    return _MANIFEST_PREFIX + struct.pack("<Q", slot)
-
-
-def plan_manifest_word(client_id: int, sequence: int, signal: bool,
-                       key: SessionKey, slot: int) -> CipherPlan:
-    """The cipher call that encrypts the manifest of packet
-    ``sequence`` from in-channel client ``client_id`` for a round
-    slot: :func:`plan_manifest` without the :class:`ChannelManifest`
-    object (one is sent per attachment per round), with its checks."""
-    _check_fields(client_id, sequence)
-    word = client_id | (int(signal) << 6) | ((sequence % _SEQ_MOD) << 7)
-    return key.key, _slot_nonce(slot), _WORD.pack(word)
-
-
-def plan_manifest(manifest: ChannelManifest, key: SessionKey,
-                  slot: int) -> CipherPlan:
-    """The cipher call that encrypts a manifest for a round slot."""
-    return plan_manifest_word(manifest.client_id, manifest.sequence,
-                              manifest.signal, key, slot)
+def manifest_words(client_ids, sequences: np.ndarray,
+                   signals) -> np.ndarray:
+    """Each manifest's cleartext word as a ``<u4`` column, the ids
+    checked (``sequences`` are ``<u8``, so never negative)."""
+    client_ids = np.asarray(client_ids, dtype=np.int64)
+    if len(client_ids) and not 0 <= client_ids.min() \
+            <= client_ids.max() <= _MAX_CLIENT_ID:
+        raise ValueError("client id must fit in 6 bits")
+    return (client_ids.astype(_U64)
+            | np.asarray(signals, dtype=_U64) << np.uint64(6)
+            | (sequences % np.uint64(_SEQ_MOD)) << np.uint64(7)
+            ).astype(_U32)
 
 
 def encode_manifest(manifest: ChannelManifest, key: SessionKey,
                     slot: int) -> bytes:
     """Encrypt a manifest with the client's session key for a round
     slot."""
-    return seal_plans([plan_manifest(manifest, key, slot)])[0]
+    stream = chacha20._keystream_blocks(key_words([key.key]),
+                                        manifest_nonces([slot]), [1], 1)
+    word = manifest_words([manifest.client_id],
+                          np.array([manifest.sequence], dtype=_U64),
+                          [manifest.signal])
+    return (np.frombuffer(stream, dtype=_U32)[:1] ^ word).tobytes()
 
 
-def decode_manifest_words(
-        manifests: Sequence[Tuple[bytes, SessionKey, int, int]]
-        ) -> List[Tuple[int, int, bool]]:
-    """Decrypt manifests given as ``(data, key, slot,
-    expected_sequence)`` in one kernel call; returns each one's
-    ``(client_id, sequence, signal)`` with the full sequence number
-    reconstructed.
-
-    ``expected_sequence`` is the mix's next-expected counter for the
-    client; the truncated 25-bit value is resolved to the nearest full
-    sequence at or after ``expected_sequence - _SEQ_MOD // 2``.
-    """
-    if any(len(data) != MANIFEST_BYTES for data, _, _, _ in manifests):
-        raise ValueError("manifest must be 4 bytes")
-    if not manifests:
-        return []
-    # A manifest is one word: XOR it with the first word of its
-    # keystream block, all of them as one array.
-    stream = chacha20._keystream_blocks(
-        [key.key for _, key, _, _ in manifests],
-        [_slot_nonce(slot) for _, _, slot, _ in manifests],
-        [1] * len(manifests), 1)
-    keystream = np.frombuffer(stream, dtype=_U32)[::16]
-    data = np.frombuffer(b"".join([data for data, _, _, _ in manifests]),
-                         dtype=_U32)
-    words = (keystream ^ data).tolist()
-    decoded = []
-    for word, (_, _, _, expected_sequence) in zip(words, manifests):
-        seq_low = word >> 7
-        base = max(0, expected_sequence - _SEQ_MOD // 2)
-        candidate = (base - base % _SEQ_MOD) + seq_low
-        if candidate < base:
-            candidate += _SEQ_MOD
-        decoded.append((word & 0x3F, candidate, bool((word >> 6) & 1)))
-    return decoded
+def open_manifests(data: np.ndarray, keys, slots, expected
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decrypt a ``<u4`` column of manifests — each under its key
+    (``bytes`` or a word column) at its slot — in one kernel call, a
+    manifest the first word of its block; returns the in-channel ids,
+    full sequences and signal bits as columns.  ``expected`` is the
+    mix's next-expected sequence of each sender: the 25 bits sent
+    resolve to the nearest sequence at or after ``expected - 2^24``."""
+    stream = chacha20._keystream_blocks(keys, manifest_nonces(slots),
+                                        [1] * len(data), 1)
+    words = np.frombuffer(stream, dtype=_U32)[::16] ^ data
+    expected = np.asarray(expected, dtype=_U64)
+    half, period = np.uint64(_SEQ_MOD // 2), np.uint64(_SEQ_MOD)
+    base = np.where(expected > half, expected - half, 0).astype(_U64)
+    sequences = base - base % period + (words >> 7).astype(_U64)
+    sequences += period * (sequences < base)
+    return words & 0x3F, sequences, (words >> 6 & 1).astype(bool)
 
 
 def decode_manifests(manifests: Sequence[Tuple[bytes, SessionKey, int, int]]
                      ) -> List[ChannelManifest]:
-    """:func:`decode_manifest_words`, each manifest as a
-    :class:`ChannelManifest`."""
-    return [ChannelManifest(*fields)
-            for fields in decode_manifest_words(manifests)]
+    """Decrypt manifests given as ``(data, key, slot,
+    expected_sequence)`` in one kernel call (:func:`open_manifests`)."""
+    if any(len(data) != MANIFEST_BYTES for data, _, _, _ in manifests):
+        raise ValueError("manifest must be 4 bytes")
+    if not manifests:
+        return []
+    ids, sequences, signals = open_manifests(
+        np.frombuffer(b"".join([data for data, _, _, _ in manifests]),
+                      dtype=_U32),
+        [key.key for _, key, _, _ in manifests],
+        [slot for _, _, slot, _ in manifests],
+        [expected for _, _, _, expected in manifests])
+    return list(map(ChannelManifest, ids.tolist(), sequences.tolist(),
+                    signals.tolist()))
 
 
 def decode_manifest(data: bytes, key: SessionKey, slot: int,
@@ -162,6 +151,9 @@ class Channel:
     channel_id: int
     members: Dict[int, int] = field(default_factory=dict)
     active_call: Optional[int] = None
+    #: Per in-channel id, the sequence the mix expects next: 0 at
+    #: attach, then one past the last decoded manifest (:meth:`resync`).
+    next_sequences: List[int] = field(default_factory=list)
 
     def add_member(self, global_client: int) -> int:
         """Attach a client; returns its in-channel id."""
@@ -169,7 +161,14 @@ class Channel:
             raise ValueError("channel is full (64 members)")
         in_channel_id = len(self.members)
         self.members[in_channel_id] = global_client
+        self.next_sequences.append(0)
         return in_channel_id
+
+    def resync(self, sequences: Sequence[int]) -> None:
+        """Follow a round's decoded sequences, in-channel ids 0… in
+        order (§3.6.1: manifests resynchronize the mix after loss)."""
+        self.next_sequences[:len(sequences)] = [
+            sequence + 1 for sequence in sequences]
 
     def member_count(self) -> int:
         return len(self.members)

@@ -19,16 +19,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.chaffing import ConstantRateChaffer
-from repro.core.channel import plan_manifest_word
+from repro.core.channel import manifest_nonces, manifest_words
 from repro.core.circuit import Circuit, CircuitBuilder
 from repro.core.network_coding import (
-    plan_chaff_packet,
-    plan_payload_packet,
+    PACKET_BLOCKS,
+    packet_bytes,
+    packet_cleartexts,
+    upstream_nonces,
 )
-from repro.crypto.chacha20 import CipherPlan, seal_plans_and_draw
+from repro.crypto import chacha20
+from repro.crypto.chacha20 import key_words
 from repro.crypto.kdf import hkdf_sha256
 from repro.crypto.keys import IdentityKeyPair, SessionKey, ShortTermKeyPair
 from repro.crypto.pki import Certificate
@@ -54,22 +59,42 @@ class ChannelAttachment:
     sequence: int = 0
 
 
-#: One round's emission on one channel, planned: the packet's and the
-#: manifest's cipher calls.
-UpstreamPlan = Tuple[CipherPlan, CipherPlan]
+_U32 = np.dtype("<u4")
+_U64 = np.dtype("<u8")
 
 
-def seal_upstream(plans: Sequence[UpstreamPlan],
-                  key_requests: Sequence[Tuple[bytes, bytes]] = ()
-                  ) -> Tuple[List[Tuple[bytes, bytes]], bytes]:
-    """Seal planned emissions — one client's, or every attachment's of
-    a round — into (packet, encrypted manifest) pairs, and draw block 0
-    of every ``(key, nonce)`` in ``key_requests`` — a round's trial
-    keys (:class:`~repro.core.signaling.TrialKeys`) — with one kernel
-    call: the pairs, and the drawn blocks back to back."""
-    sealed, blocks = seal_plans_and_draw(
-        [plan for pair in plans for plan in pair], key_requests)
-    return list(zip(sealed[0::2], sealed[1::2])), blocks
+def seal_upstream(keys: np.ndarray, sequences: Sequence[int],
+                  slots: Sequence[int], signals: Sequence[bool],
+                  payloads: Mapping[int, bytes],
+                  draws: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                  ) -> Tuple[List[bytes], List[bytes], np.ndarray]:
+    """Seal one round's emissions — one attachment's, or a zone's, a
+    row each: its client's key words, sequence, slot and signal bit,
+    and in ``payloads`` the cell it carries (chaff elsewhere, §3.4.1)
+    — and draw block 0 of every row of ``draws`` (a round's
+    :class:`~repro.core.signaling.TrialKeys`), in one kernel call.
+    Returns the packets, the manifests and the drawn blocks as
+    ``(m, 16)`` ``<u4`` rows; an out-of-range field seals nothing."""
+    if min(sequences, default=0) < 0:
+        raise ValueError("sequence must be non-negative")
+    n = len(sequences)
+    sequences = np.array(sequences, dtype=_U64)
+    words = manifest_words(slots, sequences, signals)
+    clear = packet_cleartexts(sequences, payloads)
+    draw_keys, draw_nonces = draws if draws is not None else (
+        np.empty((0, 8), dtype=_U32), np.empty((0, 3), dtype=_U32))
+    stream = np.frombuffer(chacha20._keystream_blocks(
+        np.concatenate((keys, keys, draw_keys)),
+        np.concatenate((upstream_nonces(sequences), manifest_nonces(slots),
+                        draw_nonces)),
+        [PACKET_BLOCKS] * n + [1] * (n + len(draw_keys)),
+        [1] * (2 * n) + [0] * len(draw_keys)), dtype=_U32)
+    cut = 16 * PACKET_BLOCKS * n
+    packets = packet_bytes(
+        stream[:cut].view(_U64).reshape(n, 8 * PACKET_BLOCKS) ^ clear)
+    # A manifest is the first word of its block.
+    manifests = (stream[cut:cut + 16 * n:16] ^ words).view("V4").tolist()
+    return packets, manifests, stream[cut + 16 * n:].reshape(-1, 16)
 
 
 class HerdClient:
@@ -160,33 +185,23 @@ class HerdClient:
 
     # -- upstream packet generation (one per channel per round) -------------
 
-    def plan_upstream(self, attachment: ChannelAttachment,
-                      payload: Optional[bytes] = None) -> UpstreamPlan:
-        """Plan one round's (packet, manifest) on one channel and
-        advance the channel's sequence number.  ``payload`` (an onion
-        cell) is carried only on the channel granted to the active
-        call; everywhere else chaff goes out at the same size and rate
-        (§3.4.1)."""
-        if not self.joined:
-            raise RuntimeError("client has not joined")
-        seq = attachment.sequence
-        slot = attachment.slot
-        manifest = plan_manifest_word(slot, seq, self.signal_pending,
-                                      self.session_key, slot)
-        if payload is None:
-            packet = plan_chaff_packet(self.session_key, seq)
-        else:
-            packet = plan_payload_packet(self.session_key, seq, payload)
-        attachment.sequence += 1
-        return packet, manifest
-
     def upstream_packet(self, attachment: ChannelAttachment,
                         payload: Optional[bytes] = None
                         ) -> Tuple[bytes, bytes]:
         """The (packet, encrypted manifest) pair for one round on one
-        channel (see :meth:`plan_upstream`)."""
-        pairs, _ = seal_upstream([self.plan_upstream(attachment, payload)])
-        return pairs[0]
+        channel, and the channel's sequence number advanced.
+        ``payload`` (an onion cell) is carried only on the channel
+        granted to the active call; everywhere else chaff goes out at
+        the same size and rate (§3.4.1).  One row of
+        :func:`seal_upstream`."""
+        if not self.joined:
+            raise RuntimeError("client has not joined")
+        packets, manifests, _ = seal_upstream(
+            key_words([self.session_key.key]), [attachment.sequence],
+            [attachment.slot], [self.signal_pending],
+            {} if payload is None else {0: payload})
+        attachment.sequence += 1
+        return packets[0], manifests[0]
 
     def request_outgoing_call(self) -> None:
         """Set the signaling bit on subsequent chaff manifests

@@ -32,12 +32,13 @@ into one mask.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.crypto import chacha20
-from repro.crypto.chacha20 import CipherPlan, seal_plans, xor_bytes
+from repro.crypto.chacha20 import key_words, nonce_columns, xor_bytes
 from repro.crypto.keys import SessionKey
 
 #: Payload capacity of one coded packet — sized for an onion cell.
@@ -46,42 +47,74 @@ _TYPE_CHAFF = 0
 _TYPE_PAYLOAD = 1
 _HEADER = struct.Struct("<BQ")
 CODED_PACKET_SIZE = _HEADER.size + CODED_PAYLOAD
+#: The keystream blocks (from block 1) one coded packet takes.
+PACKET_BLOCKS = (CODED_PACKET_SIZE + 63) // 64
 
-_UP_PREFIX = b"up\x00\x00"
-
-
-#: What every chaff cleartext ends in.
-_ZERO_PAYLOAD = bytes(CODED_PAYLOAD)
-
-
-def _plan(key: SessionKey, sequence: int, message: bytes) -> CipherPlan:
-    return key.key, _UP_PREFIX + struct.pack("<Q", sequence), message
+#: Word 0 of every upstream nonce: ``"up\0\0"``.
+_UP_WORD = int.from_bytes(b"up\x00\x00", "little")
+_U64 = np.dtype("<u8")
 
 
-def plan_chaff_packet(key: SessionKey, sequence: int) -> CipherPlan:
-    return _plan(key, sequence,
-                 _HEADER.pack(_TYPE_CHAFF, sequence) + _ZERO_PAYLOAD)
+def upstream_nonces(sequences) -> np.ndarray:
+    """Each packet's nonce, ``"up\0\0" ‖ sequence``, as ``<u4`` rows:
+    the one place the upstream layout is built, a packet or a round."""
+    return nonce_columns(_UP_WORD, sequences)
 
 
-def plan_payload_packet(key: SessionKey, sequence: int,
-                        payload: bytes) -> CipherPlan:
-    if len(payload) > CODED_PAYLOAD:
+def packet_cleartexts(sequences, payloads: Mapping[int, bytes]
+                      ) -> np.ndarray:
+    """Each packet's cleartext as a ``<u8`` row of whole blocks: the
+    chaff template — type 0, the sequence, zeros — with row i of
+    ``payloads`` typed 1 and its payload patched in."""
+    sequences = np.asarray(sequences, dtype=_U64)
+    clear = np.zeros((len(sequences), 8 * PACKET_BLOCKS), dtype=_U64)
+    # The 9-byte header: byte 0 the type, bytes 1-8 the sequence.
+    clear[:, 0] = sequences << np.uint64(8)
+    clear[:, 1] = sequences >> np.uint64(56)
+    if max(map(len, payloads.values()), default=0) > CODED_PAYLOAD:
         raise ValueError("payload exceeds coded packet capacity")
-    return _plan(key, sequence,
-                 _HEADER.pack(_TYPE_PAYLOAD, sequence)
-                 + payload.ljust(CODED_PAYLOAD, b"\x00"))
+    if payloads:
+        octets = clear.view(np.uint8)
+        rows = list(payloads)
+        octets[rows, 0] = _TYPE_PAYLOAD
+        octets[rows, _HEADER.size:CODED_PACKET_SIZE] = np.frombuffer(
+            b"".join([payload.ljust(CODED_PAYLOAD, b"\x00")
+                      for payload in payloads.values()]),
+            dtype=np.uint8).reshape(len(rows), CODED_PAYLOAD)
+    return clear
+
+
+def packet_bytes(rows: np.ndarray) -> List[bytes]:
+    """Each row of whole blocks cut to the packet it holds."""
+    packets = np.ascontiguousarray(rows.view(np.uint8)[:, :CODED_PACKET_SIZE])
+    return packets.view(f"V{CODED_PACKET_SIZE}").ravel().tolist()
+
+
+def _keystream_rows(keys, sequences) -> np.ndarray:
+    """Each packet's keystream, from block 1, as a ``<u8`` row."""
+    stream = chacha20._keystream_blocks(
+        keys, upstream_nonces(sequences), [PACKET_BLOCKS] * len(sequences),
+        1)
+    return np.frombuffer(stream, dtype=_U64).reshape(len(sequences),
+                                                     8 * PACKET_BLOCKS)
+
+
+def _seal(key: SessionKey, sequence: int,
+          payloads: Mapping[int, bytes]) -> bytes:
+    return packet_bytes(_keystream_rows(key_words([key.key]), [sequence])
+                        ^ packet_cleartexts([sequence], payloads))[0]
 
 
 def make_chaff_packet(key: SessionKey, sequence: int) -> bytes:
     """The encrypted chaff packet an idle client sends at ``sequence``."""
-    return seal_plans([plan_chaff_packet(key, sequence)])[0]
+    return _seal(key, sequence, {})
 
 
 def make_payload_packet(key: SessionKey, sequence: int,
                         payload: bytes) -> bytes:
     """The encrypted packet an active client sends carrying ``payload``
     (an onion cell)."""
-    return seal_plans([plan_payload_packet(key, sequence, payload)])[0]
+    return _seal(key, sequence, {0: payload})
 
 
 def _open_cleartext(clear: bytes, sequence: int) -> Tuple[bool, bytes]:
@@ -97,33 +130,21 @@ def _open_cleartext(clear: bytes, sequence: int) -> Tuple[bool, bytes]:
     raise ValueError(f"unknown packet type {kind}")
 
 
-def decrypt_packets(packets: Sequence[Tuple[SessionKey, int, bytes]]
-                    ) -> List[Tuple[bool, bytes]]:
-    """Decrypt client packets given as ``(key, sequence, ciphertext)``;
-    returns (is_payload, payload_bytes) for each.
-
-    Raises :class:`ValueError` if an embedded sequence number does not
-    match (corruption, or wrong keystream)."""
-    if any(len(ciphertext) != CODED_PACKET_SIZE
-           for _, _, ciphertext in packets):
-        raise ValueError("coded packet has the wrong size")
-    return [_open_cleartext(clear, sequence)
-            for (_, sequence, _), clear in zip(
-                packets, seal_plans([_plan(*packet) for packet in packets]))]
-
-
 def decrypt_packet(key: SessionKey, sequence: int,
                    ciphertext: bytes) -> Tuple[bool, bytes]:
-    """Decrypt one client packet (see :func:`decrypt_packets`)."""
-    return decrypt_packets([(key, sequence, ciphertext)])[0]
+    """Decrypt one client packet: (is_payload, payload_bytes).
+
+    Raises :class:`ValueError` if the embedded sequence number does not
+    match (corruption, or wrong keystream)."""
+    if len(ciphertext) != CODED_PACKET_SIZE:
+        raise ValueError("coded packet has the wrong size")
+    stream, = packet_bytes(_keystream_rows(key_words([key.key]), [sequence]))
+    return _open_cleartext(xor_bytes(ciphertext, stream), sequence)
 
 
 #: The mask of a round with no senders, and what a round with nobody
 #: on a call must leave.
 _ZERO_PACKET = bytes(CODED_PACKET_SIZE)
-#: The keystream blocks (from block 1) one coded packet takes.
-_PACKET_BLOCKS = (CODED_PACKET_SIZE + 63) // 64
-_U64 = np.dtype("<u8")
 
 
 class ChaffPredictor:
@@ -154,36 +175,26 @@ class ChaffPredictor:
         round's mask is one ``reduceat`` over its keystream rows and
         one over its chaff sequences.  A round with no senders masks
         nothing."""
-        keys, nonces, sequences = [], [], []
-        #: the rounds that have senders, and where their rows start
-        filled, at = [], []
-        for i, senders in enumerate(rounds):
-            if senders:
-                filled.append(i)
-                at.append(len(keys))
-            for client, sequence, active in senders:
-                key = self._keys.get(client)
-                if key is None:
-                    raise KeyError(f"no session key for client {client}")
-                keys.append(key.key)
-                nonces.append(_UP_PREFIX + struct.pack("<Q", sequence))
-                sequences.append(0 if active else sequence)
         masks = [_ZERO_PACKET] * len(rounds)
-        if not keys:
+        senders = [sender for senders in rounds for sender in senders]
+        if not senders:
             return masks
-        stream = chacha20._keystream_blocks(
-            keys, nonces, [_PACKET_BLOCKS] * len(keys), 1)
-        rows = np.frombuffer(stream, dtype=_U64).reshape(len(keys), -1)
-        folded = np.bitwise_xor.reduceat(rows, at, axis=0)
-        heads = np.bitwise_xor.reduceat(
-            np.array(sequences, dtype=_U64), at)
-        # The 9-byte header: byte 0 the type, bytes 1-8 the sequence.
-        folded[:, 0] ^= heads << np.uint64(8)
-        folded[:, 1] ^= heads >> np.uint64(56)
-        out = folded.tobytes()
-        width = 8 * rows.shape[1]
-        for j, i in enumerate(filled):
-            masks[i] = out[j * width:j * width + CODED_PACKET_SIZE]
+        clients, sequences, actives = zip(*senders)
+        try:
+            keys = [self._keys[client].key for client in clients]
+        except KeyError as missing:
+            raise KeyError(f"no session key for client {missing}") from None
+        #: the rounds that have senders, and where their rows start
+        filled = [i for i, senders in enumerate(rounds) if senders]
+        at = [0, *accumulate(len(rounds[i]) for i in filled[:-1])]
+        sequences = np.array(sequences, dtype=_U64)
+        folded = np.bitwise_xor.reduceat(
+            _keystream_rows(keys, sequences), at,
+            axis=0)
+        folded ^= packet_cleartexts(np.bitwise_xor.reduceat(
+            np.where(actives, np.uint64(0), sequences), at), {})
+        for i, mask in zip(filled, packet_bytes(folded)):
+            masks[i] = mask
         return masks
 
     def predict_many(self, chaff: Sequence[Tuple[int, int]]
@@ -232,7 +243,7 @@ def decode_rounds(rounds: Sequence[ChannelRound],
     active one, all the rounds' in one
     :meth:`ChaffPredictor.peel_rounds`, one mask a round — which
     leaves the active
-    client's cleartext packet, checked as :func:`decrypt_packets`
+    client's cleartext packet, checked as :func:`decrypt_packet`
     checks it (sequence, packet type).  With no active client what is
     left must be zero — a nonzero residue means a misbehaving SP or
     client, and the caller is expected to trigger the full-packet audit

@@ -25,12 +25,17 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.crypto import chacha20
 from repro.crypto.chacha20 import (
     aead_open_drawn,
     aead_seal_many,
-    seal_plans_and_draw,
+    key_words,
+    nonce_columns,
 )
 from repro.crypto.keys import SessionKey
 from repro.core.network_coding import CODED_PACKET_SIZE
@@ -48,12 +53,19 @@ _AEAD_OVERHEAD = 16
 _HEADER = struct.Struct("<BH")  # kind, payload length
 _CAPACITY = DOWNSTREAM_PACKET_SIZE - _AEAD_OVERHEAD - _HEADER.size
 
-_DOWN_PREFIX = b"dn"
+#: The first two bytes of every downstream nonce: ``"dn"``.
+_DN_WORD = int.from_bytes(b"dn", "little")
 
 
-def _nonce(channel_id: int, round_index: int) -> bytes:
-    return _DOWN_PREFIX + struct.pack("<HQ", channel_id,
-                                      round_index % (1 << 64))
+def downstream_nonces(channel_ids, round_indices) -> np.ndarray:
+    """The nonce of each (channel, round) — ``"dn" ‖ channel (16 bits)
+    ‖ round mod 2^64`` — as ``(n, 3)`` ``<u4`` rows: the one place the
+    downstream nonce layout is built, for one packet or a round's."""
+    if any(not 0 <= channel_id <= 0xFFFF for channel_id in channel_ids):
+        raise ValueError("channel id must fit in 16 bits")
+    return nonce_columns(
+        np.array(channel_ids, dtype=np.uint32) << 16 | _DN_WORD,
+        [index % (1 << 64) for index in round_indices])
 
 
 def make_downstream_packets(
@@ -72,8 +84,8 @@ def make_downstream_packets(
                       + payload.ljust(_CAPACITY, b"\x00"))
     sealed = aead_seal_many(
         [key.key for key, _, _, _, _ in packets],
-        [_nonce(channel_id, round_index)
-         for _, channel_id, round_index, _, _ in packets],
+        downstream_nonces([channel_id for _, channel_id, _, _, _ in packets],
+                          [index for _, _, index, _, _ in packets]),
         clears)
     assert all(len(packet) == DOWNSTREAM_PACKET_SIZE for packet in sealed)
     return sealed
@@ -107,82 +119,79 @@ class MissingTrialKey(LookupError):
 class TrialKeys:
     """The key blocks of one downstream round's trial decryptions.
 
-    A member's trial is checked under the Poly1305 key in block 0 of
-    (its key ``s``, :func:`_nonce` of the channel and round), and
-    §3.6.2 fixes that nonce by channel and round — so the blocks are
-    planned when the round starts, channel by channel with the members
-    in slot order (:attr:`requests`, one nonce per channel), drawn
-    beside the round's upstream packets
-    (:func:`~repro.core.client.seal_upstream`) into :attr:`blocks`, and
-    read back per channel when its downstream packet arrives
-    (:meth:`poly_keys`)."""
+    A member's trial is keyed by block 0 of (its ``s``, the channel
+    and round's :func:`downstream_nonces` row), which §3.6.2 fixes by
+    channel and round — so the blocks are planned when the round
+    starts, a key column a channel in slot order, drawn beside the
+    round's upstream packets (:func:`~repro.core.client.seal_upstream`)
+    and read back as row slices per channel (:meth:`poly_keys`)."""
 
-    __slots__ = ("requests", "blocks", "_planned")
+    __slots__ = ("keys", "nonces", "blocks", "_planned")
 
     def __init__(self, round_index: int,
-                 channels: Iterable[Tuple[int, Sequence[SessionKey]]]):
-        #: ``(key, nonce)`` per trial: what the draw takes.
-        self.requests: List[Tuple[bytes, bytes]] = []
-        #: Block 0 of every request, back to back, once drawn.
-        self.blocks = b""
-        self._planned: Dict[int, Tuple[int, Sequence[SessionKey]]] = {}
-        for channel_id, keys in channels:
-            nonce = _nonce(channel_id, round_index)
-            self._planned[channel_id] = (len(self.requests), keys)
-            self.requests += [(key.key, nonce) for key in keys]
+                 channels: Iterable[Tuple[int, np.ndarray]]):
+        channels = list(channels)
+        sizes = [len(keys) for _, keys in channels]
+        self._planned: Dict[int, Tuple[int, np.ndarray]] = {
+            channel_id: (start, keys) for (channel_id, keys), start
+            in zip(channels, accumulate([0] + sizes))}
+        #: Trial rows of the draw: a key and a nonce each.
+        self.keys = np.concatenate(
+            [keys for _, keys in channels] or [np.empty((0, 8), np.uint32)])
+        self.nonces = np.repeat(downstream_nonces(
+            [channel_id for channel_id, _ in channels],
+            [round_index] * len(channels)), sizes, axis=0)
+        #: Block 0 of every trial, a ``<u4`` row each, once drawn.
+        self.blocks = np.empty((0, 16), dtype=np.uint32)
 
-    def poly_keys(self, channel_id: int,
-                  keys: Sequence[SessionKey]) -> List[bytes]:
-        """The Poly1305 key of every member's trial on the channel,
-        ``keys`` in slot order — exactly the members it was planned
-        for, or :class:`MissingTrialKey`."""
+    def draw(self) -> None:
+        """Draw the blocks in a call of their own."""
+        self.blocks = np.frombuffer(chacha20._keystream_blocks(
+            self.keys, self.nonces, [1] * len(self.keys), 0),
+            dtype=np.uint32).reshape(-1, 16)
+
+    def poly_keys(self, channel_id: int, keys: np.ndarray) -> np.ndarray:
+        """The Poly1305 key of every member's trial on the channel as
+        ``(n, 32)`` ``uint8`` rows, ``keys`` the members' key column in
+        slot order — exactly the members it was planned for, or
+        :class:`MissingTrialKey`."""
         start, planned = self._planned.get(channel_id, (0, None))
-        end = 64 * (start + len(keys))
-        if planned is None or planned != keys or len(self.blocks) < end:
+        end = start + len(keys)
+        if planned is None or len(self.blocks) < end or (
+                planned is not keys and not np.array_equal(planned, keys)):
             raise MissingTrialKey(
                 f"no key blocks drawn for the trials of channel "
                 f"{channel_id} with these members")
-        return [self.blocks[at:at + 32]
-                for at in range(64 * start, end, 64)]
+        return self.blocks.view(np.uint8)[start:end, :32]
 
 
 def open_downstream_packets(
-        trials: Sequence[Tuple[SessionKey, int, int, bytes]],
-        poly_keys: Sequence[bytes]
-        ) -> List[Optional[Tuple[int, bytes]]]:
-    """Client-side trial decryption of ``(key, channel_id,
-    round_index, packet)`` trials — one client's, or every channel
-    member's of a round, each under its own key — with each trial's
-    Poly1305 key drawn ahead (:class:`TrialKeys`).  Returns (kind,
-    payload) where the packet is addressed to that key's client, else
-    None ("others discard the packet as chaff")."""
-    if len(poly_keys) != len(trials):
+        round_index: int, packets: Sequence[Tuple[int, bytes, int]],
+        keys: np.ndarray, poly_keys: np.ndarray
+        ) -> Dict[int, Tuple[int, bytes]]:
+    """Client-side trial decryption of one round's ``(channel_id,
+    packet, members)``: each member tries the packet under its own key
+    — trial rows of ``keys`` and of the Poly1305 keys drawn ahead
+    (:class:`TrialKeys`), in packet order.  Returns row → (kind,
+    payload) for the trials addressed to their key's client; the others
+    discard their packet as chaff."""
+    counts = [members for _, _, members in packets]
+    if not len(keys) == len(poly_keys) == sum(counts):
         raise MissingTrialKey("need one drawn key block per trial")
     # An SP is untrusted: an off-size packet is refused before it costs
     # a MAC lane.
-    sized, keys, nonces, packets, lanes = [], [], [], [], []
-    nonce_of: Dict[Tuple[int, int], bytes] = {}
-    for i, ((key, channel_id, round_index, packet), poly_key) in \
-            enumerate(zip(trials, poly_keys)):
-        if len(packet) != DOWNSTREAM_PACKET_SIZE:
-            continue
-        nonce = nonce_of.get((channel_id, round_index))
-        if nonce is None:
-            nonce = nonce_of[channel_id, round_index] = _nonce(
-                channel_id, round_index)
-        sized.append(i)
-        keys.append(key.key)
-        nonces.append(nonce)
-        packets.append(packet)
-        lanes.append(poly_key)
-    clears = aead_open_drawn(keys, nonces, packets, lanes)
-    opened: List[Optional[Tuple[int, bytes]]] = [None] * len(trials)
-    for i, clear in zip(sized, clears):
+    clears = aead_open_drawn(
+        keys, downstream_nonces([channel_id for channel_id, _, _ in packets],
+                                [round_index] * len(packets)),
+        [packet if len(packet) == DOWNSTREAM_PACKET_SIZE else b""
+         for _, packet, _ in packets], counts, poly_keys)
+    opened: Dict[int, Tuple[int, bytes]] = {}
+    for row, clear in enumerate(clears):
         if clear is None:
             continue
         kind, length = _HEADER.unpack(clear[:_HEADER.size])
         if kind in _KINDS and length <= _CAPACITY:
-            opened[i] = (kind, clear[_HEADER.size:_HEADER.size + length])
+            opened[row] = (kind, clear[_HEADER.size:_HEADER.size + length])
     return opened
 
 
@@ -192,11 +201,12 @@ def open_downstream_packet(key: SessionKey, channel_id: int,
     """One client's trial decryption of one packet: its one key block
     planned and drawn as a round's are (see
     :func:`open_downstream_packets`)."""
-    trial_keys = TrialKeys(round_index, [(channel_id, (key,))])
-    _, trial_keys.blocks = seal_plans_and_draw([], trial_keys.requests)
+    keys = key_words([key.key])
+    trial_keys = TrialKeys(round_index, [(channel_id, keys)])
+    trial_keys.draw()
     return open_downstream_packets(
-        [(key, channel_id, round_index, packet)],
-        trial_keys.poly_keys(channel_id, (key,)))[0]
+        round_index, [(channel_id, packet, 1)], keys,
+        trial_keys.poly_keys(channel_id, keys)).get(0)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Sequence, Tuple
 
-from repro.core.network_coding import CODED_PACKET_SIZE, xor_bytes
+import numpy as np
+
+from repro.core.network_coding import CODED_PACKET_SIZE
 
 #: Rounds of full packets kept for mix audits ("the SP is expected to
 #: buffer [the full packets] for a couple of rounds").
@@ -95,7 +97,9 @@ class SuperPeer:
         """XOR one round's client packets (Fig. 2b).
 
         ``packets``/``manifests`` are in slot order, one per attached
-        client.  The SP validates only sizes — it cannot read anything.
+        client.  The SP validates only sizes — it cannot read anything
+        — and XORs the packets as the rows of one array, in one
+        reduce.
         """
         clients = self.channel_clients[channel_id]
         if len(packets) != len(clients):
@@ -103,20 +107,21 @@ class SuperPeer:
                 f"expected {len(clients)} packets, got {len(packets)}")
         if len(manifests) != len(clients):
             raise ValueError("one manifest required per client packet")
-        if any(len(p) != CODED_PACKET_SIZE for p in packets):
+        if set(map(len, packets)) - {CODED_PACKET_SIZE}:
             raise ValueError("client packet has the wrong size")
         self._audit[channel_id].append((round_index, tuple(packets)))
         self.rounds_forwarded += 1
         combined = UpstreamRound(
             channel_id=channel_id,
             round_index=round_index,
-            xor_packet=xor_bytes(*packets),
+            xor_packet=np.bitwise_xor.reduce(np.frombuffer(b"".join(
+                packets), np.uint8).reshape(len(packets), -1)).tobytes(),
             manifests=tuple(manifests),
         )
         if self.obs is not None:
             self.obs.upstream_round(
                 channel_id, round_index, len(combined.xor_packet),
-                sum(len(m) for m in combined.manifests))
+                sum(map(len, combined.manifests)))
         return combined
 
     def process_round(self, round_index: int,

@@ -28,15 +28,15 @@ herdscope metrics, and report rows transport-invariant.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class CellTransport:
     """Abstract wire plane of one zone.
 
-    The round engine drives the transport through exactly four calls
-    per round — :meth:`emit` / :meth:`emit_repeated` while computing
-    the round, one :meth:`flush_round` at the round barrier — plus one
+    The round engine drives the transport through :meth:`emit` /
+    :meth:`emit_each` / :meth:`emit_repeated` while computing a round,
+    one :meth:`flush_round` at the round barrier, and one
     :meth:`finalize` at end of run.  Everything else
     (:attr:`observer`, :meth:`add_tap`, the cost counters) is the
     observation surface run consumers read.
@@ -80,6 +80,19 @@ class CellTransport:
             pending[(src, dst)] = [(payload, kind, 1)]
         else:
             entry.append((payload, kind, 1))
+
+    def emit_each(self, links: Sequence[Tuple[str, str]],
+                  payloads: Sequence[bytes], kind: str = "data") -> None:
+        """:meth:`emit` of ``payloads[i]`` on ``links[i]`` — ``(src,
+        dst)`` pairs — for every i, in order: a channel's members'
+        cells in one call."""
+        pending = self._pending
+        for link, payload in zip(links, payloads):
+            entry = pending.get(link)
+            if entry is None:
+                pending[link] = [(payload, kind, 1)]
+            else:
+                entry.append((payload, kind, 1))
 
     def emit_repeated(self, src: str, dst: str, payload: bytes,
                       n: int, kind: str = "chaff") -> None:

@@ -32,8 +32,9 @@ This module implements:
   in two phases (every key block, then the authentic bodies), one
   record in one kernel call.  :func:`aead_open_drawn` is the second
   phase over key blocks the caller drew — a round's clients draw
-  theirs beside their upstream packets (:func:`seal_plans_and_draw`)
-  — and :func:`seal_record` / :func:`open_record` are one record over
+  theirs beside their upstream packets
+  (:func:`~repro.core.client.seal_upstream`) — and
+  :func:`seal_record` / :func:`open_record` are one record over
   keystream the caller drew, so each end of an onion cell draws its
   record beside its layers in one call.  A record shorter than a tag
   is refused before any of this: no key block, no MAC lane.
@@ -44,7 +45,8 @@ from __future__ import annotations
 import hmac
 import operator
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import compress
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,7 +132,47 @@ _TO_COLUMNS = np.array([0, 1, 2, 3, 7, 4, 5, 6,
                         10, 11, 8, 9, 13, 14, 15, 12])
 
 
-def _block_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
+#: Keys or nonces as :func:`_keystream_blocks` takes them: ``bytes``
+#: each, or one word column of ``(n, 8)`` / ``(n, 3)`` ``<u4`` rows.
+Words = Union[Sequence[bytes], np.ndarray]
+
+
+def key_words(keys: Sequence[bytes]) -> np.ndarray:
+    """32-byte keys as a column of ``(n, 8)`` ``<u4`` rows."""
+    return np.frombuffer(b"".join(keys), dtype=_U32).reshape(len(keys), 8)
+
+
+def nonce_columns(head, tail) -> np.ndarray:
+    """``(n, 3)`` ``<u4`` nonces: word 0 ``head`` (an int, or one a
+    row), words 1–2 each row's 64-bit ``tail`` — every SP-plane
+    nonce layout, one row or a round's."""
+    tail = np.ascontiguousarray(tail, dtype=_U64)
+    out = np.empty((len(tail), 3), dtype=_U32)
+    out[:, 0] = head
+    out[:, 1:] = tail.view(_U32).reshape(-1, 2)
+    return out
+
+
+def _widths(items: Words) -> set:
+    if isinstance(items, np.ndarray):
+        return {4 * items.shape[1]} if len(items) else set()
+    return set(map(len, items))
+
+
+def _as_words(items: Words, width: int) -> np.ndarray:
+    if isinstance(items, np.ndarray):
+        return items
+    return np.frombuffer(b"".join(items), dtype=_U32).reshape(-1, width)
+
+
+def _as_bytes(items: Words) -> Sequence[bytes]:
+    if isinstance(items, np.ndarray):
+        items = np.ascontiguousarray(items)
+        return items.view(f"V{4 * items.shape[1]}").ravel().tolist()
+    return items
+
+
+def _block_kernel(keys: np.ndarray, nonces: np.ndarray,
                   counts: Sequence[int], starts: Sequence[int],
                   total: int) -> bytes:
     """The block function on every column of a ``(16, total)`` ``<u4``
@@ -142,19 +184,14 @@ def _block_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
     written once over ``(4, N)`` slices, in place.  ``uint32`` adds
     wrap, which is the cipher's addition mod 2^32.
     """
-    n_streams = len(keys)
     per_stream = np.asarray(counts, dtype=np.intp)
     initial = np.empty((16, total), dtype=_U32)
     initial[0:4] = _CONSTANT_COLUMN
-    initial[4:12] = np.repeat(
-        np.frombuffer(b"".join(keys), dtype=_U32).reshape(n_streams, 8),
-        per_stream, axis=0).T
+    initial[4:12] = np.repeat(keys, per_stream, axis=0).T
     first_block = np.cumsum(per_stream) - per_stream
     initial[12] = np.arange(total) + np.repeat(
         np.asarray(starts, dtype=np.int64) - first_block, per_stream)
-    initial[13:16] = np.repeat(
-        np.frombuffer(b"".join(nonces), dtype=_U32).reshape(n_streams, 3),
-        per_stream, axis=0).T
+    initial[13:16] = np.repeat(nonces, per_stream, axis=0).T
 
     columns = initial.copy()
     diagonals = np.empty_like(columns)
@@ -278,29 +315,30 @@ def _lane_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
     return words.tobytes()
 
 
-def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
-                      counts: Sequence[int],
+def _keystream_blocks(keys: Words, nonces: Words, counts: Sequence[int],
                       counter: Union[int, Sequence[int]]) -> bytes:
     """The kernel entry point: ``counts[i]`` blocks of stream
     ``(keys[i], nonces[i])``, all streams back to back (``64 *
     sum(counts)`` bytes).  Stream i starts at block ``counter[i]``, or
     at block ``counter`` for every stream when it is an int — so one
     call can carry an AEAD record's blocks 0… beside onion layers'
-    blocks 1….
+    blocks 1….  Keys and nonces come as ``bytes`` or as word columns
+    (:data:`Words`).
 
     The one validation and the one branch of the cipher live here:
     :func:`_lane_kernel` takes a call for fewer than
     :data:`_KERNEL_MIN_BLOCKS` blocks and :func:`_block_kernel` any
-    other, and each builds its state in its own representation.
+    other, and each builds its state in its own representation — the
+    lanes from bytes, the block kernel from word columns.
     """
     starts = ([counter] * len(counts) if isinstance(counter, int)
               else counter)
     if not len(keys) == len(nonces) == len(counts) == len(starts):
         raise ValueError("need one key, one nonce, one block count and "
                          "one start counter per stream")
-    if set(map(len, keys)) - {32}:
+    if _widths(keys) - {32}:
         raise ValueError("ChaCha20 key must be 32 bytes")
-    if set(map(len, nonces)) - {12}:
+    if _widths(nonces) - {12}:
         raise ValueError("ChaCha20 nonce must be 12 bytes")
     if (min(starts, default=0) < 0
             or max(map(operator.add, starts, counts), default=0) > 2 ** 32):
@@ -309,8 +347,10 @@ def _keystream_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
         raise ValueError("keystream length must be non-negative")
     total = sum(counts)
     if total < _KERNEL_MIN_BLOCKS:
-        return _lane_kernel(keys, nonces, counts, starts, total)
-    return _block_kernel(keys, nonces, counts, starts, total)
+        return _lane_kernel(_as_bytes(keys), _as_bytes(nonces), counts,
+                            starts, total)
+    return _block_kernel(_as_words(keys, 8), _as_words(nonces, 3), counts,
+                         starts, total)
 
 
 def chacha20_keystream_many(keys: Sequence[bytes],
@@ -326,70 +366,26 @@ def chacha20_keystream_many(keys: Sequence[bytes],
     return [flat[i * size:(i + 1) * size] for i in range(len(keys))]
 
 
-def _encrypt_and_draw(keys: Sequence[bytes], nonces: Sequence[bytes],
-                      messages: Sequence[bytes], counter: int,
-                      draws: Sequence[Tuple[bytes, bytes]]
-                      ) -> Tuple[List[bytes], bytes]:
-    """Every message under its own (key, nonce) from block
-    ``counter``, and block 0 of every ``(key, nonce)`` in ``draws``, in
-    one kernel call: the messages, and the drawn blocks back to back."""
-    counts = [(len(message) + 63) // 64 for message in messages]
-    if draws:
-        draw_keys, draw_nonces = zip(*draws)
-        stream = _keystream_blocks(
-            [*keys, *draw_keys], [*nonces, *draw_nonces],
-            counts + [1] * len(draws),
-            [counter] * len(counts) + [0] * len(draws))
-    else:
-        stream = _keystream_blocks(keys, nonces, counts, counter)
-    padded = b"".join(message.ljust(64 * n, b"\x00")
-                      for message, n in zip(messages, counts))
-    # Both are whole blocks: XOR them as 64-bit words (xor_bytes
-    # would convert the round — 77 KB at 100 clients — to an int
-    # three times).
-    mixed = (np.frombuffer(padded, dtype=_U64)
-             ^ np.frombuffer(stream, dtype=_U64,
-                             count=len(padded) // 8)).tobytes()
-    out = []
-    start = 0
-    for message, n in zip(messages, counts):
-        out.append(mixed[start:start + len(message)])
-        start += 64 * n
-    return out, stream[len(padded):]
-
-
-def chacha20_encrypt_many(keys: Sequence[bytes], nonces: Sequence[bytes],
+def chacha20_encrypt_many(keys: Words, nonces: Words,
                           messages: Sequence[bytes],
                           counter: int = 1) -> List[bytes]:
     """Encrypt (or decrypt) B messages, each under its own (key,
     nonce), in one kernel call.  Lengths may differ and may be zero:
     message i takes exactly the blocks it needs."""
-    return _encrypt_and_draw(keys, nonces, messages, counter, ())[0]
-
-
-#: One planned cipher call: ``(key, nonce, message)``.  *Planning* is
-#: the cheap per-packet Python (cleartext, nonce, key lookup) that the
-#: protocol layers do one packet at a time; *sealing* hands any number
-#: of plans to the kernel at once (DESIGN.md "Crypto batching seam").
-CipherPlan = Tuple[bytes, bytes, bytes]
-
-
-def seal_plans(plans: Sequence[CipherPlan]) -> List[bytes]:
-    """Run every planned cipher call in one kernel call."""
-    return seal_plans_and_draw(plans, ())[0]
-
-
-def seal_plans_and_draw(plans: Sequence[CipherPlan],
-                        draws: Sequence[Tuple[bytes, bytes]]
-                        ) -> Tuple[List[bytes], bytes]:
-    """:func:`seal_plans`, and in the same kernel call block 0 of every
-    ``(key, nonce)`` in ``draws`` — a key block someone needs later,
-    drawn now because its nonce is known now: the sealed messages, and
-    the drawn blocks back to back."""
-    if not plans and not draws:
-        return [], b""
-    keys, nonces, messages = zip(*plans) if plans else ((), (), ())
-    return _encrypt_and_draw(keys, nonces, messages, 1, draws)
+    counts = [(len(message) + 63) // 64 for message in messages]
+    stream = _keystream_blocks(keys, nonces, counts, counter)
+    padded = b"".join(message.ljust(64 * n, b"\x00")
+                      for message, n in zip(messages, counts))
+    # Both are whole blocks: XOR them as 64-bit words (xor_bytes
+    # would convert a round's worth to an int three times).
+    mixed = (np.frombuffer(padded, dtype=_U64)
+             ^ np.frombuffer(stream, dtype=_U64)).tobytes()
+    out = []
+    start = 0
+    for message, n in zip(messages, counts):
+        out.append(mixed[start:start + len(message)])
+        start += 64 * n
+    return out
 
 
 def chacha20_keystream(key: bytes, nonce: bytes, length: int,
@@ -493,18 +489,22 @@ def _lockstep_macs(messages: Sequence[bytes],
     2^26 + 5·2^32, the second below 2^26 + 5·(2^6 + 1) < 2^26 + 2^12.
     """
     lanes = len(keys)
-    key_halves = np.frombuffer(b"".join(keys), dtype=_U64).reshape(lanes, 4)
+    if isinstance(keys, np.ndarray):
+        key_halves = np.ascontiguousarray(keys).view(_U64)
+    else:
+        key_halves = np.frombuffer(b"".join(keys),
+                                   dtype=_U64).reshape(lanes, 4)
     r = _limbs(key_halves[:, 0] & (_R_CLAMP % 2 ** 64),
                key_halves[:, 1] & (_R_CLAMP >> 64))
     matrix = np.concatenate((r, r * 5))[_R_MATRIX]
 
-    lengths = np.array([len(message) for message in messages],
-                       dtype=np.intp)
+    lengths = np.fromiter(map(len, messages), dtype=np.intp,
+                          count=lanes)
     n_blocks = (int(lengths.max(initial=0)) + 15) // 16
     width = 16 * n_blocks
-    padded = b"".join(message if len(message) == width
-                      else _right_aligned(message, width)
-                      for message in messages)
+    padded = b"".join([message if len(message) == width
+                       else _right_aligned(message, width)
+                       for message in messages])
     halves = np.frombuffer(padded, dtype=_U64).reshape(lanes, n_blocks, 2)
     blocks = _limbs(halves[:, :, 0].T, halves[:, :, 1].T)
     # The 2^128 bit of every full block a lane really has.
@@ -538,14 +538,15 @@ def _lockstep_macs(messages: Sequence[bytes],
     s_low, s_high = key_halves[:, 2], key_halves[:, 3]
     low += s_low
     high += s_high + (low < s_low)
-    tags = np.stack((low, high), axis=1).tobytes()
-    return [tags[i:i + 16] for i in range(0, 16 * lanes, 16)]
+    return np.stack((low, high), axis=1).view("V16").ravel().tolist()
 
 
 def poly1305_mac_many(messages: Sequence[bytes],
-                      keys: Sequence[bytes]) -> List[bytes]:
+                      keys: Union[Sequence[bytes], np.ndarray]
+                      ) -> List[bytes]:
     """The 16-byte Poly1305 tag of each message under its own 32-byte
-    one-time key.  Lengths may differ and may be zero.
+    one-time key — ``bytes`` each, or ``(B, 32)`` ``uint8`` rows (a
+    round's key blocks, sliced).  Lengths may differ and may be zero.
 
     The one size test of the MAC lives here: fewer than
     :data:`_LOCKSTEP_MIN_LANES` items run the Horner loop one by one,
@@ -553,7 +554,8 @@ def poly1305_mac_many(messages: Sequence[bytes],
     """
     if len(messages) != len(keys):
         raise ValueError("need one Poly1305 key per message")
-    if any(len(key) != 32 for key in keys):
+    if (keys.shape[1:] != (32,) if isinstance(keys, np.ndarray)
+            else any(len(key) != 32 for key in keys)):
         raise ValueError("Poly1305 key must be 32 bytes")
     if len(keys) < _LOCKSTEP_MIN_LANES:
         return [_horner_mac(message, key)
@@ -616,38 +618,53 @@ def aead_seal_many(keys: Sequence[bytes], nonces: Sequence[bytes],
             for ciphertext, tag in zip(ciphertexts, tags)]
 
 
-def _open_lanes(keys: Sequence[bytes], nonces: Sequence[bytes],
+def _pick(items, index: List[int]):
+    """``items`` at ``index``: rows of a column, items of a sequence."""
+    if isinstance(items, np.ndarray):
+        return items[index]
+    return [items[i] for i in index]
+
+
+def _open_lanes(keys: Words, nonces: Words,
                 sealed: Sequence[bytes], aads: Sequence[bytes],
-                lanes: Sequence[int], poly_keys: Sequence[bytes]
+                counts: Sequence[int], poly_keys
                 ) -> List[Optional[bytes]]:
-    """The open both batch entry points share: the items at ``lanes``
-    — each at least a tag long — checked under their Poly1305 keys in
-    one MAC call, and only the authentic ones decrypted, in one kernel
-    call.  Items with the same (ciphertext, aad) — a channel's members
-    trying its one packet — share one MAC input, each still under its
-    own key."""
-    opened: List[Optional[bytes]] = [None] * len(sealed)
+    """The open both batch entry points share: item i — its nonce, its
+    sealed bytes and aad — tried by the ``counts[i]`` lanes after item
+    i - 1's, rows of ``keys`` and ``poly_keys`` (the lanes' Poly1305
+    keys), each checked under its own key in one MAC call, and only
+    the authentic lanes decrypted, in one kernel call; an outcome a
+    lane.  An item's lanes — a channel's members trying its one packet
+    — share its one MAC input; an item shorter than a tag takes no
+    lane."""
+    opened: List[Optional[bytes]] = [None] * sum(counts)
+    tag_len = ChaCha20Poly1305.TAG_LEN
+    lanes: List[int] = []
+    messages: List[bytes] = []
+    wanted: List[bytes] = []
+    owners: List[int] = []
+    first = 0
+    for item, (data, aad, count) in enumerate(zip(sealed, aads, counts)):
+        if len(data) >= tag_len:
+            lanes += range(first, first + count)
+            messages += [_mac_input(data[:-tag_len], aad)] * count
+            wanted += [data[-tag_len:]] * count
+            owners += [item] * count
+        first += count
     if not lanes:
         return opened
-    tag_len = ChaCha20Poly1305.TAG_LEN
-    inputs: Dict[Tuple[bytes, bytes], bytes] = {}
-    messages = []
-    for i in lanes:
-        item = sealed[i], aads[i]
-        message = inputs.get(item)
-        if message is None:
-            message = inputs[item] = _mac_input(sealed[i][:-tag_len],
-                                                aads[i])
-        messages.append(message)
-    tags = poly1305_mac_many(messages, poly_keys)
-    authentic = [i for i, tag in zip(lanes, tags)
-                 if hmac.compare_digest(sealed[i][-tag_len:], tag)]
+    tags = poly1305_mac_many(messages, poly_keys if len(lanes) == first
+                             else _pick(poly_keys, lanes))
+    authentic = list(compress(range(len(tags)),
+                              map(hmac.compare_digest, wanted, tags)))
     if authentic:
+        rows = [lanes[i] for i in authentic]
+        items = [owners[i] for i in authentic]
         plaintexts = chacha20_encrypt_many(
-            [keys[i] for i in authentic], [nonces[i] for i in authentic],
-            [sealed[i][:-tag_len] for i in authentic])
-        for i, plaintext in zip(authentic, plaintexts):
-            opened[i] = plaintext
+            _pick(keys, rows), _pick(nonces, items),
+            [sealed[item][:-tag_len] for item in items])
+        for row, plaintext in zip(rows, plaintexts):
+            opened[row] = plaintext
     return opened
 
 
@@ -664,33 +681,37 @@ def aead_open_many(keys: Sequence[bytes], nonces: Sequence[bytes],
     one of them is addressed.  An item shorter than a tag is refused
     first: it costs no key block and no MAC lane."""
     aads = _one_aad_per_item(keys, nonces, sealed, aads)
-    lanes = [i for i, data in enumerate(sealed)
+    sized = [i for i, data in enumerate(sealed)
              if len(data) >= ChaCha20Poly1305.TAG_LEN]
-    if not lanes:
+    if not sized:
         return [None] * len(sealed)
     # The Poly1305 key of each (key, nonce): the first half of
     # keystream block 0 (RFC 8439 §2.6).
-    blocks = chacha20_keystream_many([keys[i] for i in lanes],
-                                     [nonces[i] for i in lanes], 1)
-    return _open_lanes(keys, nonces, sealed, aads, lanes,
-                       [block[:32] for block in blocks])
+    blocks = chacha20_keystream_many([keys[i] for i in sized],
+                                     [nonces[i] for i in sized], 1)
+    poly_keys = [b""] * len(sealed)
+    for i, block in zip(sized, blocks):
+        poly_keys[i] = block[:32]
+    return _open_lanes(keys, nonces, sealed, aads, [1] * len(sealed),
+                       poly_keys)
 
 
-def aead_open_drawn(keys: Sequence[bytes], nonces: Sequence[bytes],
-                    sealed: Sequence[bytes], poly_keys: Sequence[bytes],
+def aead_open_drawn(keys: Words, nonces: Words, sealed: Sequence[bytes],
+                    counts: Sequence[int], poly_keys,
                     aads: Optional[Sequence[bytes]] = None
                     ) -> List[Optional[bytes]]:
     """:func:`aead_open_many` over Poly1305 keys the caller drew — the
-    first half of block 0 of each item's (key, nonce), one per item —
-    so that its one kernel call is the authentic bodies'.  An item
-    shorter than a tag still takes no MAC lane."""
-    aads = _one_aad_per_item(keys, nonces, sealed, aads)
-    if len(poly_keys) != len(keys):
-        raise ValueError("need one Poly1305 key per item")
-    lanes = [i for i, data in enumerate(sealed)
-             if len(data) >= ChaCha20Poly1305.TAG_LEN]
-    return _open_lanes(keys, nonces, sealed, aads, lanes,
-                       [poly_keys[i] for i in lanes])
+    first half of block 0 of each lane's (key, item nonce), ``bytes``
+    or ``(B, 32)`` rows — so its one kernel call is the authentic
+    bodies'.  Item i is tried by ``counts[i]`` lanes
+    (:func:`_open_lanes`); an outcome a lane."""
+    if aads is None:
+        aads = [b""] * len(sealed)
+    if not len(sealed) == len(nonces) == len(counts) == len(aads):
+        raise ValueError("need one nonce, one count and one aad per item")
+    if not len(keys) == len(poly_keys) == sum(counts):
+        raise ValueError("need one key and one Poly1305 key per lane")
+    return _open_lanes(keys, nonces, sealed, aads, counts, poly_keys)
 
 
 def seal_record(stream: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:

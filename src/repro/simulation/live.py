@@ -31,19 +31,23 @@ inter-mix rendezvous path.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import accumulate
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro import execution as execution_registry
 from repro.core.transport import CellTransport
 from repro.core.callmanager import CallState, ClientCallAgent, \
     FailoverRecord, MixCallManager
-from repro.core.channel import decode_manifest, decode_manifest_words
+from repro.core.channel import decode_manifest, open_manifests
 from repro.core.join import join_zone
 from repro.core.client import ChannelAttachment, HerdClient, \
     seal_upstream
+from repro.crypto.chacha20 import key_words
 from repro.crypto.keys import SessionKey
 from repro.core.signaling import TrialKeys, open_downstream_packets
 from repro.core.shedding import LoadShedder
@@ -85,10 +89,13 @@ class ChannelRoster:
     :meth:`is_current` compares it with the live values, which
     whoever changes membership bumps (``simulation/churn.py``, the
     scenario engine and the join protocol all do, without knowing
-    about rosters)."""
+    about rosters).  A round runs on its columns, a row a member
+    (DESIGN.md §15 "Roster columns"): each party's key words — the
+    clients' and the mix's copy, never one for both — and the slots."""
 
-    __slots__ = ("members", "entries", "numerics", "keys", "_sp",
-                 "_clients", "_built_from")
+    __slots__ = ("members", "entries", "numerics", "attachments",
+                 "clients", "client_keys", "mix_keys", "slots", "rows",
+                 "up_links", "down_links", "_sp", "_built_from")
 
     def __init__(self, sp, channel_id: int,
                  entries: Tuple[RosterEntry, ...]):
@@ -96,15 +103,26 @@ class ChannelRoster:
         self.members = tuple(sp.channel_clients[channel_id])
         self.entries = entries
         self.numerics = [entry.numeric_id for entry in entries]
-        #: The members' session keys: what their trials are keyed by.
-        self.keys = tuple(entry.key for entry in entries)
+        self.attachments = [entry.attachment for entry in entries]
+        self.clients = [entry.live.client for entry in entries]
+        self.client_keys = key_words(
+            [client.session_key.key for client in self.clients])
+        self.mix_keys = key_words([entry.key.key for entry in entries])
+        self.slots = np.array([a.slot for a in self.attachments],
+                              dtype=np.int64)
+        #: Client id → row.
+        self.rows = {client_id: row
+                     for row, client_id in enumerate(self.members)}
+        #: The members' (src, dst) links to the SP and from it.
+        self.up_links = [(client_id, sp.sp_id) for client_id in self.members]
+        self.down_links = [(sp.sp_id, client_id)
+                           for client_id in self.members]
         self._sp = sp
-        self._clients = [entry.live.client for entry in entries]
         self._built_from = self._membership_state()
 
     def _membership_state(self) -> Tuple[int, List[int]]:
         return self._sp.membership_epoch, [
-            client.attachment_epoch for client in self._clients]
+            client.attachment_epoch for client in self.clients]
 
     def is_current(self) -> bool:
         return self._membership_state() == self._built_from
@@ -160,6 +178,9 @@ class LiveZone:
         self.manager = MixCallManager(self.mix,
                                       random.Random(seed))
         self.clients: Dict[str, LiveClient] = {}
+        #: The clients with a cell queued (:meth:`say`), in the order
+        #: they first had one.
+        self._speaking: Dict[str, LiveClient] = {}
         self._by_numeric: Dict[int, LiveClient] = {}
         #: numeric id → numeric id of the call peer (both directions).
         self.peers: Dict[int, int] = {}
@@ -232,7 +253,9 @@ class LiveZone:
 
     def say(self, client_id: str, cell: bytes) -> None:
         """Queue a voice cell for the client's active call."""
-        self.clients[client_id].outbox.append(cell)
+        live = self.clients[client_id]
+        live.outbox.append(cell)
+        self._speaking[client_id] = live
 
     # -- failures and mid-call failover (§3.6.4) -------------------------------
 
@@ -303,15 +326,25 @@ class LiveZone:
 
     # -- the round engine ------------------------------------------------------
 
-    def _upstream(self) -> None:
-        for channel_id, sp in sorted(self._sp_of_channel.items()):
-            self._upstream_channel(channel_id, sp)
+    def _upstream(self, rosters: Dict[int, ChannelRoster]) -> None:
+        payloads = self._payloads(rosters)
+        for channel_id, roster in rosters.items():
+            if roster.entries:
+                self._upstream_channel(channel_id, roster,
+                                       payloads.get(channel_id, {}))
+
+    def _rosters_of_round(self) -> Dict[int, ChannelRoster]:
+        """Every served channel's roster, in channel order: what a
+        round reads its members from, each checked once."""
+        return {channel_id: self._roster(channel_id)
+                for channel_id in sorted(self._sp_of_channel)}
 
     def _roster(self, channel_id: int) -> ChannelRoster:
         """The channel's roster: built on first use, and again when —
         and only when — the membership it was built from has changed
         (:meth:`ChannelRoster.is_current`).  Every per-member look-up
-        of a round, on every engine, goes through here."""
+        of a round, on every engine, goes through here, once a round
+        (:meth:`_rosters_of_round`)."""
         roster = self._rosters.get(channel_id)
         if roster is not None and roster.is_current():
             return roster
@@ -335,81 +368,110 @@ class LiveZone:
         self._rosters[channel_id] = roster
         return roster
 
-    def _gather_channel(self, channel_id: int, sp, emit):
-        """Collect one channel's round of client emissions, in slot
-        order (payload only where a call is live on this channel).
-
-        ``emit`` is what each member's client is asked for:
-        :meth:`HerdClient.upstream_packet` — the sealed (packet,
-        manifest) pair, one cipher call per client, as the per-channel
-        engine runs — or :meth:`HerdClient.plan_upstream`, whose plans
-        :meth:`_step_batch` seals for the whole round at once.
-
-        Under an overload window (:meth:`set_overload`) payload
-        admission is capped per channel per round in strict slot
-        order; deferred cells stay queued (client backpressure) and a
-        chaff cell rides the wire in their place, so emission stays
-        constant-rate.  Both engines call this in the same sorted
-        channel / slot order, so shedding is engine-equivalent."""
-        roster = self._roster(channel_id)
-        emissions = []
+    def _payloads(self, rosters: Dict[int, ChannelRoster]
+                  ) -> Dict[int, Dict[int, bytes]]:
+        """Channel → {row: the cell it carries} for the members whose
+        call is live on the channel and who have a cell queued; chaff
+        goes out everywhere else.  Under an overload window
+        (:meth:`set_overload`) admission is capped per channel per
+        round in slot order; deferred cells stay queued (backpressure)
+        and chaff rides the wire in their place, so emission stays
+        constant-rate.  Both engines take their payloads from here."""
+        waiting: Dict[int, List[Tuple[int, LiveClient]]] = {}
+        for client_id, live in self._speaking.items():
+            roster = rosters.get(live.agent.active_channel)
+            if live.agent.state is CallState.IN_CALL and roster \
+                    is not None and client_id in roster.rows:
+                waiting.setdefault(live.agent.active_channel, []).append(
+                    (roster.rows[client_id], live))
+        payloads = {}
         shedder = self.shedder
-        budget = None
-        if shedder is not None and shedder.applies_to(sp.sp_id):
-            budget = shedder.channel_budget(len(roster.entries))
-        admitted = 0
-        in_call = CallState.IN_CALL
-        for live, attachment, agent, _, _ in roster.entries:
-            payload = None
-            if agent.state is in_call and \
-                    agent.active_channel == channel_id and \
-                    live.outbox:
+        for channel_id in sorted(waiting):
+            budget = None
+            if shedder is not None and shedder.applies_to(
+                    self._sp_of_channel[channel_id].sp_id):
+                budget = shedder.channel_budget(
+                    len(rosters[channel_id].entries))
+            admitted = 0
+            sent = payloads[channel_id] = {}
+            for row, live in sorted(waiting[channel_id],
+                                    key=lambda item: item[0]):
                 if budget is not None and admitted >= budget:
                     shedder.defer()
-                else:
-                    payload = live.outbox.popleft()
-                    admitted += 1
-                    if budget is not None:
-                        shedder.admit()
-            emissions.append(emit(live.client, attachment, payload))
-        return roster.members, emissions
+                    continue
+                sent[row] = live.outbox.popleft()
+                if not live.outbox:
+                    del self._speaking[live.client.client_id]
+                admitted += 1
+                if budget is not None:
+                    shedder.admit()
+        return payloads
 
-    def _manifest_trials(self, up):
-        """What the mix decrypts one combined round's manifests with:
-        the members' numeric ids and, per slot, a ``(data, key, slot,
-        expected_sequence)`` trial for :func:`~repro.core.channel
-        .decode_manifest_words`."""
-        roster = self._roster(up.channel_id)
-        return roster.numerics, [
-            (raw, entry.key, slot, entry.attachment.sequence - 1)
-            for slot, (raw, entry) in enumerate(zip(up.manifests,
-                                                    roster.entries))]
+    def _manifest_entries(self, roster: ChannelRoster, up):
+        """The mix's decode of one combined round's manifests, one
+        :func:`~repro.core.channel.decode_manifest` a slot, against the
+        sequences its channel expects next, which then follow them:
+        ``(numeric id, sequence, signal)`` per member."""
+        channel = self.mix.channels[up.channel_id]
+        decoded = [decode_manifest(raw, entry.key, slot, expected)
+                   for slot, (raw, entry, expected) in enumerate(zip(
+                       up.manifests, roster.entries,
+                       channel.next_sequences))]
+        channel.resync([manifest.sequence for manifest in decoded])
+        return [(numeric, manifest.sequence, manifest.signal)
+                for numeric, manifest in zip(roster.numerics, decoded)]
 
-    def _emit_upstream(self, sp, members, packets, up) -> None:
+    def _open_manifests(self, rounds) -> List[list]:
+        """:meth:`_manifest_entries` for a round's ``(roster, combined
+        round)`` pairs as one word column, under the mix key columns."""
+        manifests = b"".join([b"".join(up.manifests) for _, up in rounds])
+        sizes = [len(roster.numerics) for roster, _ in rounds]
+        if len(manifests) != 4 * sum(sizes):
+            raise ValueError("manifest must be 4 bytes")
+        channels = [self.mix.channels[up.channel_id] for _, up in rounds]
+        _, sequences, signals = open_manifests(
+            np.frombuffer(manifests, dtype=np.uint32),
+            np.concatenate([roster.mix_keys for roster, _ in rounds]),
+            np.concatenate([roster.slots for roster, _ in rounds]),
+            [expected for channel, size in zip(channels, sizes)
+             for expected in channel.next_sequences[:size]])
+        sequences, signals = sequences.tolist(), signals.tolist()
+        entries = []
+        for channel, (roster, _), end, size in zip(
+                channels, rounds, accumulate(sizes), sizes):
+            channel.resync(sequences[end - size:end])
+            entries.append(list(zip(roster.numerics,
+                                    sequences[end - size:end],
+                                    signals[end - size:end])))
+        return entries
+
+    def _emit_upstream(self, sp, roster: ChannelRoster, packets,
+                       up) -> None:
         """Offer one channel's upstream cells to the wire plane:
         each member's packet on its client↔SP link, then the combined
         XOR round on the SP↔mix link."""
         if self.wire is None:
             return
-        for client_id, pkt in zip(members, packets):
-            self.wire.emit(client_id, sp.sp_id, pkt, kind="up")
+        self.wire.emit_each(roster.up_links, packets, kind="up")
         self.wire.emit(sp.sp_id, self.mix.mix_id, up.xor_packet,
                        kind="xor")
 
-    def _upstream_channel(self, channel_id: int, sp) -> None:
-        members, sealed = self._gather_channel(
-            channel_id, sp, HerdClient.upstream_packet)
-        if not sealed:
-            return
-        packets, manifests = zip(*sealed)
+    def _upstream_channel(self, channel_id: int, roster: ChannelRoster,
+                          payloads: Dict[int, bytes]) -> None:
+        """One channel's round, one member and one cipher call at a
+        time: the per-channel engine, and the oracle of the column
+        round (:meth:`_step_batch`)."""
+        sp = self._sp_of_channel[channel_id]
+        packets, manifests = zip(*[
+            HerdClient.upstream_packet(client, attachment,
+                                       payloads.get(row))
+            for row, (client, attachment) in enumerate(
+                zip(roster.clients, roster.attachments))])
         up = sp.combine_upstream(channel_id, self.round_index,
                                  packets, manifests)
-        self._emit_upstream(sp, members, packets, up)
-        numerics, trials = self._manifest_trials(up)
+        self._emit_upstream(sp, roster, packets, up)
         active, payload = self.manager.process_upstream(
-            channel_id, up.xor_packet,
-            [(numeric, m.sequence, m.signal) for numeric, m
-             in zip(numerics, starmap(decode_manifest, trials))])
+            channel_id, up.xor_packet, self._manifest_entries(roster, up))
         if active is not None and payload:
             self._route_voice(active, payload)
 
@@ -439,88 +501,106 @@ class LiveZone:
                     peer not in self.manager.calls:
                 self.manager.place_incoming(peer)
 
-    def _deliver_downstream(self, round_packets: Dict[int, bytes],
+    def _deliver_downstream(self, rosters: Dict[int, ChannelRoster],
+                            round_packets: Dict[int, bytes],
                             trial_keys: Optional[TrialKeys] = None
                             ) -> None:
         """Broadcast one downstream round to every channel member
         (shared by both engines, so the wire image and client-side
         processing are identical by construction).  The round engine
-        does every member's trial decryption of the round in one call,
-        over the key blocks its clients drew when the round started
+        does every member's trial in one call on the client key
+        columns, over the key blocks drawn when the round started
         (``trial_keys``), and acts on the hits; the per-channel engine
         leaves each trial to its agent."""
-        #: (channel_id, client_id, roster entry, packet) as
+        #: (channel_id, roster, packet, (client_id, packet) pairs) as
         #: broadcast, in order.
         deliveries = []
-        poly_keys: List[bytes] = []
+        wire = self.wire
         for channel_id, packet in round_packets.items():
             sp = self._sp_of_channel[channel_id]
-            if self.wire is not None:
-                self.wire.emit(self.mix.mix_id, sp.sp_id, packet,
-                               kind="down")
-            roster = self._roster(channel_id)
-            for (client_id, pkt), entry in zip(
-                    sp.broadcast_downstream(channel_id, packet),
-                    roster.entries):
-                if self.wire is not None:
-                    self.wire.emit(sp.sp_id, client_id, pkt,
-                                   kind="bcast")
-                deliveries.append((channel_id, client_id, entry, pkt))
-            if trial_keys is not None:
-                poly_keys += trial_keys.poly_keys(channel_id, roster.keys)
+            if wire is not None:
+                wire.emit(self.mix.mix_id, sp.sp_id, packet, kind="down")
+            pairs = sp.broadcast_downstream(channel_id, packet)
+            roster = rosters[channel_id]
+            if wire is not None:
+                wire.emit_each(roster.down_links, [pkt for _, pkt in pairs],
+                               kind="bcast")
+            deliveries.append((channel_id, roster, packet, pairs))
         if trial_keys is None:
-            for channel_id, client_id, entry, pkt in deliveries:
-                evt = entry.agent.process_downstream(
-                    channel_id, self.round_index, pkt)
-                if self.obs is not None and evt is not None:
-                    self.obs.client_event(client_id, evt)
+            for channel_id, roster, _, pairs in deliveries:
+                for (client_id, pkt), entry in zip(pairs, roster.entries):
+                    self._client_event(client_id,
+                                       entry.agent.process_downstream(
+                                           channel_id, self.round_index,
+                                           pkt))
             return
-        opened = open_downstream_packets(
-            [(entry.key, channel_id, self.round_index, pkt)
-             for channel_id, _, entry, pkt in deliveries], poly_keys)
-        for (channel_id, client_id, entry, _), hit in zip(deliveries,
-                                                          opened):
-            if hit is None:
-                continue
-            evt = entry.agent.handle_opened(channel_id, hit)
-            if self.obs is not None and evt is not None:
-                self.obs.client_event(client_id, evt)
+        if not deliveries:
+            return
+        hits = open_downstream_packets(
+            self.round_index,
+            [(channel_id, packet, len(pairs))
+             for channel_id, _, packet, pairs in deliveries],
+            np.concatenate([roster.client_keys
+                            for _, roster, _, _ in deliveries]),
+            np.concatenate([trial_keys.poly_keys(channel_id,
+                                                 roster.client_keys)
+                            for channel_id, roster, _, _ in deliveries]))
+        starts = [0, *accumulate(len(pairs)
+                                 for _, _, _, pairs in deliveries)]
+        for row in sorted(hits):
+            i = bisect_right(starts, row) - 1
+            channel_id, roster, _, pairs = deliveries[i]
+            member = row - starts[i]
+            self._client_event(pairs[member][0],
+                               roster.entries[member].agent.handle_opened(
+                                   channel_id, hits[row]))
 
-    def _downstream(self) -> None:
-        self._deliver_downstream(
-            self.manager.downstream_round(self.round_index))
+    def _client_event(self, client_id: str, evt: Optional[str]) -> None:
+        if self.obs is not None and evt is not None:
+            self.obs.client_event(client_id, evt)
 
-    def _gather_round(self) -> Tuple[Dict[int, tuple], TrialKeys]:
-        """Every channel's round of client emissions: planned client
-        by client in sorted-channel / slot order, sealed — all the
-        zone's packets and manifests, and the key block of every trial
-        decryption the round's downstream packets will take (one per
-        member of every channel :meth:`MixCallManager
-        .downstream_channels` lists) — in one call.  Returns channel →
-        (sp, members, packets, manifests), and the drawn trial keys."""
-        planned = {}
-        for channel_id, sp in sorted(self._sp_of_channel.items()):
-            members, plans = self._gather_channel(
-                channel_id, sp, HerdClient.plan_upstream)
-            if plans:
-                planned[channel_id] = (sp, members, plans)
+    def _gather_round(self, rosters: Dict[int, ChannelRoster]
+                      ) -> Tuple[Dict[int, tuple], TrialKeys]:
+        """Every channel's client emissions, rows in sorted-channel /
+        slot order, sealed from the roster columns in one call with the
+        key block of every trial the round's downstream will take (a
+        member of each channel :meth:`MixCallManager
+        .downstream_channels` lists).  Each attachment's sequence is
+        read once and written back after the seal.  Returns channel →
+        (packets, manifests), and the drawn trial keys."""
+        payloads = self._payloads(rosters)
+        sending = [(channel_id, roster)
+                   for channel_id, roster in rosters.items()
+                   if roster.entries]
+        ends = list(accumulate(len(roster.entries) for _, roster in sending))
+        attachments = [attachment for _, roster in sending
+                       for attachment in roster.attachments]
+        sequences = [attachment.sequence for attachment in attachments]
         trial_keys = TrialKeys(self.round_index, [
-            (channel_id, self._roster(channel_id).keys)
+            (channel_id, rosters[channel_id].client_keys)
             for channel_id in self.manager.downstream_channels()])
-        sealed, trial_keys.blocks = seal_upstream(
-            [plan for _, _, plans in planned.values() for plan in plans],
-            trial_keys.requests)
+        packets, manifests, trial_keys.blocks = seal_upstream(
+            np.concatenate([roster.client_keys for _, roster in sending]
+                           or [np.empty((0, 8), np.uint32)]),
+            sequences,
+            np.concatenate([roster.slots for _, roster in sending]
+                           or [np.empty(0, np.int64)]),
+            [client.signal_pending for _, roster in sending
+             for client in roster.clients],
+            {end - len(roster.entries) + row: payload
+             for (channel_id, roster), end in zip(sending, ends)
+             for row, payload in payloads.get(channel_id, {}).items()},
+            (trial_keys.keys, trial_keys.nonces))
+        for attachment, sequence in zip(attachments, sequences):
+            attachment.sequence = sequence + 1
         gathered = {}
-        start = 0
-        for channel_id, (sp, members, plans) in planned.items():
-            pairs = sealed[start:start + len(plans)]
-            start += len(plans)
-            gathered[channel_id] = (sp, members,
-                                    [packet for packet, _ in pairs],
-                                    [manifest for _, manifest in pairs])
+        for (channel_id, roster), end in zip(sending, ends):
+            start = end - len(roster.entries)
+            gathered[channel_id] = (packets[start:end],
+                                    manifests[start:end])
         return gathered, trial_keys
 
-    def _step_batch(self) -> None:
+    def _step_batch(self, rosters: Dict[int, ChannelRoster]) -> None:
         """The round-synchronous engine: the same round as the
         per-channel path, through the core batch entry points.
 
@@ -528,58 +608,52 @@ class LiveZone:
         hot-path state is factored exactly along the batch seams:
         client emission is gathered in the same sorted-channel /
         slot order, SP combining is per-channel pure (grouping the
-        calls per SP cannot change any output), manifests decode from
-        per-attachment sequence counters, and the call manager ingests
-        channels in sorted order — the same interleaving of rng draws,
-        GRANT queueing, and voice routing as per-channel calls.  The
-        cipher work is pure, so doing a whole round's in one call —
-        every client's packets, manifests and downstream trial keys,
-        the mix's manifest decryption — yields the per-item bytes
-        (DESIGN.md "Crypto batching seam").
+        calls per SP cannot change any output), manifests decode
+        against the mix's per-slot sequence counters, and the call
+        manager ingests channels in sorted order — the same
+        interleaving of rng draws, GRANT queueing, and voice routing
+        as per-channel calls.  The cipher work is pure, so doing a
+        whole round's in one call — every client's packets, manifests
+        and downstream trial keys, the mix's manifest decryption —
+        yields the per-item bytes (DESIGN.md "Crypto batching seam").
         """
-        gathered, trial_keys = self._gather_round()
+        gathered, trial_keys = self._gather_round(rosters)
         per_sp: Dict[object, Dict[int, tuple]] = {}
-        for channel_id, (sp, _, packets,
-                         manifests) in gathered.items():
-            per_sp.setdefault(sp, {})[channel_id] = (packets,
-                                                     manifests)
+        for channel_id, (packets, manifests) in gathered.items():
+            per_sp.setdefault(self._sp_of_channel[channel_id], {})[
+                channel_id] = (packets, manifests)
         rounds_by_channel = {}
         for sp, batches in per_sp.items():
             for up in sp.process_round(self.round_index, batches):
                 rounds_by_channel[up.channel_id] = up
-        numerics, trials = [], []
-        for channel_id in sorted(rounds_by_channel):
-            up = rounds_by_channel[channel_id]
-            sp, members, packets, _ = gathered[channel_id]
-            self._emit_upstream(sp, members, packets, up)
-            up_numerics, up_trials = self._manifest_trials(up)
-            numerics.append(up_numerics)
-            trials.extend(up_trials)
-        decoded = decode_manifest_words(trials)
-        upstream = []
-        start = 0
-        for channel_id, up_numerics in zip(sorted(rounds_by_channel),
-                                           numerics):
-            end = start + len(up_numerics)
-            upstream.append(
-                (channel_id, rounds_by_channel[channel_id].xor_packet,
-                 [(numeric, sequence, signal)
-                  for numeric, (_, sequence, signal)
-                  in zip(up_numerics, decoded[start:end])]))
-            start = end
+        channels = sorted(rounds_by_channel)
+        for channel_id in channels:
+            self._emit_upstream(self._sp_of_channel[channel_id],
+                                rosters[channel_id],
+                                gathered[channel_id][0],
+                                rounds_by_channel[channel_id])
+        entries = self._open_manifests(
+            [(rosters[channel_id], rounds_by_channel[channel_id])
+             for channel_id in channels])
         round_packets = self.manager.process_round(
-            self.round_index, upstream, route=self._route_voice,
+            self.round_index,
+            [(channel_id, rounds_by_channel[channel_id].xor_packet,
+              channel_entries)
+             for channel_id, channel_entries in zip(channels, entries)],
+            route=self._route_voice,
             pre_downstream=self._ring_pending_callees)
-        self._deliver_downstream(round_packets, trial_keys)
+        self._deliver_downstream(rosters, round_packets, trial_keys)
 
     def step(self) -> None:
         """One codec-frame round: upstream, control, downstream."""
+        rosters = self._rosters_of_round()
         if self.zone_mode == "batch":
-            self._step_batch()
+            self._step_batch(rosters)
         else:
-            self._upstream()
+            self._upstream(rosters)
             self._ring_pending_callees()
-            self._downstream()
+            self._deliver_downstream(
+                rosters, self.manager.downstream_round(self.round_index))
         if self.wire is not None:
             self.wire.flush_round(self.round_index)
         if self.obs is not None:

@@ -54,6 +54,7 @@ from repro.crypto import chacha20
 from repro.crypto.chacha20 import (
     ChaCha20Poly1305,
     _keystream_blocks,
+    key_words,
     aead_open_many,
     aead_seal_many,
     chacha20_block,
@@ -954,7 +955,7 @@ class TestUpstreamSeal:
             return z
         one_by_one, together = zone(), zone()
         cell = bytes(range(200))
-        expected, plans = [], []
+        expected, keys, slots, signals, payloads = [], [], [], [], {}
         for a, b in zip(one_by_one.clients.values(),
                         together.clients.values()):
             for i, (att_a, att_b) in enumerate(zip(a.client.attachments,
@@ -962,13 +963,21 @@ class TestUpstreamSeal:
                 payload = cell if (a.client.client_id == "client-2"
                                    and i == 0) else None
                 expected.append(a.client.upstream_packet(att_a, payload))
-                plans.append(b.client.plan_upstream(att_b, payload))
-                assert att_a.sequence == att_b.sequence == 1
-        sealed, drawn = seal_upstream(plans)
-        assert sealed == expected and drawn == b""
+                if payload is not None:
+                    payloads[len(keys)] = payload
+                keys.append(b.client.session_key.key)
+                slots.append(att_b.slot)
+                signals.append(b.client.signal_pending)
+                assert att_a.sequence == 1 and att_b.sequence == 0
+        packets, manifests, drawn = seal_upstream(
+            key_words(keys), [0] * len(keys), slots, signals, payloads)
+        assert list(zip(packets, manifests)) == expected
+        assert drawn.shape == (0, 16)
         key = one_by_one.clients["client-2"].client.session_key
-        assert make_payload_packet(key, 0, cell) in [p for p, _ in sealed]
-        assert seal_upstream([]) == ([], b"")
+        assert make_payload_packet(key, 0, cell) in packets
+        packets, manifests, drawn = seal_upstream(key_words([]), [], [],
+                                                  [], {})
+        assert (packets, manifests, drawn.shape) == ([], [], (0, 16))
 
 
 class TestManifests:
@@ -1089,16 +1098,16 @@ class TestBatchedRoundStillAudits:
                         execution="batch-v2")
         zone.run(2)
         upstream = []
-        for channel_id, sp in sorted(zone._sp_of_channel.items()):
-            members, plans = zone._gather_channel(
-                channel_id, sp, HerdClient.plan_upstream)
-            packets, manifests = zip(*seal_upstream(plans)[0])
+        for channel_id, roster in zone._rosters_of_round().items():
+            sp = zone._sp_of_channel[channel_id]
+            packets, manifests = zip(*[
+                HerdClient.upstream_packet(client, attachment)
+                for client, attachment in zip(roster.clients,
+                                              roster.attachments)])
             up = sp.combine_upstream(channel_id, zone.round_index,
                                      packets, manifests)
-            numerics, trials = zone._manifest_trials(up)
-            entries = [(n, m.sequence, m.signal) for n, m
-                       in zip(numerics, decode_manifests(trials))]
-            upstream.append((channel_id, up.xor_packet, entries))
+            upstream.append((channel_id, up.xor_packet,
+                             zone._manifest_entries(roster, up)))
         return zone, tamper(upstream)
 
     def test_nonzero_residue(self):
@@ -1140,11 +1149,28 @@ class TestBatchedRoundStillAudits:
 def _poly_keys(trials):
     """Each trial's Poly1305 key, planned as a round plans its trials
     and drawn in one ``seal_upstream`` call."""
-    requests = [request for key, channel_id, round_index, _ in trials
-                for request in TrialKeys(
-                    round_index, [(channel_id, (key,))]).requests]
-    _, blocks = seal_upstream([], requests)
-    return [blocks[at:at + 32] for at in range(0, len(blocks), 64)]
+    plans = [TrialKeys(round_index, [(channel_id, key_words([key.key]))])
+             for key, channel_id, round_index, _ in trials]
+    _, _, blocks = seal_upstream(
+        key_words([]), [], [], [], {},
+        (np.concatenate([key_words([])] + [p.keys for p in plans]),
+         np.concatenate([np.empty((0, 3), np.uint32)]
+                        + [p.nonces for p in plans])))
+    return blocks.view(np.uint8)[:, :32]
+
+
+def _open(trials, poly_keys):
+    """``(key, channel_id, round_index, packet)`` trials — one round's
+    — opened in one :func:`open_downstream_packets` call, a packet a
+    trial: each trial's outcome, or None."""
+    if not trials:
+        return []
+    (round_index,) = {round_index for _, _, round_index, _ in trials}
+    opened = open_downstream_packets(
+        round_index, [(channel_id, packet, 1)
+                      for _, channel_id, _, packet in trials],
+        key_words([key.key for key, _, _, _ in trials]), poly_keys)
+    return [opened.get(row) for row in range(len(trials))]
 
 
 class TestDownstream:
@@ -1177,7 +1203,7 @@ class TestDownstream:
                   for channel_id, packet in enumerate(
                       [chaff, voice, bytes(tampered)])
                   for key in self.keys]
-        opened = open_downstream_packets(trials, _poly_keys(trials))
+        opened = _open(trials, _poly_keys(trials))
         assert opened == [open_downstream_packet(*t) for t in trials]
         addressed = len(self.keys) + 4
         assert opened[addressed] == (KIND_VOIP, b"hello")
@@ -1187,13 +1213,15 @@ class TestDownstream:
     def test_wrong_round_channel_or_size_opens_for_nobody(self):
         packet = make_downstream_packet(self.keys[0], 1, 5, KIND_VOIP,
                                         b"x")
-        trials = [(self.keys[0], 1, 5, packet), (self.keys[0], 1, 6, packet),
-                  (self.keys[0], 2, 5, packet),
+        trials = [(self.keys[0], 1, 5, packet), (self.keys[0], 2, 5, packet),
                   (self.keys[0], 1, 5, packet[:-1]),
                   (self.keys[0], 1, 5, b"")]
-        assert open_downstream_packets(trials, _poly_keys(trials)) \
-            == [(KIND_VOIP, b"x"), None, None, None, None]
-        assert open_downstream_packets([], []) == []
+        assert _open(trials, _poly_keys(trials)) \
+            == [(KIND_VOIP, b"x"), None, None, None]
+        later = [(self.keys[0], 1, 6, packet)]
+        assert _open(later, _poly_keys(later)) == [None]
+        assert open_downstream_packets(5, [], key_words([]),
+                                       _poly_keys([])) == {}
 
     def test_off_size_packets_take_no_mac_lane(self, monkeypatch):
         """An untrusted SP can hand a member anything.  Off-size
@@ -1222,16 +1250,15 @@ class TestDownstream:
                lambda keys, *_: keystream.extend(keys))
         _watch(monkeypatch, "poly1305_mac_many",
                lambda messages, keys: mac.extend(keys))
-        opened = dict(zip(map(id, mixed),
-                          open_downstream_packets(mixed, poly_keys)))
+        opened = dict(zip(map(id, mixed), _open(mixed, poly_keys)))
         # One MAC per well-formed trial, one body.
-        assert keystream == [self.keys[2].key]
+        assert [bytes(key) for key in keystream] == [self.keys[2].key]
         assert len(mac) == len(formed)
         assert [opened[id(trial)] for trial in formed] == \
             [(KIND_VOIP, b"hello") if i == 2 else None
              for i in range(len(formed))]
         assert all(opened[id(trial)] is None for trial in odd)
-        assert open_downstream_packets(odd, odd_keys) == [None] * len(odd)
+        assert _open(odd, odd_keys) == [None] * len(odd)
         assert len(mac) == len(formed) and len(keystream) == 1
 
     def test_a_packet_is_one_mac_input_however_many_try_it(
@@ -1251,31 +1278,39 @@ class TestDownstream:
                lambda ciphertext, aad: inputs.append(ciphertext))
         _watch(monkeypatch, "poly1305_mac_many",
                lambda messages, keys: lanes.append(len(keys)))
-        opened = open_downstream_packets(trials, poly_keys)
-        assert opened == [(KIND_VOIP, b"a")] + [None] * (len(trials) - 1)
+        opened = open_downstream_packets(
+            round_index, [(channel_id, packet, len(self.keys))
+                          for channel_id, packet in enumerate(packets)],
+            key_words([key.key for key, _, _, _ in trials]), poly_keys)
+        assert opened == {0: (KIND_VOIP, b"a")}
         assert len(inputs) == 2 and lanes == [len(trials)]
 
     def test_a_trial_without_its_key_block_is_a_typed_error(self):
         """No trial is opened on a key block that was not drawn for
         it, and nothing draws one late."""
-        members = tuple(self.keys[:3])
+        members = key_words([key.key for key in self.keys[:3]])
         trial_keys = TrialKeys(6, [(0, members), (2, members[:2])])
-        assert len(trial_keys.requests) == 5
+        assert len(trial_keys.keys) == len(trial_keys.nonces) == 5
         with pytest.raises(MissingTrialKey):
             trial_keys.poly_keys(0, members)          # not drawn yet
-        _, trial_keys.blocks = seal_upstream([], trial_keys.requests)
+        trial_keys.draw()
         assert len(trial_keys.poly_keys(0, members)) == 3
-        assert trial_keys.poly_keys(2, members[:2]) == \
-            _poly_keys([(key, 2, 6, b"") for key in members[:2]])
+        assert np.array_equal(
+            trial_keys.poly_keys(2, members[:2]),
+            _poly_keys([(key, 2, 6, b"") for key in self.keys[:2]]))
+        # A copy of the planned column is the same members.
+        assert len(trial_keys.poly_keys(0, members.copy())) == 3
         with pytest.raises(MissingTrialKey):
             trial_keys.poly_keys(1, members)          # not planned
         with pytest.raises(MissingTrialKey):
             trial_keys.poly_keys(2, members)          # other members
+        with pytest.raises(MissingTrialKey):
+            trial_keys.poly_keys(0, members[::-1])    # other order
         packet = make_downstream_chaff(random.Random(6))
-        trials = [(key, 0, 6, packet) for key in members]
         with pytest.raises(MissingTrialKey):
             open_downstream_packets(
-                trials, trial_keys.poly_keys(0, members)[:2])
+                6, [(0, packet, 3)], members,
+                trial_keys.poly_keys(0, members)[:2])
 
     def test_chaff_is_the_per_byte_draw(self):
         """One ``getrandbits`` per packet, the bytes and the generator
@@ -1330,6 +1365,10 @@ class _CellLog:
 
     def emit(self, src, dst, data, kind=""):
         self.cells.append((src, dst, kind, data))
+
+    def emit_each(self, links, payloads, kind=""):
+        for (src, dst), data in zip(links, payloads):
+            self.emit(src, dst, data, kind)
 
     def flush_round(self, round_index):
         self.cells.append(("round", round_index))

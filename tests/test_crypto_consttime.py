@@ -12,10 +12,10 @@ regression fails both at runtime (tampering accepted) and statically
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.circuit import ClientHopHandshake, mix_process_create
-from repro.core.client import seal_upstream
 from repro.core.obfuscation import Bridge, ObfuscatedChannel
 from repro.core.signaling import (
     KIND_VOIP,
@@ -24,7 +24,8 @@ from repro.core.signaling import (
     open_downstream_packet,
     open_downstream_packets,
 )
-from repro.crypto.chacha20 import ChaCha20Poly1305, aead_open_many
+from repro.crypto.chacha20 import ChaCha20Poly1305, aead_open_many, \
+    key_words
 from repro.crypto.keys import SessionKey
 from repro.crypto.onion import decode_cell, encode_cell
 from repro.lint import LintConfig, run_lint
@@ -91,15 +92,17 @@ def test_tampered_aead_tag_rejected_bytewise():
                             batch, [b"hdr"] * (n + 1))
     assert opened == [None] * (n // 2) + [b"voice frame"] \
         + [None] * (n - n // 2)
-    trials = [(key, 2, 9, p)
-              for p in tampered_packets[:n // 2] + [packet]
-              + tampered_packets[n // 2:]]
-    members = (key,) * len(trials)
-    trial_keys = TrialKeys(9, [(2, members)])
-    _, trial_keys.blocks = seal_upstream([], trial_keys.requests)
+    packets = tampered_packets[:n // 2] + [packet] \
+        + tampered_packets[n // 2:]
+    member = key_words([key.key])
+    trial_keys = TrialKeys(9, [(2, member)])
+    trial_keys.draw()
+    poly_key = trial_keys.poly_keys(2, member)
+    # Each packet tried by the one member, in one call.
     assert open_downstream_packets(
-        trials, trial_keys.poly_keys(2, members)) == \
-        [None] * (n // 2) + [(KIND_VOIP, b"cell")] + [None] * (n - n // 2)
+        9, [(2, p, 1) for p in packets], np.repeat(member, len(packets), 0),
+        np.repeat(poly_key, len(packets), 0)) == \
+        {n // 2: (KIND_VOIP, b"cell")}
 
 
 def test_tampered_obfuscation_tag_rejected():

@@ -15,7 +15,7 @@ caller.  This file pins that:
   the moment a stale roster is served;
 * a roster is built once for as long as membership stands;
 * a member without an attachment is a typed error on both engines;
-* ``plan_upstream`` packs the manifest ``plan_manifest`` packs;
+* ``upstream_packet`` seals the manifest ``encode_manifest`` seals;
 * a ``zone-steady``-shaped round is five ``_keystream_blocks`` calls;
 * ``decode_rounds`` in one kernel call equals the per-item
   composition, and refuses a bad round before the kernel runs;
@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.crypto.chacha20 as chacha20
 from repro.core.callmanager import CallState
-from repro.core.channel import ChannelManifest, plan_manifest
+from repro.core.channel import ChannelManifest, encode_manifest
 from repro.core.client import ChannelAttachment, HerdClient
 from repro.core.signaling import MissingTrialKey
 from repro.core.network_coding import (
@@ -286,8 +286,8 @@ class TestPlanUpstreamManifest:
         client = _joined_client()
         client.signal_pending = signal
         attachment = ChannelAttachment("sp", 0, slot, sequence)
-        _, manifest = client.plan_upstream(attachment)
-        assert manifest == plan_manifest(
+        _, manifest = client.upstream_packet(attachment)
+        assert manifest == encode_manifest(
             ChannelManifest(slot, sequence, signal),
             client.session_key, slot)
         assert attachment.sequence == sequence + 1
@@ -297,14 +297,14 @@ class TestPlanUpstreamManifest:
     def test_out_of_range_fields_still_raise(self, slot, sequence):
         attachment = ChannelAttachment("sp", 0, slot, sequence)
         with pytest.raises(ValueError, match="6 bits|non-negative"):
-            _joined_client().plan_upstream(attachment)
+            _joined_client().upstream_packet(attachment)
         # Nothing was sent, so nothing was counted.
         assert attachment.sequence == sequence
 
     def test_unjoined_client_still_refused(self):
         client = HerdClient("c", "zone-EU", rng=random.Random(1))
         with pytest.raises(RuntimeError, match="not joined"):
-            client.plan_upstream(ChannelAttachment("sp", 0, 0))
+            client.upstream_packet(ChannelAttachment("sp", 0, 0))
 
 
 class _KernelSpy:
