@@ -12,7 +12,7 @@ Package map
   ChaCha20-Poly1305 / HKDF, PKI, DTLS-like links, onion encryption.
 * :mod:`repro.netsim` — discrete-event network simulator with EC2
   geography and adversary link observers.
-* :mod:`repro.voip` — codecs, RTP, and the ITU-T G.107 E-Model.
+* :mod:`repro.voip` — codecs and the ITU-T G.107 E-Model.
 * :mod:`repro.workload` — synthetic mobile call traces and social
   graphs matching the paper's published statistics.
 * :mod:`repro.attacks` — intersection, correlation, and long-term

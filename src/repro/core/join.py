@@ -54,7 +54,9 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
         If provided and the adopting mix has channels configured, the
         client is redirected to SPs: it attaches to ``client.k``
         channels chosen by the mix (``channel_choice`` overrides the
-        choice for tests).
+        choice for tests).  A mix with fewer than ``client.k``
+        channels refuses it with a ``ValueError`` before any key
+        exchange.
     """
     rng = rng or random.Random(0)
     if client.zone_id != directory.zone.zone_id:
@@ -65,6 +67,10 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
     # 1. The directory redirects the client to a mix within the zone.
     mix_id = directory.pick_mix()
     mix = mixes[mix_id]
+    if superpeers and mix.channels and channel_choice is None \
+            and client.k > len(mix.channels):
+        raise ValueError(f"client needs k={client.k} channels but mix "
+                         f"{mix_id} has {len(mix.channels)}")
 
     # 2. Client ↔ mix key establishment (symmetric key s).
     eph_pub, eph = client.begin_join()

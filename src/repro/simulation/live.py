@@ -237,19 +237,22 @@ class LiveZone:
             self.obs.call_started(caller_id, callee_id)
 
     def hang_up(self, client_id: str) -> None:
+        """End the client's call and its peer's.  Voice either leg
+        queued for the ended call is dropped, never carried into the
+        next one."""
         live = self.clients[client_id]
         peer_numeric = self.peers.pop(live.numeric_id, None)
-        self.manager.end_call(live.numeric_id)
-        live.agent.hang_up()
-        if self.obs is not None:
-            self.obs.call_ended(client_id)
+        legs = [live]
         if peer_numeric is not None:
-            peer = self._by_numeric[peer_numeric]
+            legs.append(self._by_numeric[peer_numeric])
             self.peers.pop(peer_numeric, None)
-            self.manager.end_call(peer_numeric)
-            peer.agent.hang_up()
+        for leg in legs:
+            self.manager.end_call(leg.numeric_id)
+            leg.agent.hang_up()
+            leg.outbox.clear()
+            self._speaking.pop(leg.client.client_id, None)
             if self.obs is not None:
-                self.obs.call_ended(peer.client.client_id)
+                self.obs.call_ended(leg.client.client_id)
 
     def say(self, client_id: str, cell: bytes) -> None:
         """Queue a voice cell for the client's active call."""
@@ -424,6 +427,8 @@ class LiveZone:
     def _open_manifests(self, rounds) -> List[list]:
         """:meth:`_manifest_entries` for a round's ``(roster, combined
         round)`` pairs as one word column, under the mix key columns."""
+        if not rounds:
+            return []
         manifests = b"".join([b"".join(up.manifests) for _, up in rounds])
         sizes = [len(roster.numerics) for roster, _ in rounds]
         if len(manifests) != 4 * sum(sizes):

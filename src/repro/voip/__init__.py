@@ -1,4 +1,4 @@
-"""VoIP substrate: codecs, RTP packetization, and call quality.
+"""VoIP substrate: codecs and call quality.
 
 The paper's unit of traffic is "the payload rate of a single voice
 call" using the G.711 codec at 8 KB/s (§4.1.3), and call quality is
@@ -7,13 +7,13 @@ Cole & Rosenbluth (§4.3.1).  This package provides:
 
 * :mod:`repro.voip.codec` — codec models (G.711, G.729, plus an
   Opus-like wideband entry) with frame sizes and packet rates,
-* :mod:`repro.voip.rtp` — RTP-style packetization of a talk stream,
 * :mod:`repro.voip.emodel` — the E-Model: R-factor from one-way delay
-  and packet loss, MOS conversion, and the Fig. 7 quality bands.
+  and packet loss, MOS conversion, and the Fig. 7 quality bands,
+* :mod:`repro.voip.fec` — the §3.6.4 error-correction model: closed-form
+  effective loss, with the encoder / decoder as its Monte-Carlo oracle.
 """
 
 from repro.voip.codec import Codec, G711, G729, OPUS_NB, CODECS
-from repro.voip.rtp import RtpPacketizer, RtpPacket, RTP_HEADER_BYTES
 from repro.voip.emodel import (
     EModel,
     MOS_BANDS,
@@ -39,9 +39,6 @@ __all__ = [
     "G729",
     "OPUS_NB",
     "CODECS",
-    "RtpPacketizer",
-    "RtpPacket",
-    "RTP_HEADER_BYTES",
     "EModel",
     "MOS_BANDS",
     "mos_from_r",

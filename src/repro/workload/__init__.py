@@ -1,4 +1,4 @@
-"""Workload substrate: call traces and social graphs.
+"""Workload substrate: call traces and social-graph degree models.
 
 The paper's simulations are driven by a proprietary, IRB-approved trace
 of 370 million mobile phone calls among 10.8 million subscribers, plus
@@ -25,7 +25,7 @@ from repro.workload.arrivals import (
 )
 from repro.workload.cdr import CallRecord, CallTrace
 from repro.workload.generator import SyntheticTraceConfig, generate_trace
-from repro.workload.social import SocialGraph, degree_sequence
+from repro.workload.social import degree_sequence
 from repro.workload.datasets import (
     DatasetSpec,
     MOBILE,
@@ -41,7 +41,6 @@ __all__ = [
     "poisson_arrival_times",
     "SyntheticTraceConfig",
     "generate_trace",
-    "SocialGraph",
     "degree_sequence",
     "DatasetSpec",
     "MOBILE",

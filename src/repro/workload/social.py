@@ -1,19 +1,20 @@
-"""Heavy-tailed social graph models for the Drac comparison.
+"""Heavy-tailed social graph degree models for the Drac comparison.
 
 Drac's chaffing cost and anonymity both derive from the social graph:
 each user keeps one chaffed connection per contact, and the anonymity
 set at H hops is the H-hop neighbourhood (§4.1.1, §4.1.5).  The paper
 uses Twitter and Facebook datasets; we synthesize degree sequences from
 a discrete truncated power law calibrated so that the *median* and
-*maximum* degrees match the published numbers (DESIGN.md E2/E3), and
-optionally materialize a graph for exact H-hop computations on small
-instances.
+*maximum* degrees match the published numbers (DESIGN.md E2/E3).  The
+paper only ever needs degree statistics, so no graph is materialized:
+H = 1 is the degree itself, and H ≥ 2 the paper's
+``median_degree ** H`` estimate (:func:`estimated_anonymity_set`).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Optional
 
 import numpy as np
 
@@ -71,83 +72,6 @@ def degree_sequence(n: int, median_degree: int, max_degree: int,
     if include_max and n > 1:
         degrees[int(np.argmax(degrees))] = max_degree
     return degrees.astype(np.int64)
-
-
-class SocialGraph:
-    """An undirected social graph with H-hop neighbourhood queries.
-
-    For the big datasets the paper only ever needs degree statistics
-    (H=1 empirical, H≥2 estimated as ``median_degree**H``, §4.1.5);
-    exact neighbourhoods via BFS are practical for the small graphs used
-    in tests and examples.
-    """
-
-    def __init__(self, adjacency: Dict[int, Set[int]]):
-        self.adjacency = adjacency
-
-    @classmethod
-    def configuration_model(cls, degrees: Sequence[int],
-                            rng: Optional[random.Random] = None
-                            ) -> "SocialGraph":
-        """Build a simple graph approximating the degree sequence by
-        random stub matching (self-loops and multi-edges discarded)."""
-        rng = rng or random.Random(0)
-        stubs: List[int] = []
-        for node, degree in enumerate(degrees):
-            stubs.extend([node] * int(degree))
-        rng.shuffle(stubs)
-        adjacency: Dict[int, Set[int]] = {i: set()
-                                          for i in range(len(degrees))}
-        for i in range(0, len(stubs) - 1, 2):
-            a, b = stubs[i], stubs[i + 1]
-            if a != b:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        return cls(adjacency)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Sequence) -> "SocialGraph":
-        adjacency: Dict[int, Set[int]] = {i: set() for i in range(n)}
-        for a, b in edges:
-            if a == b:
-                raise ValueError("self-loops are not allowed")
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        return cls(adjacency)
-
-    def __len__(self) -> int:
-        return len(self.adjacency)
-
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
-    def degrees(self) -> np.ndarray:
-        return np.array([len(self.adjacency[n])
-                         for n in sorted(self.adjacency)])
-
-    def neighbourhood(self, node: int, hops: int) -> Set[int]:
-        """All nodes reachable within ``hops`` hops, excluding ``node``
-        itself — Drac's anonymity set for that user."""
-        if hops < 0:
-            raise ValueError("hops must be non-negative")
-        frontier = {node}
-        seen = {node}
-        for _ in range(hops):
-            next_frontier: Set[int] = set()
-            for u in frontier:
-                next_frontier |= self.adjacency[u] - seen
-            seen |= next_frontier
-            frontier = next_frontier
-            if not frontier:
-                break
-        seen.discard(node)
-        return seen
-
-    def anonymity_set_sizes(self, hops: int,
-                            nodes: Optional[Sequence[int]] = None
-                            ) -> np.ndarray:
-        nodes = list(self.adjacency) if nodes is None else list(nodes)
-        return np.array([len(self.neighbourhood(n, hops)) for n in nodes])
 
 
 def estimated_anonymity_set(median_degree: int, hops: int) -> float:

@@ -3,9 +3,9 @@ crypto and wire layers is constant-time, and tampered tags are
 rejected.
 
 The audit for this gate found no ``==`` digest comparisons (onion
-cells, obfuscation tags, and hop confirmations already used
-``hmac.compare_digest``; the AEAD tag check joined them when its
-hand-rolled comparison loop went); these tests pin that state so a
+cells and hop confirmations already used ``hmac.compare_digest``;
+the AEAD tag check joined them when its hand-rolled comparison loop
+went); these tests pin that state so a
 regression fails both at runtime (tampering accepted) and statically
 (HL003).
 """
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import ClientHopHandshake, mix_process_create
-from repro.core.obfuscation import Bridge, ObfuscatedChannel
 from repro.core.signaling import (
     KIND_VOIP,
     TrialKeys,
@@ -38,7 +37,6 @@ def test_hl003_clean_in_crypto_and_wire_layers():
         REPO_ROOT / "src" / "repro" / "crypto",
         REPO_ROOT / "src" / "repro" / "core" / "wire.py",
         REPO_ROOT / "src" / "repro" / "core" / "circuit.py",
-        REPO_ROOT / "src" / "repro" / "core" / "obfuscation.py",
         REPO_ROOT / "src" / "repro" / "core" / "signaling.py",
     ]
     result = run_lint([str(p) for p in paths],
@@ -103,19 +101,6 @@ def test_tampered_aead_tag_rejected_bytewise():
         9, [(2, p, 1) for p in packets], np.repeat(member, len(packets), 0),
         np.repeat(poly_key, len(packets), 0)) == \
         {n // 2: (KIND_VOIP, b"cell")}
-
-
-def test_tampered_obfuscation_tag_rejected():
-    bridge = Bridge(bridge_id="b-1", address="198.51.100.7",
-                    secret=b"\x22" * 32)
-    sender = ObfuscatedChannel(bridge)
-    receiver = ObfuscatedChannel(bridge)
-    datagram = sender.wrap(b"rtp payload")
-    assert receiver.unwrap(datagram) == b"rtp payload"
-    tampered = bytearray(datagram)
-    tampered[-1] ^= 0x80
-    with pytest.raises(ValueError, match="failed authentication"):
-        receiver.unwrap(bytes(tampered))
 
 
 def test_tampered_hop_confirmation_rejected():

@@ -1,4 +1,4 @@
-"""Tests for the VoIP substrate: codecs, RTP, and the E-Model."""
+"""Tests for the VoIP substrate: codecs and the E-Model."""
 
 import math
 
@@ -13,7 +13,6 @@ from repro.voip.emodel import (
     quality_band,
     r_factor,
 )
-from repro.voip.rtp import RTP_HEADER_BYTES, RtpPacketizer, RtpReceiver
 
 
 class TestCodec:
@@ -52,55 +51,6 @@ class TestCodec:
         # Ie = 30 ln(1 + 15 e): spot-check at 5% loss.
         assert G711.loss_impairment(0.05) == pytest.approx(
             30.0 * math.log(1.75), rel=1e-9)
-
-
-class TestRtp:
-    def test_sequence_and_timestamps(self):
-        packets = RtpPacketizer(G711).stream(0.1)
-        assert len(packets) == 5
-        assert [p.sequence for p in packets] == [0, 1, 2, 3, 4]
-        assert packets[3].timestamp_ms == 60.0
-
-    def test_marker_only_on_first(self):
-        packets = RtpPacketizer(G711).stream(0.1)
-        assert packets[0].marker
-        assert not any(p.marker for p in packets[1:])
-
-    def test_packet_size_includes_header(self):
-        pkt = RtpPacketizer(G711).next_packet()
-        assert pkt.size == RTP_HEADER_BYTES + 160
-
-    def test_fill_byte_validation(self):
-        with pytest.raises(ValueError):
-            RtpPacketizer(G711, fill_byte=b"ab")
-
-    def test_receiver_no_loss(self):
-        rx = RtpReceiver(G711)
-        for pkt in RtpPacketizer(G711).stream(1.0):
-            rx.on_packet(pkt, arrival_ms=pkt.timestamp_ms + 50.0)
-        assert rx.loss_fraction == 0.0
-        assert rx.jitter_ms == pytest.approx(0.0)
-
-    def test_receiver_counts_loss(self):
-        rx = RtpReceiver(G711)
-        packets = RtpPacketizer(G711).stream(1.0)
-        for i, pkt in enumerate(packets):
-            if i % 10 == 0:  # drop 10%
-                continue
-            rx.on_packet(pkt, arrival_ms=pkt.timestamp_ms + 50.0)
-        assert rx.loss_fraction == pytest.approx(0.1, abs=0.02)
-
-    def test_receiver_jitter_nonzero_with_variable_delay(self):
-        rx = RtpReceiver(G711)
-        for i, pkt in enumerate(RtpPacketizer(G711).stream(1.0)):
-            delay = 50.0 + (5.0 if i % 2 else 0.0)
-            rx.on_packet(pkt, arrival_ms=pkt.timestamp_ms + delay)
-        assert rx.jitter_ms > 1.0
-
-    def test_receiver_empty(self):
-        rx = RtpReceiver(G711)
-        assert rx.expected == 0
-        assert rx.loss_fraction == 0.0
 
 
 class TestEModelFormulas:
