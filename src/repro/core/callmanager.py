@@ -26,21 +26,29 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Deque, Dict, List, Optional, \
-    Set, Tuple
+    Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.allocation import ChannelAssignment, RankingMatcher
+from repro.core.channel import manifest_nonces, read_manifests
 from repro.core.client import HerdClient
 from repro.core.mix import Mix
+from repro.core.network_coding import PACKET_BLOCKS, upstream_nonces
 from repro.core.signaling import (
+    BODY_BLOCKS,
     ChannelGrant,
     IncomingCallAnnouncement,
     KIND_GRANT,
     KIND_INCOMING,
     KIND_VOIP,
+    downstream_nonces,
     make_downstream_chaff,
     make_downstream_packets,
     open_downstream_packet,
 )
+from repro.crypto import chacha20
+from repro.crypto.chacha20 import key_words
 
 
 
@@ -233,14 +241,16 @@ class MixCallManager:
         return [channel_id for channel_id in self.mix.channels
                 if channel_id not in self.disabled_channels]
 
-    def downstream_round(self, round_index: int
+    def downstream_round(self, round_index: int,
+                         seals: Optional[Dict[tuple, bytes]] = None
                          ) -> Dict[int, bytes]:
         """One packet per channel for this round (Fig. 2a).
 
         Priority per busy channel: pending GRANT/INCOMING first, then a
         queued voice cell, then addressed chaff (a VOIP packet with an
         empty payload keeps the crypto path identical).  Idle channels
-        carry random chaff.
+        carry random chaff.  A packet is sealed over the stream
+        ``seals`` holds for its ``(channel, key)``, if any.
         """
         n_control = n_payload = n_chaff = 0
         #: channel → (key, channel, round, kind, payload), sealed
@@ -274,8 +284,11 @@ class MixCallManager:
                 n_payload += 1
             else:
                 n_chaff += 1
-        out: Dict[int, bytes] = dict(zip(
-            addressed, make_downstream_packets(list(addressed.values()))))
+        seals = seals or {}
+        out: Dict[int, bytes] = dict(zip(addressed, make_downstream_packets(
+            list(addressed.values()),
+            [seals.get((channel_id, key.key))
+             for key, channel_id, *_ in addressed.values()])))
         enabled = self.downstream_channels()
         for channel_id in enabled:
             if channel_id not in out:
@@ -292,7 +305,8 @@ class MixCallManager:
 
     def _ingest(self, upstream: List[Tuple[int, bytes,
                                            List[Tuple[int, int, bool]]]],
-                route: Optional[Callable[[int, bytes], None]] = None
+                route: Optional[Callable[[int, bytes], None]] = None,
+                peel: Optional[tuple] = None
                 ) -> List[Tuple[Optional[int], bytes]]:
         """Decode upstream rounds given as (channel_id, xor_packet,
         manifest_entries) — all of them with one chaff prediction —
@@ -306,7 +320,7 @@ class MixCallManager:
         that chaff (batched) or decrypts it as the new call's packet
         (channel by channel) the channel yields no payload and the
         same signalers."""
-        decoded = self.mix.decode_channel_rounds(upstream)
+        decoded = self.mix.decode_channel_rounds(upstream, peel)
         recovered = []
         for active, payload, signalers in decoded:
             for numeric_id in signalers:
@@ -329,7 +343,9 @@ class MixCallManager:
                       route: Optional[Callable[[int, bytes],
                                                None]] = None,
                       pre_downstream: Optional[Callable[[], None]]
-                      = None) -> Dict[int, bytes]:
+                      = None, peel: Optional[tuple] = None,
+                      seals: Optional[Dict[tuple, bytes]] = None
+                      ) -> Dict[int, bytes]:
         """Round-synchronous batch entry point: ingest every channel's
         upstream round, route recovered voice, and produce the whole
         downstream round in one call.
@@ -350,11 +366,71 @@ class MixCallManager:
         sequence mismatch) leaves no channel of the round applied —
         the per-channel :meth:`process_upstream` has by then acted on
         the channels before it.
+
+        Any row ``peel`` and ``seals`` (:meth:`process_columns`) did
+        not draw ahead is a miss, drawn in one call where it is needed.
         """
-        self._ingest(upstream, route)
+        self._ingest(upstream, route, peel)
         if pre_downstream is not None:
             pre_downstream()
-        return self.downstream_round(round_index)
+        return self.downstream_round(round_index, seals)
+
+    def process_columns(self, round_index: int,
+                        rounds: Sequence[tuple],
+                        route: Optional[Callable[[int, bytes],
+                                                 None]] = None,
+                        pre_downstream: Optional[Callable[[], None]]
+                        = None) -> Dict[int, bytes]:
+        """:meth:`process_round` of ``(channel_id, xor_packet,
+        manifests, roster)`` in channel order — ``roster`` the
+        channel's ``numerics``, ``mix_keys`` and ``slots`` columns —
+        drawing in one kernel call what the round's start fixes: each
+        member's manifest block (by slot) and peel row (at the sequence
+        its channel expects, §3.6.1), and blocks 0…5 of each call's
+        downstream packet (by channel and round, §3.6.2)."""
+        rosters = [roster for _, _, _, roster in rounds]
+        data = b"".join([b"".join(manifests) for _, _, manifests, _ in rounds])
+        numerics = tuple(itertools.chain.from_iterable(
+            roster.numerics for roster in rosters))
+        if len(data) != 4 * len(numerics):
+            raise ValueError("manifest must be 4 bytes")
+        expected = np.array(list(itertools.chain.from_iterable(
+            self.mix.channels[channel_id].next_sequences[
+                :len(roster.numerics)]
+            for channel_id, _, _, roster in rounds)), dtype=np.uint64)
+        calls = [(call.channel_id, self.mix.client_keys[
+            self._client_name[call.numeric_id]].key)
+            for call in self.calls.values()]
+        n, m = len(numerics), len(calls)
+        stream = np.frombuffer(chacha20._keystream_blocks(
+            np.concatenate([roster.mix_keys for roster in rosters] * 2
+                           + [key_words([key for _, key in calls])]),
+            np.concatenate((
+                manifest_nonces(np.concatenate(
+                    [roster.slots for roster in rosters]
+                    + [np.empty(0, np.int64)])),
+                upstream_nonces(expected),
+                downstream_nonces([channel_id for channel_id, _ in calls],
+                                  [round_index] * m))),
+            [1] * n + [PACKET_BLOCKS] * n + [1 + BODY_BLOCKS] * m,
+            [1] * (2 * n) + [0] * m), dtype=np.uint32)
+        cut = 16 * n * (1 + PACKET_BLOCKS)
+        _, sequences, signals = read_manifests(
+            stream[:16 * n:16], np.frombuffer(data, dtype=np.uint32),
+            expected)
+        sequences, signals = sequences.tolist(), signals.tolist()
+        upstream, end = [], 0
+        for channel_id, xor_packet, _, roster in rounds:
+            start, end = end, end + len(roster.numerics)
+            self.mix.channels[channel_id].resync(sequences[start:end])
+            upstream.append((channel_id, xor_packet, list(zip(
+                roster.numerics, sequences[start:end], signals[start:end]))))
+        return self.process_round(
+            round_index, upstream, route, pre_downstream,
+            (numerics, expected,
+             stream[16 * n:cut].view(np.uint64).reshape(n, 8 * PACKET_BLOCKS)),
+            dict(zip(calls, stream[cut:].view(
+                f"V{64 * (1 + BODY_BLOCKS)}").tolist())))
 
 
 class CallState(Enum):

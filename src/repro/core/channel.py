@@ -100,13 +100,21 @@ def open_manifests(data: np.ndarray, keys, slots, expected
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decrypt a ``<u4`` column of manifests — each under its key
     (``bytes`` or a word column) at its slot — in one kernel call, a
-    manifest the first word of its block; returns the in-channel ids,
-    full sequences and signal bits as columns.  ``expected`` is the
-    mix's next-expected sequence of each sender: the 25 bits sent
-    resolve to the nearest sequence at or after ``expected - 2^24``."""
+    manifest the first word of its block (:func:`read_manifests`)."""
     stream = chacha20._keystream_blocks(keys, manifest_nonces(slots),
                                         [1] * len(data), 1)
-    words = np.frombuffer(stream, dtype=_U32)[::16] ^ data
+    return read_manifests(np.frombuffer(stream, dtype=_U32)[::16], data,
+                          expected)
+
+
+def read_manifests(pads: np.ndarray, data: np.ndarray, expected
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The in-channel ids, full sequences and signal bits, as columns,
+    of a ``<u4`` column of manifests XOR ``pads`` (the first word of
+    each one's keystream block).  ``expected`` is the mix's next
+    expected sequence of each sender: the 25 bits sent resolve to the
+    nearest sequence at or after ``expected - 2^24``."""
+    words = pads ^ data
     expected = np.asarray(expected, dtype=_U64)
     half, period = np.uint64(_SEQ_MOD // 2), np.uint64(_SEQ_MOD)
     base = np.where(expected > half, expected - half, 0).astype(_U64)

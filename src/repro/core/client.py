@@ -66,13 +66,14 @@ _U64 = np.dtype("<u8")
 def seal_upstream(keys: np.ndarray, sequences: Sequence[int],
                   slots: Sequence[int], signals: Sequence[bool],
                   payloads: Mapping[int, bytes],
-                  draws: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                  draws: Optional[tuple] = None
                   ) -> Tuple[List[bytes], List[bytes], np.ndarray]:
     """Seal one round's emissions — one attachment's, or a zone's, a
     row each: its client's key words, sequence, slot and signal bit,
     and in ``payloads`` the cell it carries (chaff elsewhere, §3.4.1)
-    — and draw block 0 of every row of ``draws`` (a round's
-    :class:`~repro.core.signaling.TrialKeys`), in one kernel call.
+    — and draw ``draws`` (a round's :attr:`~repro.core.signaling
+    .TrialKeys.request`: ``(keys, nonces, counts, starts)``, or
+    ``(keys, nonces)`` for block 0 of each), in one kernel call.
     Returns the packets, the manifests and the drawn blocks as
     ``(m, 16)`` ``<u4`` rows; an out-of-range field seals nothing."""
     if min(sequences, default=0) < 0:
@@ -81,14 +82,15 @@ def seal_upstream(keys: np.ndarray, sequences: Sequence[int],
     sequences = np.array(sequences, dtype=_U64)
     words = manifest_words(slots, sequences, signals)
     clear = packet_cleartexts(sequences, payloads)
-    draw_keys, draw_nonces = draws if draws is not None else (
+    draw_keys, draw_nonces, *layout = draws if draws is not None else (
         np.empty((0, 8), dtype=_U32), np.empty((0, 3), dtype=_U32))
+    counts, starts = layout or ([1] * len(draw_keys), [0] * len(draw_keys))
     stream = np.frombuffer(chacha20._keystream_blocks(
         np.concatenate((keys, keys, draw_keys)),
         np.concatenate((upstream_nonces(sequences), manifest_nonces(slots),
                         draw_nonces)),
-        [PACKET_BLOCKS] * n + [1] * (n + len(draw_keys)),
-        [1] * (2 * n) + [0] * len(draw_keys)), dtype=_U32)
+        [PACKET_BLOCKS] * n + [1] * n + list(counts),
+        [1] * (2 * n) + list(starts)), dtype=_U32)
     cut = 16 * PACKET_BLOCKS * n
     packets = packet_bytes(
         stream[:cut].view(_U64).reshape(n, 8 * PACKET_BLOCKS) ^ clear)

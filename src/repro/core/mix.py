@@ -248,10 +248,12 @@ class Mix:
 
     def decode_channel_rounds(
             self, rounds: Sequence[Tuple[int, bytes,
-                                         List[Tuple[int, int, bool]]]]
+                                         List[Tuple[int, int, bool]]]],
+            drawn: Optional[tuple] = None
             ) -> List[Tuple[Optional[int], bytes, List[int]]]:
         """Decode upstream XOR rounds given as ``(channel_id,
-        xor_packet, manifests)``.  Each channel's active client is
+        xor_packet, manifests)`` (and ``drawn`` rows, see
+        :func:`decode_rounds`).  Each channel's active client is
         channel state (the mix allocated the call), read here, before
         any of the rounds' signals is acted on."""
         channel_rounds = []
@@ -261,7 +263,7 @@ class Mix:
             if channel.active_call is not None:
                 active = channel.members[channel.active_call]
             channel_rounds.append((xor_packet, manifests, active))
-        return decode_rounds(channel_rounds, self.predictor)
+        return decode_rounds(channel_rounds, self.predictor, drawn)
 
     def decode_channel_round(self, channel_id: int, xor_packet: bytes,
                              manifests: List[Tuple[int, int, bool]]

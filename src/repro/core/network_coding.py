@@ -162,35 +162,48 @@ class ChaffPredictor:
     def add_client(self, client: int, key: SessionKey) -> None:
         self._keys[client] = key
 
-    def peel_rounds(self, rounds: Sequence[Sequence[Tuple[int, int, bool]]]
-                    ) -> List[bytes]:
+    def peel_rounds(self, rounds: Sequence[Sequence[Tuple[int, int, bool]]],
+                    drawn: Optional[tuple] = None) -> List[bytes]:
         """What the mix XORs out of each round of ``(client, sequence,
-        active)`` senders, from one kernel call: the XOR of an idle
-        client's chaff ciphertext and an active client's keystream —
-        under which what is left of the round is that client's
-        cleartext — over the round's senders.
+        active)`` senders: the XOR of an idle client's chaff ciphertext
+        and an active client's keystream — under which what is left of
+        the round is that client's cleartext — over the round's
+        senders.
 
         A chaff ciphertext is the sender's keystream XOR its header
         (``sequence << 8``: type 0, then the sequence) and zeros, so a
         round's mask is one ``reduceat`` over its keystream rows and
-        one over its chaff sequences.  A round with no senders masks
-        nothing."""
+        one over its chaff sequences.  ``drawn`` is ``(clients,
+        sequences, rows)`` drawn ahead for exactly these senders' tuple
+        of clients: a row is read from it where it was drawn at the
+        sender's sequence (one vectorised compare), and the misses —
+        every row, if nothing was drawn — take one kernel call.  A
+        round with no senders masks nothing."""
         masks = [_ZERO_PACKET] * len(rounds)
         senders = [sender for senders in rounds for sender in senders]
         if not senders:
             return masks
         clients, sequences, actives = zip(*senders)
+        sequences = np.array(sequences, dtype=_U64)
+        rows, misses = None, range(len(senders))
+        if drawn is not None and drawn[0] == clients:
+            _, drawn_sequences, rows = drawn
+            misses = np.flatnonzero(sequences != drawn_sequences).tolist()
         try:
-            keys = [self._keys[client].key for client in clients]
+            keys = [self._keys[clients[i]].key for i in misses]
         except KeyError as missing:
             raise KeyError(f"no session key for client {missing}") from None
+        if misses:
+            fresh = _keystream_rows(keys, sequences[misses])
+            if rows is None:
+                rows = fresh
+            else:
+                rows = rows.copy()
+                rows[misses] = fresh
         #: the rounds that have senders, and where their rows start
         filled = [i for i, senders in enumerate(rounds) if senders]
         at = [0, *accumulate(len(rounds[i]) for i in filled[:-1])]
-        sequences = np.array(sequences, dtype=_U64)
-        folded = np.bitwise_xor.reduceat(
-            _keystream_rows(keys, sequences), at,
-            axis=0)
+        folded = np.bitwise_xor.reduceat(rows, at, axis=0)
         folded ^= packet_cleartexts(np.bitwise_xor.reduceat(
             np.where(actives, np.uint64(0), sequences), at), {})
         for i, mask in zip(filled, packet_bytes(folded)):
@@ -215,7 +228,8 @@ ChannelRound = Tuple[bytes, Sequence[Tuple[int, int, bool]], Optional[int]]
 
 
 def decode_rounds(rounds: Sequence[ChannelRound],
-                  predictor: ChaffPredictor
+                  predictor: ChaffPredictor,
+                  drawn: Optional[tuple] = None
                   ) -> List[Tuple[Optional[int], bytes, List[int]]]:
     """Mix-side decode of any number of channel rounds (Fig. 2b).
 
@@ -250,10 +264,12 @@ def decode_rounds(rounds: Sequence[ChannelRound],
     of §3.6.1 ("the mix asks the SP to send the full packets from which
     the packets were computed").
 
-    The rounds are validated before any cipher work is spent on them:
-    a wrong-size XOR packet, an active client missing from its round's
-    manifests or a sender without a session key refuses the whole call
-    ahead of the kernel.
+    Senders keep their manifests' order (the active client at its last
+    entry), which ``drawn`` rows follow (:meth:`ChaffPredictor
+    .peel_rounds`).  The rounds are validated before any cipher work
+    is spent on them: a wrong-size XOR packet, an active client
+    missing from its round's manifests or a missed sender without a
+    session key refuses the whole call ahead of the kernel.
     """
     if any(len(xor_packet) != CODED_PACKET_SIZE
            for xor_packet, _, _ in rounds):
@@ -265,16 +281,16 @@ def decode_rounds(rounds: Sequence[ChannelRound],
                   if client != active]
         active_seq = None
         if active is not None:
-            for client, seq, _ in entries:
+            for at, (client, seq, _) in enumerate(entries):
                 if client == active:
-                    active_seq = seq
+                    last, active_seq = at, seq
             if active_seq is None:
                 raise ValueError(
                     "active client missing from round manifests")
-            peeled.append((active, active_seq, True))
+            peeled.insert(last, (active, active_seq, True))
         senders.append(peeled)
         active_seqs.append(active_seq)
-    masks = predictor.peel_rounds(senders)
+    masks = predictor.peel_rounds(senders, drawn)
     decoded: List[Tuple[Optional[int], bytes, List[int]]] = []
     #: (index into ``decoded``, active client, its sequence, cleartext)
     to_open = []

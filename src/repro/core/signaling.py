@@ -52,6 +52,8 @@ DOWNSTREAM_PACKET_SIZE = CODED_PACKET_SIZE
 _AEAD_OVERHEAD = 16
 _HEADER = struct.Struct("<BH")  # kind, payload length
 _CAPACITY = DOWNSTREAM_PACKET_SIZE - _AEAD_OVERHEAD - _HEADER.size
+#: The keystream blocks a downstream body takes, from block 1.
+BODY_BLOCKS = (DOWNSTREAM_PACKET_SIZE - _AEAD_OVERHEAD + 63) // 64
 
 #: The first two bytes of every downstream nonce: ``"dn"``.
 _DN_WORD = int.from_bytes(b"dn", "little")
@@ -69,10 +71,12 @@ def downstream_nonces(channel_ids, round_indices) -> np.ndarray:
 
 
 def make_downstream_packets(
-        packets: Sequence[Tuple[SessionKey, int, int, int, bytes]]
+        packets: Sequence[Tuple[SessionKey, int, int, int, bytes]],
+        streams: Optional[Sequence[Optional[bytes]]] = None
         ) -> List[bytes]:
     """Seal downstream packets given as ``(key, channel_id,
-    round_index, kind, payload)``, each for its addressed client."""
+    round_index, kind, payload)``, each for its addressed client, over
+    its stream in ``streams`` where one was drawn ahead."""
     clears = []
     for _, _, _, kind, payload in packets:
         if kind not in _KINDS:
@@ -86,7 +90,7 @@ def make_downstream_packets(
         [key.key for key, _, _, _, _ in packets],
         downstream_nonces([channel_id for _, channel_id, _, _, _ in packets],
                           [index for _, _, index, _, _ in packets]),
-        clears)
+        clears, streams=streams)
     assert all(len(packet) == DOWNSTREAM_PACKET_SIZE for packet in sealed)
     return sealed
 
@@ -124,12 +128,16 @@ class TrialKeys:
     channel and round — so the blocks are planned when the round
     starts, a key column a channel in slot order, drawn beside the
     round's upstream packets (:func:`~repro.core.client.seal_upstream`)
-    and read back as row slices per channel (:meth:`poly_keys`)."""
+    and read back as row slices per channel (:meth:`poly_keys`).  The
+    ``bodies`` — ``(channel, row)`` of each member the mix is known to
+    address — have the stream's body blocks drawn too (:meth:`bodies`)."""
 
-    __slots__ = ("keys", "nonces", "blocks", "_planned")
+    __slots__ = ("keys", "nonces", "request", "blocks", "_planned",
+                 "_bodies")
 
     def __init__(self, round_index: int,
-                 channels: Iterable[Tuple[int, np.ndarray]]):
+                 channels: Iterable[Tuple[int, np.ndarray]],
+                 bodies: Iterable[Tuple[int, int]] = ()):
         channels = list(channels)
         sizes = [len(keys) for _, keys in channels]
         self._planned: Dict[int, Tuple[int, np.ndarray]] = {
@@ -141,14 +149,23 @@ class TrialKeys:
         self.nonces = np.repeat(downstream_nonces(
             [channel_id for channel_id, _ in channels],
             [round_index] * len(channels)), sizes, axis=0)
-        #: Block 0 of every trial, a ``<u4`` row each, once drawn.
+        self._bodies = {leg: i for i, leg in enumerate(
+            leg for leg in bodies if leg[0] in self._planned)}
+        rows = [self._planned[channel_id][0] + row
+                for channel_id, row in self._bodies]
+        #: ``(keys, nonces, counts, starts)``: trials, then bodies.
+        self.request = (
+            np.concatenate((self.keys, self.keys[rows])),
+            np.concatenate((self.nonces, self.nonces[rows])),
+            [1] * len(self.keys) + [BODY_BLOCKS] * len(rows),
+            [0] * len(self.keys) + [1] * len(rows))
+        #: The drawn blocks as ``<u4`` rows, once drawn.
         self.blocks = np.empty((0, 16), dtype=np.uint32)
 
     def draw(self) -> None:
         """Draw the blocks in a call of their own."""
         self.blocks = np.frombuffer(chacha20._keystream_blocks(
-            self.keys, self.nonces, [1] * len(self.keys), 0),
-            dtype=np.uint32).reshape(-1, 16)
+            *self.request), dtype=np.uint32).reshape(-1, 16)
 
     def poly_keys(self, channel_id: int, keys: np.ndarray) -> np.ndarray:
         """The Poly1305 key of every member's trial on the channel as
@@ -164,17 +181,27 @@ class TrialKeys:
                 f"{channel_id} with these members")
         return self.blocks.view(np.uint8)[start:end, :32]
 
+    def bodies(self, firsts: Dict[int, int]) -> Dict[int, bytes]:
+        """The drawn bodies by trial row, ``firsts`` the row of each
+        channel's first trial."""
+        bodies = self.blocks[len(self.keys):].reshape(-1, 16 * BODY_BLOCKS)
+        return {firsts[channel_id] + row: bodies[i].tobytes()
+                for (channel_id, row), i in self._bodies.items()
+                if channel_id in firsts}
+
 
 def open_downstream_packets(
         round_index: int, packets: Sequence[Tuple[int, bytes, int]],
-        keys: np.ndarray, poly_keys: np.ndarray
+        keys: np.ndarray, poly_keys: np.ndarray,
+        bodies: Optional[Dict[int, bytes]] = None
         ) -> Dict[int, Tuple[int, bytes]]:
     """Client-side trial decryption of one round's ``(channel_id,
     packet, members)``: each member tries the packet under its own key
     — trial rows of ``keys`` and of the Poly1305 keys drawn ahead
-    (:class:`TrialKeys`), in packet order.  Returns row → (kind,
-    payload) for the trials addressed to their key's client; the others
-    discard their packet as chaff."""
+    (:class:`TrialKeys`), in packet order, and a hit over its body in
+    ``bodies``, if drawn.  Returns row → (kind, payload) for the trials
+    addressed to their key's client; the others discard their packet
+    as chaff."""
     counts = [members for _, _, members in packets]
     if not len(keys) == len(poly_keys) == sum(counts):
         raise MissingTrialKey("need one drawn key block per trial")
@@ -184,7 +211,7 @@ def open_downstream_packets(
         keys, downstream_nonces([channel_id for channel_id, _, _ in packets],
                                 [round_index] * len(packets)),
         [packet if len(packet) == DOWNSTREAM_PACKET_SIZE else b""
-         for _, packet, _ in packets], counts, poly_keys)
+         for _, packet, _ in packets], counts, poly_keys, bodies=bodies)
     opened: Dict[int, Tuple[int, bytes]] = {}
     for row, clear in enumerate(clears):
         if clear is None:

@@ -46,7 +46,7 @@ import hmac
 import operator
 import struct
 from itertools import compress
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,9 +115,10 @@ def xor_bytes(*chunks: bytes) -> bytes:
 #: than the numpy one.  Both do a fixed number of operations per call
 #: (≈800 big-int, ≈420 array) on operands that grow with the block
 #: count: measured through :func:`_keystream_blocks`, the lanes cost
-#: ≈25 µs + ≈2.5 µs a block and numpy ≈190–240 µs + ≈0.4 µs a block.
-#: They tie near 85 blocks, and below 64 no measured call loses
-#: (table in DESIGN.md §15).  A property of the input, not a setting.
+#: ≈35 µs + ≈3.5 µs a block and numpy ≈250 µs, nearly flat below
+#: 100 blocks.  They tie between 48 and 64 blocks (table in DESIGN.md
+#: §15); a steady zone round makes no call below it, only its misses
+#: do.  A property of the input, not a setting.
 _KERNEL_MIN_BLOCKS = 64
 
 _U32 = np.dtype("<u4")
@@ -370,8 +371,10 @@ def chacha20_encrypt_many(keys: Words, nonces: Words,
                           messages: Sequence[bytes],
                           counter: int = 1) -> List[bytes]:
     """Encrypt (or decrypt) B messages, each under its own (key,
-    nonce), in one kernel call.  Lengths may differ and may be zero:
-    message i takes exactly the blocks it needs."""
+    nonce), in one kernel call (none for none).  Lengths may differ
+    and may be zero: message i takes exactly the blocks it needs."""
+    if not messages:
+        return []
     counts = [(len(message) + 63) // 64 for message in messages]
     stream = _keystream_blocks(keys, nonces, counts, counter)
     padded = b"".join(message.ljust(64 * n, b"\x00")
@@ -598,26 +601,6 @@ def _refuse_short(data: bytes) -> None:
         raise ValueError("ciphertext shorter than the AEAD tag")
 
 
-def aead_seal_many(keys: Sequence[bytes], nonces: Sequence[bytes],
-                   plaintexts: Sequence[bytes],
-                   aads: Optional[Sequence[bytes]] = None) -> List[bytes]:
-    """AEAD_CHACHA20_POLY1305 (RFC 8439 §2.8) over B independent
-    (key, nonce, plaintext, aad) items: ciphertext||tag each.
-
-    One kernel call covers blocks 0…n of every stream: the first half
-    of block 0 is the item's Poly1305 key (§2.6), blocks 1…n encrypt
-    its body."""
-    aads = _one_aad_per_item(keys, nonces, plaintexts, aads)
-    streams = chacha20_encrypt_many(
-        keys, nonces, [bytes(64) + plaintext for plaintext in plaintexts],
-        counter=0)
-    ciphertexts = [stream[64:] for stream in streams]
-    tags = _aead_tags([stream[:32] for stream in streams], ciphertexts,
-                      aads)
-    return [ciphertext + tag
-            for ciphertext, tag in zip(ciphertexts, tags)]
-
-
 def _pick(items, index: List[int]):
     """``items`` at ``index``: rows of a column, items of a sequence."""
     if isinstance(items, np.ndarray):
@@ -625,18 +608,49 @@ def _pick(items, index: List[int]):
     return [items[i] for i in index]
 
 
+def aead_seal_many(keys: Sequence[bytes], nonces: Sequence[bytes],
+                   plaintexts: Sequence[bytes],
+                   aads: Optional[Sequence[bytes]] = None,
+                   streams: Optional[Sequence[Optional[bytes]]] = None
+                   ) -> List[bytes]:
+    """AEAD_CHACHA20_POLY1305 (RFC 8439 §2.8) over B independent
+    (key, nonce, plaintext, aad) items: ciphertext||tag each.
+
+    Each item is sealed over blocks 0…n of its stream: the first half
+    of block 0 is its Poly1305 key (§2.6), blocks 1…n encrypt its
+    body.  Streams the caller drew are in ``streams`` (``None`` where
+    it drew none); the others are drawn in one kernel call."""
+    aads = _one_aad_per_item(keys, nonces, plaintexts, aads)
+    clears = [bytes(64) + plaintext for plaintext in plaintexts]
+    streams = streams or [None] * len(clears)
+    sealed = [None if stream is None else xor_bytes(clear,
+                                                   stream[:len(clear)])
+              for clear, stream in zip(clears, streams)]
+    missing = [i for i, stream in enumerate(streams) if stream is None]
+    for i, stream in zip(missing, chacha20_encrypt_many(
+            _pick(keys, missing), _pick(nonces, missing),
+            [clears[i] for i in missing], counter=0)):
+        sealed[i] = stream
+    ciphertexts = [stream[64:] for stream in sealed]
+    tags = _aead_tags([stream[:32] for stream in sealed], ciphertexts,
+                      aads)
+    return [ciphertext + tag
+            for ciphertext, tag in zip(ciphertexts, tags)]
+
+
 def _open_lanes(keys: Words, nonces: Words,
                 sealed: Sequence[bytes], aads: Sequence[bytes],
-                counts: Sequence[int], poly_keys
+                counts: Sequence[int], poly_keys,
+                bodies: Optional[Dict[int, bytes]] = None
                 ) -> List[Optional[bytes]]:
     """The open both batch entry points share: item i — its nonce, its
     sealed bytes and aad — tried by the ``counts[i]`` lanes after item
     i - 1's, rows of ``keys`` and ``poly_keys`` (the lanes' Poly1305
     keys), each checked under its own key in one MAC call, and only
-    the authentic lanes decrypted, in one kernel call; an outcome a
-    lane.  An item's lanes — a channel's members trying its one packet
-    — share its one MAC input; an item shorter than a tag takes no
-    lane."""
+    the authentic lanes decrypted — over ``bodies[lane]`` where the
+    caller drew it, the others in one kernel call; an outcome a lane.
+    An item's lanes — a channel's members trying its one packet — share
+    its one MAC input; an item shorter than a tag takes no lane."""
     opened: List[Optional[bytes]] = [None] * sum(counts)
     tag_len = ChaCha20Poly1305.TAG_LEN
     lanes: List[int] = []
@@ -657,14 +671,20 @@ def _open_lanes(keys: Words, nonces: Words,
                              else _pick(poly_keys, lanes))
     authentic = list(compress(range(len(tags)),
                               map(hmac.compare_digest, wanted, tags)))
-    if authentic:
-        rows = [lanes[i] for i in authentic]
-        items = [owners[i] for i in authentic]
-        plaintexts = chacha20_encrypt_many(
-            _pick(keys, rows), _pick(nonces, items),
-            [sealed[item][:-tag_len] for item in items])
-        for row, plaintext in zip(rows, plaintexts):
-            opened[row] = plaintext
+    bodies = bodies or {}
+    missing = []
+    for i in authentic:
+        row, body = lanes[i], sealed[owners[i]][:-tag_len]
+        if row in bodies:
+            opened[row] = xor_bytes(body, bodies[row][:len(body)])
+        else:
+            missing.append(i)
+    plaintexts = chacha20_encrypt_many(
+        _pick(keys, [lanes[i] for i in missing]),
+        _pick(nonces, [owners[i] for i in missing]),
+        [sealed[owners[i]][:-tag_len] for i in missing])
+    for i, plaintext in zip(missing, plaintexts):
+        opened[lanes[i]] = plaintext
     return opened
 
 
@@ -698,20 +718,23 @@ def aead_open_many(keys: Sequence[bytes], nonces: Sequence[bytes],
 
 def aead_open_drawn(keys: Words, nonces: Words, sealed: Sequence[bytes],
                     counts: Sequence[int], poly_keys,
-                    aads: Optional[Sequence[bytes]] = None
+                    aads: Optional[Sequence[bytes]] = None,
+                    bodies: Optional[Dict[int, bytes]] = None
                     ) -> List[Optional[bytes]]:
     """:func:`aead_open_many` over Poly1305 keys the caller drew — the
     first half of block 0 of each lane's (key, item nonce), ``bytes``
-    or ``(B, 32)`` rows — so its one kernel call is the authentic
-    bodies'.  Item i is tried by ``counts[i]`` lanes
-    (:func:`_open_lanes`); an outcome a lane."""
+    or ``(B, 32)`` rows — and lane → keystream from block 1 in
+    ``bodies``, so its one kernel call is the other authentic bodies'.
+    Item i is tried by ``counts[i]`` lanes (:func:`_open_lanes`); an
+    outcome a lane."""
     if aads is None:
         aads = [b""] * len(sealed)
     if not len(sealed) == len(nonces) == len(counts) == len(aads):
         raise ValueError("need one nonce, one count and one aad per item")
     if not len(keys) == len(poly_keys) == sum(counts):
         raise ValueError("need one key and one Poly1305 key per lane")
-    return _open_lanes(keys, nonces, sealed, aads, counts, poly_keys)
+    return _open_lanes(keys, nonces, sealed, aads, counts, poly_keys,
+                       bodies)
 
 
 def seal_record(stream: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:

@@ -43,7 +43,7 @@ from repro import execution as execution_registry
 from repro.core.transport import CellTransport
 from repro.core.callmanager import CallState, ClientCallAgent, \
     FailoverRecord, MixCallManager
-from repro.core.channel import decode_manifest, open_manifests
+from repro.core.channel import decode_manifest
 from repro.core.join import join_zone
 from repro.core.client import ChannelAttachment, HerdClient, \
     seal_upstream
@@ -424,32 +424,6 @@ class LiveZone:
         return [(numeric, manifest.sequence, manifest.signal)
                 for numeric, manifest in zip(roster.numerics, decoded)]
 
-    def _open_manifests(self, rounds) -> List[list]:
-        """:meth:`_manifest_entries` for a round's ``(roster, combined
-        round)`` pairs as one word column, under the mix key columns."""
-        if not rounds:
-            return []
-        manifests = b"".join([b"".join(up.manifests) for _, up in rounds])
-        sizes = [len(roster.numerics) for roster, _ in rounds]
-        if len(manifests) != 4 * sum(sizes):
-            raise ValueError("manifest must be 4 bytes")
-        channels = [self.mix.channels[up.channel_id] for _, up in rounds]
-        _, sequences, signals = open_manifests(
-            np.frombuffer(manifests, dtype=np.uint32),
-            np.concatenate([roster.mix_keys for roster, _ in rounds]),
-            np.concatenate([roster.slots for roster, _ in rounds]),
-            [expected for channel, size in zip(channels, sizes)
-             for expected in channel.next_sequences[:size]])
-        sequences, signals = sequences.tolist(), signals.tolist()
-        entries = []
-        for channel, (roster, _), end, size in zip(
-                channels, rounds, accumulate(sizes), sizes):
-            channel.resync(sequences[end - size:end])
-            entries.append(list(zip(roster.numerics,
-                                    sequences[end - size:end],
-                                    signals[end - size:end])))
-        return entries
-
     def _emit_upstream(self, sp, roster: ChannelRoster, packets,
                        up) -> None:
         """Offer one channel's upstream cells to the wire plane:
@@ -541,6 +515,8 @@ class LiveZone:
             return
         if not deliveries:
             return
+        starts = [0, *accumulate(len(pairs)
+                                 for _, _, _, pairs in deliveries)]
         hits = open_downstream_packets(
             self.round_index,
             [(channel_id, packet, len(pairs))
@@ -549,9 +525,9 @@ class LiveZone:
                             for _, roster, _, _ in deliveries]),
             np.concatenate([trial_keys.poly_keys(channel_id,
                                                  roster.client_keys)
-                            for channel_id, roster, _, _ in deliveries]))
-        starts = [0, *accumulate(len(pairs)
-                                 for _, _, _, pairs in deliveries)]
+                            for channel_id, roster, _, _ in deliveries]),
+            trial_keys.bodies({channel_id: start for (channel_id, _, _, _),
+                               start in zip(deliveries, starts)}))
         for row in sorted(hits):
             i = bisect_right(starts, row) - 1
             channel_id, roster, _, pairs = deliveries[i]
@@ -570,9 +546,10 @@ class LiveZone:
         slot order, sealed from the roster columns in one call with the
         key block of every trial the round's downstream will take (a
         member of each channel :meth:`MixCallManager
-        .downstream_channels` lists).  Each attachment's sequence is
-        read once and written back after the seal.  Returns channel →
-        (packets, manifests), and the drawn trial keys."""
+        .downstream_channels` lists) and the body of each call leg's.
+        Each attachment's sequence is read once and written back after
+        the seal.  Returns channel → (packets, manifests), and the
+        drawn trial keys."""
         payloads = self._payloads(rosters)
         sending = [(channel_id, roster)
                    for channel_id, roster in rosters.items()
@@ -581,9 +558,17 @@ class LiveZone:
         attachments = [attachment for _, roster in sending
                        for attachment in roster.attachments]
         sequences = [attachment.sequence for attachment in attachments]
+        # The bodies: each call leg of the zone, in its call, on the
+        # channel its call holds — the members the mix will address.
+        legs = []
+        for live in map(self._by_numeric.get, self.peers):
+            roster = rosters.get(live.agent.active_channel)
+            row = roster and roster.rows.get(live.client.client_id)
+            if live.agent.state is CallState.IN_CALL and row is not None:
+                legs.append((live.agent.active_channel, row))
         trial_keys = TrialKeys(self.round_index, [
             (channel_id, rosters[channel_id].client_keys)
-            for channel_id in self.manager.downstream_channels()])
+            for channel_id in self.manager.downstream_channels()], legs)
         packets, manifests, trial_keys.blocks = seal_upstream(
             np.concatenate([roster.client_keys for _, roster in sending]
                            or [np.empty((0, 8), np.uint32)]),
@@ -595,7 +580,7 @@ class LiveZone:
             {end - len(roster.entries) + row: payload
              for (channel_id, roster), end in zip(sending, ends)
              for row, payload in payloads.get(channel_id, {}).items()},
-            (trial_keys.keys, trial_keys.nonces))
+            trial_keys.request)
         for attachment, sequence in zip(attachments, sequences):
             attachment.sequence = sequence + 1
         gathered = {}
@@ -637,14 +622,11 @@ class LiveZone:
                                 rosters[channel_id],
                                 gathered[channel_id][0],
                                 rounds_by_channel[channel_id])
-        entries = self._open_manifests(
-            [(rosters[channel_id], rounds_by_channel[channel_id])
-             for channel_id in channels])
-        round_packets = self.manager.process_round(
+        round_packets = self.manager.process_columns(
             self.round_index,
             [(channel_id, rounds_by_channel[channel_id].xor_packet,
-              channel_entries)
-             for channel_id, channel_entries in zip(channels, entries)],
+              rounds_by_channel[channel_id].manifests, rosters[channel_id])
+             for channel_id in channels],
             route=self._route_voice,
             pre_downstream=self._ring_pending_callees)
         self._deliver_downstream(rosters, round_packets, trial_keys)

@@ -16,7 +16,7 @@ caller.  This file pins that:
 * a roster is built once for as long as membership stands;
 * a member without an attachment is a typed error on both engines;
 * ``upstream_packet`` seals the manifest ``encode_manifest`` seals;
-* a ``zone-steady``-shaped round is five ``_keystream_blocks`` calls;
+* a ``zone-steady``-shaped round is two ``_keystream_blocks`` calls;
 * ``decode_rounds`` in one kernel call equals the per-item
   composition, and refuses a bad round before the kernel runs;
 * ``LinkObserver.record_round_runs`` records what the per-link
@@ -321,12 +321,13 @@ class _KernelSpy:
 
 
 class TestKernelCallsPerRound:
-    def test_a_zone_steady_round_is_five_calls(self, monkeypatch):
+    def test_a_zone_steady_round_is_two_calls(self, monkeypatch):
         """100 clients / 16 channels / 4 calls, as ``herdbench``'s
-        ``zone-steady``: packets + manifests sealed beside the key
-        block of every member's downstream trial, manifests opened,
-        chaff + active keystreams peeled, the downstream round sealed
-        and the eight hits opened."""
+        ``zone-steady``: one call per role.  The clients seal packets
+        and manifests beside the key block of every member's
+        downstream trial and the bodies of the eight call legs'; the
+        mix draws every manifest block, every peel row and the eight
+        downstream packets' blocks 0-5."""
         zone = LiveZone(n_clients=100, n_channels=16, n_sps=4, k=2,
                         seed=1, execution="batch-v2")
         zone.attach_wire()
@@ -342,7 +343,7 @@ class TestKernelCallsPerRound:
             zone.say(client_id, b"v" * 160)
         spy = _KernelSpy(monkeypatch)
         zone.step()
-        assert spy.blocks == [1400, 200, 1000, 48, 40]
+        assert spy.blocks == [1440, 1248]
         assert all(len(zone.received_by(c)) == 1 for c in parties)
 
 
