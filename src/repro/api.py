@@ -63,14 +63,13 @@ class SimConfig:
     execution:
         The execution engine, resolved by name through the
         :mod:`repro.execution` registry: ``"event"`` (default) — the
-        classical per-cell / per-channel hot path; ``"batch"`` —
-        round-synchronous batch execution (one core entry point per
-        component per round, vectors of cells on the wire);
-        ``"batch-v2"`` — the vectorized plane (one run table per
-        round with aggregate chaff accounting); ``"asyncio"`` — the
-        real-network plane (the same round-synchronous protocol,
-        every cell carried as a framed UDP datagram over loopback,
-        DESIGN.md §14).  The
+        classical per-cell / per-channel hot path; ``"batch-v2"`` —
+        round-synchronous execution (one core entry point per
+        component per round) on the vectorized wire plane (one run
+        table per round with aggregate chaff accounting);
+        ``"asyncio"`` — the real-network plane (the same
+        round-synchronous protocol, every cell carried as a framed
+        UDP datagram over loopback, DESIGN.md §14).  The
         engines are observationally equivalent: a seeded run
         produces byte-identical metrics snapshots, traces, and
         adversary observations under all of them (DESIGN.md §9,
@@ -269,11 +268,7 @@ class Simulation:
                         zone_id=cfg.zone_id,
                         client_prefix=cfg.client_prefix,
                         execution=cfg.execution)
-        # The real-network plane always materializes the wire — the
-        # datagrams *are* the transport; the simulator planes only
-        # pay for a wire image when an adversary taps it.
-        fabric = zone.attach_wire() \
-            if cfg.wiretap or zone.transport == "udp" else None
+        zone.tap_wire(cfg.wiretap)
         self.scope.use_clock(lambda: float(zone.round_index))
         self.scope.attach_live_zone(zone)
         for caller, callee in self._call_pairs():
@@ -292,26 +287,11 @@ class Simulation:
             "clients_in_call": in_call,
             "calls_blocked": zone.manager.calls_blocked,
         }
-        if fabric is not None:
-            fabric.finalize()
-            if cfg.wiretap:
-                # The adversary's view, as plain tuples:
-                # byte-identical across engines (the equivalence
-                # contract); the engine cost stats beside it are the
-                # part that is allowed to — and should — differ.
-                detail["wiretap"] = {
-                    "observations": [
-                        (o.time, o.size, o.src, o.dst)
-                        for o in fabric.observer.observations],
-                    "cells_carried": fabric.cells_carried,
-                    "wire_events_processed": fabric.events_processed,
-                }
-            net = fabric.net_report()
-            if net is not None:
-                # Host-network side channel (real-socket accounting,
-                # wall-clock latency): never part of metrics,
-                # traces, or any determinism key.
-                detail["net"] = net
+        wiretap, net = zone.wire_readout(cfg.wiretap)
+        if wiretap is not None:
+            detail["wiretap"] = wiretap
+        if net is not None:
+            detail["net"] = net
         return zone.round_index, detail
 
     def _run_testbed(self, rounds: int) -> Tuple[int, Dict[str, Any]]:

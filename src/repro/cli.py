@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=execution_registry.plane_names(),
                            default="event",
                            help="execution engine (the metrics are "
-                           "byte-identical; batch engines run faster)")
+                           "byte-identical; batch-v2 runs faster)")
     p_metrics.add_argument("--format", choices=("prom", "json"),
                            default="prom")
     p_metrics.add_argument("--trace", default=None,

@@ -11,8 +11,9 @@ them as a wire image an adversary could tap.
 Two implementations exist, and protocol code imports **neither**:
 
 * :class:`~repro.simulation.roundsync.WireFabric` — the simulator
-  transports (``event`` / ``batch`` / ``batch-v2``): virtual-time
-  netsim links, heap events or per-round vectors (DESIGN.md §9/§13).
+  transports (``event`` / ``batch-v2``): virtual-time netsim links,
+  one heap event per cell or one run table per round (DESIGN.md
+  §9/§13).
 * :class:`~repro.net.transport.UdpFabric` — the real-network
   transport (``asyncio``): every cell rides a framed UDP datagram
   between per-node asyncio endpoints over loopback, bootstrapped by

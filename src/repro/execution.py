@@ -1,13 +1,10 @@
 """The ExecutionPlane registry: execution engines resolved by name.
 
-Before this module, every layer that accepted an ``execution=`` knob
+Every layer that accepts an ``execution=`` knob
 (:class:`repro.api.SimConfig`, :class:`repro.simulation.live.LiveZone`,
-:class:`repro.simulation.roundsync.WireFabric`, the scenario
-engine) carried its own ``("event", "batch")`` tuple and its
-own if/elif validation — adding an engine meant touching five copies.
-This registry is the single point of truth: an execution plane is
-*listed* once, and every consumer resolves the name through
-:func:`resolve`.
+:class:`repro.simulation.roundsync.WireFabric`, the scenario engine)
+resolves the name through :func:`resolve`, so an execution plane is
+*listed* once, here.
 
 A plane is described by two orthogonal modes:
 
@@ -16,36 +13,31 @@ A plane is described by two orthogonal modes:
   calls) or ``"batch"`` (the round-synchronous core entry points
   ``SuperPeer.process_round`` / ``MixCallManager.process_round``).
   The protocol outputs are byte-identical either way (DESIGN.md §9).
-* ``wire_mode`` — how the :class:`~repro.simulation.roundsync
-  .WireFabric` materializes the wire image: ``"event"`` (one packet +
-  heap event per cell), ``"batch"`` (one :class:`~repro.netsim.rounds
-  .CellBatch` per link per round), or ``"vector"`` (one run table
-  per round with aggregate chaff accounting — O(runs) per round,
-  DESIGN.md §13).
+* ``wire_mode`` — how the wire image is carried: ``"event"`` (one
+  packet + heap event per cell on the :class:`~repro.simulation
+  .roundsync.WireFabric`), ``"vector"`` (one run table per round with
+  aggregate chaff accounting — O(runs) per round, DESIGN.md §13), or
+  ``"socket"`` (real datagrams).
 
-A third orthogonal axis, ``transport``, says what physically carries
-the wire image: ``"sim"`` (the in-memory :class:`~repro.simulation
-.roundsync.WireFabric` over netsim links) or ``"udp"`` (the
-real-network plane: cells framed by :mod:`repro.core.wire` ride real
-UDP datagrams between per-node ``asyncio`` endpoints, bootstrapped by
-the :mod:`repro.net.introducer`).  Protocol code never branches on the
+A third axis, ``transport``, says what physically carries the wire
+image: ``"sim"`` (the in-memory :class:`~repro.simulation.roundsync
+.WireFabric` over netsim links) or ``"udp"`` (the real-network plane:
+cells framed by :mod:`repro.core.wire` ride real UDP datagrams between
+per-node ``asyncio`` endpoints, bootstrapped by the
+:mod:`repro.net.introducer`).  Protocol code never branches on the
 transport — :func:`create_wire_fabric` is the single seam where a
 resolved plane becomes a concrete :class:`~repro.core.transport
 .CellTransport`.
 
-Built-in planes: ``"event"``, ``"batch"``, ``"batch-v2"`` (the
-vectorized plane), and ``"asyncio"`` (same protocol, real
-UDP sockets over loopback — ROADMAP item 3, DESIGN.md §14).
+Built-in planes: ``"event"`` (the reference), ``"batch-v2"`` (the
+vectorized plane), and ``"asyncio"`` (same protocol, real UDP sockets
+over loopback — DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-ZONE_MODES = ("event", "batch")
-WIRE_MODES = ("event", "batch", "vector", "socket")
-TRANSPORTS = ("sim", "udp")
 
 
 @dataclass(frozen=True)
@@ -66,17 +58,6 @@ class ExecutionPlane:
     #: asyncio endpoints).
     transport: str = "sim"
 
-    def __post_init__(self) -> None:
-        if self.zone_mode not in ZONE_MODES:
-            raise ValueError(f"zone_mode must be one of {ZONE_MODES}, "
-                             f"not {self.zone_mode!r}")
-        if self.wire_mode not in WIRE_MODES:
-            raise ValueError(f"wire_mode must be one of {WIRE_MODES}, "
-                             f"not {self.wire_mode!r}")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, "
-                             f"not {self.transport!r}")
-
 
 _PLANES = {plane.name: plane for plane in (
     ExecutionPlane(
@@ -84,10 +65,6 @@ _PLANES = {plane.name: plane for plane in (
         description="per-cell discrete events: one packet and one "
                     "heap event per cell (the classical reference "
                     "engine)"),
-    ExecutionPlane(
-        name="batch", zone_mode="batch", wire_mode="batch",
-        description="round-synchronous batches: one CellBatch per "
-                    "link per round, one heap event per round"),
     ExecutionPlane(
         name="batch-v2", zone_mode="batch", wire_mode="vector",
         description="vectorized rounds: one run table per round "

@@ -22,7 +22,7 @@ from repro.netsim.engine import EventLoop
 from repro.netsim.packet import Packet
 from repro.netsim.node import Node
 from repro.netsim.link import Link
-from repro.netsim.rounds import CellBatch, RoundScheduler
+from repro.netsim.rounds import RoundScheduler
 from repro.netsim.topology import (
     Site,
     GeoTopology,
@@ -38,7 +38,6 @@ __all__ = [
     "Packet",
     "Node",
     "Link",
-    "CellBatch",
     "RoundScheduler",
     "Site",
     "GeoTopology",

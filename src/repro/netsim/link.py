@@ -81,12 +81,8 @@ class Link:
     def add_observer(self, observer) -> None:
         """Attach an observer; it sees (time, size, src, dst) for every
         packet offered to the link (including ones later dropped — a
-        tap sees the transmission attempt).  Observers that additionally
-        define ``record_drop`` (e.g. the metrics
-        :class:`~repro.obs.instrument.LinkTap`) are also told about
-        losses; the adversary :class:`~repro.netsim.observer
-        .LinkObserver` deliberately does not, since a wire tap cannot
-        distinguish a dropped packet from a delivered one."""
+        wire tap cannot distinguish a dropped packet from a delivered
+        one, so it sees the transmission attempt)."""
         self._observers.append(observer)
 
     def other(self, node):
@@ -114,12 +110,8 @@ class Link:
         return delay
 
     def transmit(self, sender, packet: Packet) -> None:
-        """Send ``packet`` from ``sender`` to the other endpoint.
-
-        This is the per-packet compatibility path — one scheduled
-        delivery event per packet; :meth:`transmit_batch` carries a
-        whole round's cells in one call.  Existing per-packet callers
-        keep working unchanged (and warning-free)."""
+        """Send ``packet`` from ``sender`` to the other endpoint: one
+        scheduled delivery event per packet."""
         receiver = self.other(sender)
         packet.sent_at = self.loop.now
         if packet.packet_id is None:
@@ -129,100 +121,8 @@ class Link:
             obs.record(self.loop.now, packet, sender.name, receiver.name)
         if self.loss_rate > 0 and self.loop.rng.random() < self.loss_rate:
             stats.dropped += 1
-            for obs in self._observers:
-                record_drop = getattr(obs, "record_drop", None)
-                if record_drop is not None:
-                    record_drop(self.loop.now, packet, sender.name,
-                                receiver.name)
             return
         stats.packets += 1
         stats.bytes += packet.size
         self.loop.schedule(self._delay_for(packet, sender.name),
                            lambda: receiver.receive(packet))
-
-    # -- round-synchronous batch path (DESIGN.md §9) ---------------------------
-
-    def _batch_delay(self, batch, sender_name: str) -> float:
-        """Delivery delay for a whole batch: the batch serializes as a
-        unit and draws at most one jitter sample, so a constant-rate
-        round costs O(1) rng draws and O(1) heap events per link."""
-        delay = self.one_way_delay
-        if self.bandwidth_bps is not None:
-            serialization = batch.total_bytes() / self.bandwidth_bps
-            if self.fifo:
-                start = max(self.loop.now,
-                            self._tx_free_at[sender_name])
-                finish = start + serialization
-                self._tx_free_at[sender_name] = finish
-                delay += finish - self.loop.now
-            else:
-                delay += serialization
-        if self.jitter_std > 0:
-            delay += abs(self.loop.rng.gauss(0.0, self.jitter_std))
-        return delay
-
-    def transmit_batch(self, sender, batch,
-                       inline: Optional[bool] = None) -> None:
-        """Send one round's cell vector from ``sender`` to the other
-        endpoint as a single transmission.
-
-        Observers defining ``record_batch`` see the vector directly
-        (O(1) calls per round); others fall back to per-cell
-        ``record`` with lightweight views, so the adversary's
-        observation stream is identical to the per-packet engine's.
-        Loss draws happen per cell, in emission order — the same rng
-        consumption as per-packet transmission.
-
-        ``inline``: deliver synchronously when the total delay is zero
-        (the default), skipping the heap entirely — the delivery
-        timestamp is unchanged, only the event is saved.  Pass
-        ``inline=False`` to force a scheduled delivery event.
-        """
-        if not len(batch):
-            return
-        receiver = self.other(sender)
-        stats = self.stats[sender.name]
-        for obs in self._observers:
-            record_batch = getattr(obs, "record_batch", None)
-            if record_batch is not None:
-                record_batch(self.loop.now, batch, sender.name,
-                             receiver.name)
-            else:
-                for cell in batch.cells():
-                    obs.record(self.loop.now, cell, sender.name,
-                               receiver.name)
-        delivered = batch
-        if self.loss_rate > 0:
-            from repro.netsim.rounds import CellBatch, CellView
-            rng = self.loop.rng
-            delivered = CellBatch(batch.src, batch.dst,
-                                  batch.round_index)
-            n_dropped = 0
-            for payload, size, kind, circuit_id in zip(
-                    batch.payloads, batch.sizes, batch.kinds,
-                    batch.circuit_ids):
-                if rng.random() < self.loss_rate:
-                    n_dropped += 1
-                    for obs in self._observers:
-                        record_drop = getattr(obs, "record_drop", None)
-                        if record_drop is not None:
-                            record_drop(
-                                self.loop.now,
-                                CellView(payload, size, kind,
-                                         circuit_id, sender.name,
-                                         receiver.name),
-                                sender.name, receiver.name)
-                else:
-                    delivered.append(payload, kind=kind,
-                                     circuit_id=circuit_id)
-            stats.dropped += n_dropped
-            if not len(delivered):
-                return
-        stats.packets += len(delivered)
-        stats.bytes += delivered.total_bytes()
-        delay = self._batch_delay(delivered, sender.name)
-        if delay == 0.0 and (inline or inline is None):
-            receiver.receive_batch(delivered)
-        else:
-            self.loop.schedule(
-                delay, lambda: receiver.receive_batch(delivered))

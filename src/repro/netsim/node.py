@@ -25,7 +25,6 @@ class Node:
         self.name = name
         self.loop = loop
         self._handler: Optional[Callable[[Packet], None]] = None
-        self._batch_handler: Optional[Callable[["object"], None]] = None
         self.links: Dict[str, "object"] = {}
         self.packets_received = 0
         self.bytes_received = 0
@@ -34,13 +33,6 @@ class Node:
     def on_packet(self, handler: Callable[[Packet], None]) -> None:
         """Register the function invoked for each delivered packet."""
         self._handler = handler
-
-    def on_batch(self, handler: Callable[["object"], None]) -> None:
-        """Register the function invoked for each delivered
-        :class:`~repro.netsim.rounds.CellBatch` (round-synchronous
-        execution).  Without one, batches fall back to the per-packet
-        handler via the materializing adapter."""
-        self._batch_handler = handler
 
     def attach_link(self, peer_name: str, link) -> None:
         """Record a link to a peer for :meth:`send` lookups."""
@@ -61,22 +53,6 @@ class Node:
             self._handler(packet)
         else:
             self.unhandled_packets += 1
-
-    def receive_batch(self, batch) -> None:
-        """Called by links on batch delivery: bulk counters, then the
-        batch handler — or the per-packet handler over materialized
-        packets (the O(cells) adapter) when no batch handler exists.
-        A sink node (neither handler) just counts the whole vector."""
-        n = len(batch)
-        self.packets_received += n
-        self.bytes_received += batch.total_bytes()
-        if self._batch_handler is not None:
-            self._batch_handler(batch)
-        elif self._handler is not None:
-            for packet in batch.packets(self.loop):
-                self._handler(packet)
-        else:
-            self.unhandled_packets += n
 
     def __repr__(self) -> str:
         return f"Node({self.name})"

@@ -150,8 +150,9 @@ class LinkObserver:
 
     def record_batch(self, time: float, batch, src: str,
                      dst: str) -> None:
-        """Called by :meth:`~repro.netsim.link.Link.transmit_batch`
-        with a whole round's cell vector.  One sighting is stored per
+        """Takes a whole round's cell vector (no wire plane calls
+        this any more; it is kept for the herdbench layer table,
+        which names it).  One sighting is stored per
         cell, in emission order — byte-identical to what per-packet
         transmission of the same cells would have recorded (the
         observational-equivalence contract, DESIGN.md §9)."""

@@ -1,30 +1,23 @@
 """The public wire-tap protocol: how observers consume the wire plane.
 
-Herd's adversary model is a passive tap on every link.  Historically
-the tap interface was an undocumented internal of ``LiveZone`` /
-:class:`~repro.netsim.link.Link` — consumers (the attack suite, the
-bench tally, the metrics LinkTap) each duck-typed against whatever the
-engine of the day called.  This module makes the contract a documented
-public protocol so external consumers (e.g. the ML-adversary suite,
-ROADMAP item 2) can subscribe to batch observations without touching
-private state.
+Herd's adversary model is a passive tap on every link.  This module
+makes the tap interface a documented public protocol, so consumers
+(the attack suite, the bench tally, the ML-adversary suite) can
+subscribe to round observations without touching private state.
 
 A tap implements some prefix of three capability levels; every wire
-plane (event, batch, batch-v2) dispatches to the *richest* method the
-tap provides, so a tap trades fidelity for cost explicitly:
+plane dispatches to the *richest* method the tap provides, so a tap
+trades fidelity for cost explicitly:
 
 * ``record(time, cell, src, dst)`` — REQUIRED.  One call per cell;
   ``cell`` exposes at least ``size`` (wire-visible bytes).  The only
-  level that sees cells individually.
-* ``record_batch(time, batch, src, dst)`` — OPTIONAL.  One call per
-  (link, round) with the whole per-cell vector (``batch.sizes`` in
-  emission order).  O(1) calls, O(cells) data.
+  level that sees cells individually, and the one the ``event``
+  plane feeds.
 * ``record_runs(time, src, dst, sizes, counts)`` — OPTIONAL.  One
   call per (link, round) with the *aggregate* wire image: parallel
   run-length arrays (``counts[i]`` wire-identical cells of
   ``sizes[i]`` bytes, runs in emission order).  O(1) calls, O(runs)
-  data — the level the vectorized ``batch-v2`` plane feeds, and the
-  only per-link level that stays cheap at million-client scale.
+  data.
 * ``record_round_runs(time, keys, sizes, counts)`` — OPTIONAL.  One
   call per *round* with the whole round's run table: parallel arrays
   where row ``i`` is a run of ``counts[i]`` wire-identical cells of
@@ -33,17 +26,15 @@ tap provides, so a tap trades fidelity for cost explicitly:
   per-link order ``record_runs`` would have seen).  An aggregate tap
   can reduce the table at C speed (``sum(counts)``); this is what
   keeps the ``batch-v2`` hot loop O(runs) with a small constant.
-* ``record_drop(time, cell, src, dst)`` — OPTIONAL extension for
-  *non-adversary* instrumentation (a real wire tap cannot tell a
-  dropped cell from a delivered one, so the adversary tap must not
-  implement it).
+
+The reference taps also define ``record_batch``, which no plane calls
+any more; it stays only because the herdbench layer table names it.
 
 Because constant-rate emission makes the wire image a pure function of
 the clock (invariant I6), the levels describe the *same* stream at
-different aggregation — :func:`offer_runs` / :func:`offer_batch` /
-:func:`offer_round_runs` guarantee every tap sees byte-identical
-information regardless of which engine produced it (DESIGN.md §9,
-§13).
+different aggregation — :func:`offer_runs` / :func:`offer_round_runs`
+guarantee every tap sees byte-identical information regardless of
+which engine produced it (DESIGN.md §9, §13).
 
 :class:`~repro.netsim.observer.LinkObserver` (re-exported here) is the
 reference per-cell adversary tap; :class:`TallyTap` is the reference
@@ -55,10 +46,9 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.netsim.observer import LinkObserver, Observation
-from repro.netsim.rounds import CellView
 
 __all__ = ["LinkObserver", "Observation", "TallyTap", "KindlessCell",
-           "offer_batch", "offer_runs", "offer_round_runs"]
+           "offer_runs", "offer_round_runs"]
 
 
 class KindlessCell:
@@ -111,19 +101,6 @@ class TallyTap:
         self.bytes += sum(s * c for s, c in zip(sizes, counts))
 
 
-def offer_batch(tap, time: float, batch, src: str, dst: str) -> None:
-    """Offer one (link, round) batch to a tap at its richest
-    capability: ``record_batch`` when present, per-cell ``record``
-    otherwise.  ``batch`` is a :class:`~repro.netsim.rounds
-    .CellBatch`."""
-    record_batch = getattr(tap, "record_batch", None)
-    if record_batch is not None:
-        record_batch(time, batch, src, dst)
-        return
-    for cell in batch.cells():
-        tap.record(time, cell, src, dst)
-
-
 def offer_runs(tap, time: float, src: str, dst: str,
                sizes: Sequence[int], counts: Sequence[int],
                kinds: Optional[Sequence[str]] = None) -> None:
@@ -173,8 +150,3 @@ def offer_round_runs(tap, time: float,
             entry[1].append(count)
     for (src, dst), (link_sizes, link_counts) in grouped.items():
         offer_runs(tap, time, src, dst, link_sizes, link_counts)
-
-
-# Re-exported for the protocol docstring above; CellView is the
-# per-cell view type batch engines hand to ``record``.
-_ = CellView

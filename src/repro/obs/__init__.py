@@ -12,7 +12,7 @@ measurement core infrastructure rather than harness code:
   deterministic span ids.
 * :mod:`repro.obs.instrument` — :class:`Herdscope`, the bundle of one
   run's registry + tracer, with ``attach_*`` hooks for the event loop,
-  links, superpeers, call manager, fault injector, and live zones.
+  superpeers, call manager, fault injector, and live zones.
 * :mod:`repro.obs.export` — Prometheus-style text and JSON snapshot
   renderers.
 * :mod:`repro.obs.perfclock` — the one sanctioned *host*-clock read
@@ -25,7 +25,7 @@ handle in every :class:`~repro.api.RunReport`.
 """
 
 from repro.obs.export import render_json, render_prometheus
-from repro.obs.instrument import Herdscope, LinkTap
+from repro.obs.instrument import Herdscope
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -49,7 +49,6 @@ __all__ = [
     "Histogram",
     "JsonlTraceSink",
     "LabelCardinalityError",
-    "LinkTap",
     "MetricsRegistry",
     "RingBufferTraceSink",
     "Span",

@@ -9,9 +9,6 @@ objects on the instrumented components:
   .EventLoop` events scheduled/fired/cancelled and queue depth; on
   ``cancel_all`` the tracer drains every span a cancelled event would
   have closed.
-* :meth:`Herdscope.attach_link` — per-link packets/bytes/drops via the
-  existing :class:`~repro.netsim.link.Link` observer protocol (the tap
-  also implements the optional ``record_drop`` extension).
 * :meth:`Herdscope.attach_superpeer` — per-SP logical link counters:
   upstream XOR rounds to the mix, downstream broadcast fan-out to
   clients.
@@ -76,47 +73,6 @@ class LoopHook:
         drained = self.scope.tracer.drain_open_spans(reason="cancelled")
         if drained:
             self._drained.inc(drained)
-
-
-class LinkTap:
-    """A metrics observer for :class:`~repro.netsim.link.Link`.
-
-    Implements the standard observer ``record`` (every transmission
-    attempt) plus the optional ``record_drop`` extension the link calls
-    for lost packets; delivered = offered - dropped.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-
-    def record(self, time: float, packet, src: str, dst: str) -> None:
-        labels = {"link": f"{src}->{dst}"}
-        self.registry.counter(
-            "herd_link_packets_total", labels,
-            help="packets offered per directed link").inc()
-        self.registry.counter(
-            "herd_link_bytes_total", labels,
-            help="bytes offered per directed link").inc(packet.size)
-
-    def record_drop(self, time: float, packet, src: str,
-                    dst: str) -> None:
-        self.registry.counter(
-            "herd_link_dropped_total", {"link": f"{src}->{dst}"},
-            help="packets dropped per directed link").inc()
-
-    def record_batch(self, time: float, batch, src: str,
-                     dst: str) -> None:
-        """Batch recording: O(1) bulk counter updates per round
-        instead of O(cells) — values and ``updated_at`` stamps match
-        the per-cell path exactly (integer float sums are exact)."""
-        labels = {"link": f"{src}->{dst}"}
-        self.registry.counter(
-            "herd_link_packets_total", labels,
-            help="packets offered per directed link").add(len(batch))
-        self.registry.counter(
-            "herd_link_bytes_total", labels,
-            help="bytes offered per directed link").add(
-                batch.total_bytes())
 
 
 class SuperPeerHook:
@@ -355,11 +311,6 @@ class Herdscope:
         hook = LoopHook(self)
         loop.obs = hook
         return hook
-
-    def attach_link(self, link) -> LinkTap:
-        tap = LinkTap(self.registry)
-        link.add_observer(tap)
-        return tap
 
     def attach_superpeer(self, sp) -> SuperPeerHook:
         hook = SuperPeerHook(self, sp)

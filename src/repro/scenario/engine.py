@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro import execution as execution_registry
 from repro.core.blacklist import SPMonitor
 from repro.core.callmanager import CallState, FailoverRecord
 from repro.core.invariants import sp_state_is_activity_free
@@ -136,7 +135,6 @@ def execute(scenario: Scenario, *, execution: str = "event",
     ``scope`` is an optional :class:`repro.obs.instrument.Herdscope`
     wired into the loop, zone, and injector (metrics + traces).
     """
-    plane = execution_registry.resolve(execution)
     shape = scenario.zone
     plan = scenario.plan()
     loop = EventLoop(seed=scenario.seed)
@@ -259,12 +257,8 @@ def execute(scenario: Scenario, *, execution: str = "event",
     injector.on_overload.append(on_overload)
 
     # -- the passive adversary ----------------------------------------------
-    # The real-network plane always materializes the wire (the
-    # datagrams are the transport); simulator planes only pay for a
-    # wire image when the adversary taps it.
-    fabric = zone.attach_wire() \
-        if scenario.adversary.kind == "wiretap" \
-        or plane.transport == "udp" else None
+    tapped = scenario.adversary.kind == "wiretap"
+    zone.tap_wire(tapped)
 
     plan.compile_onto(loop, injector)
 
@@ -405,18 +399,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
                 f"{later.action}/{later.target}")
             break
 
-    wiretap = None
-    net = None
-    if fabric is not None:
-        fabric.finalize()
-        if scenario.adversary.kind == "wiretap":
-            wiretap = {
-                "observations": [(o.time, o.size, o.src, o.dst)
-                                 for o in fabric.observer.observations],
-                "cells_carried": fabric.cells_carried,
-                "wire_events_processed": fabric.events_processed,
-            }
-        net = fabric.net_report()
+    wiretap, net = zone.wire_readout(tapped)
 
     return ScenarioOutcome(
         plan_signature=plan.signature(),

@@ -55,6 +55,12 @@ from repro.simulation.roundsync import DEFAULT_ROUND_INTERVAL_S
 from repro.simulation.testbed import HerdTestbed, build_testbed
 
 
+class CallRefused(RuntimeError):
+    """:meth:`LiveZone.start_call` was asked for a call that cannot
+    start: a party is already in a call (or being rung), or the
+    caller called itself.  Raised before any state changes."""
+
+
 @dataclass
 class LiveClient:
     """A client plus its call agent and voice queues."""
@@ -227,9 +233,18 @@ class LiveZone:
 
     def start_call(self, caller_id: str, callee_id: str) -> None:
         """The caller signals; once granted, the mix rings the callee
-        and the two calls are bridged at the mix."""
+        and the two calls are bridged at the mix.  Raises
+        :class:`CallRefused` when the caller calls itself or either
+        party already has a call leg, so no call takes over another's
+        voice."""
         caller = self.clients[caller_id]
         callee = self.clients[callee_id]
+        if caller is callee:
+            raise CallRefused(f"{caller_id} cannot call itself")
+        for party in (caller, callee):
+            if party.numeric_id in self.peers:
+                raise CallRefused(
+                    f"{party.client.client_id} is already in a call")
         caller.agent.start_outgoing()
         self.peers[caller.numeric_id] = callee.numeric_id
         self.peers[callee.numeric_id] = caller.numeric_id
@@ -668,9 +683,9 @@ class LiveZone:
                     ) -> CellTransport:
         """Materialize the zone's wire plane: from the next round on,
         every cell is offered to tapped netsim links under the zone's
-        execution engine (per-cell events, per-round batches, or
-        per-round run tables — the tap records byte-identical
-        streams under all of them), or — on the ``asyncio`` plane —
+        execution engine (per-cell events or per-round run tables —
+        the tap records byte-identical streams under both), or — on
+        the ``asyncio`` plane —
         physically transmitted as framed loopback UDP datagrams and
         tapped on receive (DESIGN.md §14).  The concrete
         :class:`~repro.core.transport.CellTransport` resolves through
@@ -683,6 +698,42 @@ class LiveZone:
             self.execution, seed=self.seed, interval=interval,
             observer=observer)
         return self.wire
+
+    def tap_wire(self, tapped: bool) -> Optional[CellTransport]:
+        """Attach the wire plane a run needs: always on the real-network
+        plane (the datagrams *are* the transport), and on the simulator
+        planes only when an adversary taps it."""
+        if tapped or self.transport == "udp":
+            return self.attach_wire()
+        return None
+
+    def wire_readout(self, tapped: bool
+                     ) -> Tuple[Optional[Dict[str, object]],
+                                Optional[Dict[str, object]]]:
+        """Finalize the wire plane and read it out as
+        ``(wiretap, net)``.
+
+        ``wiretap`` (``None`` unless ``tapped``) is the adversary's
+        view as plain ``(time, size, src, dst)`` tuples, byte-identical
+        across engines (the equivalence contract), beside the engine
+        cost stats that are allowed to differ.  ``net`` is the
+        real-network plane's host-socket side channel
+        (:meth:`~repro.core.transport.CellTransport.net_report`; never
+        part of metrics, traces, or any determinism key), ``None`` on
+        the simulator planes.  Both are ``None`` without a wire."""
+        wire = self.wire
+        if wire is None:
+            return None, None
+        wire.finalize()
+        wiretap = None
+        if tapped:
+            wiretap = {
+                "observations": [(o.time, o.size, o.src, o.dst)
+                                 for o in wire.observer.observations],
+                "cells_carried": wire.cells_carried,
+                "wire_events_processed": wire.events_processed,
+            }
+        return wiretap, wire.net_report()
 
     # -- introspection ------------------------------------------------------------
 

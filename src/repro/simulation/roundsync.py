@@ -10,13 +10,10 @@ one of two execution engines:
 * ``execution="event"`` — the classical per-cell schedule: one
   :class:`~repro.netsim.packet.Packet` and one heap event per cell, as
   a packet-level simulator would do.  O(cells) events per round.
-* ``execution="batch"`` — round-synchronous batches: a
+* ``execution="batch-v2"`` — the vectorized plane (DESIGN.md §13): a
   :class:`~repro.netsim.rounds.RoundScheduler` fires one event per
-  round and every link carries its round's cells as a single
-  :class:`~repro.netsim.rounds.CellBatch`.  O(1) events per round.
-* ``execution="batch-v2"`` — the vectorized plane (DESIGN.md §13):
-  the whole round is one run table with aggregate chaff accounting,
-  so a constant-rate round costs O(runs), not O(cells).
+  round, and the whole round is one run table with aggregate chaff
+  accounting, so a constant-rate round costs O(runs), not O(cells).
 
 Engines resolve by name through the :mod:`repro.execution` registry —
 this module never string-matches beyond its resolved ``wire_mode``.
@@ -26,7 +23,7 @@ constant-rate — a function of the clock, never of payload (invariant
 I6) — the engines offer the same cells to the same links at the
 same virtual times in the same order, so a tap's
 :class:`~repro.netsim.observer.LinkObserver` records *byte-identical*
-observation streams under all of them.  The engines differ only in
+observation streams under both.  The engines differ only in
 cost: events processed, objects allocated.
 
 The fabric is deliberately lazy: nodes and links appear on first
@@ -46,7 +43,7 @@ from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.netsim.observer import LinkObserver
 from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
-from repro.netsim.rounds import CellBatch, RoundScheduler
+from repro.netsim.rounds import RoundScheduler
 from repro.netsim.taps import offer_round_runs
 
 #: One codec frame (20 ms G.711): the round tick of the data plane.
@@ -54,10 +51,6 @@ DEFAULT_ROUND_INTERVAL_S = 0.02
 
 
 def _noop_packet(_packet) -> None:
-    return None
-
-
-def _noop_batch(_batch) -> None:
     return None
 
 
@@ -79,9 +72,8 @@ class WireFabric(CellTransport):
         Round tick in seconds of virtual time.
     execution:
         An engine name registered with :mod:`repro.execution` —
-        ``"event"`` (per-cell events/packets), ``"batch"`` (one
-        :class:`CellBatch` per link per round), or ``"batch-v2"``
-        (one run table per round).
+        ``"event"`` (per-cell events/packets) or ``"batch-v2"`` (one
+        run table per round).
     observer:
         The tap attached to every link; defaults to a fresh global
         :class:`~repro.netsim.observer.LinkObserver`.  Further taps
@@ -104,10 +96,7 @@ class WireFabric(CellTransport):
         self.wire_mode = plane.wire_mode
         self.loop = EventLoop(seed=seed)
         self.scheduler = RoundScheduler(self.loop, interval)
-        if self.wire_mode == "vector":
-            self.scheduler.on_round(self._transmit_runs_queued)
-        else:
-            self.scheduler.on_round(self._transmit_queued)
+        self.scheduler.on_round(self._transmit_runs_queued)
         self.observer = observer if observer is not None \
             else LinkObserver()
         #: Every subscribed tap, adversary observer first; links fan
@@ -133,7 +122,6 @@ class WireFabric(CellTransport):
         if found is None:
             found = Node(name, self.loop)
             found.on_packet(_noop_packet)
-            found.on_batch(_noop_batch)
             self.nodes[name] = found
             pending = self._pending_node_stats.pop(name, None)
             if pending is not None:
@@ -177,11 +165,10 @@ class WireFabric(CellTransport):
 
         Event engine: one transmission event per cell (plus one
         delivery event each) — the per-cell hot path this fabric
-        exists to measure.  Batch engine: a single round event inside
-        which every link's vector rides one
-        :meth:`~repro.netsim.link.Link.transmit_batch` call.
-        Either way the cells hit the links in identical order at the
-        identical virtual time.
+        exists to measure.  Vector engine: a single round event that
+        offers the round's run table to every tap.  Either way the
+        cells hit the taps in identical order at the identical
+        virtual time.
         """
         if self.wire_mode != "event":
             self.scheduler.run_round(round_index)
@@ -201,22 +188,6 @@ class WireFabric(CellTransport):
             self._pending.clear()
             loop.run(until=t)
             self.rounds_flushed += 1
-
-    def _transmit_queued(self, round_index: int) -> None:
-        """Batch-engine round handler: one CellBatch per pending
-        link, transmitted inline (zero delay → no extra events)."""
-        for (src, dst), runs in self._pending.items():
-            link = self.link_between(src, dst)
-            batch = CellBatch(src, dst, round_index)
-            for payload, kind, count in runs:
-                if count == 1:
-                    batch.append(payload, kind=kind)
-                else:
-                    batch.append_repeated(payload, count, kind=kind)
-            link.transmit_batch(self.nodes[src], batch)
-            self.cells_carried += len(batch)
-        self._pending.clear()
-        self.rounds_flushed += 1
 
     def _transmit_runs_queued(self, round_index: int) -> None:
         """Vector-engine round handler (``batch-v2``).
@@ -297,7 +268,7 @@ class WireFabric(CellTransport):
     @property
     def events_processed(self) -> int:
         """Heap events the wire plane cost so far — the quantity the
-        batch engine exists to collapse."""
+        vector engine exists to collapse."""
         return self.loop.events_processed
 
     def __repr__(self) -> str:

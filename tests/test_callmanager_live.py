@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.callmanager import CallState, MixCallManager
 from repro.core.invariants import sp_state_is_activity_free
-from repro.simulation.live import LiveZone
+from repro.simulation.live import CallRefused, LiveZone
 
 
 def _zone(**kwargs):
@@ -129,7 +129,7 @@ class TestLiveSignalingFlow:
         assert zone.state_of("client-0") is CallState.IDLE
         assert zone.state_of("client-1") is CallState.IDLE
 
-    @pytest.mark.parametrize("execution", ["event", "batch", "batch-v2"])
+    @pytest.mark.parametrize("execution", ["event", "batch-v2"])
     def test_hang_up_drops_the_ended_calls_queued_voice(self, execution):
         """Cells said to B but not yet carried when A hangs up never
         reach A's next peer, C."""
@@ -148,7 +148,7 @@ class TestLiveSignalingFlow:
             == [b"FOR-C"]
         assert zone.received_by("client-1") == []
 
-    @pytest.mark.parametrize("execution", ["event", "batch", "batch-v2"])
+    @pytest.mark.parametrize("execution", ["event", "batch-v2"])
     def test_callee_hang_up_drops_both_legs_queued_voice(self, execution):
         """The callee hangs up with voice queued on both legs; neither
         leg's cells reach the peer of the leg's next call."""
@@ -172,7 +172,7 @@ class TestLiveSignalingFlow:
         assert [cell[:5] for cell in zone.received_by("client-3")] \
             == [b"FOR-D"]
 
-    @pytest.mark.parametrize("execution", ["event", "batch", "batch-v2"])
+    @pytest.mark.parametrize("execution", ["event", "batch-v2"])
     def test_hang_up_when_idle_is_a_noop(self, execution):
         zone = _zone(execution=execution)
         zone.hang_up("client-0")
@@ -206,6 +206,71 @@ class TestLiveSignalingFlow:
         zone.run(4)
         with pytest.raises(RuntimeError):
             zone.clients["client-0"].agent.start_outgoing()
+
+
+def _call_state(zone):
+    """Everything a refused ``start_call`` must leave as it was."""
+    return (dict(zone.peers),
+            {cid: (live.agent.state, live.agent.active_channel,
+                   live.client.signal_pending)
+             for cid, live in zone.clients.items()})
+
+
+@pytest.mark.parametrize("execution", ["event", "batch-v2"])
+class TestStartCallRefusal:
+    """A call never takes over a party of another call: ``start_call``
+    raises :class:`CallRefused` before any state changes when either
+    party already has a call leg, or the caller calls itself."""
+
+    def test_busy_callee_keeps_its_voice(self, execution):
+        zone = _zone(execution=execution)
+        zone.start_call("client-0", "client-1")
+        zone.run(4)
+        before = _call_state(zone)
+        with pytest.raises(CallRefused, match="client-1"):
+            zone.start_call("client-2", "client-1")
+        assert _call_state(zone) == before
+        for r in range(12):
+            zone.say("client-1", b"TO-A-%d" % r)
+            zone.step()
+        assert len(zone.received_by("client-0")) == 12
+        assert zone.received_by("client-2") == []
+        assert zone.state_of("client-2") is CallState.IDLE
+
+    def test_busy_caller_refused(self, execution):
+        zone = _zone(execution=execution)
+        zone.start_call("client-0", "client-1")
+        zone.run(4)
+        before = _call_state(zone)
+        for caller in ("client-0", "client-1"):
+            with pytest.raises(CallRefused, match=caller):
+                zone.start_call(caller, "client-2")
+        assert _call_state(zone) == before
+
+    def test_callee_being_rung_refused(self, execution):
+        """Before the GRANT the callee's agent is still IDLE; it is a
+        call party all the same."""
+        zone = _zone(execution=execution)
+        zone.start_call("client-0", "client-1")
+        assert zone.state_of("client-1") is CallState.IDLE
+        before = _call_state(zone)
+        with pytest.raises(CallRefused, match="client-1"):
+            zone.start_call("client-1", "client-2")
+        with pytest.raises(CallRefused, match="client-1"):
+            zone.start_call("client-3", "client-1")
+        assert _call_state(zone) == before
+        zone.run(5)
+        assert zone.state_of("client-0") is CallState.IN_CALL
+        assert zone.state_of("client-1") is CallState.IN_CALL
+
+    def test_self_call_refused(self, execution):
+        zone = _zone(execution=execution)
+        before = _call_state(zone)
+        with pytest.raises(CallRefused, match="itself"):
+            zone.start_call("client-0", "client-0")
+        assert _call_state(zone) == before
+        zone.run(2)
+        assert zone.state_of("client-0") is CallState.IDLE
 
 
 class TestLiveZoneInvariants:

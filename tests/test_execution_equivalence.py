@@ -2,8 +2,8 @@
 
 DESIGN.md §9: a seeded run produces *byte-identical* adversary
 observations, metrics snapshots, and JSONL traces whether it executes
-on the per-cell event engine, the round-synchronous batch engine, or
-the vectorized ``batch-v2`` plane (DESIGN.md §13).
+on the per-cell event engine or the vectorized ``batch-v2`` plane
+(DESIGN.md §13).
 The engines may differ in anything an adversary cannot see — events
 processed, objects allocated, wall-clock speed — and nothing else.
 
@@ -11,8 +11,7 @@ This file pins that contract:
 
 * an exact cross-engine comparison of all three output surfaces for
   the live scenario (plus a pinned digest, so a change that breaks
-  all engines in lockstep still trips a review);
-* ``batch-v2`` held to the same surfaces and the same pinned digest;
+  both engines in lockstep still trips a review);
 * testbed and chaos scenarios compared across engines;
 * a hypothesis sweep over random seeds and zone shapes comparing the
   E9 constant-rate census and the wiretap size/time sequences.
@@ -66,47 +65,30 @@ def _wiretap_digest(report):
 class TestLiveEquivalence:
     def test_all_three_surfaces_byte_identical(self, tmp_path):
         event = _live_run("event", trace_path=tmp_path / "event.jsonl")
-        batch = _live_run("batch", trace_path=tmp_path / "batch.jsonl")
+        v2 = _live_run("batch-v2", trace_path=tmp_path / "v2.jsonl")
+        assert v2.engine == "batch-v2"
         # 1. The adversary's view.
         assert event.detail["wiretap"]["observations"] == \
-            batch.detail["wiretap"]["observations"]
+            v2.detail["wiretap"]["observations"]
         # 2. The metrics snapshot, down to rendered bytes.
-        assert event.metrics == batch.metrics
-        assert event.to_json() == batch.to_json()
-        assert event.to_prometheus() == batch.to_prometheus()
+        assert event.metrics == v2.metrics
+        assert event.to_json() == v2.to_json()
+        assert event.to_prometheus() == v2.to_prometheus()
         # 3. The JSONL trace files.
         assert (tmp_path / "event.jsonl").read_bytes() == \
-            (tmp_path / "batch.jsonl").read_bytes()
-        # The engines really are different under the hood: batch
+            (tmp_path / "v2.jsonl").read_bytes()
+        # The engines really are different under the hood: batch-v2
         # schedules O(rounds) wire events, event O(cells).
-        assert batch.detail["wiretap"]["wire_events_processed"] < \
+        assert v2.detail["wiretap"]["wire_events_processed"] < \
             event.detail["wiretap"]["wire_events_processed"]
         assert event.detail["wiretap"]["cells_carried"] == \
-            batch.detail["wiretap"]["cells_carried"] > 0
+            v2.detail["wiretap"]["cells_carried"] > 0
 
     def test_pinned_wiretap_digest(self):
         event = _live_run("event")
-        batch = _live_run("batch")
-        assert _wiretap_digest(event) == _wiretap_digest(batch) == \
+        v2 = _live_run("batch-v2")
+        assert _wiretap_digest(event) == _wiretap_digest(v2) == \
             PINNED_WIRETAP_SHA256
-
-    def test_batch_v2_all_surfaces(self, tmp_path):
-        """§13: the vectorized plane holds the same three-surface
-        contract and the same pinned digest as the per-cell
-        engines."""
-        event = _live_run("event", trace_path=tmp_path / "event.jsonl")
-        v2 = _live_run("batch-v2", trace_path=tmp_path / "v2.jsonl")
-        assert v2.engine == "batch-v2"
-        assert v2.detail["wiretap"]["observations"] == \
-            event.detail["wiretap"]["observations"]
-        assert v2.metrics == event.metrics
-        assert v2.to_prometheus() == event.to_prometheus()
-        assert (tmp_path / "v2.jsonl").read_bytes() == \
-            (tmp_path / "event.jsonl").read_bytes()
-        assert _wiretap_digest(v2) == PINNED_WIRETAP_SHA256
-        # Vector plane: O(rounds) wire events, like batch.
-        assert v2.detail["wiretap"]["wire_events_processed"] < \
-            event.detail["wiretap"]["wire_events_processed"]
 
     def test_equivalence_survives_mid_run_sp_failure(self):
         def run(execution):
@@ -126,10 +108,9 @@ class TestLiveEquivalence:
                 zone.received_by("client-1")
 
         obs_event, voice_event = run("event")
-        obs_batch, voice_batch = run("batch")
         obs_v2, voice_v2 = run("batch-v2")
-        assert obs_event == obs_batch == obs_v2
-        assert voice_event == voice_batch == voice_v2
+        assert obs_event == obs_v2
+        assert voice_event == voice_v2
 
     def test_empty_zone_steps_on_every_engine(self):
         """A round in which no channel has a member: each engine runs
@@ -137,12 +118,11 @@ class TestLiveEquivalence:
         reports = [Simulation(SimConfig(
             seed=3, n_clients=0, call_pairs=0, wiretap=True,
             execution=execution)).run(rounds=3)
-            for execution in ("event", "batch", "batch-v2")]
+            for execution in ("event", "batch-v2")]
         assert reports[0].rounds_run == 3
-        assert reports[0].metrics == reports[1].metrics \
-            == reports[2].metrics
+        assert reports[0].metrics == reports[1].metrics
 
-    @pytest.mark.parametrize("execution", ["event", "batch", "batch-v2"])
+    @pytest.mark.parametrize("execution", ["event", "batch-v2"])
     def test_empty_live_zone_steps(self, execution):
         """The zone itself, without the Simulation around it: a round
         with no members anywhere advances the round counter."""
@@ -193,7 +173,6 @@ class TestWireStatsEquivalence:
         # One transmission + one delivery event per cell.
         assert event_cost == 2 * 60
         # One event per round flushed, however many cells it carried.
-        assert self._stats("batch") == (event, 6)
         assert self._stats("batch-v2") == (event, 6)
 
 
@@ -205,10 +184,10 @@ class TestTestbedAndChaosEquivalence:
                                execution=execution)
             return Simulation(config).run(rounds=20)
 
-        event, batch = run("event"), run("batch")
-        assert event.metrics == batch.metrics
+        event, v2 = run("event"), run("batch-v2")
+        assert event.metrics == v2.metrics
         assert event.detail["frames_delivered"] == \
-            batch.detail["frames_delivered"] > 0
+            v2.detail["frames_delivered"] > 0
 
     def test_chaos_determinism_key_identical(self):
         scenario = Scenario(name="chaos", faults=MIX_AND_SP_CRASH)
@@ -218,11 +197,11 @@ class TestTestbedAndChaosEquivalence:
                                execution=execution)
             return Simulation(config).run(until=6.0)
 
-        event, batch = run("event"), run("batch")
+        event, v2 = run("event"), run("batch-v2")
         assert outcome_fingerprint(event.detail, event.to_json(0)) == \
-            outcome_fingerprint(batch.detail, batch.to_json(0))
+            outcome_fingerprint(v2.detail, v2.to_json(0))
         assert event.detail.mid_call_failover_demonstrated
-        assert event.metrics == batch.metrics
+        assert event.metrics == v2.metrics
 
 
 class TestScenarioEquivalence:
@@ -262,22 +241,17 @@ class TestScenarioEquivalence:
     def test_degradation_faults_equivalent_across_engines(self):
         event = run_scenario(self.DEGRADATION_SCENARIO,
                              execution="event")
-        batch = run_scenario(self.DEGRADATION_SCENARIO,
-                             execution="batch")
         v2 = run_scenario(self.DEGRADATION_SCENARIO,
                           execution="batch-v2")
-        assert v2.determinism_key == event.determinism_key
-        assert v2.metrics == event.metrics
-        assert v2.timeline == event.timeline
         # The adversary's view is byte-identical, even while loss,
         # jitter, and degradation windows churn link state.
         obs_event = event.detail.wiretap["observations"]
-        obs_batch = batch.detail.wiretap["observations"]
-        assert obs_event == obs_batch
+        obs_v2 = v2.detail.wiretap["observations"]
+        assert obs_event == obs_v2
         assert len(obs_event) > 0
         # The fault timeline replays identically: same onsets, same
         # reverts, same virtual times.
-        assert event.timeline == batch.timeline
+        assert event.timeline == v2.timeline
         actions = [entry[1] for entry in event.timeline]
         assert actions.count("injected") == 3
         assert actions.count("recovered") == 3
@@ -285,12 +259,12 @@ class TestScenarioEquivalence:
         # blacklist, and the live call leg fails over and survives.
         assert "blacklisted" in actions and "failover" in actions
         # Metrics and the whole determinism key agree.
-        assert event.metrics == batch.metrics
-        assert event.determinism_key == batch.determinism_key
-        assert event.passed and batch.passed
+        assert event.metrics == v2.metrics
+        assert event.determinism_key == v2.determinism_key
+        assert event.passed and v2.passed
         # The engines still differ where they are allowed to: the
-        # batch engine schedules O(rounds) wire events, not O(cells).
-        assert batch.detail.wiretap["wire_events_processed"] < \
+        # batch-v2 engine schedules O(rounds) wire events, not O(cells).
+        assert v2.detail.wiretap["wire_events_processed"] < \
             event.detail.wiretap["wire_events_processed"]
 
     def test_scenario_key_stable_across_replays(self):
@@ -319,8 +293,7 @@ def test_equivalence_property_random_shapes(seed, n_channels, n_sps,
                            wiretap=True, execution=execution)
         return Simulation(config).run(rounds=rounds)
 
-    event, batch = run("event"), run("batch")
-    vector = run("batch-v2")
+    event, vector = run("event"), run("batch-v2")
 
     # The E9 report row: downstream cells per round, by kind.
     def census(report):
@@ -328,10 +301,9 @@ def test_equivalence_property_random_shapes(seed, n_channels, n_sps,
                 for s in report.metrics["herd_mix_cells_total"]
                 ["series"]}
 
-    assert census(event) == census(batch) == census(vector)
+    assert census(event) == census(vector)
     assert sum(census(event).values()) == n_channels * rounds
 
     # The adversary's size/time sequences.
     assert event.detail["wiretap"]["observations"] == \
-        batch.detail["wiretap"]["observations"] == \
         vector.detail["wiretap"]["observations"]

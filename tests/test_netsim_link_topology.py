@@ -212,6 +212,33 @@ class TestObserver:
         loop.run()
         assert len(obs.observations) == 20
 
+    def test_a_tap_learns_nothing_of_drops(self):
+        # A wire tap cannot tell a dropped packet from a delivered
+        # one: the link offers every attempt to ``record`` and calls
+        # nothing else, while the drop count lives in LinkStats.
+        class Tap:
+            def __init__(self):
+                self.calls = []
+
+            def record(self, time, packet, src, dst):
+                self.calls.append("record")
+
+            def record_drop(self, time, packet, src, dst):
+                self.calls.append("record_drop")
+
+        loop = EventLoop(seed=0)
+        a, b, link = _pair(loop, loss_rate=0.5)
+        tap = Tap()
+        link.add_observer(tap)
+        b.on_packet(lambda p: None)
+        for _ in range(40):
+            a.send("b", Packet(b"x", "a", "b"))
+        loop.run()
+        assert tap.calls == ["record"] * 40
+        stats = link.stats["a"]
+        assert stats.dropped > 0
+        assert stats.dropped + stats.packets == 40
+
     def test_time_series_binning(self):
         obs = LinkObserver()
         pkt = Packet(b"x" * 72, "a", "b")  # 100 B on the wire

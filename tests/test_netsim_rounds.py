@@ -1,7 +1,6 @@
-"""Round-synchronous batch execution on the network simulator.
+"""Round-synchronous execution on the network simulator.
 
-Covers the :mod:`repro.netsim.rounds` carrier types, the
-``RoundScheduler``, the batch transmission path, and the
+Covers the :mod:`repro.netsim.rounds` ``RoundScheduler`` and the
 determinism contract that motivated moving packet-id allocation off a
 module global and onto the :class:`~repro.netsim.engine.EventLoop`.
 """
@@ -13,60 +12,14 @@ import pytest
 from repro.netsim.engine import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.node import Node
-from repro.netsim.observer import LinkObserver
-from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
-from repro.netsim.rounds import CellBatch, RoundScheduler
+from repro.netsim.packet import Packet
+from repro.netsim.rounds import RoundScheduler
 
 
 def _pair(loop, **link_kwargs):
     a, b = Node("a", loop), Node("b", loop)
     link = Link(loop, a, b, **link_kwargs)
     return a, b, link
-
-
-class TestCellBatch:
-    def test_append_and_views(self):
-        batch = CellBatch("a", "b", round_index=3)
-        batch.append(b"xyz", kind="voice", circuit_id=9)
-        batch.append(b"pq")
-        assert len(batch) == 2
-        assert batch.total_bytes() == 5 + 2 * IP_UDP_HEADER_BYTES
-        views = list(batch.cells())
-        assert [v.size for v in views] == [3 + IP_UDP_HEADER_BYTES,
-                                           2 + IP_UDP_HEADER_BYTES]
-        assert views[0].kind == "voice" and views[0].circuit_id == 9
-        assert views[1].kind == "data" and views[1].circuit_id is None
-        assert views[0].src == "a" and views[0].dst == "b"
-
-    def test_append_repeated_shares_payload(self):
-        batch = CellBatch("a", "b", 0)
-        chaff = b"\x00" * 64
-        batch.append_repeated(chaff, 5, kind="chaff")
-        assert len(batch) == 5
-        assert batch.total_bytes() == 5 * (64 + IP_UDP_HEADER_BYTES)
-        assert all(p is chaff for p in batch.payloads)
-
-    def test_packets_adapter_stamps_loop_ids(self):
-        loop = EventLoop()
-        batch = CellBatch("a", "b", 0)
-        batch.append(b"one")
-        batch.append(b"two")
-        packets = list(batch.packets(loop))
-        assert [p.payload for p in packets] == [b"one", b"two"]
-        assert [p.packet_id for p in packets] == [0, 1]
-        assert all(isinstance(p, Packet) for p in packets)
-
-    def test_from_packets_round_trip(self):
-        loop = EventLoop()
-        originals = [Packet(b"abc", "a", "b", kind="voice"),
-                     Packet(b"de", "a", "b")]
-        batch = CellBatch.from_packets(originals, "a", "b", 7)
-        assert len(batch) == 2
-        assert batch.sizes == [3 + IP_UDP_HEADER_BYTES,
-                               2 + IP_UDP_HEADER_BYTES]
-        rebuilt = list(batch.packets(loop))
-        assert [p.payload for p in rebuilt] == [b"abc", b"de"]
-        assert [p.kind for p in rebuilt] == ["voice", "data"]
 
 
 class TestRoundScheduler:
@@ -100,123 +53,6 @@ class TestRoundScheduler:
         sched = RoundScheduler(EventLoop(), 0.5, start=1.0)
         assert sched.time_of(0) == 1.0
         assert sched.time_of(4) == 3.0
-
-
-class TestTransmitBatchEquivalence:
-    """The contract: a tap cannot tell the engines apart."""
-
-    CELLS = [b"\x01" * 160, b"\x02" * 160, b"\x03" * 64, b"\x04" * 160]
-
-    def _event_observations(self, **link_kwargs):
-        loop = EventLoop(seed=11)
-        a, b, link = _pair(loop, **link_kwargs)
-        tap = LinkObserver()
-        link.add_observer(tap)
-        got = []
-        b.on_packet(lambda p: got.append(p.payload))
-        for payload in self.CELLS:
-            link.transmit(a, Packet(payload, "a", "b"))
-        loop.run()
-        return tap.observations, got, link.stats["a"]
-
-    def _batch_observations(self, **link_kwargs):
-        loop = EventLoop(seed=11)
-        a, b, link = _pair(loop, **link_kwargs)
-        tap = LinkObserver()
-        link.add_observer(tap)
-        got = []
-        b.on_batch(lambda batch: got.extend(batch.payloads))
-        batch = CellBatch("a", "b", 0)
-        for payload in self.CELLS:
-            batch.append(payload)
-        link.transmit_batch(a, batch)
-        loop.run()
-        return tap.observations, got, link.stats["a"]
-
-    def test_lossless_tap_streams_identical(self):
-        per_packet, delivered_p, stats_p = self._event_observations()
-        batched, delivered_b, stats_b = self._batch_observations()
-        assert per_packet == batched
-        assert delivered_p == delivered_b == self.CELLS
-        assert (stats_p.packets, stats_p.bytes) == \
-            (stats_b.packets, stats_b.bytes)
-
-    def test_lossy_link_same_rng_consumption(self):
-        # Loss draws happen per cell in emission order on both paths,
-        # so the same seed drops the same cells.
-        per_packet, delivered_p, stats_p = \
-            self._event_observations(loss_rate=0.5)
-        batched, delivered_b, stats_b = \
-            self._batch_observations(loss_rate=0.5)
-        assert per_packet == batched  # the tap sees even dropped cells
-        assert delivered_p == delivered_b
-        assert stats_p.dropped == stats_b.dropped > 0
-
-    def test_per_cell_fallback_for_plain_observers(self):
-        class PlainTap:
-            def __init__(self):
-                self.seen = []
-
-            def record(self, time, packet, src, dst):
-                self.seen.append((time, packet.size, src, dst))
-
-        loop = EventLoop()
-        a, b, link = _pair(loop)
-        tap = PlainTap()
-        link.add_observer(tap)
-        batch = CellBatch("a", "b", 0)
-        batch.append(b"xx")
-        batch.append(b"yyy")
-        link.transmit_batch(a, batch)
-        assert tap.seen == [(0.0, 2 + IP_UDP_HEADER_BYTES, "a", "b"),
-                            (0.0, 3 + IP_UDP_HEADER_BYTES, "a", "b")]
-
-    def test_zero_delay_batch_skips_the_heap(self):
-        loop = EventLoop()
-        a, b, link = _pair(loop)
-        got = []
-        b.on_batch(lambda batch: got.append(len(batch)))
-        batch = CellBatch("a", "b", 0)
-        batch.append(b"x")
-        link.transmit_batch(a, batch)
-        assert got == [1]
-        assert loop.events_processed == 0
-
-    def test_inline_false_forces_delivery_event(self):
-        loop = EventLoop()
-        a, b, link = _pair(loop)
-        got = []
-        b.on_batch(lambda batch: got.append(loop.now))
-        batch = CellBatch("a", "b", 0)
-        batch.append(b"x")
-        link.transmit_batch(a, batch, inline=False)
-        assert got == []
-        loop.run()
-        assert got == [0.0] and loop.events_processed == 1
-
-    def test_empty_batch_is_a_noop(self):
-        loop = EventLoop()
-        a, b, link = _pair(loop)
-        tap = LinkObserver()
-        link.add_observer(tap)
-        link.transmit_batch(a, CellBatch("a", "b", 0))
-        assert tap.observations == []
-        assert link.stats["a"].packets == 0
-
-    def test_batch_delivery_falls_back_to_packet_handler(self):
-        # A receiver with only a per-packet handler still gets every
-        # cell (the O(cells) adapter), with loop-stamped ids.
-        loop = EventLoop()
-        a, b, link = _pair(loop)
-        got = []
-        b.on_packet(lambda p: got.append((p.packet_id, p.payload)))
-        batch = CellBatch("a", "b", 0)
-        batch.append(b"one")
-        batch.append(b"two")
-        link.transmit_batch(a, batch)
-        assert got == [(0, b"one"), (1, b"two")]
-        assert b.packets_received == 2
-        assert b.bytes_received == 6 + 2 * IP_UDP_HEADER_BYTES
 
 
 class TestPacketIdDeterminism:

@@ -42,8 +42,8 @@ from repro.crypto.chacha20 import (
 from repro.crypto.keys import SessionKey
 from repro.simulation.live import LiveZone
 
-ENGINES = ["event", "batch", "batch-v2"]
-BATCH_ENGINES = ["batch", "batch-v2"]
+ENGINES = ["event", "batch-v2"]
+BATCH_ENGINES = ["batch-v2"]
 
 
 class _Kernel:

@@ -185,10 +185,10 @@ class TestScenarioReportDeterminism:
 
     def test_report_passes_and_pins_key_across_engines(self):
         event = run_scenario(self.SCENARIO, execution="event")
-        batch = run_scenario(self.SCENARIO, execution="batch")
-        assert event.passed and batch.passed
-        assert event.determinism_key == batch.determinism_key
-        assert event.scenario_signature == batch.scenario_signature
+        v2 = run_scenario(self.SCENARIO, execution="batch-v2")
+        assert event.passed and v2.passed
+        assert event.determinism_key == v2.determinism_key
+        assert event.scenario_signature == v2.scenario_signature
         artifact = event.to_artifact_dict()
         assert artifact["passed"] is True
         assert artifact["survival"]["cells_deferred"] > 0
