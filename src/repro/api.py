@@ -76,7 +76,8 @@ class SimConfig:
         §13); they differ only in cost — and the real-network plane
         additionally reports host-socket accounting in
         ``report.detail["net"]``, a side channel outside every
-        determinism key.
+        determinism key.  The testbed has one engine, ``"event"``;
+        naming another for it raises ``ValueError``.
     wiretap:
         Live scenario only: materialize the zone's wire plane and tap
         every link with a global passive observer; the observation
@@ -117,6 +118,9 @@ class SimConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}, "
                              f"not {scenario!r}")
         plane = execution_registry.resolve(execution)
+        if scenario == "testbed" and plane.name != "event":
+            raise ValueError(f"scenario='testbed' runs on the 'event' "
+                             f"engine only, not {plane.name!r}")
         if wiretap and scenario != "live":
             raise ValueError(
                 f"wiretap applies to scenario='live' only, not "

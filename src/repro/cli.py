@@ -136,12 +136,16 @@ def _cmd_quality(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.api import SimConfig, Simulation
-    config = SimConfig(scenario=args.scenario, seed=args.seed,
-                       n_clients=args.clients,
-                       n_channels=args.channels,
-                       call_pairs=args.pairs,
-                       trace_path=args.trace,
-                       execution=args.engine)
+    try:
+        config = SimConfig(scenario=args.scenario, seed=args.seed,
+                           n_clients=args.clients,
+                           n_channels=args.channels,
+                           call_pairs=args.pairs,
+                           trace_path=args.trace,
+                           execution=args.engine)
+    except ValueError as exc:
+        print(f"repro metrics: error: {exc}", file=sys.stderr)
+        return 2
     report = Simulation(config).run(rounds=args.rounds)
     if args.format == "json":
         print(report.to_json())
@@ -231,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=execution_registry.plane_names(),
                            default="event",
                            help="execution engine (the metrics are "
-                           "byte-identical; batch-v2 runs faster)")
+                           "byte-identical; batch-v2 runs faster); "
+                           "the testbed runs on event only")
     p_metrics.add_argument("--format", choices=("prom", "json"),
                            default="prom")
     p_metrics.add_argument("--trace", default=None,

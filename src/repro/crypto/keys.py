@@ -7,15 +7,14 @@ session keys *e*."
 
 * :class:`IdentityKeyPair` — the long-term Ed25519 pair ``l``.
 * :class:`ShortTermKeyPair` — the medium-term X25519 pair ``s``.
-* :class:`SessionKey` — a symmetric ephemeral key ``e`` with its nonce
-  schedule, as used on DTLS links and circuit layers.
+* :class:`SessionKey` — a symmetric ephemeral key ``e``, as used on
+  DTLS links and circuit layers.
 """
 
 from __future__ import annotations
 
 import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from repro.crypto.ed25519 import SigningKey, VerifyKey
@@ -70,40 +69,21 @@ class ShortTermKeyPair:
 
 @dataclass
 class SessionKey:
-    """A symmetric ephemeral session key ``e`` with a nonce counter.
+    """A symmetric ephemeral session key ``e``.
 
-    Nonces are a 4-byte direction/channel prefix plus a 64-bit counter,
-    so a single key can encrypt a long-lived packet stream without nonce
-    reuse.  ``next_nonce`` advances the counter; ``nonce_for`` computes
-    the nonce for an explicit sequence number (needed by the mix to
-    predict idle clients' chaff ciphertext, §3.6.1).
+    Nonces are not the key's: each use derives its own from the
+    nonce domain it belongs to (DESIGN.md §1.3), e.g. the upstream
+    packets' from :func:`repro.core.network_coding.upstream_nonces`.
     """
 
     key: bytes
-    prefix: bytes = b"\x00" * 4
-    counter: int = field(default=0)
 
     def __post_init__(self):
         if len(self.key) != 32:
             raise ValueError("session key must be 32 bytes")
-        if len(self.prefix) != 4:
-            raise ValueError("nonce prefix must be 4 bytes")
 
     @classmethod
-    def generate(cls, rng=None, prefix: bytes = b"\x00" * 4) -> "SessionKey":
+    def generate(cls, rng=None) -> "SessionKey":
         if rng is None:
-            material = os.urandom(32)
-        else:
-            material = rng.getrandbits(256).to_bytes(32, "little")
-        return cls(material, prefix)
-
-    def nonce_for(self, sequence: int) -> bytes:
-        """The 12-byte nonce used for packet number ``sequence``."""
-        if not 0 <= sequence < 2 ** 64:
-            raise ValueError("sequence number out of range")
-        return self.prefix + struct.pack("<Q", sequence)
-
-    def next_nonce(self) -> bytes:
-        nonce = self.nonce_for(self.counter)
-        self.counter += 1
-        return nonce
+            return cls(os.urandom(32))
+        return cls(rng.getrandbits(256).to_bytes(32, "little"))

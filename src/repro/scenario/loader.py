@@ -1,10 +1,17 @@
 """Loading scenarios from ``scenarios/*.toml``.
 
+The model is the schema: each TOML table is built from the
+``dataclasses.fields`` and type hints of its model class, so its
+allowed keys, their types and their defaults are the dataclass's own.
+The loader writes down only what the format decides for itself, each
+in one place: table names that differ from field names
+(:data:`_TABLE_NAMES`), bare fault targets (:func:`expand_target`),
+and the defaults a TOML table has that the class has not
+(:data:`_TOML_DEFAULTS`).
+
 The loader is strict: unknown keys are rejected (with a did-you-mean
 suggestion), every value is type-checked before it reaches the model,
-and all errors carry ``file → section → key`` context so a broken
-corpus entry fails CI with a message that points at the exact line of
-TOML to fix.
+and all errors carry ``file → section → key`` context.
 
 ``tomllib`` is stdlib from Python 3.11; the package still claims 3.9
 compatibility, so the import is gated and loading (only loading — the
@@ -14,9 +21,12 @@ programmatic API works everywhere) raises an actionable
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
+from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import (Any, Dict, List, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 try:  # pragma: no cover - exercised only on Python < 3.11
     import tomllib
@@ -24,19 +34,30 @@ except ModuleNotFoundError:  # pragma: no cover
     tomllib = None
 
 from repro.core.retry import BackoffPolicy
-from repro.faults.plan import FaultKind, FaultSpec
+from repro.faults.plan import FaultSpec
 from repro.scenario.model import (
-    Adversary,
-    ChurnEvent,
     Scenario,
     ScenarioError,
-    SurvivalCriteria,
-    Workload,
-    ZoneShape,
+    default_rejoin_policy,
     expand_target,
 )
 
 _PathLike = Union[str, Path]
+
+#: Model field → TOML table name, where the two differ: one
+#: ``[rejoin]`` table, and one ``[[fault]]`` entry per fault.
+_TABLE_NAMES = {"rejoin_policy": "rejoin", "faults": "fault"}
+
+#: Defaults an omitted TOML key takes that differ from the model
+#: class's own.  A ``[[fault]]`` without ``loss`` / ``jitter_ms``
+#: degrades at 0.3 / 50 ms: both enter the plan signature, so every
+#: corpus determinism key folds them in.  A partial ``[rejoin]`` table
+#: fills its gaps from the scenario's default policy (the §3.5
+#: acceptance run's), not from ``BackoffPolicy``'s generic one.
+_TOML_DEFAULTS = {
+    FaultSpec: {"loss": 0.3, "jitter_ms": 50.0},
+    BackoffPolicy: dataclasses.asdict(default_rejoin_policy()),
+}
 
 
 def _suggest(key: str, known: Sequence[str]) -> str:
@@ -44,247 +65,135 @@ def _suggest(key: str, known: Sequence[str]) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-_REQUIRED = object()
+def _fail(where: str, message: str) -> ScenarioError:
+    return ScenarioError(f"{where}: {message}")
 
 
-class _Section:
-    """One TOML table with context-carrying accessors."""
+def _fields(cls) -> Dict[str, Tuple[dataclasses.Field, Any]]:
+    """TOML key → (field, resolved type hint) of a model class."""
+    hints = get_type_hints(cls)
+    return {_TABLE_NAMES.get(f.name, f.name): (f, hints[f.name])
+            for f in dataclasses.fields(cls) if f.init}
 
-    def __init__(self, data: Dict[str, Any], where: str):
-        self.data = dict(data)
-        self.where = where
 
-    def fail(self, message: str) -> "ScenarioError":
-        return ScenarioError(f"{self.where}: {message}")
+def _is_table(hint) -> bool:
+    """A model class is a TOML table; a tuple of them, an array."""
+    if get_origin(hint) is tuple:
+        hint = get_args(hint)[0]
+    return dataclasses.is_dataclass(hint)
 
-    def check_keys(self, known: Sequence[str]) -> None:
-        for key in self.data:
-            if key not in known:
-                raise self.fail(
-                    f"unknown key {key!r}{_suggest(key, known)}; "
-                    f"allowed keys: {', '.join(sorted(known))}")
 
-    def take(self, key: str, kind, default=_REQUIRED):
-        """Pop ``key``, type-checked against ``kind`` (bool before int
-        — bools are ints in Python and we refuse the pun)."""
-        if key not in self.data:
-            if default is _REQUIRED:
-                raise self.fail(f"missing required key {key!r}")
-            return default
-        value = self.data[key]
-        if kind is float and isinstance(value, int) and \
-                not isinstance(value, bool):
-            value = float(value)
-        if isinstance(value, bool) and kind is not bool:
-            raise self.fail(f"{key!r} must be {kind.__name__}, "
-                            f"got a boolean")
-        if not isinstance(value, kind):
-            raise self.fail(
-                f"{key!r} must be {kind.__name__}, got "
-                f"{type(value).__name__} ({value!r})")
-        return value
-
-    def take_str_list(self, key: str, default=()) -> Tuple[str, ...]:
-        value = self.data.get(key, None)
-        if value is None:
-            return tuple(default)
+def _convert(value, hint, key: str, where: str):
+    """Type-check (and coerce) one TOML value against a field hint."""
+    if get_origin(hint) is Union:  # Optional[X]: TOML has no null
+        hint = get_args(hint)[0]
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        item = args[0]
+        if dataclasses.is_dataclass(item):
+            if not isinstance(value, list) or \
+                    not all(isinstance(v, dict) for v in value):
+                raise _fail(where, f"[[{key}]] must be an array of "
+                            "tables")
+            return tuple(_build(item, v, f"{where}: [[{key}]][{i}]")
+                         for i, v in enumerate(value))
         if not isinstance(value, list) or \
-                not all(isinstance(v, str) for v in value):
-            raise self.fail(f"{key!r} must be a list of strings")
+                not all(isinstance(v, item) for v in value):
+            raise _fail(where, f"{key!r} must be a list of "
+                        f"{item.__name__} values")
         return tuple(value)
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise _fail(where, f"[{key}] must be a table, got "
+                        f"{type(value).__name__} ({value!r})")
+        return _build(hint, value, f"{where}: [{key}]")
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        allowed = [member.value for member in hint]
+        if value not in allowed:
+            raise _fail(where, f"unknown {key} {value!r}"
+                        f"{_suggest(str(value), allowed)}; allowed "
+                        f"{key}s: {', '.join(allowed)}")
+        return hint(value)
+    # Scalars.  Bools are ints in Python, and the pun is refused.
+    if hint is float and isinstance(value, int) and \
+            not isinstance(value, bool):
+        value = float(value)
+    if isinstance(value, bool) and hint is not bool:
+        raise _fail(where, f"{key!r} must be {hint.__name__}, got a "
+                    "boolean")
+    if not isinstance(value, hint):
+        raise _fail(where, f"{key!r} must be {hint.__name__}, got "
+                    f"{type(value).__name__} ({value!r})")
+    return value
 
-    def subtables(self, key: str) -> List[Dict[str, Any]]:
-        value = self.data.get(key, [])
-        if not isinstance(value, list) or \
-                not all(isinstance(v, dict) for v in value):
-            raise self.fail(f"[[{key}]] must be an array of tables")
-        return value
+
+def _check_keys(data: Dict[str, Any], known: Sequence[str],
+                where: str) -> None:
+    for key in data:
+        if key not in known:
+            raise _fail(where, f"unknown key {key!r}"
+                        f"{_suggest(key, known)}; allowed keys: "
+                        f"{', '.join(sorted(known))}")
 
 
-def _parse_zone(data: Dict[str, Any], where: str) -> ZoneShape:
-    sec = _Section(data, where)
-    sec.check_keys(["n_clients", "n_channels", "n_sps", "k",
-                    "n_direct_clients", "client_prefix"])
+def _values(cls, data: Dict[str, Any], where: str,
+            keys: Sequence[str]) -> Dict[str, Any]:
+    """The constructor arguments that ``data`` gives for the named
+    TOML keys of ``cls``; omitted keys take the model's default, or
+    the :data:`_TOML_DEFAULTS` entry where the format has its own."""
+    _check_keys(data, keys, where)
+    fields = _fields(cls)
+    toml_defaults = _TOML_DEFAULTS.get(cls, {})
+    values = {}
+    for key in keys:
+        field, hint = fields[key]
+        if key in data:
+            values[field.name] = _convert(data[key], hint, key, where)
+        elif field.name in toml_defaults:
+            values[field.name] = toml_defaults[field.name]
+        elif field.default is dataclasses.MISSING and \
+                field.default_factory is dataclasses.MISSING:
+            raise _fail(where, f"missing required key {key!r}")
+    return values
+
+
+def _build(cls, data: Dict[str, Any], where: str):
+    """One model object from one TOML table."""
+    values = _values(cls, data, where, list(_fields(cls)))
+    if cls is FaultSpec:
+        # A bare target (``sp-1``) names a deployment id only once
+        # the fault's kind says which zone it lives in.
+        values["target"] = expand_target(values["kind"],
+                                         values["target"])
     try:
-        return ZoneShape(
-            n_clients=sec.take("n_clients", int, 12),
-            n_channels=sec.take("n_channels", int, 6),
-            n_sps=sec.take("n_sps", int, 2),
-            k=sec.take("k", int, 3),
-            n_direct_clients=sec.take("n_direct_clients", int, 6),
-            client_prefix=sec.take("client_prefix", str, "live"))
-    except ScenarioError as exc:
-        raise sec.fail(str(exc)) from None
-
-
-def _parse_workload(data: Dict[str, Any], where: str) -> Workload:
-    sec = _Section(data, where)
-    sec.check_keys(["kind", "call_pairs", "call_start_s", "spike_at_s",
-                    "spike_pairs", "arrival_rate_per_s", "call_hold_s"])
-    try:
-        return Workload(
-            kind=sec.take("kind", str, "constant"),
-            call_pairs=sec.take("call_pairs", int, 1),
-            call_start_s=sec.take("call_start_s", float, 0.5),
-            spike_at_s=sec.take("spike_at_s", float, 0.0),
-            spike_pairs=sec.take("spike_pairs", int, 0),
-            arrival_rate_per_s=sec.take("arrival_rate_per_s", float,
-                                        0.0),
-            call_hold_s=sec.take("call_hold_s", float, 0.0))
-    except ScenarioError as exc:
-        raise sec.fail(str(exc)) from None
-
-
-def _parse_churn(tables: List[Dict[str, Any]],
-                 where: str) -> Tuple[ChurnEvent, ...]:
-    events = []
-    for i, data in enumerate(tables):
-        sec = _Section(data, f"{where}[{i}]")
-        sec.check_keys(["at_s", "action", "count"])
-        try:
-            events.append(ChurnEvent(
-                at_s=sec.take("at_s", float),
-                action=sec.take("action", str),
-                count=sec.take("count", int, 1)))
-        except ScenarioError as exc:
-            raise sec.fail(str(exc)) from None
-    return tuple(events)
-
-
-def _parse_fault(data: Dict[str, Any], where: str) -> FaultSpec:
-    sec = _Section(data, where)
-    sec.check_keys(["kind", "at_s", "target", "duration_s",
-                    "detection_delay_s", "loss", "jitter_ms",
-                    "capacity_fraction"])
-    kind_name = sec.take("kind", str)
-    try:
-        kind = FaultKind(kind_name)
-    except ValueError:
-        allowed = [k.value for k in FaultKind]
-        raise sec.fail(
-            f"unknown fault kind {kind_name!r}"
-            f"{_suggest(kind_name, allowed)}; allowed kinds: "
-            f"{', '.join(allowed)}") from None
-    duration = sec.take("duration_s", float, None) \
-        if "duration_s" in sec.data else None
-    try:
-        return FaultSpec(
-            kind=kind,
-            at_s=sec.take("at_s", float),
-            target=expand_target(kind, sec.take("target", str)),
-            duration_s=duration,
-            detection_delay_s=sec.take("detection_delay_s", float, 0.0),
-            loss=sec.take("loss", float, 0.3),
-            jitter_ms=sec.take("jitter_ms", float, 50.0),
-            capacity_fraction=sec.take("capacity_fraction", float, 0.5))
-    except (ScenarioError, ValueError) as exc:
-        raise sec.fail(str(exc)) from None
-
-
-def _parse_adversary(data: Dict[str, Any], where: str) -> Adversary:
-    sec = _Section(data, where)
-    sec.check_keys(["kind", "targets", "at_s", "duration_s", "loss",
-                    "jitter_ms"])
-    try:
-        return Adversary(
-            kind=sec.take("kind", str, "none"),
-            targets=sec.take_str_list("targets"),
-            at_s=sec.take("at_s", float, 1.0),
-            duration_s=sec.take("duration_s", float, 4.0),
-            loss=sec.take("loss", float, 0.30),
-            jitter_ms=sec.take("jitter_ms", float, 80.0))
-    except ScenarioError as exc:
-        raise sec.fail(str(exc)) from None
-
-
-def _parse_criteria(data: Dict[str, Any],
-                    where: str) -> SurvivalCriteria:
-    sec = _Section(data, where)
-    sec.check_keys(["min_call_survival_rate", "max_dropped_failovers",
-                    "require_all_rejoined", "max_rejoin_latency_s",
-                    "require_shedding", "require_blacklist",
-                    "min_call_legs_established"])
-    max_dropped = sec.take("max_dropped_failovers", int, None) \
-        if "max_dropped_failovers" in sec.data else None
-    max_latency = sec.take("max_rejoin_latency_s", float, None) \
-        if "max_rejoin_latency_s" in sec.data else None
-    try:
-        return SurvivalCriteria(
-            min_call_survival_rate=sec.take("min_call_survival_rate",
-                                            float, 0.0),
-            max_dropped_failovers=max_dropped,
-            require_all_rejoined=sec.take("require_all_rejoined", bool,
-                                          False),
-            max_rejoin_latency_s=max_latency,
-            require_shedding=sec.take("require_shedding", bool, False),
-            require_blacklist=sec.take_str_list("require_blacklist"),
-            min_call_legs_established=sec.take(
-                "min_call_legs_established", int, 0))
-    except ScenarioError as exc:
-        raise sec.fail(str(exc)) from None
-
-
-def _parse_rejoin(data: Dict[str, Any], where: str) -> BackoffPolicy:
-    sec = _Section(data, where)
-    sec.check_keys(["base_delay_s", "multiplier", "max_delay_s",
-                    "max_attempts", "jitter"])
-    try:
-        return BackoffPolicy(
-            base_delay_s=sec.take("base_delay_s", float, 0.25),
-            multiplier=sec.take("multiplier", float, 2.0),
-            max_delay_s=sec.take("max_delay_s", float, 2.0),
-            max_attempts=sec.take("max_attempts", int, 8),
-            jitter=sec.take("jitter", float, 0.1))
+        return cls(**values)
     except ValueError as exc:
-        raise sec.fail(str(exc)) from None
-
-
-_TOP_KEYS = ["scenario", "zone", "workload", "churn", "fault",
-             "adversary", "rejoin", "criteria"]
-_SCENARIO_KEYS = ["name", "description", "seed", "horizon_s",
-                  "round_interval_s", "sample_interval_s"]
+        raise _fail(where, str(exc)) from None
 
 
 def parse_scenario(data: Dict[str, Any],
                    where: str = "<scenario>") -> Scenario:
-    """Build a validated :class:`Scenario` from decoded TOML data."""
-    top = _Section(data, where)
-    top.check_keys(_TOP_KEYS)
-    head = _Section(top.take("scenario", dict, {}),
-                    f"{where}: [scenario]")
-    head.check_keys(_SCENARIO_KEYS)
+    """Build a validated :class:`Scenario` from decoded TOML data.
+
+    The scalar fields sit in the ``[scenario]`` table; every field
+    that is itself a model class is a top-level table of its own."""
+    fields = _fields(Scenario)
+    tables = [k for k, (_, hint) in fields.items() if _is_table(hint)]
+    _check_keys(data, ["scenario"] + tables, where)
+    head = data.get("scenario", {})
+    if not isinstance(head, dict):
+        raise _fail(where, "[scenario] must be a table, got "
+                    f"{type(head).__name__} ({head!r})")
+    values = _values(Scenario, head, f"{where}: [scenario]",
+                     [k for k in fields if k not in tables])
+    values.update(_values(Scenario, {k: data[k] for k in tables
+                                     if k in data}, where, tables))
     try:
-        scenario = Scenario(
-            name=head.take("name", str),
-            description=head.take("description", str, ""),
-            seed=head.take("seed", int, 20150817),
-            horizon_s=head.take("horizon_s", float, 6.0),
-            round_interval_s=head.take("round_interval_s", float, 0.05),
-            sample_interval_s=head.take("sample_interval_s", float,
-                                        0.25),
-            zone=_parse_zone(top.take("zone", dict, {}),
-                             f"{where}: [zone]"),
-            workload=_parse_workload(top.take("workload", dict, {}),
-                                     f"{where}: [workload]"),
-            churn=_parse_churn(top.subtables("churn"),
-                               f"{where}: [[churn]]"),
-            faults=tuple(
-                _parse_fault(t, f"{where}: [[fault]][{i}]")
-                for i, t in enumerate(top.subtables("fault"))),
-            adversary=_parse_adversary(
-                top.take("adversary", dict, {}),
-                f"{where}: [adversary]"),
-            rejoin_policy=_parse_rejoin(top.take("rejoin", dict, {}),
-                                        f"{where}: [rejoin]"),
-            criteria=_parse_criteria(top.take("criteria", dict, {}),
-                                     f"{where}: [criteria]"))
+        scenario = Scenario(**values)
         scenario.validate()
-        return scenario
     except ScenarioError as exc:
-        msg = str(exc)
-        if not msg.startswith(where):
-            msg = f"{where}: {msg}"
-        raise ScenarioError(msg) from None
+        raise _fail(where, str(exc)) from None
+    return scenario
 
 
 def load_scenario(path: _PathLike) -> Scenario:

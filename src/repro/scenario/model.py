@@ -243,7 +243,7 @@ class SurvivalCriteria:
                 "criteria.min_call_legs_established cannot be negative")
 
 
-def _default_rejoin_policy() -> BackoffPolicy:
+def default_rejoin_policy() -> BackoffPolicy:
     # The §3.5 acceptance scenario's re-join policy.
     return BackoffPolicy(base_delay_s=0.25, multiplier=2.0,
                          max_delay_s=2.0, max_attempts=8, jitter=0.1)
@@ -265,7 +265,7 @@ class Scenario:
     faults: Tuple[FaultSpec, ...] = ()
     adversary: Adversary = field(default_factory=Adversary)
     rejoin_policy: BackoffPolicy = field(
-        default_factory=_default_rejoin_policy)
+        default_factory=default_rejoin_policy)
     criteria: SurvivalCriteria = field(
         default_factory=SurvivalCriteria)
 
@@ -292,8 +292,9 @@ class Scenario:
         programmatically (``Simulation.run(until=...)``) may legally
         cut events off; a corpus TOML declaring an unreachable event
         is a mistake, so the loader and ``repro scenario validate``
-        call this."""
-        for spec in self.faults:
+        call this.  The Sybil campaign's compiled faults count: it is
+        the whole :meth:`plan` that must fit."""
+        for spec in self.plan():
             if spec.at_s >= self.horizon_s:
                 raise ScenarioError(
                     f"fault {spec.kind.value}@{spec.at_s}s fires after "

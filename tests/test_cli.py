@@ -100,6 +100,14 @@ _FAILING_SCENARIO = _PASSING_SCENARIO.replace(
     "[criteria]", "[criteria]\nrequire_shedding = true")
 
 
+class TestMetricsCommand:
+    def test_testbed_refuses_other_engines(self, capsys):
+        assert main(["metrics", "--scenario", "testbed",
+                     "--engine", "batch-v2", "--rounds", "1"]) != 0
+        err = capsys.readouterr().err
+        assert "'event' engine only" in err and "'batch-v2'" in err
+
+
 class TestScenarioCommand:
     def test_run_passing_scenario_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "smoke.toml"

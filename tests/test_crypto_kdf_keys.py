@@ -57,34 +57,15 @@ class TestDeriveKeys:
 
 
 class TestSessionKey:
-    def test_nonce_sequence_monotonic(self):
-        sk = SessionKey.generate(random.Random(0))
-        n0, n1 = sk.next_nonce(), sk.next_nonce()
-        assert n0 != n1
-        assert sk.nonce_for(0) == n0
-        assert sk.nonce_for(1) == n1
-
-    def test_nonce_is_12_bytes(self):
-        sk = SessionKey.generate(random.Random(0))
-        assert len(sk.next_nonce()) == 12
-
-    def test_prefix_separates_directions(self):
-        sk_up = SessionKey(b"\x01" * 32, prefix=b"up\x00\x00")
-        sk_dn = SessionKey(b"\x01" * 32, prefix=b"dn\x00\x00")
-        assert sk_up.nonce_for(5) != sk_dn.nonce_for(5)
-
     def test_rejects_bad_key_length(self):
         with pytest.raises(ValueError):
             SessionKey(b"\x00" * 16)
 
-    def test_rejects_bad_prefix_length(self):
-        with pytest.raises(ValueError):
-            SessionKey(b"\x00" * 32, prefix=b"\x00" * 3)
-
-    def test_rejects_out_of_range_sequence(self):
-        sk = SessionKey(b"\x00" * 32)
-        with pytest.raises(ValueError):
-            sk.nonce_for(2 ** 64)
+    def test_seeded_generate_is_deterministic(self):
+        a = SessionKey.generate(random.Random(0))
+        assert a == SessionKey.generate(random.Random(0))
+        assert len(a.key) == 32
+        assert a != SessionKey.generate(random.Random(1))
 
 
 class TestKeyPairs:

@@ -12,7 +12,8 @@ This file pins that contract:
 * an exact cross-engine comparison of all three output surfaces for
   the live scenario (plus a pinned digest, so a change that breaks
   both engines in lockstep still trips a review);
-* testbed and chaos scenarios compared across engines;
+* chaos scenarios compared across engines (the testbed, which has
+  one engine, compared across repeats and refusing the others);
 * a hypothesis sweep over random seeds and zone shapes comparing the
   E9 constant-rate census and the wiretap size/time sequences.
 """
@@ -178,16 +179,24 @@ class TestWireStatsEquivalence:
 
 class TestTestbedAndChaosEquivalence:
     def test_testbed_metrics_identical(self):
-        def run(execution):
+        # The testbed has one engine, so its check is a repeat: one
+        # seed run twice gives the same metrics.
+        def run():
             config = SimConfig(scenario="testbed", seed=5,
-                               n_clients=6, call_pairs=2,
-                               execution=execution)
+                               n_clients=6, call_pairs=2)
             return Simulation(config).run(rounds=20)
 
-        event, v2 = run("event"), run("batch-v2")
-        assert event.metrics == v2.metrics
-        assert event.detail["frames_delivered"] == \
-            v2.detail["frames_delivered"] > 0
+        first, second = run(), run()
+        assert first.metrics == second.metrics
+        assert first.engine == first.detail["engine"] == "event"
+        assert first.detail["frames_delivered"] == \
+            second.detail["frames_delivered"] > 0
+
+    @pytest.mark.parametrize("execution", ["batch-v2", "asyncio"])
+    def test_testbed_refuses_an_engine_it_would_not_run(self,
+                                                        execution):
+        with pytest.raises(ValueError, match="'event' engine only"):
+            SimConfig(scenario="testbed", execution=execution)
 
     def test_chaos_determinism_key_identical(self):
         scenario = Scenario(name="chaos", faults=MIX_AND_SP_CRASH)
