@@ -47,8 +47,8 @@ def main() -> None:
           "(clients are connected and chaffed continuously)\n")
 
     # --- Long-term intersection against one busy user. ---
-    target = max(trace.contact_degrees(), key=lambda u:
-                 trace.contact_degrees()[u])
+    degrees = trace.contact_degrees()
+    target = max(degrees, key=degrees.get)
     rounds = unchaffed_candidate_rounds(trace, target)
     unchaffed = long_term_intersection(rounds)
     print(f"long-term attack on user {target} "

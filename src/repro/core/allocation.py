@@ -24,8 +24,9 @@ Both are implemented here: :func:`assign_clients_to_channels` and
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -83,20 +84,33 @@ def assign_clients_to_channels(n_clients: int, n_channels: int, k: int,
         raise ValueError("k cannot exceed the number of channels")
     assignment = ChannelAssignment(n_channels)
     occupancy = [0] * n_channels
+    # buckets[level]: the channels with that occupancy, ascending;
+    # ``low`` is the lowest level any channel is at.
+    buckets: List[List[int]] = [list(range(n_channels))]
+    low = 0
     for client in range(n_clients):
         chosen: List[int] = []
         # Pick k channels one at a time, each uniformly among the
         # currently least-occupied channels not yet chosen.
-        excluded: Set[int] = set()
         for _ in range(k):
-            candidates = [ch for ch in range(n_channels)
-                          if ch not in excluded]
-            min_occ = min(occupancy[ch] for ch in candidates)
-            least = [ch for ch in candidates if occupancy[ch] == min_occ]
+            level = low
+            while True:
+                bucket = buckets[level]
+                taken = [ch for ch in chosen if occupancy[ch] == level]
+                if len(taken) < len(bucket):
+                    break
+                level += 1
+            least = [ch for ch in bucket if ch not in taken] \
+                if taken else bucket
             ch = rng.choice(least)
-            chosen.append(ch)
-            excluded.add(ch)
+            del bucket[bisect_left(bucket, ch)]
+            if level + 1 == len(buckets):
+                buckets.append([])
+            insort(buckets[level + 1], ch)
             occupancy[ch] += 1
+            chosen.append(ch)
+        while not buckets[low]:
+            low += 1
         assignment.add_client(client, chosen)
     return assignment
 

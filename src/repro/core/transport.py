@@ -29,7 +29,38 @@ herdscope metrics, and report rows transport-invariant.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+
+#: A directed link: ``(src, dst)`` node names.
+LinkKey = Tuple[str, str]
+
+
+class RoundTable(NamedTuple):
+    """One round's drained queue as a run table: row ``i`` is
+    ``counts[i]`` wire-identical cells of ``sizes[i]`` bytes on the
+    directed link ``keys[i]``, rows link-contiguous in first-emission
+    order — the table :func:`repro.netsim.taps.offer_round_runs`
+    takes.  The three columns are Python lists of tuples and ints."""
+
+    keys: List[LinkKey]
+    sizes: List[int]
+    counts: List[int]
+    #: The rows' payloads and kinds in *emission* order, and the
+    #: emission position of each table row; read through :meth:`runs`.
+    payloads: Tuple[bytes, ...]
+    kinds: Tuple[str, ...]
+    order: np.ndarray
+
+    def runs(self) -> List[Tuple[LinkKey, bytes, str, int]]:
+        """The table as ``(key, payload, kind, count)`` rows, for the
+        planes that carry payloads (``event``, ``asyncio``)."""
+        payloads, kinds = self.payloads, self.kinds
+        return [(key, payloads[i], kinds[i], count)
+                for key, i, count in zip(self.keys, self.order.tolist(),
+                                         self.counts)]
 
 
 class CellTransport:
@@ -42,10 +73,15 @@ class CellTransport:
     (:attr:`observer`, :meth:`add_tap`, the cost counters) is the
     observation surface run consumers read.
 
-    The round queue is this class's: every implementation drains the
-    same ``_pending`` table at its flush, and run-table planes
-    accumulate per-link wire totals through :meth:`_account_runs` and
-    publish them through :meth:`_drain_link_totals`.  Offering a round
+    The round queue is this class's.  A link gets an integer id the
+    first time a cell is emitted on it (an append-only id →
+    ``(src, dst)`` table), and every emission appends one
+    ``(link_id, payload, kind, count)`` row to one flat queue.  Every
+    implementation takes its round from :meth:`_drain_round`, which
+    builds the round's run table with numpy and adds it to per-link
+    ``(cells, bytes)`` totals kept as arrays indexed by link id;
+    :meth:`_drain_link_totals` turns those into the
+    ``(src, dst)``-keyed :meth:`finalize` report.  Offering a round
     to the taps stays with each implementation — the tap protocol
     lives in :mod:`repro.netsim.taps`, which protocol code does not
     import.
@@ -57,58 +93,66 @@ class CellTransport:
     observer = None
 
     def __init__(self):
-        #: (src, dst) → queued (payload, kind, count) runs of the
-        #: current round, in emission order (dict preserves insertion
-        #: order).  ``count`` > 1 encodes a run of wire-identical
-        #: cells sharing one payload reference (constant-rate fill).
-        self._pending: Dict[Tuple[str, str],
-                            List[Tuple[bytes, str, int]]] = {}
-        #: Per-link wire totals (``[cells, bytes]`` per directed
-        #: ``(src, dst)``) and run-table rows accumulated since the
-        #: last :meth:`finalize`.
-        self._link_totals: Dict[Tuple[str, str], List[int]] = {}
+        #: Link id → ``(src, dst)`` in first-emission order, and back.
+        self._link_keys: List[LinkKey] = []
+        self._link_ids: Dict[LinkKey, int] = {}
+        #: The current round's ``(link_id, payload, kind, count)``
+        #: rows in emission order.  ``count`` > 1 encodes a run of
+        #: wire-identical cells sharing one payload reference
+        #: (constant-rate fill).
+        self._rows: List[Tuple[int, bytes, str, int]] = []
+        #: Per-link wire totals (cells, bytes) by link id and the
+        #: run-table rows, accumulated since the last :meth:`finalize`.
+        self._link_cells = np.zeros(0, np.int64)
+        self._link_bytes = np.zeros(0, np.int64)
         self._segments = 0
         self.rounds_flushed = 0
         self.cells_carried = 0
+
+    def _link_id(self, link: LinkKey) -> int:
+        """The id of ``link``, assigned here if it is new."""
+        link_id = self._link_ids.get(link)
+        if link_id is None:
+            link_id = self._link_ids[link] = len(self._link_keys)
+            self._link_keys.append(link)
+        return link_id
 
     def emit(self, src: str, dst: str, payload: bytes,
              kind: str = "data") -> None:
         """Queue one cell for this round's flush (payload by
         reference)."""
-        pending = self._pending
-        entry = pending.get((src, dst))
-        if entry is None:
-            pending[(src, dst)] = [(payload, kind, 1)]
-        else:
-            entry.append((payload, kind, 1))
+        link_id = self._link_ids.get((src, dst))
+        if link_id is None:
+            link_id = self._link_id((src, dst))
+        self._rows.append((link_id, payload, kind, 1))
 
-    def emit_each(self, links: Sequence[Tuple[str, str]],
+    def emit_each(self, links: Sequence[LinkKey],
                   payloads: Sequence[bytes], kind: str = "data") -> None:
         """:meth:`emit` of ``payloads[i]`` on ``links[i]`` — ``(src,
         dst)`` pairs — for every i, in order: a channel's members'
-        cells in one call."""
-        pending = self._pending
-        for link, payload in zip(links, payloads):
-            entry = pending.get(link)
-            if entry is None:
-                pending[link] = [(payload, kind, 1)]
-            else:
-                entry.append((payload, kind, 1))
+        cells in one call.  Unequal lengths raise before anything is
+        queued."""
+        if len(links) != len(payloads):
+            raise ValueError(f"emit_each got {len(links)} links for "
+                             f"{len(payloads)} payloads")
+        link_ids = list(map(self._link_ids.get, links))
+        if None in link_ids:
+            link_ids = list(map(self._link_id, links))
+        self._rows.extend(zip(link_ids, payloads, repeat(kind),
+                              repeat(1)))
 
     def emit_repeated(self, src: str, dst: str, payload: bytes,
                       n: int, kind: str = "chaff") -> None:
         """Queue ``n`` wire-identical cells sharing one payload
         reference — the constant-rate fill of a trunk link costs one
-        queue entry regardless of the cell count."""
+        queue row regardless of the cell count."""
         if n < 0:
             raise ValueError("cannot emit a negative cell count")
         if n:
-            pending = self._pending
-            entry = pending.get((src, dst))
-            if entry is None:
-                pending[(src, dst)] = [(payload, kind, n)]
-            else:
-                entry.append((payload, kind, n))
+            link_id = self._link_ids.get((src, dst))
+            if link_id is None:
+                link_id = self._link_id((src, dst))
+            self._rows.append((link_id, payload, kind, n))
 
     def flush_round(self, round_index: int) -> None:
         """Carry everything queued, stamped at the round's virtual
@@ -133,35 +177,63 @@ class CellTransport:
         simulator planes.  Never part of any determinism surface."""
         return None
 
-    # -- run-table accounting --------------------------------------------------
+    # -- the round drain and the run totals ------------------------------------
 
-    def _account_runs(self, keys: List[Tuple[str, str]],
-                      sizes: List[int], counts: List[int]) -> None:
-        """Add one round's run table (row ``i``: ``counts[i]`` cells
-        of ``sizes[i]`` bytes on link ``keys[i]``) to the per-link
-        totals and the carried-cell count."""
-        totals = self._link_totals
-        for key, size, count in zip(keys, sizes, counts):
-            entry = totals.get(key)
-            if entry is None:
-                totals[key] = [count, size * count]
-            else:
-                entry[0] += count
-                entry[1] += size * count
-        self._segments += len(keys)
-        self.cells_carried += sum(counts)
+    def _drain_round(self, header_bytes: int) -> RoundTable:
+        """Take the round's queue as its :class:`RoundTable` — a cell
+        costs ``len(payload) + header_bytes`` wire bytes — and add it
+        to the per-link totals and the carried-cell count.
+
+        A stable sort of the rows on their link's first position in
+        the round makes the table link-contiguous in first-emission
+        order, each link's rows in emission order: the order the
+        per-cell ``event`` plane transmits in."""
+        rows, self._rows = self._rows, []
+        n = len(rows)
+        if not n:
+            return RoundTable([], [], [], (), (), np.zeros(0, np.intp))
+        links = self._link_keys
+        link_ids, payloads, kinds, counts = zip(*rows)
+        ids = np.fromiter(link_ids, np.intp, n)
+        seen, first = np.unique(ids, return_index=True)
+        position = np.empty(len(links), np.intp)
+        position[seen] = first
+        order = np.argsort(position[ids], kind="stable")
+        count_col = np.fromiter(counts, np.int64, n)
+        size_col = np.fromiter(map(len, payloads), np.int64, n)
+        size_col += header_bytes
+        grow = len(links) - len(self._link_cells)
+        if grow:
+            self._link_cells = np.concatenate(
+                (self._link_cells, np.zeros(grow, np.int64)))
+            self._link_bytes = np.concatenate(
+                (self._link_bytes, np.zeros(grow, np.int64)))
+        np.add.at(self._link_cells, ids, count_col)
+        np.add.at(self._link_bytes, ids, size_col * count_col)
+        self._segments += n
+        self.cells_carried += int(count_col.sum())
+        return RoundTable(keys=[links[i] for i in ids[order].tolist()],
+                          sizes=size_col[order].tolist(),
+                          counts=count_col[order].tolist(),
+                          payloads=payloads, kinds=kinds, order=order)
 
     def _drain_link_totals(self) -> Dict[str, object]:
         """Hand over everything accumulated since the last call as
-        the :meth:`finalize` report, and start afresh."""
-        link_stats = {key: (c, b)
-                      for key, (c, b) in self._link_totals.items()}
+        the :meth:`finalize` report (``link_stats`` in link-id order),
+        and start afresh."""
+        cells, n_bytes = self._link_cells, self._link_bytes
+        used = np.flatnonzero(cells)
+        links = self._link_keys
+        link_stats = dict(zip(
+            [links[i] for i in used.tolist()],
+            zip(cells[used].tolist(), n_bytes[used].tolist())))
         report = {
-            "cells": sum(c for c, _ in link_stats.values()),
-            "bytes": sum(b for _, b in link_stats.values()),
+            "cells": int(cells.sum()),
+            "bytes": int(n_bytes.sum()),
             "segments": self._segments,
             "link_stats": link_stats,
         }
-        self._link_totals = {}
+        self._link_cells = np.zeros_like(cells)
+        self._link_bytes = np.zeros_like(n_bytes)
         self._segments = 0
         return report

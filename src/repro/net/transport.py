@@ -244,14 +244,11 @@ class UdpFabric(CellTransport):
         """Transmit the round for real, wait for every datagram to
         land (retransmitting losses), and bridge the received run
         table into the taps at the round's virtual time."""
-        # Flatten the queue into the canonical run table: one row per
-        # emission run, rows in first-emission order — the global row
-        # index is the frame's ``run`` coordinate.
-        rows: List[Tuple[Tuple[str, str], bytes, str, int]] = []
-        for key, runs in self._pending.items():
-            for payload, kind, count in runs:
-                rows.append((key, payload, kind, count))
-        self._pending.clear()
+        # The drained table is the canonical run table: its row index
+        # is the frame's ``run`` coordinate.  The barrier below makes
+        # every sent coordinate arrive, so the totals the drain adds
+        # are the received ones.
+        rows = self._drain_round(IP_UDP_HEADER_BYTES).runs()
         t = round_index * self.interval
         if rows:
             started = perf_now()
@@ -267,7 +264,6 @@ class UdpFabric(CellTransport):
         keys = [(src, dst) for _, src, dst, _, _ in table]
         sizes = [size for _, _, _, size, _ in table]
         counts = [count for _, _, _, _, count in table]
-        self._account_runs(keys, sizes, counts)
         for tap in self.taps:
             offer_round_runs(tap, t, keys, sizes, counts)
         self.rounds_flushed += 1

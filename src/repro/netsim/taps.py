@@ -43,6 +43,7 @@ aggregate tap.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from repro.netsim.observer import LinkObserver, Observation
@@ -98,7 +99,7 @@ class TallyTap:
                           sizes: Sequence[int],
                           counts: Sequence[int]) -> None:
         self.cells += sum(counts)
-        self.bytes += sum(s * c for s, c in zip(sizes, counts))
+        self.bytes += sum(map(mul, sizes, counts))
 
 
 def offer_runs(tap, time: float, src: str, dst: str,

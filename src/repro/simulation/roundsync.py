@@ -158,7 +158,7 @@ class WireFabric(CellTransport):
         for link in self._links.values():
             link.add_observer(tap)
 
-    # -- the round flush (the queue itself is CellTransport's) -----------------
+    # -- the round flush (the queue and its drain are CellTransport's) ---------
 
     def flush_round(self, round_index: int) -> None:
         """Transmit everything queued, stamped at the round's tick.
@@ -172,50 +172,34 @@ class WireFabric(CellTransport):
         """
         if self.wire_mode != "event":
             self.scheduler.run_round(round_index)
-        else:
-            t = self.scheduler.time_of(round_index)
-            loop = self.loop
-            for (src, dst), runs in self._pending.items():
-                link = self.link_between(src, dst)
-                sender = self.nodes[src]
-                for payload, kind, count in runs:
-                    for _ in range(count):
-                        packet = Packet(payload, src, dst, kind=kind)
-                        loop.schedule_at(
-                            t, lambda lk=link, s=sender, p=packet:
-                            lk.transmit(s, p))
-                    self.cells_carried += count
-            self._pending.clear()
-            loop.run(until=t)
-            self.rounds_flushed += 1
+            return
+        t = self.scheduler.time_of(round_index)
+        loop = self.loop
+        for (src, dst), payload, kind, count in \
+                self._drain_round(IP_UDP_HEADER_BYTES).runs():
+            link = self.link_between(src, dst)
+            sender = self.nodes[src]
+            for _ in range(count):
+                packet = Packet(payload, src, dst, kind=kind)
+                loop.schedule_at(t, lambda lk=link, s=sender, p=packet:
+                                 lk.transmit(s, p))
+        loop.run(until=t)
+        self.rounds_flushed += 1
 
     def _transmit_runs_queued(self, round_index: int) -> None:
-        """Vector-engine round handler (``batch-v2``).
-
-        The round's runs flatten into one run *table* (parallel
-        ``keys``/``sizes``/``counts`` rows, link-contiguous in
-        first-emission order) offered to every tap through
+        """Vector-engine round handler (``batch-v2``): the round's run
+        table, drained by :meth:`~repro.core.transport.CellTransport
+        ._drain_round`, is offered whole to every tap through
         :func:`~repro.netsim.taps.offer_round_runs` — aggregate chaff
         accounting with O(runs) work and a small constant.  Link and
         node wire stats materialize from the accumulated totals at
         :meth:`finalize`, never per round.
         """
         t = self.scheduler.time_of(round_index)
-        keys: List[Tuple[str, str]] = []
-        sizes: List[int] = []
-        counts: List[int] = []
-        add_key = keys.append
-        add_size = sizes.append
-        add_count = counts.append
-        for key, runs in self._pending.items():
-            for payload, _kind, count in runs:
-                add_key(key)
-                add_size(len(payload) + IP_UDP_HEADER_BYTES)
-                add_count(count)
-        self._account_runs(keys, sizes, counts)
+        table = self._drain_round(IP_UDP_HEADER_BYTES)
         for tap in self.taps:
-            offer_round_runs(tap, t, keys, sizes, counts)
-        self._pending.clear()
+            offer_round_runs(tap, t, table.keys, table.sizes,
+                             table.counts)
         self.rounds_flushed += 1
 
     def finalize(self) -> Optional[Dict[str, object]]:
@@ -229,12 +213,15 @@ class WireFabric(CellTransport):
 
         Re-entrant: rounds flushed after a call reach the stats at
         the next one, and a call with nothing accumulated changes
-        nothing.  A no-op (returns ``None``) for non-vector engines.
+        nothing.  On the ``event`` engine, whose links count every
+        packet as it goes, it only resets the totals and returns
+        ``None``.
         Run consumers call this before reading wire stats.
         """
-        if self.wire_mode != "vector":
-            return None
         report = self._drain_link_totals()
+        if self.wire_mode != "vector":
+            # The event plane's links counted their own packets.
+            return None
         for (src, dst), (cells, n_bytes) in report["link_stats"].items():
             canonical = (src, dst) if src <= dst else (dst, src)
             link = self._links.get(canonical)

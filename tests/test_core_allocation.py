@@ -75,6 +75,51 @@ class TestGreedyAssignment:
         b = assign_clients_to_channels(50, 10, 3, random.Random(9))
         assert a.channels_of == b.channels_of
 
+    @staticmethod
+    def _rescanning(n_clients, n_channels, k, rng):
+        """The rule as first written, rescanning every channel for
+        each pick: the oracle of the bucketed index."""
+        occupancy = [0] * n_channels
+        channels_of = {}
+        for client in range(n_clients):
+            chosen = []
+            for _ in range(k):
+                candidates = [ch for ch in range(n_channels)
+                              if ch not in chosen]
+                min_occ = min(occupancy[ch] for ch in candidates)
+                least = [ch for ch in candidates
+                         if occupancy[ch] == min_occ]
+                ch = rng.choice(least)
+                chosen.append(ch)
+                occupancy[ch] += 1
+            channels_of[client] = tuple(chosen)
+        return channels_of, rng.random()
+
+    @pytest.mark.parametrize("n_clients,n_channels,k,seed", [
+        (0, 4, 2, 0), (1, 1, 1, 1), (6, 4, 2, 3), (7, 3, 3, 4),
+        (50, 10, 3, 9), (97, 16, 4, 5), (40, 5, 5, 6), (300, 25, 1, 7),
+        (120, 12, 12, 8), (333, 40, 3, 10)])
+    def test_bucketed_picks_equal_the_rescanning_rule(
+            self, n_clients, n_channels, k, seed):
+        # Same least-occupied list in the same order at every pick,
+        # so the same draws, the same assignment and the same rng
+        # state after it.
+        rng = random.Random(seed)
+        a = assign_clients_to_channels(n_clients, n_channels, k, rng)
+        assert (a.channels_of, rng.random()) == self._rescanning(
+            n_clients, n_channels, k, random.Random(seed))
+
+    @given(st.integers(0, 60), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_bucketed_picks_equal_the_rescanning_rule_property(
+            self, n_clients, n_channels, k, seed):
+        k = min(k, n_channels)
+        a = assign_clients_to_channels(n_clients, n_channels, k,
+                                       random.Random(seed))
+        assert a.channels_of == self._rescanning(
+            n_clients, n_channels, k, random.Random(seed))[0]
+
 
 class TestRankingMatcher:
     def _matcher(self, n_clients=20, n_channels=10, k=2, seed=0):
