@@ -17,8 +17,9 @@ Two allocation problems arise in the superpeer architecture:
    initially ranks all channels randomly, and then allocates the
    available channel with the highest rank in each step."
 
-Both are implemented here: :func:`assign_clients_to_channels` and
-:class:`RankingMatcher` (with a first-fit variant for ablations).
+Both are implemented here: :class:`OccupancyIndex` (the greedy rule,
+which :func:`assign_clients_to_channels` and every mix's joins share)
+and :class:`RankingMatcher` (with a first-fit variant for ablations).
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
 @dataclass
@@ -67,11 +76,77 @@ class ChannelAssignment:
         return len(self.channels_of)
 
 
+class OccupancyIndex:
+    """The §3.6.3 greedy rule, kept incrementally: channel ids bucketed
+    by how many clients each holds.
+
+    :meth:`pick` draws ``k`` distinct channels, each uniformly among
+    the least occupied not yet drawn: the list it draws from is that
+    level's bucket in ascending channel id, so a caller whose channels
+    are numbered in the order they were opened (a :class:`Mix`) makes
+    the draws a rescan of its channels in that order would.  A pick
+    leaves the index as it is; :meth:`occupy` records a client that
+    did attach.
+    """
+
+    def __init__(self, channels: Iterable[int] = ()):
+        self._level: Dict[int, int] = {}
+        # _buckets[level]: the channels at that occupancy, ascending;
+        # ``_low`` is the lowest level any channel is at.
+        self._buckets: List[List[int]] = [[]]
+        self._low = 0
+        for channel in channels:
+            self.add_channel(channel)
+
+    def add_channel(self, channel: int) -> None:
+        """A new channel, with no clients yet."""
+        if channel in self._level:
+            raise ValueError(f"channel {channel} already indexed")
+        self._level[channel] = 0
+        insort(self._buckets[0], channel)
+        self._low = 0
+
+    def occupancy(self, channel: int) -> int:
+        return self._level[channel]
+
+    def occupy(self, channel: int) -> None:
+        """One more client on ``channel``."""
+        level = self._level[channel]
+        bucket = self._buckets[level]
+        del bucket[bisect_left(bucket, channel)]
+        level += 1
+        if level == len(self._buckets):
+            self._buckets.append([])
+        insort(self._buckets[level], channel)
+        self._level[channel] = level
+        while not self._buckets[self._low]:
+            self._low += 1
+
+    def pick(self, k: int, rng: random.Random) -> List[int]:
+        """``k`` distinct channels, one ``rng.choice`` each."""
+        if k > len(self._level):
+            raise ValueError("k cannot exceed the number of channels")
+        chosen: List[int] = []
+        for _ in range(k):
+            level = self._low
+            while True:
+                bucket = self._buckets[level]
+                taken = [ch for ch in chosen if self._level[ch] == level]
+                if len(taken) < len(bucket):
+                    break
+                level += 1
+            least = [ch for ch in bucket if ch not in taken] \
+                if taken else bucket
+            chosen.append(rng.choice(least))
+        return chosen
+
+
 def assign_clients_to_channels(n_clients: int, n_channels: int, k: int,
                                rng: Optional[random.Random] = None
                                ) -> ChannelAssignment:
     """Greedy static assignment: each client gets ``k`` distinct
-    channels picked randomly from the least-occupied channels.
+    channels picked randomly from the least-occupied channels
+    (:class:`OccupancyIndex`).
 
     The paper's Fig. 3 toy example (k=2, N=6, C=4) has the ideal
     property that any C clients can call concurrently; this greedy rule
@@ -83,34 +158,11 @@ def assign_clients_to_channels(n_clients: int, n_channels: int, k: int,
     if k > n_channels:
         raise ValueError("k cannot exceed the number of channels")
     assignment = ChannelAssignment(n_channels)
-    occupancy = [0] * n_channels
-    # buckets[level]: the channels with that occupancy, ascending;
-    # ``low`` is the lowest level any channel is at.
-    buckets: List[List[int]] = [list(range(n_channels))]
-    low = 0
+    index = OccupancyIndex(range(n_channels))
     for client in range(n_clients):
-        chosen: List[int] = []
-        # Pick k channels one at a time, each uniformly among the
-        # currently least-occupied channels not yet chosen.
-        for _ in range(k):
-            level = low
-            while True:
-                bucket = buckets[level]
-                taken = [ch for ch in chosen if occupancy[ch] == level]
-                if len(taken) < len(bucket):
-                    break
-                level += 1
-            least = [ch for ch in bucket if ch not in taken] \
-                if taken else bucket
-            ch = rng.choice(least)
-            del bucket[bisect_left(bucket, ch)]
-            if level + 1 == len(buckets):
-                buckets.append([])
-            insort(buckets[level + 1], ch)
-            occupancy[ch] += 1
-            chosen.append(ch)
-        while not buckets[low]:
-            low += 1
+        chosen = index.pick(k, rng)
+        for ch in chosen:
+            index.occupy(ch)
         assignment.add_client(client, chosen)
     return assignment
 

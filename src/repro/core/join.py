@@ -98,16 +98,7 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
         return JoinResult(mix_id=mix_id, direct=True)
 
     if channel_choice is None:
-        occupancy = {ch_id: ch.member_count()
-                     for ch_id, ch in mix.channels.items()}
-        channel_choice = []
-        for _ in range(client.k):
-            candidates = [c for c in occupancy if c not in channel_choice]
-            min_occ = min(occupancy[c] for c in candidates)
-            least = [c for c in candidates if occupancy[c] == min_occ]
-            pick = rng.choice(least)
-            channel_choice.append(pick)
-            occupancy[pick] += 1
+        channel_choice = mix.occupancy.pick(client.k, rng)
     try:
         hosts = _channel_hosts(mix, superpeers, channel_choice)
     except (KeyError, ValueError, RuntimeError):

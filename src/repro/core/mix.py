@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.allocation import RankingMatcher
+from repro.core.allocation import OccupancyIndex, RankingMatcher
 from repro.core.channel import Channel
 from repro.core.circuit import (
     CreateReply,
@@ -92,6 +92,9 @@ class Mix:
         self.client_keys: Dict[str, SessionKey] = {}
         self.predictor = ChaffPredictor({})
         self.channels: Dict[int, Channel] = {}
+        #: The channels by member count, which :func:`join_zone` picks
+        #: from (§3.6.3); kept with every change to ``channels``.
+        self.occupancy = OccupancyIndex()
         self._client_slots: Dict[Tuple[int, int], str] = {}
         self.matcher: Optional[RankingMatcher] = None
         self.cells_relayed = 0
@@ -205,6 +208,7 @@ class Mix:
         if self.channels:
             raise RuntimeError("channels already configured")
         self.channels = {i: Channel(i) for i in range(n_channels)}
+        self.occupancy = OccupancyIndex(self.channels)
 
     def open_channel(self) -> int:
         """Add one channel to the configured ones (the administrator
@@ -212,6 +216,7 @@ class Mix:
         static assignment when it is built and does not see it."""
         channel_id = len(self.channels)
         self.channels[channel_id] = Channel(channel_id)
+        self.occupancy.add_channel(channel_id)
         return channel_id
 
     def attach_client_to_channels(self, client_id: str,
@@ -226,6 +231,7 @@ class Mix:
         for ch_id in channels:
             channel = self.channels[ch_id]
             slot = channel.add_member(numeric_id)
+            self.occupancy.occupy(ch_id)
             slots[ch_id] = slot
             self._client_slots[(ch_id, slot)] = client_id
         self.predictor.add_client(numeric_id, key)
@@ -244,6 +250,7 @@ class Mix:
         self.client_keys.clear()
         self.predictor = ChaffPredictor({})
         self.channels = {ch_id: Channel(ch_id) for ch_id in self.channels}
+        self.occupancy = OccupancyIndex(self.channels)
         self._client_slots.clear()
 
     def decode_channel_rounds(

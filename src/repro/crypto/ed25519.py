@@ -67,8 +67,9 @@ def _recover_x(y: int, sign: int) -> int:
 
 
 # Points are extended homogeneous coordinates (X, Y, Z, T), x = X/Z,
-# y = Y/Z, x*y = T/Z.  Only products are reduced: a sum or difference
-# of reduced values feeds the next multiplication as it is.
+# y = Y/Z, x*y = T/Z.  In `_point_add` only products are reduced: a sum
+# or difference of reduced values feeds the next multiplication as it
+# is.  `_table_mul`, on the join's path, folds its products instead.
 _IDENT = (0, 1, 1, 0)
 
 
@@ -128,21 +129,21 @@ _BX = _recover_x(_BY, 0)
 _B = (_BX, _BY, 1, _BX * _BY % P)
 
 
-def _point_table(point):
-    """The fixed-base table of ``point``: ``table[i][j-1]`` is
-    ``j·16^i·point`` for ``i < 64``, ``1 ≤ j ≤ 15``, as the affine
-    triple ``(y+x, y−x, 2dxy)`` a mixed addition consumes.  The 960
-    points are made projective and brought to ``Z = 1`` with one
-    shared inversion (Montgomery's trick); the addition law is
-    complete, so a point of small order gets a table like any other."""
-    points = []
-    base = point
-    for _ in range(64):
-        q = base
-        for _ in range(15):
-            points.append(q)
-            q = _point_add(q, base)
-        base = q  # 16·base
+#: The window of the base point's table (built at import) and of the
+#: one a long-lived X25519 public key builds on its first exchange:
+#: 37 × 64 and 52 × 16 entries (DESIGN.md §16).
+_BASE_WINDOW = 7
+_KEY_WINDOW = 5
+
+#: The low half of a fold, ``v ↦ (v & _M) + 19·(v >> 255)``, which
+#: keeps ``v mod p`` because ``2^255 ≡ 19``.
+_M = (1 << 255) - 1
+
+
+def _affine_triples(points) -> tuple:
+    """``points`` as the affine triples ``(y+x, y−x, 2dxy)`` a mixed
+    addition consumes, brought to ``Z = 1`` with one shared inversion
+    (Montgomery's trick)."""
     prefix = []
     acc = 1
     for _, _, z, _ in points:
@@ -157,36 +158,87 @@ def _point_table(point):
         y = y * zinv % P
         triples.append(((y + x) % P, (y - x) % P, _D2 * x * y % P))
     triples.reverse()
-    return tuple(tuple(triples[row:row + 15])
-                 for row in range(0, len(triples), 15))
+    return tuple(triples)
 
 
-_BASE_TABLE = _point_table(_B)
+def _point_table(point, window: int = _KEY_WINDOW):
+    """The signed fixed-base table of ``point``: ``table[i][j-1]`` is
+    ``j·2^(w·i)·point`` for ``i ≤ 256 // w``, ``1 ≤ j ≤ 2^(w−1)``, as
+    an affine triple; ``−j·2^(w·i)·point`` is the same entry with
+    ``y+x`` and ``y−x`` swapped and ``2dxy`` negated.  A row is made
+    affine as soon as it is built, so no more than one row is ever
+    held projective.  The addition law is complete, so a point of
+    small order gets a table like any other."""
+    rows = []
+    base = point
+    for _ in range(256 // window + 1):
+        row = [base]
+        for _ in range((1 << (window - 1)) - 1):
+            row.append(_point_add(row[-1], base))
+        base = _point_add(row[-1], row[-1])  # 2^w·base
+        rows.append(_affine_triples(row))
+    return tuple(rows)
+
+
+_BASE_TABLE = _point_table(_B, _BASE_WINDOW)
 
 
 def _table_mul(s: int, table):
-    """``s·point`` for ``0 ≤ s < 2^256`` from the :func:`_point_table`
-    of ``point``: one seven-multiplication mixed addition per non-zero
-    nibble of ``s`` and no doublings."""
+    """``s·point`` for ``0 ≤ s < 2^256`` from a :func:`_point_table`
+    of ``point``, of either window: ``s`` recoded into signed digits
+    in ``(−2^(w−1), 2^(w−1)]``, one seven-multiplication mixed
+    addition per non-zero digit and no doublings.
+
+    Products are folded twice, not reduced: a coordinate out of here
+    is congruent mod p, below ``2^256`` in magnitude and possibly
+    negative, and whoever reads it reduces (DESIGN.md §16)."""
+    if s < 0 or s >> 256:
+        raise OverflowError("scalar must be in [0, 2^256)")
+    m = _M
+    half = len(table[0])
+    window = half.bit_length()
+    full = half << 1
     x, y, z, t = _IDENT
-    row = 0
-    for byte in s.to_bytes(32, "little"):
-        for j in (byte & 15, byte >> 4):
-            if j:
-                ypx, ymx, xy2d = table[row][j - 1]
-                a = (y - x) * ymx % P
-                b = (y + x) * ypx % P
-                c = t * xy2d % P
-                d = 2 * z
-                e = b - a
-                f = d - c
-                g = d + c
-                h = b + a
-                x = e * f % P
-                y = g * h % P
-                z = f * g % P
-                t = e * h % P
-            row += 1
+    carry = 0
+    for row in table:
+        j = (s & (full - 1)) + carry
+        s >>= window
+        carry = j > half
+        if carry:
+            j -= full
+        if j > 0:
+            ypx, ymx, xy2d = row[j - 1]
+        elif j:
+            ymx, ypx, xy2d = row[-j - 1]
+            xy2d = -xy2d
+        else:
+            continue
+        a = (y - x) * ymx
+        a = (a & m) + 19 * (a >> 255)
+        a = (a & m) + 19 * (a >> 255)
+        b = (y + x) * ypx
+        b = (b & m) + 19 * (b >> 255)
+        b = (b & m) + 19 * (b >> 255)
+        c = t * xy2d
+        c = (c & m) + 19 * (c >> 255)
+        c = (c & m) + 19 * (c >> 255)
+        d = 2 * z
+        e = b - a
+        f = d - c
+        g = d + c
+        h = b + a
+        x = e * f
+        x = (x & m) + 19 * (x >> 255)
+        x = (x & m) + 19 * (x >> 255)
+        y = g * h
+        y = (y & m) + 19 * (y >> 255)
+        y = (y & m) + 19 * (y >> 255)
+        z = f * g
+        z = (z & m) + 19 * (z >> 255)
+        z = (z & m) + 19 * (z >> 255)
+        t = e * h
+        t = (t & m) + 19 * (t >> 255)
+        t = (t & m) + 19 * (t >> 255)
     return (x, y, z, t)
 
 

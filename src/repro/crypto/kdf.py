@@ -8,7 +8,6 @@ specific key schedules used elsewhere in the package.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from typing import Dict
 
@@ -19,7 +18,7 @@ def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
     """HKDF-Extract: PRK = HMAC-SHA256(salt, IKM)."""
     if not salt:
         salt = b"\x00" * _HASH_LEN
-    return hmac.new(salt, ikm, hashlib.sha256).digest()
+    return hmac.digest(salt, ikm, "sha256")
 
 
 def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
@@ -30,8 +29,7 @@ def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
     block = b""
     counter = 1
     while len(okm) < length:
-        block = hmac.new(prk, block + info + bytes([counter]),
-                         hashlib.sha256).digest()
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
         okm += block
         counter += 1
     return okm[:length]

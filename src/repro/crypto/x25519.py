@@ -6,8 +6,8 @@ libraries").  :func:`x25519` is the Montgomery ladder of RFC 7748 §5
 with scalar clamping, u-coordinate masking and the §6.1 all-zero
 check.  Against a one-shot peer it runs the ladder — the one
 variable-base multiplication a join cannot avoid (the mix side: every
-client's ephemeral is new), so its loop carries no call and no
-reduction the next multiplication makes anyway.  A point that stays
+client's ephemeral is new), so its loop carries no call and folds its
+products instead of reducing them.  A point that stays
 needs no ladder: its multiples are read off a fixed-base table of its
 edwards25519 image (:mod:`repro.crypto.ed25519`) and the birational
 map ``u = (1 + y) / (1 − y)`` carries the result over (DESIGN.md §16).
@@ -26,6 +26,7 @@ from typing import Optional, Union
 from repro.crypto.ed25519 import (
     P,
     _BASE_TABLE,
+    _M,
     _inv,
     _point_table,
     _recover_x,
@@ -63,11 +64,14 @@ def _ladder(k: int, u: int) -> int:
     """The Montgomery ladder from RFC 7748 §5.
 
     The conditional swaps are the RFC's branchless mask arithmetic,
-    written inline; sums and differences are left unreduced (a product
-    of two values below ``2p`` in magnitude is reduced by the ``% P``
-    that follows it).  ``z2 = 0`` at the end — a low-order ``u`` —
+    written inline (exact on negative ints too).  Nothing in the loop
+    is reduced: each product is folded twice,
+    ``v ↦ (v & (2^255 − 1)) + 19·(v >> 255)``, which keeps it below
+    ``2^256`` in magnitude, and sums and differences are left as they
+    are (DESIGN.md §16).  ``z2 ≡ 0`` at the end — a low-order ``u`` —
     yields 0 through :func:`~repro.crypto.ed25519._inv`, which
     :func:`x25519` rejects."""
+    m = _M
     x1 = u
     x2, z2 = 1, 0
     x3, z3 = u, 1
@@ -84,18 +88,37 @@ def _ladder(k: int, u: int) -> int:
         z3 ^= dummy
 
         a = x2 + z2
-        aa = a * a % P
+        aa = a * a
+        aa = (aa & m) + 19 * (aa >> 255)
+        aa = (aa & m) + 19 * (aa >> 255)
         b = x2 - z2
-        bb = b * b % P
+        bb = b * b
+        bb = (bb & m) + 19 * (bb >> 255)
+        bb = (bb & m) + 19 * (bb >> 255)
         e = aa - bb
-        da = (x3 - z3) * a % P
-        cb = (x3 + z3) * b % P
+        da = (x3 - z3) * a
+        da = (da & m) + 19 * (da >> 255)
+        da = (da & m) + 19 * (da >> 255)
+        cb = (x3 + z3) * b
+        cb = (cb & m) + 19 * (cb >> 255)
+        cb = (cb & m) + 19 * (cb >> 255)
         c = da + cb
         d = da - cb
-        x3 = c * c % P
-        z3 = d * d % P * x1 % P
-        x2 = aa * bb % P
-        z2 = e * (aa + A24 * e) % P
+        x3 = c * c
+        x3 = (x3 & m) + 19 * (x3 >> 255)
+        x3 = (x3 & m) + 19 * (x3 >> 255)
+        z3 = d * d
+        z3 = (z3 & m) + 19 * (z3 >> 255)
+        z3 = (z3 & m) + 19 * (z3 >> 255)
+        z3 *= x1
+        z3 = (z3 & m) + 19 * (z3 >> 255)
+        z3 = (z3 & m) + 19 * (z3 >> 255)
+        x2 = aa * bb
+        x2 = (x2 & m) + 19 * (x2 >> 255)
+        x2 = (x2 & m) + 19 * (x2 >> 255)
+        z2 = e * (aa + A24 * e)
+        z2 = (z2 & m) + 19 * (z2 >> 255)
+        z2 = (z2 & m) + 19 * (z2 >> 255)
 
     mask = -swap
     x2 ^= mask & (x2 ^ x3)
@@ -161,7 +184,7 @@ class X25519PublicKey:
 
     Everyone who exchanges with it multiplies the same point, so it
     carries that point's fixed-base table: built on the first exchange
-    (≈8 ms, ≈250 KB — nine exchanges pay for it) and kept on the
+    (≈8–11 ms, ≈210 KB — eight exchanges pay for it) and kept on the
     instance, like every derived half (DESIGN.md §16).
     """
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.allocation import (
     ChannelAssignment,
     FirstFitMatcher,
+    OccupancyIndex,
     RankingMatcher,
     assign_clients_to_channels,
 )
@@ -119,6 +120,62 @@ class TestGreedyAssignment:
                                        random.Random(seed))
         assert a.channels_of == self._rescanning(
             n_clients, n_channels, k, random.Random(seed))[0]
+
+
+class TestOccupancyIndex:
+    """The index a mix keeps across joins, against a rescan of an
+    occupancy dict in the order the channels were added."""
+
+    @staticmethod
+    def _rescan(occupancy, k, rng):
+        chosen = []
+        for _ in range(k):
+            candidates = [ch for ch in occupancy if ch not in chosen]
+            min_occ = min(occupancy[ch] for ch in candidates)
+            chosen.append(rng.choice(
+                [ch for ch in candidates if occupancy[ch] == min_occ]))
+        return chosen
+
+    @given(st.integers(1, 6), st.lists(st.integers(0, 5), max_size=80),
+           st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_picks_equal_the_rescan_as_channels_open(
+            self, n_channels, ops, seed):
+        # op 0 opens a channel; op k picks k channels (at most all of
+        # them) and occupies what it picked
+        index = OccupancyIndex(range(n_channels))
+        occupancy = dict.fromkeys(range(n_channels), 0)
+        rng, twin = random.Random(seed), random.Random(seed)
+        for op in ops:
+            if op == 0:
+                index.add_channel(len(occupancy))
+                occupancy[len(occupancy)] = 0
+                continue
+            k = min(op, len(occupancy))
+            chosen = index.pick(k, rng)
+            assert chosen == self._rescan(occupancy, k, twin)
+            assert rng.getstate() == twin.getstate()
+            for ch in chosen:
+                index.occupy(ch)
+                occupancy[ch] += 1
+            assert {ch: index.occupancy(ch) for ch in occupancy} \
+                == occupancy
+
+    def test_a_pick_changes_nothing(self):
+        index = OccupancyIndex(range(3))
+        index.occupy(0)
+        first = index.pick(2, random.Random(4))
+        assert index.pick(2, random.Random(4)) == first
+        assert [index.occupancy(ch) for ch in range(3)] == [1, 0, 0]
+
+    def test_errors(self):
+        index = OccupancyIndex(range(2))
+        with pytest.raises(ValueError, match="exceed"):
+            index.pick(3, random.Random(0))
+        with pytest.raises(ValueError, match="already"):
+            index.add_channel(1)
+        with pytest.raises(KeyError):
+            index.occupy(2)
 
 
 class TestRankingMatcher:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.api import SimConfig, Simulation
+from repro.core.allocation import OccupancyIndex
 from repro.core.blacklist import SPMonitor
 from repro.core.client import HerdClient
 from repro.core.channel import decode_manifest
@@ -341,6 +342,112 @@ class TestJoinProtocol:
                 == client.session_key.key
         assert len(tables) == 1  # the mix's key, once
         assert mix.short_term.public_key.table
+
+
+def _rescan_picks(mix, k, rng):
+    """The §3.6.3 pick as ``join_zone`` made it before the mix kept an
+    :class:`OccupancyIndex`: an occupancy dict over ``mix.channels``,
+    rescanned for each of the ``k`` picks.  The oracle of the index."""
+    occupancy = {ch_id: ch.member_count()
+                 for ch_id, ch in mix.channels.items()}
+    channel_choice = []
+    for _ in range(k):
+        candidates = [c for c in occupancy if c not in channel_choice]
+        min_occ = min(occupancy[c] for c in candidates)
+        least = [c for c in candidates if occupancy[c] == min_occ]
+        pick = rng.choice(least)
+        channel_choice.append(pick)
+        occupancy[pick] += 1
+    return channel_choice
+
+
+class _CheckedPicks:
+    """Every pick ``mix``'s joins make, checked against the rescan on a
+    twin of the same rng: the same channels in the same order, the rng
+    left in the same state, and the index agreeing with every
+    channel's member count."""
+
+    def __init__(self, monkeypatch, mix):
+        self.mix = mix
+        self.picks = []
+        real_pick = OccupancyIndex.pick
+
+        def pick(index, k, rng):
+            assert index is mix.occupancy
+            self.check_occupancy()
+            twin = random.Random(0)
+            twin.setstate(rng.getstate())
+            expected = _rescan_picks(mix, k, twin)
+            chosen = real_pick(index, k, rng)
+            assert chosen == expected
+            assert rng.getstate() == twin.getstate()
+            self.picks.append(chosen)
+            return chosen
+
+        monkeypatch.setattr(OccupancyIndex, "pick", pick)
+
+    def check_occupancy(self):
+        assert {ch_id: self.mix.occupancy.occupancy(ch_id)
+                for ch_id in self.mix.channels} \
+            == {ch_id: ch.member_count()
+                for ch_id, ch in self.mix.channels.items()}
+
+
+class TestChannelPicks:
+    """``join_zone`` picks its k channels off the mix's
+    :class:`OccupancyIndex`; the draws are those of the rescan."""
+
+    @staticmethod
+    def _join(bed, client_id, k, channel_choice=None):
+        client = HerdClient(client_id, "zone-EU", rng=bed.rng, k=k)
+        join_zone(client, bed.directories["zone-EU"], bed.mixes,
+                  superpeers=bed.superpeers,
+                  channel_choice=channel_choice, rng=bed.rng)
+        return client
+
+    def test_full_channels_and_k_equal_to_the_channels(self, monkeypatch):
+        bed, mix, _, _ = _sp_testbed(n_clients=0, n_channels=3)
+        checked = _CheckedPicks(monkeypatch, mix)
+        for i in range(64):  # channel 0 fills up, by choice
+            self._join(bed, f"fill-{i}", 1, channel_choice=[0])
+        for i in range(64):  # 1 and 2 at the least level, 0 full
+            self._join(bed, f"pair-{i}", 2)
+        assert [sorted(pick) for pick in checked.picks] == [[1, 2]] * 64
+        # every channel full: the pick still draws (the lot is all the
+        # zone's channels), and the chosen channels refuse the client
+        for k in (1, 3):
+            with pytest.raises(ValueError, match="full"):
+                self._join(bed, f"over-{k}", k)
+        assert sorted(checked.picks[-1]) == [0, 1, 2]
+        checked.check_occupancy()
+
+    def test_channels_opened_mid_run(self, monkeypatch):
+        """``HerdTestbed._make_room`` opens channels when fewer than k
+        have room; the index takes them at occupancy 0."""
+        bed, mix, _, _ = _sp_testbed(n_clients=0, n_channels=2)
+        checked = _CheckedPicks(monkeypatch, mix)
+        for i in range(80):
+            bed.add_client(f"grow-{i}", "zone-EU", k=2,
+                           via_superpeers=True)
+        assert len(mix.channels) == 4
+        assert sorted(checked.picks[-1]) == [2, 3]
+        checked.check_occupancy()
+
+    def test_joins_after_reset_client_state(self, monkeypatch):
+        bed, mix, sp, _ = _sp_testbed(n_clients=12, n_channels=4)
+        checked = _CheckedPicks(monkeypatch, mix)
+        checked.check_occupancy()
+        mix.reset_client_state()
+        assert all(mix.occupancy.occupancy(ch_id) == 0
+                   for ch_id in mix.channels)
+        # the SP restarts too: its membership follows the mix's
+        bed.superpeers["sp-0"] = SuperPeer("sp-0", mix.mix_id)
+        for ch_id in mix.channels:
+            bed.superpeers["sp-0"].host_channel(ch_id, [])
+        for i in range(12):
+            self._join(bed, f"again-{i}", 2)
+        assert len(checked.picks) == 12
+        checked.check_occupancy()
 
 
 class TestSuperPeerRounds:

@@ -78,6 +78,19 @@ def affine(p):
     return x * zinv % P, y * zinv % P
 
 
+def entry(point):
+    """The triple a table holds for ``point``."""
+    x, y = affine(point)
+    return ((y + x) % P, (y - x) % P, 2 * ed.D * x * y % P)
+
+
+def negated(triple):
+    """A table entry as a negative digit reads it: ``y+x`` and
+    ``y−x`` swapped, ``2dxy`` negated."""
+    ypx, ymx, xy2d = triple
+    return (ymx, ypx, -xy2d % P)
+
+
 def ref_x25519(scalar: bytes, u: bytes) -> int:
     k = int.from_bytes(scalar, "little")
     k = (k & ((1 << 254) - 8)) | (1 << 254)
@@ -89,7 +102,7 @@ def ref_x25519(scalar: bytes, u: bytes) -> int:
 EDGE_SCALARS = [
     0, 1, 2, 15, 16, 17, L - 1, L, L + 1, 2 ** 252, 2 ** 255 - 1,
     2 ** 256 - 1,
-    # zero nibbles: the table multiply skips them
+    # zero windows: the table multiply skips them
     0xF0 << 248, 0x0F0F0F0F << 100, 1 << 128, (1 << 252) | 1,
     int("f00f" * 16, 16), int("0ff0" * 16, 16),
 ]
@@ -117,15 +130,18 @@ byte32 = st.binary(min_size=32, max_size=32)
 
 class TestFixedBaseTable:
     def test_layout(self):
+        """Signed radix-2^7: 37 rows of ``j·128^i·B``, ``1 ≤ j ≤ 64``;
+        the entry read as a negative digit is ``−j·128^i·B``."""
         table = ed._BASE_TABLE
-        assert isinstance(table, tuple) and len(table) == 64
-        assert all(isinstance(row, tuple) and len(row) == 15
+        assert isinstance(table, tuple) and len(table) == 37
+        assert all(isinstance(row, tuple) and len(row) == 64
                    for row in table)
-        for i in (0, 1, 31, 63):
-            for j in (1, 8, 15):
-                x, y = affine(ref_mul(j * 16 ** i, ed._B))
-                assert table[i][j - 1] == (
-                    (y + x) % P, (y - x) % P, 2 * ed.D * x * y % P)
+        for i in (0, 1, 18, 36):
+            for j in (1, 2, 33, 63, 64):
+                m = j * 128 ** i
+                assert table[i][j - 1] == entry(ref_mul(m, ed._B))
+                assert negated(table[i][j - 1]) \
+                    == entry(ref_mul(-m % L, ed._B))
 
     @pytest.mark.parametrize("s", EDGE_SCALARS)
     def test_edge_scalars(self, s):
@@ -152,12 +168,12 @@ class TestAnyPointTable:
     def test_matches_double_and_add(self, s, k, z):
         x, y = affine(ref_mul(k, ed._B))
         point = (x * z % P, y * z % P, z, x * y * z % P)
-        table = ed._point_table(point)
-        assert len(table) == 64 and {len(row) for row in table} == {15}
-        for i, j in ((0, 1), (1, 15), (63, 8)):
-            px, py = affine(ref_mul(j * 16 ** i, point))
-            assert table[i][j - 1] == (
-                (py + px) % P, (py - px) % P, 2 * ed.D * px * py % P)
+        table = ed._point_table(point)  # a peer key's: radix 2^5
+        assert len(table) == 52 and {len(row) for row in table} == {16}
+        for i, j in ((0, 1), (1, 16), (25, 9), (51, 8), (51, 16)):
+            m = j * 32 ** i
+            assert table[i][j - 1] == entry(ref_mul(m, point))
+            assert negated(table[i][j - 1]) == entry(ref_mul(-m % L, point))
         assert affine(ed._table_mul(s, table)) == affine(ref_mul(s, point))
 
     @pytest.mark.parametrize("point", SMALL_ORDER_POINTS)
@@ -166,6 +182,110 @@ class TestAnyPointTable:
         for s in (0, 1, 2, 3, 4, 7, 8, L, 2 ** 256 - 1):
             assert affine(ed._table_mul(s, table)) \
                 == affine(ref_mul(s, point))
+
+
+def window_scalars(window):
+    """Scalars at the edges of the signed recoding for ``window``: every
+    unsigned window at ``2^(w−1)`` (the largest positive digit), at
+    ``2^(w−1) + 1`` (a negative digit and a carry into every next
+    window), at ``2^(w−1) − 1`` behind a carry (``2^(w−1)`` again),
+    every signed digit ``±2^(w−1)``, alternating, and the ends of the
+    range."""
+    half, rows = 1 << (window - 1), 256 // window + 1
+
+    def from_windows(values):
+        return sum(v << (window * i) for i, v in enumerate(values)) \
+            % 2 ** 256
+
+    return [
+        from_windows([half] * rows),
+        from_windows([half + 1] * rows),
+        from_windows([half + 1] + [half - 1] * rows),
+        from_windows([half] * rows) - 1,
+        from_windows([-half] * rows),
+        from_windows([half, -half] * rows),
+        from_windows([-half, half + 1] * rows),
+        from_windows([2 * half - 1, 0] * rows),
+        0, 1, L, 2 ** 255 - 1, 2 ** 256 - 1,
+    ]
+
+
+_TABLES = {}
+
+
+def table_of(point, window):
+    """``_point_table(point, window)``, built once for this module."""
+    key = (point, window)
+    if key not in _TABLES:
+        _TABLES[key] = ed._point_table(point, window)
+    return _TABLES[key]
+
+
+def point_of(s):
+    """``s·B`` with ``Z = 1``."""
+    x, y = affine(ref_mul(s, ed._B))
+    return (x, y, 1, x * y % P)
+
+
+#: B, another point of the subgroup (a peer key's shape) and the
+#: small-order points, each on both windows.
+RECODING_POINTS = [ed._B, point_of(0xC0FFEE)] + SMALL_ORDER_POINTS
+
+
+class TestSignedRecoding:
+    """``_table_mul`` recodes a scalar into signed digits for either
+    window; the carry chains and the ends of the range must give what
+    double-and-add gives."""
+
+    def test_base_table_is_the_window_7_table(self):
+        assert ed._BASE_TABLE == table_of(ed._B, ed._BASE_WINDOW)
+        assert (ed._BASE_WINDOW, ed._KEY_WINDOW) == (7, 5)
+
+    @pytest.mark.parametrize("window", [ed._BASE_WINDOW, ed._KEY_WINDOW])
+    @pytest.mark.parametrize("point", RECODING_POINTS)
+    def test_edge_scalars(self, window, point):
+        table = table_of(point, window)
+        for s in window_scalars(window):
+            assert 0 <= s < 2 ** 256
+            assert affine(ed._table_mul(s, table)) \
+                == affine(ref_mul(s, point)), hex(s)
+
+    @pytest.mark.parametrize("window", [ed._BASE_WINDOW, ed._KEY_WINDOW])
+    def test_scalar_out_of_range_is_an_error(self, window):
+        table = table_of(ed._B, window)
+        for s in (-1, -(2 ** 256), 2 ** 256, 2 ** 300):
+            with pytest.raises(OverflowError):
+                ed._table_mul(s, table)
+
+
+class TestFoldBounds:
+    """The multiplication loops fold their products instead of reducing
+    them: what leaves ``_table_mul`` is below ``2^256`` in magnitude
+    and congruent, and ``x25519`` reduces what leaves the ladder."""
+
+    @pytest.mark.parametrize("window", [ed._BASE_WINDOW, ed._KEY_WINDOW])
+    def test_table_mul_coordinates_stay_below_2_256(self, window):
+        table = table_of(ed._B, window)
+        for s in window_scalars(window) + EDGE_SCALARS:
+            assert all(abs(c) < 2 ** 256 for c in ed._table_mul(s, table))
+
+    @pytest.mark.parametrize("u", [
+        P - 1, P, 2 ** 255 - 1,            # u = −1; 0; 18, non-canonical
+        2 ** 256 - 1, P | 1 << 255,        # the same, top bit masked
+        P + 1, P + 9, P - 2, 9])
+    @pytest.mark.parametrize("scalar", [
+        b"\xff" * 32, b"\x00" * 32, b"\xfe" + b"\xff" * 31,
+        b"\xff" * 31 + b"\x7f"])
+    def test_x25519_edges_match_rfc_ladder(self, u, scalar):
+        encoded = u.to_bytes(32, "little")
+        expected = ref_x25519(scalar, encoded)
+        outcomes = (exchange_outcome(lambda: x25519(scalar, encoded)),
+                    exchange_outcome(lambda: X25519PrivateKey(scalar)
+                                     .exchange(X25519PublicKey(encoded))))
+        if expected == 0:
+            assert all("all-zero" in outcome for outcome in outcomes)
+        else:
+            assert outcomes == (expected.to_bytes(32, "little"),) * 2
 
 
 class TestVariableBase:
