@@ -63,12 +63,12 @@ class SimConfig:
     execution:
         The execution engine, resolved by name through the
         :mod:`repro.execution` registry: ``"event"`` (default) — the
-        classical per-cell / per-channel hot path; ``"batch-v2"`` —
-        round-synchronous execution (one core entry point per
-        component per round) on the vectorized wire plane (one run
+        round's per-item functions and one wire event per cell;
+        ``"batch-v2"`` — the same round on the roster columns, one
+        kernel call per role, on the vectorized wire plane (one run
         table per round with aggregate chaff accounting);
         ``"asyncio"`` — the real-network plane (the same
-        round-synchronous protocol, every cell carried as a framed
+        column round, every cell carried as a framed
         UDP datagram over loopback, DESIGN.md §14).  The
         engines are observationally equivalent: a seeded run
         produces byte-identical metrics snapshots, traces, and

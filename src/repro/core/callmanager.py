@@ -31,7 +31,8 @@ from typing import Callable, Collection, Deque, Dict, List, Optional, \
 import numpy as np
 
 from repro.core.allocation import ChannelAssignment, RankingMatcher
-from repro.core.channel import manifest_nonces, read_manifests
+from repro.core.channel import decode_manifest, manifest_nonces, \
+    read_manifests
 from repro.core.client import HerdClient
 from repro.core.mix import Mix
 from repro.core.network_coding import PACKET_BLOCKS, upstream_nonces
@@ -49,6 +50,7 @@ from repro.core.signaling import (
 )
 from repro.crypto import chacha20
 from repro.crypto.chacha20 import key_words
+from repro.crypto.onion import CELL_SIZE
 
 
 
@@ -83,13 +85,17 @@ class FailoverRecord:
 
 
 class MixCallManager:
-    """Allocates calls to channels and produces downstream rounds."""
+    """Allocates calls to channels, bridges the call legs of its zone
+    and produces downstream rounds.  ``columns`` picks the form of
+    :meth:`process_columns`' manifest read."""
 
-    def __init__(self, mix: Mix, rng: Optional[random.Random] = None):
+    def __init__(self, mix: Mix, rng: Optional[random.Random] = None,
+                 columns: bool = True):
         if not mix.channels:
             raise ValueError("mix has no channels configured")
         self.mix = mix
         self.rng = rng or random.Random(0)
+        self.columns = columns
         #: Call ids are allocated per manager, not per process: a
         #: module-global counter would leak across simulations, making
         #: the GRANT payloads of a second identically-seeded run in
@@ -101,6 +107,13 @@ class MixCallManager:
         self._slots: Dict[int, Dict[int, int]] = {}
         self._client_name: Dict[int, str] = {}
         self.calls: Dict[int, ActiveCall] = {}   # numeric id → call
+        #: numeric id → numeric id of its call peer, both directions
+        #: (:meth:`pair`).
+        self.peers: Dict[int, int] = {}
+        #: Optional hook for cross-zone routing: called with
+        #: (numeric_id, payload) for voice recovered from a client whose
+        #: call peer is not at this mix (see simulation.federation).
+        self.external_router: Optional[Callable[[int, bytes], None]] = None
         self._pending_grant: Dict[int, ActiveCall] = {}
         self._pending_announce: Dict[int, ActiveCall] = {}
         self.calls_blocked = 0
@@ -124,6 +137,23 @@ class MixCallManager:
         self._client_name[numeric_id] = client_id
 
     # -- call setup -------------------------------------------------------------
+
+    def pair(self, caller: int, callee: int) -> None:
+        """Bridge a call between two clients of this mix, the call's
+        rendezvous: once the caller's GRANT has gone out the callee is
+        rung, and each leg's recovered voice is queued for the other
+        (:meth:`process_round`)."""
+        self.peers[caller] = callee
+        self.peers[callee] = caller
+
+    def unpair(self, numeric_id: int) -> List[int]:
+        """Dissolve the client's pairing; returns its call's legs, the
+        client first, then its peer, if any."""
+        peer = self.peers.pop(numeric_id, None)
+        if peer is None:
+            return [numeric_id]
+        del self.peers[peer]
+        return [numeric_id, peer]
 
     def _allocate(self, numeric_id: int,
                   outgoing: bool) -> Optional[ActiveCall]:
@@ -305,89 +335,117 @@ class MixCallManager:
 
     def _ingest(self, upstream: List[Tuple[int, bytes,
                                            List[Tuple[int, int, bool]]]],
-                route: Optional[Callable[[int, bytes], None]] = None,
                 peel: Optional[tuple] = None
                 ) -> List[Tuple[Optional[int], bytes]]:
         """Decode upstream rounds given as (channel_id, xor_packet,
         manifest_entries) — all of them with one chaff prediction —
         then, channel by channel in the given order, act on the
-        signals and hand any recovered voice cell to ``route``.
+        signals and route any recovered voice cell (:meth:`_route`).
 
         Decoding reads each channel's active call before any signal
         of the batch is acted on.  A signal can only *start* a call,
         on a channel that was free, and the caller — not yet granted —
-        still sends chaff there this round; whether the mix predicts
-        that chaff (batched) or decrypts it as the new call's packet
-        (channel by channel) the channel yields no payload and the
-        same signalers."""
-        decoded = self.mix.decode_channel_rounds(upstream, peel)
+        still sends chaff there this round, so the channel yields no
+        payload either way."""
         recovered = []
-        for active, payload, signalers in decoded:
+        for active, payload, signalers in self.mix.decode_channel_rounds(
+                upstream, peel):
             for numeric_id in signalers:
                 self.handle_signal(numeric_id)
-            if active is not None and payload and route is not None:
-                route(active, payload)
+            if active is not None and payload:
+                self._route(active, payload)
             recovered.append((active, payload))
         return recovered
+
+    def _route(self, numeric_id: int, cell: bytes) -> None:
+        """Bridge a recovered voice cell to the peer's call leg (the
+        intra-mix segment of the circuit), or hand it to
+        :attr:`external_router` when the peer is not here.  Upstream
+        payloads are zero-padded to the coded-packet capacity; the
+        voice unit inside is a fixed-size circuit cell, so the mix
+        forwards exactly CELL_SIZE bytes."""
+        peer = self.peers.get(numeric_id)
+        if peer is None:
+            if self.external_router is not None:
+                self.external_router(numeric_id, cell)
+        elif peer in self.calls:
+            self.enqueue_voice(peer, cell[:CELL_SIZE])
+
+    def _ring(self) -> None:
+        """Place the incoming leg of each pairing whose caller's GRANT
+        has gone out and whose callee is not rung yet."""
+        for numeric_id, peer in list(self.peers.items()):
+            call = self.calls.get(numeric_id)
+            if call is not None and call.outgoing and peer not in \
+                    self.calls and numeric_id not in self._pending_grant:
+                self.place_incoming(peer)
 
     def process_upstream(self, channel_id: int, xor_packet: bytes,
                          manifests: List[Tuple[int, int, bool]]
                          ) -> Tuple[Optional[int], bytes]:
-        """Decode one upstream round and act on its signals.  Returns
-        (active numeric id, payload) for any recovered voice cell."""
+        """Decode one upstream round and act on its signals and voice.
+        Returns (active numeric id, payload) for any recovered voice
+        cell."""
         return self._ingest([(channel_id, xor_packet, manifests)])[0]
 
     def process_round(self, round_index: int,
                       upstream: List[Tuple[int, bytes,
                                            List[Tuple[int, int, bool]]]],
-                      route: Optional[Callable[[int, bytes],
-                                               None]] = None,
-                      pre_downstream: Optional[Callable[[], None]]
-                      = None, peel: Optional[tuple] = None,
+                      peel: Optional[tuple] = None,
                       seals: Optional[Dict[tuple, bytes]] = None
                       ) -> Dict[int, bytes]:
-        """Round-synchronous batch entry point: ingest every channel's
-        upstream round, route recovered voice, and produce the whole
-        downstream round in one call.
+        """The mix's round: ingest every channel's upstream round,
+        route recovered voice to the paired legs, ring the callees
+        whose caller's GRANT has gone out, and produce the whole
+        downstream round.
 
         ``upstream`` is a list of (channel_id, xor_packet,
-        manifest_entries) triples; their signals and voice are acted
-        on in the given order (callers pass sorted channel order),
-        each recovered voice cell handed to ``route(numeric_id,
-        cell)`` — the interleaving a per-channel caller produces, so
-        allocation rng draws, GRANT queueing, and the downstream cell
-        census are identical to the per-channel path (DESIGN.md §9).
-        ``pre_downstream`` runs between ingestion and downstream
-        production (the zone rings pending callees there).
-
-        A round is ingested all or nothing: every channel is decoded
-        before any signal or voice cell is acted on, so the
-        ``ValueError`` of one misbehaving channel (nonzero residue,
-        sequence mismatch) leaves no channel of the round applied —
-        the per-channel :meth:`process_upstream` has by then acted on
-        the channels before it.
+        manifest_entries) triples, acted on in the given order
+        (callers pass sorted channel order).  A round is ingested all
+        or nothing: every channel is decoded before any signal or
+        voice cell is acted on, so the ``ValueError`` of one
+        misbehaving channel (nonzero residue, sequence mismatch)
+        leaves no channel of the round applied.
 
         Any row ``peel`` and ``seals`` (:meth:`process_columns`) did
         not draw ahead is a miss, drawn in one call where it is needed.
         """
-        self._ingest(upstream, route, peel)
-        if pre_downstream is not None:
-            pre_downstream()
+        self._ingest(upstream, peel)
+        self._ring()
         return self.downstream_round(round_index, seals)
 
+    def manifest_entries(self, channel_id: int, manifests: Sequence[bytes],
+                         numerics: Sequence[int]
+                         ) -> List[Tuple[int, int, bool]]:
+        """The mix's decode of one channel's manifests, one
+        :func:`~repro.core.channel.decode_manifest` a slot, against the
+        sequences its channel expects next, which then follow them:
+        ``(numeric id, sequence, signal)`` per member."""
+        channel = self.mix.channels[channel_id]
+        decoded = [decode_manifest(
+            raw, self.mix.client_keys[self._client_name[numeric]], slot,
+            expected) for slot, (raw, numeric, expected) in enumerate(zip(
+                manifests, numerics, channel.next_sequences))]
+        channel.resync([manifest.sequence for manifest in decoded])
+        return [(numeric, manifest.sequence, manifest.signal)
+                for numeric, manifest in zip(numerics, decoded)]
+
     def process_columns(self, round_index: int,
-                        rounds: Sequence[tuple],
-                        route: Optional[Callable[[int, bytes],
-                                                 None]] = None,
-                        pre_downstream: Optional[Callable[[], None]]
-                        = None) -> Dict[int, bytes]:
+                        rounds: Sequence[tuple]) -> Dict[int, bytes]:
         """:meth:`process_round` of ``(channel_id, xor_packet,
         manifests, roster)`` in channel order — ``roster`` the
         channel's ``numerics``, ``mix_keys`` and ``slots`` columns —
         drawing in one kernel call what the round's start fixes: each
         member's manifest block (by slot) and peel row (at the sequence
         its channel expects, §3.6.1), and blocks 0…5 of each call's
-        downstream packet (by channel and round, §3.6.2)."""
+        downstream packet (by channel and round, §3.6.2).  Without
+        :attr:`columns` each manifest is read by
+        :meth:`manifest_entries` and nothing is drawn ahead."""
+        if not self.columns:
+            return self.process_round(round_index, [
+                (channel_id, xor_packet, self.manifest_entries(
+                    channel_id, manifests, roster.numerics))
+                for channel_id, xor_packet, manifests, roster in rounds])
         rosters = [roster for _, _, _, roster in rounds]
         data = b"".join([b"".join(manifests) for _, _, manifests, _ in rounds])
         numerics = tuple(itertools.chain.from_iterable(
@@ -426,7 +484,7 @@ class MixCallManager:
             upstream.append((channel_id, xor_packet, list(zip(
                 roster.numerics, sequences[start:end], signals[start:end]))))
         return self.process_round(
-            round_index, upstream, route, pre_downstream,
+            round_index, upstream,
             (numerics, expected,
              stream[16 * n:cut].view(np.uint64).reshape(n, 8 * PACKET_BLOCKS)),
             dict(zip(calls, stream[cut:].view(

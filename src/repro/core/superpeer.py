@@ -128,16 +128,10 @@ class SuperPeer:
                       channel_batches: Dict[
                           int, Tuple[Sequence[bytes], Sequence[bytes]]]
                       ) -> List[UpstreamRound]:
-        """Round-synchronous batch entry point: combine every hosted
-        channel's round in one call.
-
-        ``channel_batches`` maps channel id → (packets, manifests) in
-        slot order; channels are processed in sorted id order — the
-        same order a per-channel caller iterates — so the XOR results,
-        audit buffers, and observability hook calls are identical to
-        ``len(channel_batches)`` individual :meth:`combine_upstream`
-        calls (the observational-equivalence contract, DESIGN.md §9).
-        """
+        """The SP's phase of a round (DESIGN.md §9 "One round"):
+        :meth:`combine_upstream` each channel of ``channel_batches`` —
+        channel id → (packets, manifests) in slot order — in sorted id
+        order."""
         rounds = []
         for channel_id in sorted(channel_batches):
             packets, manifests = channel_batches[channel_id]

@@ -8,11 +8,11 @@ resolves the name through :func:`resolve`, so an execution plane is
 
 A plane is described by two orthogonal modes:
 
-* ``zone_mode`` — how the protocol round runs inside a
-  :class:`~repro.simulation.live.LiveZone`: ``"event"`` (per-channel
-  calls) or ``"batch"`` (the round-synchronous core entry points
-  ``SuperPeer.process_round`` / ``MixCallManager.process_round``).
-  The protocol outputs are byte-identical either way (DESIGN.md §9).
+* ``zone_mode`` — the form of a :class:`~repro.simulation.live.LiveZone`
+  round's phases: ``"event"`` (the roles' per-item functions, a member
+  at a time) or ``"batch"`` (the same phases over the roster columns,
+  drawn ahead).  The phases, their order and the protocol's bytes are
+  the same either way (DESIGN.md §9).
 * ``wire_mode`` — how the wire image is carried: ``"event"`` (one
   packet + heap event per cell on the :class:`~repro.simulation
   .roundsync.WireFabric`), ``"vector"`` (one run table per round with

@@ -165,7 +165,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
 
     def note_failovers(records: List[FailoverRecord]) -> None:
         for record in records:
-            live = zone._by_numeric.get(record.numeric_id)
+            live = zone.pool.by_numeric.get(record.numeric_id)
             client_id = live.client.client_id if live else "?"
             if record.survived:
                 injector.record(
@@ -304,14 +304,15 @@ def execute(scenario: Scenario, *, execution: str = "event",
     if workload.kind == "poisson":
         def hang_up(client_id: str) -> None:
             live = zone.clients[client_id]
-            if live.numeric_id in zone.peers:
+            if live.numeric_id in zone.manager.peers:
                 zone.hang_up(client_id)
                 counts["completed"] += 1
 
         def poisson_call() -> None:
             idle = [cid for cid in sorted(zone.clients)
                     if zone.clients[cid].agent.state is CallState.IDLE
-                    and zone.clients[cid].numeric_id not in zone.peers]
+                    and zone.clients[cid].numeric_id
+                    not in zone.manager.peers]
             if len(idle) < 2:
                 counts["blocked"] += 1
                 injector.record("blocked", "call", "poisson",

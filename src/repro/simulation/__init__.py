@@ -4,6 +4,7 @@
 * ``herd_sim`` — zone provisioning, rate epochs, traffic matrices.
 * ``testbed`` — every ``repro.core`` object in one in-memory deployment.
 * ``live`` — one zone's round-based SP data plane.
+* ``clientpool`` — a ``live`` zone's simulated clients.
 * ``roundsync`` — a ``live`` zone's wire image, on every engine.
 * ``churn`` — mix / SP failover, re-join, and availability.
 * ``deployment`` — Fig. 7: abstract relays on the EC2 geography.

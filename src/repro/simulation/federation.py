@@ -73,7 +73,8 @@ class FederatedHerd:
                             n_channels=n_channels, k=k, seed=seed,
                             bed=self.bed, zone_id=zone_id,
                             client_prefix=prefix)
-            zone.external_router = self._make_router(zone_id)
+            zone.manager.external_router = self._make_router(
+                zone_id)
             self.zones[zone_id] = zone
         self.calls: List[FederatedCall] = []
         self._route: Dict[Tuple[str, int], FederatedCall] = {}

@@ -1,16 +1,19 @@
 """A live, round-based Herd zone: the full SP data plane in motion.
 
 Runs one zone's complete data path at codec-frame granularity, with
-every mechanism of §3.4 and §3.6 active each round:
+every mechanism of §3.4 and §3.6 active each round.  :class:`LiveZone`
+schedules the roles' phases, in this order on every engine:
 
-* every client emits one encrypted packet + manifest per attached
-  channel (payload only on its call's channel, chaff elsewhere),
+* every client (:class:`~repro.simulation.clientpool.ClientPool`)
+  emits one encrypted packet + manifest per attached channel (payload
+  only on its call's channel, chaff elsewhere),
 * each SP XOR-combines its channels' packets and forwards them with
   the manifest lists,
-* the mix decrypts manifests, decodes the XOR rounds, reacts to
-  signaling bits (RANKING allocation + GRANT), routes recovered voice
-  cells to their destination call, and produces the downstream round
-  (GRANT / INCOMING / VOIP / chaff),
+* the mix (:class:`~repro.core.callmanager.MixCallManager`) decrypts
+  manifests, decodes the XOR rounds, reacts to signaling bits (RANKING
+  allocation + GRANT), routes recovered voice cells to their
+  destination call, and produces the downstream round (GRANT /
+  INCOMING / VOIP / chaff),
 * SPs broadcast downstream packets to every channel member; each
   client trial-decrypts everything.
 
@@ -31,11 +34,7 @@ inter-mix rendezvous path.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from collections import deque
-from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,14 +42,12 @@ from repro import execution as execution_registry
 from repro.core.transport import CellTransport
 from repro.core.callmanager import CallState, ClientCallAgent, \
     FailoverRecord, MixCallManager
-from repro.core.channel import decode_manifest
 from repro.core.join import join_zone
-from repro.core.client import ChannelAttachment, HerdClient, \
-    seal_upstream
+from repro.core.client import ChannelAttachment, HerdClient
 from repro.crypto.chacha20 import key_words
 from repro.crypto.keys import SessionKey
-from repro.core.signaling import TrialKeys, open_downstream_packets
 from repro.core.shedding import LoadShedder
+from repro.simulation.clientpool import ClientPool, LiveClient
 from repro.simulation.roundsync import DEFAULT_ROUND_INTERVAL_S
 from repro.simulation.testbed import HerdTestbed, build_testbed
 
@@ -59,19 +56,6 @@ class CallRefused(RuntimeError):
     """:meth:`LiveZone.start_call` was asked for a call that cannot
     start: a party is already in a call (or being rung), or the
     caller called itself.  Raised before any state changes."""
-
-
-@dataclass
-class LiveClient:
-    """A client plus its call agent and voice queues."""
-
-    client: HerdClient
-    agent: ClientCallAgent
-    outbox: Deque[bytes] = field(default_factory=deque)
-
-    @property
-    def numeric_id(self) -> int:
-        return self.client.numeric_id
 
 
 class RosterEntry(NamedTuple):
@@ -101,7 +85,7 @@ class ChannelRoster:
 
     __slots__ = ("members", "entries", "numerics", "attachments",
                  "clients", "client_keys", "mix_keys", "slots", "rows",
-                 "up_links", "down_links", "_sp", "_built_from")
+                 "sp_id", "up_links", "down_links", "_sp", "_built_from")
 
     def __init__(self, sp, channel_id: int,
                  entries: Tuple[RosterEntry, ...]):
@@ -119,6 +103,7 @@ class ChannelRoster:
         #: Client id → row.
         self.rows = {client_id: row
                      for row, client_id in enumerate(self.members)}
+        self.sp_id = sp.sp_id
         #: The members' (src, dst) links to the SP and from it.
         self.up_links = [(client_id, sp.sp_id) for client_id in self.members]
         self.down_links = [(sp.sp_id, client_id)
@@ -154,8 +139,8 @@ class LiveZone:
             raise ValueError("cannot have more SPs than channels")
         plane = execution_registry.resolve(execution)
         self.execution = plane.name
-        self.zone_mode = plane.zone_mode
         self.transport = plane.transport
+        columns = plane.zone_mode == "batch"
         self.seed = seed
         #: Optional wire plane (see :meth:`attach_wire`): when set,
         #: every round's cells are offered to tapped netsim links
@@ -167,7 +152,6 @@ class LiveZone:
             bed = build_testbed([(zone_id, "dc-eu", 1)], seed=seed)
         self.bed: HerdTestbed = bed
         self.zone_id = zone_id
-        self.client_prefix = client_prefix
         self.mix = self.bed.mixes[f"{zone_id}/mix-0"]
         self.mix.configure_channels(n_channels)
         # Channels are partitioned round-robin across the zone's SPs
@@ -181,21 +165,12 @@ class LiveZone:
                                for ch in sp.channel_clients}
         #: channel → its roster (see :meth:`_roster`).
         self._rosters: Dict[int, ChannelRoster] = {}
-        self.manager = MixCallManager(self.mix,
-                                      random.Random(seed))
-        self.clients: Dict[str, LiveClient] = {}
-        #: The clients with a cell queued (:meth:`say`), in the order
-        #: they first had one.
-        self._speaking: Dict[str, LiveClient] = {}
-        self._by_numeric: Dict[int, LiveClient] = {}
-        #: numeric id → numeric id of the call peer (both directions).
-        self.peers: Dict[int, int] = {}
-        #: Optional hook for cross-zone routing: called with
-        #: (numeric_id, payload) for voice recovered from clients whose
-        #: call peer is not local (see simulation.federation).
-        self.external_router = None
+        self.manager = MixCallManager(self.mix, random.Random(seed),
+                                      columns=columns)
+        self.pool = ClientPool(columns)
+        #: client id → client (the pool's).
+        self.clients: Dict[str, LiveClient] = self.pool.clients
         self.round_index = 0
-        self.rng = random.Random(seed + 1)
         #: Overload admission control (None = no shedding).  Installed
         #: by :meth:`set_overload` for an OVERLOAD fault window; totals
         #: survive the window in :attr:`shed_stats`.
@@ -222,18 +197,15 @@ class LiveZone:
         slots = {a.channel_id: a.slot for a in client.attachments}
         self.manager.register_client(client_id, client.numeric_id,
                                      slots)
-        live = LiveClient(client=client,
-                          agent=ClientCallAgent(client))
-        self.clients[client_id] = live
-        self._by_numeric[client.numeric_id] = live
         self.bed.clients[client_id] = client
-        return live
+        return self.pool.add(client)
 
     # -- call control ----------------------------------------------------------
 
     def start_call(self, caller_id: str, callee_id: str) -> None:
-        """The caller signals; once granted, the mix rings the callee
-        and the two calls are bridged at the mix.  Raises
+        """The caller signals; once its GRANT has gone out, the mix
+        rings the callee and bridges the two legs
+        (:meth:`MixCallManager.pair`).  Raises
         :class:`CallRefused` when the caller calls itself or either
         party already has a call leg, so no call takes over another's
         voice."""
@@ -242,12 +214,11 @@ class LiveZone:
         if caller is callee:
             raise CallRefused(f"{caller_id} cannot call itself")
         for party in (caller, callee):
-            if party.numeric_id in self.peers:
+            if party.numeric_id in self.manager.peers:
                 raise CallRefused(
                     f"{party.client.client_id} is already in a call")
         caller.agent.start_outgoing()
-        self.peers[caller.numeric_id] = callee.numeric_id
-        self.peers[callee.numeric_id] = caller.numeric_id
+        self.manager.pair(caller.numeric_id, callee.numeric_id)
         if self.obs is not None:
             self.obs.call_started(caller_id, callee_id)
 
@@ -255,25 +226,17 @@ class LiveZone:
         """End the client's call and its peer's.  Voice either leg
         queued for the ended call is dropped, never carried into the
         next one."""
-        live = self.clients[client_id]
-        peer_numeric = self.peers.pop(live.numeric_id, None)
-        legs = [live]
-        if peer_numeric is not None:
-            legs.append(self._by_numeric[peer_numeric])
-            self.peers.pop(peer_numeric, None)
-        for leg in legs:
-            self.manager.end_call(leg.numeric_id)
-            leg.agent.hang_up()
-            leg.outbox.clear()
-            self._speaking.pop(leg.client.client_id, None)
+        for numeric in self.manager.unpair(self.clients[client_id]
+                                           .numeric_id):
+            leg = self.pool.by_numeric[numeric]
+            self.manager.end_call(numeric)
+            self.pool.hang_up(leg)
             if self.obs is not None:
                 self.obs.call_ended(leg.client.client_id)
 
     def say(self, client_id: str, cell: bytes) -> None:
         """Queue a voice cell for the client's active call."""
-        live = self.clients[client_id]
-        live.outbox.append(cell)
-        self._speaking[client_id] = live
+        self.pool.say(client_id, cell)
 
     # -- failures and mid-call failover (§3.6.4) -------------------------------
 
@@ -307,7 +270,7 @@ class LiveZone:
         records = self.manager.fail_channels(dead_channels)
         for record in records:
             if record.new_channel is None:
-                live = self._by_numeric.get(record.numeric_id)
+                live = self.pool.by_numeric.get(record.numeric_id)
                 if live is not None:
                     self.hang_up(live.client.client_id)
         return records
@@ -344,13 +307,6 @@ class LiveZone:
 
     # -- the round engine ------------------------------------------------------
 
-    def _upstream(self, rosters: Dict[int, ChannelRoster]) -> None:
-        payloads = self._payloads(rosters)
-        for channel_id, roster in rosters.items():
-            if roster.entries:
-                self._upstream_channel(channel_id, roster,
-                                       payloads.get(channel_id, {}))
-
     def _rosters_of_round(self) -> Dict[int, ChannelRoster]:
         """Every served channel's roster, in channel order: what a
         round reads its members from, each checked once."""
@@ -386,280 +342,50 @@ class LiveZone:
         self._rosters[channel_id] = roster
         return roster
 
-    def _payloads(self, rosters: Dict[int, ChannelRoster]
-                  ) -> Dict[int, Dict[int, bytes]]:
-        """Channel → {row: the cell it carries} for the members whose
-        call is live on the channel and who have a cell queued; chaff
-        goes out everywhere else.  Under an overload window
-        (:meth:`set_overload`) admission is capped per channel per
-        round in slot order; deferred cells stay queued (backpressure)
-        and chaff rides the wire in their place, so emission stays
-        constant-rate.  Both engines take their payloads from here."""
-        waiting: Dict[int, List[Tuple[int, LiveClient]]] = {}
-        for client_id, live in self._speaking.items():
-            roster = rosters.get(live.agent.active_channel)
-            if live.agent.state is CallState.IN_CALL and roster \
-                    is not None and client_id in roster.rows:
-                waiting.setdefault(live.agent.active_channel, []).append(
-                    (roster.rows[client_id], live))
-        payloads = {}
-        shedder = self.shedder
-        for channel_id in sorted(waiting):
-            budget = None
-            if shedder is not None and shedder.applies_to(
-                    self._sp_of_channel[channel_id].sp_id):
-                budget = shedder.channel_budget(
-                    len(rosters[channel_id].entries))
-            admitted = 0
-            sent = payloads[channel_id] = {}
-            for row, live in sorted(waiting[channel_id],
-                                    key=lambda item: item[0]):
-                if budget is not None and admitted >= budget:
-                    shedder.defer()
-                    continue
-                sent[row] = live.outbox.popleft()
-                if not live.outbox:
-                    del self._speaking[live.client.client_id]
-                admitted += 1
-                if budget is not None:
-                    shedder.admit()
-        return payloads
-
-    def _manifest_entries(self, roster: ChannelRoster, up):
-        """The mix's decode of one combined round's manifests, one
-        :func:`~repro.core.channel.decode_manifest` a slot, against the
-        sequences its channel expects next, which then follow them:
-        ``(numeric id, sequence, signal)`` per member."""
-        channel = self.mix.channels[up.channel_id]
-        decoded = [decode_manifest(raw, entry.key, slot, expected)
-                   for slot, (raw, entry, expected) in enumerate(zip(
-                       up.manifests, roster.entries,
-                       channel.next_sequences))]
-        channel.resync([manifest.sequence for manifest in decoded])
-        return [(numeric, manifest.sequence, manifest.signal)
-                for numeric, manifest in zip(roster.numerics, decoded)]
-
-    def _emit_upstream(self, sp, roster: ChannelRoster, packets,
-                       up) -> None:
-        """Offer one channel's upstream cells to the wire plane:
-        each member's packet on its client↔SP link, then the combined
-        XOR round on the SP↔mix link."""
-        if self.wire is None:
-            return
-        self.wire.emit_each(roster.up_links, packets, kind="up")
-        self.wire.emit(sp.sp_id, self.mix.mix_id, up.xor_packet,
-                       kind="xor")
-
-    def _upstream_channel(self, channel_id: int, roster: ChannelRoster,
-                          payloads: Dict[int, bytes]) -> None:
-        """One channel's round, one member and one cipher call at a
-        time: the per-channel engine, and the oracle of the column
-        round (:meth:`_step_batch`)."""
-        sp = self._sp_of_channel[channel_id]
-        packets, manifests = zip(*[
-            HerdClient.upstream_packet(client, attachment,
-                                       payloads.get(row))
-            for row, (client, attachment) in enumerate(
-                zip(roster.clients, roster.attachments))])
-        up = sp.combine_upstream(channel_id, self.round_index,
-                                 packets, manifests)
-        self._emit_upstream(sp, roster, packets, up)
-        active, payload = self.manager.process_upstream(
-            channel_id, up.xor_packet, self._manifest_entries(roster, up))
-        if active is not None and payload:
-            self._route_voice(active, payload)
-
-    def _route_voice(self, from_numeric: int, cell: bytes) -> None:
-        """Bridge a recovered voice cell to the peer's call (the
-        intra-mix segment of the circuit).  Upstream payloads are
-        zero-padded to the coded-packet capacity; the voice unit inside
-        is a fixed-size circuit cell, so the mix forwards exactly
-        CELL_SIZE bytes."""
-        from repro.crypto.onion import CELL_SIZE
-        peer_numeric = self.peers.get(from_numeric)
-        if peer_numeric is None:
-            if self.external_router is not None:
-                self.external_router(from_numeric, cell)
-            return
-        if peer_numeric in self.manager.calls:
-            self.manager.enqueue_voice(peer_numeric, cell[:CELL_SIZE])
-
-    def _ring_pending_callees(self) -> None:
-        """Once a caller's channel is granted, place the incoming leg
-        at the callee (the rendezvous would normally carry this)."""
-        for numeric, peer in list(self.peers.items()):
-            caller = self._by_numeric[numeric]
-            callee = self._by_numeric[peer]
-            if caller.agent.state is CallState.IN_CALL and \
-                    callee.agent.state is CallState.IDLE and \
-                    peer not in self.manager.calls:
-                self.manager.place_incoming(peer)
-
-    def _deliver_downstream(self, rosters: Dict[int, ChannelRoster],
-                            round_packets: Dict[int, bytes],
-                            trial_keys: Optional[TrialKeys] = None
-                            ) -> None:
-        """Broadcast one downstream round to every channel member
-        (shared by both engines, so the wire image and client-side
-        processing are identical by construction).  The round engine
-        does every member's trial in one call on the client key
-        columns, over the key blocks drawn when the round started
-        (``trial_keys``), and acts on the hits; the per-channel engine
-        leaves each trial to its agent."""
-        #: (channel_id, roster, packet, (client_id, packet) pairs) as
-        #: broadcast, in order.
-        deliveries = []
-        wire = self.wire
+    def step(self) -> None:
+        """One codec-frame round (§3.6), the same phases on every
+        engine: clients up, the SPs' XOR, the upstream cells on the
+        wire, the mix, the SPs' broadcast and its cells, clients down.
+        A role reads only what the phase before it emitted."""
+        index, wire = self.round_index, self.wire
+        rosters = self._rosters_of_round()
+        sealed = self.pool.up(index, rosters,
+                              self.manager.downstream_channels(),
+                              self.shedder)
+        by_sp: Dict[object, Dict[int, tuple]] = {}
+        for channel_id, batch in sealed.items():
+            by_sp.setdefault(self._sp_of_channel[channel_id], {})[
+                channel_id] = batch
+        ups = {up.channel_id: up for sp, batches in by_sp.items()
+               for up in sp.process_round(index, batches)}
+        channels = sorted(ups)
+        if wire is not None:
+            for channel_id in channels:
+                wire.emit_each(rosters[channel_id].up_links,
+                               sealed[channel_id][0], kind="up")
+                wire.emit(rosters[channel_id].sp_id, self.mix.mix_id,
+                          ups[channel_id].xor_packet, kind="xor")
+        round_packets = self.manager.process_columns(index, [
+            (channel_id, ups[channel_id].xor_packet,
+             ups[channel_id].manifests, rosters[channel_id])
+            for channel_id in channels])
+        broadcasts = []
         for channel_id, packet in round_packets.items():
             sp = self._sp_of_channel[channel_id]
             if wire is not None:
                 wire.emit(self.mix.mix_id, sp.sp_id, packet, kind="down")
             pairs = sp.broadcast_downstream(channel_id, packet)
-            roster = rosters[channel_id]
             if wire is not None:
-                wire.emit_each(roster.down_links, [pkt for _, pkt in pairs],
-                               kind="bcast")
-            deliveries.append((channel_id, roster, packet, pairs))
-        if trial_keys is None:
-            for channel_id, roster, _, pairs in deliveries:
-                for (client_id, pkt), entry in zip(pairs, roster.entries):
-                    self._client_event(client_id,
-                                       entry.agent.process_downstream(
-                                           channel_id, self.round_index,
-                                           pkt))
-            return
-        if not deliveries:
-            return
-        starts = [0, *accumulate(len(pairs)
-                                 for _, _, _, pairs in deliveries)]
-        hits = open_downstream_packets(
-            self.round_index,
-            [(channel_id, packet, len(pairs))
-             for channel_id, _, packet, pairs in deliveries],
-            np.concatenate([roster.client_keys
-                            for _, roster, _, _ in deliveries]),
-            np.concatenate([trial_keys.poly_keys(channel_id,
-                                                 roster.client_keys)
-                            for channel_id, roster, _, _ in deliveries]),
-            trial_keys.bodies({channel_id: start for (channel_id, _, _, _),
-                               start in zip(deliveries, starts)}))
-        for row in sorted(hits):
-            i = bisect_right(starts, row) - 1
-            channel_id, roster, _, pairs = deliveries[i]
-            member = row - starts[i]
-            self._client_event(pairs[member][0],
-                               roster.entries[member].agent.handle_opened(
-                                   channel_id, hits[row]))
-
-    def _client_event(self, client_id: str, evt: Optional[str]) -> None:
-        if self.obs is not None and evt is not None:
-            self.obs.client_event(client_id, evt)
-
-    def _gather_round(self, rosters: Dict[int, ChannelRoster]
-                      ) -> Tuple[Dict[int, tuple], TrialKeys]:
-        """Every channel's client emissions, rows in sorted-channel /
-        slot order, sealed from the roster columns in one call with the
-        key block of every trial the round's downstream will take (a
-        member of each channel :meth:`MixCallManager
-        .downstream_channels` lists) and the body of each call leg's.
-        Each attachment's sequence is read once and written back after
-        the seal.  Returns channel → (packets, manifests), and the
-        drawn trial keys."""
-        payloads = self._payloads(rosters)
-        sending = [(channel_id, roster)
-                   for channel_id, roster in rosters.items()
-                   if roster.entries]
-        ends = list(accumulate(len(roster.entries) for _, roster in sending))
-        attachments = [attachment for _, roster in sending
-                       for attachment in roster.attachments]
-        sequences = [attachment.sequence for attachment in attachments]
-        # The bodies: each call leg of the zone, in its call, on the
-        # channel its call holds — the members the mix will address.
-        legs = []
-        for live in map(self._by_numeric.get, self.peers):
-            roster = rosters.get(live.agent.active_channel)
-            row = roster and roster.rows.get(live.client.client_id)
-            if live.agent.state is CallState.IN_CALL and row is not None:
-                legs.append((live.agent.active_channel, row))
-        trial_keys = TrialKeys(self.round_index, [
-            (channel_id, rosters[channel_id].client_keys)
-            for channel_id in self.manager.downstream_channels()], legs)
-        packets, manifests, trial_keys.blocks = seal_upstream(
-            np.concatenate([roster.client_keys for _, roster in sending]
-                           or [np.empty((0, 8), np.uint32)]),
-            sequences,
-            np.concatenate([roster.slots for _, roster in sending]
-                           or [np.empty(0, np.int64)]),
-            [client.signal_pending for _, roster in sending
-             for client in roster.clients],
-            {end - len(roster.entries) + row: payload
-             for (channel_id, roster), end in zip(sending, ends)
-             for row, payload in payloads.get(channel_id, {}).items()},
-            trial_keys.request)
-        for attachment, sequence in zip(attachments, sequences):
-            attachment.sequence = sequence + 1
-        gathered = {}
-        for (channel_id, roster), end in zip(sending, ends):
-            start = end - len(roster.entries)
-            gathered[channel_id] = (packets[start:end],
-                                    manifests[start:end])
-        return gathered, trial_keys
-
-    def _step_batch(self, rosters: Dict[int, ChannelRoster]) -> None:
-        """The round-synchronous engine: the same round as the
-        per-channel path, through the core batch entry points.
-
-        Equivalence to the event path (DESIGN.md §9) holds because the
-        hot-path state is factored exactly along the batch seams:
-        client emission is gathered in the same sorted-channel /
-        slot order, SP combining is per-channel pure (grouping the
-        calls per SP cannot change any output), manifests decode
-        against the mix's per-slot sequence counters, and the call
-        manager ingests channels in sorted order — the same
-        interleaving of rng draws, GRANT queueing, and voice routing
-        as per-channel calls.  The cipher work is pure, so doing a
-        whole round's in one call — every client's packets, manifests
-        and downstream trial keys, the mix's manifest decryption —
-        yields the per-item bytes (DESIGN.md "Crypto batching seam").
-        """
-        gathered, trial_keys = self._gather_round(rosters)
-        per_sp: Dict[object, Dict[int, tuple]] = {}
-        for channel_id, (packets, manifests) in gathered.items():
-            per_sp.setdefault(self._sp_of_channel[channel_id], {})[
-                channel_id] = (packets, manifests)
-        rounds_by_channel = {}
-        for sp, batches in per_sp.items():
-            for up in sp.process_round(self.round_index, batches):
-                rounds_by_channel[up.channel_id] = up
-        channels = sorted(rounds_by_channel)
-        for channel_id in channels:
-            self._emit_upstream(self._sp_of_channel[channel_id],
-                                rosters[channel_id],
-                                gathered[channel_id][0],
-                                rounds_by_channel[channel_id])
-        round_packets = self.manager.process_columns(
-            self.round_index,
-            [(channel_id, rounds_by_channel[channel_id].xor_packet,
-              rounds_by_channel[channel_id].manifests, rosters[channel_id])
-             for channel_id in channels],
-            route=self._route_voice,
-            pre_downstream=self._ring_pending_callees)
-        self._deliver_downstream(rosters, round_packets, trial_keys)
-
-    def step(self) -> None:
-        """One codec-frame round: upstream, control, downstream."""
-        rosters = self._rosters_of_round()
-        if self.zone_mode == "batch":
-            self._step_batch(rosters)
-        else:
-            self._upstream(rosters)
-            self._ring_pending_callees()
-            self._deliver_downstream(
-                rosters, self.manager.downstream_round(self.round_index))
-        if self.wire is not None:
-            self.wire.flush_round(self.round_index)
+                wire.emit_each(rosters[channel_id].down_links,
+                               [pkt for _, pkt in pairs], kind="bcast")
+            broadcasts.append((channel_id, packet, pairs))
+        for client_id, event in self.pool.down(index, rosters, broadcasts):
+            if self.obs is not None:
+                self.obs.client_event(client_id, event)
+        if wire is not None:
+            wire.flush_round(index)
         if self.obs is not None:
-            self.obs.round_finished(self.round_index)
+            self.obs.round_finished(index)
         self.round_index += 1
 
     def run(self, rounds: int) -> None:

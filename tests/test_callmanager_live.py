@@ -210,7 +210,7 @@ class TestLiveSignalingFlow:
 
 def _call_state(zone):
     """Everything a refused ``start_call`` must leave as it was."""
-    return (dict(zone.peers),
+    return (dict(zone.manager.peers),
             {cid: (live.agent.state, live.agent.active_channel,
                    live.client.signal_pending)
              for cid, live in zone.clients.items()})
@@ -452,7 +452,7 @@ class TestMidCallFailover:
         assert zone.state_of("client-0") is CallState.IDLE
         assert zone.state_of("client-1") is CallState.IDLE
         assert zone.manager.calls == {}
-        assert zone.peers == {}
+        assert zone.manager.peers == {}
 
     def test_failover_records_accumulate_on_manager(self):
         zone = self._in_call_zone()

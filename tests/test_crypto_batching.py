@@ -1107,7 +1107,9 @@ class TestBatchedRoundStillAudits:
             up = sp.combine_upstream(channel_id, zone.round_index,
                                      packets, manifests)
             upstream.append((channel_id, up.xor_packet,
-                             zone._manifest_entries(roster, up)))
+                             zone.manager.manifest_entries(
+                                 channel_id, up.manifests,
+                                 roster.numerics)))
         return zone, tamper(upstream)
 
     def test_nonzero_residue(self):

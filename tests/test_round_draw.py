@@ -16,7 +16,8 @@ exactly the missing rows.  This file pins:
   role that misses, carrying only the missing rows' blocks;
 * drawing ahead hides no tampering: through ``zone.step()`` a flipped
   XOR bit and a wrong sequence raise the ``ValueError`` of the direct
-  ``process_round`` cases, and no channel of the round is applied.
+  ``process_round`` cases, and no channel of the round is applied, on
+  every engine.
 """
 
 import dataclasses
@@ -256,13 +257,14 @@ class TestMissPaths:
         assert zone.received_by("client-1")[-1][:7] == b"after-0"
 
 
+@pytest.mark.parametrize("execution", ENGINES)
 class TestDrawingAheadHidesNoTampering:
     """§3.6.1's failure signals fire through ``zone.step()`` as they
     do through ``process_round`` (``tests/test_crypto_batching.py``),
-    and the round is ingested all or nothing."""
+    and the round is ingested all or nothing, on every engine."""
 
-    def _tampered_round(self, monkeypatch, tamper):
-        zone, _ = _in_call("batch-v2")
+    def _tampered_round(self, execution, monkeypatch, tamper):
+        zone, _ = _in_call(execution)
         for sp in zone.sps:
             def tampered(channel_id, round_index, packets, manifests,
                          combine=sp.combine_upstream):
@@ -279,18 +281,18 @@ class TestDrawingAheadHidesNoTampering:
         assert zone.manager.calls == calls
         assert all(not call.downstream for call in calls.values())
 
-    def test_flipped_xor_bit(self, monkeypatch):
+    def test_flipped_xor_bit(self, execution, monkeypatch):
         def flip(zone, up):
             if zone.mix.channels[up.channel_id].active_call is not None:
                 return up
             flipped = bytes([up.xor_packet[0] ^ 0x80]) + up.xor_packet[1:]
             return dataclasses.replace(up, xor_packet=flipped)
-        zone, calls = self._tampered_round(monkeypatch, flip)
+        zone, calls = self._tampered_round(execution, monkeypatch, flip)
         with pytest.raises(ValueError, match="misbehaving SP"):
             zone.step()
         self._assert_nothing_applied(zone, calls)
 
-    def test_wrong_sequence(self, monkeypatch):
+    def test_wrong_sequence(self, execution, monkeypatch):
         def claim_next(zone, up):
             channel = zone.mix.channels[up.channel_id]
             if channel.active_call is None:
@@ -306,7 +308,8 @@ class TestDrawingAheadHidesNoTampering:
             manifests = list(up.manifests)
             manifests[slot] = wrong
             return dataclasses.replace(up, manifests=tuple(manifests))
-        zone, calls = self._tampered_round(monkeypatch, claim_next)
+        zone, calls = self._tampered_round(execution, monkeypatch,
+                                           claim_next)
         with pytest.raises(ValueError, match="sequence mismatch"):
             zone.step()
         self._assert_nothing_applied(zone, calls)
