@@ -116,7 +116,12 @@ class MixCallManager:
         self.external_router: Optional[Callable[[int, bytes], None]] = None
         self._pending_grant: Dict[int, ActiveCall] = {}
         self._pending_announce: Dict[int, ActiveCall] = {}
+        #: Call legs denied a channel, each counted once: a client
+        #: whose allocation failed is in :attr:`_blocked` until it is
+        #: granted a channel or its pairing ends, so the ring's and a
+        #: standing signal bit's retries are not counted again.
         self.calls_blocked = 0
+        self._blocked: Set[int] = set()
         #: Channels of failed/blacklisted SPs: never allocated, never
         #: produced downstream (§3.6.4).
         self.disabled_channels: Set[int] = set()
@@ -150,9 +155,11 @@ class MixCallManager:
         """Dissolve the client's pairing; returns its call's legs, the
         client first, then its peer, if any."""
         peer = self.peers.pop(numeric_id, None)
+        self._blocked.discard(numeric_id)
         if peer is None:
             return [numeric_id]
         del self.peers[peer]
+        self._blocked.discard(peer)
         return [numeric_id, peer]
 
     def _allocate(self, numeric_id: int,
@@ -160,10 +167,13 @@ class MixCallManager:
         channel = self.matcher.try_allocate(numeric_id,
                                             exclude=self.disabled_channels)
         if channel is None:
-            self.calls_blocked += 1
-            if self.obs is not None:
-                self.obs.blocked(numeric_id)
+            if numeric_id not in self._blocked:
+                self._blocked.add(numeric_id)
+                self.calls_blocked += 1
+                if self.obs is not None:
+                    self.obs.blocked(numeric_id)
             return None
+        self._blocked.discard(numeric_id)
         slot = self._slots[numeric_id][channel]
         self.mix.channels[channel].start_call(slot)
         call = ActiveCall(call_id=next(self._call_ids),

@@ -76,6 +76,82 @@ class TestCallManagerBasics:
         assert zone.manager.handle_signal(c.numeric_id) is None
 
 
+class _BlockedLog:
+    """A call-manager hook that keeps the ids of ``blocked`` calls and
+    ignores every other event."""
+
+    def __init__(self):
+        self.blocked_ids = []
+
+    def blocked(self, numeric_id):
+        self.blocked_ids.append(numeric_id)
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+class TestBlockedCount:
+    """A client's failed allocation counts once, however often the ring
+    or its standing signal bit retries it; it counts again only after
+    a grant or the end of its pairing."""
+
+    def _full_zone(self):
+        # 2 channels at k = 2: the two callers hold both, so both
+        # callees are blocked from the ring's first try on.
+        zone = _zone(n_clients=8, n_channels=2, n_sps=1, k=2, seed=3)
+        log = zone.manager.obs = _BlockedLog()
+        zone.start_call("client-0", "client-1")
+        zone.start_call("client-2", "client-3")
+        return zone, log
+
+    def test_a_rung_callee_counts_once(self):
+        zone, log = self._full_zone()
+        zone.run(1)
+        assert zone.manager.calls_blocked == 0
+        for _ in range(5):
+            zone.run(1)
+            assert zone.manager.calls_blocked == 2
+        callees = [zone.clients[c].numeric_id
+                   for c in ("client-1", "client-3")]
+        assert sorted(log.blocked_ids) == sorted(callees)
+        assert zone.state_of("client-0") is CallState.IN_CALL
+        assert zone.state_of("client-1") is CallState.IDLE
+
+    def test_counts_again_after_the_pairing_ends(self):
+        zone, log = self._full_zone()
+        zone.run(3)
+        zone.hang_up("client-0")
+        zone.run(3)  # client-3 is rung onto the freed channel
+        assert zone.state_of("client-3") is CallState.IN_CALL
+        assert zone.manager.calls_blocked == 2
+        zone.start_call("client-1", "client-0")
+        zone.run(4)  # client-1 signals every round, blocked each time
+        assert zone.manager.calls_blocked == 3
+        assert log.blocked_ids[-1] == zone.clients["client-1"].numeric_id
+        zone.hang_up("client-2")
+        zone.run(4)
+        assert zone.state_of("client-1") is CallState.IN_CALL
+        assert zone.state_of("client-0") is CallState.IN_CALL
+        assert zone.manager.calls_blocked == 3
+
+    def test_a_signalling_caller_counts_once_until_granted(self):
+        zone = _zone(n_clients=6, n_channels=2, k=2)
+        manager = zone.manager
+        a, b, c = (zone.clients[f"client-{i}"].numeric_id
+                   for i in range(3))
+        manager.handle_signal(a)
+        manager.handle_signal(b)
+        for _ in range(3):
+            assert manager.handle_signal(c) is None
+        assert manager.calls_blocked == 1
+        manager.end_call(a)
+        assert manager.handle_signal(c) is not None
+        manager.end_call(c)
+        manager.handle_signal(a)
+        assert manager.handle_signal(c) is None
+        assert manager.calls_blocked == 2
+
+
 class TestLiveSignalingFlow:
     def test_outgoing_call_granted_via_rounds(self):
         zone = _zone()
