@@ -43,7 +43,11 @@ class RoundTable(NamedTuple):
     ``counts[i]`` wire-identical cells of ``sizes[i]`` bytes on the
     directed link ``keys[i]``, rows link-contiguous in first-emission
     order — the table :func:`repro.netsim.taps.offer_round_runs`
-    takes.  The three columns are Python lists of tuples and ints."""
+    takes.  The three columns are Python lists of tuples and ints,
+    and they are read-only: a steady round — one whose shape repeats
+    the last round's (:meth:`CellTransport._drain_round`) — hands back
+    the previous round's lists, with this round's payloads and
+    kinds."""
 
     keys: List[LinkKey]
     sizes: List[int]
@@ -78,7 +82,8 @@ class CellTransport:
     ``(src, dst)`` table), and every emission appends one
     ``(link_id, payload, kind, count)`` row to one flat queue.  Every
     implementation takes its round from :meth:`_drain_round`, which
-    builds the round's run table with numpy and adds it to per-link
+    builds the round's run table with numpy — or reuses the last
+    round's when the round repeats its shape — and adds it to per-link
     ``(cells, bytes)`` totals kept as arrays indexed by link id;
     :meth:`_drain_link_totals` turns those into the
     ``(src, dst)``-keyed :meth:`finalize` report.  Offering a round
@@ -106,6 +111,9 @@ class CellTransport:
         self._link_cells = np.zeros(0, np.int64)
         self._link_bytes = np.zeros(0, np.int64)
         self._segments = 0
+        #: The last round's shape and what :meth:`_build_round` made
+        #: of it, reused while the shape repeats.
+        self._last_round: Optional[tuple] = None
         self.rounds_flushed = 0
         self.cells_carried = 0
 
@@ -184,23 +192,48 @@ class CellTransport:
         costs ``len(payload) + header_bytes`` wire bytes — and add it
         to the per-link totals and the carried-cell count.
 
+        A round's *shape* is ``header_bytes`` and its rows' link ids,
+        counts and payload lengths.  Constant-rate emission (I6)
+        repeats the shape from round to round, so a round whose shape
+        equals the last one's reuses that round's columns, ``order``
+        and per-link deltas, and only this round's payloads and kinds
+        are new.  Any other round is built by :meth:`_build_round`."""
+        rows, self._rows = self._rows, []
+        if not rows:
+            return RoundTable([], [], [], (), (), np.zeros(0, np.intp))
+        link_ids, payloads, kinds, counts = zip(*rows)
+        shape = (header_bytes, link_ids, counts,
+                 tuple(map(len, payloads)))
+        last = self._last_round
+        if last is None or last[0] != shape:
+            last = self._last_round = (shape, *self._build_round(shape))
+        _, table, cell_delta, byte_delta, cells = last
+        self._link_cells += cell_delta
+        self._link_bytes += byte_delta
+        self._segments += len(rows)
+        self.cells_carried += cells
+        return table._replace(payloads=payloads, kinds=kinds)
+
+    def _build_round(self, shape):
+        """A round of ``shape`` (see :meth:`_drain_round`) as its
+        :class:`RoundTable` without payloads or kinds, its per-link
+        cell and byte deltas (indexed by link id, as long as the
+        totals) and its cell count.
+
         A stable sort of the rows on their link's first position in
         the round makes the table link-contiguous in first-emission
         order, each link's rows in emission order: the order the
         per-cell ``event`` plane transmits in."""
-        rows, self._rows = self._rows, []
-        n = len(rows)
-        if not n:
-            return RoundTable([], [], [], (), (), np.zeros(0, np.intp))
+        header_bytes, link_ids, counts, sizes = shape
+        n = len(link_ids)
         links = self._link_keys
-        link_ids, payloads, kinds, counts = zip(*rows)
         ids = np.fromiter(link_ids, np.intp, n)
         seen, first = np.unique(ids, return_index=True)
         position = np.empty(len(links), np.intp)
         position[seen] = first
         order = np.argsort(position[ids], kind="stable")
         count_col = np.fromiter(counts, np.int64, n)
-        size_col = np.fromiter(map(len, payloads), np.int64, n)
+        size_col = np.fromiter(sizes, np.int64, n)
         size_col += header_bytes
         grow = len(links) - len(self._link_cells)
         if grow:
@@ -208,14 +241,16 @@ class CellTransport:
                 (self._link_cells, np.zeros(grow, np.int64)))
             self._link_bytes = np.concatenate(
                 (self._link_bytes, np.zeros(grow, np.int64)))
-        np.add.at(self._link_cells, ids, count_col)
-        np.add.at(self._link_bytes, ids, size_col * count_col)
-        self._segments += n
-        self.cells_carried += int(count_col.sum())
-        return RoundTable(keys=[links[i] for i in ids[order].tolist()],
-                          sizes=size_col[order].tolist(),
-                          counts=count_col[order].tolist(),
-                          payloads=payloads, kinds=kinds, order=order)
+        # Float weights are exact below 2**53 cells or bytes a link a round.
+        cell_delta = np.bincount(ids, count_col, len(links)) \
+            .astype(np.int64)
+        byte_delta = np.bincount(ids, size_col * count_col, len(links)) \
+            .astype(np.int64)
+        table = RoundTable(keys=[links[i] for i in ids[order].tolist()],
+                           sizes=size_col[order].tolist(),
+                           counts=count_col[order].tolist(),
+                           payloads=(), kinds=(), order=order)
+        return table, cell_delta, byte_delta, int(count_col.sum())
 
     def _drain_link_totals(self) -> Dict[str, object]:
         """Hand over everything accumulated since the last call as

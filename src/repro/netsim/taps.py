@@ -26,6 +26,11 @@ trades fidelity for cost explicitly:
   per-link order ``record_runs`` would have seen).  An aggregate tap
   can reduce the table at C speed (``sum(counts)``); this is what
   keeps the ``batch-v2`` hot loop O(runs) with a small constant.
+  The columns are plain lists and **read-only**: a steady round —
+  one that repeats the last round's shape (I6) — hands back the
+  previous round's lists, so a tap copies what it keeps and may
+  reuse what it derived from the same lists (:class:`TallyTap`
+  does).
 
 The reference taps also define ``record_batch``, which no plane calls
 any more; it stays only because the herdbench layer table names it.
@@ -73,6 +78,9 @@ class TallyTap:
     def __init__(self):
         self.cells = 0
         self.bytes = 0
+        #: The ``sizes`` and ``counts`` lists last summed by
+        #: :meth:`record_round_runs`, and their two sums.
+        self._summed: Tuple = (None, None, 0, 0)
 
     def record(self, time: float, cell, src: str, dst: str) -> None:
         self.cells += 1
@@ -98,8 +106,12 @@ class TallyTap:
                           keys: Sequence[Tuple[str, str]],
                           sizes: Sequence[int],
                           counts: Sequence[int]) -> None:
-        self.cells += sum(counts)
-        self.bytes += sum(map(mul, sizes, counts))
+        last_sizes, last_counts, cells, n_bytes = self._summed
+        if sizes is not last_sizes or counts is not last_counts:
+            cells, n_bytes = sum(counts), sum(map(mul, sizes, counts))
+            self._summed = (sizes, counts, cells, n_bytes)
+        self.cells += cells
+        self.bytes += n_bytes
 
 
 def offer_runs(tap, time: float, src: str, dst: str,
