@@ -163,18 +163,18 @@ _SCRIPT = st.tuples(st.lists(st.lists(_OP, min_size=1, max_size=6),
 
 
 def _changed(ops, change, step):
-    """``ops`` with one change of shape (or none, for ``"same"``)."""
+    """``ops`` with the change ``change`` names (none for ``"same"``)."""
     ops = list(ops)
     if change == "empty":
         return []
     if change == "new-link":
         return ops + [("emit", (f"new-{step}", "mix"), 3)]
+    op = ops[0]
     if change == "count":
-        return ops + [("repeated", ("mix", "sp-0"), 1, 2)] \
-            if ops[0][0] != "repeated" \
-            else [ops[0][:3] + (ops[0][3] + 1,)] + ops[1:]
+        if op[0] == "repeated":
+            return [op[:3] + (op[3] + 1,)] + ops[1:]
+        return ops + [("repeated", ("mix", "sp-0"), 1, 2)]
     if change == "size":
-        op = ops[0]
         if op[0] == "each":
             op = ("each", [(link, size + 1) for link, size in op[1]])
         else:
