@@ -128,6 +128,8 @@ class _Checked:
         self.fabric.flush_round(self.round)
         self.round += 1
         assert [self.tally.cells, self.tally.bytes] == self.want_tally
+        assert list(self.observer.observations) == \
+            list(self.want_observer.observations)
 
     def finalize(self):
         report = self.fabric.finalize()
@@ -135,8 +137,6 @@ class _Checked:
         assert report == (None if self.engine == "event" else want)
         assert self.fabric._link_cells.tolist() == \
             self.oracle.cells.tolist()
-        assert list(self.observer.observations) == \
-            list(self.want_observer.observations)
 
 
 # -- round scripts --------------------------------------------------------------
