@@ -95,7 +95,7 @@ class _Checked:
         drain = self.fabric._drain_round
 
         def checked_drain(header_bytes):
-            rows = list(self.fabric._rows)
+            rows = list(zip(*[iter(self.fabric._queue)] * 4))
             table = drain(header_bytes)
             self._check(table, self.oracle.drain(
                 rows, header_bytes, self.fabric._link_keys))
@@ -109,7 +109,8 @@ class _Checked:
             is type(table.counts) is list
         assert (table.keys, table.sizes, table.counts) == \
             (keys, sizes, counts)
-        assert table.payloads == payloads and table.kinds == kinds
+        assert table.payloads == list(payloads)
+        assert table.kinds == list(kinds)
         assert table.order.tolist() == order
         assert table.runs() == [(key, payloads[i], kinds[i], count)
                                 for key, i, count in zip(keys, order,
@@ -238,7 +239,7 @@ class TestSteadyRounds:
         for header in (IP_UDP_HEADER_BYTES, IP_UDP_HEADER_BYTES, 0, 0):
             fabric.emit("a", "b", b"xy")
             fabric.emit_repeated("b", "a", b"z", 3)
-            rows = list(fabric._rows)
+            rows = list(zip(*[iter(fabric._queue)] * 4))
             table = fabric._drain_round(header)
             want = oracle.drain(rows, header, fabric._link_keys)
             assert (table.keys, table.sizes, table.counts) == want[:3]
@@ -262,6 +263,74 @@ class TestSteadyRounds:
         tap.record_round_runs(0.02, keys, sizes, counts)
         tap.record_round_runs(0.04, keys, [10], [4])
         assert (tap.cells, tap.bytes) == (10, 100)
+
+
+def _queued(ops, payload, kind):
+    """The ``(link, payload, kind, count)`` entries that ``_emit(...,
+    ops, ...)`` queues, in emission order."""
+    entries = []
+    for op in ops:
+        if op[0] == "emit":
+            entries.append((op[1], payload * op[2], kind, 1))
+        elif op[0] == "each":
+            entries += [(link, payload * size, kind, 1)
+                        for link, size in op[1]]
+        elif op[3]:
+            entries.append((op[1], payload * op[2], kind, op[3]))
+    return entries
+
+
+class TestEmission:
+    """The flat queue and the link index behind ``emit``,
+    ``emit_each`` and ``emit_repeated``."""
+
+    @given(rounds=st.lists(st.lists(_OP, max_size=8), min_size=1,
+                           max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_a_link_has_one_id_whichever_call_first_saw_it(self, rounds):
+        fabric, plain = CellTransport(), CellTransport()
+        first_seen = {}
+        for ops in rounds:
+            entries = _queued(ops, b"\x07", "up")
+            _emit(fabric, ops, 7, "up")
+            for link, _, _, _ in entries:
+                plain.emit(*link, b"")
+                first_seen.setdefault(link, len(first_seen))
+            queue = fabric._queue
+            assert [(fabric._link_keys[link_id], payload, kind, count)
+                    for link_id, payload, kind, count
+                    in zip(*[iter(queue)] * 4)] == entries
+            assert queue[0::4] == plain._queue[0::4]
+            fabric._drain_round(0)
+            plain._drain_round(0)
+        assert fabric._link_keys == list(first_seen)
+        assert {(src, dst): link_id
+                for src, dsts in fabric._link_index.items()
+                for dst, link_id in dsts.items()} == first_seen
+
+    def test_emit_repeated_of_no_cells_queues_nothing(self):
+        fabric = CellTransport()
+        fabric.emit_repeated("a", "b", b"x", 0)
+        assert (fabric._queue, fabric._link_keys) == ([], [])
+        fabric.emit("b", "a", b"y")
+        fabric.emit_repeated("b", "a", b"x", 0)
+        assert fabric._queue == [0, b"y", "data", 1]
+        for link in (("a", "b"), ("b", "a")):
+            with pytest.raises(ValueError, match="negative"):
+                fabric.emit_repeated(*link, b"x", -1)
+        assert fabric._queue == [0, b"y", "data", 1]
+        assert fabric._link_keys == [("b", "a")]
+
+    def test_an_emit_each_length_mismatch_queues_nothing(self):
+        fabric = CellTransport()
+        fabric.emit("a", "b", b"x")
+        for links, payloads in (([("a", "b"), ("c", "d")], [b"y"]),
+                                ([("c", "d")], [b"y", b"z"])):
+            with pytest.raises(ValueError, match="emit_each"):
+                fabric.emit_each(links, payloads)
+        assert fabric._queue == [0, b"x", "data", 1]
+        assert fabric._link_keys == [("a", "b")]
+        assert fabric._link_index == {"a": {"b": 0}}
 
 
 class _CountingNumpy:
