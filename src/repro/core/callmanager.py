@@ -191,7 +191,9 @@ class MixCallManager:
         channel to which the caller attaches")."""
         if numeric_id in self.calls:
             return self.calls[numeric_id]  # duplicate signal: idempotent
-        if self.obs is not None:
+        if self.obs is not None and numeric_id not in self._blocked:
+            # A blocked caller's standing bit retries every round on
+            # every channel; the episode was counted at its first try.
             self.obs.signaled(numeric_id)
         call = self._allocate(numeric_id, outgoing=True)
         if call is not None:

@@ -78,13 +78,17 @@ class TestCallManagerBasics:
 
 class _BlockedLog:
     """A call-manager hook that keeps the ids of ``blocked`` calls and
-    ignores every other event."""
+    of ``signaled`` ones, and ignores every other event."""
 
     def __init__(self):
         self.blocked_ids = []
+        self.signaled_ids = []
 
     def blocked(self, numeric_id):
         self.blocked_ids.append(numeric_id)
+
+    def signaled(self, numeric_id):
+        self.signaled_ids.append(numeric_id)
 
     def __getattr__(self, name):
         return lambda *args, **kwargs: None
@@ -133,6 +137,21 @@ class TestBlockedCount:
         assert zone.state_of("client-1") is CallState.IN_CALL
         assert zone.state_of("client-0") is CallState.IN_CALL
         assert zone.manager.calls_blocked == 3
+
+    def test_a_blocked_callers_retries_are_signalled_once(self):
+        zone, log = self._full_zone()
+        zone.run(3)
+        zone.hang_up("client-0")
+        zone.run(3)
+        signaled = len(log.signaled_ids)
+        zone.start_call("client-1", "client-0")
+        # The standing bit reaches the mix on both of client-1's
+        # channels every round: 12 retries of one blocked episode.
+        zone.run(6)
+        assert zone.state_of("client-1") is CallState.SIGNALING
+        assert zone.manager.calls_blocked == 3
+        assert log.signaled_ids[signaled:] == \
+            [zone.clients["client-1"].numeric_id]
 
     def test_a_signalling_caller_counts_once_until_granted(self):
         zone = _zone(n_clients=6, n_channels=2, k=2)
