@@ -52,6 +52,11 @@ from repro.crypto import chacha20
 from repro.crypto.chacha20 import key_words
 from repro.crypto.onion import CELL_SIZE
 
+#: What :meth:`MixCallManager.process_columns` draws of a member's
+#: manifest (block 1), of its peel row (from block 1) and of a call's
+#: downstream packet (blocks 0 to ``BODY_BLOCKS``): counts, then starts.
+_DRAW_COUNTS = np.array([1, PACKET_BLOCKS, 1 + BODY_BLOCKS])
+_DRAW_STARTS = np.array([1, 1, 0])
 
 
 @dataclass
@@ -482,8 +487,8 @@ class MixCallManager:
                 upstream_nonces(expected),
                 downstream_nonces([channel_id for channel_id, _ in calls],
                                   [round_index] * m))),
-            [1] * n + [PACKET_BLOCKS] * n + [1 + BODY_BLOCKS] * m,
-            [1] * (2 * n) + [0] * m), dtype=np.uint32)
+            np.repeat(_DRAW_COUNTS, (n, n, m)),
+            np.repeat(_DRAW_STARTS, (n, n, m))), dtype=np.uint32)
         cut = 16 * n * (1 + PACKET_BLOCKS)
         _, sequences, signals = read_manifests(
             stream[:16 * n:16], np.frombuffer(data, dtype=np.uint32),

@@ -61,6 +61,9 @@ class ChannelAttachment:
 
 _U32 = np.dtype("<u4")
 _U64 = np.dtype("<u8")
+#: Blocks a row of :func:`seal_upstream` draws: its packet's, from
+#: block 1, then its manifest's one.
+_SEAL_COUNTS = np.array([PACKET_BLOCKS, 1])
 
 
 def seal_upstream(keys: np.ndarray, sequences: Sequence[int],
@@ -84,13 +87,14 @@ def seal_upstream(keys: np.ndarray, sequences: Sequence[int],
     clear = packet_cleartexts(sequences, payloads)
     draw_keys, draw_nonces, *layout = draws if draws is not None else (
         np.empty((0, 8), dtype=_U32), np.empty((0, 3), dtype=_U32))
-    counts, starts = layout or ([1] * len(draw_keys), [0] * len(draw_keys))
+    m = len(draw_keys)
+    counts, starts = layout or (np.ones(m, np.int64), np.zeros(m, np.int64))
     stream = np.frombuffer(chacha20._keystream_blocks(
         np.concatenate((keys, keys, draw_keys)),
         np.concatenate((upstream_nonces(sequences), manifest_nonces(slots),
                         draw_nonces)),
-        [PACKET_BLOCKS] * n + [1] * n + list(counts),
-        [1] * (2 * n) + list(starts)), dtype=_U32)
+        np.concatenate((np.repeat(_SEAL_COUNTS, n), counts)),
+        np.concatenate((np.ones(2 * n, np.int64), starts))), dtype=_U32)
     cut = 16 * PACKET_BLOCKS * n
     packets = packet_bytes(
         stream[:cut].view(_U64).reshape(n, 8 * PACKET_BLOCKS) ^ clear)

@@ -54,6 +54,9 @@ _HEADER = struct.Struct("<BH")  # kind, payload length
 _CAPACITY = DOWNSTREAM_PACKET_SIZE - _AEAD_OVERHEAD - _HEADER.size
 #: The keystream blocks a downstream body takes, from block 1.
 BODY_BLOCKS = (DOWNSTREAM_PACKET_SIZE - _AEAD_OVERHEAD + 63) // 64
+#: What :class:`TrialKeys` draws of a trial (block 0) and of a body
+#: (blocks 1 to ``BODY_BLOCKS``): the counts, then the starts.
+_TRIAL_COUNTS, _TRIAL_STARTS = np.array([1, BODY_BLOCKS]), np.array([0, 1])
 
 #: The first two bytes of every downstream nonce: ``"dn"``.
 _DN_WORD = int.from_bytes(b"dn", "little")
@@ -153,12 +156,13 @@ class TrialKeys:
             leg for leg in bodies if leg[0] in self._planned)}
         rows = [self._planned[channel_id][0] + row
                 for channel_id, row in self._bodies]
-        #: ``(keys, nonces, counts, starts)``: trials, then bodies.
+        #: ``(keys, nonces, counts, starts)``: trials, then bodies;
+        #: counts and starts as int columns.
         self.request = (
             np.concatenate((self.keys, self.keys[rows])),
             np.concatenate((self.nonces, self.nonces[rows])),
-            [1] * len(self.keys) + [BODY_BLOCKS] * len(rows),
-            [0] * len(self.keys) + [1] * len(rows))
+            np.repeat(_TRIAL_COUNTS, (len(self.keys), len(rows))),
+            np.repeat(_TRIAL_STARTS, (len(self.keys), len(rows))))
         #: The drawn blocks as ``<u4`` rows, once drawn.
         self.blocks = np.empty((0, 16), dtype=np.uint32)
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import hmac
 import operator
 import struct
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -115,11 +115,11 @@ def xor_bytes(*chunks: bytes) -> bytes:
 #: than the numpy one.  Both do a fixed number of operations per call
 #: (≈800 big-int, ≈420 array) on operands that grow with the block
 #: count: measured through :func:`_keystream_blocks`, the lanes cost
-#: ≈35 µs + ≈3.5 µs a block and numpy ≈250 µs, nearly flat below
-#: 100 blocks.  They tie between 48 and 64 blocks (table in DESIGN.md
+#: ≈30 µs + ≈4 µs a block and numpy ≈165 µs, nearly flat below
+#: 100 blocks.  They tie between 32 and 40 blocks (table in DESIGN.md
 #: §15); a steady zone round makes no call below it, only its misses
 #: do.  A property of the input, not a setting.
-_KERNEL_MIN_BLOCKS = 64
+_KERNEL_MIN_BLOCKS = 40
 
 _U32 = np.dtype("<u4")
 _U64 = np.dtype("<u8")
@@ -131,6 +131,11 @@ _TO_DIAGONALS = np.array([0, 1, 2, 3, 5, 6, 7, 4,
                           10, 11, 8, 9, 15, 12, 13, 14])
 _TO_COLUMNS = np.array([0, 1, 2, 3, 7, 4, 5, 6,
                         10, 11, 8, 9, 13, 14, 15, 12])
+#: The quarter round's rotates by 16, 12, 8 and 7 as their two shift
+#: counts, ``(n, 32 - n)``, in 0-d ``<u4`` operands: a Python-int
+#: count is converted on every call.
+_ROTATIONS = tuple((np.array(n, dtype=_U32), np.array(32 - n, dtype=_U32))
+                   for n in (16, 12, 8, 7))
 
 
 #: Keys or nonces as :func:`_keystream_blocks` takes them: ``bytes``
@@ -174,7 +179,7 @@ def _as_bytes(items: Words) -> Sequence[bytes]:
 
 
 def _block_kernel(keys: np.ndarray, nonces: np.ndarray,
-                  counts: Sequence[int], starts: Sequence[int],
+                  counts: np.ndarray, starts: np.ndarray,
                   total: int) -> bytes:
     """The block function on every column of a ``(16, total)`` ``<u4``
     state array at once — column j the initial state of block j;
@@ -184,47 +189,58 @@ def _block_kernel(keys: np.ndarray, nonces: np.ndarray,
     rounds done side by side, so a half round is the quarter round
     written once over ``(4, N)`` slices, in place.  ``uint32`` adds
     wrap, which is the cipher's addition mod 2^32.
+
+    Every operation is one numpy dispatch whatever N, so the loop
+    passes each ufunc typed operands only: the shift counts are 0-d
+    ``<u4`` arrays (:data:`_ROTATIONS`), outputs go positionally, and
+    each buffer's four row views are cut once a call.
     """
-    per_stream = np.asarray(counts, dtype=np.intp)
     initial = np.empty((16, total), dtype=_U32)
     initial[0:4] = _CONSTANT_COLUMN
-    initial[4:12] = np.repeat(keys, per_stream, axis=0).T
-    first_block = np.cumsum(per_stream) - per_stream
-    initial[12] = np.arange(total) + np.repeat(
-        np.asarray(starts, dtype=np.int64) - first_block, per_stream)
-    initial[13:16] = np.repeat(nonces, per_stream, axis=0).T
+    initial[4:12] = np.repeat(keys, counts, axis=0).T
+    first_block = np.cumsum(counts) - counts
+    initial[12] = np.arange(total) + np.repeat(starts - first_block, counts)
+    initial[13:16] = np.repeat(nonces, counts, axis=0).T
 
     columns = initial.copy()
     diagonals = np.empty_like(columns)
     spare = np.empty((4, total), dtype=_U32)
+    add, xor = np.add, np.bitwise_xor
+    shl, shr, bor = np.left_shift, np.right_shift, np.bitwise_or
+    (l16, r16), (l12, r12), (l8, r8), (l7, r7) = _ROTATIONS
 
-    def rotl(x, n):
-        np.left_shift(x, n, out=spare)
-        np.right_shift(x, 32 - n, out=x)
-        np.bitwise_or(x, spare, out=x)
+    def half_round(a, b, c, d):
+        add(a, b, a)
+        xor(d, a, d)
+        shl(d, l16, spare)
+        shr(d, r16, d)
+        bor(d, spare, d)
+        add(c, d, c)
+        xor(b, c, b)
+        shl(b, l12, spare)
+        shr(b, r12, b)
+        bor(b, spare, b)
+        add(a, b, a)
+        xor(d, a, d)
+        shl(d, l8, spare)
+        shr(d, r8, d)
+        bor(d, spare, d)
+        add(c, d, c)
+        xor(b, c, b)
+        shl(b, l7, spare)
+        shr(b, r7, b)
+        bor(b, spare, b)
 
-    def half_round(state):
-        a, b, c, d = state[0:4], state[4:8], state[8:12], state[12:16]
-        a += b
-        d ^= a
-        rotl(d, 16)
-        c += d
-        b ^= c
-        rotl(b, 12)
-        a += b
-        d ^= a
-        rotl(d, 8)
-        c += d
-        b ^= c
-        rotl(b, 7)
-
+    column_rows = [columns[i:i + 4] for i in range(0, 16, 4)]
+    diagonal_rows = [diagonals[i:i + 4] for i in range(0, 16, 4)]
     # ``mode="clip"`` on constant, in-range indices: the same rows as
     # the default ``"raise"``, which buffers ``out`` first.
+    to_diagonals, to_columns = columns.take, diagonals.take
     for _ in range(10):
-        half_round(columns)
-        columns.take(_TO_DIAGONALS, axis=0, out=diagonals, mode="clip")
-        half_round(diagonals)
-        diagonals.take(_TO_COLUMNS, axis=0, out=columns, mode="clip")
+        half_round(*column_rows)
+        to_diagonals(_TO_DIAGONALS, 0, diagonals, "clip")
+        half_round(*diagonal_rows)
+        to_columns(_TO_COLUMNS, 0, columns, "clip")
     columns += initial
     return columns.T.tobytes()
 
@@ -316,40 +332,63 @@ def _lane_kernel(keys: Sequence[bytes], nonces: Sequence[bytes],
     return words.tobytes()
 
 
-def _keystream_blocks(keys: Words, nonces: Words, counts: Sequence[int],
-                      counter: Union[int, Sequence[int]]) -> bytes:
+def _keystream_blocks(keys: Words, nonces: Words,
+                      counts: Union[Sequence[int], np.ndarray],
+                      counter: Union[int, Sequence[int], np.ndarray]
+                      ) -> bytes:
     """The kernel entry point: ``counts[i]`` blocks of stream
     ``(keys[i], nonces[i])``, all streams back to back (``64 *
     sum(counts)`` bytes).  Stream i starts at block ``counter[i]``, or
     at block ``counter`` for every stream when it is an int — so one
     call can carry an AEAD record's blocks 0… beside onion layers'
     blocks 1….  Keys and nonces come as ``bytes`` or as word columns
-    (:data:`Words`).
+    (:data:`Words`); counts and starts as ints or as int columns.
 
     The one validation and the one branch of the cipher live here:
     :func:`_lane_kernel` takes a call for fewer than
     :data:`_KERNEL_MIN_BLOCKS` blocks and :func:`_block_kernel` any
     other, and each builds its state in its own representation — the
-    lanes from bytes, the block kernel from word columns.
+    lanes from bytes, the block kernel from word columns.  The same
+    size test picks how counts and starts are checked: as Python ints
+    for the lanes, as int columns for the block kernel, with the same
+    messages.
     """
-    starts = ([counter] * len(counts) if isinstance(counter, int)
-              else counter)
-    if not len(keys) == len(nonces) == len(counts) == len(starts):
+    one_start = isinstance(counter, int)
+    if not len(keys) == len(nonces) == len(counts) == (
+            len(counts) if one_start else len(counter)):
         raise ValueError("need one key, one nonce, one block count and "
                          "one start counter per stream")
     if _widths(keys) - {32}:
         raise ValueError("ChaCha20 key must be 32 bytes")
     if _widths(nonces) - {12}:
         raise ValueError("ChaCha20 nonce must be 12 bytes")
-    if (min(starts, default=0) < 0
-            or max(map(operator.add, starts, counts), default=0) > 2 ** 32):
-        raise ValueError("ChaCha20 block counter must fit in 32 bits")
-    if min(counts, default=0) < 0:
-        raise ValueError("keystream length must be non-negative")
-    total = sum(counts)
+    as_columns = isinstance(counts, np.ndarray)
+    total = int(counts.sum()) if as_columns else sum(counts)
     if total < _KERNEL_MIN_BLOCKS:
+        if as_columns:
+            counts, counter = counts.tolist(), np.asarray(counter).tolist()
+        starts = [counter] * len(counts) if one_start else counter
+        if (min(starts, default=0) < 0
+                or max(map(operator.add, starts, counts),
+                       default=0) > 2 ** 32):
+            raise ValueError("ChaCha20 block counter must fit in 32 bits")
+        if min(counts, default=0) < 0:
+            raise ValueError("keystream length must be non-negative")
         return _lane_kernel(_as_bytes(keys), _as_bytes(nonces), counts,
                             starts, total)
+    counts = np.asarray(counts, dtype=np.int64)
+    try:
+        starts = np.asarray(counter, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(
+            "ChaCha20 block counter must fit in 32 bits") from None
+    # A start past 2^32 is refused before ``starts + counts``, which
+    # could wrap in int64.
+    if (starts.min(initial=0) < 0 or starts.max(initial=0) > 2 ** 32
+            or (starts + counts).max(initial=0) > 2 ** 32):
+        raise ValueError("ChaCha20 block counter must fit in 32 bits")
+    if counts.min(initial=0) < 0:
+        raise ValueError("keystream length must be non-negative")
     return _block_kernel(_as_words(keys, 8), _as_words(nonces, 3), counts,
                          starts, total)
 
@@ -429,15 +468,18 @@ def _horner_mac(msg: bytes, key: bytes) -> bytes:
 
 
 #: Below this many MACs in one call the Horner loop is faster than the
-#: lockstep kernel.  The loop costs ≈0.55 µs a block a lane; the
-#: kernel does ≈12 array operations a block, ≈60 µs + ≈10 µs a block
-#: for one lane as for a hundred.  They tie at 24 lanes of 19 blocks (a
-#: downstream trial), 48 lanes of 3 and 96 of 1; no call in the tree
-#: has between 9 and 200 (table in DESIGN.md §15).  A property of the
-#: input, not a setting.
+#: lockstep kernel.  The loop costs ≈0.6 µs a block a lane; the
+#: kernel does ≈12 array operations a block, ≈80 µs + ≈8 µs a block
+#: for one lane as for a hundred.  They tie at ≈18 lanes of 19 blocks
+#: (a downstream trial), ≈48 lanes of 3 and ≈60 of 1; no call in the
+#: tree has between 9 and 200 (table in DESIGN.md §15).  A property of
+#: the input, not a setting.
 _LOCKSTEP_MIN_LANES = 32
 
 _MASK26 = (1 << 26) - 1
+#: The lockstep loop's constants as 0-d ``<u8`` operands.
+_LIMB_BITS, _LIMB_MASK, _FIVE = (np.array(v, dtype=_U64)
+                                 for v in (26, _MASK26, 5))
 #: Row i, column j of the multiplication matrix is limb ``(i - j) mod
 #: 5`` of ``r``, gathered from ``[r, 5·r]``: times 5 where it wraps
 #: (``j > i``), because 2^130 = 5 mod p.
@@ -473,10 +515,12 @@ def _right_aligned(message: bytes, width: int) -> bytes:
     return message.rjust(width, b"\x00")
 
 
-def _lockstep_macs(messages: Sequence[bytes],
-                   keys: Sequence[bytes]) -> List[bytes]:
+def _lockstep_macs(messages: Sequence[bytes], keys: Sequence[bytes],
+                   counts: Optional[Sequence[int]]) -> List[bytes]:
     """B Poly1305 tags at once: Horner's rule on a ``(5, B)`` ``<u8``
-    array of 26-bit limbs, every lane one step a block.
+    array of 26-bit limbs, every lane one step a block.  Message i is
+    parsed into limbs once and gathered into its ``counts[i]`` lanes
+    (one lane each without ``counts``).
 
     Lanes are right-aligned.  A lane shorter than the longest starts
     with all-zero blocks *without* the 2^128 bit, which leave its
@@ -502,29 +546,38 @@ def _lockstep_macs(messages: Sequence[bytes],
     matrix = np.concatenate((r, r * 5))[_R_MATRIX]
 
     lengths = np.fromiter(map(len, messages), dtype=np.intp,
-                          count=lanes)
+                          count=len(messages))
     n_blocks = (int(lengths.max(initial=0)) + 15) // 16
     width = 16 * n_blocks
     padded = b"".join([message if len(message) == width
                        else _right_aligned(message, width)
                        for message in messages])
-    halves = np.frombuffer(padded, dtype=_U64).reshape(lanes, n_blocks, 2)
+    halves = np.frombuffer(padded, dtype=_U64).reshape(len(messages),
+                                                       n_blocks, 2)
     blocks = _limbs(halves[:, :, 0].T, halves[:, :, 1].T)
-    # The 2^128 bit of every full block a lane really has.
+    # The 2^128 bit of every full block a message really has.
     index = np.arange(n_blocks)[:, None]
     first = n_blocks - (lengths + 15) // 16
     blocks[:, 4, :] |= ((index >= first) & (index < first + lengths // 16)
                         ).astype(_U64) << 24
+    if counts is not None:
+        blocks = blocks.take(np.repeat(np.arange(len(messages)), counts), 2)
 
+    # Each step's first carry pass reads the product and writes the
+    # accumulator buffer, so every pass runs on views cut once.
     h = np.zeros((5, lanes), dtype=_U64)
+    carry = np.empty_like(h)
+    h_up, h_0, carry_down, carry_top = h[1:], h[0], carry[:4], carry[4]
+    add, shr, band, mul = np.add, np.right_shift, np.bitwise_and, np.multiply
     for block in blocks:
-        h += block
-        h = np.einsum("ijb,jb->ib", matrix, h)
-        for _ in range(2):
-            carry = h >> 26
-            h &= _MASK26
-            h[1:] += carry[:4]
-            h[0] += 5 * carry[4]
+        add(h, block, h)
+        product = np.einsum("ijb,jb->ib", matrix, h)
+        for source in (product, h):
+            shr(source, _LIMB_BITS, carry)
+            band(source, _LIMB_MASK, h)
+            add(h_up, carry_down, h_up)
+            mul(carry_top, _FIVE, carry_top)
+            add(h_0, carry_top, h_0)
 
     # h < 2p, its limbs not yet canonical.  h >= p exactly where h + 5
     # carries out of 130 bits, and there h - p = h + 5 - 2^130.
@@ -545,25 +598,36 @@ def _lockstep_macs(messages: Sequence[bytes],
 
 
 def poly1305_mac_many(messages: Sequence[bytes],
-                      keys: Union[Sequence[bytes], np.ndarray]
+                      keys: Union[Sequence[bytes], np.ndarray],
+                      counts: Optional[Sequence[int]] = None
                       ) -> List[bytes]:
     """The 16-byte Poly1305 tag of each message under its own 32-byte
     one-time key — ``bytes`` each, or ``(B, 32)`` ``uint8`` rows (a
     round's key blocks, sliced).  Lengths may differ and may be zero.
+    With ``counts``, message i is MACed under the ``counts[i]`` keys
+    after message i - 1's — a packet every member of its channel
+    tries — and there is a tag a key.
 
     The one size test of the MAC lives here: fewer than
-    :data:`_LOCKSTEP_MIN_LANES` items run the Horner loop one by one,
+    :data:`_LOCKSTEP_MIN_LANES` keys run the Horner loop one by one,
     more run in lockstep on numpy limbs.
     """
-    if len(messages) != len(keys):
-        raise ValueError("need one Poly1305 key per message")
+    if counts is None:
+        if len(messages) != len(keys):
+            raise ValueError("need one Poly1305 key per message")
+    elif (len(counts) != len(messages) or min(counts, default=0) < 0
+            or sum(counts) != len(keys)):
+        raise ValueError("need one Poly1305 key per lane, counts[i] "
+                         "lanes for message i")
     if (keys.shape[1:] != (32,) if isinstance(keys, np.ndarray)
             else any(len(key) != 32 for key in keys)):
         raise ValueError("Poly1305 key must be 32 bytes")
     if len(keys) < _LOCKSTEP_MIN_LANES:
+        if counts is not None:
+            messages = chain.from_iterable(map(repeat, messages, counts))
         return [_horner_mac(message, key)
                 for message, key in zip(messages, keys)]
-    return _lockstep_macs(messages, keys)
+    return _lockstep_macs(messages, keys, counts)
 
 
 def poly1305_mac(msg: bytes, key: bytes) -> bytes:
@@ -650,25 +714,28 @@ def _open_lanes(keys: Words, nonces: Words,
     the authentic lanes decrypted — over ``bodies[lane]`` where the
     caller drew it, the others in one kernel call; an outcome a lane.
     An item's lanes — a channel's members trying its one packet — share
-    its one MAC input; an item shorter than a tag takes no lane."""
+    its one MAC input, passed and parsed once; an item shorter than a
+    tag takes no lane."""
     opened: List[Optional[bytes]] = [None] * sum(counts)
     tag_len = ChaCha20Poly1305.TAG_LEN
     lanes: List[int] = []
     messages: List[bytes] = []
+    mac_counts: List[int] = []
     wanted: List[bytes] = []
     owners: List[int] = []
     first = 0
     for item, (data, aad, count) in enumerate(zip(sealed, aads, counts)):
         if len(data) >= tag_len:
             lanes += range(first, first + count)
-            messages += [_mac_input(data[:-tag_len], aad)] * count
+            messages.append(_mac_input(data[:-tag_len], aad))
+            mac_counts.append(count)
             wanted += [data[-tag_len:]] * count
             owners += [item] * count
         first += count
     if not lanes:
         return opened
     tags = poly1305_mac_many(messages, poly_keys if len(lanes) == first
-                             else _pick(poly_keys, lanes))
+                             else _pick(poly_keys, lanes), mac_counts)
     authentic = list(compress(range(len(tags)),
                               map(hmac.compare_digest, wanted, tags)))
     bodies = bodies or {}

@@ -241,6 +241,7 @@ class TestKernelDifferential:
         ([1], 0), ([1], 2 ** 32 - 1),              # untransposed serialise
         ([0, 1, 0], 7), ([1, 1, 1, 1], 2 ** 32 - 1),
         ([5, 0, 0, 5, 0, 3], 1), ([0, 0, 4, 0], 0),    # empty in the middle
+        ([39], 2 ** 32 - 39),                      # the last the lanes take
         ([63], 2 ** 32 - 63), ([9] * 7, 2 ** 32 - 9),  # 63, ending at 2^32
         ([5, 5], 2 ** 32 - 5), ([2, 5, 0, 1], 2 ** 32 - 5),
         ([64, 2, 64], 2 ** 32 - 64),               # 130: rows past 64 blocks
@@ -326,6 +327,62 @@ class TestPerStreamStarts:
                 _keystream_blocks(keys, nonces, counts, starts)
         with pytest.raises(ValueError, match="per stream"):
             _keystream_blocks(keys, nonces, [5, 5, 4], [1, 1])
+
+
+class TestIntColumns:
+    """Counts and starts as int columns — what a round's request
+    builders pass — are the call made with lists, whichever kernel it
+    falls on, and are refused with the same messages."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(streams=st.lists(st.tuples(
+        keys32, nonces12, st.integers(0, 40).flatmap(
+            lambda count: st.tuples(st.just(count), st.one_of(
+                st.integers(0, 3), st.just(2 ** 32 - count),
+                st.integers(0, 2 ** 32 - count))))),
+        min_size=1, max_size=8))
+    def test_columns_are_the_lists(self, streams):
+        keys = [key for key, _, _ in streams]
+        nonces = [nonce for _, nonce, _ in streams]
+        counts = [count for _, _, (count, _) in streams]
+        starts = [start for _, _, (_, start) in streams]
+        as_lists = _keystream_blocks(keys, nonces, counts, starts)
+        assert _on_every_path(lambda: _keystream_blocks(
+            key_words(keys), nonces, np.array(counts),
+            np.array(starts))) == [as_lists] * 3
+        assert _on_every_path(lambda: _keystream_blocks(
+            keys, nonces, np.array(counts), 1)) == \
+            [_keystream_blocks(keys, nonces, counts, 1)] * 3
+
+    @pytest.mark.parametrize("total", [CROSSOVER - 1, CROSSOVER])
+    def test_at_the_shipped_crossover(self, total):
+        rng = random.Random(total)
+        counts = [total - 7, 0, 4, 3]
+        starts = [1, 0, 2 ** 32 - 4, 7]
+        keys = [rng.randbytes(32) for _ in counts]
+        nonces = [rng.randbytes(12) for _ in counts]
+        assert _keystream_blocks(keys, nonces, np.array(counts),
+                                 np.array(starts)) == b"".join(
+            _reference_stream(key, nonce, count, start)
+            for key, nonce, count, start in zip(keys, nonces, counts,
+                                                starts))
+
+    @pytest.mark.parametrize("counts,starts,message", [
+        ([40, -1, 30], [0, 0, 0], "non-negative"),
+        ([40, 30], [0, 2 ** 32 - 29], "fit in 32 bits"),  # ends at 2^32 + 1
+        ([40, 30], [0, -1], "fit in 32 bits"),
+        ([40, 30], [0, 2 ** 62], "fit in 32 bits"),
+        ([40, 30], [0, 2 ** 64], "fit in 32 bits"),     # past int64
+        ([40, 30, 5], [0, 0], "per stream"),
+    ], ids=["negative-count", "one-past-2^32", "negative-start",
+            "start-past-2^32", "start-past-2^64", "length-mismatch"])
+    def test_the_list_messages(self, crossover, counts, starts, message):
+        keys = [RFC_KEY] * len(counts)
+        nonces = [bytes(12)] * len(counts)
+        for form in (list, np.array):
+            with pytest.raises(ValueError, match=message):
+                _keystream_blocks(keys, nonces, form(counts), form(starts))
+
 
 class TestRfc8439ThroughTheKernel:
     def test_block_vector(self, crossover):
@@ -776,6 +833,63 @@ class TestLockstepPoly1305:
                 for k, n, m, a in zip(keys, nonces, messages, aads)]
 
 
+def _expanded(messages, counts):
+    """Each message once per lane that ``counts`` gives it."""
+    return [message for message, count in zip(messages, counts)
+            for _ in range(count)]
+
+
+class TestMacCounts:
+    """``poly1305_mac_many(messages, keys, counts)``: message i under
+    the ``counts[i]`` keys after message i - 1's is the call with each
+    message repeated once per key, down both sides of the size test."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(items=st.lists(st.tuples(
+        st.sampled_from(MAC_LENGTHS).flatmap(
+            lambda n: st.binary(min_size=n, max_size=n)),
+        st.integers(0, 12)), max_size=12),
+        seed=st.integers(0, 2 ** 16))
+    def test_counts_are_the_expanded_call(self, items, seed):
+        messages = [message for message, _ in items]
+        counts = [count for _, count in items]
+        rng = random.Random(seed)
+        keys = [rng.randbytes(32) for _ in range(sum(counts))]
+        expected = [poly1305_mac(message, key) for message, key
+                    in zip(_expanded(messages, counts), keys)]
+        assert _on_every_path(lambda: poly1305_mac_many(
+            messages, keys, counts)) == [expected] * 3
+        rows = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, 32)
+        assert _on_every_path(lambda: poly1305_mac_many(
+            messages, rows, counts)) == [expected] * 3
+
+    @pytest.mark.parametrize("lanes", [chacha20._LOCKSTEP_MIN_LANES - 1,
+                                       chacha20._LOCKSTEP_MIN_LANES])
+    def test_at_the_shipped_lane_count(self, lanes):
+        """A round's shape — a few packets, each tried by many lanes —
+        with an empty message and a message no lane tries."""
+        rng = random.Random(lanes)
+        messages = [rng.randbytes(301), b"", rng.randbytes(17),
+                    rng.randbytes(320)]
+        counts = [lanes - 9, 4, 0, 5]
+        keys = [rng.randbytes(32) for _ in range(lanes)]
+        assert poly1305_mac_many(messages, keys, counts) == \
+            poly1305_mac_many(_expanded(messages, counts), keys)
+
+    def test_no_messages_and_no_lanes(self, crossover):
+        assert poly1305_mac_many([], [], []) == []
+        assert poly1305_mac_many([b"a", b""], [], [0, 0]) == []
+
+    def test_validation(self, crossover):
+        for messages, keys, counts in (
+                ([b"a", b"b"], [RFC_KEY] * 3, [1, 1]),
+                ([b"a", b"b"], [RFC_KEY] * 40, [20, 19]),
+                ([b"a", b"b"], [RFC_KEY] * 2, [2]),
+                ([b"a", b"b"], [RFC_KEY], [2, -1])):
+            with pytest.raises(ValueError, match="one Poly1305 key per"):
+                poly1305_mac_many(messages, keys, counts)
+
+
 class TestAeadBatch:
     def test_a_round_of_trials_rejects_exactly_the_forged_item(self):
         """208 trial decryptions, 8 authentic at seeded positions;
@@ -898,7 +1012,8 @@ class TestOneRecordOpen:
         _watch(monkeypatch, "_keystream_blocks",
                lambda keys, *_: calls.append(list(keys)))
         _watch(monkeypatch, "poly1305_mac_many",
-               lambda messages, keys: lanes.append(len(keys)))
+               lambda messages, keys, counts=None:
+               lanes.append(len(keys)))
         aead = ChaCha20Poly1305(RFC_KEY)
         for size in (0, 1, 15):
             with pytest.raises(ValueError, match="shorter than the AEAD"):
@@ -1251,7 +1366,8 @@ class TestDownstream:
         _watch(monkeypatch, "_keystream_blocks",
                lambda keys, *_: keystream.extend(keys))
         _watch(monkeypatch, "poly1305_mac_many",
-               lambda messages, keys: mac.extend(keys))
+               lambda messages, keys, counts=None:
+               mac.extend(keys))
         opened = dict(zip(map(id, mixed), _open(mixed, poly_keys)))
         # One MAC per well-formed trial, one body.
         assert [bytes(key) for key in keystream] == [self.keys[2].key]
@@ -1279,7 +1395,8 @@ class TestDownstream:
         _watch(monkeypatch, "_mac_input",
                lambda ciphertext, aad: inputs.append(ciphertext))
         _watch(monkeypatch, "poly1305_mac_many",
-               lambda messages, keys: lanes.append(len(keys)))
+               lambda messages, keys, counts=None:
+               lanes.append(len(keys)))
         opened = open_downstream_packets(
             round_index, [(channel_id, packet, len(self.keys))
                           for channel_id, packet in enumerate(packets)],

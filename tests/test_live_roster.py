@@ -16,7 +16,8 @@ caller.  This file pins that:
 * a roster is built once for as long as membership stands;
 * a member without an attachment is a typed error on both engines;
 * ``upstream_packet`` seals the manifest ``encode_manifest`` seals;
-* a ``zone-steady``-shaped round is two ``_keystream_blocks`` calls;
+* a ``zone-steady``-shaped round is two ``_keystream_blocks`` calls
+  and one lockstep MAC call;
 * ``decode_rounds`` in one kernel call equals the per-item
   composition, and refuses a bad round before the kernel runs;
 * ``LinkObserver.record_round_runs`` records what the per-link
@@ -308,16 +309,24 @@ class TestPlanUpstreamManifest:
 
 
 class _KernelSpy:
-    """Counts ``_keystream_blocks`` calls and their block totals."""
+    """Counts ``_keystream_blocks`` calls and their block totals, and
+    the messages and lanes of every lockstep MAC call."""
 
     def __init__(self, monkeypatch):
         self.blocks = []
+        self.lockstep = []
         kernel = chacha20._keystream_blocks
+        macs = chacha20._lockstep_macs
 
         def spy(keys, nonces, counts, counter):
             self.blocks.append(sum(counts))
             return kernel(keys, nonces, counts, counter)
+
+        def mac_spy(messages, keys, counts):
+            self.lockstep.append((len(messages), len(keys)))
+            return macs(messages, keys, counts)
         monkeypatch.setattr(chacha20, "_keystream_blocks", spy)
+        monkeypatch.setattr(chacha20, "_lockstep_macs", mac_spy)
 
 
 class TestKernelCallsPerRound:
@@ -344,6 +353,9 @@ class TestKernelCallsPerRound:
         spy = _KernelSpy(monkeypatch)
         zone.step()
         assert spy.blocks == [1440, 1248]
+        # The round's one lockstep MAC: 200 trials of 16 packets, each
+        # packet parsed once.
+        assert spy.lockstep == [(16, 200)]
         assert all(len(zone.received_by(c)) == 1 for c in parties)
 
 

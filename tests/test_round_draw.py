@@ -169,7 +169,7 @@ class TestDrawnBodies:
     def test_a_body_of_an_unplanned_channel_is_not_drawn(self):
         _, words = _members(2)
         trial_keys = TrialKeys(1, [(0, words)], [(5, 0), (0, 1)])
-        assert trial_keys.request[2] == [1, 1, 5]
+        assert list(trial_keys.request[2]) == [1, 1, 5]
         trial_keys.draw()
         assert list(trial_keys.bodies({0: 0})) == [1]
 
