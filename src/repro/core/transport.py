@@ -1,18 +1,17 @@
 """The Transport seam: what the round engine emits cells *into*.
 
-The protocol layer — the dispatch state machines
-(:mod:`repro.core.dispatch`), :class:`~repro.core.superpeer.SuperPeer`,
-:class:`~repro.core.mix.HerdMix`, :class:`~repro.core.client
-.HerdClient`, the directory and join flows — computes what every node
-says each round.  *How* those cells travel is this seam: a
+The protocol layer — :class:`~repro.core.superpeer.SuperPeer`,
+:class:`~repro.core.mix.Mix`, :class:`~repro.core.client.HerdClient`,
+the directory and join flows — computes what every node says each
+round.  *How* those cells travel is this seam: a
 :class:`CellTransport` receives the round's emissions and materializes
 them as a wire image an adversary could tap.
 
 Two implementations exist, and protocol code imports **neither**:
 
 * :class:`~repro.simulation.roundsync.WireFabric` — the simulator
-  transports (``event`` / ``batch-v2``): virtual-time netsim links,
-  one heap event per cell or one run table per round (DESIGN.md
+  transports (``event`` / ``batch-v2``): virtual-time netsim links
+  with one heap event per cell, or one run table per round (DESIGN.md
   §9/§13).
 * :class:`~repro.net.transport.UdpFabric` — the real-network
   transport (``asyncio``): every cell rides a framed UDP datagram
@@ -23,8 +22,10 @@ The concrete transport is chosen by name through
 :func:`repro.execution.create_wire_fabric`; a
 :class:`~repro.simulation.live.LiveZone` only ever talks to this
 interface.  Both implementations feed the same public tap protocol
-(:mod:`repro.netsim.taps`), which is what makes wiretap observations,
-herdscope metrics, and report rows transport-invariant.
+(:mod:`repro.netsim.taps`) on one clock — round ``r`` at
+``r * interval`` of virtual time — and report the one set of per-link
+totals this module's round drain keeps, which is what makes wiretap
+observations, herdscope metrics, and report rows transport-invariant.
 """
 
 from __future__ import annotations
@@ -183,11 +184,11 @@ class CellTransport:
         time, and offer it to every subscribed tap."""
         raise NotImplementedError
 
-    def finalize(self) -> Optional[Dict[str, object]]:
-        """Complete deferred work (wire-stat publication, socket
-        teardown).  Run consumers call this before reading stats.
-        Re-entrant: rounds flushed after a call reach the stats at
-        the next one."""
+    def finalize(self) -> Dict[str, object]:
+        """Complete deferred work (socket teardown) and return the
+        :meth:`_drain_link_totals` report.  Run consumers call this
+        before reading stats.  Re-entrant: rounds flushed after a call
+        reach the report of the next one."""
         raise NotImplementedError
 
     def add_tap(self, tap) -> None:

@@ -31,9 +31,9 @@ simulator and the sockets (DESIGN.md §14; gated by
 **The round barrier.**  UDP is lossy even on loopback (socket buffers
 overflow).  ``flush_round`` therefore waits until every sent
 ``(run, seq)`` coordinate has been received, retransmitting the
-missing frames on timeout, bounded by ``max_attempts``; a round that
-cannot complete raises rather than silently diverging from the
-simulator.  Loss, retransmissions, duplicates, and wall-clock send
+missing frames on timeout, bounded by ``BARRIER_MAX_ATTEMPTS``; a
+round that cannot complete raises rather than silently diverging
+from the simulator.  Loss, retransmissions, duplicates, and wall-clock send
 time are recorded in :meth:`UdpFabric.net_report` — a host side
 channel, never part of any determinism surface.
 
@@ -61,8 +61,8 @@ from repro.obs.perfclock import perf_now
 #: attempt bound before a round is declared lost.  Loopback rarely
 #: needs more than one retransmission; the bound exists so a wedged
 #: socket fails loudly instead of hanging CI.
-DEFAULT_BARRIER_TIMEOUT_S = 0.25
-DEFAULT_MAX_ATTEMPTS = 40
+BARRIER_TIMEOUT_S = 0.25
+BARRIER_MAX_ATTEMPTS = 40
 
 #: Datagrams sent between cooperative yields while flushing a round —
 #: the sender lets the receiving endpoints drain their socket buffers
@@ -190,25 +190,16 @@ class UdpFabric(CellTransport):
     sockets.  ``seed`` is accepted for constructor symmetry; the
     fabric draws no randomness (retransmission is deterministic, and
     the only nondeterminism — host scheduling — is confined to the
-    :meth:`net_report` side channel).
+    :meth:`net_report` side channel).  Every endpoint binds the
+    introducer's loopback host.
     """
-
-    execution = "asyncio"
-    wire_mode = "socket"
-    transport = "udp"
 
     def __init__(self, *, seed: int = 0,
                  interval: float = 0.02,
-                 observer: Optional[LinkObserver] = None,
-                 host: str = "127.0.0.1",
-                 barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT_S,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
+                 observer: Optional[LinkObserver] = None):
         super().__init__()
         self.seed = seed
         self.interval = interval
-        self.host = host
-        self.barrier_timeout = barrier_timeout
-        self.max_attempts = max_attempts
         self.observer = observer if observer is not None \
             else LinkObserver()
         self.taps: List = [self.observer]
@@ -268,7 +259,7 @@ class UdpFabric(CellTransport):
             offer_round_runs(tap, t, keys, sizes, counts)
         self.rounds_flushed += 1
 
-    def finalize(self) -> Optional[Dict[str, object]]:
+    def finalize(self) -> Dict[str, object]:
         """Tear the network down (sockets, introducer) and publish the
         wire totals accumulated since the last call; re-entrant."""
         self._shutdown()
@@ -314,7 +305,7 @@ class UdpFabric(CellTransport):
         if self._loop is not None:
             return
         self._loop = asyncio.new_event_loop()
-        self.introducer = intro.Introducer(host=self.host)
+        self.introducer = intro.Introducer()
         self._run_sync(self.introducer.start())
 
     def _ensure_endpoints(self, names: List[str]) -> None:
@@ -329,10 +320,10 @@ class UdpFabric(CellTransport):
         for name in names:
             _, protocol = await loop.create_datagram_endpoint(
                 lambda n=name: _NodeProtocol(n, self._collector),
-                local_addr=(self.host, 0))
+                local_addr=(self.introducer.host, 0))
             await intro.announce(
                 self.introducer.address, self._next_seq(), name,
-                self.host,
+                self.introducer.host,
                 protocol.transport.get_extra_info("sockname")[1])
             self._endpoints[name] = protocol
             self._endpoints_opened += 1
@@ -371,15 +362,14 @@ class UdpFabric(CellTransport):
              for seq in range(count)),
             directory)
         loop = asyncio.get_running_loop()
-        for _ in range(self.max_attempts):
+        for _ in range(BARRIER_MAX_ATTEMPTS):
             if collector.complete:
                 break
             self._barrier_attempts += 1
             waiter = loop.create_future()
             collector.waiter = waiter
             try:
-                await asyncio.wait_for(waiter,
-                                       self.barrier_timeout)
+                await asyncio.wait_for(waiter, BARRIER_TIMEOUT_S)
             except asyncio.TimeoutError:
                 missing = collector.missing()
                 self._retransmits += len(missing)
@@ -391,7 +381,7 @@ class UdpFabric(CellTransport):
             raise RuntimeError(
                 f"round {round_index}: "
                 f"{len(collector.missing())} datagrams still "
-                f"missing after {self.max_attempts} barrier "
+                f"missing after {BARRIER_MAX_ATTEMPTS} barrier "
                 f"attempts")
         return collector.table_rows()
 

@@ -7,8 +7,8 @@ with the scenario's survival metrics, the evaluated
 ``determinism_key`` — a content hash over every engine-invariant part
 of the outcome.  The key is the §9/§10 contract in one string: the
 same scenario and seed produce the same key on every registered
-engine (``event``, ``batch``, ``batch-v2``, ``asyncio``), and the
-CLI / CI corpus job fails when they diverge.
+engine (``event``, ``batch-v2``, ``asyncio``), and the CLI / CI
+corpus job fails when they diverge.
 """
 
 from __future__ import annotations

@@ -10,10 +10,15 @@ one of two execution engines:
 * ``execution="event"`` — the classical per-cell schedule: one
   :class:`~repro.netsim.packet.Packet` and one heap event per cell, as
   a packet-level simulator would do.  O(cells) events per round.
-* ``execution="batch-v2"`` — the vectorized plane (DESIGN.md §13): a
-  :class:`~repro.netsim.rounds.RoundScheduler` fires one event per
-  round, and the whole round is one run table with aggregate chaff
-  accounting, so a constant-rate round costs O(runs), not O(cells).
+* ``execution="batch-v2"`` — the vectorized plane (DESIGN.md §13):
+  the whole round is one run table with aggregate chaff accounting,
+  offered to the taps at the round's tick without touching the event
+  heap, so a constant-rate round costs O(runs), not O(cells).
+
+Both read one clock — round ``r`` is at ``r * interval`` — and one set
+of books: the per-link totals the round drain of
+:class:`~repro.core.transport.CellTransport` keeps, which
+:meth:`WireFabric.finalize` reports on either engine.
 
 Engines resolve by name through the :mod:`repro.execution` registry —
 this module never string-matches beyond its resolved ``wire_mode``.
@@ -43,7 +48,6 @@ from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.netsim.observer import LinkObserver
 from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
-from repro.netsim.rounds import RoundScheduler
 from repro.netsim.taps import offer_round_runs
 
 #: One codec frame (20 ms G.711): the round tick of the data plane.
@@ -65,9 +69,10 @@ class WireFabric(CellTransport):
     Parameters
     ----------
     seed:
-        Seed of the fabric's :class:`~repro.netsim.engine.EventLoop`
-        (only consumed by lossy/jittery links; the default zero-delay
-        fabric draws nothing).
+        Seed of the ``event`` engine's
+        :class:`~repro.netsim.engine.EventLoop` (only consumed by
+        lossy/jittery links; the default zero-delay fabric draws
+        nothing).
     interval:
         Round tick in seconds of virtual time.
     execution:
@@ -94,9 +99,8 @@ class WireFabric(CellTransport):
         super().__init__()
         self.execution = plane.name
         self.wire_mode = plane.wire_mode
+        self.interval = interval
         self.loop = EventLoop(seed=seed)
-        self.scheduler = RoundScheduler(self.loop, interval)
-        self.scheduler.on_round(self._transmit_runs_queued)
         self.observer = observer if observer is not None \
             else LinkObserver()
         #: Every subscribed tap, adversary observer first; links fan
@@ -104,13 +108,6 @@ class WireFabric(CellTransport):
         self.taps: List = [self.observer]
         self.nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        #: Wire-stat deltas from :meth:`finalize` whose link/node does
-        #: not exist yet — the vector plane never *creates* topology
-        #: just to hold counters; :meth:`link_between` / :meth:`node`
-        #: drain these on first access.
-        self._pending_link_stats: Dict[Tuple[str, str],
-                                       List[int]] = {}
-        self._pending_node_stats: Dict[str, List[int]] = {}
 
     # -- lazy topology ---------------------------------------------------------
 
@@ -123,10 +120,6 @@ class WireFabric(CellTransport):
             found = Node(name, self.loop)
             found.on_packet(_noop_packet)
             self.nodes[name] = found
-            pending = self._pending_node_stats.pop(name, None)
-            if pending is not None:
-                found.packets_received += pending[0]
-                found.bytes_received += pending[1]
         return found
 
     def link_between(self, a_name: str, b_name: str) -> Link:
@@ -141,13 +134,6 @@ class WireFabric(CellTransport):
             for tap in self.taps:
                 found.add_observer(tap)
             self._links[key] = found
-            for src, dst in (key, key[::-1]):
-                pending = self._pending_link_stats.pop((src, dst),
-                                                       None)
-                if pending is not None:
-                    stats = found.stats[src]
-                    stats.packets += pending[0]
-                    stats.bytes += pending[1]
         return found
 
     def add_tap(self, tap) -> None:
@@ -161,101 +147,56 @@ class WireFabric(CellTransport):
     # -- the round flush (the queue and its drain are CellTransport's) ---------
 
     def flush_round(self, round_index: int) -> None:
-        """Transmit everything queued, stamped at the round's tick.
+        """Transmit everything queued, stamped at the round's tick
+        ``round_index * interval``.
 
         Event engine: one transmission event per cell (plus one
         delivery event each) — the per-cell hot path this fabric
-        exists to measure.  Vector engine: a single round event that
-        offers the round's run table to every tap.  Either way the
-        cells hit the taps in identical order at the identical
+        exists to measure.  Vector engine: the round's run table,
+        offered whole to every tap through
+        :func:`~repro.netsim.taps.offer_round_runs` — aggregate chaff
+        accounting with O(runs) work and no heap event.  Either way
+        the cells hit the taps in identical order at the identical
         virtual time.
         """
-        if self.wire_mode != "event":
-            self.scheduler.run_round(round_index)
-            return
-        t = self.scheduler.time_of(round_index)
-        loop = self.loop
-        for (src, dst), payload, kind, count in \
-                self._drain_round(IP_UDP_HEADER_BYTES).runs():
-            link = self.link_between(src, dst)
-            sender = self.nodes[src]
-            for _ in range(count):
-                packet = Packet(payload, src, dst, kind=kind)
-                loop.schedule_at(t, lambda lk=link, s=sender, p=packet:
-                                 lk.transmit(s, p))
-        loop.run(until=t)
-        self.rounds_flushed += 1
-
-    def _transmit_runs_queued(self, round_index: int) -> None:
-        """Vector-engine round handler (``batch-v2``): the round's run
-        table, drained by :meth:`~repro.core.transport.CellTransport
-        ._drain_round`, is offered whole to every tap through
-        :func:`~repro.netsim.taps.offer_round_runs` — aggregate chaff
-        accounting with O(runs) work and a small constant.  Link and
-        node wire stats materialize from the accumulated totals at
-        :meth:`finalize`, never per round.
-        """
-        t = self.scheduler.time_of(round_index)
+        t = round_index * self.interval
         table = self._drain_round(IP_UDP_HEADER_BYTES)
-        for tap in self.taps:
-            offer_round_runs(tap, t, table.keys, table.sizes,
-                             table.counts)
+        if self.wire_mode == "event":
+            loop = self.loop
+            for (src, dst), payload, kind, count in table.runs():
+                link = self.link_between(src, dst)
+                sender = self.nodes[src]
+                for _ in range(count):
+                    packet = Packet(payload, src, dst, kind=kind)
+                    loop.schedule_at(
+                        t, lambda lk=link, s=sender, p=packet:
+                        lk.transmit(s, p))
+            loop.run(until=t)
+        else:
+            for tap in self.taps:
+                offer_round_runs(tap, t, table.keys, table.sizes,
+                                 table.counts)
         self.rounds_flushed += 1
 
-    def finalize(self) -> Optional[Dict[str, object]]:
-        """Drain the vector plane's accumulated per-link totals into
-        link/node wire stats and return what was drained.
+    def finalize(self) -> Dict[str, object]:
+        """Report the per-link wire totals accumulated since the last
+        call (:meth:`~repro.core.transport.CellTransport
+        ._drain_link_totals`) and start afresh.
 
-        Deltas apply to *existing* topology; those for links/nodes
-        nobody materialized stay pending and drain on first
-        :meth:`link_between` / :meth:`node` access — stats are never
-        a reason to allocate topology.
-
-        Re-entrant: rounds flushed after a call reach the stats at
-        the next one, and a call with nothing accumulated changes
-        nothing.  On the ``event`` engine, whose links count every
-        packet as it goes, it only resets the totals and returns
-        ``None``.
+        Re-entrant: rounds flushed after a call reach the report of
+        the next one, and a call with nothing accumulated reports
+        zeros.  The ``event`` engine's netsim links and nodes also
+        count every packet as it goes; those counts are cumulative.
         Run consumers call this before reading wire stats.
         """
-        report = self._drain_link_totals()
-        if self.wire_mode != "vector":
-            # The event plane's links counted their own packets.
-            return None
-        for (src, dst), (cells, n_bytes) in report["link_stats"].items():
-            canonical = (src, dst) if src <= dst else (dst, src)
-            link = self._links.get(canonical)
-            if link is not None:
-                stats = link.stats[src]
-                stats.packets += cells
-                stats.bytes += n_bytes
-            else:
-                entry = self._pending_link_stats.get((src, dst))
-                if entry is None:
-                    self._pending_link_stats[(src, dst)] = [cells,
-                                                            n_bytes]
-                else:
-                    entry[0] += cells
-                    entry[1] += n_bytes
-            receiver = self.nodes.get(dst)
-            if receiver is not None:
-                receiver.packets_received += cells
-                receiver.bytes_received += n_bytes
-            else:
-                entry = self._pending_node_stats.get(dst)
-                if entry is None:
-                    self._pending_node_stats[dst] = [cells, n_bytes]
-                else:
-                    entry[0] += cells
-                    entry[1] += n_bytes
-        return report
+        return self._drain_link_totals()
 
     # -- accounting ------------------------------------------------------------
 
     @property
     def events_processed(self) -> int:
-        """Heap events the wire plane cost so far — the quantity the
-        vector engine exists to collapse."""
+        """Heap events the wire plane cost so far: two a cell on the
+        ``event`` engine, none on ``batch-v2``."""
         return self.loop.events_processed
 
     def __repr__(self) -> str:

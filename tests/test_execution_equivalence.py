@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import SimConfig, Simulation
 from repro.faults.plan import FaultKind, FaultSpec
+from repro.netsim.packet import IP_UDP_HEADER_BYTES
 from repro.scenario import (
     Adversary,
     Scenario,
@@ -79,9 +80,10 @@ class TestLiveEquivalence:
         assert (tmp_path / "event.jsonl").read_bytes() == \
             (tmp_path / "v2.jsonl").read_bytes()
         # The engines really are different under the hood: batch-v2
-        # schedules O(rounds) wire events, event O(cells).
-        assert v2.detail["wiretap"]["wire_events_processed"] < \
-            event.detail["wiretap"]["wire_events_processed"]
+        # puts no wire event on the heap, event two a cell.
+        assert v2.detail["wiretap"]["wire_events_processed"] == 0
+        assert event.detail["wiretap"]["wire_events_processed"] == \
+            2 * event.detail["wiretap"]["cells_carried"]
         assert event.detail["wiretap"]["cells_carried"] == \
             v2.detail["wiretap"]["cells_carried"] > 0
 
@@ -135,11 +137,13 @@ class TestLiveEquivalence:
 
 
 class TestWireStatsEquivalence:
-    """Link and node wire stats are part of the cross-engine surface:
-    the vector plane defers them to ``finalize()``, which must keep
-    working when rounds continue after it was called.  What the
-    engines are allowed to differ in is cost: heap events are
-    O(cells) on ``event`` and O(rounds) on the round engines."""
+    """Wire stats are one set of books on every engine: ``finalize()``
+    reports what the round drain booked since the last call, and must
+    keep working when rounds continue after it was called.  On
+    ``event`` the netsim links and nodes also count every packet they
+    carry, cumulatively, and agree with the reports.  What the engines
+    are allowed to differ in is cost: two heap events a cell on
+    ``event``, none on the round engine."""
 
     @staticmethod
     def _stats(execution):
@@ -148,33 +152,41 @@ class TestWireStatsEquivalence:
         fabric = create_wire_fabric(execution, seed=1)
         tap = TallyTap()
         fabric.add_tap(tap)
-        snapshots = []
+        reports = []
         for r in range(6):
             fabric.emit_repeated("sp-0", "mix", b"\x00" * 160, 10,
                                  kind="up")
+            fabric.emit("mix", "sp-0", b"\x01" * 100, kind="down")
             fabric.flush_round(r)
             # Every emitted cell was carried and reached the tap.
-            assert fabric.cells_carried == tap.cells == 10 * (r + 1)
+            assert fabric.cells_carried == tap.cells == 11 * (r + 1)
             if r in (2, 5):
-                fabric.finalize()
-                fabric.finalize()  # nothing new: changes nothing
-                up = fabric.link_between("sp-0", "mix").stats["sp-0"]
-                mix = fabric.node("mix")
-                snapshots.append((up.packets, up.bytes,
-                                  mix.packets_received,
-                                  mix.bytes_received,
-                                  fabric.cells_carried, tap.cells))
+                reports.append(fabric.finalize())
+                # Nothing new: an empty report.
+                assert fabric.finalize()["cells"] == 0
+                if execution == "event":
+                    link = fabric.link_between("sp-0", "mix")
+                    for src, dst in (("sp-0", "mix"), ("mix", "sp-0")):
+                        stats = link.stats[src]
+                        node = fabric.node(dst)
+                        assert (stats.packets, stats.bytes) == \
+                            (node.packets_received,
+                             node.bytes_received) == \
+                            tuple(sum(report["link_stats"][(src, dst)][i]
+                                      for report in reports)
+                                  for i in (0, 1))
         assert fabric.rounds_flushed == 6
-        return snapshots, fabric.events_processed
+        return reports, fabric.events_processed
 
     def test_finalize_then_more_rounds_then_finalize(self):
         event, event_cost = self._stats("event")
-        assert [s[0] for s in event] == [30, 60]
-        assert [s[2] for s in event] == [30, 60]
+        up = (30, 30 * (160 + IP_UDP_HEADER_BYTES))
+        down = (3, 3 * (100 + IP_UDP_HEADER_BYTES))
+        assert [report["link_stats"] for report in event] == \
+            [{("sp-0", "mix"): up, ("mix", "sp-0"): down}] * 2
         # One transmission + one delivery event per cell.
-        assert event_cost == 2 * 60
-        # One event per round flushed, however many cells it carried.
-        assert self._stats("batch-v2") == (event, 6)
+        assert event_cost == 2 * 66
+        assert self._stats("batch-v2") == (event, 0)
 
 
 class TestTestbedAndChaosEquivalence:
@@ -272,8 +284,8 @@ class TestScenarioEquivalence:
         assert event.determinism_key == v2.determinism_key
         assert event.passed and v2.passed
         # The engines still differ where they are allowed to: the
-        # batch-v2 engine schedules O(rounds) wire events, not O(cells).
-        assert v2.detail.wiretap["wire_events_processed"] < \
+        # batch-v2 engine puts no wire event on the heap.
+        assert v2.detail.wiretap["wire_events_processed"] == 0 < \
             event.detail.wiretap["wire_events_processed"]
 
     def test_scenario_key_stable_across_replays(self):

@@ -14,12 +14,15 @@ three layers without the facade on top:
 """
 
 import asyncio
+import gc
+import warnings
 
 import pytest
 
 from repro.core.wire import CellFrame, WireFormatError, \
     encode_cell_frame
 from repro.net import introducer as intro
+from repro.net import transport
 from repro.net.transport import IP_UDP_HEADER_BYTES, RoundCollector, \
     UdpFabric
 
@@ -198,3 +201,37 @@ class TestUdpFabric:
         assert RoundCounter.rounds == 2
         assert stats["cells"] == 0
         assert fabric.net_report()["endpoints"] == 0
+
+    def test_a_round_that_never_lands_raises_and_finalize_closes(
+            self, monkeypatch):
+        # Every datagram is lost, and the barrier gives up after two
+        # short attempts instead of forty.
+        monkeypatch.setattr(transport, "BARRIER_MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(transport, "BARRIER_TIMEOUT_S", 0.01)
+        monkeypatch.setattr(transport._NodeProtocol, "datagram_received",
+                            lambda self, data, addr: None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fabric = UdpFabric(seed=1)
+            fabric.emit("client-0", "sp-0", b"\x01" * 64)
+            fabric.emit_repeated("sp-0", "mix-0", b"\x02" * 128, 3)
+            with pytest.raises(RuntimeError,
+                               match=r"^round 7: 4 datagrams still "
+                                     r"missing after 2 barrier "
+                                     r"attempts$"):
+                fabric.flush_round(7)
+            endpoints = list(fabric._endpoints.values())
+            introducer = fabric.introducer
+            assert len(endpoints) == 3
+            fabric.finalize()
+            assert all(protocol.transport.is_closing()
+                       for protocol in endpoints)
+            assert introducer._transport is None
+            assert fabric._loop is None
+            report = fabric.net_report()
+            del fabric, endpoints, introducer
+            gc.collect()
+        assert report["barrier_attempts"] == 2
+        assert report["retransmits"] == 2 * 4
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []

@@ -1,8 +1,9 @@
 """Round-synchronous execution on the network simulator.
 
-Covers the :mod:`repro.netsim.rounds` ``RoundScheduler``, the
-determinism contract that motivated moving packet-id allocation off a
-module global and onto the :class:`~repro.netsim.engine.EventLoop`,
+Covers the determinism contract that motivated moving packet-id
+allocation off a module global and onto the
+:class:`~repro.netsim.engine.EventLoop`, the one round clock every
+wire plane stamps its taps with (round ``r`` at ``r * interval``),
 and the wire queue every round plane drains
 (:class:`~repro.core.transport.CellTransport`): random scripts of
 ``emit`` / ``emit_each`` / ``emit_repeated`` checked against a plain
@@ -21,7 +22,6 @@ from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.netsim.observer import LinkObserver
 from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
-from repro.netsim.rounds import RoundScheduler
 
 
 def _pair(loop, **link_kwargs):
@@ -30,37 +30,41 @@ def _pair(loop, **link_kwargs):
     return a, b, link
 
 
-class TestRoundScheduler:
-    def test_rounds_fire_at_interval_times(self):
-        loop = EventLoop()
-        sched = RoundScheduler(loop, 0.02)
-        fired = []
-        sched.on_round(lambda r: fired.append((r, loop.now)))
-        sched.run_rounds(3)
-        assert fired == [(0, 0.0), (1, pytest.approx(0.02)),
-                         (2, pytest.approx(0.04))]
-        assert sched.rounds_run == 3
+class _TimeTap:
+    """A ``record``-only tap: the virtual time of every cell."""
 
-    def test_one_heap_event_per_round(self):
-        loop = EventLoop()
-        sched = RoundScheduler(loop, 0.02)
-        sched.on_round(lambda r: None)
-        sched.run_rounds(10)
-        assert loop.events_processed == 10
+    def __init__(self):
+        self.times = []
 
-    def test_handlers_run_in_registration_order(self):
-        loop = EventLoop()
-        sched = RoundScheduler(loop, 1.0)
-        order = []
-        sched.on_round(lambda r: order.append("first"))
-        sched.on_round(lambda r: order.append("second"))
-        sched.run_round()
-        assert order == ["first", "second"]
+    def record(self, time, cell, src, dst):
+        self.times.append(time)
 
-    def test_time_of(self):
-        sched = RoundScheduler(EventLoop(), 0.5, start=1.0)
-        assert sched.time_of(0) == 1.0
-        assert sched.time_of(4) == 3.0
+
+class TestRoundClock:
+    @pytest.mark.parametrize("engine", ["event", "batch-v2", "asyncio"])
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_a_tap_sees_round_r_at_r_intervals(self, engine):
+        fabric = create_wire_fabric(engine, seed=1, interval=0.05)
+        tap = _TimeTap()
+        fabric.add_tap(tap)
+        rounds = [0, 1, 2, 5, 20]
+        for r in rounds:
+            fabric.emit("client-0", "sp-0", b"\x01" * 8)
+            fabric.emit_repeated("sp-0", "mix", b"\x02" * 8, 2)
+            fabric.flush_round(r)
+        fabric.finalize()
+        want = [r * 0.05 for r in rounds for _ in range(3)]
+        assert tap.times == want
+        assert [o.time for o in fabric.observer.observations] == want
+
+    def test_a_round_table_puts_nothing_on_the_heap(self):
+        fabric = create_wire_fabric("batch-v2", seed=1)
+        for r in range(3):
+            fabric.emit_repeated("sp-0", "mix", b"\x02" * 8, 4)
+            fabric.flush_round(r)
+        assert fabric.cells_carried == len(fabric.observer.observations) \
+            == 12
+        assert fabric.events_processed == fabric.loop.pending() == 0
 
 
 class TestPacketIdDeterminism:
@@ -199,7 +203,8 @@ class _TableTap:
 
 def _drive(engine, script):
     """Run ``script`` on a fresh fabric: ``(tables, finalize reports,
-    observations, cells carried)``."""
+    observations, fabric)``; the per-cell ``event`` plane offers no
+    tables."""
     observer = LinkObserver()
     fabric = create_wire_fabric(engine, seed=1, observer=observer)
     tap = _TableTap()
@@ -220,16 +225,17 @@ def _drive(engine, script):
         if finalize:
             reports.append(fabric.finalize())
     reports.append(fabric.finalize())
-    return tap.tables, reports, list(observer.observations), \
-        fabric.cells_carried
+    return tap.tables, reports, list(observer.observations), fabric
 
 
 def _check(engine, script):
-    tables, reports, observations, carried = _drive(engine, script)
+    tables, reports, observations, fabric = _drive(engine, script)
     want_tables, want_reports = _reference(script)
-    assert tables == want_tables
+    if engine != "event":
+        assert tables == want_tables
     assert reports == want_reports
-    assert carried == sum(report["cells"] for report in want_reports)
+    assert fabric.cells_carried == sum(report["cells"]
+                                       for report in want_reports)
     return observations
 
 
@@ -237,12 +243,37 @@ class TestWireQueue:
     @given(_SCRIPT)
     @settings(max_examples=150, deadline=None)
     def test_round_tables_and_totals_match_the_grouping(self, script):
-        observations = _check("batch-v2", script)
-        _, reports, event_observations, carried = _drive("event",
-                                                         script)
-        assert event_observations == observations
-        assert carried == sum(r["cells"] for r in _reference(script)[1])
-        assert reports == [None] * len(reports)
+        assert _check("event", script) == _check("batch-v2", script)
+
+    @given(_SCRIPT)
+    @settings(max_examples=50, deadline=None)
+    def test_event_links_count_what_the_reports_book(self, script):
+        # The netsim links and nodes of the per-cell plane count every
+        # packet they carry, across finalize() calls; the reports are
+        # what the drain booked between calls.
+        _, reports, _, fabric = _drive("event", script)
+        booked = {}
+        for report in reports:
+            for link, (cells, n_bytes) in report["link_stats"].items():
+                entry = booked.setdefault(link, [0, 0])
+                entry[0] += cells
+                entry[1] += n_bytes
+        counted = {}
+        for link in fabric._links.values():
+            for src, stats in link.stats.items():
+                if stats.packets:
+                    dst = link.b.name if src == link.a.name \
+                        else link.a.name
+                    counted[(src, dst)] = [stats.packets, stats.bytes]
+        assert counted == booked
+        received = {}
+        for (_, dst), (cells, n_bytes) in booked.items():
+            entry = received.setdefault(dst, [0, 0])
+            entry[0] += cells
+            entry[1] += n_bytes
+        assert {name: [node.packets_received, node.bytes_received]
+                for name, node in fabric.nodes.items()
+                if node.packets_received} == received
 
     @pytest.mark.parametrize("script", [
         # A link repeated within a round, after another link first

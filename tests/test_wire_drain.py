@@ -135,7 +135,7 @@ class _Checked:
     def finalize(self):
         report = self.fabric.finalize()
         want = self.oracle.finalize(self.fabric._link_keys)
-        assert report == (None if self.engine == "event" else want)
+        assert report == want
         assert self.fabric._link_cells.tolist() == \
             self.oracle.cells.tolist()
 
