@@ -258,7 +258,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
 
     # -- the passive adversary ----------------------------------------------
     tapped = scenario.adversary.kind == "wiretap"
-    zone.tap_wire(tapped)
+    zone.tap_wire(tapped, scenario.round_interval_s)
 
     plan.compile_onto(loop, injector)
 

@@ -425,12 +425,15 @@ class LiveZone:
             observer=observer)
         return self.wire
 
-    def tap_wire(self, tapped: bool) -> Optional[CellTransport]:
-        """Attach the wire plane a run needs: always on the real-network
-        plane (the datagrams *are* the transport), and on the simulator
-        planes only when an adversary taps it."""
+    def tap_wire(self, tapped: bool,
+                 interval: float = DEFAULT_ROUND_INTERVAL_S
+                 ) -> Optional[CellTransport]:
+        """Attach the wire plane a run needs, ticking every
+        ``interval`` seconds (the run's own round clock): always on the
+        real-network plane (the datagrams *are* the transport), and on
+        the simulator planes only when an adversary taps it."""
         if tapped or self.transport == "udp":
-            return self.attach_wire()
+            return self.attach_wire(interval=interval)
         return None
 
     def wire_readout(self, tapped: bool

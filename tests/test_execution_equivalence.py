@@ -33,6 +33,7 @@ from repro.scenario import (
     SurvivalCriteria,
     Workload,
     ZoneShape,
+    execute,
     run_scenario,
 )
 from repro.scenario.report import outcome_fingerprint
@@ -287,6 +288,24 @@ class TestScenarioEquivalence:
         # batch-v2 engine puts no wire event on the heap.
         assert v2.detail.wiretap["wire_events_processed"] == 0 < \
             event.detail.wiretap["wire_events_processed"]
+
+    @pytest.mark.parametrize("execution", ["event", "batch-v2"])
+    def test_the_wiretap_ticks_on_the_scenario_clock(self, execution):
+        # 20 rounds of 50 ms: round r is observed at r * 0.05 s, the
+        # scenario's own clock, not the 20 ms codec-frame default.
+        scenario = Scenario(name="wiretap-clock", seed=3, horizon_s=1.0,
+                            round_interval_s=0.05,
+                            zone=ZoneShape(n_clients=4, n_channels=2,
+                                           n_sps=1, k=1,
+                                           n_direct_clients=0),
+                            workload=Workload(call_pairs=1,
+                                              call_start_s=0.2),
+                            adversary=Adversary(kind="wiretap"))
+        outcome = execute(scenario, execution=execution)
+        assert outcome.rounds_run == 20
+        times = sorted({time for time, _, _, _
+                        in outcome.wiretap["observations"]})
+        assert times == [r * 0.05 for r in range(20)]
 
     def test_scenario_key_stable_across_replays(self):
         first = run_scenario(self.DEGRADATION_SCENARIO)
