@@ -33,9 +33,9 @@ overflow).  ``flush_round`` therefore waits until every sent
 ``(run, seq)`` coordinate has been received, retransmitting the
 missing frames on timeout, bounded by ``BARRIER_MAX_ATTEMPTS``; a
 round that cannot complete raises rather than silently diverging
-from the simulator.  Loss, retransmissions, duplicates, and wall-clock send
-time are recorded in :meth:`UdpFabric.net_report` — a host side
-channel, never part of any determinism surface.
+from the simulator.  Loss, retransmissions, duplicates, and
+wall-clock send time are recorded in :meth:`UdpFabric.net_report` —
+a host side channel, never part of any determinism surface.
 
 **Teardown.**  ``finalize`` closes every socket and publishes the
 wire totals accumulated since its last call; it is re-entrant like
